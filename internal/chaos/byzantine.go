@@ -152,11 +152,7 @@ func byzSend(c *transport.RawClient, round int, role Role, rng *rand.Rand, targe
 		if err != nil {
 			return err
 		}
-		staleFrame, err := wire.EncodeBatch(round-1, stale)
-		if err != nil {
-			return err
-		}
-		if err := c.SendFrame(staleFrame); err != nil {
+		if err := c.SendBatch(round-1, stale); err != nil {
 			return err
 		}
 		batch, err := encodeBroadcast(proxcensus.EchoPayload{Z: 1, H: 0})

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"proxcensus/internal/sim"
 	"proxcensus/internal/transport"
@@ -59,58 +58,24 @@ func Run(machines []sim.Machine, s Schedule, cfg transport.Config) (*Result, err
 		return nil, err
 	}
 	cfg.Faults = s
-
-	hub, err := transport.NewHubConfig(s.N, s.Rounds, cfg)
-	if err != nil {
+	byz := make(map[int]func(addr string) error)
+	for _, id := range s.ByzNodes() {
+		role, _ := s.ByzRole(id)
+		byz[id] = func(addr string) error {
+			// Infrastructure trouble inside the attacker is worth
+			// surfacing, but its terminal status stays ErrByzantine so
+			// trace hashes only depend on the schedule.
+			if err := runByzantine(addr, id, role, s, cfg); err != nil {
+				return fmt.Errorf("%w: role %s: %v", ErrByzantine, role, err)
+			}
+			return fmt.Errorf("%w: role %s", ErrByzantine, role)
+		}
+	}
+	run, err := transport.RunLocalRaw(machines, s.Rounds, cfg, byz)
+	if run == nil {
 		return nil, err
 	}
-	defer func() { _ = hub.Close() }()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hub.Serve() }()
-
-	res := &Result{
-		Schedule: s,
-		Outputs:  make([]any, s.N),
-		Errs:     make([]error, s.N),
-		Nodes:    make([]transport.Report, s.N),
-	}
-	nodes := make([]*transport.Node, s.N)
-	var wg sync.WaitGroup
-	for i := range machines {
-		i := i
-		if role, ok := s.ByzRole(i); ok {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Infrastructure trouble inside the attacker is worth
-				// surfacing, but its terminal status stays ErrByzantine so
-				// trace hashes only depend on the schedule.
-				if err := runByzantine(hub.Addr(), i, role, s, cfg); err != nil {
-					res.Errs[i] = fmt.Errorf("%w: role %s: %v", ErrByzantine, role, err)
-				} else {
-					res.Errs[i] = fmt.Errorf("%w: role %s", ErrByzantine, role)
-				}
-			}()
-			continue
-		}
-		nodes[i] = transport.NewNodeConfig(hub.Addr(), i, s.Rounds, machines[i], cfg)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res.Outputs[i], res.Errs[i] = nodes[i].Run()
-		}()
-	}
-	wg.Wait()
-	if err := <-serveErr; err != nil {
-		return res, err
-	}
-	res.Hub = hub.Report()
-	for i, nd := range nodes {
-		if nd != nil {
-			res.Nodes[i] = nd.Report()
-		}
-	}
-	return res, nil
+	return &Result{Schedule: s, Outputs: run.Outputs, Errs: run.Errs, Hub: run.Hub, Nodes: run.Nodes}, err
 }
 
 // Survivors returns the non-faulty nodes — everyone the schedule

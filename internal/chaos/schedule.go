@@ -2,16 +2,19 @@
 // over the TCP transport. A Schedule is a deterministic
 // transport.FaultInjector generated from (n, t, rounds, seed) — the
 // same seed always yields the same faults, so every chaos failure is
-// replayable from its printed spec. Schedules mix benign deployment
-// faults (crash-stop, connection drops, send delays, duplicated
-// frames, partitions) with Byzantine nodes: parties that hold their
-// authenticated slot but speak the wire format maliciously, in a Role
-// adapted from the simulator's adversaries (internal/adversary) or
-// native to the wire (wrong-round frames, duplicate floods, malformed
-// bytes). Byzantine behaviour is itself seeded from the schedule, so
-// replays reproduce attacks byte for byte. The adaptive rushing
-// adversary of the proofs stays in the deterministic simulator
-// (internal/sim), which can reorder deliveries a real hub cannot.
+// replayable from its printed spec — and since a chaos run and the
+// proxserve daemon share one transport, the same Schedule drops into a
+// service as service.Config.Transport.Faults. Schedules mix benign
+// deployment faults (crash-stop, connection drops, send delays,
+// duplicated frames, partitions) with Byzantine nodes: parties that
+// hold their authenticated slot but speak the wire format maliciously,
+// in a Role adapted from the simulator's adversaries
+// (internal/adversary) or native to the wire (wrong-round frames,
+// duplicate floods, malformed bytes). Byzantine behaviour is itself
+// seeded from the schedule, so replays reproduce attacks byte for
+// byte. The adaptive rushing adversary of the proofs stays in the
+// deterministic simulator (internal/sim), which can reorder deliveries
+// a real hub cannot.
 package chaos
 
 import (
@@ -48,9 +51,9 @@ const (
 	// Byz runs a node as a Byzantine attacker for the whole execution,
 	// playing the strategy named by the fault's Role.
 	Byz
-	// Churn takes a node offline before it sends round Round and
-	// rejoins it via a resume hello in time to receive round Until's
-	// delivery; the rounds between deliver empty for its slot.
+	// Churn takes a node offline before it sends round Round — it
+	// bounces its connection — and rejoins it for round Until's delivery;
+	// through round Until its slot delivers empty.
 	Churn
 	// Net applies a named seeded network latency model (see
 	// transport.NetModelNames) to every node's sends for the whole

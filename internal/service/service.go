@@ -1,7 +1,7 @@
 // Package service turns the one-shot protocol stack into a long-lived
 // consensus service: clients stream proposed values in, the service
 // batches them into multivalued BA instances running concurrently over
-// one shared set of mux transport connections, and decisions stream
+// one shared set of transport connections, and decisions stream
 // back out. The lifecycle per instance is create (allocate an ID,
 // register transport lanes), run (drive the hub rounds and the n party
 // machines), decide (check agreement, resolve the batch's tickets) and
@@ -22,6 +22,7 @@ import (
 
 	"proxcensus/internal/ba"
 	"proxcensus/internal/quorum"
+	"proxcensus/internal/sim"
 	"proxcensus/internal/transport"
 	"proxcensus/internal/validate"
 )
@@ -63,7 +64,9 @@ type Config struct {
 	// NoScreen disables per-instance ingress validation (on by default
 	// with the permissive General rules).
 	NoScreen bool
-	// Transport tunes the underlying mux transport.
+	// Transport tunes the underlying transport. Transport.Faults injects
+	// a fault schedule (internal/chaos) into every instance, each on its
+	// own round clock.
 	Transport transport.Config
 }
 
@@ -376,8 +379,9 @@ func (s *Service) Stats() Stats {
 }
 
 // Report merges the transport-level reports of the hub and every node
-// into one service view (per-instance hub reports are folded into each
-// instance's lifecycle and not retained).
+// into one service view. Per-instance hub reports are not retained;
+// what outlives an instance is in the hub's report: which nodes some
+// instance ended without, and the link-level events.
 func (s *Service) Report() transport.Report {
 	reps := make([]transport.Report, 0, len(s.nodes)+1)
 	reps = append(reps, s.hub.Report())
@@ -565,7 +569,7 @@ func (s *Service) runInstance(batch []proposal) {
 	}
 }
 
-// decide drives one multivalued BA instance with every party proposing
+// decide runs one multivalued BA instance with every party proposing
 // the digest and returns the agreed value.
 func (s *Service) decide(inst int, digest ba.Value) (ba.Value, error) {
 	inputs := make([]ba.Value, s.cfg.N)
@@ -576,46 +580,21 @@ func (s *Service) decide(inst int, digest ba.Value) (ba.Value, error) {
 	if err != nil {
 		return 0, err
 	}
-	hi, err := s.hub.StartInstance(inst, proto.Rounds)
+	outs, err := s.drive(inst, proto.Rounds, proto.Machines)
 	if err != nil {
 		return 0, err
 	}
-	hubDone := make(chan error, 1)
-	go func() { hubDone <- hi.Run() }()
-
-	outs := make([]any, s.cfg.N)
-	errs := make([]error, s.cfg.N)
-	var wg sync.WaitGroup
-	for i := 0; i < s.cfg.N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], errs[i] = s.nodes[i].RunInstance(inst, proto.Rounds, proto.Machines[i])
-		}(i)
-	}
-	wg.Wait()
-	if err := <-hubDone; err != nil {
-		return 0, err
-	}
-	for i, e := range errs {
-		if e != nil {
-			return 0, fmt.Errorf("party %d: %w", i, e)
-		}
-	}
 	decisions := ba.DecisionsFromOutputs(outs)
-	if len(decisions) != s.cfg.N {
-		return 0, fmt.Errorf("service: instance %d produced %d decisions, want %d", inst, len(decisions), s.cfg.N)
+	if len(decisions) != len(outs) {
+		return 0, fmt.Errorf("service: instance %d produced %d decisions from %d outputs", inst, len(decisions), len(outs))
 	}
-	for i := 1; i < len(decisions); i++ {
-		if decisions[i] != decisions[0] {
-			return 0, fmt.Errorf("service: instance %d disagreement: party %d decided %d, party 0 decided %d",
-				inst, i, decisions[i], decisions[0])
-		}
+	if err := ba.CheckAgreement(decisions); err != nil {
+		return 0, fmt.Errorf("service: instance %d: %w", inst, err)
 	}
 	return decisions[0], nil
 }
 
-// decidePayload drives one multivalued payload BA instance with every
+// decidePayload runs one multivalued payload BA instance with every
 // party proposing the batch bytes and returns the agreed bytes. The
 // machine lattice is the payload Turpin-Coan family, so what travels
 // the wire and what the parties decide are the bytes themselves, not a
@@ -629,7 +608,28 @@ func (s *Service) decidePayload(inst int, input []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	hi, err := s.hub.StartInstance(inst, proto.Rounds)
+	outs, err := s.drive(inst, proto.Rounds, proto.Machines)
+	if err != nil {
+		return nil, err
+	}
+	decisions := ba.PayloadDecisionsFromOutputs(outs)
+	if len(decisions) != len(outs) {
+		return nil, fmt.Errorf("service: instance %d produced %d decisions from %d outputs", inst, len(decisions), len(outs))
+	}
+	if err := ba.CheckPayloadAgreement(decisions); err != nil {
+		return nil, fmt.Errorf("service: instance %d: %w", inst, err)
+	}
+	return decisions[0], nil
+}
+
+// drive runs one instance end to end — the hub's round loop and the n
+// parties' machines over the shared connections — and returns the
+// outputs of the parties that finished. A party may fail (crashed or
+// cut off by an injected fault, declared dead by the hub); the instance
+// stands as long as an n-t quorum returned, which is all BA promises
+// to wait for. The caller checks that the returned outputs agree.
+func (s *Service) drive(inst, rounds int, machines []sim.Machine) ([]any, error) {
+	hi, err := s.hub.StartInstance(inst, rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -639,31 +639,28 @@ func (s *Service) decidePayload(inst int, input []byte) ([]byte, error) {
 	outs := make([]any, s.cfg.N)
 	errs := make([]error, s.cfg.N)
 	var wg sync.WaitGroup
-	for i := 0; i < s.cfg.N; i++ {
+	for i := range machines {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			outs[i], errs[i] = s.nodes[i].RunInstance(inst, proto.Rounds, proto.Machines[i])
-		}(i)
+			outs[i], errs[i] = s.nodes[i].RunInstance(inst, rounds, machines[i])
+		}()
 	}
 	wg.Wait()
 	if err := <-hubDone; err != nil {
 		return nil, err
 	}
+	done := outs[:0]
+	var failed error
 	for i, e := range errs {
-		if e != nil {
-			return nil, fmt.Errorf("party %d: %w", i, e)
+		if e == nil {
+			done = append(done, outs[i])
+		} else if failed == nil {
+			failed = fmt.Errorf("party %d: %w", i, e)
 		}
 	}
-	decisions := ba.PayloadDecisionsFromOutputs(outs)
-	if len(decisions) != s.cfg.N {
-		return nil, fmt.Errorf("service: instance %d produced %d decisions, want %d", inst, len(decisions), s.cfg.N)
+	if !quorum.Reached(len(done), s.cfg.N, s.cfg.T) {
+		return nil, fmt.Errorf("service: instance %d: %d of %d parties finished: %w", inst, len(done), s.cfg.N, failed)
 	}
-	for i := 1; i < len(decisions); i++ {
-		if !bytes.Equal(decisions[i], decisions[0]) {
-			return nil, fmt.Errorf("service: instance %d disagreement: party %d decided %d bytes, party 0 decided %d bytes",
-				inst, i, len(decisions[i]), len(decisions[0]))
-		}
-	}
-	return decisions[0], nil
+	return done, nil
 }

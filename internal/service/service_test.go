@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"proxcensus/internal/ba"
+	"proxcensus/internal/chaos"
 	"proxcensus/internal/transport"
 )
 
@@ -186,5 +188,76 @@ func TestBatchDigest(t *testing.T) {
 	}
 	if batchDigest(mk(3, 2, 1)) == a {
 		t.Fatal("digest ignores order")
+	}
+}
+
+// TestServiceUnderInjectedFaults runs chaos schedules on the path that
+// ships: every instance of the service consults the schedule with its
+// own round number, and a mixed digest+payload stream must still commit
+// in full — BA tolerates the one faulty node each schedule charges.
+func TestServiceUnderInjectedFaults(t *testing.T) {
+	const total, rounds = 32, 4 // kappa=1 multivalued instances run 4 rounds
+	cases := []struct {
+		name, spec string
+		maxActive  int
+		check      func(t *testing.T, rep transport.Report)
+	}{
+		{"crash+delay", "crash:3@2;delay:0@1+5ms", 8, func(t *testing.T, rep transport.Report) {
+			if rep.Count(transport.EventCrash) == 0 || rep.Count(transport.EventDelay) == 0 {
+				t.Errorf("crash/delay missing from the merged report: %s", rep.Summary())
+			}
+			if rep.Deaths() != 1 || !rep.Dead[3] {
+				t.Errorf("dead = %v, want exactly node 3", rep.Dead)
+			}
+		}},
+		// One instance at a time: no other instance has a delivery in
+		// flight when the shared connection bounces, so nothing is lost.
+		{"drop", "drop:1@2", 1, func(t *testing.T, rep transport.Report) {
+			if rep.Deaths() != 0 || rep.Count(transport.EventReconnect) == 0 {
+				t.Errorf("deaths=%d reconnects=%d, want 0 and >= 1", rep.Deaths(), rep.Count(transport.EventReconnect))
+			}
+		}},
+		// Cut off for round 1 only, node 2 is brought back to the common
+		// value by Turpin-Coan's echo round and still agrees. A node cut off
+		// for a whole instance decides alone, and the service — which cannot
+		// tell a partitioned party from a protocol bug — fails the instance.
+		{"partition", "part:2@1-1", 8, func(t *testing.T, rep transport.Report) {
+			if rep.Deaths() != 0 || rep.Count(transport.EventPartition) == 0 {
+				t.Errorf("deaths=%d partitions=%d, want 0 and >= 1", rep.Deaths(), rep.Count(transport.EventPartition))
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sched, err := chaos.Parse(tc.spec, 4, 1, rounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := quickService(t, func(c *Config) {
+				c.Batch, c.MaxActive, c.MaxPending = 4, tc.maxActive, total
+				c.Transport.Faults = sched
+				c.Transport.RoundTimeout = 300 * time.Millisecond // what each instance pays for the crash
+			})
+			tickets := make([]*Ticket, total)
+			payloads := make([][]byte, total)
+			for i := range tickets {
+				if i/4%2 == 0 {
+					tickets[i], err = s.Submit(ba.Value(100 + i))
+				} else {
+					payloads[i] = bytes.Repeat([]byte{byte(i)}, 512)
+					tickets[i], err = s.SubmitPayload(payloads[i])
+				}
+				if err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+			}
+			for i, tk := range tickets {
+				if d := tk.Wait(); d.Err != nil || !d.Committed || !bytes.Equal(d.Payload, payloads[i]) {
+					t.Fatalf("proposal %d: committed=%v err=%v payload %d bytes", i, d.Committed, d.Err, len(d.Payload))
+				}
+			}
+			tc.check(t, s.Report())
+		})
 	}
 }

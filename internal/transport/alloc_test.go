@@ -11,20 +11,21 @@ import (
 	"proxcensus/internal/wire"
 )
 
-// ingressFixture builds a node with a live ForHalf validator plus one
-// round batch of n signed votes in wire form, the traffic shape a
-// steady-state ingress round decodes and screens.
-func ingressFixture(t testing.TB, n int) (*Node, []wire.BatchMsg) {
+// ingressFixture builds one instance's receive state with a live
+// ForHalf validator plus one round batch of n signed votes in wire
+// form, the traffic shape a steady-state ingress round decodes and
+// screens.
+func ingressFixture(t testing.TB, n int) (*instanceRun, []wire.BatchMsg) {
 	t.Helper()
 	setup, err := ba.NewSetup(n, (n-1)/2, ba.CoinThreshold, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.NewIngress = func(int) *validate.Validator {
-		return validate.New(validate.ForHalf(n, setup.CoinPK, setup.ProxPK))
+	nd := &instanceRun{
+		node:    &MuxNode{},
+		dec:     wire.NewDecoder(),
+		ingress: validate.New(validate.ForHalf(n, setup.CoinPK, setup.ProxPK)),
 	}
-	nd := NewNodeConfig("unused", 0, 1000000, nil, cfg)
 	msgs := make([]wire.BatchMsg, 0, n)
 	for i := 0; i < n; i++ {
 		v := i % 2
@@ -100,16 +101,16 @@ func TestSendSteadyStateAllocations(t *testing.T) {
 }
 
 // TestReceivePathMatchesLegacyDecode cross-checks the pooled ingress
-// path against a from-scratch decode of the same frame: same admitted
+// path against a from-scratch copying decode of the same frame: same admitted
 // senders, same payload values, regardless of scratch reuse across
 // differing batches.
 func TestReceivePathMatchesLegacyDecode(t *testing.T) {
 	nd, msgs := ingressFixture(t, 16)
-	frame, err := wire.EncodeBatch(1, msgs)
+	frame, err := wire.EncodeTaggedBatch(LocalInstance, 1, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	round, fresh, err := wire.DecodeBatch(frame)
+	_, round, fresh, err := wire.DecodeTaggedBatch(frame)
 	if err != nil || round != 1 {
 		t.Fatalf("round %d err %v", round, err)
 	}

@@ -3,12 +3,14 @@ package transport
 import "time"
 
 // FaultInjector decides which deployment faults strike a TCP
-// execution. The transport consults it at fixed points: the node side
-// applies crash-stop, connection drops, send delays and frame
-// duplication to its own traffic; the hub side applies partitions when
-// routing. Implementations must be deterministic pure functions of
-// their arguments (the chaos harness replays schedules by seed) and
-// safe for concurrent use.
+// execution. The transport consults it at fixed points of the one round
+// loop every execution runs: MuxNode.RunInstance applies crash-stop,
+// connection drops, send delays and frame duplication to its own
+// traffic; HubInstance.runRound applies partitions when routing. Each
+// instance consults it with its own round number, so in a service the
+// same schedule strikes every instance. Implementations must be
+// deterministic pure functions of their arguments (the chaos harness
+// replays schedules by seed) and safe for concurrent use.
 //
 // The injector models benign deployment faults only — crashes,
 // omissions and timing. Wire-level Byzantine behaviour (equivocation,
@@ -23,7 +25,8 @@ type FaultInjector interface {
 	// if the node never crashes.
 	CrashRound(id int) int
 	// DropConn reports whether node id's connection drops at the start
-	// of round r; the node re-dials with bounded backoff and resumes.
+	// of round r; the node re-dials with bounded backoff and a resume
+	// hello. The connection is shared by all of the node's instances.
 	DropConn(id, round int) bool
 	// Delay returns how long node id delays its round-r send.
 	Delay(id, round int) time.Duration
@@ -38,12 +41,14 @@ type FaultInjector interface {
 
 // Churner is an optional FaultInjector extension for node churn:
 // crash-plus-rejoin windows. Churn(id) returns (down, up): the node
-// goes offline before sending round down, redials the hub with a
-// resume-up hello while down, rejoins in time to receive round up's
-// delivery (its own slot delivers empty for rounds down..up-1), and
-// resumes sending from round up+1. down == 0 means the node never
-// churns. Implementations must satisfy the same determinism and
-// concurrency contract as FaultInjector.
+// bounces its connection before sending round down, sends and receives
+// nothing through round up-1 (the hub logs its death at down and its
+// slot delivers empty), receives round up's delivery (the hub logs the
+// rejoin), and resumes sending from round up+1. Both sides read the
+// window from the injector, so the rejoin round never depends on
+// connection timing. down == 0 means the node never churns.
+// Implementations must satisfy the same determinism and concurrency
+// contract as FaultInjector.
 type Churner interface {
 	Churn(id int) (down, up int)
 }

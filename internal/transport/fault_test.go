@@ -16,7 +16,10 @@ type testInjector struct {
 	delay map[[2]int]time.Duration
 	dup   map[[2]int]bool
 	part  func(from, to, round int) bool
+	churn map[int][2]int // node -> {down, up}
 }
+
+func (f *testInjector) Churn(id int) (down, up int) { return f.churn[id][0], f.churn[id][1] }
 
 func (f *testInjector) CrashRound(id int) int { return f.crash[id] }
 func (f *testInjector) DropConn(id, round int) bool {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -51,46 +50,18 @@ func TestIngressValidationTransparent(t *testing.T) {
 }
 
 // floodRun drives a hub with n-1 honest expand nodes and one raw
-// client flooding `entries` copies of one echo every round. It returns
-// the run result and the hub report.
+// client flooding `entries` copies of one echo every round.
 func floodRun(t *testing.T, cfg Config, n, rounds, entries int) *RunResult {
 	t.Helper()
-	hub, err := NewHubConfig(n, rounds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = hub.Close() }()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hub.Serve() }()
-
-	res := &RunResult{
-		Outputs: make([]any, n),
-		Errs:    make([]error, n),
-		Nodes:   make([]Report, n),
-	}
-	nodes := make([]*Node, n-1)
-	var wg sync.WaitGroup
-	for i := 0; i < n-1; i++ {
-		nodes[i] = NewNodeConfig(hub.Addr(), i, rounds, proxcensus.NewExpandMachine(n, 1, rounds, 1), cfg)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res.Outputs[i], res.Errs[i] = nodes[i].Run()
-		}(i)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		flooder, err := DialRaw(hub.Addr(), n-1, 0, cfg)
+	flood := func(addr string) error {
+		flooder, err := DialRaw(addr, n-1, 0, cfg)
 		if err != nil {
-			res.Errs[n-1] = err
-			return
+			return err
 		}
 		defer func() { _ = flooder.Close() }()
 		payload, err := wire.Encode(proxcensus.EchoPayload{Z: 1, H: 0})
 		if err != nil {
-			res.Errs[n-1] = err
-			return
+			return err
 		}
 		batch := make([]wire.BatchMsg, entries)
 		for j := range batch {
@@ -98,22 +69,17 @@ func floodRun(t *testing.T, cfg Config, n, rounds, entries int) *RunResult {
 		}
 		for round := 1; round <= rounds; round++ {
 			if err := flooder.SendBatch(round, batch); err != nil {
-				res.Errs[n-1] = err
-				return
+				return err
 			}
 			if _, _, err := flooder.Recv(); err != nil {
-				res.Errs[n-1] = err
-				return
+				return err
 			}
 		}
-	}()
-	wg.Wait()
-	if err := <-serveErr; err != nil {
-		t.Fatal(err)
+		return nil
 	}
-	res.Hub = hub.Report()
-	for i, nd := range nodes {
-		res.Nodes[i] = nd.Report()
+	res, err := RunLocalRaw(expandMachines(n, 1, rounds, 1), rounds, cfg, map[int]func(string) error{n - 1: flood})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return res
 }

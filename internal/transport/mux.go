@@ -1,13 +1,13 @@
-// Multiplexed transport: the long-lived counterpart of the one-shot
-// Hub/Node pair. One TCP connection per node carries many concurrent
-// protocol instances, each an independent synchronous execution with
-// its own rounds, deadlines and report. A per-node reader goroutine
-// demultiplexes instance-tagged frames (wire.VersionMux framing) into
-// per-instance delivery lanes; the round barrier, gather deadlines and
-// flood caps work per instance exactly as in the single-instance hub.
-// Fault injection stays with the legacy transport — the mux is the
-// deployment path, and internal/service layers admission control and
-// instance lifecycle on top of it.
+// The hub and the node: one TCP connection per node carries many
+// concurrent protocol instances, each an independent synchronous
+// execution with its own rounds, deadlines and report. A per-connection
+// reader goroutine demultiplexes instance-tagged frames (wire.VersionMux
+// framing) into per-instance delivery lanes; the round barrier, gather
+// deadlines, flood caps and fault-injection hooks work per instance.
+// Lanes outlive any one connection: a node that loses its connection
+// redials with a resume hello and every instance carries on where its
+// lane left off. internal/service layers admission control and instance
+// lifecycle on top; RunLocalConfig runs a single instance.
 
 package transport
 
@@ -32,8 +32,8 @@ var (
 	ErrDupInstance = errors.New("transport: duplicate instance")
 )
 
-// DefaultIdleTimeout bounds one read on a shared mux connection. Mux
-// connections are legitimately silent between instances, so this is a
+// DefaultIdleTimeout bounds one read on a shared connection.
+// Connections are legitimately silent between instances, so this is a
 // liveness backstop, not a round deadline: per-instance round waits are
 // bounded separately by RoundTimeout.
 const DefaultIdleTimeout = 5 * time.Minute
@@ -42,11 +42,6 @@ const DefaultIdleTimeout = 5 * time.Minute
 // rounds leave at most one frame in flight per lane; the headroom only
 // absorbs scheduling skew between the reader and the round loop.
 const muxMailDepth = 4
-
-// muxStaleLogCap bounds how many unknown-instance frames an endpoint
-// logs; past it they are counted but dropped silently, so a peer
-// replaying finished instances cannot grow the event log unboundedly.
-const muxStaleLogCap = 64
 
 // muxBatch is one decoded instance-tagged frame hop between a reader
 // goroutine and an instance round loop. Payloads are copied out of the
@@ -58,31 +53,33 @@ type muxBatch struct {
 
 // muxConn is one node's shared connection on the hub side. The reader
 // goroutine owns reads; writes from concurrent instance round loops
-// serialize on wmu; down closes exactly once when the connection dies,
-// letting every instance's gather fail fast instead of burning its
-// round deadline on a dead peer.
+// serialize on wmu; down closes exactly once when the connection dies.
 type muxConn struct {
 	conn net.Conn
 	wmu  sync.Mutex
 	down chan struct{}
 }
 
-// MuxHub is the long-lived hub: it admits one versioned (v2) hello per
-// node and then serves any number of concurrent instances over the
-// shared connections. Unlike Hub.Serve there is no global round loop —
-// each StartInstance gets its own HubInstance driving its own rounds.
+// MuxHub is the long-lived hub: it admits one versioned (v2) connection
+// per node — replaced by resume hellos as connections break — and
+// serves any number of concurrent instances over them. There is no
+// global round loop: each StartInstance gets its own HubInstance
+// driving its own rounds.
 type MuxHub struct {
 	n   int
 	cfg Config
 	ln  net.Listener
 	log *eventLog
 
-	mu     sync.Mutex
-	conns  []*muxConn
-	insts  map[int]*HubInstance
-	closed bool
-	stale  int
+	mu sync.Mutex
+	// conns holds each node's current connection, live or down; nil
+	// means the node never joined or its slot was retired.
+	conns []*muxConn
+	// changed is closed and replaced whenever conns changes.
+	changed chan struct{}
+	insts   map[int]*HubInstance
 
+	done       chan struct{} // closed, under mu, by Close
 	acceptDone chan struct{}
 	readers    sync.WaitGroup
 }
@@ -103,7 +100,9 @@ func NewMuxHub(n int, cfg Config) (*MuxHub, error) {
 		ln:         ln,
 		log:        newEventLog(n),
 		conns:      make([]*muxConn, n),
+		changed:    make(chan struct{}),
 		insts:      make(map[int]*HubInstance),
+		done:       make(chan struct{}),
 		acceptDone: make(chan struct{}),
 	}
 	go h.acceptLoop()
@@ -113,21 +112,22 @@ func NewMuxHub(n int, cfg Config) (*MuxHub, error) {
 // Addr returns the hub's dialable address.
 func (h *MuxHub) Addr() string { return h.ln.Addr().String() }
 
-// Report returns a snapshot of the hub's connection-level event log.
+// Report returns a snapshot of the hub's connection-level event log,
+// with Dead marking every node some finished instance ended without.
 // Per-instance logs live on each HubInstance; MergeReports combines
 // them.
 func (h *MuxHub) Report() Report { return h.log.snapshot() }
 
 // Close shuts the hub down: the listener and every node connection
 // close, reader goroutines drain, and running instances fail their
-// remaining gathers fast via the connection down signals.
+// remaining gathers at once.
 func (h *MuxHub) Close() error {
 	h.mu.Lock()
-	if h.closed {
+	if h.isClosed() {
 		h.mu.Unlock()
 		return nil
 	}
-	h.closed = true
+	close(h.done)
 	conns := append([]*muxConn(nil), h.conns...)
 	h.mu.Unlock()
 	err := h.ln.Close()
@@ -141,28 +141,31 @@ func (h *MuxHub) Close() error {
 	return err
 }
 
-// downConn closes a connection and its down signal exactly once.
-func (h *MuxHub) downConn(mc *muxConn) {
-	select {
-	case <-mc.down:
-		return // already down
-	default:
-	}
-	h.mu.Lock()
-	select {
-	case <-mc.down:
-	default:
-		close(mc.down)
-		_ = mc.conn.Close()
-	}
-	h.mu.Unlock()
+// connsChanged wakes everyone waiting on the connection table. The
+// caller holds h.mu.
+func (h *MuxHub) connsChanged() {
+	close(h.changed)
+	h.changed = make(chan struct{})
 }
 
-// AwaitNodes blocks until all n nodes have live connections or the
-// timeout expires. The service calls it between wiring the nodes and
-// starting the first instance so no instance races its own transport.
+// downConn closes a connection and its down signal exactly once.
+func (h *MuxHub) downConn(mc *muxConn) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !isDown(mc) {
+		close(mc.down)
+		_ = mc.conn.Close()
+		h.connsChanged()
+	}
+}
+
+// AwaitNodes blocks until all n nodes have live connections, returning
+// as the n-th hello lands, or until the timeout expires. The service
+// calls it between wiring the nodes and starting the first instance so
+// no instance races its own transport.
 func (h *MuxHub) AwaitNodes(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
 		h.mu.Lock()
 		live := 0
@@ -171,18 +174,30 @@ func (h *MuxHub) AwaitNodes(timeout time.Duration) error {
 				live++
 			}
 		}
-		closed := h.closed
+		changed := h.changed
 		h.mu.Unlock()
-		if live == h.n {
+		switch {
+		case live == h.n:
 			return nil
-		}
-		if closed {
+		case h.isClosed():
 			return ErrMuxClosed
 		}
-		if !time.Now().Before(deadline) {
+		select {
+		case <-changed:
+		case <-h.done:
+		case <-timer.C:
 			return fmt.Errorf("transport: %d of %d nodes connected before join deadline", live, h.n)
 		}
-		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// isClosed reports whether Close has been called.
+func (h *MuxHub) isClosed() bool {
+	select {
+	case <-h.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -196,7 +211,8 @@ func isDown(mc *muxConn) bool {
 	}
 }
 
-// acceptLoop admits connections until the listener closes.
+// acceptLoop admits connections until the listener closes. Each hello
+// is validated concurrently so one slow peer cannot stall the others.
 func (h *MuxHub) acceptLoop() {
 	defer close(h.acceptDone)
 	var wg sync.WaitGroup
@@ -215,14 +231,22 @@ func (h *MuxHub) acceptLoop() {
 }
 
 // admit validates one connection's versioned hello and installs it as
-// the node's shared connection. A legacy (v1) peer is turned away with
-// the negotiation error; a node whose previous connection died may
-// re-admit, but instances that already declared it dead stay dead.
+// the node's shared connection, closing it on any violation. A legacy
+// (v1) hello is turned away with the negotiation error. resume == 0 is
+// first contact: it takes a free slot or one whose connection is down,
+// and a second one for a live node is a duplicate. resume > 0 is a
+// replacement connection: it takes the slot over and downs whatever it
+// replaces — the hello names the node, which is the transport's
+// documented trust boundary. Instances that already declared the node
+// dead keep it dead.
 func (h *MuxHub) admit(conn net.Conn) {
+	reject := func(id, resume int, detail string) {
+		h.log.add(EventReject, id, resume, detail)
+		_ = conn.Close()
+	}
 	frame, err := readFrame(conn, time.Now().Add(h.cfg.JoinTimeout))
 	if err != nil {
-		h.log.add(EventReject, -1, 0, "hello read: "+err.Error())
-		_ = conn.Close()
+		reject(-1, 0, "hello read: "+err.Error())
 		return
 	}
 	id, resume, version, err := wire.DecodeHelloVersion(frame)
@@ -230,38 +254,38 @@ func (h *MuxHub) admit(conn net.Conn) {
 		err = wire.CheckVersion(version, wire.VersionMux)
 	}
 	if err != nil {
-		h.log.add(EventReject, -1, 0, fmt.Sprintf("%v: %v", ErrBadHello, err))
-		_ = conn.Close()
+		reject(-1, 0, fmt.Sprintf("%v: %v", ErrBadHello, err))
 		return
 	}
-	switch {
-	case id < 0 || id >= h.n:
-		err = fmt.Errorf("%w: id %d out of range", ErrBadHello, id)
-	case resume != 0:
-		err = fmt.Errorf("%w: mux hello with resume %d (mux connections do not resume)", ErrBadHello, resume)
-	}
-	if err != nil {
-		h.log.add(EventReject, id, resume, err.Error())
-		_ = conn.Close()
+	if id < 0 || id >= h.n {
+		reject(id, resume, fmt.Sprintf("%v: id %d out of range", ErrBadHello, id))
 		return
 	}
 	mc := &muxConn{conn: conn, down: make(chan struct{})}
 	h.mu.Lock()
+	old := h.conns[id]
 	switch {
-	case h.closed:
+	case h.isClosed():
 		err = ErrMuxClosed
-	case h.conns[id] != nil && !isDown(h.conns[id]):
+	case resume == 0 && old != nil && !isDown(old):
 		err = fmt.Errorf("%w: duplicate id %d", ErrBadHello, id)
 	default:
 		h.conns[id] = mc
+		h.connsChanged()
 	}
 	h.mu.Unlock()
 	if err != nil {
-		h.log.add(EventReject, id, 0, err.Error())
-		_ = conn.Close()
+		reject(id, resume, err.Error())
 		return
 	}
-	h.log.add(EventDial, id, 0, "mux hello accepted")
+	kind := EventDial
+	if resume > 0 {
+		kind = EventReconnect
+	}
+	h.log.add(kind, id, resume, "hello accepted")
+	if old != nil {
+		h.downConn(old)
+	}
 	h.readers.Add(1)
 	go h.reader(id, mc)
 }
@@ -292,13 +316,10 @@ func (h *MuxHub) reader(id int, mc *muxConn) {
 	}
 }
 
-// connLost downs a node's shared connection; unless the hub is closing,
-// the loss is logged once.
+// connLost downs a node's shared connection; unless the hub is closing
+// or the connection was already down (replaced), the loss is logged.
 func (h *MuxHub) connLost(id int, mc *muxConn, detail string) {
-	h.mu.Lock()
-	closed := h.closed
-	h.mu.Unlock()
-	if !closed && !isDown(mc) {
+	if !h.isClosed() && !isDown(mc) {
 		h.log.add(EventConnLost, id, 0, detail)
 	}
 	h.downConn(mc)
@@ -311,16 +332,11 @@ func (h *MuxHub) connLost(id int, mc *muxConn, detail string) {
 func (h *MuxHub) route(from, inst, round int, msgs []wire.BatchMsg) {
 	h.mu.Lock()
 	hi := h.insts[inst]
+	h.mu.Unlock()
 	if hi == nil {
-		h.stale++
-		logIt := h.stale <= muxStaleLogCap
-		h.mu.Unlock()
-		if logIt {
-			h.log.add(EventStale, from, round, fmt.Sprintf("dropped frame for unknown instance %d", inst))
-		}
+		h.log.add(EventStale, from, round, fmt.Sprintf("dropped frame for unknown instance %d", inst))
 		return
 	}
-	h.mu.Unlock()
 	select {
 	case hi.mail[from] <- muxBatch{round: round, msgs: msgs}:
 	default:
@@ -328,33 +344,61 @@ func (h *MuxHub) route(from, inst, round int, msgs []wire.BatchMsg) {
 	}
 }
 
-// write sends one frame on a node's shared connection, serialized
-// against concurrent instances. A write failure downs the connection.
+// write delivers one frame on node id's current connection, serialized
+// against concurrent instances. A failed write downs the connection,
+// and a down connection is waited out: the node may be mid-redial, so
+// the frame goes to the replacement if one is admitted before the
+// deadline. A node with no slot at all fails at once.
 func (h *MuxHub) write(id int, frame []byte, deadline time.Time) error {
-	h.mu.Lock()
-	mc := h.conns[id]
-	h.mu.Unlock()
-	if mc == nil || isDown(mc) {
-		return fmt.Errorf("transport: node %d has no live connection", id)
+	var timer *time.Timer
+	for {
+		h.mu.Lock()
+		mc, changed := h.conns[id], h.changed
+		h.mu.Unlock()
+		if mc == nil {
+			return fmt.Errorf("transport: node %d has no connection", id)
+		}
+		if !isDown(mc) {
+			mc.wmu.Lock()
+			err := writeFrame(mc.conn, frame, deadline)
+			mc.wmu.Unlock()
+			if err == nil {
+				return nil
+			}
+			h.connLost(id, mc, "write: "+err.Error())
+			continue
+		}
+		if timer == nil {
+			timer = time.NewTimer(time.Until(deadline))
+			defer timer.Stop()
+		}
+		select {
+		case <-changed:
+		case <-h.done:
+			return ErrMuxClosed
+		case <-timer.C:
+			return fmt.Errorf("transport: node %d: no replacement connection before the delivery deadline", id)
+		}
 	}
-	mc.wmu.Lock()
-	err := writeFrame(mc.conn, frame, deadline)
-	mc.wmu.Unlock()
-	if err != nil {
-		h.connLost(id, mc, "write: "+err.Error())
-	}
-	return err
 }
 
-// connSignal returns the down channel for a node's current connection,
-// or nil when the node has none.
-func (h *MuxHub) connSignal(id int) chan struct{} {
+// joined reports whether node id holds a connection slot.
+func (h *MuxHub) joined(id int) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if mc := h.conns[id]; mc != nil {
-		return mc.down
+	return h.conns[id] != nil
+}
+
+// retire frees node id's slot if its connection is down: the node was
+// just declared dead with nothing to reach it on, so later instances
+// skip it from their first gather instead of each waiting out a round
+// deadline. The node's next hello re-admits it.
+func (h *MuxHub) retire(id int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if mc := h.conns[id]; mc != nil && isDown(mc) {
+		h.conns[id] = nil
 	}
-	return nil
 }
 
 // StartInstance registers instance `inst` for a `rounds`-round
@@ -378,7 +422,7 @@ func (h *MuxHub) StartInstance(inst, rounds int) (*HubInstance, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	switch {
-	case h.closed:
+	case h.isClosed():
 		return nil, ErrMuxClosed
 	case h.insts[inst] != nil:
 		return nil, fmt.Errorf("%w: %d", ErrDupInstance, inst)
@@ -387,12 +431,14 @@ func (h *MuxHub) StartInstance(inst, rounds int) (*HubInstance, error) {
 	return hi, nil
 }
 
-// finish garbage-collects a completed instance's routing entry; frames
-// still in flight for it are dropped as unknown-instance strays.
-func (h *MuxHub) finish(inst int) {
+// finish garbage-collects a completed instance's routing entry — frames
+// still in flight for it are dropped as unknown-instance strays — and
+// folds its final dead marks into the hub's report, which outlives it.
+func (h *MuxHub) finish(hi *HubInstance) {
 	h.mu.Lock()
-	delete(h.insts, inst)
+	delete(h.insts, hi.id)
 	h.mu.Unlock()
+	h.log.markDead(hi.dead)
 }
 
 // HubInstance drives one instance's synchronous rounds over the hub's
@@ -419,27 +465,52 @@ type HubInstance struct {
 func (hi *HubInstance) Report() Report { return hi.log.snapshot() }
 
 // Run drives all rounds and unregisters the instance. It always runs
-// to the final round — as in Hub.Serve, deaths degrade the execution
-// rather than aborting it, and the surviving >= n-t nodes keep the
-// barrier moving.
+// to the final round — deaths degrade the execution rather than
+// aborting it, and the surviving >= n-t nodes keep the barrier moving.
 func (hi *HubInstance) Run() error {
-	defer hi.h.finish(hi.id)
+	defer hi.h.finish(hi)
 	for round := 1; round <= hi.rounds; round++ {
 		hi.runRound(round)
 	}
 	return nil
 }
 
-// runRound executes one synchronous round of this instance.
+// die declares node id dead for this instance and retires its hub slot
+// if there is no connection left to reach it on.
+func (hi *HubInstance) die(id, round int, detail string) {
+	hi.log.death(id, round, detail)
+	hi.dead[id] = true
+	hi.h.retire(id)
+}
+
+// runRound executes one synchronous round of this instance: gather
+// every live node's batch, route with the partition filter applied,
+// and deliver.
 func (hi *HubInstance) runRound(round int) {
 	start := time.Now()
 	deadline := start.Add(hi.h.cfg.RoundTimeout)
+	faults := hi.h.cfg.Faults
 
 	// Gather concurrently: one slow or dead node must not serialize the
-	// waits of the others against the shared deadline.
+	// waits of the others against the shared deadline. A churned node
+	// (FaultInjector churn window down..up) is offline on schedule: it
+	// is dead from round down, sends nothing through round up, and is
+	// delivered to again from round up on — pinned by the schedule, not
+	// by when its replacement connection lands, so replays are exact.
 	var wg sync.WaitGroup
 	for id := 0; id < hi.h.n; id++ {
 		hi.batches[id] = nil
+		if down, up := churnWindow(faults, id); down > 0 && round >= down && round <= up {
+			switch round {
+			case down:
+				hi.log.death(id, round, fmt.Sprintf("churn window open until round %d", up))
+				hi.dead[id] = true
+			case up:
+				hi.log.revive(id, round, fmt.Sprintf("rejoining after churn at round %d", down))
+				hi.dead[id] = false
+			}
+			continue
+		}
 		if hi.dead[id] {
 			continue
 		}
@@ -451,30 +522,43 @@ func (hi *HubInstance) runRound(round int) {
 	}
 	wg.Wait()
 
-	// Route: broadcast fans out, direct addresses stay in range, dead
-	// nodes receive nothing. Same semantics as the one-shot hub minus
-	// fault injection, which stays with the legacy transport.
+	// Route: to == sim.Broadcast fans out to every party; messages
+	// crossing an injected partition are dropped like the simulator's
+	// message-dropping adversary; dead nodes receive nothing.
 	for id := range hi.inboxes {
 		hi.inboxes[id] = hi.inboxes[id][:0]
+	}
+	cut := 0
+	deliver := func(from, to int, payload []byte) {
+		switch {
+		case hi.dead[to]:
+		case faults.Partitioned(from, to, round):
+			cut++
+		default:
+			hi.inboxes[to] = append(hi.inboxes[to], wire.BatchMsg{Addr: from, Payload: payload})
+		}
 	}
 	for from, batch := range hi.batches {
 		for _, m := range batch {
 			if m.Addr == sim.Broadcast {
 				for p := 0; p < hi.h.n; p++ {
-					if !hi.dead[p] {
-						hi.inboxes[p] = append(hi.inboxes[p], wire.BatchMsg{Addr: from, Payload: m.Payload})
-					}
+					deliver(from, p, m.Payload)
 				}
-				continue
-			}
-			if m.Addr >= 0 && m.Addr < hi.h.n && !hi.dead[m.Addr] {
-				hi.inboxes[m.Addr] = append(hi.inboxes[m.Addr], wire.BatchMsg{Addr: from, Payload: m.Payload})
+			} else if m.Addr >= 0 && m.Addr < hi.h.n {
+				deliver(from, m.Addr, m.Payload)
 			}
 		}
 	}
+	if cut > 0 {
+		// A link fault, so it goes to the hub's log, which outlives the
+		// instance.
+		hi.h.log.add(EventPartition, -1, round, fmt.Sprintf("instance %d: %d messages cut", hi.id, cut))
+	}
 
-	// Deliver under a fresh deadline, as in the one-shot hub: the
-	// gather may have spent the whole round budget on a dying node.
+	// Delivery gets a fresh deadline: the gather phase may have spent
+	// the whole round budget waiting out a dying node, and the
+	// survivors must not be punished for it. Nodes allow two round
+	// timeouts on their receive for exactly this reason.
 	deliverBy := time.Now().Add(hi.h.cfg.RoundTimeout)
 	for id := 0; id < hi.h.n; id++ {
 		if hi.dead[id] {
@@ -487,26 +571,23 @@ func (hi *HubInstance) runRound(round int) {
 			hi.outFrame = frame
 		}
 		if err != nil {
-			hi.log.death(id, round, "encode delivery: "+err.Error())
-			hi.dead[id] = true
-			continue
-		}
-		if err := hi.h.write(id, frame, deliverBy); err != nil {
-			hi.log.death(id, round, "delivery failed: "+err.Error())
-			hi.dead[id] = true
+			hi.die(id, round, "encode delivery: "+err.Error())
+		} else if err := hi.h.write(id, frame, deliverBy); err != nil {
+			hi.die(id, round, "delivery failed: "+err.Error())
 		}
 	}
 	hi.log.roundDone(round, time.Since(start))
 }
 
 // gather awaits node id's round-r batch on this instance's lane,
-// skipping stale rounds, until the per-instance deadline or the
-// connection's death declares the node dead for this instance.
+// skipping stale rounds, until the per-instance deadline declares the
+// node dead for this instance. Connection state is not consulted: lanes
+// outlive connections, so a node that bounces its connection and
+// resends inside the deadline loses nothing. Only a node with no
+// connection slot at all is dead without a wait.
 func (hi *HubInstance) gather(id, round int, deadline time.Time) []wire.BatchMsg {
-	down := hi.h.connSignal(id)
-	if down == nil {
-		hi.log.death(id, round, "no connection")
-		hi.dead[id] = true
+	if !hi.h.joined(id) {
+		hi.die(id, round, "no connection")
 		return nil
 	}
 	timer := time.NewTimer(time.Until(deadline))
@@ -522,48 +603,43 @@ func (hi *HubInstance) gather(id, round int, deadline time.Time) []wire.BatchMsg
 			default:
 				// Lock-step forbids future rounds: the node cannot have
 				// seen round r's delivery before the hub sent it.
-				hi.log.death(id, round, fmt.Sprintf("frame from future round %d", b.round))
-				hi.dead[id] = true
+				hi.die(id, round, fmt.Sprintf("frame from future round %d", b.round))
 				return nil
 			}
-		case <-down:
-			hi.log.death(id, round, "connection lost")
-			hi.dead[id] = true
-			return nil
 		case <-timer.C:
-			hi.log.death(id, round, "no batch before instance round deadline")
-			hi.dead[id] = true
+			hi.die(id, round, "no batch before round deadline")
+			return nil
+		case <-hi.h.done:
+			hi.die(id, round, "hub closed")
 			return nil
 		}
 	}
 }
 
-// nodeLane is one instance's delivery lane on the node side.
-type nodeLane struct {
-	mail chan muxBatch
-}
-
 // MuxNode is one party's long-lived connection to a MuxHub. Concurrent
 // RunInstance calls share the connection: a reader goroutine
 // demultiplexes hub deliveries into per-instance lanes, and sends
-// serialize on a write mutex.
+// serialize on a write mutex. When the connection breaks the node
+// redials with a resume hello; lanes stay registered throughout.
 type MuxNode struct {
 	id   int
+	addr string
 	cfg  Config
-	conn net.Conn
 	log  *eventLog
-	wmu  sync.Mutex
+	// wmu serializes writes and redials, so nobody writes to a
+	// connection that is being replaced.
+	wmu sync.Mutex
 
-	mu      sync.Mutex
-	lanes   map[int]*nodeLane
-	readErr error
-	closed  bool
-	stale   int
+	mu    sync.Mutex
+	conn  net.Conn // current shared connection; written under wmu and mu
+	lanes map[int]chan muxBatch
+	err   error // terminal: closed, or redial attempts exhausted
 
 	valMu      sync.Mutex
 	validation validate.Report
 	screened   bool
 
+	done       chan struct{} // closed once err is set
 	readerDone chan struct{}
 }
 
@@ -573,52 +649,110 @@ type MuxNode struct {
 func NewMuxNode(addr string, id int, cfg Config) (*MuxNode, error) {
 	nd := &MuxNode{
 		id:         id,
+		addr:       addr,
 		cfg:        cfg.withDefaults(),
 		log:        newEventLog(0),
-		lanes:      make(map[int]*nodeLane),
+		lanes:      make(map[int]chan muxBatch),
+		done:       make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
+	conn, err := dial(addr, id, 0, nd.cfg, nd.log, nd.done)
+	if err != nil {
+		return nil, err
+	}
+	nd.conn = conn
+	go nd.reader(conn)
+	return nd, nil
+}
+
+// dial connects to the hub at addr with capped exponential backoff and
+// announces node id, logging every attempt. resume is 0 on first
+// contact and the current round (any positive value) when replacing a
+// lost connection. Closing stop abandons the backoff waits.
+func dial(addr string, id, resume int, cfg Config, log *eventLog, stop <-chan struct{}) (net.Conn, error) {
 	var last error
-	backoff := nd.cfg.BackoffBase
-	for attempt := 0; attempt < nd.cfg.DialAttempts; attempt++ {
+	backoff := cfg.BackoffBase
+	for attempt := 0; attempt < cfg.DialAttempts; attempt++ {
 		if attempt > 0 {
-			wait := jitterBackoff(backoff, id, 0, attempt)
-			nd.log.add(EventRetry, id, 0, fmt.Sprintf("attempt %d backing off %s: %v", attempt, wait, last))
-			time.Sleep(wait)
-			backoff = nextBackoff(backoff, nd.cfg.BackoffMax)
+			wait := jitterBackoff(backoff, id, resume, attempt)
+			log.add(EventRetry, id, resume, fmt.Sprintf("attempt %d backing off %s: %v", attempt, wait, last))
+			select {
+			case <-time.After(wait):
+			case <-stop:
+				return nil, ErrMuxClosed
+			}
+			backoff = nextBackoff(backoff, cfg.BackoffMax)
 		}
-		conn, err := net.DialTimeout("tcp", addr, nd.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
 		if err != nil {
 			last = err
 			continue
 		}
-		hello := wire.EncodeHelloVersion(id, 0, wire.VersionMux)
-		if err := writeFrame(conn, hello, time.Now().Add(nd.cfg.RoundTimeout)); err != nil {
+		hello := wire.EncodeHelloVersion(id, resume, wire.VersionMux)
+		if err := writeFrame(conn, hello, time.Now().Add(cfg.RoundTimeout)); err != nil {
 			_ = conn.Close()
 			last = err
 			continue
 		}
-		nd.conn = conn
-		nd.log.add(EventDial, id, 0, "mux connected")
-		go nd.reader()
-		return nd, nil
+		kind := EventDial
+		if resume > 0 {
+			kind = EventReconnect
+		}
+		log.add(kind, id, resume, "connected")
+		return conn, nil
 	}
-	return nil, fmt.Errorf("transport: dial %s after %d attempts: %w", addr, nd.cfg.DialAttempts, last)
+	return nil, fmt.Errorf("transport: dial %s after %d attempts: %w", addr, cfg.DialAttempts, last)
+}
+
+// redial replaces the shared connection and returns the current one.
+// old names the connection the caller saw fail, so of several callers
+// racing on one loss exactly one dials; nil replaces whatever is
+// current (an injected drop). Exhausting the dial attempts is terminal
+// for the node.
+func (nd *MuxNode) redial(old net.Conn, resume int, why string) (net.Conn, error) {
+	nd.wmu.Lock()
+	defer nd.wmu.Unlock()
+	nd.mu.Lock()
+	cur, err := nd.conn, nd.err
+	nd.mu.Unlock()
+	if err != nil || (old != nil && old != cur) {
+		return cur, err
+	}
+	nd.log.add(EventConnLost, nd.id, resume, why)
+	_ = cur.Close()
+	conn, err := dial(nd.addr, nd.id, resume, nd.cfg, nd.log, nd.done)
+	if err != nil {
+		nd.fail(err)
+		return nil, err
+	}
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	if nd.err != nil { // closed while dialing
+		_ = conn.Close()
+		return nil, nd.err
+	}
+	nd.conn = conn
+	return conn, nil
+}
+
+// fail ends the node: every blocked or later receive returns err.
+func (nd *MuxNode) fail(err error) {
+	nd.mu.Lock()
+	if nd.err == nil {
+		nd.err = err
+		close(nd.done)
+	}
+	conn := nd.conn
+	nd.mu.Unlock()
+	_ = conn.Close()
 }
 
 // Close shuts the node's shared connection down; running instances
 // fail their next receive.
 func (nd *MuxNode) Close() error {
-	nd.mu.Lock()
-	if nd.closed {
-		nd.mu.Unlock()
-		return nil
-	}
-	nd.closed = true
-	nd.mu.Unlock()
-	err := nd.conn.Close()
+	nd.fail(ErrMuxClosed)
 	<-nd.readerDone
-	return err
+	return nil
 }
 
 // Report returns the node's connection-level event log plus the merged
@@ -635,29 +769,22 @@ func (nd *MuxNode) Report() Report {
 }
 
 // reader drains the shared connection, demultiplexing hub deliveries
-// into instance lanes. On exit every lane closes, waking blocked
-// receives with the connection error.
-func (nd *MuxNode) reader() {
+// into instance lanes. A failed read redials — with resume 1, since a
+// connection shared by many instances has no one current round — and
+// carries on with whatever connection is then current; it exits only
+// once the node has failed for good.
+func (nd *MuxNode) reader(conn net.Conn) {
 	defer close(nd.readerDone)
 	buf := wire.GetFrameBuf()
 	defer wire.PutFrameBuf(buf)
 	for {
-		frame, err := readFrameInto(nd.conn, time.Now().Add(nd.cfg.IdleTimeout), (*buf)[:0])
+		frame, err := readFrameInto(conn, time.Now().Add(nd.cfg.IdleTimeout), (*buf)[:0])
 		*buf = frame
 		if err != nil {
-			nd.mu.Lock()
-			if nd.readErr == nil {
-				nd.readErr = err
+			if conn, err = nd.redial(conn, 1, "read: "+err.Error()); err != nil {
+				return
 			}
-			if !nd.closed {
-				nd.log.add(EventConnLost, nd.id, 0, "read: "+err.Error())
-			}
-			for _, lane := range nd.lanes {
-				close(lane.mail)
-			}
-			nd.lanes = make(map[int]*nodeLane)
-			nd.mu.Unlock()
-			return
+			continue
 		}
 		inst, round, msgs, err := wire.DecodeTaggedBatch(frame)
 		if err != nil {
@@ -666,17 +793,13 @@ func (nd *MuxNode) reader() {
 		}
 		nd.mu.Lock()
 		lane := nd.lanes[inst]
+		nd.mu.Unlock()
 		if lane == nil {
-			nd.stale++
-			if nd.stale <= muxStaleLogCap {
-				nd.log.add(EventStale, nd.id, round, fmt.Sprintf("dropped delivery for unknown instance %d", inst))
-			}
-			nd.mu.Unlock()
+			nd.log.add(EventStale, nd.id, round, fmt.Sprintf("dropped delivery for unknown instance %d", inst))
 			continue
 		}
-		nd.mu.Unlock()
 		select {
-		case lane.mail <- muxBatch{round: round, msgs: msgs}:
+		case lane <- muxBatch{round: round, msgs: msgs}:
 		default:
 			nd.log.add(EventFlood, nd.id, round, fmt.Sprintf("instance %d: lane overflow, delivery dropped", inst))
 		}
@@ -684,18 +807,16 @@ func (nd *MuxNode) reader() {
 }
 
 // register installs a fresh lane for an instance.
-func (nd *MuxNode) register(inst int) (*nodeLane, error) {
+func (nd *MuxNode) register(inst int) (chan muxBatch, error) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	switch {
-	case nd.closed:
-		return nil, ErrMuxClosed
-	case nd.readErr != nil:
-		return nil, fmt.Errorf("transport: connection lost: %w", nd.readErr)
+	case nd.err != nil:
+		return nil, nd.err
 	case nd.lanes[inst] != nil:
 		return nil, fmt.Errorf("%w: %d", ErrDupInstance, inst)
 	}
-	lane := &nodeLane{mail: make(chan muxBatch, muxMailDepth)}
+	lane := make(chan muxBatch, muxMailDepth)
 	nd.lanes[inst] = lane
 	return lane, nil
 }
@@ -708,17 +829,27 @@ func (nd *MuxNode) unregister(inst int) {
 }
 
 // write sends one frame on the shared connection, serialized against
-// concurrent instances.
-func (nd *MuxNode) write(frame []byte) error {
-	nd.wmu.Lock()
-	defer nd.wmu.Unlock()
-	return writeFrame(nd.conn, frame, time.Now().Add(nd.cfg.RoundTimeout))
+// concurrent instances, absorbing one broken connection by redialing
+// and resending.
+func (nd *MuxNode) write(frame []byte, round int) error {
+	for attempt := 0; ; attempt++ {
+		nd.wmu.Lock()
+		conn := nd.conn // replaced only by redial, which holds wmu
+		err := writeFrame(conn, frame, time.Now().Add(nd.cfg.RoundTimeout))
+		nd.wmu.Unlock()
+		if err == nil || attempt > 0 {
+			return err
+		}
+		if _, derr := nd.redial(conn, round, "send: "+err.Error()); derr != nil {
+			return errors.Join(err, derr)
+		}
+	}
 }
 
 // instanceRun is one RunInstance call's private state: decoder,
 // ingress validator and scratch are per instance, so concurrent
-// instances share nothing but the connection. The shapes mirror the
-// one-shot Node's round loop.
+// instances share nothing but the connection. All scratch is reused
+// round over round, so a steady-state round allocates nothing.
 type instanceRun struct {
 	node    *MuxNode
 	inst    int
@@ -737,6 +868,13 @@ type instanceRun struct {
 // connection and returns its output. Safe to call concurrently for
 // distinct instances; the per-instance ingress validator comes from
 // Config.NewIngress and its report merges into the node's Report.
+//
+// Injected faults apply to this node's own traffic, and every instance
+// consults the injector with its own round number: a scheduled
+// crash-stop returns ErrCrashed, and a drop or churn bounces the
+// connection all of the node's instances share — instances with a
+// delivery in flight at that moment may lose it and with it the node,
+// which is what a connection fault is.
 func (nd *MuxNode) RunInstance(inst, rounds int, machine sim.Machine) (any, error) {
 	lane, err := nd.register(inst)
 	if err != nil {
@@ -749,16 +887,37 @@ func (nd *MuxNode) RunInstance(inst, rounds int, machine sim.Machine) (any, erro
 	}
 	defer ir.mergeReport()
 
+	inj := nd.cfg.Faults
+	crash := inj.CrashRound(nd.id)
+	churnDown, churnUp := churnWindow(inj, nd.id)
 	sends := machine.Start()
 	for round := 1; round <= rounds; round++ {
-		frame, err := ir.encodeSends(round, sends)
-		if err != nil {
-			return nil, fmt.Errorf("transport: instance %d round %d encode: %w", inst, round, err)
+		if round == crash {
+			nd.log.add(EventCrash, nd.id, round, "crash-stop by schedule")
+			return nil, fmt.Errorf("%w: round %d", ErrCrashed, crash)
 		}
-		if err := nd.write(frame); err != nil {
-			return nil, fmt.Errorf("transport: instance %d round %d send: %w", inst, round, err)
+		// The receive allows two round timeouts: the hub's gather may
+		// spend a full one waiting out a dying peer before it delivers.
+		wait := 2 * nd.cfg.RoundTimeout
+		if round == churnDown {
+			// Churn: bounce the connection and sit the window out. The
+			// hub skips this node through round churnUp and delivers to it
+			// again from there, so the machine steps through the missed
+			// rounds on empty inboxes — what every survivor saw of this
+			// node — keeping its round counter in lock-step, then awaits
+			// round churnUp's delivery without having sent.
+			nd.log.add(EventChurn, nd.id, round, fmt.Sprintf("offline until round %d", churnUp))
+			if _, err := nd.redial(nil, round, "churn window opens"); err != nil {
+				return nil, fmt.Errorf("transport: instance %d round %d churn rejoin: %w", inst, round, err)
+			}
+			for ; round < churnUp && round < rounds; round++ {
+				sends = machine.Deliver(round, nil)
+			}
+			wait *= time.Duration(churnUp - churnDown + 2)
+		} else if err := ir.send(round, sends); err != nil {
+			return nil, err
 		}
-		msgs, err := awaitLane(lane, round, 2*nd.cfg.RoundTimeout)
+		msgs, err := nd.awaitLane(lane, round, wait)
 		if err != nil {
 			return nil, fmt.Errorf("transport: instance %d round %d receive: %w", inst, round, err)
 		}
@@ -769,6 +928,35 @@ func (nd *MuxNode) RunInstance(inst, rounds int, machine sim.Machine) (any, erro
 		return nil, fmt.Errorf("transport: instance %d machine produced no output", inst)
 	}
 	return out, nil
+}
+
+// send transmits one round's batch with the injector's connection
+// drop, send delay and frame duplication applied.
+func (ir *instanceRun) send(round int, sends []sim.Send) error {
+	nd, inj := ir.node, ir.node.cfg.Faults
+	if inj.DropConn(nd.id, round) {
+		if _, err := nd.redial(nil, round, "injected connection drop"); err != nil {
+			return fmt.Errorf("transport: instance %d round %d reconnect: %w", ir.inst, round, err)
+		}
+	}
+	if d := inj.Delay(nd.id, round); d > 0 {
+		nd.log.add(EventDelay, nd.id, round, fmt.Sprintf("delaying send by %s", d))
+		time.Sleep(d)
+	}
+	frame, err := ir.encodeSends(round, sends)
+	if err != nil {
+		return fmt.Errorf("transport: instance %d round %d encode: %w", ir.inst, round, err)
+	}
+	if err := nd.write(frame, round); err != nil {
+		return fmt.Errorf("transport: instance %d round %d send: %w", ir.inst, round, err)
+	}
+	if inj.Duplicate(nd.id, round) {
+		nd.log.add(EventDup, nd.id, round, "duplicating batch frame")
+		// Best effort: the duplicate models a retransmission race, so its
+		// own failure is not one.
+		_ = nd.write(frame, round)
+	}
+	return nil
 }
 
 // mergeReport folds this instance's ingress screening into the node's
@@ -784,26 +972,22 @@ func (ir *instanceRun) mergeReport() {
 	ir.node.valMu.Unlock()
 }
 
-// awaitLane receives the round-r delivery off an instance lane: stale
-// rounds are skipped, a closed lane surfaces the connection loss, and
-// the wait allows two round timeouts because the hub's gather may have
-// spent a full one waiting out a dying peer.
-func awaitLane(lane *nodeLane, round int, wait time.Duration) ([]wire.BatchMsg, error) {
+// awaitLane receives the round-r delivery off an instance lane,
+// skipping stale rounds, until the wait expires or the node fails.
+func (nd *MuxNode) awaitLane(lane chan muxBatch, round int, wait time.Duration) ([]wire.BatchMsg, error) {
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	for {
 		select {
-		case b, ok := <-lane.mail:
+		case b := <-lane:
 			switch {
-			case !ok:
-				return nil, errors.New("connection lost")
 			case b.round == round:
 				return b.msgs, nil
-			case b.round < round:
-				continue // stale delivery
-			default:
+			case b.round > round:
 				return nil, fmt.Errorf("hub delivered round %d during round %d", b.round, round)
 			}
+		case <-nd.done:
+			return nil, fmt.Errorf("connection lost: %w", nd.err)
 		case <-timer.C:
 			return nil, errors.New("no delivery before deadline")
 		}
@@ -816,8 +1000,12 @@ func awaitLane(lane *nodeLane, round int, wait time.Duration) ([]wire.BatchMsg, 
 // admitted payloads. The hub stamps the authentic sender into Addr, so
 // the validator's sender checks bind to real identities. The call is
 // unconditional — a nil validator admits exactly what decodes — so the
-// per-instance screen structurally dominates the machine delivery of
-// the returned inbox (the ingressflow invariant on the mux path).
+// screen structurally dominates the machine delivery of the returned
+// inbox (the ingressflow invariant). The inbox carries only decoded
+// values, which never alias msgs (TestIngressSteadyStateAllocations
+// pins the zero-allocation steady state).
+//
+//lint:hotpath
 func (ir *instanceRun) decodeRound(round int, msgs []wire.BatchMsg) []sim.Message {
 	ir.in = ir.in[:0]
 	for i := range msgs {
@@ -837,8 +1025,13 @@ func (ir *instanceRun) decodeRound(round int, msgs []wire.BatchMsg) []sim.Messag
 }
 
 // encodeSends encodes a machine's sends into this instance's reused
-// buffers and frames them with the instance tag, arena-style like the
-// one-shot node.
+// buffers and frames them with the instance tag. Payloads are appended
+// into one arena and referenced by full-slice sub-slices, so arena
+// growth can never let a later payload clobber an earlier one; the
+// frame is built over the same reused buffer. Steady-state sending
+// allocates nothing.
+//
+//lint:hotpath
 func (ir *instanceRun) encodeSends(round int, sends []sim.Send) ([]byte, error) {
 	arena := ir.encArena[:0]
 	batch := ir.batch[:0]

@@ -67,8 +67,8 @@ func expandWant(rounds int) proxcensus.Result {
 	return proxcensus.Result{Value: 1, Grade: proxcensus.MaxGrade(proxcensus.ExpandSlots(rounds))}
 }
 
-// TestMuxSingleInstance: one instance over the mux transport produces
-// the same outputs as the one-shot transport.
+// TestMuxSingleInstance: one instance over hand-wired hub and nodes
+// produces the outputs RunLocal does.
 func TestMuxSingleInstance(t *testing.T) {
 	const n, tc, rounds = 4, 1, 3
 	hub, nodes := muxPair(t, n, quickConfig())
@@ -179,32 +179,11 @@ func TestMuxSilentNodeDegrades(t *testing.T) {
 	}
 }
 
-// TestMuxVersionMismatch: a legacy (v1) hello at a mux hub and a mux
-// (v2) hello at a legacy hub are both rejected at admission with the
-// negotiation error naming the versions.
+// TestMuxVersionMismatch: a legacy (v1) hello is rejected at admission
+// with the negotiation error naming the versions.
 func TestMuxVersionMismatch(t *testing.T) {
-	awaitReject := func(t *testing.T, report func() Report) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			for _, e := range report().Events {
-				if e.Kind == EventReject && strings.Contains(e.Detail, "version mismatch") {
-					return
-				}
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("no version-mismatch reject logged; events: %+v", report().Events)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
 	t.Run("legacy hello at mux hub", func(t *testing.T) {
-		hub, err := NewMuxHub(2, quickConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = hub.Close() }()
+		hub := rawHub(t, 2)
 		conn, err := net.Dial("tcp", hub.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -213,27 +192,15 @@ func TestMuxVersionMismatch(t *testing.T) {
 		if err := writeFrame(conn, wire.EncodeHello(0, 0), time.Now().Add(time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		awaitReject(t, hub.Report)
-	})
-
-	t.Run("mux hello at legacy hub", func(t *testing.T) {
-		hub, err := NewHubConfig(2, 0, quickConfig())
-		if err != nil {
-			t.Fatal(err)
+		if !closedByHub(t, conn) {
+			t.Fatal("legacy hello left open")
 		}
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- hub.Serve() }()
-		defer func() { <-serveDone }()
-		conn, err := net.Dial("tcp", hub.Addr())
-		if err != nil {
-			t.Fatal(err)
+		for _, e := range hub.Report().Events {
+			if e.Kind == EventReject && strings.Contains(e.Detail, "version mismatch") {
+				return
+			}
 		}
-		defer func() { _ = conn.Close() }()
-		hello := wire.EncodeHelloVersion(0, 0, wire.VersionMux)
-		if err := writeFrame(conn, hello, time.Now().Add(time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		awaitReject(t, hub.Report)
+		t.Fatalf("no version-mismatch reject logged; events: %+v", hub.Report().Events)
 	})
 }
 
@@ -249,7 +216,7 @@ func TestMuxUnknownInstanceDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[0].write(stray); err != nil {
+	if err := nodes[0].write(stray, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,5 +312,135 @@ func TestMuxDupInstance(t *testing.T) {
 	}
 	if _, err := nodes[0].register(5); err == nil {
 		t.Error("duplicate node lane registered")
+	}
+}
+
+// TestMuxBounceWithConcurrentInstances: node 1 drops its shared
+// connection at round 2 of two instances running side by side. Lanes
+// outlive the connection, so both instances finish and every other
+// node decides; node 1 itself may lose a delivery that was in flight
+// for the other instance — that is what a connection fault is.
+func TestMuxBounceWithConcurrentInstances(t *testing.T) {
+	const n, tc, rounds = 4, 1, 3
+	cfg := quickConfig()
+	cfg.Faults = &testInjector{drop: map[[2]int]bool{{1, 2}: true}}
+	hub, nodes := muxPair(t, n, cfg)
+	var wg sync.WaitGroup
+	for inst := 1; inst <= 2; inst++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs, errs := runMuxInstance(t, hub, nodes, inst, rounds, expandMachines(n, tc, rounds, 1))
+			for i := range outs {
+				if i == 1 {
+					continue
+				}
+				if errs[i] != nil || outs[i].(proxcensus.Result) != expandWant(rounds) {
+					t.Errorf("instance %d node %d: %v (%v), want %v", inst, i, outs[i], errs[i], expandWant(rounds))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if hub.Report().Count(EventReconnect) == 0 || nodes[1].Report().Count(EventReconnect) == 0 {
+		t.Error("expected the bounce to surface as a reconnect on both ends")
+	}
+}
+
+// TestMuxNodeRedialsLostConnection: when the shared connection dies
+// under a node (here the hub drops it), the node's reader redials with
+// a resume hello, the hub installs the replacement in the dead slot,
+// and instances run as if nothing happened.
+func TestMuxNodeRedialsLostConnection(t *testing.T) {
+	const n, tc, rounds = 4, 1, 2
+	hub, nodes := muxPair(t, n, quickConfig())
+	hub.mu.Lock()
+	lost := hub.conns[0]
+	hub.mu.Unlock()
+	hub.connLost(0, lost, "test: dropped")
+	if err := hub.AwaitNodes(2 * time.Second); err != nil {
+		t.Fatalf("node 0 never came back: %v", err)
+	}
+	outs, errs := runMuxInstance(t, hub, nodes, 1, rounds, expandMachines(n, tc, rounds, 1))
+	for i := range outs {
+		if errs[i] != nil || outs[i].(proxcensus.Result) != expandWant(rounds) {
+			t.Errorf("node %d: %v (%v), want %v", i, outs[i], errs[i], expandWant(rounds))
+		}
+	}
+	if got := hub.Report().Count(EventReconnect); got != 1 {
+		t.Errorf("hub reconnects = %d, want 1\nlog: %v", got, hub.Report().Events)
+	}
+	if rep := nodes[0].Report(); rep.Count(EventConnLost) != 1 || rep.Count(EventReconnect) != 1 {
+		t.Errorf("node 0 log misses the redial: %v", rep.Events)
+	}
+}
+
+// TestMuxChurnRejoins: a node churning over rounds (2,4) is dead to the
+// hub from round 2, rejoins at round 4 exactly, and still produces an
+// output; nobody else notices more than its silence.
+func TestMuxChurnRejoins(t *testing.T) {
+	const n, tc, rounds = 4, 1, 5
+	cfg := quickConfig()
+	cfg.Faults = &testInjector{churn: map[int][2]int{2: {2, 4}}}
+	res, err := RunLocalConfig(expandMachines(n, tc, rounds, 1), rounds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if res.Errs[i] != nil || res.Outputs[i] == nil {
+			t.Fatalf("node %d: output %v, err %v", i, res.Outputs[i], res.Errs[i])
+		}
+	}
+	if got := res.Hub.Count(EventRejoin); got != 1 || res.Hub.Deaths() != 0 {
+		t.Errorf("rejoins=%d deaths=%d, want 1/0\nlog: %v", got, res.Hub.Deaths(), res.Hub.Events)
+	}
+	if res.Nodes[2].Count(EventChurn) != 1 || res.Nodes[2].Count(EventReconnect) != 1 {
+		t.Errorf("node 2 log misses the churn bounce: %v", res.Nodes[2].Events)
+	}
+}
+
+// TestMuxFloodLogBounded: a peer spraying a live instance with 10000
+// over-cap frames — each truncated, all but the first few overflowing
+// its lane — and 10000 strays for an unknown instance grows no log
+// past the per-kind cap; the surplus is counted, not recorded.
+func TestMuxFloodLogBounded(t *testing.T) {
+	const frames = 10000
+	cfg := quickConfig()
+	cfg.FloodLimit = 1
+	hub, err := NewMuxHub(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = hub.Close() }()
+	if _, err := hub.StartInstance(LocalInstance, 1); err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialRaw(hub.Addr(), 0, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	batch := []wire.BatchMsg{{Addr: 0}, {Addr: 0}}
+	for _, c.Instance = range []int{LocalInstance, 999} {
+		for i := 0; i < frames; i++ {
+			if err := c.SendBatch(1, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rep := hub.Report()
+		seen := rep.Suppressed + rep.Count(EventFlood) + rep.Count(EventStale)
+		if len(rep.Events) > 2*eventLogCap+1 {
+			t.Fatalf("hub log grew to %d entries", len(rep.Events))
+		}
+		if seen == 4*frames-muxMailDepth { // a truncation per frame, plus an overflow or a stray
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("hub accounted for %d of %d floods and strays", seen, 4*frames-muxMailDepth)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

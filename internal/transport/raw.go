@@ -1,50 +1,38 @@
 package transport
 
 import (
-	"fmt"
 	"net"
 	"time"
 
 	"proxcensus/internal/wire"
 )
 
-// RawClient is a wire-level hub connection that bypasses the Node
+// RawClient is a wire-level hub connection that bypasses the MuxNode
 // machinery: it sends exactly the frames it is told to, well-formed or
 // not. The chaos harness uses it to run Byzantine nodes — peers that
 // hold an authenticated slot (the hub stamps their true ID on every
 // delivery) but speak the protocol maliciously. It is not safe for
 // concurrent use.
 type RawClient struct {
+	// Instance is the tag SendBatch stamps on its frames; the zero value
+	// is LocalInstance, the instance a local execution runs as.
+	Instance int
+
 	id   int
 	conn net.Conn
 	cfg  Config
 }
 
 // DialRaw connects to the hub at addr and claims node slot id with a
-// hello, retrying with the configuration's backoff like an honest
-// node. resume is 0 on first contact.
+// versioned hello, retrying with the configuration's backoff like an
+// honest node. resume is 0 on first contact.
 func DialRaw(addr string, id, resume int, cfg Config) (*RawClient, error) {
 	cfg = cfg.withDefaults()
-	var last error
-	backoff := cfg.BackoffBase
-	for attempt := 0; attempt < cfg.DialAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(jitterBackoff(backoff, id, resume, attempt))
-			backoff = nextBackoff(backoff, cfg.BackoffMax)
-		}
-		conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
-		if err != nil {
-			last = err
-			continue
-		}
-		if err := writeFrame(conn, wire.EncodeHello(id, resume), time.Now().Add(cfg.RoundTimeout)); err != nil {
-			_ = conn.Close()
-			last = err
-			continue
-		}
-		return &RawClient{id: id, conn: conn, cfg: cfg}, nil
+	conn, err := dial(addr, id, resume, cfg, newEventLog(0), nil)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("transport: raw dial %s after %d attempts: %w", addr, cfg.DialAttempts, last)
+	return &RawClient{id: id, conn: conn, cfg: cfg}, nil
 }
 
 // ID returns the node slot this client claimed.
@@ -53,9 +41,10 @@ func (c *RawClient) ID() int { return c.id }
 // Close releases the connection.
 func (c *RawClient) Close() error { return c.conn.Close() }
 
-// SendBatch sends a well-formed round batch.
+// SendBatch sends a well-formed round batch tagged for c.Instance. A
+// round other than the current one is the wrong-round attack.
 func (c *RawClient) SendBatch(round int, msgs []wire.BatchMsg) error {
-	frame, err := wire.EncodeBatch(round, msgs)
+	frame, err := wire.EncodeTaggedBatch(c.Instance, round, msgs)
 	if err != nil {
 		return err
 	}
@@ -63,19 +52,19 @@ func (c *RawClient) SendBatch(round int, msgs []wire.BatchMsg) error {
 }
 
 // SendFrame sends an arbitrary frame body — including bodies that are
-// not valid batches at all (the wrong-round and malformed-frame
-// attacks).
+// not valid batches at all (the malformed-frame attack).
 func (c *RawClient) SendFrame(body []byte) error {
 	return writeFrame(c.conn, body, time.Now().Add(c.cfg.RoundTimeout))
 }
 
-// Recv reads the hub's next delivery and decodes it as a batch. Like
-// honest nodes it allows two round timeouts: the hub may spend a full
-// one waiting out a dying peer.
+// Recv reads the hub's next delivery, of whatever instance, and decodes
+// it as a batch. Like honest nodes it allows two round timeouts: the
+// hub may spend a full one waiting out a dying peer.
 func (c *RawClient) Recv() (round int, msgs []wire.BatchMsg, err error) {
 	frame, err := readFrame(c.conn, time.Now().Add(2*c.cfg.RoundTimeout))
 	if err != nil {
 		return 0, nil, err
 	}
-	return wire.DecodeBatch(frame)
+	_, round, msgs, err = wire.DecodeTaggedBatch(frame)
+	return round, msgs, err
 }

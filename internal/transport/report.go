@@ -20,11 +20,11 @@ const (
 	EventDial EventKind = iota + 1
 	// EventRetry records a failed dial attempt before a backoff wait.
 	EventRetry
-	// EventReconnect records a replacement connection taking over for
-	// a broken one mid-execution.
+	// EventReconnect records a replacement connection (a resume hello)
+	// taking over a node's slot.
 	EventReconnect
-	// EventReject records the hub refusing a connection: malformed,
-	// out-of-range or duplicate hello, or a full join queue.
+	// EventReject records the hub refusing a connection: a malformed,
+	// wrong-version, out-of-range or duplicate hello.
 	EventReject
 	// EventConnLost records a connection breaking mid-round.
 	EventConnLost
@@ -50,10 +50,19 @@ const (
 	// EventChurn records an injected churn window opening: the node
 	// goes offline and will attempt to rejoin.
 	EventChurn
-	// EventRejoin records a churned node's resume connection taking
-	// over its slot; the node is live again from this round on.
+	// EventRejoin records a churned node's window closing; the node is
+	// live again, and delivered to, from this round on.
 	EventRejoin
 )
+
+// eventLogCap bounds how many entries of each kind in cappedKinds one
+// log records. A remote peer triggers these at will — garbage hellos,
+// strays for finished instances, overflowing lanes, over-cap batches —
+// so past the cap they are counted in Report.Suppressed instead of
+// growing a long-lived endpoint's heap.
+const eventLogCap = 64
+
+var cappedKinds = [...]bool{EventReject: true, EventStale: true, EventFlood: true}
 
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
@@ -138,6 +147,10 @@ type Report struct {
 	// RoundLatency holds the hub's barrier latency per round, indexed
 	// round-1 (hub reports only).
 	RoundLatency []time.Duration
+	// Suppressed counts the reject, stale-frame and flood events that
+	// fired past the log's per-kind cap and are therefore missing from
+	// Events.
+	Suppressed int
 	// Validation is the node's ingress-screening report (node reports
 	// only, and only when the configuration enables an ingress
 	// validator).
@@ -180,6 +193,9 @@ func (r Report) Summary() string {
 	if n := r.Count(EventFlood); n > 0 {
 		s += fmt.Sprintf(" floods=%d", n)
 	}
+	if r.Suppressed > 0 {
+		s += fmt.Sprintf(" suppressed=%d", r.Suppressed)
+	}
 	if n := r.Count(EventRejoin); n > 0 {
 		s += fmt.Sprintf(" rejoins=%d", n)
 	}
@@ -212,9 +228,9 @@ func (r Report) WriteLog(w io.Writer) error {
 
 // MergeReports folds several execution reports into one: events and
 // round latencies concatenate in argument order, a node dead in any
-// report is dead in the merge, and validation reports accumulate. The
-// mux transport uses it to collapse per-instance reports into one
-// service-level view.
+// report is dead in the merge, and suppressed counts and validation
+// reports accumulate. It collapses the hub's, the instances' and the
+// nodes' reports into one view of an execution or a service.
 func MergeReports(reps ...Report) Report {
 	var out Report
 	var val *validate.Report
@@ -227,6 +243,7 @@ func MergeReports(reps ...Report) Report {
 			out.Dead[i] = out.Dead[i] || d
 		}
 		out.RoundLatency = append(out.RoundLatency, r.RoundLatency...)
+		out.Suppressed += r.Suppressed
 		if r.Validation != nil {
 			if val == nil {
 				val = &validate.Report{}
@@ -240,10 +257,12 @@ func MergeReports(reps ...Report) Report {
 
 // eventLog is the mutable, concurrency-safe collector behind a Report.
 type eventLog struct {
-	mu      sync.Mutex
-	events  []Event
-	dead    []bool
-	latency []time.Duration
+	mu         sync.Mutex
+	events     []Event
+	dead       []bool
+	latency    []time.Duration
+	recorded   [len(cappedKinds)]int // entries per capped kind, up to eventLogCap
+	suppressed int
 }
 
 // newEventLog prepares a collector; n > 0 sizes the hub's death
@@ -256,10 +275,18 @@ func newEventLog(n int) *eventLog {
 	return l
 }
 
-// add records one event.
+// add records one event; the capped kinds stop being recorded, but not
+// counted, at eventLogCap entries each.
 func (l *eventLog) add(kind EventKind, node, round int, detail string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if int(kind) < len(cappedKinds) && cappedKinds[kind] {
+		if l.recorded[kind] == eventLogCap {
+			l.suppressed++
+			return
+		}
+		l.recorded[kind]++
+	}
 	l.events = append(l.events, Event{Kind: kind, Node: node, Round: round, Detail: detail})
 }
 
@@ -283,6 +310,15 @@ func (l *eventLog) revive(node, round int, detail string) {
 	}
 }
 
+// markDead marks every node dead in the given per-node slice.
+func (l *eventLog) markDead(dead []bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for id, d := range dead {
+		l.dead[id] = l.dead[id] || d
+	}
+}
+
 // roundDone records a completed round barrier and its latency.
 func (l *eventLog) roundDone(round int, elapsed time.Duration) {
 	l.mu.Lock()
@@ -299,5 +335,6 @@ func (l *eventLog) snapshot() Report {
 		Events:       append([]Event(nil), l.events...),
 		Dead:         append([]bool(nil), l.dead...),
 		RoundLatency: append([]time.Duration(nil), l.latency...),
+		Suppressed:   l.suppressed,
 	}
 }

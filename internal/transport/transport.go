@@ -1,26 +1,32 @@
 // Package transport runs the repository's protocol machines over real
-// TCP connections on localhost: one hub process synchronizes rounds,
-// one node per party executes its sim.Machine unchanged, and payloads
-// travel in the internal/wire binary format.
+// TCP connections on localhost: one hub synchronizes rounds, one node
+// per party executes its sim.Machine unchanged, and payloads travel in
+// the internal/wire binary format. Each node holds one long-lived
+// connection that carries any number of concurrent protocol instances
+// (mux.go); a single execution (RunLocal, internal/chaos) is the same
+// hub and nodes running one instance, so every fault schedule and
+// attack suite exercises the code the proxserve daemon runs.
 //
-// The hub enforces the synchronous model: a round's traffic is gathered
-// from every live node before anything is delivered, so a message sent
-// at the beginning of a round arrives by its end, exactly as in Section
-// 2.1. Unlike the deterministic simulator, the transport tolerates the
-// deployment faults practical BA systems treat as the common case:
-// nodes dial with capped exponential backoff, broken connections
-// reconnect mid-execution, and the hub marks a node dead once its
+// The hub enforces the synchronous model per instance: a round's
+// traffic is gathered from every live node before anything is
+// delivered, so a message sent at the beginning of a round arrives by
+// its end, exactly as in Section 2.1. Unlike the deterministic
+// simulator, the transport tolerates the deployment faults practical BA
+// systems treat as the common case: nodes dial with capped exponential
+// backoff, a broken connection is replaced mid-execution by a resume
+// hello, and the hub marks a node dead for an instance once its
 // per-round deadline expires — from then on the dead node's slots
 // deliver empty, matching the simulator's strongly-rushing drop
 // semantics, and the round barrier keeps moving for the surviving
 // >= n-t nodes. A pluggable FaultInjector induces crash-stop, drops,
-// delays, duplicated frames and partitions on demand; internal/chaos
-// builds seeded schedules on top of it, including Byzantine peers that
-// speak the wire format maliciously. Each honest node can screen its
-// ingress through internal/validate (Config.NewIngress), and the hub
-// truncates flooding senders at Config.FloodLimit. The adaptive
-// rushing adversary of the proofs still lives in the simulator
-// (internal/sim), which shares the same Machine interface.
+// delays, duplicated frames, partitions and churn on demand;
+// internal/chaos builds seeded schedules on top of it, including
+// Byzantine peers that speak the wire format maliciously. Each honest
+// node can screen its ingress through internal/validate
+// (Config.NewIngress), and the hub truncates flooding senders at
+// Config.FloodLimit. The adaptive rushing adversary of the proofs still
+// lives in the simulator (internal/sim), which shares the same Machine
+// interface.
 package transport
 
 import (
@@ -29,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -55,12 +60,12 @@ const maxFrame = wire.MaxFrame
 // Config tunes the timing, retry and fault behaviour of a TCP
 // execution. The zero value of any field falls back to its default.
 type Config struct {
-	// RoundTimeout is the per-round deadline: the hub declares a node
-	// dead if its batch (or a replacement connection) does not arrive
-	// within it, and nodes bound every send/receive by it.
+	// RoundTimeout is the per-instance round deadline: the hub declares a
+	// node dead for an instance if its batch does not arrive within it,
+	// and nodes bound every send/receive by it.
 	RoundTimeout time.Duration
 	// JoinTimeout bounds the initial gathering of hellos; nodes that
-	// never join are dead from round 1.
+	// never join are dead from round 1 of every instance.
 	JoinTimeout time.Duration
 	// DialTimeout bounds one TCP dial attempt.
 	DialTimeout time.Duration
@@ -83,9 +88,9 @@ type Config struct {
 	// EventFlood. Zero selects DefaultFloodLimit, negative disables the
 	// cap.
 	FloodLimit int
-	// IdleTimeout bounds one read on a shared mux connection, which is
-	// legitimately silent between instances; only the mux transport uses
-	// it. Zero selects DefaultIdleTimeout.
+	// IdleTimeout bounds one read on a node's shared connection, which is
+	// legitimately silent between instances. Zero selects
+	// DefaultIdleTimeout.
 	IdleTimeout time.Duration
 }
 
@@ -166,832 +171,6 @@ func jitterBackoff(backoff time.Duration, id, resume, attempt int) time.Duration
 	return half + time.Duration(h%uint64(half)+1)
 }
 
-// Hub synchronizes a fixed-round execution among n TCP nodes.
-type Hub struct {
-	n, rounds int
-	cfg       Config
-	ln        net.Listener
-	log       *eventLog
-
-	mu     sync.Mutex
-	joined []bool          // an initial hello has claimed this ID
-	closed bool            // Serve finished; admit no more connections
-	joinCh []chan admitted // admitted connections per node, initial and reconnects
-
-	// rejoined marks nodes whose churn resume connection went live this
-	// round: they receive the round's delivery but had no batch to
-	// gather. Owned by the sequential round loop.
-	rejoined []bool
-	// stash holds one future-round resume connection per node: a churn
-	// rejoin hello that arrived before its window closed. Same per-id
-	// ownership as readBufs — only node id's reader goroutine or the
-	// sequential phases touch stash[id].
-	stash []net.Conn
-
-	// Round-gather scratch owned by Serve's round loop. readBufs[id] and
-	// msgScratch[id] are touched only by node id's reader goroutine
-	// during the gather phase, then read by the sequential route and
-	// deliver phases; batches/inboxes/outFrame are reused round over
-	// round by the sequential phases only. Frame buffers come from the
-	// shared wire pool and return to it once their node dies. Payloads
-	// routed into inboxes alias readBufs until the round's deliveries
-	// are encoded, which completes before the next gather overwrites
-	// the buffers.
-	readBufs   []*[]byte
-	msgScratch [][]wire.BatchMsg
-	batches    [][]wire.BatchMsg
-	inboxes    [][]wire.BatchMsg
-	outFrame   []byte
-}
-
-// NewHub listens on an ephemeral localhost port for n nodes running a
-// `rounds`-round protocol with default configuration.
-func NewHub(n, rounds int) (*Hub, error) {
-	return NewHubConfig(n, rounds, DefaultConfig())
-}
-
-// NewHubConfig is NewHub with explicit timing/fault configuration.
-func NewHubConfig(n, rounds int, cfg Config) (*Hub, error) {
-	if n <= 0 || rounds < 0 {
-		return nil, fmt.Errorf("transport: invalid hub n=%d rounds=%d", n, rounds)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen: %w", err)
-	}
-	h := &Hub{
-		n: n, rounds: rounds,
-		cfg:      cfg.withDefaults(),
-		ln:       ln,
-		log:      newEventLog(n),
-		joined:   make([]bool, n),
-		joinCh:   make([]chan admitted, n),
-		rejoined: make([]bool, n),
-		stash:    make([]net.Conn, n),
-
-		readBufs:   make([]*[]byte, n),
-		msgScratch: make([][]wire.BatchMsg, n),
-		batches:    make([][]wire.BatchMsg, n),
-		inboxes:    make([][]wire.BatchMsg, n),
-	}
-	for i := range h.joinCh {
-		h.joinCh[i] = make(chan admitted, 4)
-	}
-	return h, nil
-}
-
-// Addr returns the hub's dialable address.
-func (h *Hub) Addr() string { return h.ln.Addr().String() }
-
-// Close releases the listener.
-func (h *Hub) Close() error { return h.ln.Close() }
-
-// Report returns a snapshot of the hub's structured event log.
-func (h *Hub) Report() Report { return h.log.snapshot() }
-
-// acceptLoop admits connections until the listener closes. Each
-// connection is validated concurrently so one slow hello cannot stall
-// the others.
-func (h *Hub) acceptLoop(done chan<- struct{}) {
-	defer close(done)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := h.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.admit(conn)
-		}()
-	}
-}
-
-// admit validates one connection's hello and routes it to its node
-// slot, closing it on any violation: exactly one owner per connection
-// on every path.
-func (h *Hub) admit(conn net.Conn) {
-	frame, err := readFrame(conn, time.Now().Add(h.cfg.JoinTimeout))
-	if err != nil {
-		h.log.add(EventReject, -1, 0, "hello read: "+err.Error())
-		_ = conn.Close()
-		return
-	}
-	id, resume, version, err := wire.DecodeHelloVersion(frame)
-	if err == nil {
-		// Version negotiation: this hub drives one legacy single-instance
-		// execution, so a mux (v2) peer is turned away at the door with a
-		// pointed message instead of failing on an unparsable tagged
-		// frame mid-round. MuxHub is the v2 counterpart.
-		err = wire.CheckVersion(version, wire.VersionLegacy)
-	}
-	if err != nil {
-		h.log.add(EventReject, -1, 0, fmt.Sprintf("%v: %v", ErrBadHello, err))
-		_ = conn.Close()
-		return
-	}
-	if id < 0 || id >= h.n {
-		h.log.add(EventReject, id, 0, fmt.Sprintf("%v: id %d out of range", ErrBadHello, id))
-		_ = conn.Close()
-		return
-	}
-	h.mu.Lock()
-	switch {
-	case h.closed:
-		err = fmt.Errorf("hub finished")
-	case resume == 0 && h.joined[id]:
-		err = fmt.Errorf("%w: duplicate id %d", ErrBadHello, id)
-	default:
-		select {
-		case h.joinCh[id] <- admitted{conn: conn, resume: resume}:
-			if resume == 0 {
-				h.joined[id] = true
-			}
-		default:
-			err = fmt.Errorf("join queue full for id %d", id)
-		}
-	}
-	h.mu.Unlock()
-	if err != nil {
-		h.log.add(EventReject, id, resume, err.Error())
-		_ = conn.Close()
-		return
-	}
-	kind := EventDial
-	if resume > 0 {
-		kind = EventReconnect
-	}
-	h.log.add(kind, id, resume, "hello accepted")
-}
-
-// admitted is one hub-accepted connection tagged with the resume round
-// its hello announced: 0 for first contact, the current round for a
-// mid-round reconnect, and a future round for a churn rejoin.
-type admitted struct {
-	conn   net.Conn
-	resume int
-}
-
-// awaitLive waits until the deadline for a connection node id is
-// speaking on now. A churn resume hello for a future round
-// (resume > round) is stashed for the revive pass instead of consumed:
-// the node stays silent until its window ends, so reading on that
-// connection would only burn the deadline and kill the rejoin.
-func (h *Hub) awaitLive(id, round int, deadline time.Time) (net.Conn, bool) {
-	for {
-		select {
-		case a := <-h.joinCh[id]:
-			if c, ok := h.screenAdmitted(id, round, a); ok {
-				return c, true
-			}
-			continue
-		default:
-		}
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return nil, false
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case a := <-h.joinCh[id]:
-			timer.Stop()
-			if c, ok := h.screenAdmitted(id, round, a); ok {
-				return c, true
-			}
-		case <-timer.C:
-			return nil, false
-		}
-	}
-}
-
-// screenAdmitted routes one admitted connection: future-round resume
-// hellos go to the stash (latest dial wins), everything else is live.
-func (h *Hub) screenAdmitted(id, round int, a admitted) (net.Conn, bool) {
-	if a.resume > round {
-		if h.stash[id] != nil {
-			_ = h.stash[id].Close()
-		}
-		h.stash[id] = a.conn
-		return nil, false
-	}
-	return a.conn, true
-}
-
-// awaitResume waits until the deadline for a churned node's rejoin
-// connection, preferring a stashed resume hello. A zero deadline only
-// polls.
-func (h *Hub) awaitResume(id int, deadline time.Time) (net.Conn, bool) {
-	if c := h.stash[id]; c != nil {
-		h.stash[id] = nil
-		return c, true
-	}
-	select {
-	case a := <-h.joinCh[id]:
-		return a.conn, true
-	default:
-	}
-	wait := time.Until(deadline)
-	if wait <= 0 {
-		return nil, false
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case a := <-h.joinCh[id]:
-		return a.conn, true
-	case <-timer.C:
-		return nil, false
-	}
-}
-
-// drain refuses further connections and closes any still queued.
-func (h *Hub) drain() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.closed = true
-	for _, ch := range h.joinCh {
-		for drained := false; !drained; {
-			select {
-			case a := <-ch:
-				_ = a.conn.Close()
-			default:
-				drained = true
-			}
-		}
-	}
-}
-
-// Serve gathers the nodes and drives the rounds; it returns once the
-// final round's traffic is delivered to every surviving node. Nodes
-// that miss a deadline are marked dead and skipped, not fatal: Serve
-// degrades gracefully as long as the protocol tolerates the silence.
-func (h *Hub) Serve() error {
-	acceptDone := make(chan struct{})
-	conns := make([]net.Conn, h.n)
-	dead := make([]bool, h.n)
-	defer func() {
-		_ = h.ln.Close()
-		<-acceptDone
-		for _, c := range conns {
-			if c != nil {
-				_ = c.Close()
-			}
-		}
-		for i, c := range h.stash {
-			if c != nil {
-				_ = c.Close()
-				h.stash[i] = nil
-			}
-		}
-		h.drain()
-	}()
-	go h.acceptLoop(acceptDone)
-
-	// Join phase: one absolute deadline for the whole gathering.
-	joinDeadline := time.Now().Add(h.cfg.JoinTimeout)
-	for id := 0; id < h.n; id++ {
-		c, ok := h.awaitLive(id, 0, joinDeadline)
-		if !ok {
-			dead[id] = true
-			h.log.death(id, 0, "no hello before join deadline")
-			continue
-		}
-		conns[id] = c
-	}
-
-	for round := 1; round <= h.rounds; round++ {
-		h.runRound(round, conns, dead)
-	}
-	return nil
-}
-
-// runRound executes one synchronous round: gather every live node's
-// batch (with reconnect grace until the round deadline), route with
-// the partition filter applied, and deliver.
-func (h *Hub) runRound(round int, conns []net.Conn, dead []bool) {
-	start := time.Now()
-	deadline := start.Add(h.cfg.RoundTimeout)
-
-	// Churn revive: a node whose churn window has reached its rejoin
-	// round comes back to life as soon as its resume connection is
-	// queued. The node was offline when this round opened, so the
-	// gather below still skips it (its slot delivers empty one last
-	// time to others), but it receives this round's delivery and sends
-	// again next round. At exactly the rejoin round the hub grants the
-	// dial a bounded wait so the revival round is deterministic; later
-	// rounds only poll, keeping a node that never comes back from
-	// stalling every remaining barrier.
-	for id := range conns {
-		h.rejoined[id] = false
-		if !dead[id] {
-			continue
-		}
-		down, up := churnWindow(h.cfg.Faults, id)
-		if down == 0 || round < up {
-			continue
-		}
-		resumeBy := time.Time{} // later rounds: poll only
-		if round == up {
-			resumeBy = deadline
-		}
-		c, ok := h.awaitResume(id, resumeBy)
-		if !ok {
-			continue
-		}
-		if conns[id] != nil {
-			_ = conns[id].Close()
-		}
-		conns[id] = c
-		dead[id] = false
-		h.rejoined[id] = true
-		h.log.revive(id, round, fmt.Sprintf("resume connection live after churn at round %d", down))
-	}
-
-	batches := h.batches
-	var wg sync.WaitGroup
-	for id := range conns {
-		batches[id] = nil
-		if dead[id] || h.rejoined[id] {
-			continue
-		}
-		if h.readBufs[id] == nil {
-			h.readBufs[id] = wire.GetFrameBuf()
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			batches[id] = h.readRound(id, round, deadline, conns, dead)
-		}(id)
-	}
-	wg.Wait()
-
-	// Route: to == sim.Broadcast fans out to every party; messages
-	// crossing an injected partition are dropped like the simulator's
-	// message-dropping adversary; dead nodes receive nothing.
-	inboxes := h.inboxes
-	for id := range inboxes {
-		inboxes[id] = inboxes[id][:0]
-	}
-	cut := 0
-	deliver := func(from, to int, payload []byte) {
-		if dead[to] {
-			return
-		}
-		if h.cfg.Faults.Partitioned(from, to, round) {
-			cut++
-			return
-		}
-		inboxes[to] = append(inboxes[to], wire.BatchMsg{Addr: from, Payload: payload})
-	}
-	for from, batch := range batches {
-		for _, m := range batch {
-			if m.Addr == sim.Broadcast {
-				for p := 0; p < h.n; p++ {
-					deliver(from, p, m.Payload)
-				}
-				continue
-			}
-			if m.Addr >= 0 && m.Addr < h.n {
-				deliver(from, m.Addr, m.Payload)
-			}
-		}
-	}
-	if cut > 0 {
-		h.log.add(EventPartition, -1, round, fmt.Sprintf("%d messages cut", cut))
-	}
-
-	// Delivery gets a fresh deadline: the gather phase may have spent
-	// the whole round budget waiting out a dying node, and the
-	// survivors must not be punished for it. Nodes allow two round
-	// timeouts on their receive for exactly this reason.
-	deliverBy := time.Now().Add(h.cfg.RoundTimeout)
-	for id := range conns {
-		if dead[id] {
-			continue
-		}
-		sort.SliceStable(inboxes[id], func(i, j int) bool {
-			return inboxes[id][i].Addr < inboxes[id][j].Addr
-		})
-		frame, err := wire.AppendEncodeBatch(h.outFrame[:0], round, inboxes[id])
-		if frame != nil {
-			h.outFrame = frame
-		}
-		if err != nil {
-			dead[id] = true
-			h.log.death(id, round, "encode delivery: "+err.Error())
-			continue
-		}
-		h.deliverRound(id, round, frame, deliverBy, conns, dead)
-	}
-	// Nodes that died this round no longer need their frame buffer;
-	// recycle it through the pool for other hubs and future joiners.
-	for id := range conns {
-		if dead[id] && h.readBufs[id] != nil {
-			wire.PutFrameBuf(h.readBufs[id])
-			h.readBufs[id] = nil
-		}
-	}
-	h.log.roundDone(round, time.Since(start))
-}
-
-// readRound reads node id's round-r batch, skipping stale duplicates
-// and absorbing one-or-more reconnects, until the deadline declares
-// the node dead. Only this goroutine touches conns[id]/dead[id] during
-// the gather phase.
-func (h *Hub) readRound(id, round int, deadline time.Time, conns []net.Conn, dead []bool) []wire.BatchMsg {
-	buf := h.readBufs[id]
-	for {
-		frame, err := readFrameInto(conns[id], deadline, (*buf)[:0])
-		*buf = frame
-		if err == nil {
-			r, msgs, dropped, derr := wire.DecodeBatchAliasCapped(frame, h.cfg.FloodLimit, h.msgScratch[id][:0])
-			if msgs != nil {
-				h.msgScratch[id] = msgs[:0]
-			}
-			switch {
-			case derr != nil:
-				err = derr // corrupt framing: treat the connection as broken
-			case r == round:
-				if dropped > 0 {
-					h.log.add(EventFlood, id, round, fmt.Sprintf("truncated %d batch entries over the %d cap", dropped, h.cfg.FloodLimit))
-				}
-				return msgs
-			case r < round:
-				h.log.add(EventStale, id, round, fmt.Sprintf("discarded round-%d frame", r))
-				continue
-			default:
-				err = fmt.Errorf("frame from future round %d", r)
-			}
-		}
-		_ = conns[id].Close()
-		h.log.add(EventConnLost, id, round, err.Error())
-		// A node inside its churn window went silent on purpose: mark it
-		// dead now without consuming the join queue — its resume hello
-		// must stay queued for the revive at the window's rejoin round.
-		if down, up := churnWindow(h.cfg.Faults, id); down > 0 && round >= down && round < up {
-			dead[id] = true
-			h.log.death(id, round, fmt.Sprintf("churn window open until round %d", up))
-			return nil
-		}
-		c, ok := h.awaitLive(id, round, deadline)
-		if !ok {
-			dead[id] = true
-			h.log.death(id, round, "no batch before round deadline")
-			return nil
-		}
-		conns[id] = c
-	}
-}
-
-// deliverRound writes a delivery frame to node id, replacing the
-// connection if a reconnect is pending, until the deadline declares
-// the node dead.
-func (h *Hub) deliverRound(id, round int, frame []byte, deadline time.Time, conns []net.Conn, dead []bool) {
-	for {
-		err := writeFrame(conns[id], frame, deadline)
-		if err == nil {
-			return
-		}
-		_ = conns[id].Close()
-		h.log.add(EventConnLost, id, round, "deliver: "+err.Error())
-		c, ok := h.awaitLive(id, round, deadline)
-		if !ok {
-			dead[id] = true
-			h.log.death(id, round, "delivery failed: "+err.Error())
-			return
-		}
-		conns[id] = c
-	}
-}
-
-// Node executes one party's machine against a hub.
-type Node struct {
-	id, rounds int
-	addr       string
-	machine    sim.Machine
-	cfg        Config
-	log        *eventLog
-	ingress    *validate.Validator
-
-	// Per-round scratch, owned by the single Run goroutine and reused
-	// across rounds so a steady-state round allocates nothing. Ownership
-	// rule: frameBuf and msgScratch hold live aliases only between a
-	// frame read and the end of decodeRound; inbox entries own their
-	// payloads (decoded values never alias the frame), so reusing the
-	// buffers next round cannot corrupt anything a machine saw.
-	dec        *wire.Decoder
-	frameBuf   []byte
-	msgScratch []wire.BatchMsg
-	in         []validate.Inbound
-	verdicts   []bool
-	inbox      []sim.Message
-	encArena   []byte
-	sendBatch  []wire.BatchMsg
-	sendFrame  []byte
-}
-
-// NewNode prepares party `id` running machine for a `rounds`-round
-// execution via the hub at addr, with default configuration.
-func NewNode(addr string, id, rounds int, machine sim.Machine) *Node {
-	return NewNodeConfig(addr, id, rounds, machine, DefaultConfig())
-}
-
-// NewNodeConfig is NewNode with explicit timing/fault configuration.
-func NewNodeConfig(addr string, id, rounds int, machine sim.Machine, cfg Config) *Node {
-	nd := &Node{
-		id: id, rounds: rounds, addr: addr, machine: machine,
-		cfg: cfg.withDefaults(), log: newEventLog(0),
-		dec: wire.NewDecoder(),
-	}
-	if cfg.NewIngress != nil {
-		nd.ingress = cfg.NewIngress(id)
-	}
-	return nd
-}
-
-// Report returns a snapshot of the node's structured event log,
-// including the ingress-validation report when validation is on.
-func (nd *Node) Report() Report {
-	rep := nd.log.snapshot()
-	if nd.ingress != nil {
-		v := nd.ingress.Report()
-		rep.Validation = &v
-	}
-	return rep
-}
-
-// connect dials the hub with capped exponential backoff and announces
-// the node, returning a live connection. resume is 0 on first contact
-// and the current round on a reconnect.
-func (nd *Node) connect(resume int) (net.Conn, error) {
-	var last error
-	backoff := nd.cfg.BackoffBase
-	for attempt := 0; attempt < nd.cfg.DialAttempts; attempt++ {
-		if attempt > 0 {
-			wait := jitterBackoff(backoff, nd.id, resume, attempt)
-			nd.log.add(EventRetry, nd.id, resume, fmt.Sprintf("attempt %d backing off %s: %v", attempt, wait, last))
-			time.Sleep(wait)
-			backoff = nextBackoff(backoff, nd.cfg.BackoffMax)
-		}
-		conn, err := net.DialTimeout("tcp", nd.addr, nd.cfg.DialTimeout)
-		if err != nil {
-			last = err
-			continue
-		}
-		if err := writeFrame(conn, wire.EncodeHello(nd.id, resume), time.Now().Add(nd.cfg.RoundTimeout)); err != nil {
-			_ = conn.Close()
-			last = err
-			continue
-		}
-		kind := EventDial
-		if resume > 0 {
-			kind = EventReconnect
-		}
-		nd.log.add(kind, nd.id, resume, "connected")
-		return conn, nil
-	}
-	return nil, fmt.Errorf("transport: dial %s after %d attempts: %w", nd.addr, nd.cfg.DialAttempts, last)
-}
-
-// Run connects, executes all rounds, and returns the machine's output.
-// Injected faults from the configuration apply to this node's own
-// traffic: a scheduled crash-stop returns ErrCrashed.
-func (nd *Node) Run() (any, error) {
-	inj := nd.cfg.Faults
-	conn, err := nd.connect(0)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = conn.Close() }()
-
-	churnDown, churnUp := churnWindow(inj, nd.id)
-	sends := nd.machine.Start()
-	for round := 1; round <= nd.rounds; round++ {
-		if cr := inj.CrashRound(nd.id); cr > 0 && round >= cr {
-			nd.log.add(EventCrash, nd.id, round, "crash-stop by schedule")
-			return nil, fmt.Errorf("%w: round %d", ErrCrashed, cr)
-		}
-		if churnDown > 0 && round == churnDown {
-			// Churn: go offline before sending this round, immediately
-			// redial with a resume hello for the rejoin round, and wait
-			// for the hub to swap the connection in. The rounds slept
-			// through deliver empty — the machine's round counter must
-			// keep pace with the hub's, so replay them as silence before
-			// delivering the first live round.
-			nd.log.add(EventChurn, nd.id, round, fmt.Sprintf("offline until round %d", churnUp))
-			_ = conn.Close()
-			if conn, err = nd.connect(churnUp); err != nil {
-				return nil, fmt.Errorf("transport: round %d churn rejoin: %w", round, err)
-			}
-			r, inbox, rerr := nd.resync(conn, churnDown, churnUp)
-			if rerr != nil {
-				return nil, fmt.Errorf("transport: round %d churn resync: %w", round, rerr)
-			}
-			// resync bounds r to [churnUp, nd.rounds]; the wire-derived
-			// value only limits the catch-up loop, round itself stays a
-			// local counter.
-			for round < r {
-				sends = nd.machine.Deliver(round, nil)
-				round++
-			}
-			sends = nd.machine.Deliver(round, inbox)
-			continue
-		}
-		if inj.DropConn(nd.id, round) {
-			nd.log.add(EventConnLost, nd.id, round, "injected connection drop")
-			_ = conn.Close()
-			if conn, err = nd.connect(round); err != nil {
-				return nil, fmt.Errorf("transport: round %d reconnect: %w", round, err)
-			}
-		}
-		if d := inj.Delay(nd.id, round); d > 0 {
-			nd.log.add(EventDelay, nd.id, round, fmt.Sprintf("delaying send by %s", d))
-			time.Sleep(d)
-		}
-
-		frame, err := nd.encodeSends(round, sends)
-		if err != nil {
-			return nil, fmt.Errorf("transport: round %d encode: %w", round, err)
-		}
-		if conn, err = nd.send(conn, frame, round); err != nil {
-			return nil, fmt.Errorf("transport: round %d send: %w", round, err)
-		}
-		if inj.Duplicate(nd.id, round) {
-			nd.log.add(EventDup, nd.id, round, "duplicating batch frame")
-			// Best effort: the duplicate models a retransmission race,
-			// so its own failure is not one.
-			_ = writeFrame(conn, frame, time.Now().Add(nd.cfg.RoundTimeout))
-		}
-
-		var inbox []sim.Message
-		if conn, inbox, err = nd.receive(conn, round); err != nil {
-			return nil, fmt.Errorf("transport: round %d receive: %w", round, err)
-		}
-		sends = nd.machine.Deliver(round, inbox)
-	}
-	out, ok := nd.machine.Output()
-	if !ok {
-		return nil, errors.New("transport: machine produced no output")
-	}
-	return out, nil
-}
-
-// send writes a batch frame, absorbing one broken connection by
-// reconnecting and resending.
-func (nd *Node) send(conn net.Conn, frame []byte, round int) (net.Conn, error) {
-	err := writeFrame(conn, frame, time.Now().Add(nd.cfg.RoundTimeout))
-	if err == nil {
-		return conn, nil
-	}
-	nd.log.add(EventConnLost, nd.id, round, "send: "+err.Error())
-	_ = conn.Close()
-	c, derr := nd.connect(round)
-	if derr != nil {
-		return conn, errors.Join(err, derr)
-	}
-	if err := writeFrame(c, frame, time.Now().Add(nd.cfg.RoundTimeout)); err != nil {
-		return c, err
-	}
-	return c, nil
-}
-
-// receive reads the hub's round-r delivery, skipping stale frames and
-// absorbing one broken connection by reconnecting. The read deadline
-// allows two round timeouts: the hub may spend a full one waiting out
-// a dying peer before it can deliver this round.
-func (nd *Node) receive(conn net.Conn, round int) (net.Conn, []sim.Message, error) {
-	retried := false
-	for {
-		frame, err := readFrameInto(conn, time.Now().Add(2*nd.cfg.RoundTimeout), nd.frameBuf[:0])
-		nd.frameBuf = frame
-		if err != nil {
-			if retried {
-				return conn, nil, err
-			}
-			retried = true
-			nd.log.add(EventConnLost, nd.id, round, "receive: "+err.Error())
-			_ = conn.Close()
-			c, derr := nd.connect(round)
-			if derr != nil {
-				return conn, nil, errors.Join(err, derr)
-			}
-			conn = c
-			continue
-		}
-		r, msgs, err := wire.DecodeBatchAliasInto(frame, nd.msgScratch[:0])
-		if msgs != nil {
-			nd.msgScratch = msgs[:0]
-		}
-		if err != nil {
-			return conn, nil, err
-		}
-		switch {
-		case r == round:
-			return conn, nd.decodeRound(round, msgs), nil
-		case r < round:
-			nd.log.add(EventStale, nd.id, round, fmt.Sprintf("discarded round-%d delivery", r))
-		default:
-			return conn, nil, fmt.Errorf("transport: hub delivered round %d during round %d", r, round)
-		}
-	}
-}
-
-// resync re-enters the round structure after a churn window: the hub
-// kept the barrier moving while the node was offline, so the node
-// reads deliveries off its resume connection until it sees the hub's
-// current round r >= up (later if the dial raced past the rejoin
-// round), discarding anything older. The deadline budgets the whole
-// offline window at the hub's worst case of two round timeouts per
-// round. Returns the first live round and its screened inbox.
-func (nd *Node) resync(conn net.Conn, down, up int) (int, []sim.Message, error) {
-	deadline := time.Now().Add(time.Duration(up-down+2) * 2 * nd.cfg.RoundTimeout)
-	for {
-		frame, err := readFrameInto(conn, deadline, nd.frameBuf[:0])
-		nd.frameBuf = frame
-		if err != nil {
-			return 0, nil, err
-		}
-		r, msgs, err := wire.DecodeBatchAliasInto(frame, nd.msgScratch[:0])
-		if msgs != nil {
-			nd.msgScratch = msgs[:0]
-		}
-		if err != nil {
-			return 0, nil, err
-		}
-		switch {
-		case r > nd.rounds:
-			return 0, nil, fmt.Errorf("transport: hub delivered round %d beyond %d during resync", r, nd.rounds)
-		case r < up:
-			nd.log.add(EventStale, nd.id, r, fmt.Sprintf("discarded pre-rejoin round-%d delivery", r))
-		default:
-			return r, nd.decodeRound(r, msgs), nil
-		}
-	}
-}
-
-// decodeRound turns one round's aliased batch into the machine inbox:
-// decode through the interning Decoder, screen everything in a single
-// batched ingress call, and route the admitted payloads. All scratch
-// is node-owned and reused round over round, so a steady-state round
-// allocates nothing (TestIngressSteadyStateAllocations pins this); the
-// frame aliases inside msgs are dead once this returns — the inbox
-// carries only decoded values, which never alias the frame.
-//
-//lint:hotpath
-func (nd *Node) decodeRound(round int, msgs []wire.BatchMsg) []sim.Message {
-	nd.in = nd.in[:0]
-	for i := range msgs {
-		payload, err := nd.dec.Decode(msgs[i].Payload)
-		nd.in = append(nd.in, validate.Inbound{From: msgs[i].Addr, Raw: msgs[i].Payload, Payload: payload, Err: err})
-	}
-	// Ingress screening: sender range, phase type, value domain,
-	// signatures (grouped, lazily batch-verified), duplicates,
-	// equivocation. The hub stamps the authentic sender into Addr, so
-	// the validator's sender checks bind to real identities. The call
-	// is unconditional — a nil validator admits exactly what decodes —
-	// so the screen structurally dominates the machine delivery of the
-	// returned inbox (the ingressflow invariant).
-	verdicts := nd.ingress.AdmitBatch(round, nd.in, nd.verdicts[:0])
-	nd.verdicts = verdicts
-	nd.inbox = nd.inbox[:0]
-	for i := range nd.in {
-		if !verdicts[i] {
-			continue
-		}
-		nd.inbox = append(nd.inbox, sim.Message{From: nd.in[i].From, To: nd.id, Round: round, Payload: nd.in[i].Payload})
-	}
-	return nd.inbox
-}
-
-// encodeSends encodes a machine's sends into the node's reused send
-// buffers and frames them for the hub. Payloads are appended into one
-// arena and referenced by full-slice sub-slices, so arena growth can
-// never let a later payload clobber an earlier one; the frame is built
-// over the same reused buffer. Steady-state sending allocates nothing.
-//
-//lint:hotpath
-func (nd *Node) encodeSends(round int, sends []sim.Send) ([]byte, error) {
-	arena := nd.encArena[:0]
-	batch := nd.sendBatch[:0]
-	var err error
-	for _, s := range sends {
-		start := len(arena)
-		if arena, err = wire.AppendEncode(arena, s.Payload); err != nil {
-			return nil, err
-		}
-		batch = append(batch, wire.BatchMsg{Addr: s.To, Payload: arena[start:len(arena):len(arena)]})
-	}
-	nd.encArena = arena
-	nd.sendBatch = batch
-	frame, err := wire.AppendEncodeBatch(nd.sendFrame[:0], round, batch)
-	if frame != nil {
-		nd.sendFrame = frame
-	}
-	return frame, err
-}
-
 // writeFrame sends a length-prefixed frame bounded by the deadline.
 func writeFrame(conn net.Conn, body []byte, deadline time.Time) error {
 	if len(body) > maxFrame {
@@ -1054,52 +233,83 @@ type RunResult struct {
 	Outputs []any
 	// Errs holds per-node errors (ErrCrashed for scheduled crashes).
 	Errs []error
-	// Hub is the hub's event report: deaths, reconnects, latencies.
+	// Hub is the hub's event report — connection events merged with the
+	// instance's deaths, reconnects and latencies.
 	Hub Report
 	// Nodes holds each node's own event report, by party ID.
 	Nodes []Report
 }
 
+// LocalInstance is the instance tag a local execution runs under.
+const LocalInstance = 0
+
 // RunLocalConfig executes a full protocol locally over TCP under the
-// given configuration: it starts a hub, one goroutine per node, and
-// returns the per-node outcomes plus the structured reports. The
-// returned error covers hub-level failures only — individual node
-// failures (crashes, deaths) land in RunResult.Errs so callers can
-// assert on the survivors.
+// given configuration: it starts a hub, connects one node per machine,
+// runs the protocol as a single instance and returns the per-node
+// outcomes plus the structured reports. The returned error covers
+// hub-level failures only — individual node failures (crashes, deaths)
+// land in RunResult.Errs so callers can assert on the survivors.
 func RunLocalConfig(machines []sim.Machine, rounds int, cfg Config) (*RunResult, error) {
-	hub, err := NewHubConfig(len(machines), rounds, cfg)
+	return RunLocalRaw(machines, rounds, cfg, nil)
+}
+
+// RunLocalRaw is RunLocalConfig with some slots played by wire-level
+// peers instead of machines: raw[id], when set, is handed the hub
+// address, claims slot id itself (DialRaw) and speaks for it; its error
+// lands in Errs[id]. This is how internal/chaos seats Byzantine nodes.
+func RunLocalRaw(machines []sim.Machine, rounds int, cfg Config, raw map[int]func(addr string) error) (*RunResult, error) {
+	n := len(machines)
+	hub, err := NewMuxHub(n, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = hub.Close() }()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hub.Serve() }()
-
-	res := &RunResult{
-		Outputs: make([]any, len(machines)),
-		Errs:    make([]error, len(machines)),
-		Nodes:   make([]Report, len(machines)),
+	// The instance is registered before anyone can dial, so a fast
+	// peer's round-1 frame always finds its lane.
+	hi, err := hub.StartInstance(LocalInstance, rounds)
+	if err != nil {
+		return nil, err
 	}
-	nodes := make([]*Node, len(machines))
+	res := &RunResult{Outputs: make([]any, n), Errs: make([]error, n), Nodes: make([]Report, n)}
+	nodes := make([]*MuxNode, n)
 	var wg sync.WaitGroup
-	for i, m := range machines {
-		nodes[i] = NewNodeConfig(hub.Addr(), i, rounds, m, cfg)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res.Outputs[i], res.Errs[i] = nodes[i].Run()
-		}(i)
+	for i := range machines {
+		if play := raw[i]; play != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res.Errs[i] = play(hub.Addr())
+			}()
+			continue
+		}
+		if nodes[i], res.Errs[i] = NewMuxNode(hub.Addr(), i, cfg); res.Errs[i] == nil {
+			defer func(nd *MuxNode) { _ = nd.Close() }(nodes[i])
+		}
 	}
-	wg.Wait()
-	if err := <-serveErr; err != nil {
-		return res, err
+	// Whoever has not joined by the deadline is dead from round 1; only
+	// a closed hub is fatal.
+	if err := hub.AwaitNodes(hub.cfg.JoinTimeout); errors.Is(err, ErrMuxClosed) {
+		return nil, err
 	}
-	res.Hub = hub.Report()
 	for i, nd := range nodes {
-		res.Nodes[i] = nd.Report()
+		if nd == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res.Outputs[i], res.Errs[i] = nd.RunInstance(LocalInstance, rounds, machines[i])
+		}()
 	}
-	return res, nil
+	err = hi.Run()
+	wg.Wait()
+	res.Hub = MergeReports(hub.Report(), hi.Report())
+	for i, nd := range nodes {
+		if nd != nil {
+			res.Nodes[i] = nd.Report()
+		}
+	}
+	return res, err
 }
 
 // RunLocal executes a fault-free protocol locally over TCP and returns

@@ -2,9 +2,9 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -108,20 +108,28 @@ func TestRunLocalHalfBAAgainstSimulator(t *testing.T) {
 }
 
 func TestHubValidation(t *testing.T) {
-	if _, err := NewHub(0, 1); err == nil {
+	if _, err := NewMuxHub(0, quickConfig()); err == nil {
 		t.Error("n=0 must fail")
 	}
-	if _, err := NewHub(3, -1); err == nil {
+	hub, err := NewMuxHub(3, quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = hub.Close() }()
+	if _, err := hub.StartInstance(LocalInstance, -1); err == nil {
 		t.Error("negative rounds must fail")
 	}
 }
 
 func TestNodeBadHubAddress(t *testing.T) {
-	nd := NewNodeConfig("127.0.0.1:1", 0, 1, proxcensus.NewExpandMachine(2, 0, 1, 0), quickConfig())
-	if _, err := nd.Run(); err == nil {
+	if _, err := NewMuxNode("127.0.0.1:1", 0, quickConfig()); err == nil {
 		t.Error("dialing a dead address must fail")
 	}
-	if got := nd.Report().Count(EventRetry); got != 2 {
+	log := newEventLog(0)
+	if _, err := dial("127.0.0.1:1", 0, 0, quickConfig().withDefaults(), log, nil); err == nil {
+		t.Error("dialing a dead address must fail")
+	}
+	if got := log.snapshot().Count(EventRetry); got != 2 {
 		t.Errorf("retry events = %d, want 2 (3 attempts)", got)
 	}
 }
@@ -160,7 +168,8 @@ func rawDial(t *testing.T, addr string, id, resume int) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, wire.EncodeHello(id, resume), time.Now().Add(time.Second)); err != nil {
+	hello := wire.EncodeHelloVersion(id, resume, wire.VersionMux)
+	if err := writeFrame(conn, hello, time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	return conn
@@ -169,7 +178,7 @@ func rawDial(t *testing.T, addr string, id, resume int) net.Conn {
 // sendEmptyRound writes an empty round-tagged batch by hand.
 func sendEmptyRound(t *testing.T, conn net.Conn, round int) {
 	t.Helper()
-	frame, err := wire.EncodeBatch(round, nil)
+	frame, err := wire.EncodeTaggedBatch(LocalInstance, round, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,22 +194,57 @@ func readRoundFrame(t *testing.T, conn net.Conn) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	round, _, err := wire.DecodeBatch(frame)
+	_, round, _, err := wire.DecodeTaggedBatch(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return round
 }
 
-func TestHubRejectsDuplicateHello(t *testing.T) {
-	hub, err := NewHubConfig(1, 1, quickConfig())
+// closedByHub reports whether the hub closed c (EOF) rather than
+// leaving it idle (the read deadline expires: the hub sends nothing
+// before a round batch arrives).
+func closedByHub(t *testing.T, c net.Conn) bool {
+	t.Helper()
+	if err := c.SetReadDeadline(time.Now().Add(300 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.Read(make([]byte, 1))
+	return err == io.EOF
+}
+
+// rawHub starts a hub for n hand-driven connections.
+func rawHub(t *testing.T, n int) *MuxHub {
+	t.Helper()
+	hub, err := NewMuxHub(n, quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = hub.Close() }()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hub.Serve() }()
+	t.Cleanup(func() { _ = hub.Close() })
+	return hub
+}
 
+// serve runs the local instance on a hub whose peers have dialed and
+// returns a wait for the report RunLocalConfig would build.
+func serve(t *testing.T, hub *MuxHub, rounds int) func() Report {
+	t.Helper()
+	_ = hub.AwaitNodes(time.Second) // absentees are dead from round 1
+	hi, err := hub.StartInstance(LocalInstance, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- hi.Run() }()
+	return func() Report {
+		if err := <-done; err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return MergeReports(hub.Report(), hi.Report())
+	}
+}
+
+func TestHubRejectsDuplicateHello(t *testing.T) {
+	hub := rawHub(t, 1)
 	// Two connections claiming the same ID: the hub must keep exactly
 	// one and refuse the other without killing the execution. (Hellos
 	// are admitted concurrently, so either may win the slot.)
@@ -208,18 +252,7 @@ func TestHubRejectsDuplicateHello(t *testing.T) {
 	defer func() { _ = c1.Close() }()
 	c2 := rawDial(t, hub.Addr(), 0, 0)
 	defer func() { _ = c2.Close() }()
-
-	// The rejected connection gets closed by the hub (EOF); the kept
-	// one idles (read deadline expires — the hub sends nothing before
-	// the round batch arrives).
-	closedByHub := func(c net.Conn) bool {
-		if err := c.SetReadDeadline(time.Now().Add(300 * time.Millisecond)); err != nil {
-			t.Fatal(err)
-		}
-		_, err := c.Read(make([]byte, 1))
-		return err == io.EOF
-	}
-	r1, r2 := closedByHub(c1), closedByHub(c2)
+	r1, r2 := closedByHub(t, c1), closedByHub(t, c2)
 	if r1 == r2 {
 		t.Fatalf("want exactly one rejected connection, got c1=%v c2=%v", r1, r2)
 	}
@@ -229,14 +262,12 @@ func TestHubRejectsDuplicateHello(t *testing.T) {
 	}
 
 	// The surviving connection completes the round normally.
+	report := serve(t, hub, 1)
 	sendEmptyRound(t, kept, 1)
 	if r := readRoundFrame(t, kept); r != 1 {
 		t.Errorf("delivery round = %d, want 1", r)
 	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	rep := hub.Report()
+	rep := report()
 	if rep.Count(EventReject) != 1 {
 		t.Errorf("reject events = %d, want 1\nlog: %v", rep.Count(EventReject), rep.Events)
 	}
@@ -245,34 +276,54 @@ func TestHubRejectsDuplicateHello(t *testing.T) {
 	}
 }
 
-func TestHubRejectsOutOfRangeHello(t *testing.T) {
-	hub, err := NewHubConfig(1, 1, quickConfig())
-	if err != nil {
+// TestHubResumeHelloReplaces: a resume hello takes a live slot over and
+// downs the connection it replaces; a second first-contact hello for
+// the now-live replacement is still a duplicate.
+func TestHubResumeHelloReplaces(t *testing.T) {
+	hub := rawHub(t, 1)
+	first := rawDial(t, hub.Addr(), 0, 0)
+	defer func() { _ = first.Close() }()
+	if err := hub.AwaitNodes(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = hub.Close() }()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hub.Serve() }()
+	resumed := rawDial(t, hub.Addr(), 0, 3)
+	defer func() { _ = resumed.Close() }()
+	if !closedByHub(t, first) {
+		t.Fatal("replaced connection left open")
+	}
+	dup := rawDial(t, hub.Addr(), 0, 0)
+	defer func() { _ = dup.Close() }()
+	if !closedByHub(t, dup) {
+		t.Fatal("duplicate first-contact hello for a live node accepted")
+	}
+	report := serve(t, hub, 1)
+	sendEmptyRound(t, resumed, 1)
+	if r := readRoundFrame(t, resumed); r != 1 {
+		t.Errorf("delivery round = %d, want 1", r)
+	}
+	rep := report()
+	if rep.Count(EventReconnect) != 1 || rep.Count(EventReject) != 1 || rep.Deaths() != 0 {
+		t.Errorf("reconnects=%d rejects=%d deaths=%d, want 1/1/0\nlog: %v",
+			rep.Count(EventReconnect), rep.Count(EventReject), rep.Deaths(), rep.Events)
+	}
+}
 
+func TestHubRejectsOutOfRangeHello(t *testing.T) {
+	hub := rawHub(t, 1)
 	bad := rawDial(t, hub.Addr(), 9, 0) // id 9 >= n
 	defer func() { _ = bad.Close() }()
-	if err := bad.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bad.Read(make([]byte, 1)); err != io.EOF {
-		t.Errorf("rejected conn read err = %v, want EOF", err)
+	if !closedByHub(t, bad) {
+		t.Error("out-of-range hello left open")
 	}
 
 	good := rawDial(t, hub.Addr(), 0, 0)
 	defer func() { _ = good.Close() }()
+	report := serve(t, hub, 1)
 	sendEmptyRound(t, good, 1)
 	if r := readRoundFrame(t, good); r != 1 {
 		t.Errorf("delivery round = %d, want 1", r)
 	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	if got := hub.Report().Count(EventReject); got != 1 {
+	if got := report().Count(EventReject); got != 1 {
 		t.Errorf("reject events = %d, want 1", got)
 	}
 }
@@ -282,19 +333,12 @@ func TestHubMarksSilentNodeDeadAndFinishes(t *testing.T) {
 	// mark node 0 dead at its round deadline and keep the barrier
 	// moving for the survivor — no hang, no fatal error.
 	const rounds = 3
-	hub, err := NewHubConfig(2, rounds, quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = hub.Close() }()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hub.Serve() }()
-
+	hub := rawHub(t, 2)
 	silent := rawDial(t, hub.Addr(), 0, 0)
 	defer func() { _ = silent.Close() }()
-
 	live := rawDial(t, hub.Addr(), 1, 0)
 	defer func() { _ = live.Close() }()
+	report := serve(t, hub, rounds)
 	start := time.Now()
 	for r := 1; r <= rounds; r++ {
 		sendEmptyRound(t, live, r)
@@ -302,12 +346,9 @@ func TestHubMarksSilentNodeDeadAndFinishes(t *testing.T) {
 			t.Fatalf("delivery round = %d, want %d", got, r)
 		}
 	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
+	rep := report()
 	elapsed := time.Since(start)
 
-	rep := hub.Report()
 	if len(rep.Dead) != 2 || !rep.Dead[0] || rep.Dead[1] {
 		t.Errorf("dead = %v, want node 0 only", rep.Dead)
 	}
@@ -328,16 +369,10 @@ func TestHubMarksSilentNodeDeadAndFinishes(t *testing.T) {
 }
 
 func TestHubSurvivesOversizedFrame(t *testing.T) {
-	hub, err := NewHubConfig(1, 1, quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = hub.Close() }()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hub.Serve() }()
-
+	hub := rawHub(t, 1)
 	conn := rawDial(t, hub.Addr(), 0, 0)
 	defer func() { _ = conn.Close() }()
+	report := serve(t, hub, 1)
 	// Announce an absurd frame size: the hub must drop the connection
 	// and degrade, not crash.
 	var hdr [4]byte
@@ -345,82 +380,71 @@ func TestHubSurvivesOversizedFrame(t *testing.T) {
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	rep := hub.Report()
+	rep := report()
 	if rep.Deaths() != 1 {
 		t.Errorf("deaths = %d, want 1\nlog: %v", rep.Deaths(), rep.Events)
 	}
 	if rep.Count(EventConnLost) == 0 {
 		t.Error("expected a conn-lost event for the oversized frame")
 	}
-}
-
-func TestServeClosesListenerAndConns(t *testing.T) {
-	machines := []sim.Machine{sim.NewFunc(1), sim.NewFunc(2)}
-	hub, err := NewHubConfig(len(machines), 0, quickConfig())
+	// The death found the connection down, so the slot is retired: a
+	// later instance skips the node at once instead of waiting again.
+	later, err := hub.StartInstance(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hub.Serve() }()
-	var wg sync.WaitGroup
-	for i, m := range machines {
-		wg.Add(1)
-		go func(i int, m sim.Machine) {
-			defer wg.Done()
-			if _, err := NewNodeConfig(hub.Addr(), i, 0, m, quickConfig()).Run(); err != nil {
-				t.Errorf("node %d: %v", i, err)
-			}
-		}(i, m)
+	start := time.Now()
+	_ = later.Run()
+	if d := later.Report().Deaths(); d != 1 || time.Since(start) > 200*time.Millisecond {
+		t.Errorf("later instance: deaths=%d after %s, want 1 at once", d, time.Since(start))
 	}
-	wg.Wait()
-	if err := <-serveErr; err != nil {
+}
+
+func TestServeClosesListenerAndConns(t *testing.T) {
+	hub, nodes := muxPair(t, 2, quickConfig())
+	machines := []sim.Machine{sim.NewFunc(1), sim.NewFunc(2)}
+	if _, errs := runMuxInstance(t, hub, nodes, LocalInstance, 0, machines); errs[0] != nil || errs[1] != nil {
+		t.Fatalf("zero-round instance: %v", errs)
+	}
+	// Close must release the listener and every node connection.
+	if err := hub.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Serve's teardown must have released the listener even though the
-	// caller never invoked Close.
 	if conn, err := net.DialTimeout("tcp", hub.Addr(), 250*time.Millisecond); err == nil {
 		_ = conn.Close()
-		t.Error("listener still accepting after Serve returned")
+		t.Error("listener still accepting after Close")
+	}
+	if _, err := hub.StartInstance(1, 1); !errors.Is(err, ErrMuxClosed) {
+		t.Errorf("StartInstance on a closed hub: %v, want ErrMuxClosed", err)
+	}
+	if err := hub.AwaitNodes(time.Second); !errors.Is(err, ErrMuxClosed) {
+		t.Errorf("AwaitNodes on a closed hub: %v, want ErrMuxClosed", err)
 	}
 }
 
 // garbageNode joins the hub correctly but sends undecodable payload
 // bytes every round; honest nodes must tolerate wire-level garbage the
 // way machines tolerate garbage payloads.
-func garbageNode(t *testing.T, addr string, id, rounds int) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+func garbageNode(addr string, id, rounds int) error {
+	c, err := DialRaw(addr, id, 0, quickConfig())
 	if err != nil {
-		t.Error(err)
-		return
+		return err
 	}
-	defer func() { _ = conn.Close() }()
-	if err := writeFrame(conn, wire.EncodeHello(id, 0), time.Now().Add(time.Second)); err != nil {
-		t.Error(err)
-		return
-	}
+	defer func() { _ = c.Close() }()
 	for r := 1; r <= rounds; r++ {
-		frame, err := wire.EncodeBatch(r, []wire.BatchMsg{
+		err := c.SendBatch(r, []wire.BatchMsg{
 			{Addr: sim.Broadcast, Payload: []byte{0xde, 0xad, 0xbe, 0xef}},
 			{Addr: 0, Payload: nil},
 			{Addr: 1, Payload: []byte{0x01}}, // truncated echo payload
 		})
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		if err := writeFrame(conn, frame, time.Now().Add(time.Second)); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := readFrame(conn, time.Now().Add(2*time.Second)); err != nil {
-			t.Error(err)
-			return
+		if _, _, err := c.Recv(); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 func TestRunWithGarbageNode(t *testing.T) {
@@ -428,41 +452,19 @@ func TestRunWithGarbageNode(t *testing.T) {
 	// n=4, t=1, the honest parties must still reach the top grade on
 	// their common input.
 	const n, tc, rounds = 4, 1, 3
-	hub, err := NewHub(n, rounds)
+	res, err := RunLocalRaw(expandMachines(n, tc, rounds, 1), rounds, DefaultConfig(), map[int]func(string) error{
+		3: func(addr string) error { return garbageNode(addr, 3, rounds) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = hub.Close() }()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hub.Serve() }()
-
-	outputs := make([]any, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m := proxcensus.NewExpandMachine(n, tc, rounds, 1)
-			outputs[i], errs[i] = NewNode(hub.Addr(), i, rounds, m).Run()
-		}(i)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		garbageNode(t, hub.Addr(), 3, rounds)
-	}()
-	wg.Wait()
-	if err := <-serveErr; err != nil {
-		t.Fatal(err)
-	}
 	want := proxcensus.Result{Value: 1, Grade: proxcensus.MaxGrade(proxcensus.ExpandSlots(rounds))}
-	for i := 0; i < 3; i++ {
-		if errs[i] != nil {
-			t.Fatalf("node %d: %v", i, errs[i])
+	for i := 0; i < n; i++ {
+		if res.Errs[i] != nil {
+			t.Fatalf("node %d: %v", i, res.Errs[i])
 		}
-		if outputs[i].(proxcensus.Result) != want {
-			t.Errorf("node %d: %v, want %v", i, outputs[i], want)
+		if i < 3 && res.Outputs[i].(proxcensus.Result) != want {
+			t.Errorf("node %d: %v, want %v", i, res.Outputs[i], want)
 		}
 	}
 }

@@ -58,15 +58,15 @@ func TestDecodeAliasIndependence(t *testing.T) {
 		}
 		msgs = append(msgs, BatchMsg{Addr: i, Payload: raw})
 	}
-	frame, err := EncodeBatch(5, msgs)
+	frame, err := AppendEncodeBatch(nil, 5, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var scratch [32]BatchMsg
-	round, aliased, err := DecodeBatchAliasInto(frame, scratch[:0])
+	round, aliased, _, err := DecodeBatchAliasCapped(frame, -1, scratch[:0])
 	if err != nil || round != 5 {
-		t.Fatalf("DecodeBatchAliasInto: round=%d err=%v", round, err)
+		t.Fatalf("DecodeBatchAliasCapped: round=%d err=%v", round, err)
 	}
 	if len(aliased) != len(msgs) {
 		t.Fatalf("decoded %d messages, want %d", len(aliased), len(msgs))
@@ -112,7 +112,7 @@ func FuzzDecodeAlias(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		frame, err := EncodeBatch(2, []BatchMsg{{Addr: 0, Payload: raw}, {Addr: 1, Payload: raw}})
+		frame, err := AppendEncodeBatch(nil, 2, []BatchMsg{{Addr: 0, Payload: raw}, {Addr: 1, Payload: raw}})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -129,11 +129,11 @@ func FuzzDecodeAlias(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := append([]byte(nil), data...)
-		_, aliased, err := DecodeBatchAliasInto(frame, nil)
+		_, aliased, _, err := DecodeBatchAliasCapped(frame, -1, nil)
 		if err != nil {
 			// Fall back to the tagged framing: either decoder accepting
 			// the input pins the aliasing contract on its payloads.
-			_, _, aliased, err = DecodeTaggedBatchAliasInto(frame, nil)
+			_, _, aliased, _, err = DecodeTaggedBatchAliasCapped(frame, -1, nil)
 		}
 		if err != nil {
 			return // rejected input is fine; panics are not
@@ -172,7 +172,7 @@ func FuzzDecodeAlias(f *testing.F) {
 // round, structure, and payload bytes for well-formed and capped
 // frames.
 func TestDecodeBatchAliasMatchesCopy(t *testing.T) {
-	frame, err := EncodeBatch(9, []BatchMsg{
+	frame, err := AppendEncodeBatch(nil, 9, []BatchMsg{
 		{Addr: -1, Payload: []byte{1, 2, 3}},
 		{Addr: 4, Payload: nil},
 		{Addr: 2, Payload: bytes.Repeat([]byte{0xcc}, 60)},
@@ -201,20 +201,14 @@ func TestDecodeBatchAliasMatchesCopy(t *testing.T) {
 	}
 }
 
-// TestAppendEncodeBatchEquivalence: the pooled batch encoder matches
-// EncodeBatch byte-for-byte and preserves its prefix.
+// TestAppendEncodeBatchEquivalence: the append-style batch encoder
+// emits the same bytes after a prefix as into nil, preserves the
+// prefix, and rejects a negative round.
 func TestAppendEncodeBatchEquivalence(t *testing.T) {
 	msgs := []BatchMsg{{Addr: 1, Payload: []byte{9, 8}}, {Addr: -1, Payload: nil}}
-	want, err := EncodeBatch(3, msgs)
+	want, err := AppendEncodeBatch(nil, 3, msgs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, err := AppendEncodeBatch(nil, 3, msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("AppendEncodeBatch = %x, want %x", got, want)
 	}
 	prefixed, err := AppendEncodeBatch([]byte{0x77}, 3, msgs)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Transport framing: the hub and its nodes exchange length-prefixed
 // frames whose bodies are either a hello (node identity plus resume
-// round) or a round batch (the round number plus a list of addressed
-// payload blobs). The codec lives here rather than in the transport so
+// round; mux.go adds the version byte) or a round batch (the round
+// number plus a list of addressed payload blobs; mux.go adds the
+// instance tag). The codec lives here rather than in the transport so
 // it is pure — no sockets, no deadlines — and can be fuzzed alongside
 // the payload codec.
 
@@ -65,22 +66,12 @@ func DecodeHello(body []byte) (id, resume int, err error) {
 	return id, resume, nil
 }
 
-// EncodeBatch builds a round-tagged batch frame body in a fresh
-// buffer. The round tag lets the receiver discard stale or duplicated
-// frames after a reconnect instead of desynchronizing.
-func EncodeBatch(round int, msgs []BatchMsg) ([]byte, error) {
-	size := 16
-	for _, m := range msgs {
-		size += 16 + len(m.Payload)
-	}
-	return AppendEncodeBatch(make([]byte, 0, size), round, msgs)
-}
-
-// AppendEncodeBatch builds a batch frame body by appending to dst,
-// returning the extended slice. This is the pooled-buffer encode path:
-// the transport reuses one frame buffer per connection across rounds,
-// so steady-state sending allocates nothing. Byte-identical to
-// EncodeBatch by construction.
+// AppendEncodeBatch builds a round-tagged batch frame body by appending
+// to dst, returning the extended slice. The round tag lets the receiver
+// discard stale or duplicated frames instead of desynchronizing. This
+// is the pooled-buffer encode path: the transport reuses one frame
+// buffer per instance across rounds, so steady-state sending allocates
+// nothing.
 //
 //lint:hotpath
 func AppendEncodeBatch(dst []byte, round int, msgs []BatchMsg) ([]byte, error) {
@@ -106,32 +97,14 @@ func AppendEncodeBatch(dst []byte, round int, msgs []BatchMsg) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBatch parses a batch frame body into its round tag and
-// messages. Payload bytes are copied out of the frame.
-func DecodeBatch(body []byte) (round int, msgs []BatchMsg, err error) {
-	round, msgs, _, err = DecodeBatchCapped(body, maxBatchMsgs)
-	return round, msgs, err
-}
-
-// DecodeBatchAliasInto is the zero-copy variant of DecodeBatch: message
-// payloads alias body, and entries are appended into scratch (reused
-// via scratch[:0] by callers). The caller owns the aliasing contract —
-// body must stay untouched until every returned payload has been
-// decoded and screened. See DESIGN.md "Ingress hot path" for the
-// ownership rules the transport follows.
-func DecodeBatchAliasInto(body []byte, scratch []BatchMsg) (round int, msgs []BatchMsg, err error) {
-	round, msgs, _, err = DecodeBatchAliasCapped(body, maxBatchMsgs, scratch)
-	return round, msgs, err
-}
-
-// DecodeBatchCapped parses a batch frame body like DecodeBatch but
-// materializes at most maxMsgs messages: a frame announcing more is
-// parsed up to the cap and the surplus is reported in dropped, with
-// the remaining bytes ignored rather than treated as an error. This is
-// the hub's flood control — a malicious node stuffing a frame to the
-// 64 MiB limit cannot make the hub allocate past the cap, and
-// truncation (unlike erroring) does not cost the round a reconnect
-// wait.
+// DecodeBatchCapped parses a batch frame body into its round tag and
+// messages, copying payload bytes out of the frame, and materializes at
+// most maxMsgs messages (negative disables the cap): a frame announcing
+// more is parsed up to the cap and the surplus is reported in dropped,
+// with the remaining bytes ignored rather than treated as an error.
+// This is the hub's flood control — a malicious node stuffing a frame
+// to the 64 MiB limit cannot make the hub allocate past the cap, and
+// truncation (unlike erroring) does not cost the node its connection.
 func DecodeBatchCapped(body []byte, maxMsgs int) (round int, msgs []BatchMsg, dropped int, err error) {
 	round, msgs, dropped, err = DecodeBatchAliasCapped(body, maxMsgs, nil)
 	if err != nil {
@@ -145,11 +118,13 @@ func DecodeBatchCapped(body []byte, maxMsgs int) (round int, msgs []BatchMsg, dr
 	return round, msgs, dropped, nil
 }
 
-// DecodeBatchAliasCapped is the zero-copy core both DecodeBatchCapped
-// and DecodeBatchAliasInto parse through: like DecodeBatchCapped, but
-// message payloads alias body (three-index sub-slices, so a consumer
-// appending to one cannot clobber its neighbor) and entries append into
-// scratch instead of a fresh slice. A nil scratch grows a new backing
+// DecodeBatchAliasCapped is the zero-copy core every batch decoder
+// parses through: like DecodeBatchCapped, but message payloads alias
+// body (three-index sub-slices, so a consumer appending to one cannot
+// clobber its neighbor) and entries append into scratch instead of a
+// fresh slice. The caller owns the aliasing contract — body must stay
+// untouched until every returned payload has been decoded and screened
+// (DESIGN.md "Ingress hot path"). A nil scratch grows a new backing
 // array; a pooled scratch passed as scratch[:0] makes the steady-state
 // parse allocation-free.
 //

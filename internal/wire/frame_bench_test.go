@@ -19,7 +19,7 @@ func benchFrame(b *testing.B, n int) []byte {
 		}
 		msgs = append(msgs, BatchMsg{Addr: i, Payload: raw})
 	}
-	frame, err := EncodeBatch(4, msgs)
+	frame, err := AppendEncodeBatch(nil, 4, msgs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -40,11 +40,11 @@ func TestBatchRoundTrip(t *testing.T) {
 		{{Addr: 0, Payload: nil}, {Addr: 3, Payload: []byte{1}}, {Addr: -1, Payload: bytes.Repeat([]byte{7}, 300)}},
 	}
 	for i, msgs := range cases {
-		frame, err := EncodeBatch(i+1, msgs)
+		frame, err := AppendEncodeBatch(nil, i+1, msgs)
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", i, err)
 		}
-		round, got, err := DecodeBatch(frame)
+		round, got, _, err := DecodeBatchCapped(frame, -1)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -63,7 +63,7 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestBatchRejectsMalformed(t *testing.T) {
-	good, err := EncodeBatch(2, []BatchMsg{{Addr: 1, Payload: []byte{9, 9}}})
+	good, err := AppendEncodeBatch(nil, 2, []BatchMsg{{Addr: 1, Payload: []byte{9, 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,18 +81,18 @@ func TestBatchRejectsMalformed(t *testing.T) {
 	bad["negative round"] = negRound
 
 	for name, frame := range bad { //lint:ordered assertions are independent per case
-		if _, _, err := DecodeBatch(frame); !errors.Is(err, ErrBadFrame) {
+		if _, _, _, err := DecodeBatchCapped(frame, -1); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
 }
 
 func TestEncodeBatchRejectsOversize(t *testing.T) {
-	if _, err := EncodeBatch(-1, nil); !errors.Is(err, ErrBadFrame) {
+	if _, err := AppendEncodeBatch(nil, -1, nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("negative round: err = %v, want ErrBadFrame", err)
 	}
 	huge := []BatchMsg{{Addr: 0, Payload: make([]byte, MaxFrame)}}
-	if _, err := EncodeBatch(1, huge); !errors.Is(err, ErrBadFrame) {
+	if _, err := AppendEncodeBatch(nil, 1, huge); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("oversize batch: err = %v, want ErrBadFrame", err)
 	}
 }
@@ -102,7 +102,7 @@ func TestDecodeBatchCapped(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = BatchMsg{Addr: i, Payload: []byte{byte(i)}}
 	}
-	frame, err := EncodeBatch(3, msgs)
+	frame, err := AppendEncodeBatch(nil, 3, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDecodeBatchCapped(t *testing.T) {
 }
 
 func TestDecodeBatchCappedZero(t *testing.T) {
-	frame, err := EncodeBatch(1, []BatchMsg{{Addr: 0, Payload: []byte{1}}})
+	frame, err := AppendEncodeBatch(nil, 1, []BatchMsg{{Addr: 0, Payload: []byte{1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

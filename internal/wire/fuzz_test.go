@@ -49,7 +49,7 @@ func FuzzDecode(f *testing.F) {
 // bytes: it must never panic, and every batch it accepts must
 // re-encode byte-identically (the batch encoding is canonical).
 func FuzzDecodeBatch(f *testing.F) {
-	seed, err := EncodeBatch(3, []BatchMsg{
+	seed, err := AppendEncodeBatch(nil, 3, []BatchMsg{
 		{Addr: -1, Payload: []byte{0xde, 0xad}},
 		{Addr: 2, Payload: nil},
 	})
@@ -57,7 +57,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	empty, err := EncodeBatch(1, nil)
+	empty, err := AppendEncodeBatch(nil, 1, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	withBlob, err := EncodeBatch(6, []BatchMsg{{Addr: 0, Payload: blob}})
+	withBlob, err := AppendEncodeBatch(nil, 6, []BatchMsg{{Addr: 0, Payload: blob}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(withBlob[:len(withBlob)-512])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		round, msgs, err := DecodeBatch(data)
+		round, msgs, _, err := DecodeBatchCapped(data, -1)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
-		re, err := EncodeBatch(round, msgs)
+		re, err := AppendEncodeBatch(nil, round, msgs)
 		if err != nil {
 			t.Fatalf("decoded batch but cannot re-encode: %v", err)
 		}

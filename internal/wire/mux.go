@@ -1,11 +1,11 @@
 // Multiplexed transport framing: a protocol-version byte in the hello
-// frame negotiates between the legacy one-execution-per-connection
-// framing (v1) and the instance-tagged mux framing (v2) that lets one
-// shared TCP connection carry many concurrent protocol instances. The
-// tagged codec wraps the untagged batch codec — an 8-byte instance tag
-// in front of the round-tagged body — so the two framings share the
-// flood-capped, zero-copy decode core and stay byte-compatible behind
-// the tag.
+// frame tells the instance-tagged mux framing (v2), which lets one
+// shared TCP connection carry many concurrent protocol instances, from
+// the retired one-execution-per-connection framing (v1), whose hello
+// the transport still recognizes in order to refuse it with a pointed
+// error. The tagged codec wraps the untagged batch codec — an 8-byte
+// instance tag in front of the round-tagged body — so it inherits the
+// flood-capped, zero-copy decode core.
 
 package wire
 
@@ -19,7 +19,8 @@ import (
 // final byte.
 const (
 	// VersionLegacy is the original framing: 16-byte hello, untagged
-	// round-batch frames, one protocol execution per connection.
+	// round-batch frames, one protocol execution per connection. No
+	// endpoint speaks it any more; hubs refuse it at admission.
 	VersionLegacy = 1
 	// VersionMux is the multiplexed framing: versioned hello,
 	// instance-tagged batch frames, many concurrent instances per
@@ -105,9 +106,9 @@ func EncodeTaggedBatch(instance, round int, msgs []BatchMsg) ([]byte, error) {
 }
 
 // AppendEncodeTaggedBatch builds an instance-tagged batch frame body by
-// appending to dst, returning the extended slice. Byte-identical to
-// EncodeTaggedBatch by construction, and the tail is byte-identical to
-// AppendEncodeBatch — the tagged framing is a pure prefix.
+// appending to dst, returning the extended slice. The tail is
+// byte-identical to AppendEncodeBatch — the tagged framing is a pure
+// prefix.
 //
 //lint:hotpath
 func AppendEncodeTaggedBatch(dst []byte, instance, round int, msgs []BatchMsg) ([]byte, error) {
@@ -143,15 +144,6 @@ func DecodeTaggedBatchCapped(body []byte, maxMsgs int) (instance, round int, msg
 		msgs[i].Payload = payload
 	}
 	return instance, round, msgs, dropped, nil
-}
-
-// DecodeTaggedBatchAliasInto is the zero-copy variant of
-// DecodeTaggedBatch: message payloads alias body, and entries append
-// into scratch. The caller owns the aliasing contract exactly as for
-// DecodeBatchAliasInto.
-func DecodeTaggedBatchAliasInto(body []byte, scratch []BatchMsg) (instance, round int, msgs []BatchMsg, err error) {
-	instance, round, msgs, _, err = DecodeTaggedBatchAliasCapped(body, maxBatchMsgs, scratch)
-	return instance, round, msgs, err
 }
 
 // DecodeTaggedBatchAliasCapped is the zero-copy core of the tagged

@@ -73,7 +73,7 @@ func TestCheckVersion(t *testing.T) {
 }
 
 // TestTaggedBatchRoundtrip: the tagged encode/decode paths roundtrip,
-// all four decode variants agree, and the bytes after the tag are
+// the copying and aliasing decoders agree, and the bytes after the tag are
 // byte-identical to the untagged encoding of the same batch — the
 // pure-prefix property the mux framing is built on.
 func TestTaggedBatchRoundtrip(t *testing.T) {
@@ -86,11 +86,11 @@ func TestTaggedBatchRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := EncodeBatch(4, msgs)
+	untagged, err := AppendEncodeBatch(nil, 4, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(frame[taggedHeader:], legacy) {
+	if !bytes.Equal(frame[taggedHeader:], untagged) {
 		t.Fatal("tagged body after the tag differs from the untagged encoding")
 	}
 
@@ -108,9 +108,9 @@ func TestTaggedBatchRoundtrip(t *testing.T) {
 	}
 
 	var scratch [8]BatchMsg
-	instA, roundA, aliased, err := DecodeTaggedBatchAliasInto(frame, scratch[:0])
-	if err != nil || instA != 71 || roundA != 4 || len(aliased) != len(msgs) {
-		t.Fatalf("alias decode: inst=%d round=%d n=%d err=%v", instA, roundA, len(aliased), err)
+	_, _, aliased, _, err := DecodeTaggedBatchAliasCapped(frame, -1, scratch[:0])
+	if err != nil || len(aliased) != len(msgs) {
+		t.Fatalf("alias decode: n=%d err=%v", len(aliased), err)
 	}
 	for i := range got {
 		if !bytes.Equal(aliased[i].Payload, got[i].Payload) {
@@ -182,7 +182,7 @@ func TestTaggedBatchTruncation(t *testing.T) {
 // apart. The specific frame here (round 3, two messages) must fail
 // cleanly rather than silently decode to a wrong batch.
 func TestTaggedLegacyCrossDecode(t *testing.T) {
-	legacy, err := EncodeBatch(3, []BatchMsg{
+	legacy, err := AppendEncodeBatch(nil, 3, []BatchMsg{
 		{Addr: -1, Payload: []byte{0xde, 0xad}},
 		{Addr: 2, Payload: nil},
 	})
@@ -198,7 +198,7 @@ func TestTaggedLegacyCrossDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeBatch(tagged); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := DecodeBatchCapped(tagged, -1); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("legacy decode of high-instance tagged frame: err = %v, want ErrBadFrame", err)
 	}
 }
@@ -217,7 +217,7 @@ func FuzzDecodeTagged(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add(seed[:4]) // truncated mid-tag
-	legacy, err := EncodeBatch(3, []BatchMsg{{Addr: 0, Payload: []byte{1}}})
+	legacy, err := AppendEncodeBatch(nil, 3, []BatchMsg{{Addr: 0, Payload: []byte{1}}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func FuzzDecodeTagged(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("tagged encoding not canonical: %x vs %x", re, data)
 		}
-		instA, roundA, aliased, aerr := DecodeTaggedBatchAliasInto(append([]byte(nil), data...), nil)
+		instA, roundA, aliased, _, aerr := DecodeTaggedBatchAliasCapped(append([]byte(nil), data...), -1, nil)
 		if aerr != nil || instA != inst || roundA != round || len(aliased) != len(msgs) {
 			t.Fatalf("alias decode disagrees with copy decode: inst=%d/%d round=%d/%d n=%d/%d err=%v",
 				instA, inst, roundA, round, len(aliased), len(msgs), aerr)

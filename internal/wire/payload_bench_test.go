@@ -30,7 +30,7 @@ func benchPayloadFrame(b *testing.B, n, size int) []byte {
 		}
 		msgs = append(msgs, BatchMsg{Addr: i, Payload: raw})
 	}
-	frame, err := EncodeBatch(2, msgs)
+	frame, err := AppendEncodeBatch(nil, 2, msgs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Analyzer-and-test mutation smoke: prove the guards actually detect
 # the faults they claim to rule out. A pristine copy of the module is
-# mutated four times — swapping the batched ingress screen in the
-# one-shot transport receive loop for the decode-only sieve, stripping
-# the deadline arming from readFrameInto, swapping the per-instance
-# ingress screen on the mux path, and deleting the configurable payload
-# size cap from the validate rules — and each time the matching guard
-# (balint for the first three, the payload cap unit tests for the
-# fourth) must go red. A guard that stays green on a mutated module is
-# a broken guard, not a clean module; CI runs this nightly.
+# mutated three times — swapping the transport's one batched ingress
+# screen for the decode-only sieve, stripping the deadline arming from
+# readFrameInto, and deleting the configurable payload size cap from
+# the validate rules — and each time the matching guard (balint for the
+# first two, the payload cap unit tests for the third) must go red. A
+# guard that stays green on a mutated module is a broken guard, not a
+# clean module; CI runs this nightly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,25 +42,25 @@ expect_finding() {
     echo "ok: $analyzer caught the mutation"
 }
 
-transport="$tmp/internal/transport/transport.go"
-cp "$transport" "$tmp/transport.pristine"
-
 echo "baseline: flow analyzers must be clean on the unmutated module"
 balint -run ingressflow,deadlineguard
 
 echo "mutation 1: swap the batched ingress screen for the decode-only sieve"
-admit_line='verdicts := nd.ingress.AdmitBatch(round, nd.in, nd.verdicts[:0])'
-if [[ "$(grep -cF "$admit_line" "$transport")" -ne 1 ]]; then
-    echo "FAIL: expected exactly one AdmitBatch screen line in transport.go" >&2
+mux="$tmp/internal/transport/mux.go"
+cp "$mux" "$tmp/mux.pristine"
+admit_line='verdicts := ir.ingress.AdmitBatch(round, ir.in, ir.verdicts[:0])'
+if [[ "$(grep -hF 'AdmitBatch(' "$tmp"/internal/transport/*.go | grep -cF "$admit_line")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one AdmitBatch screen line in internal/transport" >&2
     exit 1
 fi
-sed -i "s/verdicts := nd\.ingress\.AdmitBatch(round, nd\.in, nd\.verdicts\[:0\])/verdicts := validate.DecodeOnly(nd.in, nd.verdicts[:0])/" "$transport"
+sed -i "s/verdicts := ir\.ingress\.AdmitBatch(round, ir\.in, ir\.verdicts\[:0\])/verdicts := validate.DecodeOnly(ir.in, ir.verdicts[:0])/" "$mux"
 (cd "$tmp" && go build ./internal/transport)
 expect_finding ingressflow
 
-cp "$tmp/transport.pristine" "$transport"
+cp "$tmp/mux.pristine" "$mux"
 
 echo "mutation 2: strip the deadline arming from readFrameInto"
+transport="$tmp/internal/transport/transport.go"
 arm_line='if err := conn.SetReadDeadline(deadline); err != nil {'
 if [[ "$(grep -cF "$arm_line" "$transport")" -ne 1 ]]; then
     echo "FAIL: expected exactly one readFrameInto arming line in transport.go" >&2
@@ -70,19 +69,6 @@ fi
 sed -i '/if err := conn\.SetReadDeadline(deadline); err != nil {/,+2d' "$transport"
 (cd "$tmp" && go build ./internal/transport)
 expect_finding deadlineguard
-
-cp "$tmp/transport.pristine" "$transport"
-
-echo "mutation 3: swap the per-instance mux ingress screen for the decode-only sieve"
-mux="$tmp/internal/transport/mux.go"
-mux_admit_line='verdicts := ir.ingress.AdmitBatch(round, ir.in, ir.verdicts[:0])'
-if [[ "$(grep -cF "$mux_admit_line" "$mux")" -ne 1 ]]; then
-    echo "FAIL: expected exactly one per-instance AdmitBatch screen line in mux.go" >&2
-    exit 1
-fi
-sed -i "s/verdicts := ir\.ingress\.AdmitBatch(round, ir\.in, ir\.verdicts\[:0\])/verdicts := validate.DecodeOnly(ir.in, ir.verdicts[:0])/" "$mux"
-(cd "$tmp" && go build ./internal/transport)
-expect_finding ingressflow
 
 # expect_test_fail <pattern> <pkg> asserts the named tests go red on
 # the mutated module — green means the test wall has a hole.
@@ -100,7 +86,7 @@ expect_test_fail() {
     echo "ok: $pattern caught the mutation"
 }
 
-echo "mutation 4: delete the configurable payload size cap from the validate rules"
+echo "mutation 3: delete the configurable payload size cap from the validate rules"
 rules="$tmp/internal/validate/rules.go"
 cap_line='if r.MaxPayloadBytes > 0 && size > r.MaxPayloadBytes {'
 if [[ "$(grep -cF "$cap_line" "$rules")" -ne 1 ]]; then

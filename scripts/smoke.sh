@@ -10,9 +10,10 @@ go vet ./...
 # Race-detect the packages with real concurrency (goroutines + sockets
 # in the TCP transport, shared oracle state in coin, parallel trials in
 # harness), and stress the TCP transport: 5 repeated runs shake out
-# startup/shutdown races a single run can miss.
+# the startup/shutdown, reconnect and churn races a single run can
+# miss.
 go test -race ./internal/transport ./internal/coin ./internal/harness ./internal/service
-go test -race -count=5 -run 'TestRunLocal|TestHub' ./internal/transport
+go test -race -count=5 -run 'TestRunLocal|TestHub|TestReconnect|TestMuxBounce|TestMuxNodeRedials|TestMuxChurn' ./internal/transport
 
 go run ./examples/quickstart
 go run ./examples/blockagree
