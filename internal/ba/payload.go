@@ -22,7 +22,6 @@ package ba
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/quorum"
@@ -37,8 +36,11 @@ const MaxPayloadBytes = 1 << 20
 
 // TCPayload is the round-1 payload of the ℓ-bit prefix: the sender's
 // multivalued input bytes. Data is immutable once sent (the sim.Payload
-// contract); the wire decoder copies it out of the frame, so holding it
-// across rounds is sound on both the in-sim and TCP paths.
+// contract), but a receiver may hold it only until Deliver returns: on
+// the TCP path it sub-slices the received frame, which the transport
+// releases right after the machine has stepped. A machine that needs
+// the bytes later copies them (tcPayloadPrefixThird keeps one copy of
+// the candidate it adopts).
 type TCPayload struct {
 	Data []byte
 }
@@ -54,7 +56,8 @@ func (p TCPayload) ByteSize() int { return 8 + len(p.Data) }
 // TCPayloadEcho is the round-2 payload: the sender's filtered candidate
 // bytes, or "no value" when no input reached n-t support. Carrying the
 // bytes (not a hash) is what makes the candidate available to honest
-// parties whose own round 1 was partitioned away from it.
+// parties whose own round 1 was partitioned away from it. Data has
+// TCPayload's lifetime: valid until Deliver returns, copy to keep.
 type TCPayloadEcho struct {
 	Data  []byte
 	Valid bool
@@ -75,13 +78,37 @@ type tcPayloadOutcome struct {
 	Cand []byte
 }
 
+// payloadCount is one distinct byte string of a prefix round and how
+// many senders sent it. data aliases the delivered message, so a tally
+// lives no longer than the Deliver call that built it.
+type payloadCount struct {
+	data  []byte
+	count int
+}
+
+// tallyPayload counts data into tally. A byte string already in the
+// tally costs one comparison per distinct entry and no allocation — a
+// count map keyed by the bytes would build a key per message — and
+// there are at most n entries, one per sender.
+func tallyPayload(tally []payloadCount, data []byte) []payloadCount {
+	for i := range tally {
+		if bytes.Equal(tally[i].data, data) {
+			tally[i].count++
+			return tally
+		}
+	}
+	return append(tally, payloadCount{data: data, count: 1})
+}
+
 // tcPayloadPrefixThird is the 2-round ℓ-bit Turpin-Coan prefix for
 // t < n/3, structurally the byte-string twin of tcPrefixThird: same
 // rounds, same quorum thresholds, same deterministic tie-breaks (keys
-// sorted ascending, here lexicographically), so the bit it feeds the
+// ascending, here lexicographically), so the bit it feeds the
 // binary core is the one the digest prefix would compute on any
 // injective digest of the same inputs — the property the differential
-// suite pins.
+// suite pins. Delivered Data is only valid during Deliver, so the one
+// candidate a round keeps is copied; everything else is compared in
+// place.
 type tcPayloadPrefixThird struct {
 	n, t  int
 	input []byte
@@ -107,7 +134,7 @@ func (m *tcPayloadPrefixThird) Deliver(round int, in []sim.Message) []sim.Send {
 	m.round = round
 	switch round {
 	case 1:
-		counts := make(map[string]int)
+		var tally []payloadCount
 		seen := make(map[sim.PartyID]bool)
 		for _, msg := range in {
 			p, ok := msg.Payload.(TCPayload)
@@ -115,18 +142,23 @@ func (m *tcPayloadPrefixThird) Deliver(round int, in []sim.Message) []sim.Send {
 				continue
 			}
 			seen[msg.From] = true
-			counts[string(p.Data)]++
+			tally = tallyPayload(tally, p.Data)
 		}
-		m.yOK = false
-		for _, k := range sortedByteKeys(counts) {
-			if quorum.Reached(counts[k], m.n, m.t) {
-				m.y, m.yOK = []byte(k), true
-				break
+		// The lexicographically smallest byte string with n-t support:
+		// what an ascending walk over the distinct strings finds first.
+		var y *payloadCount
+		for i := range tally {
+			if c := &tally[i]; quorum.Reached(c.count, m.n, m.t) && (y == nil || bytes.Compare(c.data, y.data) < 0) {
+				y = c
 			}
+		}
+		m.yOK = y != nil
+		if m.yOK {
+			m.y = append([]byte{}, y.data...)
 		}
 		return sim.BroadcastSend(TCPayloadEcho{Data: m.y, Valid: m.yOK})
 	case 2:
-		counts := make(map[string]int)
+		var tally []payloadCount
 		seen := make(map[sim.PartyID]bool)
 		for _, msg := range in {
 			p, ok := msg.Payload.(TCPayloadEcho)
@@ -134,20 +166,24 @@ func (m *tcPayloadPrefixThird) Deliver(round int, in []sim.Message) []sim.Send {
 				continue
 			}
 			seen[msg.From] = true
-			counts[string(p.Data)]++
+			tally = tallyPayload(tally, p.Data)
 		}
-		var best []byte
-		bestCount := 0
-		for _, k := range sortedByteKeys(counts) {
-			if counts[k] > bestCount {
-				best, bestCount = []byte(k), counts[k]
+		// The most-echoed byte string, ties to the lexicographically
+		// smallest: what an ascending walk that only moves on a strictly
+		// higher count ends on.
+		var best payloadCount
+		for _, c := range tally {
+			if c.count > best.count || (c.count == best.count && bytes.Compare(c.data, best.data) < 0) {
+				best = c
 			}
 		}
-		bit := Value(0)
-		if quorum.Reached(bestCount, m.n, m.t) {
-			bit = 1
+		m.out = tcPayloadOutcome{}
+		if best.count > 0 {
+			m.out.Cand = append([]byte{}, best.data...)
 		}
-		m.out = tcPayloadOutcome{Bit: bit, Cand: best}
+		if quorum.Reached(best.count, m.n, m.t) {
+			m.out.Bit = 1
+		}
 	}
 	return nil
 }
@@ -264,17 +300,4 @@ func CheckPayloadValidity(input []byte, outputs [][]byte) error {
 		}
 	}
 	return nil
-}
-
-// sortedByteKeys returns count-map keys in ascending lexicographic
-// order — the byte-string twin of sortedCountKeys, keeping candidate
-// selection deterministic and order-aligned with the digest prefix.
-func sortedByteKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	//lint:ordered keys sorted below
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -16,6 +16,15 @@ import (
 	"proxcensus/internal/transport"
 )
 
+// TestMain runs every schedule — crashes, drops, duplicates, churn,
+// Byzantine peers — with released transport frames poisoned
+// (transport.SetFramePoison), so a frame released while anything still
+// reads it breaks a decision or a trace hash here.
+func TestMain(m *testing.M) {
+	transport.SetFramePoison(true)
+	os.Exit(m.Run())
+}
+
 // quickCfg keeps chaos runs fast: each crash round costs one
 // RoundTimeout of hub waiting, everything else completes in
 // milliseconds. Injected delays top out at 50ms, a 6x margin.

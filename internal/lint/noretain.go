@@ -11,13 +11,19 @@ import (
 // a struct field, package variable or container. The execution engine
 // pools per-party inbox buffers and overwrites them every round, so a
 // retained slice silently mutates under the machine, corrupting state
-// in a seed-dependent way. Copying message values out (the Message
-// struct and its immutable payload may be kept freely) is always safe
-// and is what every machine in this repository does.
+// in a seed-dependent way. Copying message values out is always safe
+// and is what every machine in this repository does: the Message struct
+// and its immutable payload may be kept freely, with one exception the
+// analyzer does not see — the Data of a payload blob (ba.TCPayload,
+// ba.TCPayloadEcho) aliases the TCP transport's received frame and is
+// valid only until Deliver returns, so a machine copies the bytes it
+// keeps.
 var NoRetain = &Analyzer{
 	Name: "noretain",
 	Doc: "forbid Deliver implementations from retaining the delivered []sim.Message slice " +
-		"(it aliases a pooled engine buffer overwritten each round); copy message values out, " +
+		"(it aliases a pooled engine buffer overwritten each round); copy message values out " +
+		"(a payload may be kept freely, except a payload blob's Data, which aliases the " +
+		"transport's frame until Deliver returns: copy the bytes), " +
 		"or annotate a store that provably does not outlive the call with //lint:retain <reason>",
 	Run: runNoRetain,
 }

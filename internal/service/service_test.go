@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,15 @@ import (
 	"proxcensus/internal/chaos"
 	"proxcensus/internal/transport"
 )
+
+// TestMain runs the package's tests with released transport frames
+// poisoned (transport.SetFramePoison): a decided payload assembled from
+// bytes read after their frame was released comes back as 0xDB garbage
+// and fails the byte-for-byte checks below.
+func TestMain(m *testing.M) {
+	transport.SetFramePoison(true)
+	os.Exit(m.Run())
+}
 
 // quickService keeps tests fast: n=4 t=1 kappa=1 instances (4 rounds)
 // with tight transport deadlines.
@@ -215,6 +225,13 @@ func TestServiceUnderInjectedFaults(t *testing.T) {
 		{"drop", "drop:1@2", 1, func(t *testing.T, rep transport.Report) {
 			if rep.Deaths() != 0 || rep.Count(transport.EventReconnect) == 0 {
 				t.Errorf("deaths=%d reconnects=%d, want 0 and >= 1", rep.Deaths(), rep.Count(transport.EventReconnect))
+			}
+		}},
+		// A resent frame reaches the hub a round late and is released as
+		// stale while the instance's current frames are in use.
+		{"dup", "dup:0@1;dup:2@2;dup:0@3", 8, func(t *testing.T, rep transport.Report) {
+			if rep.Deaths() != 0 || rep.Count(transport.EventDup) == 0 {
+				t.Errorf("deaths=%d dups=%d, want 0 and >= 1", rep.Deaths(), rep.Count(transport.EventDup))
 			}
 		}},
 		// Cut off for round 1 only, node 2 is brought back to the common

@@ -1,0 +1,204 @@
+package transport
+
+import (
+	"bytes"
+	"os"
+	"testing"
+	"time"
+
+	"proxcensus/internal/ba"
+	"proxcensus/internal/sim"
+	"proxcensus/internal/validate"
+	"proxcensus/internal/wire"
+)
+
+// TestMain runs every test of the package with released frames
+// poisoned: a batch entry, routed inbox or decoded payload blob read
+// after its frame went back to the free list is 0xDB garbage, so the
+// fault, churn, flood and differential tests all double as lifetime
+// tests.
+func TestMain(m *testing.M) {
+	SetFramePoison(true)
+	os.Exit(m.Run())
+}
+
+// TestFrameList: the free list recycles, leaks rather than blocks or
+// grows, refuses what outgrew the keep cap, poisons on release and
+// trips on a second release.
+func TestFrameList(t *testing.T) {
+	l := make(frameList, frameListLen)
+	f := l.get()
+	if f == nil || f.released || len(l) != 0 {
+		t.Fatalf("empty list must hand out a fresh frame: %+v", f)
+	}
+	f.buf = append(f.buf, "live bytes"...)
+	held := f.buf
+	l.put(f)
+	if !bytes.Equal(held, bytes.Repeat([]byte{0xDB}, len(held))) {
+		t.Errorf("release left %q readable", held)
+	}
+	if got := l.get(); got != f || got.released {
+		t.Errorf("released frame not recycled: %p released=%t, want %p", got, got.released, f)
+	}
+
+	for i := 0; i < frameListLen+3; i++ {
+		l.put(new(frame))
+	}
+	if len(l) != frameListLen {
+		t.Errorf("list holds %d frames, bound is %d", len(l), frameListLen)
+	}
+
+	l = make(frameList, frameListLen)
+	l.put(&frame{buf: make([]byte, frameKeepMax+1)})
+	if len(l) != 0 {
+		t.Error("a frame past the keep cap went back on the list")
+	}
+	l.put(&frame{buf: make([]byte, frameKeepMax)})
+	if len(l) != 1 {
+		t.Error("a frame at the keep cap was dropped")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("second release of one frame did not panic")
+		}
+	}()
+	l.put(f)
+	l.put(f)
+}
+
+// TestPoisonedFramesPayloadMatchesSim: with every released frame
+// overwritten, payload BA over TCP on differing inputs — a quorum
+// value, a minority value, an empty payload — decides byte for byte
+// what the same setup decides in the simulator. The decoded blobs
+// alias their frame, so a frame released before the machine has stepped
+// (scripts/lint_mutation.sh moves the release to prove it) would feed
+// it 0xDB and break this equality.
+func TestPoisonedFramesPayloadMatchesSim(t *testing.T) {
+	const n, tc, kappa = 7, 2, 2
+	quorumValue := bytes.Repeat([]byte{0x51}, 16<<10)
+	inputs := [][]byte{quorumValue, quorumValue, bytes.Repeat([]byte{0x4D}, 3000), quorumValue, nil, quorumValue, quorumValue}
+	build := func() *ba.Protocol {
+		setup, err := ba.NewSetup(n, tc, ba.CoinThreshold, 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto, err := ba.NewMultivaluedPayloadOneShot(setup, kappa, inputs, []byte("default"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return proto
+	}
+	simRes, err := build().Run(sim.Passive{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ba.PayloadDecisions(simRes)
+	if len(want) != n || !bytes.Equal(want[0], quorumValue) {
+		t.Fatalf("simulator: %d decisions, first %d bytes; want %d deciding the quorum value", len(want), len(want[0]), n)
+	}
+
+	cfg := quickConfig()
+	cfg.NewIngress = func(int) *validate.Validator {
+		return validate.New(validate.ForPayloadService(n, len(quorumValue)))
+	}
+	proto := build()
+	res, err := RunLocalConfig(proto.Machines, proto.Rounds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, out := range res.Outputs {
+		if res.Errs[i] != nil {
+			t.Fatalf("node %d: %v", i, res.Errs[i])
+		}
+		if got, ok := out.([]byte); !ok || !bytes.Equal(got, want[i]) {
+			t.Errorf("node %d decided %d bytes over TCP (%.8x…), the simulator %d", i, len(got), got, len(want[i]))
+		}
+	}
+	if v := res.Nodes[0].Validation; v == nil || v.TotalRejected() != 0 {
+		t.Errorf("ingress screen: %+v, want everything admitted", v)
+	}
+}
+
+// TestMuxFloodFrameLifetimes is TestMuxFloodLogBounded's flood read
+// for its frames: a peer spraying a live instance (over-cap frames,
+// all but the first few overflowing the lane), a finished instance
+// (strays) and one frame past the keep cap makes the hub release at
+// every drop site. Any double release panics the reader; afterwards the
+// free list is within its bounds, holds each frame once, and shares
+// none with the lane.
+func TestMuxFloodFrameLifetimes(t *testing.T) {
+	const frames, finished = 3000, 5
+	cfg := quickConfig()
+	cfg.FloodLimit = 1
+	hub, err := NewMuxHub(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = hub.Close() }()
+	live, err := hub.StartInstance(LocalInstance, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := hub.StartInstance(finished, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := done.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialRaw(hub.Addr(), 0, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	batch := []wire.BatchMsg{{Addr: 0, Payload: []byte("first")}, {Addr: 0, Payload: []byte("over the cap")}}
+	for _, c.Instance = range []int{LocalInstance, finished} {
+		for i := 0; i < frames; i++ {
+			if err := c.SendBatch(1, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.SendBatch(1, []wire.BatchMsg{{Addr: 0, Payload: make([]byte, frameKeepMax+1)}}); err != nil {
+		t.Fatal(err)
+	}
+	// A truncation per frame, plus a lane overflow or a stray; the lane
+	// keeps its first muxMailDepth frames and the oversized frame is one
+	// more stray.
+	want := 4*frames - muxMailDepth + 1
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rep := hub.Report()
+		if seen := rep.Suppressed + rep.Count(EventFlood) + rep.Count(EventStale); seen == want {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("hub accounted for %d of %d floods and strays", seen, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	_ = c.Close()
+	_ = hub.Close() // the reader has exited: nothing touches the list or the lane any more
+
+	held := make(map[*frame]bool)
+	if len(live.mail[0]) != muxMailDepth {
+		t.Errorf("lane holds %d frames, want %d", len(live.mail[0]), muxMailDepth)
+	}
+	for len(live.mail[0]) > 0 {
+		f := (<-live.mail[0]).frame
+		if f.released || held[f] || string(f.msgs[0].Payload) != "first" {
+			t.Errorf("lane frame %p: released=%t twice=%t payload=%q", f, f.released, held[f], f.msgs[0].Payload)
+		}
+		held[f] = true
+	}
+	if len(hub.frames) == 0 || len(hub.frames) > frameListLen {
+		t.Errorf("free list holds %d frames, want 1..%d", len(hub.frames), frameListLen)
+	}
+	for len(hub.frames) > 0 {
+		f := <-hub.frames
+		if !f.released || held[f] || cap(f.buf) > frameKeepMax {
+			t.Errorf("listed frame %p: released=%t twice=%t cap=%d", f, f.released, held[f], cap(f.buf))
+		}
+		held[f] = true
+	}
+}

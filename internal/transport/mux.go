@@ -8,6 +8,14 @@
 // redials with a resume hello and every instance carries on where its
 // lane left off. internal/service layers admission control and instance
 // lifecycle on top; RunLocalConfig runs a single instance.
+//
+// Received bytes are copied once per hop: off the socket into a frame.
+// The frame — read buffer plus parsed batch — travels with its batch
+// from the connection reader down the lane to the round loop, everything
+// downstream aliases it (batch entries, routed inboxes, decoded payload
+// blobs), and whoever ends its journey releases it to the endpoint's
+// free list: a drop site on the spot, the hub once the round's last
+// delivery is written, the node once Machine.Deliver has returned.
 
 package transport
 
@@ -17,6 +25,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"proxcensus/internal/sim"
@@ -43,12 +52,104 @@ const DefaultIdleTimeout = 5 * time.Minute
 // absorbs scheduling skew between the reader and the round loop.
 const muxMailDepth = 4
 
-// muxBatch is one decoded instance-tagged frame hop between a reader
-// goroutine and an instance round loop. Payloads are copied out of the
-// read buffer before the hop, so lanes never alias reader scratch.
+// frameListLen is how many released frames an endpoint's free list
+// keeps, and frameKeepMax the largest read buffer it keeps: a frame
+// that had to grow past it is left to the collector on release.
+// Together they bound what a hostile peer's oversized frames can pin in
+// a long-lived daemon to frameListLen × frameKeepMax per endpoint.
+const (
+	frameListLen = 128
+	frameKeepMax = 4 << 20
+)
+
+// frame is one received instance-tagged frame and the unit of receive
+// ownership: msgs is the parsed batch and every Payload in it
+// sub-slices buf. Exactly one goroutine holds a frame at a time —
+// reader, then lane, then round loop — and the last holder releases it
+// exactly once; nothing may read msgs or anything decoded from them
+// with wire's aliasing arms after that.
+type frame struct {
+	buf  []byte
+	msgs []wire.BatchMsg
+	// released guards the one dangerous direction: a frame released
+	// twice would sit on the free list twice and be read into by two
+	// readers at once. Dropping a frame without releasing it is safe —
+	// it is merely collected.
+	released bool
+}
+
+// frameList is an endpoint's free list of frames: a leaky buffer that
+// never blocks. It belongs to one MuxHub or MuxNode, not the process,
+// so every endpoint starts cold and what one run allocates does not
+// depend on what an earlier run in the same process left warm.
+type frameList chan *frame
+
+// framePoison is the lifetime tests' switch; see SetFramePoison.
+var framePoison atomic.Bool
+
+// SetFramePoison makes every frame release overwrite the frame's whole
+// read buffer, so anything still aliasing a released frame reads 0xDB
+// garbage instead of plausible stale bytes and a lifetime bug fails a
+// test instead of hiding. It exists for tests (the TestMain of this
+// package, internal/service and internal/chaos turns it on); nothing in
+// the program sets it.
+func SetFramePoison(on bool) { framePoison.Store(on) }
+
+// get takes a frame off the list, or makes one when the list is empty.
+func (l frameList) get() *frame {
+	select {
+	case f := <-l:
+		f.released = false
+		return f
+	default:
+		return new(frame)
+	}
+}
+
+// put releases a frame. It goes back on the list unless the list is
+// full or the frame's buffer outgrew frameKeepMax.
+func (l frameList) put(f *frame) {
+	if f.released {
+		panic("transport: frame released twice")
+	}
+	f.released = true
+	if framePoison.Load() {
+		buf := f.buf[:cap(f.buf)]
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
+	if cap(f.buf) > frameKeepMax {
+		return
+	}
+	select {
+	case l <- f:
+	default:
+	}
+}
+
+// read receives one length-prefixed frame body from conn into buf.
+func (f *frame) read(conn net.Conn, deadline time.Time) (err error) {
+	f.buf, err = readFrameInto(conn, deadline, f.buf[:0])
+	return err
+}
+
+// parse decodes buf into msgs with the aliasing batch decoder,
+// materializing at most maxMsgs entries (negative: no cap).
+func (f *frame) parse(maxMsgs int) (inst, round, dropped int, err error) {
+	inst, round, msgs, dropped, err := wire.DecodeTaggedBatchAliasCapped(f.buf, maxMsgs, f.msgs[:0])
+	if err == nil {
+		f.msgs = msgs
+	}
+	return inst, round, dropped, err
+}
+
+// muxBatch is one received frame's hop between a reader goroutine and
+// an instance round loop. The frame changes hands with it: whoever
+// takes a muxBatch off a lane releases its frame.
 type muxBatch struct {
 	round int
-	msgs  []wire.BatchMsg
+	frame *frame
 }
 
 // muxConn is one node's shared connection on the hub side. The reader
@@ -70,6 +171,8 @@ type MuxHub struct {
 	cfg Config
 	ln  net.Listener
 	log *eventLog
+	// frames is the free list all of the hub's readers draw from.
+	frames frameList
 
 	mu sync.Mutex
 	// conns holds each node's current connection, live or down; nil
@@ -99,6 +202,7 @@ func NewMuxHub(n int, cfg Config) (*MuxHub, error) {
 		cfg:        cfg.withDefaults(),
 		ln:         ln,
 		log:        newEventLog(n),
+		frames:     make(frameList, frameListLen),
 		conns:      make([]*muxConn, n),
 		changed:    make(chan struct{}),
 		insts:      make(map[int]*HubInstance),
@@ -291,28 +395,27 @@ func (h *MuxHub) admit(conn net.Conn) {
 }
 
 // reader drains one node's shared connection, demultiplexing tagged
-// frames into instance lanes. It owns the pooled read buffer; the
-// copying decode means lane payloads never alias it.
+// frames into instance lanes. Each frame is read into a buffer of its
+// own off the hub's free list and handed on with its batch.
 func (h *MuxHub) reader(id int, mc *muxConn) {
 	defer h.readers.Done()
-	buf := wire.GetFrameBuf()
-	defer wire.PutFrameBuf(buf)
 	for {
-		frame, err := readFrameInto(mc.conn, time.Now().Add(h.cfg.IdleTimeout), (*buf)[:0])
-		*buf = frame
-		if err != nil {
+		f := h.frames.get()
+		if err := f.read(mc.conn, time.Now().Add(h.cfg.IdleTimeout)); err != nil {
+			h.frames.put(f)
 			h.connLost(id, mc, "read: "+err.Error())
 			return
 		}
-		inst, round, msgs, dropped, derr := wire.DecodeTaggedBatchCapped(frame, h.cfg.FloodLimit)
-		if derr != nil {
-			h.connLost(id, mc, "decode: "+derr.Error())
+		inst, round, dropped, err := f.parse(h.cfg.FloodLimit)
+		if err != nil {
+			h.frames.put(f)
+			h.connLost(id, mc, "decode: "+err.Error())
 			return
 		}
 		if dropped > 0 {
 			h.log.add(EventFlood, id, round, fmt.Sprintf("instance %d: truncated %d batch entries over the %d cap", inst, dropped, h.cfg.FloodLimit))
 		}
-		h.route(id, inst, round, msgs)
+		h.route(id, inst, round, f)
 	}
 }
 
@@ -325,21 +428,23 @@ func (h *MuxHub) connLost(id int, mc *muxConn, detail string) {
 	h.downConn(mc)
 }
 
-// route hands one decoded batch to its instance lane. Unknown
-// instances (finished, or never started) are dropped; lane overflow —
-// impossible under lock-step, so always a protocol violation — is
-// dropped and logged.
-func (h *MuxHub) route(from, inst, round int, msgs []wire.BatchMsg) {
+// route hands one parsed frame to its instance lane. Unknown instances
+// (finished, or never started) are dropped; lane overflow — impossible
+// under lock-step, so always a protocol violation — is dropped and
+// logged. A dropped frame is released here.
+func (h *MuxHub) route(from, inst, round int, f *frame) {
 	h.mu.Lock()
 	hi := h.insts[inst]
 	h.mu.Unlock()
 	if hi == nil {
+		h.frames.put(f)
 		h.log.add(EventStale, from, round, fmt.Sprintf("dropped frame for unknown instance %d", inst))
 		return
 	}
 	select {
-	case hi.mail[from] <- muxBatch{round: round, msgs: msgs}:
+	case hi.mail[from] <- muxBatch{round: round, frame: f}:
 	default:
+		h.frames.put(f)
 		h.log.add(EventFlood, from, round, fmt.Sprintf("instance %d: delivery lane overflow, frame dropped", inst))
 	}
 }
@@ -413,7 +518,7 @@ func (h *MuxHub) StartInstance(inst, rounds int) (*HubInstance, error) {
 		mail:    make([]chan muxBatch, h.n),
 		dead:    make([]bool, h.n),
 		log:     newEventLog(h.n),
-		batches: make([][]wire.BatchMsg, h.n),
+		batches: make([]*frame, h.n),
 		inboxes: make([][]wire.BatchMsg, h.n),
 	}
 	for i := range hi.mail {
@@ -454,8 +559,10 @@ type HubInstance struct {
 	dead   []bool
 	log    *eventLog
 
-	// Round scratch owned by the sequential Run loop.
-	batches  [][]wire.BatchMsg
+	// Round scratch owned by the sequential Run loop. batches holds the
+	// round's gathered frames (nil for a node that sent none); inboxes
+	// alias them until the round's deliveries are written.
+	batches  []*frame
 	inboxes  [][]wire.BatchMsg
 	outFrame []byte
 }
@@ -485,7 +592,7 @@ func (hi *HubInstance) die(id, round int, detail string) {
 
 // runRound executes one synchronous round of this instance: gather
 // every live node's batch, route with the partition filter applied,
-// and deliver.
+// deliver, and release the gathered frames.
 func (hi *HubInstance) runRound(round int) {
 	start := time.Now()
 	deadline := start.Add(hi.h.cfg.RoundTimeout)
@@ -538,8 +645,11 @@ func (hi *HubInstance) runRound(round int) {
 			hi.inboxes[to] = append(hi.inboxes[to], wire.BatchMsg{Addr: from, Payload: payload})
 		}
 	}
-	for from, batch := range hi.batches {
-		for _, m := range batch {
+	for from, f := range hi.batches {
+		if f == nil {
+			continue
+		}
+		for _, m := range f.msgs {
 			if m.Addr == sim.Broadcast {
 				for p := 0; p < hi.h.n; p++ {
 					deliver(from, p, m.Payload)
@@ -576,6 +686,13 @@ func (hi *HubInstance) runRound(round int) {
 			hi.die(id, round, "delivery failed: "+err.Error())
 		}
 	}
+	// The last delivery frame is encoded and written: nothing reads the
+	// inboxes again, so the frames they alias can go back.
+	for _, f := range hi.batches {
+		if f != nil {
+			hi.h.frames.put(f)
+		}
+	}
 	hi.log.roundDone(round, time.Since(start))
 }
 
@@ -584,8 +701,9 @@ func (hi *HubInstance) runRound(round int) {
 // node dead for this instance. Connection state is not consulted: lanes
 // outlive connections, so a node that bounces its connection and
 // resends inside the deadline loses nothing. Only a node with no
-// connection slot at all is dead without a wait.
-func (hi *HubInstance) gather(id, round int, deadline time.Time) []wire.BatchMsg {
+// connection slot at all is dead without a wait. The returned frame is
+// the caller's to release; stale and future frames are released here.
+func (hi *HubInstance) gather(id, round int, deadline time.Time) *frame {
 	if !hi.h.joined(id) {
 		hi.die(id, round, "no connection")
 		return nil
@@ -597,12 +715,14 @@ func (hi *HubInstance) gather(id, round int, deadline time.Time) []wire.BatchMsg
 		case b := <-hi.mail[id]:
 			switch {
 			case b.round == round:
-				return b.msgs
+				return b.frame
 			case b.round < round:
+				hi.h.frames.put(b.frame)
 				hi.log.add(EventStale, id, round, fmt.Sprintf("discarded round-%d frame", b.round))
 			default:
 				// Lock-step forbids future rounds: the node cannot have
 				// seen round r's delivery before the hub sent it.
+				hi.h.frames.put(b.frame)
 				hi.die(id, round, fmt.Sprintf("frame from future round %d", b.round))
 				return nil
 			}
@@ -626,6 +746,8 @@ type MuxNode struct {
 	addr string
 	cfg  Config
 	log  *eventLog
+	// frames is the reader's free list; instances release into it.
+	frames frameList
 	// wmu serializes writes and redials, so nobody writes to a
 	// connection that is being replaced.
 	wmu sync.Mutex
@@ -633,7 +755,9 @@ type MuxNode struct {
 	mu    sync.Mutex
 	conn  net.Conn // current shared connection; written under wmu and mu
 	lanes map[int]chan muxBatch
-	err   error // terminal: closed, or redial attempts exhausted
+	// seeded counts the frames register has put on the free list.
+	seeded int
+	err    error // terminal: closed, or redial attempts exhausted
 
 	valMu      sync.Mutex
 	validation validate.Report
@@ -652,6 +776,7 @@ func NewMuxNode(addr string, id int, cfg Config) (*MuxNode, error) {
 		addr:       addr,
 		cfg:        cfg.withDefaults(),
 		log:        newEventLog(0),
+		frames:     make(frameList, frameListLen),
 		lanes:      make(map[int]chan muxBatch),
 		done:       make(chan struct{}),
 		readerDone: make(chan struct{}),
@@ -772,22 +897,23 @@ func (nd *MuxNode) Report() Report {
 // into instance lanes. A failed read redials — with resume 1, since a
 // connection shared by many instances has no one current round — and
 // carries on with whatever connection is then current; it exits only
-// once the node has failed for good.
+// once the node has failed for good. Each delivery is read into a frame
+// of its own off the node's free list and handed on with its batch; a
+// delivery that goes nowhere is released here.
 func (nd *MuxNode) reader(conn net.Conn) {
 	defer close(nd.readerDone)
-	buf := wire.GetFrameBuf()
-	defer wire.PutFrameBuf(buf)
 	for {
-		frame, err := readFrameInto(conn, time.Now().Add(nd.cfg.IdleTimeout), (*buf)[:0])
-		*buf = frame
-		if err != nil {
+		f := nd.frames.get()
+		if err := f.read(conn, time.Now().Add(nd.cfg.IdleTimeout)); err != nil {
+			nd.frames.put(f)
 			if conn, err = nd.redial(conn, 1, "read: "+err.Error()); err != nil {
 				return
 			}
 			continue
 		}
-		inst, round, msgs, err := wire.DecodeTaggedBatch(frame)
+		inst, round, _, err := f.parse(-1) // the hub capped what it relayed
 		if err != nil {
+			nd.frames.put(f)
 			nd.log.add(EventStale, nd.id, 0, "undecodable delivery: "+err.Error())
 			continue
 		}
@@ -795,18 +921,28 @@ func (nd *MuxNode) reader(conn net.Conn) {
 		lane := nd.lanes[inst]
 		nd.mu.Unlock()
 		if lane == nil {
+			nd.frames.put(f)
 			nd.log.add(EventStale, nd.id, round, fmt.Sprintf("dropped delivery for unknown instance %d", inst))
 			continue
 		}
 		select {
-		case lane <- muxBatch{round: round, msgs: msgs}:
+		case lane <- muxBatch{round: round, frame: f}:
 		default:
+			nd.frames.put(f)
 			nd.log.add(EventFlood, nd.id, round, fmt.Sprintf("instance %d: lane overflow, delivery dropped", inst))
 		}
 	}
 }
 
-// register installs a fresh lane for an instance.
+// register installs a fresh lane for an instance and tops the free
+// list up to one frame per open lane plus the reader's. Under lock-step
+// that is every frame the node can have in flight, so the reader never
+// finds the list empty, and how many frames a node makes — each grows
+// to the largest delivery it comes to carry, n senders' worth — follows
+// from how many instances it runs at once rather than from how the
+// scheduler interleaves the reader with the round loops. Two runs of
+// one workload then allocate alike from their first instance on
+// (cmd/proxperf holds short same-seed runs to 15 %).
 func (nd *MuxNode) register(inst int) (chan muxBatch, error) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
@@ -818,6 +954,9 @@ func (nd *MuxNode) register(inst int) (chan muxBatch, error) {
 	}
 	lane := make(chan muxBatch, muxMailDepth)
 	nd.lanes[inst] = lane
+	for ; nd.seeded < len(nd.lanes)+1; nd.seeded++ {
+		nd.frames.put(new(frame))
+	}
 	return lane, nil
 }
 
@@ -917,11 +1056,16 @@ func (nd *MuxNode) RunInstance(inst, rounds int, machine sim.Machine) (any, erro
 		} else if err := ir.send(round, sends); err != nil {
 			return nil, err
 		}
-		msgs, err := nd.awaitLane(lane, round, wait)
+		f, err := nd.awaitLane(lane, round, wait)
 		if err != nil {
 			return nil, fmt.Errorf("transport: instance %d round %d receive: %w", inst, round, err)
 		}
-		sends = machine.Deliver(round, ir.decodeRound(round, msgs))
+		// The inbox's payload blobs alias the frame, so the frame is
+		// released only once the machine has stepped; what the machine
+		// keeps past Deliver it has copied.
+		inbox := ir.decodeRound(round, f.msgs)
+		sends = machine.Deliver(round, inbox)
+		nd.frames.put(f)
 	}
 	out, ok := machine.Output()
 	if !ok {
@@ -973,8 +1117,10 @@ func (ir *instanceRun) mergeReport() {
 }
 
 // awaitLane receives the round-r delivery off an instance lane,
-// skipping stale rounds, until the wait expires or the node fails.
-func (nd *MuxNode) awaitLane(lane chan muxBatch, round int, wait time.Duration) ([]wire.BatchMsg, error) {
+// skipping stale rounds, until the wait expires or the node fails. The
+// returned frame is the caller's to release; stale and future ones are
+// released here.
+func (nd *MuxNode) awaitLane(lane chan muxBatch, round int, wait time.Duration) (*frame, error) {
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	for {
@@ -982,9 +1128,12 @@ func (nd *MuxNode) awaitLane(lane chan muxBatch, round int, wait time.Duration) 
 		case b := <-lane:
 			switch {
 			case b.round == round:
-				return b.msgs, nil
+				return b.frame, nil
 			case b.round > round:
+				nd.frames.put(b.frame)
 				return nil, fmt.Errorf("hub delivered round %d during round %d", b.round, round)
+			default:
+				nd.frames.put(b.frame)
 			}
 		case <-nd.done:
 			return nil, fmt.Errorf("connection lost: %w", nd.err)
@@ -1001,15 +1150,18 @@ func (nd *MuxNode) awaitLane(lane chan muxBatch, round int, wait time.Duration) 
 // the validator's sender checks bind to real identities. The call is
 // unconditional — a nil validator admits exactly what decodes — so the
 // screen structurally dominates the machine delivery of the returned
-// inbox (the ingressflow invariant). The inbox carries only decoded
-// values, which never alias msgs (TestIngressSteadyStateAllocations
-// pins the zero-allocation steady state).
+// inbox (the ingressflow invariant). The inbox carries decoded values,
+// which never alias msgs (TestIngressSteadyStateAllocations pins the
+// zero-allocation steady state) — except the Data of the two payload
+// blob classes, which sub-slices msgs' frame and is valid until the
+// caller releases that frame, after Deliver
+// (TestPayloadRoundDecodeAllocations pins that no blob is copied).
 //
 //lint:hotpath
 func (ir *instanceRun) decodeRound(round int, msgs []wire.BatchMsg) []sim.Message {
 	ir.in = ir.in[:0]
 	for i := range msgs {
-		payload, err := ir.dec.Decode(msgs[i].Payload)
+		payload, err := ir.dec.DecodeAlias(msgs[i].Payload)
 		ir.in = append(ir.in, validate.Inbound{From: msgs[i].Addr, Raw: msgs[i].Payload, Payload: payload, Err: err})
 	}
 	verdicts := ir.ingress.AdmitBatch(round, ir.in, ir.verdicts[:0])

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -215,8 +216,11 @@ func readFrameInto(conn net.Conn, deadline time.Time, buf []byte) ([]byte, error
 		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
 	if cap(buf) < size {
+		// Grow, not make: the capacity rounds up to the allocator's size
+		// class, so the next round's frame — the same batch a few bytes
+		// longer — fits the slack instead of costing a second buffer.
 		//lint:hotpath amortized: the buffer grows to the high-water frame size once, then is reused
-		buf = make([]byte, size)
+		buf = slices.Grow([]byte(nil), size)
 	}
 	buf = buf[:size]
 	if _, err := io.ReadFull(conn, buf); err != nil {

@@ -24,13 +24,18 @@ import (
 )
 
 // Inbound is one decoded ingress message handed to AdmitBatch: the
-// wire bytes, the decode result, and the claimed sender. Raw may alias
-// a pooled frame buffer — AdmitBatch copies what it retains (digests,
-// payload values), never the raw bytes.
+// wire bytes, the decode result, and the claimed sender. On the TCP
+// path Raw — and the Data of a payload-blob Payload — sub-slices a
+// received frame the transport releases once the round's machine step
+// is done, so both are valid for the round only. AdmitBatch keeps
+// digests of Raw, never the bytes, and the one Payload it holds on to
+// (the first of a single-instance stream, for equivocation evidence)
+// is read only while its round lasts and dropped at the next round
+// boundary.
 type Inbound struct {
 	// From is the claimed sender address.
 	From int
-	// Raw is the payload's wire encoding.
+	// Raw is the payload's wire encoding; it may alias a frame.
 	Raw []byte
 	// Payload is the decoded payload, nil when decoding failed.
 	Payload sim.Payload

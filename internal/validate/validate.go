@@ -330,7 +330,9 @@ type uniKey struct {
 // built when a conflict actually materializes, so the admit hot path
 // never pays for formatting. Payloads are immutable by the sim.Machine
 // contract, so deferred rendering produces the same string eager
-// rendering would have.
+// rendering would have — within the round: a payload blob's Data
+// aliases the round's frame, and streams are cleared at the next round
+// boundary, before anything could render a payload whose frame is gone.
 type firstSeen struct {
 	hash    [sha256.Size]byte
 	payload sim.Payload

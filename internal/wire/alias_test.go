@@ -311,18 +311,3 @@ func TestDecoderInterning(t *testing.T) {
 		}
 	})
 }
-
-// TestFrameBufPool: pooled buffers come back empty and recycle.
-func TestFrameBufPool(t *testing.T) {
-	buf := GetFrameBuf()
-	if len(*buf) != 0 {
-		t.Fatalf("pooled buffer has len %d, want 0", len(*buf))
-	}
-	*buf = append(*buf, make([]byte, 4096)...)
-	PutFrameBuf(buf)
-	again := GetFrameBuf()
-	if len(*again) != 0 {
-		t.Fatalf("recycled buffer has len %d, want 0", len(*again))
-	}
-	PutFrameBuf(again)
-}

@@ -1,22 +1,19 @@
-// Zero-copy decode support: a payload-interning Decoder for the
-// steady-state ingress path, and a sync.Pool of frame scratch buffers
-// shared by the transport's connection readers.
+// Decode support for the steady-state ingress path: a payload-interning
+// Decoder, with an aliasing entry point for callers that own the frame.
 //
-// Ownership rules (see DESIGN.md "Ingress hot path"): decoded payloads
-// never alias the input frame — every fixed-width field is copied into
-// the payload value during decode, and the one variable-width case
-// (certificate share lists) is freshly allocated because protocol
-// machines retain those slices across rounds to Combine. That property
-// is what makes both interning and pooled frame buffers sound: a frame
-// buffer can be reused for the next read as soon as decoding finishes,
-// and an interned payload can be handed out again for a later
-// byte-identical message. FuzzDecodeAlias pins the property.
+// Ownership rules (see DESIGN.md "Ingress hot path"): a payload decoded
+// by Decode never aliases the input frame — every fixed-width field is
+// copied into the payload value during decode, certificate share lists
+// are freshly allocated because protocol machines retain those slices
+// across rounds to Combine, and payload blobs are copied out. That
+// property is what makes interning sound: an interned payload can be
+// handed out again for a later byte-identical message. FuzzDecodeAlias
+// pins the property. DecodeAlias relaxes it for exactly the two blob
+// classes, whose Data then sub-slices the input.
 
 package wire
 
 import (
-	"sync"
-
 	"proxcensus/internal/ba"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
@@ -69,6 +66,20 @@ func (d *Decoder) Decode(b []byte) (sim.Payload, error) {
 	return p, nil
 }
 
+// DecodeAlias is Decode for a caller that owns b until every payload
+// decoded from it is dead — the transport's receive path, where b is a
+// received frame released only after Machine.Deliver returns. The two
+// blob classes take the package-level DecodeAlias arm, so Data
+// sub-slices b instead of being copied out, and skip the intern cache
+// they could never hit (the lookup would hash the whole blob for
+// nothing). Every other class decodes exactly as Decode does.
+func (d *Decoder) DecodeAlias(b []byte) (sim.Payload, error) {
+	if len(b) > 0 && (b[0] == tagTCPayload || b[0] == tagTCPayloadEcho) {
+		return DecodeAlias(b)
+	}
+	return d.Decode(b)
+}
+
 // internable reports whether a decoded payload may be cached and
 // handed out more than once. Slice-carrying classes are excluded.
 func internable(p sim.Payload) bool {
@@ -79,28 +90,4 @@ func internable(p sim.Payload) bool {
 	default:
 		return true
 	}
-}
-
-// framePool recycles frame read buffers across the transport's
-// connection-reader goroutines (the hub runs one per node). Buffers
-// are returned once the frame's decoded payloads have been screened
-// and delivered — never while a BatchMsg still aliases them.
-var framePool = sync.Pool{
-	New: func() any { return new([]byte) },
-}
-
-// GetFrameBuf fetches a pooled frame buffer with len 0. Callers grow
-// it with append or reslice it after ReadFull; the backing array is
-// recycled across rounds and connections.
-func GetFrameBuf() *[]byte {
-	buf := framePool.Get().(*[]byte)
-	*buf = (*buf)[:0]
-	return buf
-}
-
-// PutFrameBuf returns a buffer to the pool. The caller must not hold
-// any alias into it afterward — this is the hand-back point of the
-// ownership discipline the noretain analyzer enforces downstream.
-func PutFrameBuf(buf *[]byte) {
-	framePool.Put(buf)
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Framing errors.
@@ -71,7 +72,8 @@ func DecodeHello(body []byte) (id, resume int, err error) {
 // discard stale or duplicated frames instead of desynchronizing. This
 // is the pooled-buffer encode path: the transport reuses one frame
 // buffer per instance across rounds, so steady-state sending allocates
-// nothing.
+// nothing, and a buffer that is too small grows to the frame's size in
+// one step instead of climbing append's growth ladder.
 //
 //lint:hotpath
 func AppendEncodeBatch(dst []byte, round int, msgs []BatchMsg) ([]byte, error) {
@@ -87,6 +89,8 @@ func AppendEncodeBatch(dst []byte, round int, msgs []BatchMsg) ([]byte, error) {
 		//lint:hotpath cold path: oversized batch, connection is abandoned
 		return nil, fmt.Errorf("%w: batch of %d bytes exceeds frame limit", ErrBadFrame, size)
 	}
+	//lint:hotpath amortized: the buffer grows to the frame size once, then is reused
+	dst = slices.Grow(dst, size)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(round)))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(len(msgs)))
 	for _, m := range msgs {

@@ -87,6 +87,53 @@ func TestBatchRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestAppendEncodeBatchGrowsOnce: a buffer too small for the frame
+// grows to the frame's size in one allocation — the hub's
+// per-instance out-frame starts nil, and climbing append's ladder to a
+// 263 KiB delivery frame cost five times its size — keeps what dst
+// already held, and a buffer that fits is not reallocated at all.
+func TestAppendEncodeBatchGrowsOnce(t *testing.T) {
+	msgs := make([]BatchMsg, 16)
+	for i := range msgs {
+		msgs[i] = BatchMsg{Addr: i, Payload: bytes.Repeat([]byte{byte(i)}, 16<<10)}
+	}
+	prefix := []byte{0xAA, 0xBB, 0xCC}
+	var frame []byte
+	allocs := testing.AllocsPerRun(10, func() {
+		var err error
+		if frame, err = AppendEncodeBatch(prefix[:3:3], 4, msgs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One allocation; a -race build also materializes slices.Grow's
+	// temporary. Climbing the ladder from 3 bytes takes dozens.
+	if allocs > 2 {
+		t.Errorf("encode into a short buffer allocates %.0f times, want 1", allocs)
+	}
+	if cap(frame) > len(frame)+len(frame)/16 {
+		t.Errorf("grew to cap %d for a %d-byte frame", cap(frame), len(frame))
+	}
+	if !bytes.Equal(frame[:3], prefix) {
+		t.Errorf("prefix clobbered: %x", frame[:3])
+	}
+	round, got, _, err := DecodeBatchCapped(frame[3:], -1)
+	if err != nil || round != 4 || len(got) != len(msgs) {
+		t.Fatalf("round %d, %d msgs, err %v", round, len(got), err)
+	}
+	for i := range got {
+		if got[i].Addr != msgs[i].Addr || !bytes.Equal(got[i].Payload, msgs[i].Payload) {
+			t.Fatalf("entry %d differs after the grow", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := AppendEncodeBatch(frame[:0], 4, msgs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("encode into a fitting buffer allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestEncodeBatchRejectsOversize(t *testing.T) {
 	if _, err := AppendEncodeBatch(nil, -1, nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("negative round: err = %v, want ErrBadFrame", err)

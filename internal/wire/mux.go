@@ -129,10 +129,11 @@ func DecodeTaggedBatch(body []byte) (instance, round int, msgs []BatchMsg, err e
 
 // DecodeTaggedBatchCapped parses an instance-tagged batch frame like
 // DecodeTaggedBatch but materializes at most maxMsgs messages (the
-// mux hub's flood control; negative disables the cap). Payloads are
-// copied out of the frame, so the read buffer may be reused as soon as
-// this returns — the property the mux reader goroutines rely on when
-// handing batches across instance lanes.
+// flood control's cap; negative disables it). Payloads are copied out
+// of the frame, so the read buffer may be reused as soon as this
+// returns — for callers with no frame lifetime to manage (RawClient,
+// tools, reference decodes in tests). The mux readers parse with the
+// aliasing core below and keep the frame alive instead.
 func DecodeTaggedBatchCapped(body []byte, maxMsgs int) (instance, round int, msgs []BatchMsg, dropped int, err error) {
 	instance, round, msgs, dropped, err = DecodeTaggedBatchAliasCapped(body, maxMsgs, nil)
 	if err != nil {

@@ -1,8 +1,9 @@
 // Multivalued-payload codec support: length-prefixed byte blobs for
 // the ℓ-bit Turpin-Coan classes (ba.TCPayload, ba.TCPayloadEcho), with
 // the same two-tier decode discipline as the frame layer — a copying
-// default that keeps pooled read buffers reusable, and an explicit
-// aliasing variant for callers that own the buffer lifetime. Blob
+// default whose results outlive the input, and an explicit aliasing
+// variant for callers that own the buffer lifetime (the transport's
+// receive path, whose frames travel with their batch). Blob
 // lengths are capped at ba.MaxPayloadBytes on both sides, so a frame
 // claiming a terabyte payload is rejected before any allocation.
 
@@ -25,8 +26,8 @@ func appendBlob(b []byte, data []byte) []byte {
 }
 
 // blob consumes a length-prefixed byte blob, copying the bytes out of
-// the input so the decoded payload never aliases a pooled frame buffer
-// (the ownership rule interning and buffer reuse rest on).
+// the input so the decoded payload never aliases it and may be held
+// for as long as the caller likes.
 //
 //lint:hotpath
 func (r *reader) blob() []byte {
@@ -34,7 +35,7 @@ func (r *reader) blob() []byte {
 	if raw == nil {
 		return nil
 	}
-	//lint:hotpath one bounded allocation per decoded payload; the copy is what frees the frame buffer
+	//lint:hotpath one bounded allocation per decoded payload; the copy is what detaches it from the input
 	out := make([]byte, len(raw))
 	copy(out, raw)
 	return out
@@ -73,9 +74,9 @@ func (r *reader) blobAlias() []byte {
 // copied out. All other classes decode exactly as Decode does — their
 // fixed-width fields are copied by construction. The caller owns the
 // aliasing contract: b must stay untouched for as long as any decoded
-// payload is live, which is why the transport's pooled-buffer readers
-// use Decode and only buffer-owning callers (benchmarks, single-shot
-// tools) use this.
+// payload is live. The transport's receive path meets it by releasing
+// a frame only after Machine.Deliver returns (Decoder.DecodeAlias);
+// callers that cannot bound the payload's lifetime use Decode.
 func DecodeAlias(b []byte) (sim.Payload, error) {
 	if len(b) == 0 {
 		return nil, ErrTruncated

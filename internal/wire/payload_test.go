@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"proxcensus/internal/ba"
+	"proxcensus/internal/proxcensus"
+	"proxcensus/internal/sim"
 )
 
 func TestPayloadRoundTripSizes(t *testing.T) {
@@ -155,6 +157,46 @@ func TestDecodeAliasAliases(t *testing.T) {
 		if errA == nil && !payloadEqual(viaAlias, viaCopy) {
 			t.Errorf("%T: DecodeAlias and Decode disagree", sample)
 		}
+	}
+}
+
+// TestDecoderDecodeAlias pins the transport's decode entry point: the
+// two blob classes alias the input and never enter the intern cache,
+// every other class takes the interning Decode unchanged, and a nil
+// receiver still decodes.
+func TestDecoderDecodeAlias(t *testing.T) {
+	d := NewDecoder()
+	for _, blob := range []sim.Payload{
+		ba.TCPayload{Data: bytes.Repeat([]byte{0x42}, 256)},
+		ba.TCPayloadEcho{Data: bytes.Repeat([]byte{0x42}, 256), Valid: true},
+	} {
+		frame := mustEncode(blob)
+		p, err := d.DecodeAlias(frame)
+		if err != nil || !payloadEqual(p, blob) {
+			t.Fatalf("%T: p=%v err=%v", blob, p, err)
+		}
+		frame[32] ^= 0xff // inside the blob
+		if payloadEqual(p, blob) {
+			t.Errorf("%T: Decoder.DecodeAlias copied the blob", blob)
+		}
+	}
+	if len(d.cache) != 0 {
+		t.Errorf("blob classes entered the intern cache: %d entries", len(d.cache))
+	}
+	echo := mustEncode(proxcensus.EchoPayload{Z: 3, H: 1})
+	first, err := d.DecodeAlias(echo)
+	if err != nil || len(d.cache) != 1 {
+		t.Fatalf("non-blob class must intern: err=%v cache=%d", err, len(d.cache))
+	}
+	if again, _ := d.DecodeAlias(echo); again != first {
+		t.Errorf("interned payload not reused: %v != %v", again, first)
+	}
+	var none *Decoder
+	if p, err := none.DecodeAlias(echo); err != nil || p != first {
+		t.Errorf("nil receiver: p=%v err=%v", p, err)
+	}
+	if _, err := d.DecodeAlias(nil); err == nil {
+		t.Error("empty input must fail")
 	}
 }
 

@@ -13,7 +13,17 @@
 #         checked-in baseline. (BenchmarkFramePayload/zero is NOT
 #         alloc-pinned: each decoded payload struct boxes into the
 #         Payload interface — one unavoidable alloc per message — so it
-#         is held by the baseline ratchet instead.)
+#         is held by the baseline ratchet instead.) Two engine pins
+#         are not machine-independent and are held accordingly:
+#         BenchmarkEngineMode/par/* allocates per worker and runs one
+#         worker per core, so it is compared only when this machine has
+#         as many cores as the baseline's fingerprint records (the
+#         1-core baseline box read 644/3031/14107, a 2-core box reads
+#         692/3080/14157); BenchmarkEngineMode/seq/* may exceed its pin
+#         by 0.1 %, which admits the one runtime-internal allocation a
+#         5x run picks up on some machines (14108 vs 14107 at n=256)
+#         and nothing the engine could add per round. No codec or
+#         screen pin is loosened.
 #       - Intra-run pair ratios: zero <= copy/2 and batch <= seq/2 at
 #         n=256 and at the payload shapes (size=4096, n=64) — the >=2x
 #         contract from DESIGN.md "Ingress hot path" —
@@ -139,6 +149,9 @@ grep -o '"name": "[^"]*", "ns_op": [0-9.]*, "allocs_op": [0-9-]*' "$baseline" \
     | sort > "$base"
 base_fp="$(grep -o '"fingerprint": "[^"]*"' "$baseline" | head -1 | sed 's/"fingerprint": "\(.*\)"/\1/')"
 
+base_cores="${base_fp##*/}"
+base_cores="${base_cores%c}"
+
 same_machine=0
 if [[ "$base_fp" == "$fingerprint" ]]; then
     same_machine=1
@@ -156,7 +169,18 @@ while read -r name base_ns base_allocs; do
     fi
     cur_ns="$(awk '{print $2}' <<<"$line")"
     cur_allocs="$(awk '{print $3}' <<<"$line")"
-    if [[ "$base_allocs" -ge 0 && "$cur_allocs" -gt "$base_allocs" ]]; then
+    max_allocs="$base_allocs"
+    case "$name" in
+    BenchmarkEngineMode/par/*)
+        # One worker per core: comparable only at the baseline's core count.
+        if [[ "$cores" != "$base_cores" ]]; then
+            echo "bench_guard: $name — $cur_allocs allocs/op on $cores cores, baseline $base_allocs on $base_cores: not compared"
+            max_allocs=-1
+        fi
+        ;;
+    BenchmarkEngineMode/seq/*) max_allocs=$((base_allocs + base_allocs / 1000)) ;;
+    esac
+    if [[ "$max_allocs" -ge 0 && "$cur_allocs" -gt "$max_allocs" ]]; then
         echo "bench_guard: FAIL — $name allocs/op regressed: $cur_allocs > baseline $base_allocs" >&2
         fail=1
     fi

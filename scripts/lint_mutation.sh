@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Analyzer-and-test mutation smoke: prove the guards actually detect
 # the faults they claim to rule out. A pristine copy of the module is
-# mutated three times — swapping the transport's one batched ingress
+# mutated four times — swapping the transport's one batched ingress
 # screen for the decode-only sieve, stripping the deadline arming from
-# readFrameInto, and deleting the configurable payload size cap from
-# the validate rules — and each time the matching guard (balint for the
-# first two, the payload cap unit tests for the third) must go red. A
-# guard that stays green on a mutated module is a broken guard, not a
-# clean module; CI runs this nightly.
+# readFrameInto, deleting the configurable payload size cap from the
+# validate rules, and releasing a node's received frame before the
+# machine has stepped on the payloads that alias it — and each time the
+# matching guard (balint for the first two, the payload cap unit tests
+# for the third, the poisoned-frame lifetime test for the fourth) must
+# go red. A guard that stays green on a mutated module is a broken
+# guard, not a clean module; CI runs this nightly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -99,5 +101,25 @@ fi
 sed -i '/if r\.MaxPayloadBytes > 0 && size > r\.MaxPayloadBytes {/,+2d' "$rules"
 (cd "$tmp" && go build ./internal/validate)
 expect_test_fail 'TestPayloadSizeCap' ./internal/validate
+
+echo "mutation 4: release the node's received frame before machine.Deliver"
+cp "$tmp/mux.pristine" "$mux"
+deliver_line='sends = machine.Deliver(round, inbox)'
+release_line='nd.frames.put(f)'
+if [[ "$(grep -cF "$deliver_line" "$mux")" -ne 1 ]] ||
+    [[ "$(grep -A1 -F "$deliver_line" "$mux" | grep -cF "$release_line")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one node-side Deliver line in mux.go, followed by the frame release" >&2
+    exit 1
+fi
+# The copy still carries mutations 2 and 3, so the test must be green
+# before the swap for its red to mean anything.
+(cd "$tmp" && go test -count=1 -run 'TestPoisonedFramesPayloadMatchesSim' ./internal/transport)
+# Swap the two lines: the frame goes back to the free list — poisoned,
+# under the tests' switch — while the inbox's payload blobs still alias
+# it, so the machine steps on 0xDB and decides something the simulator
+# does not.
+sed -i '/sends = machine\.Deliver(round, inbox)/{N;s/^\(.*\)\n\(.*\)$/\2\n\1/}' "$mux"
+(cd "$tmp" && go build ./internal/transport)
+expect_test_fail 'TestPoisonedFramesPayloadMatchesSim' ./internal/transport
 
 echo "MUTATION SMOKE OK"
