@@ -1,368 +1,21 @@
-// Benchmarks regenerating the paper's evaluation artefacts — one bench
-// per table/figure/claim, indexed in DESIGN.md §4. Custom metrics carry
-// the quantities the paper reports: rounds/op (round complexity) and
-// sigs/op (communication complexity in signatures, Section 2.2).
 package proxcensus_test
 
 import (
 	"fmt"
 	"testing"
 
-	"proxcensus"
-	"proxcensus/internal/adversary"
-	"proxcensus/internal/ba"
-	"proxcensus/internal/crypto/sig"
 	proxcensus2 "proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
-	"proxcensus/internal/transport"
-	"proxcensus/internal/wire"
 )
 
-func splitInputsBench(n, t int) []int {
-	inputs := make([]int, n)
-	for i := t + 1; i < n; i++ {
-		inputs[i] = 1
-	}
-	return inputs
-}
-
-// BenchmarkExtract regenerates F3 (Fig. 3): the extraction cut, the
-// O(1) heart of the construction.
-func BenchmarkExtract(b *testing.B) {
-	r := proxcensus2.Result{Value: 1, Grade: 3}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = ba.Extract(10, r, i%9+1)
-	}
-}
-
-// BenchmarkExpandStep regenerates F2 (Fig. 2): one echo-expansion
-// output determination for t < n/3.
-func BenchmarkExpandStep(b *testing.B) {
-	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			t := (n - 1) / 3
-			echoes := make([]proxcensus2.Echo, n)
-			for i := range echoes {
-				echoes[i] = proxcensus2.Echo{From: i, Z: i % 2, H: i % 3}
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = proxcensus2.ExpandStep(n, t, 9, echoes)
-			}
-		})
-	}
-}
-
-// benchProtocol runs a protocol once per iteration and reports the
-// paper's metrics.
-func benchProtocol(b *testing.B, build func(seed int64) (*ba.Protocol, sim.Adversary, error)) {
-	b.Helper()
-	var rounds, sigs, msgs int
-	for i := 0; i < b.N; i++ {
-		proto, adv, err := build(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := proto.Run(adv, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = res.Metrics.Rounds
-		sigs = res.Metrics.TotalHonestSignatures()
-		msgs = res.Metrics.TotalHonestMessages()
-	}
-	b.ReportMetric(float64(rounds), "rounds/op")
-	b.ReportMetric(float64(sigs), "sigs/op")
-	b.ReportMetric(float64(msgs), "msgs/op")
-}
-
-// BenchmarkBARoundsN3 regenerates E1: the one-shot t < n/3 protocol
-// (κ+1 rounds) against fixed-round Feldman-Micali (2κ) at equal error
-// 2^-κ. Compare the rounds/op metric between the sub-benchmarks.
-func BenchmarkBARoundsN3(b *testing.B) {
-	const n, t = 7, 2
-	for _, kappa := range []int{8, 16, 32} {
-		kappa := kappa
-		b.Run(fmt.Sprintf("oneshot/kappa=%d", kappa), func(b *testing.B) {
-			benchProtocol(b, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-				setup, err := ba.NewSetup(n, t, ba.CoinIdeal, seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				proto, err := ba.NewOneShot(setup, kappa, splitInputsBench(n, t))
-				return proto, sim.Passive{}, err
-			})
-		})
-		b.Run(fmt.Sprintf("fm/kappa=%d", kappa), func(b *testing.B) {
-			benchProtocol(b, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-				setup, err := ba.NewSetup(n, t, ba.CoinIdeal, seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				proto, err := ba.NewFM(setup, kappa, splitInputsBench(n, t))
-				return proto, sim.Passive{}, err
-			})
-		})
-	}
-}
-
-// BenchmarkBARoundsN2 regenerates E2: the iterated Prox_5 t < n/2
-// protocol (3κ/2 rounds) against the MV-style baseline (2κ).
-func BenchmarkBARoundsN2(b *testing.B) {
-	const n, t = 5, 2
-	for _, kappa := range []int{8, 16, 32} {
-		kappa := kappa
-		b.Run(fmt.Sprintf("half/kappa=%d", kappa), func(b *testing.B) {
-			benchProtocol(b, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-				setup, err := ba.NewSetup(n, t, ba.CoinIdeal, seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				proto, err := ba.NewHalf(setup, kappa, splitInputsBench(n, t))
-				return proto, sim.Passive{}, err
-			})
-		})
-		b.Run(fmt.Sprintf("mv/kappa=%d", kappa), func(b *testing.B) {
-			benchProtocol(b, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-				setup, err := ba.NewSetup(n, t, ba.CoinIdeal, seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				proto, err := ba.NewMV(setup, kappa, splitInputsBench(n, t))
-				return proto, sim.Passive{}, err
-			})
-		})
-	}
-}
-
-// BenchmarkCommVsN regenerates E3: signatures sent vs n — our protocol
-// O(κn²) against the MV baseline with explicit certificates O(κn³).
-// Compare the sigs/op metric across n.
-func BenchmarkCommVsN(b *testing.B) {
-	const kappa = 4
-	for _, n := range []int{5, 9, 13} {
-		n := n
-		t := (n - 1) / 2
-		b.Run(fmt.Sprintf("half/n=%d", n), func(b *testing.B) {
-			benchProtocol(b, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-				setup, err := ba.NewSetup(n, t, ba.CoinIdeal, seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				proto, err := ba.NewHalf(setup, kappa, splitInputsBench(n, t))
-				return proto, sim.Passive{}, err
-			})
-		})
-		b.Run(fmt.Sprintf("mvpki/n=%d", n), func(b *testing.B) {
-			benchProtocol(b, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-				setup, err := ba.NewSetup(n, t, ba.CoinIdeal, seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				proto, err := ba.NewMVCert(setup, kappa, splitInputsBench(n, t))
-				return proto, sim.Passive{}, err
-			})
-		})
-	}
-}
-
-// BenchmarkIterWorstCase regenerates E4's hot path: a full generalized
-// iteration under the adaptive straddle attack.
-func BenchmarkIterWorstCase(b *testing.B) {
-	const n, t, kappa = 4, 1, 4
-	benchProtocol(b, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-		setup, err := ba.NewSetup(n, t, ba.CoinIdeal, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		proto, err := ba.NewOneShot(setup, kappa, splitInputsBench(n, t))
-		if err != nil {
-			return nil, nil, err
-		}
-		return proto, &adversary.ExpandAdaptiveSplit{N: n, T: t, Period: proto.Rounds}, nil
-	})
-}
-
-// BenchmarkProxFamilies regenerates E5: one full execution of each
-// Proxcensus family at a comparable slot target.
-func BenchmarkProxFamilies(b *testing.B) {
-	const n, t = 7, 2 // valid for both regimes (t < n/3 for expand)
-	b.Run("expand/r=4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			machines := make([]sim.Machine, n)
-			for p := 0; p < n; p++ {
-				machines[p] = proxcensus2.NewExpandMachine(n, t, 4, p%2)
-			}
-			if _, err := sim.Run(sim.Config{N: n, T: t, Rounds: 4, Seed: int64(i)}, machines, sim.Passive{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("linear/r=4", func(b *testing.B) {
-		setup, err := ba.NewSetup(n, t, ba.CoinIdeal, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			machines := make([]sim.Machine, n)
-			for p := 0; p < n; p++ {
-				machines[p] = proxcensus2.NewLinearMachine(n, t, 4, p%2, setup.ProxPK, setup.ProxSKs[p])
-			}
-			if _, err := sim.Run(sim.Config{N: n, T: t, Rounds: 4, Seed: int64(i)}, machines, sim.Passive{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("quadratic/r=4", func(b *testing.B) {
-		setup, err := ba.NewSetup(n, t, ba.CoinIdeal, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			machines := make([]sim.Machine, n)
-			for p := 0; p < n; p++ {
-				machines[p] = proxcensus2.NewQuadMachine(n, t, 4, p%2, setup.ProxPK, setup.ProxSKs[p])
-			}
-			if _, err := sim.Run(sim.Config{N: n, T: t, Rounds: 4, Seed: int64(i)}, machines, sim.Passive{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkMultivalued regenerates E6: the Turpin-Coan wrappers.
-func BenchmarkMultivalued(b *testing.B) {
-	b.Run("oneshot-n3", func(b *testing.B) {
-		benchProtocol(b, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-			setup, err := ba.NewSetup(7, 2, ba.CoinIdeal, seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto, err := ba.NewMultivaluedOneShot(setup, 8, []int{9, 9, 9, 8, 9, 9, 7}, -1)
-			return proto, sim.Passive{}, err
-		})
-	})
-	b.Run("half-n2", func(b *testing.B) {
-		benchProtocol(b, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-			setup, err := ba.NewSetup(5, 2, ba.CoinIdeal, seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto, err := ba.NewMultivaluedHalf(setup, 8, []int{9, 9, 9, 8, 7}, -1)
-			return proto, sim.Passive{}, err
-		})
-	})
-}
-
-// BenchmarkProxcast regenerates E7: a full s-slot proxcast run.
-func BenchmarkProxcast(b *testing.B) {
-	for _, s := range []int{5, 9, 17} {
-		s := s
-		b.Run(fmt.Sprintf("s=%d", s), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := proxbenchRun(6, 2, s, int64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWireRoundTrip measures the codec on the hot payload.
-func BenchmarkWireRoundTrip(b *testing.B) {
-	p := proxcensus2.LinearVote{V: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bytes, err := wire.Encode(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := wire.Decode(bytes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTCPCluster measures a full BA over real localhost TCP.
-func BenchmarkTCPCluster(b *testing.B) {
-	const n, t, kappa = 4, 1, 6
-	for i := 0; i < b.N; i++ {
-		setup, err := ba.NewSetup(n, t, ba.CoinThreshold, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		proto, err := ba.NewOneShot(setup, kappa, splitInputsBench(n, t))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := transport.RunLocal(proto.Machines, proto.Rounds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFacadeOneShot exercises the public API end to end.
-func BenchmarkFacadeOneShot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		setup, err := proxcensus.NewSetup(7, 2, proxcensus.CoinIdeal, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		proto, err := proxcensus.NewOneShot(setup, 16, splitInputsBench(7, 2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := proto.Run(proxcensus.Passive(), int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// proxbenchRun executes one honest proxcast run for the benchmark.
-func proxbenchRun(n, t, s int, seed int64) (*sim.Result, error) {
-	var keySeed [sig.Size]byte
-	keySeed[0] = 0x77
-	pk, sk := sig.KeyGen(0, keySeed)
-	machines := make([]sim.Machine, n)
-	for i := 0; i < n; i++ {
-		cfg := proxcensus2.ProxcastConfig{
-			N: n, T: t, Slots: s, Self: i, Dealer: 0, Input: 1, DealerPK: pk,
-		}
-		if i == 0 {
-			cfg.DealerSK = sk
-		}
-		machines[i] = proxcensus2.NewProxcastMachine(cfg)
-	}
-	return sim.Run(sim.Config{N: n, T: t, Rounds: s - 1, Seed: seed}, machines, sim.Passive{})
-}
-
-// BenchmarkScaleN measures a full BA run as n grows — the simulator's
-// throughput story.
-func BenchmarkScaleN(b *testing.B) {
-	const kappa = 8
-	for _, n := range []int{10, 20, 40} {
-		n := n
-		t := (n - 1) / 3
-		b.Run(fmt.Sprintf("oneshot/n=%d", n), func(b *testing.B) {
-			benchProtocol(b, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-				setup, err := ba.NewSetup(n, t, ba.CoinIdeal, seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				proto, err := ba.NewOneShot(setup, kappa, splitInputsBench(n, t))
-				return proto, sim.Passive{}, err
-			})
-		})
-	}
-}
-
 // BenchmarkEngineMode pairs the sequential and parallel engines on the
-// same workload — a broadcast-heavy expand Proxcensus at growing n — so
-// CI can assert the parallel engine's speedup (and that the sequential
-// path stays allocation-lean). The workload is raw sim.Run over
-// pre-built machines: protocol setup is outside the timed loop, so the
-// pair isolates the engine itself.
+// same workload — a broadcast-heavy expand Proxcensus at growing n. It
+// is the one measurement cmd/proxperf does not take (its simulator
+// workload runs the sequential engine only); every other performance
+// number comes from there, and the paper's quantities — rounds,
+// signatures, failure rates — from `proxbench -exp` and the harness
+// tests. Both modes build the same machines inside the loop and call
+// raw sim.Run, so the difference within a pair is the engine.
 func BenchmarkEngineMode(b *testing.B) {
 	const rounds = 4
 	for _, mode := range []struct {
@@ -386,24 +39,6 @@ func BenchmarkEngineMode(b *testing.B) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// BenchmarkLasVegas measures the probabilistic-termination loop.
-func BenchmarkLasVegas(b *testing.B) {
-	const n, t = 7, 2
-	for i := 0; i < b.N; i++ {
-		setup, err := ba.NewSetup(n, t, ba.CoinIdeal, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		proto, err := ba.NewLasVegas(setup, 40, splitInputsBench(n, t))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := proto.Run(sim.Passive{}, int64(i)); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

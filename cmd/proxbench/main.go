@@ -8,12 +8,8 @@
 //	proxbench -exp comm -kappa 4
 //	proxbench -list
 //
-// With -serve ADDR it instead becomes an open-loop client for a
-// running proxserve daemon, measuring sustained decisions/sec and p99
-// decision latency:
-//
-//	proxbench -serve 127.0.0.1:7000 -rate 200 -duration 30s
-//	proxbench -serve 127.0.0.1:7000 -proposals 64 -conns 4 -expect-all
+// Performance numbers (decisions per second, latency, bytes and
+// allocation per decision) come from cmd/proxperf, not from here.
 package main
 
 import (
@@ -104,30 +100,8 @@ func main() {
 		workers = flag.Int("workers", 0, "engine worker goroutines per trial (0 = sequential, -1 = GOMAXPROCS)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		serveAddr   = flag.String("serve", "", "open-loop client mode: address of a running proxserve API")
-		rate        = flag.Float64("rate", 0, "serve mode: proposals issued per second (0 = burst)")
-		duration    = flag.Duration("duration", 0, "serve mode: issue window when -proposals is 0")
-		proposals   = flag.Int("proposals", 0, "serve mode: total proposals (0 = rate * duration)")
-		conns       = flag.Int("conns", 1, "serve mode: pipelined API connections")
-		jsonOut     = flag.String("json", "", "serve mode: write the summary as one JSON line to this file")
-		expectAll   = flag.Bool("expect-all", false, "serve mode: fail unless every sent proposal decided")
-		payloadSize = flag.Int("payload-size", 0, "serve mode: propose deterministic payloads of this many bytes via proposeb and verify the decided bytes round-trip (0 = digest proposals)")
 	)
 	flag.Parse()
-
-	if *serveAddr != "" {
-		err := runServe(serveConfig{
-			addr: *serveAddr, rate: *rate, duration: *duration,
-			proposals: *proposals, conns: *conns, jsonPath: *jsonOut, expectAll: *expectAll,
-			payloadSize: *payloadSize,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "proxbench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	exps := experiments()
 	if *list {

@@ -363,39 +363,3 @@ func TestPayloadDigestDifferential(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkPayloadDissemination measures the full ℓ-bit protocol in-sim
-// at n∈{16,64} with kilobyte payloads and reports bytes-on-wire per
-// decided byte (every party decides ℓ bytes, so the denominator is n·ℓ
-// — the O(nℓ) yardstick of the multivalued-BA literature; the reported
-// ratio is the broadcast overhead factor over it).
-func BenchmarkPayloadDissemination(b *testing.B) {
-	const size, kappa = 1024, 4
-	for _, n := range []int{16, 64} {
-		tc := (n - 1) / 3
-		input := bytes.Repeat([]byte{0x6b}, size)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var bytesOnWire, decidedBytes int64
-			for i := 0; i < b.N; i++ {
-				setup, err := ba.NewSetup(n, tc, ba.CoinIdeal, 17)
-				if err != nil {
-					b.Fatal(err)
-				}
-				proto, err := ba.NewMultivaluedPayloadOneShot(setup, kappa, constPayloads(n, input), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := proto.Run(sim.Passive{}, int64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := ba.CheckPayloadValidity(input, ba.PayloadDecisions(res)); err != nil {
-					b.Fatal(err)
-				}
-				bytesOnWire += int64(res.Metrics.TotalHonestBytes())
-				decidedBytes += int64(n * size)
-			}
-			b.ReportMetric(float64(bytesOnWire)/float64(decidedBytes), "bytes/decbyte")
-		})
-	}
-}

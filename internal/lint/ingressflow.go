@@ -9,7 +9,7 @@ import (
 
 // IngressFlow makes the PR 3 trust boundary a compile-time rule: every
 // value produced by an internal/wire decode function is untrusted and
-// must flow through the internal/validate screen (Validator.Admit)
+// must flow through the internal/validate screen (Validator.AdmitBatch)
 // before it reaches a protocol machine — a Deliver/Step method on any
 // sim.Machine implementation, or a call through the interface itself.
 //
@@ -17,9 +17,9 @@ import (
 // result taints the variables it flows into through assignments,
 // composite literals, appends, indexing and range; the taint is NOT
 // propagated by a statement when every tainted variable it mentions is
-// dominated by an Admit call screening that same variable — which is
-// exactly the transport receive loop's shape, where the admitted
-// payload is appended to the inbox under the screen. Function results
+// dominated by an AdmitBatch call screening that same variable — which
+// is exactly the transport receive loop's shape, where the admitted
+// payloads are appended to the inbox under the screen. Function results
 // built from unscreened decode output carry the taint to callers via
 // summaries, so the rule holds across helper boundaries.
 //
@@ -27,7 +27,7 @@ import (
 // out with //lint:trusted on the sink line or the enclosing function.
 var IngressFlow = &Analyzer{
 	Name: "ingressflow",
-	Doc: "wire-decoded values are untrusted and must pass validate.Admit " +
+	Doc: "wire-decoded values are untrusted and must pass validate.AdmitBatch " +
 		"before reaching a Machine Deliver/Step; annotate deliberate " +
 		"bypasses (attacker/test code) with //lint:trusted",
 	RunModule: runIngressFlow,
@@ -77,14 +77,13 @@ func isSource(fn *types.Func) bool {
 		strings.HasPrefix(fn.Name(), "Decode")
 }
 
-// isScreen reports whether fn is the validate admission check — the
-// per-message Admit or the batched AdmitBatch (equivalent by
-// construction; see internal/validate/batch.go). DecodeOnly is NOT a
-// screen: it only checks that bytes parsed.
+// isScreen reports whether fn is the validate admission check,
+// AdmitBatch. DecodeOnly is NOT a screen: it only checks that bytes
+// parsed.
 func isScreen(fn *types.Func) bool {
 	return fn != nil &&
 		strings.HasSuffix(pkgPathOf(fn), "internal/validate") &&
-		(fn.Name() == "Admit" || fn.Name() == "AdmitBatch")
+		fn.Name() == "AdmitBatch"
 }
 
 // sourceMask returns the tainted results of a source call: everything
@@ -109,7 +108,7 @@ type ifState struct {
 	fb      *FuncBody
 	info    *types.Info
 	tainted map[types.Object]bool
-	// screens are the Admit call sites with the objects they screen.
+	// screens are the AdmitBatch call sites with the objects they screen.
 	screens []screenSite
 }
 
@@ -157,7 +156,7 @@ func (fl *ingressFlow) analyze(fb *FuncBody, report bool) bool {
 	return changed
 }
 
-// collectScreens indexes the Admit call sites and the local objects
+// collectScreens indexes the AdmitBatch call sites and the local objects
 // their arguments mention.
 func (st *ifState) collectScreens() {
 	ast.Inspect(st.fb.Decl.Body, func(n ast.Node) bool {
@@ -191,7 +190,7 @@ func (st *ifState) rootObjects(e ast.Expr) []types.Object {
 }
 
 // screenedAt reports whether every object in roots is screened by an
-// Admit call dominating pos. An empty root set (a bare decode call) can
+// AdmitBatch call dominating pos. An empty root set (a bare decode call) can
 // never be screened.
 func (st *ifState) screenedAt(roots []types.Object, pos token.Pos) bool {
 	if len(roots) == 0 {
@@ -308,7 +307,7 @@ func (st *ifState) taint(lhs ast.Expr) bool {
 
 // propagateAssign handles `x, y := f()` and `x = expr` forms, blocking
 // propagation through statements whose tainted inputs are all screened
-// by a dominating Admit.
+// by a dominating AdmitBatch.
 func (st *ifState) propagateAssign(as *ast.AssignStmt) bool {
 	changed := false
 	// Multi-value call on the right.
@@ -428,7 +427,7 @@ func (st *ifState) reportSinks() {
 				continue
 			}
 			st.fl.mp.Reportf(call.Pos(),
-				"wire-decoded value %s reaches %s without passing validate.Admit; screen it or annotate //lint:trusted",
+				"wire-decoded value %s reaches %s without passing validate.AdmitBatch; screen it or annotate //lint:trusted",
 				types.ExprString(arg), sinkName(st.info, call))
 			break
 		}

@@ -1,5 +1,5 @@
 // Package ingressflow exercises the ingressflow analyzer: wire-decoded
-// payloads must pass validate.Admit before reaching a Machine
+// payloads must pass validate.AdmitBatch before reaching a Machine
 // Deliver/Step; deliberate bypasses carry //lint:trusted.
 package ingressflow
 
@@ -22,29 +22,42 @@ var _ sim.Machine = machine{}
 func unscreened(m machine, raw []byte) {
 	p, err := wire.Decode(raw)
 	_ = err
-	m.Deliver(1, []sim.Message{{Payload: p}}) // want "without passing validate.Admit"
+	m.Deliver(1, []sim.Message{{Payload: p}}) // want "without passing validate.AdmitBatch"
 }
 
-// screened admits the payload first: the Admit call dominates the
-// delivery, so the flow is clean.
+// screened admits the payload first, as a batch of one: the AdmitBatch
+// call dominates the delivery, so the flow is clean.
 func screened(m machine, v *validate.Validator, raw []byte) {
 	p, err := wire.Decode(raw)
-	if !v.Admit(1, 0, raw, p, err) {
+	in := []validate.Inbound{{Raw: raw, Payload: p, Err: err}}
+	if !v.AdmitBatch(1, in, nil)[0] {
 		return
 	}
-	m.Deliver(1, []sim.Message{{Payload: p}})
+	m.Deliver(1, []sim.Message{{Payload: in[0].Payload}})
 }
 
 // branchScreen admits on only one branch: the screen does not dominate
 // the sink, so the taint survives.
 func branchScreen(m machine, v *validate.Validator, raw []byte, fast bool) {
 	p, err := wire.Decode(raw)
+	in := []validate.Inbound{{Raw: raw, Payload: p, Err: err}}
 	if !fast {
-		if !v.Admit(1, 0, raw, p, err) {
+		if !v.AdmitBatch(1, in, nil)[0] {
 			return
 		}
 	}
-	m.Deliver(1, []sim.Message{{Payload: p}}) // want "without passing validate.Admit"
+	m.Deliver(1, []sim.Message{{Payload: in[0].Payload}}) // want "without passing validate.AdmitBatch"
+}
+
+// screenedOther screens the batch and delivers the variable it was
+// built from: a screen covers only what its arguments mention.
+func screenedOther(m machine, v *validate.Validator, raw []byte) {
+	p, err := wire.Decode(raw)
+	in := []validate.Inbound{{Raw: raw, Payload: p, Err: err}}
+	if !v.AdmitBatch(1, in, nil)[0] {
+		return
+	}
+	m.Deliver(1, []sim.Message{{Payload: p}}) // want "without passing validate.AdmitBatch"
 }
 
 // decode is a helper returning raw decode output: its result summary
@@ -57,14 +70,14 @@ func decode(raw []byte) sim.Payload {
 // viaHelper shows the summary crossing the helper boundary.
 func viaHelper(m machine, raw []byte) {
 	p := decode(raw)
-	m.Deliver(1, []sim.Message{{Payload: p}}) // want "without passing validate.Admit"
+	m.Deliver(1, []sim.Message{{Payload: p}}) // want "without passing validate.AdmitBatch"
 }
 
 // ifaceSink delivers through the interface rather than a concrete
 // machine: still a sink.
 func ifaceSink(m sim.Machine, raw []byte) {
 	p := decode(raw)
-	m.Deliver(1, []sim.Message{{Payload: p}}) // want "without passing validate.Admit"
+	m.Deliver(1, []sim.Message{{Payload: p}}) // want "without passing validate.AdmitBatch"
 }
 
 // replay is an attacker harness that bypasses the screen on purpose.
@@ -169,7 +182,7 @@ func laneSieved(m machine, ir *instanceRun, frame []byte) {
 		}
 		ir.inbox = append(ir.inbox, sim.Message{Payload: ir.in[i].Payload})
 	}
-	m.Deliver(round, ir.inbox) // want "without passing validate.Admit"
+	m.Deliver(round, ir.inbox) // want "without passing validate.AdmitBatch"
 }
 
 // decodeSieved swaps the screen for DecodeOnly, which only checks that
@@ -188,5 +201,5 @@ func decodeSieved(m machine, nd *node, raws [][]byte) {
 		}
 		nd.inbox = append(nd.inbox, sim.Message{Payload: nd.in[i].Payload})
 	}
-	m.Deliver(1, nd.inbox) // want "without passing validate.Admit"
+	m.Deliver(1, nd.inbox) // want "without passing validate.AdmitBatch"
 }

@@ -80,69 +80,90 @@ func (s *Service) serveConn(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 256), apiMaxLine)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
+		req, refusal := parseRequest(sc.Text())
+		if refusal != "" {
+			reply(refusal)
 			continue
 		}
-		if len(fields) != 3 || (fields[0] != "propose" && fields[0] != "proposeb") {
-			reply("err - malformed request, want: propose <reqid> <value> | proposeb <reqid> <payload-hex>")
-			continue
+		if req.reqid == "" {
+			continue // blank line
 		}
-		reqid := fields[1]
-		if fields[0] == "proposeb" {
-			payload, err := hex.DecodeString(fields[2])
-			if err != nil {
-				reply(fmt.Sprintf("err %s payload is not hex: %v", reqid, err))
-				continue
-			}
-			tk, err := s.SubmitPayload(payload)
-			switch {
-			case errors.Is(err, ErrOverloaded):
-				reply(fmt.Sprintf("busy %s %d", reqid, s.cfg.RetryAfter.Milliseconds()))
-			case err != nil:
-				reply(fmt.Sprintf("err %s %v", reqid, err))
-			default:
-				wg.Add(1)
-				go func(reqid string, tk *Ticket) {
-					defer wg.Done()
-					d := tk.Wait()
-					committed := 0
-					echo := "-"
-					if d.Committed {
-						committed = 1
-						echo = hex.EncodeToString(d.Payload)
-					}
-					reply(fmt.Sprintf("decidedb %s %d %d %d %s",
-						reqid, d.Instance, committed, d.Latency.Microseconds(), echo))
-				}(reqid, tk)
-			}
-			continue
+		var tk *Ticket
+		var err error
+		if req.isPayload {
+			tk, err = s.SubmitPayload(req.payload)
+		} else {
+			tk, err = s.Submit(req.value)
 		}
-		value, err := strconv.Atoi(fields[2])
-		if err != nil {
-			reply(fmt.Sprintf("err %s value %q is not an integer", reqid, fields[2]))
-			continue
-		}
-		tk, err := s.Submit(ba.Value(value))
 		switch {
 		case errors.Is(err, ErrOverloaded):
-			reply(fmt.Sprintf("busy %s %d", reqid, s.cfg.RetryAfter.Milliseconds()))
+			reply(fmt.Sprintf("busy %s %d", req.reqid, s.cfg.RetryAfter.Milliseconds()))
 		case err != nil:
-			reply(fmt.Sprintf("err %s %v", reqid, err))
+			reply(fmt.Sprintf("err %s %v", req.reqid, err))
 		default:
 			wg.Add(1)
-			go func(reqid string, tk *Ticket) {
+			go func(reqid string, isPayload bool) {
 				defer wg.Done()
-				d := tk.Wait()
-				committed := 0
-				if d.Committed {
-					committed = 1
-				}
-				reply(fmt.Sprintf("decided %s %d %d %d %d",
-					reqid, d.Instance, int(d.Digest), committed, d.Latency.Microseconds()))
-			}(reqid, tk)
+				reply(decisionLine(reqid, isPayload, tk.Wait()))
+			}(req.reqid, req.isPayload) // not req: its payload is not held until the decision
 		}
 	}
+}
+
+// request is one parsed request line: the verb's family, the client's
+// request ID and the proposed value or payload.
+type request struct {
+	reqid     string
+	isPayload bool
+	value     ba.Value
+	payload   []byte
+}
+
+// parseRequest splits one request line. A line that carries no
+// proposal comes back with the `err` line that refuses it; a blank
+// line earns no answer and comes back as the zero request.
+func parseRequest(line string) (req request, refusal string) {
+	fields := strings.Fields(line)
+	if len(fields) == 0 {
+		return request{}, ""
+	}
+	if len(fields) != 3 || (fields[0] != "propose" && fields[0] != "proposeb") {
+		return request{}, "err - malformed request, want: propose <reqid> <value> | proposeb <reqid> <payload-hex>"
+	}
+	req = request{reqid: fields[1], isPayload: fields[0] == "proposeb"}
+	if req.isPayload {
+		payload, err := hex.DecodeString(fields[2])
+		if err != nil {
+			return request{}, fmt.Sprintf("err %s payload is not hex: %v", req.reqid, err)
+		}
+		req.payload = payload
+		return req, ""
+	}
+	value, err := strconv.Atoi(fields[2])
+	if err != nil {
+		return request{}, fmt.Sprintf("err %s value %q is not an integer", req.reqid, fields[2])
+	}
+	req.value = ba.Value(value)
+	return req, ""
+}
+
+// decisionLine renders the answer to a decided request: `decidedb`
+// for a payload proposal, `decided` for a value.
+func decisionLine(reqid string, isPayload bool, d Decision) string {
+	committed := 0
+	if d.Committed {
+		committed = 1
+	}
+	if !isPayload {
+		return fmt.Sprintf("decided %s %d %d %d %d",
+			reqid, d.Instance, int(d.Digest), committed, d.Latency.Microseconds())
+	}
+	echo := "-"
+	if d.Committed {
+		echo = hex.EncodeToString(d.Payload)
+	}
+	return fmt.Sprintf("decidedb %s %d %d %d %s",
+		reqid, d.Instance, committed, d.Latency.Microseconds(), echo)
 }
 
 // Result is one parsed API response on the client side.

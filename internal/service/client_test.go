@@ -223,3 +223,84 @@ func TestParseResult(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAPILine drives both line parsers with arbitrary text. Neither may
+// panic. A request line either parses — and then renders back to a line
+// that parses to the same request, and every answer the server can give
+// it parses on the client side under the same request ID — or is
+// refused with an `err` line the client can parse, or is blank. A
+// response line that parses carries a request ID and exactly one
+// verdict.
+//
+// One seed is a request at the apiMaxLine limit. Fuzz with
+// -fuzzminimizetime=10x (as CI does): left unbounded, the engine spends
+// its time minimizing that seed's 64 KiB mutants instead of executing.
+func FuzzAPILine(f *testing.F) {
+	atMax := "proposeb r " + strings.Repeat("ab", (apiMaxLine-len("proposeb r "))/2)
+	for _, seed := range []string{
+		"propose 7 42",
+		"proposeb r1 deadbeef",
+		"proposeb r2 abc", // odd-length hex
+		"propose  5",      // empty reqid: two fields
+		"propose 1 -3",
+		"propose 1 2 3",
+		"",
+		atMax,
+		"decided 7 3 99 1 1500",
+		"decidedb 4 2 1 900 beef",
+		"decidedb 5 3 0 100 -",
+		"busy 8 50",
+		"err 9 something broke",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		req, refusal := parseRequest(line)
+		switch {
+		case refusal != "":
+			if res, ok := parseResult(refusal); !ok || res.Err == "" || res.Decided || res.Busy {
+				t.Fatalf("refusal %q of %q does not parse as an err line: %+v", refusal, line, res)
+			}
+		case req.reqid != "":
+			rendered := fmt.Sprintf("propose %s %d", req.reqid, req.value)
+			if req.isPayload {
+				rendered = fmt.Sprintf("proposeb %s %x", req.reqid, req.payload)
+			}
+			again, refusal := parseRequest(rendered)
+			if refusal != "" || again.reqid != req.reqid || again.isPayload != req.isPayload ||
+				again.value != req.value || !bytes.Equal(again.payload, req.payload) {
+				t.Fatalf("%q parsed to %+v, which renders to %q and parses to %+v (%q)", line, req, rendered, again, refusal)
+			}
+			d := Decision{Instance: 3, Digest: 99, Committed: true, Latency: time.Millisecond, Payload: req.payload}
+			for _, answer := range []string{
+				decisionLine(req.reqid, req.isPayload, d),
+				decisionLine(req.reqid, req.isPayload, Decision{Instance: 3}),
+				fmt.Sprintf("busy %s %d", req.reqid, 50),
+				fmt.Sprintf("err %s %v", req.reqid, ErrClosed),
+			} {
+				res, ok := parseResult(answer)
+				if !ok || res.ReqID != req.reqid {
+					t.Fatalf("answer %q to %q parsed to %+v ok=%v", answer, line, res, ok)
+				}
+			}
+			if res, _ := parseResult(decisionLine(req.reqid, req.isPayload, d)); !res.Committed || !bytes.Equal(res.Payload, req.payload) {
+				t.Fatalf("committed answer to %q lost its payload: %+v", line, res)
+			}
+		case strings.TrimSpace(line) != "":
+			t.Fatalf("%q earned neither a request nor a refusal", line)
+		}
+
+		if res, ok := parseResult(line); ok {
+			verdicts := 0
+			for _, v := range []bool{res.Decided, res.Busy, res.Err != ""} {
+				if v {
+					verdicts++
+				}
+			}
+			// `err <reqid>` with no message is the one verdict-less line.
+			if res.ReqID == "" || verdicts > 1 || (verdicts == 0 && !strings.HasPrefix(strings.TrimSpace(line), "err")) {
+				t.Fatalf("%q parsed to %+v", line, res)
+			}
+		}
+	})
+}

@@ -308,21 +308,7 @@ func (s *Service) Submit(value ba.Value) (*Ticket, error) {
 	if value < 0 {
 		return nil, fmt.Errorf("service: negative value %d", value)
 	}
-	tk := &Ticket{done: make(chan Decision, 1)}
-	p := proposal{value: value, enqueued: time.Now(), tk: tk}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	select {
-	case s.pending <- p:
-		s.submitted++
-		return tk, nil
-	default:
-		s.shed++
-		return nil, fmt.Errorf("%w: %d proposals pending, retry after %s", ErrOverloaded, len(s.pending), s.cfg.RetryAfter)
-	}
+	return s.enqueue(proposal{value: value})
 }
 
 // SubmitPayload offers one ℓ-bit payload proposal: the client's bytes,
@@ -337,13 +323,14 @@ func (s *Service) SubmitPayload(data []byte) (*Ticket, error) {
 	if len(data) > s.cfg.MaxPayload {
 		return nil, fmt.Errorf("service: payload %d bytes exceeds max-payload %d", len(data), s.cfg.MaxPayload)
 	}
-	tk := &Ticket{done: make(chan Decision, 1)}
-	p := proposal{
-		payload:   append([]byte(nil), data...),
-		isPayload: true,
-		enqueued:  time.Now(),
-		tk:        tk,
-	}
+	return s.enqueue(proposal{payload: append([]byte(nil), data...), isPayload: true})
+}
+
+// enqueue is admission control: the proposal gets its ticket and a
+// place in the pending queue, or the queue is full and it is shed.
+func (s *Service) enqueue(p proposal) (*Ticket, error) {
+	p.tk = &Ticket{done: make(chan Decision, 1)}
+	p.enqueued = time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -352,7 +339,7 @@ func (s *Service) SubmitPayload(data []byte) (*Ticket, error) {
 	select {
 	case s.pending <- p:
 		s.submitted++
-		return tk, nil
+		return p.tk, nil
 	default:
 		s.shed++
 		return nil, fmt.Errorf("%w: %d proposals pending, retry after %s", ErrOverloaded, len(s.pending), s.cfg.RetryAfter)
@@ -526,7 +513,8 @@ func (s *Service) runInstance(batch []proposal) {
 	if batch[0].isPayload {
 		input := encodeBatchPayload(batch)
 		var decided []byte
-		decided, err = s.decidePayload(inst, input)
+		decided, err = decide(s, inst, input,
+			ba.NewMultivaluedPayloadOneShot, ba.PayloadDecisionsFromOutputs, ba.CheckPayloadAgreement)
 		committed = err == nil && bytes.Equal(decided, input)
 		digest = payloadDigest(decided)
 		if err == nil && !committed {
@@ -539,7 +527,8 @@ func (s *Service) runInstance(batch []proposal) {
 	} else {
 		digest = batchDigest(batch)
 		var decidedV ba.Value
-		decidedV, err = s.decide(inst, digest)
+		decidedV, err = decide(s, inst, digest,
+			ba.NewMultivaluedOneShot, ba.DecisionsFromOutputs, ba.CheckAgreement)
 		committed = err == nil && decidedV == digest
 		if err == nil && !committed {
 			err = fmt.Errorf("service: instance %d decided %d, batch digest %d", inst, decidedV, digest)
@@ -570,54 +559,35 @@ func (s *Service) runInstance(batch []proposal) {
 }
 
 // decide runs one multivalued BA instance with every party proposing
-// the digest and returns the agreed value.
-func (s *Service) decide(inst int, digest ba.Value) (ba.Value, error) {
-	inputs := make([]ba.Value, s.cfg.N)
-	for i := range inputs {
-		inputs[i] = digest
-	}
-	proto, err := ba.NewMultivaluedOneShot(s.setup, s.cfg.Kappa, inputs, 0)
-	if err != nil {
-		return 0, err
-	}
-	outs, err := s.drive(inst, proto.Rounds, proto.Machines)
-	if err != nil {
-		return 0, err
-	}
-	decisions := ba.DecisionsFromOutputs(outs)
-	if len(decisions) != len(outs) {
-		return 0, fmt.Errorf("service: instance %d produced %d decisions from %d outputs", inst, len(decisions), len(outs))
-	}
-	if err := ba.CheckAgreement(decisions); err != nil {
-		return 0, fmt.Errorf("service: instance %d: %w", inst, err)
-	}
-	return decisions[0], nil
-}
-
-// decidePayload runs one multivalued payload BA instance with every
-// party proposing the batch bytes and returns the agreed bytes. The
-// machine lattice is the payload Turpin-Coan family, so what travels
-// the wire and what the parties decide are the bytes themselves, not a
-// digest stand-in.
-func (s *Service) decidePayload(inst int, input []byte) ([]byte, error) {
-	inputs := make([][]byte, s.cfg.N)
+// input and returns what the parties agreed on. The family is the
+// caller's choice of constructor, output extractor and agreement check:
+// for a digest batch the parties agree on a ba.Value; for a payload
+// batch the machine lattice is the payload Turpin-Coan family, so what
+// travels the wire and what the parties decide are the batch bytes
+// themselves, not a digest stand-in. Both constructors take the
+// fallback decision last, and both families use its zero value.
+func decide[T any](s *Service, inst int, input T,
+	build func(*ba.Setup, int, []T, T) (*ba.Protocol, error),
+	extract func([]any) []T, agree func([]T) error) (T, error) {
+	var fallback T
+	inputs := make([]T, s.cfg.N)
 	for i := range inputs {
 		inputs[i] = input
 	}
-	proto, err := ba.NewMultivaluedPayloadOneShot(s.setup, s.cfg.Kappa, inputs, nil)
+	proto, err := build(s.setup, s.cfg.Kappa, inputs, fallback)
 	if err != nil {
-		return nil, err
+		return fallback, err
 	}
 	outs, err := s.drive(inst, proto.Rounds, proto.Machines)
 	if err != nil {
-		return nil, err
+		return fallback, err
 	}
-	decisions := ba.PayloadDecisionsFromOutputs(outs)
+	decisions := extract(outs)
 	if len(decisions) != len(outs) {
-		return nil, fmt.Errorf("service: instance %d produced %d decisions from %d outputs", inst, len(decisions), len(outs))
+		return fallback, fmt.Errorf("service: instance %d produced %d decisions from %d outputs", inst, len(decisions), len(outs))
 	}
-	if err := ba.CheckPayloadAgreement(decisions); err != nil {
-		return nil, fmt.Errorf("service: instance %d: %w", inst, err)
+	if err := agree(decisions); err != nil {
+		return fallback, fmt.Errorf("service: instance %d: %w", inst, err)
 	}
 	return decisions[0], nil
 }

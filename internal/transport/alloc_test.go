@@ -108,7 +108,7 @@ func TestSendSteadyStateAllocations(t *testing.T) {
 // admitted senders, same payload values.
 func TestReceivePathMatchesLegacyDecode(t *testing.T) {
 	nd, msgs := ingressFixture(t, 16)
-	body, err := wire.EncodeTaggedBatch(LocalInstance, 1, msgs)
+	body, err := wire.AppendEncodeTaggedBatch(nil, LocalInstance, 1, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPayloadRoundDecodeAllocations(t *testing.T) {
 		}
 		msgs[i] = wire.BatchMsg{Addr: i, Payload: raw}
 	}
-	body, err := wire.EncodeTaggedBatch(LocalInstance, 2, msgs)
+	body, err := wire.AppendEncodeTaggedBatch(nil, LocalInstance, 2, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,7 +212,7 @@ func TestMuxUnknownInstanceDropped(t *testing.T) {
 	hub, nodes := muxPair(t, n, quickConfig())
 
 	// Node 0 sends a frame for instance 999 that nothing registered.
-	stray, err := wire.EncodeTaggedBatch(999, 1, nil)
+	stray, err := wire.AppendEncodeTaggedBatch(nil, 999, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func (c *RawClient) Close() error { return c.conn.Close() }
 // SendBatch sends a well-formed round batch tagged for c.Instance. A
 // round other than the current one is the wrong-round attack.
 func (c *RawClient) SendBatch(round int, msgs []wire.BatchMsg) error {
-	frame, err := wire.EncodeTaggedBatch(c.Instance, round, msgs)
+	frame, err := wire.AppendEncodeTaggedBatch(nil, c.Instance, round, msgs)
 	if err != nil {
 		return err
 	}

@@ -178,7 +178,7 @@ func rawDial(t *testing.T, addr string, id, resume int) net.Conn {
 // sendEmptyRound writes an empty round-tagged batch by hand.
 func sendEmptyRound(t *testing.T, conn net.Conn, round int) {
 	t.Helper()
-	frame, err := wire.EncodeTaggedBatch(LocalInstance, round, nil)
+	frame, err := wire.AppendEncodeTaggedBatch(nil, LocalInstance, round, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

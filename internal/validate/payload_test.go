@@ -1,8 +1,7 @@
 // Payload ingress tests: the size cap (service ceiling and hard wire
 // cap), content-hash duplicate suppression and payload-equivocation
-// evidence at kilobyte sizes, batch/sequential equivalence for the
-// non-batchable payload classes, the steady-state allocation pin, and
-// the ingress benchmark pair for the payload hot path.
+// evidence at kilobyte sizes, batch-splitting invariance for the
+// non-batchable payload classes, and the steady-state allocation pin.
 
 package validate
 
@@ -22,13 +21,13 @@ func payloadOf(t testing.TB, from int, data []byte) Inbound {
 
 func TestPayloadSizeCap(t *testing.T) {
 	v := New(ForPayloadService(4, 100))
-	if !v.Admit(1, 0, []byte("raw-a"), ba.TCPayload{Data: bytes.Repeat([]byte{1}, 100)}, nil) {
+	if !admitOne(v, 1, Inbound{From: 0, Raw: []byte("raw-a"), Payload: ba.TCPayload{Data: bytes.Repeat([]byte{1}, 100)}}) {
 		t.Error("payload at the service cap rejected")
 	}
-	if v.Admit(1, 1, []byte("raw-b"), ba.TCPayload{Data: bytes.Repeat([]byte{1}, 101)}, nil) {
+	if admitOne(v, 1, Inbound{From: 1, Raw: []byte("raw-b"), Payload: ba.TCPayload{Data: bytes.Repeat([]byte{1}, 101)}}) {
 		t.Error("payload over the service cap admitted")
 	}
-	if v.Admit(1, 2, []byte("raw-c"), ba.TCPayloadEcho{Data: bytes.Repeat([]byte{1}, 101), Valid: true}, nil) {
+	if admitOne(v, 1, Inbound{From: 2, Raw: []byte("raw-c"), Payload: ba.TCPayloadEcho{Data: bytes.Repeat([]byte{1}, 101), Valid: true}}) {
 		t.Error("payload echo over the service cap admitted")
 	}
 	if got := v.Report().Rejections(RejectDomain); got != 2 {
@@ -42,11 +41,11 @@ func TestPayloadHardCap(t *testing.T) {
 	// decoder bug let it through) is still a domain violation.
 	v := New(General(4))
 	over := ba.TCPayload{Data: make([]byte, ba.MaxPayloadBytes+1)}
-	if v.Admit(1, 0, []byte("raw"), over, nil) {
+	if admitOne(v, 1, Inbound{From: 0, Raw: []byte("raw"), Payload: over}) {
 		t.Error("payload over the hard wire cap admitted under General rules")
 	}
 	at := ba.TCPayload{Data: make([]byte, ba.MaxPayloadBytes)}
-	if !v.Admit(1, 1, []byte("raw2"), at, nil) {
+	if !admitOne(v, 1, Inbound{From: 1, Raw: []byte("raw2"), Payload: at}) {
 		t.Error("payload at the hard wire cap rejected under General rules")
 	}
 }
@@ -56,16 +55,16 @@ func TestPayloadDuplicateAndEquivocation(t *testing.T) {
 	a := bytes.Repeat([]byte{0xaa}, 2048)
 	b := bytes.Repeat([]byte{0xbb}, 2048)
 
-	if !v.Admit(1, 0, []byte("raw-a"), ba.TCPayload{Data: a}, nil) {
+	if !admitOne(v, 1, Inbound{From: 0, Raw: []byte("raw-a"), Payload: ba.TCPayload{Data: a}}) {
 		t.Fatal("first payload rejected")
 	}
 	// Byte-identical resend: duplicate, not equivocation.
-	if v.Admit(1, 0, []byte("raw-a"), ba.TCPayload{Data: a}, nil) {
+	if admitOne(v, 1, Inbound{From: 0, Raw: []byte("raw-a"), Payload: ba.TCPayload{Data: a}}) {
 		t.Error("duplicate payload admitted")
 	}
 	// Different content, same sender, same round: payload equivocation,
 	// with evidence keyed on the content hash, not the content.
-	if v.Admit(1, 0, []byte("raw-b"), ba.TCPayload{Data: b}, nil) {
+	if admitOne(v, 1, Inbound{From: 0, Raw: []byte("raw-b"), Payload: ba.TCPayload{Data: b}}) {
 		t.Error("equivocating payload admitted")
 	}
 	rep := v.Report()
@@ -88,10 +87,11 @@ func TestPayloadDuplicateAndEquivocation(t *testing.T) {
 	}
 }
 
-// TestPayloadBatchEquivalence: AdmitBatch must match sequential Admit
-// verdict-for-verdict on payload traffic — including duplicates,
-// equivocators and oversize floods — even though payload classes carry
-// no signatures and settle entirely in the batch's first pass.
+// TestPayloadBatchEquivalence: one AdmitBatch call over the round must
+// match one call per message verdict-for-verdict on payload traffic —
+// including duplicates, equivocators and oversize floods — even though
+// payload classes carry no signatures and settle entirely in the
+// batch's first pass.
 func TestPayloadBatchEquivalence(t *testing.T) {
 	big := bytes.Repeat([]byte{7}, 4096)
 	in := []Inbound{
@@ -104,17 +104,17 @@ func TestPayloadBatchEquivalence(t *testing.T) {
 		{From: 9, Raw: []byte("bad"), Payload: nil, Err: fmt.Errorf("decode failed")},
 	}
 	rules := ForPayloadService(4, 2048)
-	seqV, batchV := New(rules), New(rules)
-	want := admitSeq(seqV, 1, in)
-	got := batchV.AdmitBatch(1, in, nil)
+	splitV, wholeV := New(rules), New(rules)
+	want := admitSplit(splitV, 1, in)
+	got := wholeV.AdmitBatch(1, in, nil)
 	for i := range want {
 		if want[i] != got[i] {
-			t.Errorf("message %d: seq=%t batch=%t", i, want[i], got[i])
+			t.Errorf("message %d: split=%t whole=%t", i, want[i], got[i])
 		}
 	}
-	if seqV.Report().Summary() != batchV.Report().Summary() {
-		t.Errorf("report mismatch:\nseq:   %s\nbatch: %s",
-			seqV.Report().Summary(), batchV.Report().Summary())
+	if !reportsEqual(splitV.Report(), wholeV.Report()) {
+		t.Errorf("report mismatch:\nsplit: %s\nwhole: %s",
+			splitV.Report().Summary(), wholeV.Report().Summary())
 	}
 }
 
@@ -147,53 +147,5 @@ func TestPayloadSteadyStateAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Fatalf("AdmitBatch allocated %.1f objects per steady-state payload round, want 0", allocs)
-	}
-}
-
-// BenchmarkIngressPayload measures one node's screening of a round of
-// ℓ-byte payload echoes (the dissemination-heavy round) at n∈{16,64}:
-// "seq" admits per message, "batch" uses AdmitBatch, whose digest memo
-// hashes a run of byte-identical broadcast echoes once instead of per
-// message. scripts/bench_guard.sh enforces batch ≤ seq/2 ns/op and 0
-// allocs/op on the batch path.
-func BenchmarkIngressPayload(b *testing.B) {
-	const size = 1024
-	for _, n := range []int{16, 64} {
-		rules := ForPayloadService(n, 1<<20)
-		candidate := bytes.Repeat([]byte{0x42}, size)
-		in := make([]Inbound, 0, n)
-		for i := 0; i < n; i++ {
-			in = append(in, inboundOf(b, i, ba.TCPayloadEcho{Data: candidate, Valid: true}))
-		}
-
-		b.Run(fmt.Sprintf("seq/n=%d", n), func(b *testing.B) {
-			v := New(rules)
-			b.SetBytes(int64(n * size))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, m := range in {
-					if !v.Admit(i+1, m.From, m.Raw, m.Payload, m.Err) {
-						b.Fatal("honest payload echo rejected")
-					}
-				}
-			}
-		})
-
-		b.Run(fmt.Sprintf("batch/n=%d", n), func(b *testing.B) {
-			v := New(rules)
-			verdicts := make([]bool, 0, n)
-			verdicts = v.AdmitBatch(1, in, verdicts) // warm scratches
-			b.SetBytes(int64(n * size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				verdicts = v.AdmitBatch(i+2, in, verdicts[:0])
-				for _, ok := range verdicts {
-					if !ok {
-						b.Fatal("honest payload echo rejected")
-					}
-				}
-			}
-		})
 	}
 }

@@ -327,7 +327,7 @@ type uniKey struct {
 
 // firstSeen remembers the first payload admitted into a stream. The
 // payload itself is kept and rendered lazily: evidence strings are only
-// built when a conflict actually materializes, so the admit hot path
+// built when a conflict actually materializes, so the screen's hot path
 // never pays for formatting. Payloads are immutable by the sim.Machine
 // contract, so deferred rendering produces the same string eager
 // rendering would have — within the round: a payload blob's Data
@@ -384,63 +384,16 @@ func (v *Validator) Report() Report {
 	return rep
 }
 
-// Admit screens one incoming payload: raw is the wire encoding, p the
-// decoded payload (nil when decoding failed, with decodeErr set). It
-// returns true when the machine should see the message. Rejections are
-// counted, never fatal.
-//
-// A nil receiver is the validation-off mode: it admits exactly the
-// traffic that decodes. Keeping that fallback inside Admit lets the
-// transport call the screen unconditionally on its ingress path, which
-// is what the ingressflow analyzer verifies.
-//
-//lint:hotpath
-func (v *Validator) Admit(round, from int, raw []byte, p sim.Payload, decodeErr error) bool {
-	if v == nil {
-		return decodeErr == nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if round != v.round {
-		// Round boundary: duplicate and equivocation streams are
-		// per-round (the hub delivers each round's traffic as one batch).
-		v.round = round
-		clear(v.dup)
-		clear(v.first)
-	}
-	if reason, ok := v.check(round, from, raw, p, decodeErr); !ok {
-		v.rep.Rejected[reason]++
-		return false
-	}
-	v.rep.Admitted++
-	return true
-}
-
-// check runs the screening pipeline in fixed order: sender, decode,
-// phase type, domain, duplicate, equivocation, signature. Signature
-// checks come last — they are the expensive step, and everything
-// cheaper prunes first. AdmitBatch exploits exactly this ordering: it
-// runs checkPre for a whole batch in arrival order (so duplicate and
-// equivocation state evolves identically to the sequential path), then
-// settles the deferred signature checks in groups.
-//
-//lint:hotpath
-func (v *Validator) check(round, from int, raw []byte, p sim.Payload, decodeErr error) (Reason, bool) {
-	if _, reason, ok := v.checkPre(round, from, raw, p, decodeErr, nil); !ok {
-		return reason, false
-	}
-	if !v.rules.signatureOK(from, p) {
-		return RejectSignature, false
-	}
-	return 0, true
-}
-
 // checkPre runs every screening stage before signature verification,
-// mutating duplicate/equivocation state exactly as the full sequential
-// check would. memo, when non-nil, memoizes the raw-bytes digest
-// across consecutive calls of one batch: round-batch inboxes are
-// sorted, so the broadcast case (many senders echoing byte-identical
-// payloads) hashes once per run of equal bytes instead of per message.
+// in fixed order: sender, decode, phase type, domain, duplicate,
+// equivocation. Signature checks come last — they are the expensive
+// step, and everything cheaper prunes first — and AdmitBatch settles
+// them in groups after running checkPre over the whole batch in
+// arrival order, so duplicate and equivocation state evolves message
+// by message. memo carries the raw-bytes digest across consecutive
+// calls of one batch: round-batch inboxes are sorted, so the broadcast
+// case (many senders echoing byte-identical payloads) hashes once per
+// run of equal bytes instead of per message.
 //
 //lint:hotpath
 func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeErr error, memo *digestMemo) (Class, Reason, bool) {
@@ -460,15 +413,10 @@ func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeE
 	if !v.rules.inDomain(round, p) {
 		return class, RejectDomain, false
 	}
-	var hash [sha256.Size]byte
-	if memo != nil && memo.valid && bytes.Equal(raw, memo.raw) {
-		hash = memo.hash
-	} else {
-		hash = sha256.Sum256(raw)
-		if memo != nil {
-			memo.raw, memo.hash, memo.valid = raw, hash, true
-		}
+	if !memo.valid || !bytes.Equal(raw, memo.raw) {
+		memo.raw, memo.hash, memo.valid = raw, sha256.Sum256(raw), true
 	}
+	hash := memo.hash
 	if _, seen := v.dup[dupKey{from: from, hash: hash}]; seen {
 		return class, RejectDuplicate, false
 	}

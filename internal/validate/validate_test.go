@@ -13,15 +13,17 @@ import (
 	"proxcensus/internal/wire"
 )
 
+// admitOne screens a single message: a one-element batch through the
+// one screen there is.
+func admitOne(v *Validator, round int, m Inbound) bool {
+	return v.AdmitBatch(round, []Inbound{m}, nil)[0]
+}
+
 // admitPayload encodes p and feeds it through the validator the way
 // the transport does: raw bytes plus the decoded payload.
 func admitPayload(t *testing.T, v *Validator, round, from int, p sim.Payload) bool {
 	t.Helper()
-	raw, err := wire.Encode(p)
-	if err != nil {
-		t.Fatalf("encode %T: %v", p, err)
-	}
-	return v.Admit(round, from, raw, p, nil)
+	return admitOne(v, round, inboundOf(t, from, p))
 }
 
 func testSetup(t *testing.T, n, tc int) *ba.Setup {
@@ -52,12 +54,12 @@ func TestRejectSenderRange(t *testing.T) {
 
 func TestRejectMalformed(t *testing.T) {
 	v := New(General(4))
-	if v.Admit(1, 0, []byte{0xff, 1, 2}, nil, wire.ErrBadTag) {
+	if admitOne(v, 1, Inbound{From: 0, Raw: []byte{0xff, 1, 2}, Err: wire.ErrBadTag}) {
 		t.Fatal("undecodable payload admitted")
 	}
 	// A decoder bug handing over a nil payload without an error must
 	// still be screened out.
-	if v.Admit(1, 0, []byte{}, nil, nil) {
+	if admitOne(v, 1, Inbound{From: 0, Raw: []byte{}}) {
 		t.Fatal("nil payload admitted")
 	}
 	if got := v.Report().Rejections(RejectMalformed); got != 2 {

@@ -58,15 +58,15 @@ func TestDecodeAliasIndependence(t *testing.T) {
 		}
 		msgs = append(msgs, BatchMsg{Addr: i, Payload: raw})
 	}
-	frame, err := AppendEncodeBatch(nil, 5, msgs)
+	frame, err := AppendEncodeTaggedBatch(nil, 0, 5, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var scratch [32]BatchMsg
-	round, aliased, _, err := DecodeBatchAliasCapped(frame, -1, scratch[:0])
+	_, round, aliased, _, err := DecodeTaggedBatchAliasCapped(frame, -1, scratch[:0])
 	if err != nil || round != 5 {
-		t.Fatalf("DecodeBatchAliasCapped: round=%d err=%v", round, err)
+		t.Fatalf("DecodeTaggedBatchAliasCapped: round=%d err=%v", round, err)
 	}
 	if len(aliased) != len(msgs) {
 		t.Fatalf("decoded %d messages, want %d", len(aliased), len(msgs))
@@ -112,29 +112,24 @@ func FuzzDecodeAlias(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		frame, err := AppendEncodeBatch(nil, 2, []BatchMsg{{Addr: 0, Payload: raw}, {Addr: 1, Payload: raw}})
+		frame, err := AppendEncodeTaggedBatch(nil, 0, 2, []BatchMsg{{Addr: 0, Payload: raw}, {Addr: 1, Payload: raw}})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame)
-		// Instance-tagged twin: the tagged alias path must satisfy the
-		// same mutation-independence contract.
-		tagged, err := EncodeTaggedBatch(7, 2, []BatchMsg{{Addr: 0, Payload: raw}})
+		// A far instance tag and a lone entry: what one node's send
+		// frame in a long-lived service looks like.
+		single, err := AppendEncodeTaggedBatch(nil, 1<<40, 2, []BatchMsg{{Addr: 0, Payload: raw}})
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(tagged)
+		f.Add(single)
 	}
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := append([]byte(nil), data...)
-		_, aliased, _, err := DecodeBatchAliasCapped(frame, -1, nil)
-		if err != nil {
-			// Fall back to the tagged framing: either decoder accepting
-			// the input pins the aliasing contract on its payloads.
-			_, _, aliased, _, err = DecodeTaggedBatchAliasCapped(frame, -1, nil)
-		}
+		_, _, aliased, _, err := DecodeTaggedBatchAliasCapped(frame, -1, nil)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
@@ -172,7 +167,7 @@ func FuzzDecodeAlias(f *testing.F) {
 // round, structure, and payload bytes for well-formed and capped
 // frames.
 func TestDecodeBatchAliasMatchesCopy(t *testing.T) {
-	frame, err := AppendEncodeBatch(nil, 9, []BatchMsg{
+	frame, err := AppendEncodeTaggedBatch(nil, 71, 9, []BatchMsg{
 		{Addr: -1, Payload: []byte{1, 2, 3}},
 		{Addr: 4, Payload: nil},
 		{Addr: 2, Payload: bytes.Repeat([]byte{0xcc}, 60)},
@@ -181,17 +176,17 @@ func TestDecodeBatchAliasMatchesCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cap := range []int{-1, 0, 1, 2, 3, 100} {
-		rc, mc, dc, errC := DecodeBatchCapped(frame, cap)
-		ra, ma, da, errA := DecodeBatchAliasCapped(frame, cap, nil)
+		ic, rc, mc, dc, errC := DecodeTaggedBatchCapped(frame, cap)
+		ia, ra, ma, da, errA := DecodeTaggedBatchAliasCapped(frame, cap, nil)
 		if (errC == nil) != (errA == nil) {
 			t.Fatalf("cap=%d: copy err=%v alias err=%v", cap, errC, errA)
 		}
 		if errC != nil {
 			continue
 		}
-		if rc != ra || dc != da || len(mc) != len(ma) {
-			t.Fatalf("cap=%d: copy (r=%d d=%d n=%d) vs alias (r=%d d=%d n=%d)",
-				cap, rc, dc, len(mc), ra, da, len(ma))
+		if ic != ia || rc != ra || dc != da || len(mc) != len(ma) {
+			t.Fatalf("cap=%d: copy (i=%d r=%d d=%d n=%d) vs alias (i=%d r=%d d=%d n=%d)",
+				cap, ic, rc, dc, len(mc), ia, ra, da, len(ma))
 		}
 		for i := range mc {
 			if mc[i].Addr != ma[i].Addr || !bytes.Equal(mc[i].Payload, ma[i].Payload) {
@@ -206,18 +201,18 @@ func TestDecodeBatchAliasMatchesCopy(t *testing.T) {
 // prefix, and rejects a negative round.
 func TestAppendEncodeBatchEquivalence(t *testing.T) {
 	msgs := []BatchMsg{{Addr: 1, Payload: []byte{9, 8}}, {Addr: -1, Payload: nil}}
-	want, err := AppendEncodeBatch(nil, 3, msgs)
+	want, err := AppendEncodeTaggedBatch(nil, 71, 3, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefixed, err := AppendEncodeBatch([]byte{0x77}, 3, msgs)
+	prefixed, err := AppendEncodeTaggedBatch([]byte{0x77}, 71, 3, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prefixed[0] != 0x77 || !bytes.Equal(prefixed[1:], want) {
-		t.Fatal("AppendEncodeBatch mishandled its prefix")
+		t.Fatal("AppendEncodeTaggedBatch mishandled its prefix")
 	}
-	if _, err := AppendEncodeBatch(nil, -1, msgs); err == nil {
+	if _, err := AppendEncodeTaggedBatch(nil, 71, -1, msgs); err == nil {
 		t.Error("negative round encoded")
 	}
 }

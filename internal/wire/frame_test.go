@@ -40,16 +40,16 @@ func TestBatchRoundTrip(t *testing.T) {
 		{{Addr: 0, Payload: nil}, {Addr: 3, Payload: []byte{1}}, {Addr: -1, Payload: bytes.Repeat([]byte{7}, 300)}},
 	}
 	for i, msgs := range cases {
-		frame, err := AppendEncodeBatch(nil, i+1, msgs)
+		frame, err := AppendEncodeTaggedBatch(nil, 10*i, i+1, msgs)
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", i, err)
 		}
-		round, got, _, err := DecodeBatchCapped(frame, -1)
+		inst, round, got, err := DecodeTaggedBatch(frame)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if round != i+1 {
-			t.Errorf("case %d: round = %d, want %d", i, round, i+1)
+		if inst != 10*i || round != i+1 {
+			t.Errorf("case %d: instance %d round %d, want %d and %d", i, inst, round, 10*i, i+1)
 		}
 		if len(got) != len(msgs) {
 			t.Fatalf("case %d: %d messages, want %d", i, len(got), len(msgs))
@@ -63,25 +63,25 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestBatchRejectsMalformed(t *testing.T) {
-	good, err := AppendEncodeBatch(nil, 2, []BatchMsg{{Addr: 1, Payload: []byte{9, 9}}})
+	good, err := AppendEncodeTaggedBatch(nil, 5, 2, []BatchMsg{{Addr: 1, Payload: []byte{9, 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := map[string][]byte{
-		"short header":   good[:12],
+		"short header":   good[:20],
 		"trailing bytes": append(append([]byte(nil), good...), 0),
 		"truncated":      good[:len(good)-1],
 	}
 	absurd := append([]byte(nil), good...)
-	binary.BigEndian.PutUint64(absurd[8:16], 1<<40)
+	binary.BigEndian.PutUint64(absurd[16:24], 1<<40)
 	bad["absurd count"] = absurd
 	negRound := append([]byte(nil), good...)
 	minusOne := int64(-1)
-	binary.BigEndian.PutUint64(negRound[:8], uint64(minusOne))
+	binary.BigEndian.PutUint64(negRound[8:16], uint64(minusOne))
 	bad["negative round"] = negRound
 
 	for name, frame := range bad { //lint:ordered assertions are independent per case
-		if _, _, _, err := DecodeBatchCapped(frame, -1); !errors.Is(err, ErrBadFrame) {
+		if _, _, _, _, err := DecodeTaggedBatchCapped(frame, -1); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestAppendEncodeBatchGrowsOnce(t *testing.T) {
 	var frame []byte
 	allocs := testing.AllocsPerRun(10, func() {
 		var err error
-		if frame, err = AppendEncodeBatch(prefix[:3:3], 4, msgs); err != nil {
+		if frame, err = AppendEncodeTaggedBatch(prefix[:3:3], 9, 4, msgs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -116,9 +116,9 @@ func TestAppendEncodeBatchGrowsOnce(t *testing.T) {
 	if !bytes.Equal(frame[:3], prefix) {
 		t.Errorf("prefix clobbered: %x", frame[:3])
 	}
-	round, got, _, err := DecodeBatchCapped(frame[3:], -1)
-	if err != nil || round != 4 || len(got) != len(msgs) {
-		t.Fatalf("round %d, %d msgs, err %v", round, len(got), err)
+	inst, round, got, err := DecodeTaggedBatch(frame[3:])
+	if err != nil || inst != 9 || round != 4 || len(got) != len(msgs) {
+		t.Fatalf("instance %d, round %d, %d msgs, err %v", inst, round, len(got), err)
 	}
 	for i := range got {
 		if got[i].Addr != msgs[i].Addr || !bytes.Equal(got[i].Payload, msgs[i].Payload) {
@@ -126,7 +126,7 @@ func TestAppendEncodeBatchGrowsOnce(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if _, err := AppendEncodeBatch(frame[:0], 4, msgs); err != nil {
+		if _, err := AppendEncodeTaggedBatch(frame[:0], 9, 4, msgs); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -135,11 +135,11 @@ func TestAppendEncodeBatchGrowsOnce(t *testing.T) {
 }
 
 func TestEncodeBatchRejectsOversize(t *testing.T) {
-	if _, err := AppendEncodeBatch(nil, -1, nil); !errors.Is(err, ErrBadFrame) {
+	if _, err := AppendEncodeTaggedBatch(nil, 0, -1, nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("negative round: err = %v, want ErrBadFrame", err)
 	}
 	huge := []BatchMsg{{Addr: 0, Payload: make([]byte, MaxFrame)}}
-	if _, err := AppendEncodeBatch(nil, 1, huge); !errors.Is(err, ErrBadFrame) {
+	if _, err := AppendEncodeTaggedBatch(nil, 0, 1, huge); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("oversize batch: err = %v, want ErrBadFrame", err)
 	}
 }
@@ -149,17 +149,17 @@ func TestDecodeBatchCapped(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = BatchMsg{Addr: i, Payload: []byte{byte(i)}}
 	}
-	frame, err := AppendEncodeBatch(nil, 3, msgs)
+	frame, err := AppendEncodeTaggedBatch(nil, 8, 3, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	round, got, dropped, err := DecodeBatchCapped(frame, 4)
+	inst, round, got, dropped, err := DecodeTaggedBatchCapped(frame, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if round != 3 || len(got) != 4 || dropped != 6 {
-		t.Fatalf("round=%d kept=%d dropped=%d, want 3/4/6", round, len(got), dropped)
+	if inst != 8 || round != 3 || len(got) != 4 || dropped != 6 {
+		t.Fatalf("instance=%d round=%d kept=%d dropped=%d, want 8/3/4/6", inst, round, len(got), dropped)
 	}
 	for i := range got {
 		if got[i].Addr != i || !bytes.Equal(got[i].Payload, []byte{byte(i)}) {
@@ -168,34 +168,34 @@ func TestDecodeBatchCapped(t *testing.T) {
 	}
 
 	// A negative cap disables truncation.
-	_, got, dropped, err = DecodeBatchCapped(frame, -1)
+	_, _, got, dropped, err = DecodeTaggedBatchCapped(frame, -1)
 	if err != nil || len(got) != 10 || dropped != 0 {
 		t.Fatalf("uncapped: kept=%d dropped=%d err=%v", len(got), dropped, err)
 	}
 
 	// An exact-fit cap keeps everything and the trailing-bytes check
 	// still applies.
-	_, got, dropped, err = DecodeBatchCapped(frame, 10)
+	_, _, got, dropped, err = DecodeTaggedBatchCapped(frame, 10)
 	if err != nil || len(got) != 10 || dropped != 0 {
 		t.Fatalf("exact cap: kept=%d dropped=%d err=%v", len(got), dropped, err)
 	}
-	if _, _, _, err := DecodeBatchCapped(append(append([]byte(nil), frame...), 0), 10); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, _, err := DecodeTaggedBatchCapped(append(append([]byte(nil), frame...), 0), 10); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("trailing bytes with exact cap: err = %v, want ErrBadFrame", err)
 	}
 
 	// A truncated entry inside the kept prefix still errors.
-	if _, _, _, err := DecodeBatchCapped(frame[:20], 4); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, _, err := DecodeTaggedBatchCapped(frame[:28], 4); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("truncated entry: err = %v, want ErrBadFrame", err)
 	}
 }
 
 func TestDecodeBatchCappedZero(t *testing.T) {
-	frame, err := AppendEncodeBatch(nil, 1, []BatchMsg{{Addr: 0, Payload: []byte{1}}})
+	frame, err := AppendEncodeTaggedBatch(nil, 0, 1, []BatchMsg{{Addr: 0, Payload: []byte{1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cap 0 keeps nothing and reports the whole batch as dropped.
-	_, got, dropped, err := DecodeBatchCapped(frame, 0)
+	_, _, got, dropped, err := DecodeTaggedBatchCapped(frame, 0)
 	if err != nil || len(got) != 0 || dropped != 1 {
 		t.Fatalf("cap 0: kept=%d dropped=%d err=%v", len(got), dropped, err)
 	}

@@ -46,10 +46,11 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzDecodeBatch drives the transport frame codec with arbitrary
-// bytes: it must never panic, and every batch it accepts must
-// re-encode byte-identically (the batch encoding is canonical).
+// bytes from a corpus of whole, truncated and blob-carrying frames: it
+// must never panic, and every batch it accepts must re-encode
+// byte-identically (checkBatchCanonical).
 func FuzzDecodeBatch(f *testing.F) {
-	seed, err := AppendEncodeBatch(nil, 3, []BatchMsg{
+	seed, err := AppendEncodeTaggedBatch(nil, 0, 3, []BatchMsg{
 		{Addr: -1, Payload: []byte{0xde, 0xad}},
 		{Addr: 2, Payload: nil},
 	})
@@ -57,7 +58,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	empty, err := AppendEncodeBatch(nil, 1, nil)
+	empty, err := AppendEncodeTaggedBatch(nil, 0, 1, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -65,10 +66,8 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeHello(4, 7))
 	f.Add(bytes.Repeat([]byte{0xff}, 40))
-	// Cross-decode seeds: instance-tagged frames fed to the untagged
-	// decoder (the tag lands where the round is expected), whole and
-	// truncated mid-tag.
-	tagged, err := EncodeTaggedBatch(9, 3, []BatchMsg{{Addr: 1, Payload: []byte{0x42}}})
+	// A frame of a later instance, whole and truncated mid-tag.
+	tagged, err := AppendEncodeTaggedBatch(nil, 9, 3, []BatchMsg{{Addr: 1, Payload: []byte{0x42}}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -80,24 +79,12 @@ func FuzzDecodeBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	withBlob, err := AppendEncodeBatch(nil, 6, []BatchMsg{{Addr: 0, Payload: blob}})
+	withBlob, err := AppendEncodeTaggedBatch(nil, 0, 6, []BatchMsg{{Addr: 0, Payload: blob}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(withBlob)
 	f.Add(withBlob[:len(withBlob)-512])
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		round, msgs, _, err := DecodeBatchCapped(data, -1)
-		if err != nil {
-			return // rejected input is fine; panics are not
-		}
-		re, err := AppendEncodeBatch(nil, round, msgs)
-		if err != nil {
-			t.Fatalf("decoded batch but cannot re-encode: %v", err)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("batch encoding not canonical: %x vs %x", re, data)
-		}
-	})
+	f.Fuzz(checkBatchCanonical)
 }

@@ -3,15 +3,16 @@
 // shared TCP connection carry many concurrent protocol instances, from
 // the retired one-execution-per-connection framing (v1), whose hello
 // the transport still recognizes in order to refuse it with a pointed
-// error. The tagged codec wraps the untagged batch codec — an 8-byte
-// instance tag in front of the round-tagged body — so it inherits the
-// flood-capped, zero-copy decode core.
+// error. The batch codec below is the only one: an 8-byte instance tag,
+// the round tag, then the addressed payload blobs, decoded through one
+// flood-capped, zero-copy core.
 
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Protocol versions announced by the hello frame. A 16-byte hello is
@@ -37,8 +38,13 @@ const helloSizeV = helloSize + 1
 // monotonically and must not wrap within any realistic uptime.
 const maxInstance = 1 << 62
 
-// taggedHeader is the instance tag prefixed to a mux batch body.
-const taggedHeader = 8
+// taggedHeader is the instance tag a batch body starts with, and
+// batchHeader the whole fixed part: instance tag, round tag, message
+// count, eight bytes each.
+const (
+	taggedHeader = 8
+	batchHeader  = taggedHeader + 16
+)
 
 // EncodeHelloVersion builds a hello frame announcing a node's identity
 // and the framing it intends to speak. VersionLegacy produces the
@@ -93,22 +99,15 @@ func CheckVersion(peer, local int) error {
 		ErrBadFrame, peer, local)
 }
 
-// EncodeTaggedBatch builds an instance-tagged batch frame body in a
-// fresh buffer: the 8-byte instance tag followed by the untagged batch
-// body. The tag lets a receiver demultiplex many concurrent protocol
-// instances sharing one connection.
-func EncodeTaggedBatch(instance, round int, msgs []BatchMsg) ([]byte, error) {
-	size := taggedHeader + 16
-	for _, m := range msgs {
-		size += 16 + len(m.Payload)
-	}
-	return AppendEncodeTaggedBatch(make([]byte, 0, size), instance, round, msgs)
-}
-
-// AppendEncodeTaggedBatch builds an instance-tagged batch frame body by
-// appending to dst, returning the extended slice. The tail is
-// byte-identical to AppendEncodeBatch — the tagged framing is a pure
-// prefix.
+// AppendEncodeTaggedBatch builds a batch frame body — the 8-byte
+// instance tag that lets a receiver demultiplex the protocol instances
+// sharing one connection, the round tag that lets it discard stale or
+// duplicated frames instead of desynchronizing, then the addressed
+// payload blobs — by appending to dst, returning the extended slice.
+// The transport reuses one frame buffer per instance across rounds, so
+// steady-state sending allocates nothing, and a buffer that is too
+// small grows to the frame's size in one step instead of climbing
+// append's growth ladder.
 //
 //lint:hotpath
 func AppendEncodeTaggedBatch(dst []byte, instance, round int, msgs []BatchMsg) ([]byte, error) {
@@ -116,8 +115,29 @@ func AppendEncodeTaggedBatch(dst []byte, instance, round int, msgs []BatchMsg) (
 		//lint:hotpath cold path: encoder-side parameter bug, never live traffic
 		return nil, fmt.Errorf("%w: batch instance %d", ErrBadFrame, instance)
 	}
+	if round < 0 || round > maxRound {
+		//lint:hotpath cold path: encoder-side parameter bug, never live traffic
+		return nil, fmt.Errorf("%w: batch round %d", ErrBadFrame, round)
+	}
+	size := batchHeader
+	for _, m := range msgs {
+		size += 16 + len(m.Payload)
+	}
+	if size > MaxFrame {
+		//lint:hotpath cold path: oversized batch, connection is abandoned
+		return nil, fmt.Errorf("%w: batch of %d bytes exceeds frame limit", ErrBadFrame, size)
+	}
+	//lint:hotpath amortized: the buffer grows to the frame size once, then is reused
+	dst = slices.Grow(dst, size)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(instance)))
-	return AppendEncodeBatch(dst, round, msgs)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(round)))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(msgs)))
+	for _, m := range msgs {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Addr)))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(len(m.Payload)))
+		dst = append(dst, m.Payload...)
+	}
+	return dst, nil
 }
 
 // DecodeTaggedBatch parses an instance-tagged batch frame body.
@@ -147,25 +167,69 @@ func DecodeTaggedBatchCapped(body []byte, maxMsgs int) (instance, round int, msg
 	return instance, round, msgs, dropped, nil
 }
 
-// DecodeTaggedBatchAliasCapped is the zero-copy core of the tagged
-// decode paths: it strips and bounds the instance tag, then delegates
-// to the untagged alias/capped core, preserving its flood-truncation
-// and three-index sub-slice guarantees.
+// DecodeTaggedBatchAliasCapped is the zero-copy core every batch
+// decoder parses through: message payloads alias body (three-index
+// sub-slices, so a consumer appending to one cannot clobber its
+// neighbor) and entries append into scratch instead of a fresh slice.
+// The caller owns the aliasing contract — body must stay untouched
+// until every returned payload has been decoded and screened
+// (DESIGN.md "Ingress hot path"). A nil scratch grows a new backing
+// array; a pooled scratch passed as scratch[:0] makes the steady-state
+// parse allocation-free.
+//
+// A frame announcing more than maxMsgs messages is parsed up to the
+// cap and the surplus is reported in dropped, with the remaining bytes
+// ignored rather than treated as an error. This is the flood control —
+// a malicious node stuffing a frame to the 64 MiB limit cannot make
+// the receiver allocate past the cap, and truncation (unlike erroring)
+// does not cost the node its connection.
 //
 //lint:hotpath
 func DecodeTaggedBatchAliasCapped(body []byte, maxMsgs int, scratch []BatchMsg) (instance, round int, msgs []BatchMsg, dropped int, err error) {
-	if len(body) < taggedHeader {
+	if len(body) < batchHeader {
 		//lint:hotpath cold path: malformed frame, connection is abandoned
-		return 0, 0, nil, 0, fmt.Errorf("%w: short tagged-batch header", ErrBadFrame)
+		return 0, 0, nil, 0, fmt.Errorf("%w: short batch header", ErrBadFrame)
 	}
 	instance = int(int64(binary.BigEndian.Uint64(body[:taggedHeader])))
 	if instance < 0 || instance > maxInstance {
 		//lint:hotpath cold path: malformed frame, connection is abandoned
 		return 0, 0, nil, 0, fmt.Errorf("%w: batch instance %d", ErrBadFrame, instance)
 	}
-	round, msgs, dropped, err = DecodeBatchAliasCapped(body[taggedHeader:], maxMsgs, scratch)
-	if err != nil {
-		return 0, 0, nil, 0, err
+	round = int(int64(binary.BigEndian.Uint64(body[taggedHeader : taggedHeader+8])))
+	if round < 0 || round > maxRound {
+		//lint:hotpath cold path: malformed frame, connection is abandoned
+		return 0, 0, nil, 0, fmt.Errorf("%w: batch round %d", ErrBadFrame, round)
+	}
+	count := int(int64(binary.BigEndian.Uint64(body[taggedHeader+8 : batchHeader])))
+	body = body[batchHeader:]
+	if count < 0 || count > maxBatchMsgs {
+		//lint:hotpath cold path: malformed frame, connection is abandoned
+		return 0, 0, nil, 0, fmt.Errorf("%w: absurd batch count %d", ErrBadFrame, count)
+	}
+	keep := count
+	if maxMsgs >= 0 && keep > maxMsgs {
+		keep = maxMsgs
+		dropped = count - maxMsgs
+	}
+	msgs = scratch[:0]
+	for i := 0; i < keep; i++ {
+		if len(body) < 16 {
+			//lint:hotpath cold path: malformed frame, connection is abandoned
+			return 0, 0, nil, 0, fmt.Errorf("%w: truncated batch entry", ErrBadFrame)
+		}
+		addr := int(int64(binary.BigEndian.Uint64(body[:8])))
+		plen := int(int64(binary.BigEndian.Uint64(body[8:16])))
+		body = body[16:]
+		if plen < 0 || plen > len(body) {
+			//lint:hotpath cold path: malformed frame, connection is abandoned
+			return 0, 0, nil, 0, fmt.Errorf("%w: truncated payload", ErrBadFrame)
+		}
+		msgs = append(msgs, BatchMsg{Addr: addr, Payload: body[:plen:plen]})
+		body = body[plen:]
+	}
+	if dropped == 0 && len(body) != 0 {
+		//lint:hotpath cold path: malformed frame, connection is abandoned
+		return 0, 0, nil, 0, fmt.Errorf("%w: trailing batch bytes", ErrBadFrame)
 	}
 	return instance, round, msgs, dropped, nil
 }

@@ -17,8 +17,9 @@ tmp="$(mktemp -d "${TMPDIR:-/tmp}/balint-mutation.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
 
 # Copy the working tree (not a git archive: local runs should test the
-# tree as it is), excluding VCS metadata and result artifacts.
-tar --exclude=./.git --exclude=./results -cf - . | tar -C "$tmp" -xf -
+# tree as it is), excluding VCS metadata, result artifacts and the
+# benchmark's build cache.
+tar --exclude=./.git --exclude=./results --exclude=./.bench_build -cf - . | tar -C "$tmp" -xf -
 
 balint() {
     (cd "$tmp" && go run ./cmd/balint "$@" ./...)
@@ -50,9 +51,12 @@ balint -run ingressflow,deadlineguard
 echo "mutation 1: swap the batched ingress screen for the decode-only sieve"
 mux="$tmp/internal/transport/mux.go"
 cp "$mux" "$tmp/mux.pristine"
+# AdmitBatch is the only screen there is; the transport must call it in
+# exactly one place, or this mutation no longer removes the screen.
 admit_line='verdicts := ir.ingress.AdmitBatch(round, ir.in, ir.verdicts[:0])'
-if [[ "$(grep -hF 'AdmitBatch(' "$tmp"/internal/transport/*.go | grep -cF "$admit_line")" -ne 1 ]]; then
-    echo "FAIL: expected exactly one AdmitBatch screen line in internal/transport" >&2
+admit_calls="$(grep -hF '.AdmitBatch(' "$tmp"/internal/transport/*.go)"
+if [[ "$(wc -l <<<"$admit_calls")" -ne 1 ]] || ! grep -qF "$admit_line" <<<"$admit_calls"; then
+    echo "FAIL: expected exactly one AdmitBatch call in internal/transport, the screen line in mux.go" >&2
     exit 1
 fi
 sed -i "s/verdicts := ir\.ingress\.AdmitBatch(round, ir\.in, ir\.verdicts\[:0\])/verdicts := validate.DecodeOnly(ir.in, ir.verdicts[:0])/" "$mux"

@@ -51,17 +51,10 @@ go run ./cmd/proxbench -exp slots
 go run ./cmd/proxbench -exp rounds13
 go run ./cmd/proxbench -exp iterprob -trials 300
 
-# Consensus service: one proxserve daemon sustaining 64 concurrent BA
-# instances over shared TCP connections (batch 1 → one instance per
-# proposal), driven by the open-loop client; -expect-all fails the
-# smoke unless every proposal decides.
-SERVE_FLAGS="-n 4 -t 1 -kappa 1 -max-active 64 -max-pending 128 -batch 1 -round-timeout 5s -report 0" \
-    ./scripts/service_load.sh -proposals 64 -conns 4 -expect-all
-
-# Multivalued payloads end-to-end: 2 KiB proposals travel proposeb →
-# payload BA → decidedb, batched four to an instance, and the client
-# verifies every decided byte string equals the proposed one.
-SERVE_FLAGS="-n 4 -t 1 -kappa 1 -max-active 16 -batch 4 -max-payload 16384 -round-timeout 5s -report 0" \
-    ./scripts/service_load.sh -proposals 24 -conns 2 -payload-size 2048 -expect-all
+# Consensus service: the proxserve daemon run in-process exactly as
+# main runs it — found through -addr-file, driven over the client API
+# (64 value proposals at batch 1, then 24 payloads of 2 KiB at batch 4,
+# every one decided and every payload byte-equal) and ended by SIGTERM.
+go test -race -count=1 ./cmd/proxserve
 
 echo "SMOKE OK"
