@@ -248,3 +248,35 @@ func TestAdaptiveSplitInactiveOnUnanimity(t *testing.T) {
 		}
 	}
 }
+
+// TestExpandAdaptiveSplitWarmActAllocations pins the straddle attack's
+// steady state at the benchmark's n=127, t=42: once its payloads are
+// boxed and its buffer sized, a round's t·n messages cost nothing, and
+// each call refills the same buffer.
+func TestExpandAdaptiveSplitWarmActAllocations(t *testing.T) {
+	const n, tc = 127, 42
+	machines := make([]sim.Machine, n)
+	for i := range machines {
+		machines[i] = proxcensus.NewExpandMachine(n, tc, 1, proxcensus.Value(i%2))
+	}
+	split := &adversary.ExpandAdaptiveSplit{N: n, T: tc, Period: 9}
+	var env *sim.Env
+	capture := &adversary.Func{
+		InitFunc: func(e *sim.Env) { env = e; split.Init(e) },
+		ActFunc:  split.Act,
+	}
+	// Round 1 reads the honest split and arms the attack.
+	if _, err := sim.Run(sim.Config{N: n, T: tc, Rounds: 1, Seed: 1}, machines, capture); err != nil {
+		t.Fatal(err)
+	}
+	first := split.Act(2, nil, env)
+	if len(first) != tc*n {
+		t.Fatalf("armed attack sent %d messages, want t·n = %d", len(first), tc*n)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { split.Act(2, nil, env) }); allocs != 0 {
+		t.Errorf("warm Act allocates %.1f objects per call; want 0", allocs)
+	}
+	if again := split.Act(3, nil, env); &again[0] != &first[0] {
+		t.Error("Act did not refill its own buffer")
+	}
+}

@@ -73,6 +73,9 @@ func splitTarget(values map[sim.PartyID]proxcensus.Value, need int) (vstar proxc
 // lowest-ID holder to grade 1 while feeding everyone else the opposite
 // value — maintaining a one-slot straddle through every expansion
 // round. Disagreement then occurs for exactly one coin value.
+//
+// Act returns a buffer the adversary owns and refills on its next call
+// (sim.Adversary allows this), so a warm round allocates nothing.
 type ExpandAdaptiveSplit struct {
 	// N, T mirror the execution parameters.
 	N, T int
@@ -83,6 +86,11 @@ type ExpandAdaptiveSplit struct {
 	vstar  proxcensus.Value
 	target sim.PartyID
 	active bool
+
+	// msgs is the reused result buffer, sized t·n once; up and down
+	// hold the two payloads boxed, re-boxed only when they change.
+	msgs     []sim.Message
+	up, down sim.Payload
 }
 
 var _ sim.Adversary = (*ExpandAdaptiveSplit)(nil)
@@ -108,18 +116,34 @@ func (a *ExpandAdaptiveSplit) Act(round int, honest []sim.Message, env *sim.Env)
 	if local == 1 {
 		up.H = 0 // round 1 echoes carry Prox_2 pairs (grade 0 only)
 	}
-	down := proxcensus.EchoPayload{Z: 1 - a.vstar, H: 0}
-	msgs := make([]sim.Message, 0, a.T*env.N())
+	boxedUp := rebox(&a.up, up)
+	boxedDown := rebox(&a.down, proxcensus.EchoPayload{Z: 1 - a.vstar, H: 0})
+	n := env.N()
+	if cap(a.msgs) < a.T*n {
+		a.msgs = make([]sim.Message, 0, a.T*n)
+	}
+	msgs := a.msgs[:0]
 	for from := 0; from < a.T; from++ {
-		for to := 0; to < env.N(); to++ {
-			p := down
+		for to := 0; to < n; to++ {
+			p := boxedDown
 			if to == a.target {
-				p = up
+				p = boxedUp
 			}
 			msgs = append(msgs, sim.Message{From: from, To: to, Payload: p})
 		}
 	}
+	a.msgs = msgs
 	return msgs
+}
+
+// rebox returns *slot holding e, boxing e into it only if it holds
+// something else: an adversary that repeats its payloads round after
+// round boxes each once.
+func rebox(slot *sim.Payload, e proxcensus.EchoPayload) sim.Payload {
+	if cur, ok := (*slot).(proxcensus.EchoPayload); !ok || cur != e {
+		*slot = e
+	}
+	return *slot
 }
 
 // LVStagger attacks the probabilistic-termination FM protocol's FIRST

@@ -16,9 +16,10 @@
 //     protocol packages (simulated time only).
 //   - checkederr: encode/decode and signature-verify results from
 //     internal/wire and internal/crypto must not be discarded.
-//   - noretain: Machine.Deliver implementations must not retain the
-//     delivered []sim.Message slice (it aliases a pooled engine buffer
-//     that is overwritten every round).
+//   - noretain: Machine.Deliver and Adversary.Act implementations must
+//     not retain the []sim.Message slice the engine hands them (the
+//     inbox, the honest view: both alias pooled engine buffers that
+//     are overwritten every round).
 //
 // Flow-aware analyzers built on the shared CFG/dominance and call-graph
 // core (cfg.go, graph.go):

@@ -6,47 +6,61 @@ import (
 	"strings"
 )
 
-// NoRetain forbids Machine.Deliver implementations from storing the
-// delivered []sim.Message slice — or any subslice or alias of it — into
-// a struct field, package variable or container. The execution engine
-// pools per-party inbox buffers and overwrites them every round, so a
-// retained slice silently mutates under the machine, corrupting state
-// in a seed-dependent way. Copying message values out is always safe
-// and is what every machine in this repository does: the Message struct
-// and its immutable payload may be kept freely, with one exception the
-// analyzer does not see — the Data of a payload blob (ba.TCPayload,
-// ba.TCPayloadEcho) aliases the TCP transport's received frame and is
-// valid only until Deliver returns, so a machine copies the bytes it
-// keeps.
+// NoRetain forbids the two methods the engine hands a pooled
+// []sim.Message — Machine.Deliver (the delivered inbox) and
+// Adversary.Act (the rushing view of the round's honest traffic) — from
+// storing that slice, or any subslice or alias of it, into a struct
+// field, package variable or container, or appending it as an element.
+// The engine overwrites both buffers every round, so a retained slice
+// silently mutates under its holder, corrupting state in a
+// seed-dependent way. Copying message values out is always safe and is
+// what every machine and adversary in this repository does: the Message
+// struct and its immutable payload may be kept freely, with one
+// exception the analyzer does not see — the Data of a payload blob
+// (ba.TCPayload, ba.TCPayloadEcho) aliases the TCP transport's received
+// frame and is valid only until Deliver returns, so a machine copies the
+// bytes it keeps.
 var NoRetain = &Analyzer{
 	Name: "noretain",
-	Doc: "forbid Deliver implementations from retaining the delivered []sim.Message slice " +
-		"(it aliases a pooled engine buffer overwritten each round); copy message values out " +
+	Doc: "forbid Deliver and Act implementations from retaining the []sim.Message slice the engine " +
+		"hands them (the delivered inbox, the adversary's view of honest traffic: both alias pooled " +
+		"engine buffers overwritten each round); copy message values out " +
 		"(a payload may be kept freely, except a payload blob's Data, which aliases the " +
 		"transport's frame until Deliver returns: copy the bytes), " +
 		"or annotate a store that provably does not outlive the call with //lint:retain <reason>",
 	Run: runNoRetain,
 }
 
+// retainedSlice names, per method the engine hands a pooled message
+// slice, what that slice is.
+var retainedSlice = map[string]string{
+	"Deliver": "delivered",
+	"Act":     "observed honest",
+}
+
 func runNoRetain(pass *Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Name.Name != "Deliver" || fd.Body == nil {
+			if !ok || fd.Recv == nil || fd.Body == nil {
 				continue
 			}
-			if param := deliveredParam(pass, fd); param != nil {
-				checkRetention(pass, fd.Body, param)
+			what, ok := retainedSlice[fd.Name.Name]
+			if !ok {
+				continue
+			}
+			if param := messageSliceParam(pass, fd); param != nil {
+				checkRetention(pass, fd, param, what)
 			}
 		}
 	}
 	return nil
 }
 
-// deliveredParam returns the object of the method's []sim.Message
-// parameter, or nil if it has none (a Deliver of some unrelated
+// messageSliceParam returns the object of the method's []sim.Message
+// parameter, or nil if it has none (a Deliver or Act of some unrelated
 // interface).
-func deliveredParam(pass *Pass, fd *ast.FuncDecl) types.Object {
+func messageSliceParam(pass *Pass, fd *ast.FuncDecl) types.Object {
 	for _, field := range fd.Type.Params.List {
 		tv, ok := pass.TypesInfo.Types[field.Type]
 		if !ok {
@@ -76,10 +90,20 @@ func deliveredParam(pass *Pass, fd *ast.FuncDecl) types.Object {
 // checkRetention flags stores of the tainted slice set — the parameter,
 // its subslices, and local aliases thereof — into anything that can
 // outlive the call: struct fields, package variables, maps and other
-// containers. Element copies (append(dst, in...), in[i]) are untainted:
-// they move Message values into caller-owned memory.
-func checkRetention(pass *Pass, body *ast.BlockStmt, param types.Object) {
+// containers, and appends of it as an element (append(views, in)).
+// Element copies (append(dst, in...), in[i]) are untainted: they move
+// Message values into caller-owned memory.
+func checkRetention(pass *Pass, fd *ast.FuncDecl, param types.Object, what string) {
+	body := fd.Body
 	tainted := map[types.Object]bool{param: true}
+	report := func(n ast.Node, into string) {
+		if pass.HasDirective(n.Pos(), "retain") {
+			return
+		}
+		pass.Reportf(n.Pos(),
+			"%s stores the %s message slice in %s; it aliases a pooled engine buffer overwritten each round — copy message values out, or annotate //lint:retain if the store does not outlive the call",
+			fd.Name.Name, what, into)
+	}
 
 	// Taint fixpoint over local aliases: `a := in; b := a[1:]; ...`.
 	for {
@@ -121,8 +145,18 @@ func checkRetention(pass *Pass, body *ast.BlockStmt, param types.Object) {
 	}
 
 	// Reporting pass: a tainted right-hand side may only flow into a
-	// fresh local variable.
+	// fresh local variable, and a tainted slice is never an appended
+	// element.
 	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isBuiltin(pass.TypesInfo, call, "append") {
+			for i, arg := range call.Args {
+				spread := call.Ellipsis.IsValid() && i == len(call.Args)-1
+				if i > 0 && !spread && taintedExpr(pass, tainted, arg) {
+					report(call, "an appended element of "+types.ExprString(call.Args[0]))
+				}
+			}
+			return true
+		}
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != len(as.Rhs) {
 			return true
@@ -144,12 +178,7 @@ func checkRetention(pass *Pass, body *ast.BlockStmt, param types.Object) {
 					continue // fresh or shadowing local: handled by taint
 				}
 			}
-			if pass.HasDirective(as.Pos(), "retain") {
-				continue
-			}
-			pass.Reportf(as.Pos(),
-				"Deliver stores the delivered message slice in %s; delivered slices alias a pooled engine buffer overwritten each round — copy message values out, or annotate //lint:retain if the store does not outlive the call",
-				types.ExprString(as.Lhs[i]))
+			report(as, types.ExprString(as.Lhs[i]))
 		}
 		return true
 	})

@@ -1,6 +1,7 @@
-// Package noretain exercises the noretain analyzer: Deliver
-// implementations that store the delivered slice, a subslice, or a
-// local alias of it are flagged; copying message values out is not.
+// Package noretain exercises the noretain analyzer: Deliver and Act
+// implementations that store the engine's message slice, a subslice, or
+// a local alias of it, or append it as an element, are flagged; copying
+// message values out is not.
 package noretain
 
 import "proxcensus/internal/sim"
@@ -107,4 +108,80 @@ type intDeliver struct {
 func (m *intDeliver) Deliver(round int, in []int) []sim.Send {
 	m.buf = in
 	return nil
+}
+
+// appender keeps every round's inbox by appending the slice itself as
+// an element: each kept entry is the same pooled buffer.
+type appender struct {
+	rounds [][]sim.Message
+}
+
+func (m *appender) Deliver(round int, in []sim.Message) []sim.Send {
+	m.rounds = append(m.rounds, in) // want "Deliver stores the delivered message slice in an appended element of m.rounds"
+	return nil
+}
+
+// viewKeeper is an adversary that keeps its rushing view of the honest
+// traffic: the engine's pooled honest buffer, refilled next round.
+type viewKeeper struct {
+	last []sim.Message
+}
+
+func (a *viewKeeper) Act(round int, honest []sim.Message, env *sim.Env) []sim.Message {
+	a.last = honest // want "Act stores the observed honest message slice in a.last"
+	return nil
+}
+
+// viewHistorian appends each round's view to a history.
+type viewHistorian struct {
+	history [][]sim.Message
+}
+
+func (a *viewHistorian) Act(round int, honest []sim.Message, env *sim.Env) []sim.Message {
+	a.history = append(a.history, honest) // want "Act stores the observed honest message slice in an appended element of a.history"
+	return nil
+}
+
+// viewTail keeps a subslice of the view.
+type viewTail struct {
+	tail []sim.Message
+}
+
+func (a *viewTail) Act(round int, honest []sim.Message, env *sim.Env) []sim.Message {
+	if len(honest) == 0 {
+		return nil
+	}
+	rest := honest[1:]
+	a.tail = rest // want "Act stores the observed honest message slice in a.tail"
+	return nil
+}
+
+// replayer re-badges observed messages as its own: it copies message
+// values (and their immutable payloads) into a buffer it owns, which it
+// may return and refill next round. Never flagged.
+type replayer struct {
+	victim sim.PartyID
+	seen   []sim.Message
+	out    []sim.Message
+}
+
+func (a *replayer) Act(round int, honest []sim.Message, env *sim.Env) []sim.Message {
+	a.seen = append(a.seen[:0], honest...)
+	out := a.out[:0]
+	for i := range honest {
+		src := honest[i]
+		out = append(out, sim.Message{From: a.victim, To: src.To, Payload: src.Payload})
+	}
+	a.out = out
+	return out
+}
+
+// actor has an Act of some unrelated interface: no []sim.Message
+// parameter, so nothing is checked.
+type actor struct {
+	buf []int
+}
+
+func (a *actor) Act(round int, in []int) {
+	a.buf = in
 }

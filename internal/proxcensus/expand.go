@@ -1,7 +1,8 @@
 package proxcensus
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"proxcensus/internal/quorum"
 	"proxcensus/internal/sim"
@@ -32,186 +33,211 @@ type Echo struct {
 	H    int
 }
 
-// expandScratch pools the tally tables of ExpandStep across rounds so
-// a long-lived ExpandMachine re-allocates nothing per step. Inner
-// per-grade maps are recycled through a freelist because distinct
-// values (Byzantine senders can fabricate any) each need one.
+// expandScratch is ExpandStep's working memory, sized for n senders at
+// construction so a long-lived ExpandMachine allocates nothing per step.
+// A step is begin, one add per echo, then decide.
 type expandScratch struct {
-	seen      map[sim.PartyID]bool
-	count     map[Value]map[int]int // value -> grade -> count
-	free      []map[int]int
-	values    []Value
-	windowSet map[int]bool
-	windows   []int
+	// seen[p] == gen marks that sender p's first echo of the current
+	// step has been tallied; bumping gen clears every mark at once.
+	seen []uint32
+	gen  uint32
+	// runs holds the tallied (value, grade) pairs with their counts, one
+	// run per stretch of consecutive equal pairs — at most one per
+	// sender, so n fits — then, sorted and collapsed in place, one run
+	// per distinct pair.
+	runs []gradeRun
+	// maxG is the source grade range of the step being tallied and
+	// zeroGrade its |S_0|, the tallied echoes with h == 0 of any value.
+	maxG, zeroGrade int
 }
 
-func newExpandScratch() *expandScratch {
-	return &expandScratch{
-		seen:      make(map[sim.PartyID]bool),
-		count:     make(map[Value]map[int]int),
-		windowSet: make(map[int]bool),
-	}
+// gradeRun counts the tallied echoes carrying (z, h).
+type gradeRun struct {
+	z Value
+	h int
+	c int
 }
 
-// reset clears the tables for the next step, returning inner maps to
-// the freelist.
-//
-//lint:hotpath
-func (sc *expandScratch) reset() {
-	clear(sc.seen)
-	//lint:ordered freelist recycling; the maps are cleared, order is irrelevant
-	for _, c := range sc.count {
-		clear(c)
-		sc.free = append(sc.free, c)
-	}
-	clear(sc.count)
-	sc.values = sc.values[:0]
+func newExpandScratch(n int) *expandScratch {
+	n = max(n, 0)
+	return &expandScratch{seen: make([]uint32, n), runs: make([]gradeRun, 0, n)}
 }
 
-// inner returns the per-grade tally map for value z, recycling freed
-// maps before allocating.
-//
-//lint:hotpath
-func (sc *expandScratch) inner(z Value) map[int]int {
-	c := sc.count[z]
-	if c == nil {
-		if k := len(sc.free); k > 0 {
-			c, sc.free = sc.free[k-1], sc.free[:k-1]
-		} else {
-			//lint:hotpath freelist miss: one map per distinct value, recycled across rounds
-			c = make(map[int]int, 4)
-		}
-		sc.count[z] = c
+// compareRuns orders runs by value, then grade; a package-level
+// function so the per-step sort allocates no closure.
+func compareRuns(a, b gradeRun) int {
+	if a.z != b.z {
+		return cmp.Compare(a.z, b.z)
 	}
-	return c
+	return cmp.Compare(a.h, b.h)
 }
 
 // ExpandStep is the pure output-determination rule of protocol
 // Prox_{2s-1} (Section 3.3): given each party's echoed Prox_s output,
 // it computes this party's Prox_{2s-1} output. s is the *source* slot
 // count; echoes out of the source grade range are ignored, as are all
-// but the first echo per sender.
+// but the first echo per sender and echoes whose sender is outside
+// [0, n) — which cannot occur in an execution, because the engine and
+// the TCP hub stamp From with the authentic sender.
 //
 // The rule scans two consecutive source slots holding n-t echoes and
 // grades by which of the two holds n-2t echoes, preferring the slot
 // closer to the extreme ("in case of a tie, the upper slot is chosen").
 func ExpandStep(n, t, s int, echoes []Echo) Result {
-	return expandStep(n, t, s, echoes, newExpandScratch())
+	return expandStep(n, t, s, echoes, newExpandScratch(n))
 }
 
-// expandStep is ExpandStep with caller-owned scratch tables.
+// expandStep is ExpandStep with caller-owned scratch sized for n.
 //
 //lint:hotpath
 func expandStep(n, t, s int, echoes []Echo, sc *expandScratch) Result {
-	maxG := MaxGrade(s)
+	sc.begin(s)
+	for _, e := range echoes {
+		sc.add(e.From, e.Z, e.H)
+	}
+	return sc.decide(n, t, s)
+}
+
+// begin starts tallying a step whose echoes carry Prox_s pairs.
+//
+//lint:hotpath
+func (sc *expandScratch) begin(s int) {
+	sc.gen++
+	if sc.gen == 0 { // wrapped: stale marks could collide
+		clear(sc.seen)
+		sc.gen = 1
+	}
+	sc.runs = sc.runs[:0]
+	sc.maxG = MaxGrade(s)
+	sc.zeroGrade = 0
+}
+
+// add tallies one echo, unless its sender is outside [0, n) or already
+// tallied this step, or its grade is outside the source range.
+//
+//lint:hotpath
+func (sc *expandScratch) add(from sim.PartyID, z Value, h int) {
+	if from < 0 || from >= len(sc.seen) || sc.seen[from] == sc.gen || h < 0 || h > sc.maxG {
+		return
+	}
+	sc.seen[from] = sc.gen
+	if h == 0 {
+		sc.zeroGrade++
+	}
+	// Consecutive equal pairs — the common case once honest parties
+	// agree — extend the last run, leaving decide less to sort.
+	if k := len(sc.runs) - 1; k >= 0 && sc.runs[k].z == z && sc.runs[k].h == h {
+		sc.runs[k].c++
+		return
+	}
+	sc.runs = append(sc.runs, gradeRun{z: z, h: h, c: 1})
+}
+
+// decide applies the output rule to the step's tally.
+//
+// The tally is a sort of the counted (value, grade) pairs collapsed into
+// runs: grades are sparse — the one-shot protocol reaches source grade
+// ranges of 2^κ — and Byzantine senders can fabricate any value, so
+// neither dense per-grade arrays nor dense grade loops are affordable,
+// while honest parties occupy at most two adjacent grades. The runs are
+// ordered by value, then grade, so each value's grades form one
+// ascending segment and the scan below visits exactly the candidates
+// the rule needs, in its tie-breaking order.
+//
+//lint:hotpath
+func (sc *expandScratch) decide(n, t, s int) Result {
+	maxG, zeroGrade := sc.maxG, sc.zeroGrade
 	b := s % 2
 
-	// Tally per-sender first echoes. Counts are sparse: the one-shot
-	// protocol reaches source grade ranges of 2^κ, so dense per-grade
-	// arrays (and dense grade loops) are out of the question; honest
-	// parties occupy at most two adjacent grades, so only the grades
-	// actually present can matter.
-	sc.reset()
-	seen := sc.seen
-	count := sc.count
-	zeroGrade := 0 // |S_0| = echoes with h == 0 regardless of value
-	for _, e := range echoes {
-		if seen[e.From] || e.H < 0 || e.H > maxG {
+	runs := sc.runs
+	slices.SortFunc(runs, compareRuns)
+	w := 0
+	for _, r := range runs {
+		if w > 0 && runs[w-1].z == r.z && runs[w-1].h == r.h {
+			runs[w-1].c += r.c
 			continue
 		}
-		seen[e.From] = true
-		if e.H == 0 {
-			zeroGrade++
-		}
-		sc.inner(e.Z)[e.H]++
+		runs[w] = r
+		w++
 	}
+	runs = runs[:w]
 
-	// Deterministic value scan order keeps Byzantine tie-breaking stable.
-	values := sc.sortedValues()
-
+	// One pass per value, ascending, evaluates the rule's three kinds of
+	// candidate with strict improvement, so the winner is the first
+	// candidate of the highest grade in (value, window) order. That is
+	// the winner of the rule's three passes over all values in turn,
+	// because the kinds' grades are disjoint and ordered: a pooled 1 <
+	// every window grade (>= 2 for odd sources, which alone pool) < the
+	// extreme grade.
 	out := Result{Value: 0, Grade: 0}
-	// Odd source (b=1): the grade-0 slot is shared by all values, so the
-	// first expanded grade pools S_0 with S_{z,1}.
-	if b == 1 {
-		for _, z := range values {
-			c := count[z]
-			if quorum.Reached(zeroGrade+c[1], n, t) && quorum.SuperMajority(c[1], n, t) {
+	for len(runs) > 0 {
+		end := 1
+		for end < len(runs) && runs[end].z == runs[0].z {
+			end++
+		}
+		seg := runs[:end] // this value's grades, ascending
+		runs = runs[end:]
+		z := seg[0].z
+
+		// Odd source (b=1): the grade-0 slot is shared by all values, so
+		// the first expanded grade pools S_0 with S_{z,1}.
+		if b == 1 && out.Grade < 1 {
+			c1 := 0
+			for _, r := range seg {
+				if r.h == 1 {
+					c1 = r.c
+				}
+			}
+			if quorum.Reached(zeroGrade+c1, n, t) && quorum.SuperMajority(c1, n, t) {
 				out = Result{Value: z, Grade: 1}
-				break
 			}
 		}
-	}
-	// Scan only the candidate windows [g, g+1] that contain an observed
-	// grade — an empty window cannot accumulate n-t echoes. Ascending
-	// (g, z) order with strict improvement replicates the dense loop's
-	// tie-breaking exactly.
-	for _, z := range values {
-		c := count[z]
-		for _, g := range sc.candidateWindows(c, b, maxG) {
-			if !quorum.Reached(c[g]+c[g+1], n, t) {
-				continue
-			}
-			switch {
-			case quorum.SuperMajority(c[g+1], n, t):
-				if upper := 2*g + 2 - b; upper > out.Grade {
-					out = Result{Value: z, Grade: upper}
+
+		// Scan only the candidate windows [g, g+1] that contain an
+		// observed grade — an empty window cannot accumulate n-t echoes
+		// — in ascending g. Run k opens windows h-1 and h; last skips
+		// the one the previous run already opened.
+		last := b - 1
+		for k, r := range seg {
+			for g := r.h - 1; g <= r.h; g++ {
+				if g <= last || g < b || g > maxG-1 {
+					continue
 				}
-			case quorum.SuperMajority(c[g], n, t):
-				if lower := 2*g + 1 - b; lower > out.Grade {
-					out = Result{Value: z, Grade: lower}
+				last = g
+				lo, hi := r.c, 0 // window [h, h+1]
+				switch {
+				case g < r.h: // window [h-1, h]: a run at h-1 would have opened it
+					lo, hi = 0, r.c
+				case k+1 < len(seg) && seg[k+1].h == g+1:
+					hi = seg[k+1].c
+				}
+				if !quorum.Reached(lo+hi, n, t) {
+					continue
+				}
+				switch {
+				case quorum.SuperMajority(hi, n, t):
+					if upper := 2*g + 2 - b; upper > out.Grade {
+						out = Result{Value: z, Grade: upper}
+					}
+				case quorum.SuperMajority(lo, n, t):
+					if lower := 2*g + 1 - b; lower > out.Grade {
+						out = Result{Value: z, Grade: lower}
+					}
 				}
 			}
 		}
-	}
-	for _, z := range values {
-		if quorum.Reached(count[z][maxG], n, t) {
-			top := 2*maxG + 1 - b // = MaxGrade(2s-1)
-			if top > out.Grade {
-				out = Result{Value: z, Grade: top}
-			}
+
+		// n-t echoes on the extreme source slot give the extreme target
+		// grade, MaxGrade(2s-1).
+		extreme := 0
+		if r := seg[len(seg)-1]; r.h == maxG {
+			extreme = r.c
+		}
+		if top := 2*maxG + 1 - b; quorum.Reached(extreme, n, t) && top > out.Grade {
+			out = Result{Value: z, Grade: top}
 		}
 	}
 	return out
-}
-
-// candidateWindows returns, in ascending order, the window starts g in
-// [b, maxG-1] such that window [g, g+1] contains an observed grade. The
-// result aliases the scratch buffer and is valid until the next call.
-//
-//lint:hotpath
-func (sc *expandScratch) candidateWindows(c map[int]int, b, maxG int) []int {
-	clear(sc.windowSet)
-	//lint:ordered set accumulation; the result is sorted before return
-	for h := range c {
-		for _, g := range [2]int{h - 1, h} {
-			if g >= b && g <= maxG-1 {
-				sc.windowSet[g] = true
-			}
-		}
-	}
-	out := sc.windows[:0]
-	//lint:ordered keys sorted below
-	for g := range sc.windowSet {
-		out = append(out, g)
-	}
-	sort.Ints(out)
-	sc.windows = out
-	return out
-}
-
-// sortedValues returns the tallied values in ascending order, reusing
-// the scratch value buffer.
-//
-//lint:hotpath
-func (sc *expandScratch) sortedValues() []Value {
-	values := sc.values[:0]
-	//lint:ordered keys sorted below
-	for z := range sc.count {
-		values = append(values, z)
-	}
-	sort.Ints(values)
-	sc.values = values
-	return values
 }
 
 // ExpandSlots returns the slot count of Prox_{2^r+1} built by r
@@ -228,9 +254,8 @@ type ExpandMachine struct {
 	sCur         int // slot count of the pair currently held
 	round        int
 
-	// Per-round scratch, pooled across the machine's lifetime: echo
-	// decoding buffer and the ExpandStep tally tables.
-	echoes  []Echo
+	// scratch is the ExpandStep tally, sized at construction and reused
+	// every round.
 	scratch *expandScratch
 }
 
@@ -245,7 +270,7 @@ func NewExpandMachine(n, t, rounds int, input Value) *ExpandMachine {
 		rounds:  rounds,
 		cur:     Result{Value: input, Grade: 0},
 		sCur:    2,
-		scratch: newExpandScratch(),
+		scratch: newExpandScratch(n),
 	}
 }
 
@@ -268,16 +293,15 @@ func (m *ExpandMachine) Deliver(round int, in []sim.Message) []sim.Send {
 	if round > m.rounds {
 		return nil
 	}
-	echoes := m.echoes[:0]
+	// Tally straight from the inbox: ExpandStep's rule without building
+	// its []Echo.
+	m.scratch.begin(m.sCur)
 	for _, msg := range in {
-		p, ok := msg.Payload.(EchoPayload)
-		if !ok {
-			continue
+		if p, ok := msg.Payload.(EchoPayload); ok {
+			m.scratch.add(msg.From, p.Z, p.H)
 		}
-		echoes = append(echoes, Echo{From: msg.From, Z: p.Z, H: p.H})
 	}
-	m.echoes = echoes
-	m.cur = expandStep(m.n, m.t, m.sCur, echoes, m.scratch)
+	m.cur = m.scratch.decide(m.n, m.t, m.sCur)
 	m.sCur = 2*m.sCur - 1
 	m.round = round
 	if round == m.rounds {

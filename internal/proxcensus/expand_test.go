@@ -1,8 +1,11 @@
 package proxcensus
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"proxcensus/internal/quorum"
 )
 
 // mkEchoes builds an echo list from (z, h, count) triples, assigning
@@ -190,9 +193,10 @@ func TestExpandStepValidityInduction(t *testing.T) {
 		for r := 1; r <= 4; r++ {
 			s := ExpandSlots(r - 1) // source slots
 			echoes := mkEchoes([3]int{1, MaxGrade(s), c.n - c.tc})
-			// Corrupted senders echo maximally confusing pairs.
+			// Corrupted senders (the remaining IDs) echo maximally
+			// confusing pairs.
 			for i := 0; i < c.tc; i++ {
-				echoes = append(echoes, Echo{From: 1000 + i, Z: 0, H: MaxGrade(s)})
+				echoes = append(echoes, Echo{From: c.n - c.tc + i, Z: 0, H: MaxGrade(s)})
 			}
 			got := ExpandStep(c.n, c.tc, s, echoes)
 			want := Result{1, MaxGrade(2*s - 1)}
@@ -220,5 +224,120 @@ func TestQuickExpandStepGradeRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// expandStepReference is the map-based tally ExpandStep used before it
+// became a sorted-run scan, kept as the differential reference for
+// FuzzExpandStep and the n=127 tests. It applies the same input filter
+// (first echo per in-range sender, source grade range) and the same
+// scan order: ascending value, then ascending window, strict
+// improvement, and the odd-source grade-1 pooling of S_0.
+func expandStepReference(n, t, s int, echoes []Echo) Result {
+	maxG := MaxGrade(s)
+	b := s % 2
+	seen := map[int]bool{}
+	count := map[Value]map[int]int{} // value -> grade -> count
+	zeroGrade := 0
+	for _, e := range echoes {
+		if e.From < 0 || e.From >= n || seen[e.From] || e.H < 0 || e.H > maxG {
+			continue
+		}
+		seen[e.From] = true
+		if e.H == 0 {
+			zeroGrade++
+		}
+		if count[e.Z] == nil {
+			count[e.Z] = map[int]int{}
+		}
+		count[e.Z][e.H]++
+	}
+	values := make([]Value, 0, len(count))
+	//lint:ordered keys sorted below
+	for z := range count {
+		values = append(values, z)
+	}
+	sort.Ints(values)
+
+	out := Result{Value: 0, Grade: 0}
+	if b == 1 {
+		for _, z := range values {
+			c := count[z]
+			if quorum.Reached(zeroGrade+c[1], n, t) && quorum.SuperMajority(c[1], n, t) {
+				out = Result{Value: z, Grade: 1}
+				break
+			}
+		}
+	}
+	for _, z := range values {
+		c := count[z]
+		windowSet := map[int]bool{}
+		//lint:ordered set accumulation; the windows are sorted below
+		for h := range c {
+			for _, g := range [2]int{h - 1, h} {
+				if g >= b && g <= maxG-1 {
+					windowSet[g] = true
+				}
+			}
+		}
+		windows := make([]int, 0, len(windowSet))
+		//lint:ordered keys sorted below
+		for g := range windowSet {
+			windows = append(windows, g)
+		}
+		sort.Ints(windows)
+		for _, g := range windows {
+			if !quorum.Reached(c[g]+c[g+1], n, t) {
+				continue
+			}
+			switch {
+			case quorum.SuperMajority(c[g+1], n, t):
+				if upper := 2*g + 2 - b; upper > out.Grade {
+					out = Result{Value: z, Grade: upper}
+				}
+			case quorum.SuperMajority(c[g], n, t):
+				if lower := 2*g + 1 - b; lower > out.Grade {
+					out = Result{Value: z, Grade: lower}
+				}
+			}
+		}
+	}
+	for _, z := range values {
+		if quorum.Reached(count[z][maxG], n, t) {
+			if top := 2*maxG + 1 - b; top > out.Grade {
+				out = Result{Value: z, Grade: top}
+			}
+		}
+	}
+	return out
+}
+
+// TestExpandStepWarmAllocations pins a warm expandStep at n=127 — the
+// benchmark's one-shot shape, honest parties straddling two adjacent
+// grades plus t fabricated echoes — at zero allocations, and checks the
+// warm scratch still agrees with the reference.
+func TestExpandStepWarmAllocations(t *testing.T) {
+	const n, tc, s = 127, 42, 17 // source Prox_17, grades 0..8
+	echoes := make([]Echo, 0, n+tc)
+	for p := 0; p < n; p++ {
+		switch {
+		case p < tc: // Byzantine: fabricated values, out-of-range grades, duplicates
+			echoes = append(echoes, Echo{From: p, Z: -p, H: p % 10}, Echo{From: p, Z: 1, H: 8})
+		case p == tc:
+			echoes = append(echoes, Echo{From: p, Z: 0, H: 5})
+		default:
+			echoes = append(echoes, Echo{From: p, Z: 0, H: 4})
+		}
+	}
+	sc := newExpandScratch(n)
+	want := expandStepReference(n, tc, s, echoes)
+	if got := expandStep(n, tc, s, echoes, sc); got != want {
+		t.Fatalf("expandStep = %v, reference = %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { expandStep(n, tc, s, echoes, sc) }); allocs != 0 {
+		t.Errorf("warm expandStep allocates %.1f objects per step; want 0", allocs)
+	}
+	if got := expandStep(n, tc, s, echoes, sc); got != want {
+		t.Errorf("warm expandStep = %v, reference = %v", got, want)
 	}
 }

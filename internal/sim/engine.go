@@ -75,12 +75,6 @@ func (r *Result) HonestOutputs() []any {
 	return out
 }
 
-// compareByFrom orders messages by sender; a package-level function so
-// the hot per-party sort does not allocate a closure every round.
-//
-//lint:hotpath
-func compareByFrom(a, b Message) int { return a.From - b.From }
-
 // engine holds one execution's state and its pooled buffers. All
 // per-round scratch (the shared honest-send buffer, per-party inboxes,
 // per-sender metric subtotals) is allocated once and reused across
@@ -110,6 +104,19 @@ type engine struct {
 	subtotal []RoundMetrics
 	// inbox[p] is party p's pooled delivery buffer.
 	inbox [][]Message
+	// honestTo[p] counts the round's surviving honest unicasts to p and
+	// honestBroadcasts the surviving honest broadcasts, so each inbox is
+	// sized exactly before it is filled.
+	honestTo         []int
+	honestBroadcasts int
+	// advFlat holds the round's adversary messages bucketed by
+	// recipient: bucket p is advFlat[advStart[p]:advStart[p+1]], in
+	// stable sender order. bySender and advOrder are the counting sort's
+	// scratch.
+	advFlat  []Message
+	advStart []int
+	bySender []int
+	advOrder []int
 
 	// curRound and fill carry the current round's state into the
 	// per-party phase methods, whose closures (fillFn, routeFn, stepFn)
@@ -158,6 +165,9 @@ func Run(cfg Config, machines []Machine, adv Adversary) (*Result, error) {
 		offsets:  make([]int, cfg.N+1),
 		subtotal: make([]RoundMetrics, cfg.N),
 		inbox:    make([][]Message, cfg.N),
+		honestTo: make([]int, cfg.N),
+		advStart: make([]int, cfg.N+1),
+		bySender: make([]int, cfg.N+1),
 	}
 	e.fillFn = e.fillParty
 	e.routeFn = e.routeParty
@@ -260,10 +270,10 @@ func (e *engine) fillParty(p int) {
 	if e.env.IsCorrupted(p) {
 		return
 	}
-	span := e.fill[e.offsets[p]:e.offsets[p+1]]
-	fillSends(span, p, e.curRound, e.cfg.N, e.pending[p])
-	for i := range span {
-		e.subtotal[p].accumulate(span[i])
+	n := e.cfg.N
+	fillSends(e.fill[e.offsets[p]:e.offsets[p+1]], p, e.curRound, n, e.pending[p])
+	for _, s := range e.pending[p] {
+		e.subtotal[p].accumulate(s.Payload, copies(n, s.To))
 	}
 }
 
@@ -309,61 +319,155 @@ func (e *engine) meterRound(advMsgs []Message) RoundMetrics {
 }
 
 // routeInboxes is Phase 3: deliver the round's surviving messages into
-// the pooled per-party inboxes. Honest traffic is routed per recipient
-// in parallel, re-addressed lazily from the senders' pending lists (a
-// broadcast is one Send scanned n times, never n buffered copies);
-// messages from parties corrupted during Phase 2 are dropped here
-// (strongly rushing). Adversary messages append sequentially after, in
-// injection order — exactly the historical pre-sort inbox order.
+// the pooled per-party inboxes, each built in ascending sender order.
+// Two sequential passes first bucket the adversary's messages per
+// recipient and count each recipient's deliveries; then every inbox is
+// filled in parallel by one merge of its bucket with the honest senders'
+// pending lists, re-addressed lazily (a broadcast is one Send scanned n
+// times, never n buffered copies). Messages from parties corrupted
+// during Phase 2 are dropped here (strongly rushing).
 //
 //lint:hotpath
 func (e *engine) routeInboxes(round int, advMsgs []Message) {
-	n := e.cfg.N
+	e.bucketAdversary(advMsgs)
+	e.countHonest()
 	e.curRound = round
-	parallelFor(e.workers, n, e.routeFn)
-	for _, msg := range advMsgs {
-		if msg.To == Broadcast {
-			for p := 0; p < n; p++ {
-				if e.env.IsCorrupted(p) {
-					continue
-				}
-				m := msg
-				m.To = p
-				e.inbox[p] = append(e.inbox[p], m)
+	parallelFor(e.workers, e.cfg.N, e.routeFn)
+}
+
+// bucketAdversary sorts the round's adversary messages into one bucket
+// per honest recipient, each in stable sender order: a counting sort by
+// sender (From is in range — adversaryAct checked it is corrupted), then
+// one pass that copies each message, broadcasts fanned out, into its
+// recipients' buckets. Buckets of corrupted recipients stay empty;
+// out-of-range unicasts are dropped.
+//
+//lint:hotpath
+func (e *engine) bucketAdversary(advMsgs []Message) {
+	n := e.cfg.N
+	corrupted := e.env.corrupted
+
+	bySender := e.bySender
+	clear(bySender)
+	for i := range advMsgs {
+		bySender[advMsgs[i].From+1]++
+	}
+	for q := 0; q < n; q++ {
+		bySender[q+1] += bySender[q]
+	}
+	order := slices.Grow(e.advOrder[:0], len(advMsgs))[:len(advMsgs)]
+	for i := range advMsgs {
+		q := advMsgs[i].From
+		order[bySender[q]] = i
+		bySender[q]++
+	}
+	e.advOrder = order
+
+	// advStart[p+1] first counts p's unicasts, then becomes the prefix
+	// sum of the bucket sizes.
+	start := e.advStart
+	clear(start)
+	broadcasts := 0
+	for i := range advMsgs {
+		switch to := advMsgs[i].To; {
+		case to == Broadcast:
+			broadcasts++
+		case to >= 0 && to < n:
+			start[to+1]++
+		}
+	}
+	for p := 0; p < n; p++ {
+		size := start[p+1] + broadcasts
+		if corrupted[p] {
+			size = 0
+		}
+		start[p+1] = start[p] + size
+	}
+
+	flat := slices.Grow(e.advFlat[:0], start[n])[:start[n]]
+	next := bySender[:n] // reused as the per-bucket write cursor
+	copy(next, start[:n])
+	for _, i := range order {
+		m := advMsgs[i]
+		if m.To != Broadcast {
+			if m.To >= 0 && m.To < n && !corrupted[m.To] {
+				flat[next[m.To]] = m
+				next[m.To]++
 			}
 			continue
 		}
-		if msg.To >= 0 && msg.To < n && !e.env.IsCorrupted(msg.To) {
-			e.inbox[msg.To] = append(e.inbox[msg.To], msg)
+		for p := 0; p < n; p++ {
+			if !corrupted[p] {
+				m.To = p
+				flat[next[p]] = m
+				next[p]++
+			}
+		}
+	}
+	e.advFlat = flat
+}
+
+// countHonest counts the round's surviving honest deliveries per
+// recipient: honestBroadcasts reach every honest party, honestTo[p]
+// counts the in-range unicasts addressed to p.
+//
+//lint:hotpath
+func (e *engine) countHonest() {
+	corrupted := e.env.corrupted
+	clear(e.honestTo)
+	e.honestBroadcasts = 0
+	for q, sends := range e.pending {
+		if corrupted[q] {
+			continue
+		}
+		for _, s := range sends {
+			switch {
+			case s.To == Broadcast:
+				e.honestBroadcasts++
+			case s.To >= 0 && s.To < len(e.honestTo):
+				e.honestTo[s.To]++
+			}
 		}
 	}
 }
 
-// stepMachines is Phase 4: every honest machine receives its inbox,
-// stably sorted by sender, and produces next round's sends. Machines
-// are stepped in parallel — each writes only its own pending slot, and
-// the sorted inbox order is already fixed, so worker scheduling cannot
-// change what any machine observes.
+// stepMachines is Phase 4: every honest machine receives its inbox and
+// produces next round's sends. Machines are stepped in parallel — each
+// writes only its own pending slot, and the inbox order is already
+// fixed by sender, so worker scheduling cannot change what any machine
+// observes.
 func (e *engine) stepMachines(round int) {
 	e.curRound = round
 	parallelFor(e.workers, e.cfg.N, e.stepFn)
 }
 
-// routeParty fills recipient p's pooled inbox with the round's surviving
-// honest traffic, scanning senders in ascending ID order.
+// routeParty fills recipient p's pooled inbox, sized exactly, by
+// scanning senders in ascending ID order: an honest sender contributes
+// its pending sends addressed to p, a corrupted one its run of p's
+// adversary bucket. Honest and corrupted senders are disjoint, so the
+// inbox is sorted by sender, and each sender's messages keep their send
+// (or injection) order.
 //
 //lint:hotpath
 func (e *engine) routeParty(p int) {
 	buf := e.inbox[p][:0]
-	if e.env.IsCorrupted(p) {
+	corrupted := e.env.corrupted
+	if corrupted[p] {
 		e.inbox[p] = buf
 		return
 	}
-	for q := 0; q < e.cfg.N; q++ {
-		if e.env.IsCorrupted(q) {
+	bucket := e.advFlat[e.advStart[p]:e.advStart[p+1]]
+	buf = slices.Grow(buf, e.honestBroadcasts+e.honestTo[p]+len(bucket))
+	j := 0
+	for q, sends := range e.pending {
+		if corrupted[q] {
+			for j < len(bucket) && bucket[j].From == q {
+				buf = append(buf, bucket[j])
+				j++
+			}
 			continue
 		}
-		for _, s := range e.pending[q] {
+		for _, s := range sends {
 			if s.To == Broadcast || s.To == p {
 				buf = append(buf, Message{From: q, To: p, Round: e.curRound, Payload: s.Payload})
 			}
@@ -372,8 +476,8 @@ func (e *engine) routeParty(p int) {
 	e.inbox[p] = buf
 }
 
-// stepParty sorts party p's inbox by sender and steps its machine,
-// writing only p's own pending slot.
+// stepParty steps party p's machine on its inbox, writing only p's own
+// pending slot.
 //
 //lint:hotpath
 func (e *engine) stepParty(p int) {
@@ -381,26 +485,34 @@ func (e *engine) stepParty(p int) {
 		e.pending[p] = nil
 		return
 	}
-	slices.SortStableFunc(e.inbox[p], compareByFrom)
 	e.pending[p] = e.machines[p].Deliver(e.curRound, e.inbox[p])
 }
 
 // expandedCount returns how many addressed messages a send list expands
-// to: n per broadcast, one per in-range unicast, none for out-of-range
-// recipients (mirroring expandSends).
+// to (mirroring expandSends).
 //
 //lint:hotpath
 func expandedCount(n int, sends []Send) int {
 	count := 0
 	for _, s := range sends {
-		switch {
-		case s.To == Broadcast:
-			count += n
-		case s.To >= 0 && s.To < n:
-			count++
-		}
+		count += copies(n, s.To)
 	}
 	return count
+}
+
+// copies returns how many addressed messages a send to `to` expands to:
+// n for a broadcast, one for an in-range unicast, none for an
+// out-of-range recipient.
+//
+//lint:hotpath
+func copies(n int, to PartyID) int {
+	switch {
+	case to == Broadcast:
+		return n
+	case to >= 0 && to < n:
+		return 1
+	}
+	return 0
 }
 
 // fillSends writes the expansion of a send list into dst, which must

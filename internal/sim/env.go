@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Env is the adversary's handle on the execution. It enforces the
 // corruption budget t and exposes the adversary's randomness source.
@@ -14,9 +11,11 @@ import (
 // — reviewed in tests — adversary implementations only ever use keys of
 // parties they have corrupted.
 type Env struct {
-	n, t      int
-	round     int
-	corrupted map[PartyID]bool
+	n, t  int
+	round int
+	// corrupted[p] marks party p corrupted; count is how many are.
+	corrupted []bool
+	count     int
 	rng       *rand.Rand
 	tracer    Tracer
 }
@@ -26,7 +25,7 @@ func newEnv(n, t int, rng *rand.Rand, tracer Tracer) *Env {
 	return &Env{
 		n:         n,
 		t:         t,
-		corrupted: make(map[PartyID]bool, t),
+		corrupted: make([]bool, n),
 		rng:       rng,
 		tracer:    tracer,
 	}
@@ -50,32 +49,36 @@ func (e *Env) RNG() *rand.Rand { return e.rng }
 // messages of that round (strongly rushing); the adversary may inject
 // replacements from p.
 func (e *Env) Corrupt(p PartyID) bool {
-	if p < 0 || p >= e.n || e.corrupted[p] || len(e.corrupted) >= e.t {
+	if p < 0 || p >= e.n || e.corrupted[p] || e.count >= e.t {
 		return false
 	}
 	e.corrupted[p] = true
+	e.count++
 	e.tracer.Corrupted(e.round, p)
 	return true
 }
 
-// IsCorrupted reports whether party p is currently corrupted.
-func (e *Env) IsCorrupted(p PartyID) bool { return e.corrupted[p] }
+// IsCorrupted reports whether party p is currently corrupted; parties
+// outside [0, n) never are.
+func (e *Env) IsCorrupted(p PartyID) bool {
+	return p >= 0 && p < len(e.corrupted) && e.corrupted[p]
+}
 
 // CorruptedCount returns the number of corrupted parties.
-func (e *Env) CorruptedCount() int { return len(e.corrupted) }
+func (e *Env) CorruptedCount() int { return e.count }
 
 // Budget returns how many additional parties may still be corrupted.
-func (e *Env) Budget() int { return e.t - len(e.corrupted) }
+func (e *Env) Budget() int { return e.t - e.count }
 
 // CorruptedSet returns a copy of the corrupted party set, sorted by
 // party ID so adversaries iterating it behave identically across runs.
 func (e *Env) CorruptedSet() []PartyID {
-	out := make([]PartyID, 0, len(e.corrupted))
-	//lint:ordered keys sorted below
-	for p := range e.corrupted {
-		out = append(out, p)
+	out := make([]PartyID, 0, e.count)
+	for p, c := range e.corrupted {
+		if c {
+			out = append(out, p)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -96,7 +99,11 @@ type Adversary interface {
 	// during this call are dropped from the honest traffic (strongly
 	// rushing) — Act must re-inject any it wants delivered. The view is
 	// read-only and aliases a pooled engine buffer: implementations must
-	// neither mutate it nor retain it past the call.
+	// neither mutate it nor retain it past the call (the `noretain`
+	// analyzer enforces this). In the other direction, the returned
+	// slice may be a buffer the adversary owns and refills on its next
+	// call: the engine copies what it delivers into inboxes and tracers
+	// copy what they keep, so nothing reads it after the next Act.
 	Act(round int, honest []Message, env *Env) []Message
 }
 

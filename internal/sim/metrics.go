@@ -60,11 +60,13 @@ func (m *Metrics) String() string {
 		m.TotalHonestBytes(), m.Corruptions)
 }
 
-// accumulate meters one honest message into the round record.
-func (r *RoundMetrics) accumulate(msg Message) {
-	r.HonestMessages++
-	if msg.Payload != nil {
-		r.HonestSignatures += msg.Payload.SigCount()
-		r.HonestBytes += msg.Payload.ByteSize()
+// accumulate meters copies honest messages carrying payload into the
+// round record: a send's expansion shares one immutable payload, so it
+// is metered once, not once per recipient.
+func (r *RoundMetrics) accumulate(payload Payload, copies int) {
+	r.HonestMessages += copies
+	if payload != nil {
+		r.HonestSignatures += copies * payload.SigCount()
+		r.HonestBytes += copies * payload.ByteSize()
 	}
 }

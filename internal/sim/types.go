@@ -62,7 +62,8 @@ func BroadcastSend(p Payload) []Send {
 //
 // The engine calls Start once for the party's round-1 messages, then
 // Deliver at the end of every round r with all round-r messages
-// addressed to the party (sorted by sender for determinism); Deliver
+// addressed to the party (sorted by sender for determinism, each
+// sender's messages in the order it sent them); Deliver
 // returns the party's round r+1 messages. After the configured number of
 // rounds, Output must return the protocol output.
 //
