@@ -2,7 +2,6 @@ package ba
 
 import (
 	"fmt"
-	"sort"
 
 	"proxcensus/internal/crypto/threshsig"
 	"proxcensus/internal/proxcensus"
@@ -69,7 +68,10 @@ type tcOutcome struct {
 	Cand Value
 }
 
-// tcPrefixThird is the 2-round Turpin-Coan prefix for t < n/3.
+// tcPrefixThird is the 2-round Turpin-Coan prefix for t < n/3. Each
+// round counts every sender's first message of the round's class (in
+// round 2 its first valid echo) into tally, scratch sized for n senders
+// at construction, so neither round allocates for its count.
 type tcPrefixThird struct {
 	n, t  int
 	input Value
@@ -77,12 +79,72 @@ type tcPrefixThird struct {
 	y     Value
 	yOK   bool
 	out   tcOutcome
+	tally []valueCount
 }
 
 var _ sim.Machine = (*tcPrefixThird)(nil)
 
 func newTCPrefixThird(n, t int, input Value) *tcPrefixThird {
-	return &tcPrefixThird{n: n, t: t, input: input}
+	return &tcPrefixThird{n: n, t: t, input: input, tally: make([]valueCount, 0, max(n, 0))}
+}
+
+// valueCount is one distinct value of a prefix round and how many
+// senders sent it.
+type valueCount struct {
+	v     Value
+	count int
+}
+
+// tallyValue counts v into tally: one comparison per distinct value and
+// no allocation while tally has room, which n senders never outgrow.
+//
+//lint:hotpath
+func tallyValue(tally []valueCount, v Value) []valueCount {
+	for i := range tally {
+		if tally[i].v == v {
+			tally[i].count++
+			return tally
+		}
+	}
+	return append(tally, valueCount{v: v, count: 1})
+}
+
+// senderSetWords is the stack bitset of a senderSet: one bit per sender
+// ID below 1024.
+const senderSetWords = 16
+
+// senderSet records which senders a prefix round has counted, so each
+// counts once. IDs the bitset covers — every sender of an execution up
+// to n = 1024, since the engine and the hub stamp From — take a bit;
+// any other ID, which only larger n or a hand-built inbox produces, goes
+// to a map built on first use. The zero value is empty and lives on the
+// caller's stack.
+type senderSet struct {
+	bits  [senderSetWords]uint64
+	spill map[sim.PartyID]bool
+}
+
+// add marks from and reports whether it was unmarked.
+//
+//lint:hotpath
+func (s *senderSet) add(from sim.PartyID) bool {
+	if from >= 0 && from < senderSetWords*64 {
+		word, bit := from>>6, uint64(1)<<uint(from&63)
+		if s.bits[word]&bit != 0 {
+			return false
+		}
+		s.bits[word] |= bit
+		return true
+	}
+	if s.spill[from] {
+		return false
+	}
+	if s.spill == nil {
+		//lint:hotpath cold path: IDs past the bitset need n > 1024 or a hand-built inbox
+		s.spill = make(map[sim.PartyID]bool)
+	}
+	s.spill[from] = true
+	return true
 }
 
 // Start implements sim.Machine.
@@ -95,46 +157,46 @@ func (m *tcPrefixThird) Deliver(round int, in []sim.Message) []sim.Send {
 	m.round = round
 	switch round {
 	case 1:
-		counts := make(map[Value]int)
-		seen := make(map[sim.PartyID]bool)
+		var seen senderSet
+		m.tally = m.tally[:0]
 		for _, msg := range in {
 			p, ok := msg.Payload.(TCValue)
-			if !ok || seen[msg.From] {
+			if !ok || !seen.add(msg.From) {
 				continue
 			}
-			seen[msg.From] = true
-			counts[p.V]++
+			m.tally = tallyValue(m.tally, p.V)
 		}
+		// The smallest value with n-t support.
 		m.yOK = false
-		for _, v := range sortedCountKeys(counts) {
-			if quorum.Reached(counts[v], m.n, m.t) {
-				m.y, m.yOK = v, true
-				break
+		for _, c := range m.tally {
+			if quorum.Reached(c.count, m.n, m.t) && (!m.yOK || c.v < m.y) {
+				m.y, m.yOK = c.v, true
 			}
 		}
 		return sim.BroadcastSend(TCEcho{V: m.y, Valid: m.yOK})
 	case 2:
-		counts := make(map[Value]int)
-		seen := make(map[sim.PartyID]bool)
+		var seen senderSet
+		m.tally = m.tally[:0]
 		for _, msg := range in {
+			// An invalid echo does not use up its sender's slot.
 			p, ok := msg.Payload.(TCEcho)
-			if !ok || seen[msg.From] || !p.Valid {
+			if !ok || !p.Valid || !seen.add(msg.From) {
 				continue
 			}
-			seen[msg.From] = true
-			counts[p.V]++
+			m.tally = tallyValue(m.tally, p.V)
 		}
-		best, bestCount := Value(0), 0
-		for _, v := range sortedCountKeys(counts) {
-			if counts[v] > bestCount {
-				best, bestCount = v, counts[v]
+		// The most-echoed value, ties to the smallest.
+		var best valueCount
+		for _, c := range m.tally {
+			if c.count > best.count || (c.count == best.count && c.v < best.v) {
+				best = c
 			}
 		}
 		bit := Value(0)
-		if quorum.Reached(bestCount, m.n, m.t) {
+		if quorum.Reached(best.count, m.n, m.t) {
 			bit = 1
 		}
-		m.out = tcOutcome{Bit: bit, Cand: best}
+		m.out = tcOutcome{Bit: bit, Cand: best.v}
 	}
 	return nil
 }
@@ -319,15 +381,4 @@ func NewMultivaluedHalf(setup *Setup, kappa int, inputs []Value, defaultValue Va
 		Name: "multivalued-half-n2", N: setup.N, T: setup.T,
 		Rounds: MultivaluedHalfRounds(kappa), Machines: machines, Oracle: oracle,
 	}, nil
-}
-
-// sortedCountKeys returns count-map keys in ascending order.
-func sortedCountKeys(m map[Value]int) []Value {
-	keys := make([]Value, 0, len(m))
-	//lint:ordered keys sorted below
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

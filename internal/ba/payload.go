@@ -39,8 +39,9 @@ const MaxPayloadBytes = 1 << 20
 // contract), but a receiver may hold it only until Deliver returns: on
 // the TCP path it sub-slices the received frame, which the transport
 // releases right after the machine has stepped. A machine that needs
-// the bytes later copies them (tcPayloadPrefixThird keeps one copy of
-// the candidate it adopts).
+// the bytes later keeps bytes of its own (tcPayloadPrefixThird copies
+// the candidate it adopts unless it already holds it, as its input or
+// its round-1 candidate).
 type TCPayload struct {
 	Data []byte
 }
@@ -90,6 +91,8 @@ type payloadCount struct {
 // tally costs one comparison per distinct entry and no allocation — a
 // count map keyed by the bytes would build a key per message — and
 // there are at most n entries, one per sender.
+//
+//lint:hotpath
 func tallyPayload(tally []payloadCount, data []byte) []payloadCount {
 	for i := range tally {
 		if bytes.Equal(tally[i].data, data) {
@@ -102,13 +105,13 @@ func tallyPayload(tally []payloadCount, data []byte) []payloadCount {
 
 // tcPayloadPrefixThird is the 2-round ℓ-bit Turpin-Coan prefix for
 // t < n/3, structurally the byte-string twin of tcPrefixThird: same
-// rounds, same quorum thresholds, same deterministic tie-breaks (keys
-// ascending, here lexicographically), so the bit it feeds the
-// binary core is the one the digest prefix would compute on any
-// injective digest of the same inputs — the property the differential
-// suite pins. Delivered Data is only valid during Deliver, so the one
-// candidate a round keeps is copied; everything else is compared in
-// place.
+// rounds, same quorum thresholds, same first-per-sender rule, same
+// deterministic tie-breaks (keys ascending, here lexicographically), so
+// the bit it feeds the binary core is the one the digest prefix would
+// compute on any injective digest of the same inputs — the property the
+// differential suite pins. Delivered Data is only valid during Deliver,
+// so everything is compared in place, and the one candidate a round
+// keeps is copied unless the machine already holds equal bytes (keep).
 type tcPayloadPrefixThird struct {
 	n, t  int
 	input []byte
@@ -116,12 +119,32 @@ type tcPayloadPrefixThird struct {
 	y     []byte
 	yOK   bool
 	out   tcPayloadOutcome
+	tally []payloadCount // scratch for n senders, reused by both rounds
 }
 
 var _ sim.Machine = (*tcPayloadPrefixThird)(nil)
 
 func newTCPayloadPrefixThird(n, t int, input []byte) *tcPayloadPrefixThird {
-	return &tcPayloadPrefixThird{n: n, t: t, input: input}
+	return &tcPayloadPrefixThird{n: n, t: t, input: input, tally: make([]payloadCount, 0, max(n, 0))}
+}
+
+// keep returns bytes equal to data that outlive Deliver. It copies only
+// when the machine holds no equal bytes already: under pre-agreement
+// the round-1 candidate is the machine's own input and the round-2
+// candidate is that same y, so neither round copies. Empty data keeps
+// a non-nil empty slice, as a copy would — the candidate's nil-ness
+// travels into the decided output.
+func (m *tcPayloadPrefixThird) keep(data []byte) []byte {
+	switch {
+	case len(data) == 0:
+		return []byte{}
+	case bytes.Equal(data, m.y):
+		return m.y
+	case bytes.Equal(data, m.input):
+		return m.input
+	default:
+		return bytes.Clone(data)
+	}
 }
 
 // Start implements sim.Machine.
@@ -134,52 +157,51 @@ func (m *tcPayloadPrefixThird) Deliver(round int, in []sim.Message) []sim.Send {
 	m.round = round
 	switch round {
 	case 1:
-		var tally []payloadCount
-		seen := make(map[sim.PartyID]bool)
+		var seen senderSet
+		m.tally = m.tally[:0]
 		for _, msg := range in {
 			p, ok := msg.Payload.(TCPayload)
-			if !ok || seen[msg.From] {
+			if !ok || !seen.add(msg.From) {
 				continue
 			}
-			seen[msg.From] = true
-			tally = tallyPayload(tally, p.Data)
+			m.tally = tallyPayload(m.tally, p.Data)
 		}
 		// The lexicographically smallest byte string with n-t support:
 		// what an ascending walk over the distinct strings finds first.
 		var y *payloadCount
-		for i := range tally {
-			if c := &tally[i]; quorum.Reached(c.count, m.n, m.t) && (y == nil || bytes.Compare(c.data, y.data) < 0) {
+		for i := range m.tally {
+			if c := &m.tally[i]; quorum.Reached(c.count, m.n, m.t) && (y == nil || bytes.Compare(c.data, y.data) < 0) {
 				y = c
 			}
 		}
-		m.yOK = y != nil
+		m.y, m.yOK = nil, y != nil
 		if m.yOK {
-			m.y = append([]byte{}, y.data...)
+			m.y = m.keep(y.data)
 		}
 		return sim.BroadcastSend(TCPayloadEcho{Data: m.y, Valid: m.yOK})
 	case 2:
-		var tally []payloadCount
-		seen := make(map[sim.PartyID]bool)
+		var seen senderSet
+		m.tally = m.tally[:0]
 		for _, msg := range in {
+			// An invalid echo does not use up its sender's slot.
 			p, ok := msg.Payload.(TCPayloadEcho)
-			if !ok || seen[msg.From] || !p.Valid {
+			if !ok || !p.Valid || !seen.add(msg.From) {
 				continue
 			}
-			seen[msg.From] = true
-			tally = tallyPayload(tally, p.Data)
+			m.tally = tallyPayload(m.tally, p.Data)
 		}
 		// The most-echoed byte string, ties to the lexicographically
 		// smallest: what an ascending walk that only moves on a strictly
 		// higher count ends on.
 		var best payloadCount
-		for _, c := range tally {
+		for _, c := range m.tally {
 			if c.count > best.count || (c.count == best.count && bytes.Compare(c.data, best.data) < 0) {
 				best = c
 			}
 		}
 		m.out = tcPayloadOutcome{}
 		if best.count > 0 {
-			m.out.Cand = append([]byte{}, best.data...)
+			m.out.Cand = m.keep(best.data)
 		}
 		if quorum.Reached(best.count, m.n, m.t) {
 			m.out.Bit = 1

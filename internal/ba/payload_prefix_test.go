@@ -111,21 +111,43 @@ func TestPayloadPrefixMatchesSortedKeyRule(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m := newTCPayloadPrefixThird(c.n, c.t, nil)
-			sends := m.Deliver(1, prefixInbox(1, c.in))
-			wantY, wantOK := refPrefixRound1(c.n, c.t, c.in)
-			if m.yOK != wantOK || (wantOK && !sameBytes(m.y, wantY)) {
-				t.Errorf("round 1: y=%q ok=%t, sorted-key rule gives %q ok=%t", m.y, m.yOK, wantY, wantOK)
-			}
-			if echo := sends[0].Payload.(TCPayloadEcho); echo.Valid != wantOK || (wantOK && !sameBytes(echo.Data, wantY)) {
-				t.Errorf("round 1 echoes %q valid=%t", echo.Data, echo.Valid)
-			}
-			m.Deliver(2, prefixInbox(2, c.in))
-			want := refPrefixRound2(c.n, c.t, c.in)
-			if m.out.Bit != want.Bit || !sameBytes(m.out.Cand, want.Cand) {
-				t.Errorf("round 2: bit=%d cand=%q, sorted-key rule gives bit=%d cand=%q", m.out.Bit, m.out.Cand, want.Bit, want.Cand)
-			}
+			checkPayloadPrefix(t, c.n, c.t, c.in, prefixInbox(2, c.in))
 		})
+	}
+	// An invalid echo does not use up its sender: senders 0 and 1 send
+	// one of other bytes before their valid one, which the sorted-key
+	// rule, fed the valid echoes only, counts.
+	t.Run("invalid-echo-then-valid", func(t *testing.T) {
+		in := [][]byte{[]byte("x"), []byte("x"), []byte("x"), []byte("y")}
+		var in2 []sim.Message
+		for i, msg := range prefixInbox(2, in) {
+			if i < 2 {
+				in2 = append(in2, sim.Message{From: i, Round: 2, Payload: TCPayloadEcho{Data: []byte("junk"), Valid: false}})
+			}
+			in2 = append(in2, msg)
+		}
+		checkPayloadPrefix(t, 4, 1, in, in2)
+	})
+}
+
+// checkPayloadPrefix runs the prefix over one byte string per sender in
+// round 1 and the round-2 inbox in2, whose valid echoes carry in, and
+// compares both rounds with the sorted-key rule.
+func checkPayloadPrefix(t *testing.T, n, tc int, in [][]byte, in2 []sim.Message) {
+	t.Helper()
+	m := newTCPayloadPrefixThird(n, tc, nil)
+	sends := m.Deliver(1, prefixInbox(1, in))
+	wantY, wantOK := refPrefixRound1(n, tc, in)
+	if m.yOK != wantOK || (wantOK && !sameBytes(m.y, wantY)) {
+		t.Errorf("round 1: y=%q ok=%t, sorted-key rule gives %q ok=%t", m.y, m.yOK, wantY, wantOK)
+	}
+	if echo := sends[0].Payload.(TCPayloadEcho); echo.Valid != wantOK || (wantOK && !sameBytes(echo.Data, wantY)) {
+		t.Errorf("round 1 echoes %q valid=%t", echo.Data, echo.Valid)
+	}
+	m.Deliver(2, in2)
+	want := refPrefixRound2(n, tc, in)
+	if m.out.Bit != want.Bit || !sameBytes(m.out.Cand, want.Cand) {
+		t.Errorf("round 2: bit=%d cand=%q, sorted-key rule gives bit=%d cand=%q", m.out.Bit, m.out.Cand, want.Bit, want.Cand)
 	}
 }
 
@@ -160,44 +182,49 @@ func TestPayloadPrefixFiltersLikeBefore(t *testing.T) {
 // TestPayloadPrefixCopiesWhatItKeeps: delivered Data is only valid
 // until Deliver returns (on the TCP path it sub-slices a frame the
 // transport then releases), so overwriting it afterwards must not
-// reach the echo the machine sends or the candidate it outputs.
+// reach the echo the machine sends or the candidate it outputs —
+// whether the machine copied the bytes or kept its own equal input.
 func TestPayloadPrefixCopiesWhatItKeeps(t *testing.T) {
 	const n, tc = 4, 1
 	want := bytes.Repeat([]byte{7}, 1024)
-	for round := 1; round <= 2; round++ {
-		m := newTCPayloadPrefixThird(n, tc, nil)
-		wire := make([][]byte, n)
-		for i := range wire {
-			wire[i] = append([]byte(nil), want...)
-		}
-		sends := m.Deliver(round, prefixInbox(round, wire))
-		for i := range wire {
-			for j := range wire[i] {
-				wire[i][j] = 0xDB
+	for _, input := range [][]byte{nil, append([]byte(nil), want...)} {
+		for round := 1; round <= 2; round++ {
+			m := newTCPayloadPrefixThird(n, tc, input)
+			wire := make([][]byte, n)
+			for i := range wire {
+				wire[i] = append([]byte(nil), want...)
 			}
-		}
-		got := m.out.Cand
-		if round == 1 {
-			got = sends[0].Payload.(TCPayloadEcho).Data
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("round %d kept an alias of the delivered bytes", round)
+			sends := m.Deliver(round, prefixInbox(round, wire))
+			for i := range wire {
+				for j := range wire[i] {
+					wire[i][j] = 0xDB
+				}
+			}
+			got := m.out.Cand
+			if round == 1 {
+				got = sends[0].Payload.(TCPayloadEcho).Data
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("input %d bytes, round %d: kept an alias of the delivered bytes", len(input), round)
+			}
 		}
 	}
 }
 
 // TestPayloadPrefixRoundAllocations: a round of n identical 16 KiB
 // messages allocates the one kept copy and small change — under twice
-// the payload — where a count map built a 16 KiB key per message.
+// the payload — where a count map built a 16 KiB key per message. Under
+// pre-agreement, when the machine's own input already holds the bytes,
+// it keeps the input and a round allocates under 1 KiB.
 func TestPayloadPrefixRoundAllocations(t *testing.T) {
 	const n, tc, size = 16, 5, 16 << 10
 	data := make([][]byte, n)
 	for i := range data {
 		data[i] = bytes.Repeat([]byte{0x5A}, size)
 	}
-	for round := 1; round <= 2; round++ {
+	perRound := func(input []byte, round int) uint64 {
 		in := prefixInbox(round, data)
-		m := newTCPayloadPrefixThird(n, tc, nil)
+		m := newTCPayloadPrefixThird(n, tc, input)
 		m.Deliver(round, in)
 		const runs = 20
 		var before, after runtime.MemStats
@@ -206,10 +233,16 @@ func TestPayloadPrefixRoundAllocations(t *testing.T) {
 			m.Deliver(round, in)
 		}
 		runtime.ReadMemStats(&after)
-		perRound := (after.TotalAlloc - before.TotalAlloc) / runs
-		if perRound < size || perRound >= 2*size {
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	for round := 1; round <= 2; round++ {
+		if got := perRound(nil, round); got < size || got >= 2*size {
 			t.Errorf("round %d allocates %d B for %d identical %d-byte messages; want one kept copy, under %d B",
-				round, perRound, n, size, 2*size)
+				round, got, n, size, 2*size)
+		}
+		if got := perRound(bytes.Clone(data[0]), round); got >= 1<<10 {
+			t.Errorf("round %d allocates %d B when the input equals the %d-byte messages; want no copy, under 1 KiB",
+				round, got, size)
 		}
 	}
 }

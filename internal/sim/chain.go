@@ -31,6 +31,10 @@ type Chain struct {
 	offset int // global round at which the current stage's window starts
 	done   bool
 	out    any
+	// inbox is the Chain's own buffer for re-based rounds, reused every
+	// round. It never holds the engine's in, which is pooled: at offset
+	// 0 the inbox is passed through instead.
+	inbox []Message
 }
 
 var _ Machine = (*Chain)(nil)
@@ -51,7 +55,7 @@ func (c *Chain) Deliver(round int, in []Message) []Send {
 		return nil
 	}
 	rel := round - c.offset
-	sends := c.cur.Deliver(rel, rebase(in, c.offset))
+	sends := c.cur.Deliver(rel, c.rebase(in))
 	if rel >= c.stages[c.idx].Rounds {
 		// The stage's window is over; its trailing sends (if any) fall
 		// outside the window and are dropped in favour of the next
@@ -107,17 +111,18 @@ func (c *Chain) advance(round int, prev any) []Send {
 }
 
 // rebase rewrites message round numbers into the current stage's local
-// round numbering.
-func rebase(in []Message, offset int) []Message {
-	if offset == 0 {
+// round numbering, copying into c.inbox. The first stage's window
+// starts at round 0, so its inbox needs no rewrite and in itself is
+// returned — which is why the result must never be stored in c.inbox.
+func (c *Chain) rebase(in []Message) []Message {
+	if c.offset == 0 {
 		return in
 	}
-	out := make([]Message, len(in))
-	for i, m := range in {
-		m.Round -= offset
-		out[i] = m
+	c.inbox = append(c.inbox[:0], in...)
+	for i := range c.inbox {
+		c.inbox[i].Round -= c.offset
 	}
-	return out
+	return c.inbox
 }
 
 // Func wraps a pure function as a zero-round stage machine.

@@ -215,3 +215,63 @@ func TestChainRandomStructures(t *testing.T) {
 		}
 	}
 }
+
+// quietMachine sends nothing and allocates nothing; it remembers the
+// last inbox it was handed so the test can see what the Chain passed.
+type quietMachine struct {
+	rounds int
+	round  int
+	last   []Message
+}
+
+func (q *quietMachine) Start() []Send { return nil }
+func (q *quietMachine) Deliver(round int, in []Message) []Send {
+	q.round = round
+	q.last = in // kept only for the test to see which slice the Chain passed
+	return nil
+}
+func (q *quietMachine) Output() (any, bool) { return q.round, q.round >= q.rounds }
+
+// TestChainRebaseReusesItsBuffer: a stage past the first sees its
+// inbox re-based into the Chain's own buffer — reused every round, so a
+// warm round allocates nothing — while the engine's inbox keeps its
+// global round numbers, and the first stage is handed the engine's
+// inbox itself.
+func TestChainRebaseReusesItsBuffer(t *testing.T) {
+	first, second := &quietMachine{rounds: 2}, &quietMachine{rounds: 1 << 20}
+	c := NewChain([]Stage{
+		{Rounds: 2, New: func(any) Machine { return first }},
+		{Rounds: 1 << 20, New: func(any) Machine { return second }},
+	})
+	c.Start()
+	in := make([]Message, 8)
+	deliver := func(round int) {
+		for i := range in {
+			in[i] = Message{From: i, Round: round}
+		}
+		c.Deliver(round, in)
+	}
+	deliver(1)
+	if &first.last[0] != &in[0] {
+		t.Fatal("the first stage was not handed the engine's inbox")
+	}
+	deliver(2) // the first stage's window ends; the second starts at offset 2
+	round := 2
+	deliver(round + 1)
+	buf := &second.last[0]
+	allocs := testing.AllocsPerRun(50, func() {
+		round++
+		deliver(round)
+	})
+	if allocs != 0 {
+		t.Errorf("warm Chain.Deliver at offset 2 made %.1f allocations, want 0", allocs)
+	}
+	if &second.last[0] != buf || &second.last[0] == &in[0] {
+		t.Error("the second stage's inbox is not the Chain's own reused buffer")
+	}
+	for i, m := range second.last {
+		if m.Round != round-2 || in[i].Round != round {
+			t.Fatalf("message %d: stage sees round %d, engine inbox says %d; want %d and %d", i, m.Round, in[i].Round, round-2, round)
+		}
+	}
+}

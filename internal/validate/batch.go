@@ -27,11 +27,11 @@ import (
 // wire bytes, the decode result, and the claimed sender. On the TCP
 // path Raw — and the Data of a payload-blob Payload — sub-slices a
 // received frame the transport releases once the round's machine step
-// is done, so both are valid for the round only. AdmitBatch keeps
-// digests of Raw, never the bytes, and the one Payload it holds on to
-// (the first of a single-instance stream, for equivocation evidence)
-// is read only while its round lasts and dropped at the next round
-// boundary.
+// is done, so both are valid for the round only. Per sender and round,
+// AdmitBatch keeps digests of Raw, never the bytes, and the Payload
+// that opened each single-instance stream, for equivocation evidence.
+// It reads such a Payload only while its round lasts: later rounds
+// never consult it, and the sender's first message of one overwrites it.
 type Inbound struct {
 	// From is the claimed sender address.
 	From int
@@ -96,7 +96,9 @@ func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool 
 	if round != v.round {
 		// Round boundary: duplicate and equivocation streams are
 		// per-round (the hub delivers each round's traffic as one batch).
+		// A new stamp retires every sender slot at once.
 		v.round = round
+		v.stamp++
 		clear(v.dup)
 		clear(v.first)
 	}
@@ -239,6 +241,10 @@ func (v *Validator) sigMessage(key sigKey) []byte {
 		m = coin.InstanceMessage(v.rules.CoinDomain, key.a)
 	}
 	if len(v.msgCache) < msgCacheCap {
+		if v.msgCache == nil {
+			//lint:hotpath cold path: the cache is built once, by the validator's first signature group
+			v.msgCache = make(map[sigKey][]byte)
+		}
 		v.msgCache[key] = m
 	}
 	return m

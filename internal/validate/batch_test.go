@@ -377,7 +377,7 @@ func TestBatchSteadyStateAllocations(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		run() // warm caches: dup/first maps, message cache, scratches
+		run() // warm caches: message cache, signature scratches
 	}
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Fatalf("AdmitBatch allocated %.1f objects per steady-state round, want 0", allocs)

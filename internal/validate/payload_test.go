@@ -1,7 +1,8 @@
 // Payload ingress tests: the size cap (service ceiling and hard wire
 // cap), content-hash duplicate suppression and payload-equivocation
 // evidence at kilobyte sizes, batch-splitting invariance for the
-// non-batchable payload classes, and the steady-state allocation pin.
+// non-batchable payload classes, and the steady-state and cold-instance
+// allocation pins.
 
 package validate
 
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"proxcensus/internal/ba"
+	"proxcensus/internal/proxcensus"
 )
 
 func payloadOf(t testing.TB, from int, data []byte) Inbound {
@@ -147,5 +149,46 @@ func TestPayloadSteadyStateAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Fatalf("AdmitBatch allocated %.1f objects per steady-state payload round, want 0", allocs)
+	}
+}
+
+// TestColdInstanceAllocations: the service builds a validator per node
+// per instance, so a fresh one must be cheap too — New sizes everything
+// honest traffic needs, and screening an instance's five honest rounds
+// (payloads, payload echoes, three echo rounds) allocates nothing after
+// it.
+func TestColdInstanceAllocations(t *testing.T) {
+	const n = 16
+	candidate := bytes.Repeat([]byte{0x42}, 1024)
+	rounds := make([][]Inbound, 5)
+	for i := 0; i < n; i++ {
+		rounds[0] = append(rounds[0], inboundOf(t, i, ba.TCPayload{Data: candidate}))
+		rounds[1] = append(rounds[1], inboundOf(t, i, ba.TCPayloadEcho{Data: candidate, Valid: true}))
+		for r := 2; r < 5; r++ {
+			rounds[r] = append(rounds[r], inboundOf(t, i, proxcensus.EchoPayload{Z: 1, H: r - 2}))
+		}
+	}
+	rules := ForPayloadService(n, 1<<20)
+	const runs = 20
+	fresh := make([]*Validator, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range fresh {
+		fresh[i] = New(rules)
+	}
+	verdicts := make([]bool, 0, n)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		v := fresh[next]
+		next++
+		for r, in := range rounds {
+			verdicts = v.AdmitBatch(r+1, in, verdicts[:0])
+			for _, ok := range verdicts {
+				if !ok {
+					t.Fatalf("round %d: honest message rejected", r+1)
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a fresh validator allocated %.1f objects screening five honest rounds, want 0", allocs)
 	}
 }

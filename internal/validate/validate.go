@@ -325,17 +325,30 @@ type uniKey struct {
 	sub   int
 }
 
-// firstSeen remembers the first payload admitted into a stream. The
-// payload itself is kept and rendered lazily: evidence strings are only
-// built when a conflict actually materializes, so the screen's hot path
-// never pays for formatting. Payloads are immutable by the sim.Machine
-// contract, so deferred rendering produces the same string eager
-// rendering would have — within the round: a payload blob's Data
-// aliases the round's frame, and streams are cleared at the next round
-// boundary, before anything could render a payload whose frame is gone.
+// firstSeen is the stream a sender's slot opened first this round: its
+// class and sub-key, and the payload admitted into it. The payload is
+// kept so equivocation evidence can render it lazily — evidence strings
+// are only built when a conflict actually materializes, so the screen's
+// hot path never pays for formatting. Payloads are immutable by the
+// sim.Machine contract, so deferred rendering produces the same string
+// eager rendering would have. A payload blob's Data aliases the round's
+// frame, so the payload is only ever read while its round lasts: a
+// slot stamped for an earlier round is never consulted, and the
+// sender's first message of a new round overwrites it.
 type firstSeen struct {
-	hash    [sha256.Size]byte
+	class   Class // ClassUnknown: no stream opened yet
+	sub     int
 	payload sim.Payload
+}
+
+// senderRound is what the screen keeps about one sender for the round
+// its stamp names: the digest of the sender's first message, which is
+// all the duplicate check needs while the sender sends one message per
+// round, and the sender's first single-instance stream.
+type senderRound struct {
+	stamp  uint64
+	digest [sha256.Size]byte
+	stream firstSeen
 }
 
 // dupKey identifies one exact (sender, payload bytes) pair.
@@ -352,26 +365,40 @@ type Validator struct {
 
 	mu    sync.Mutex
 	round int
-	dup   map[dupKey]struct{}
-	first map[uniKey]firstSeen
 	rep   Report
 
-	// Batch-admission state, guarded by mu: the signed-message cache
-	// and the scratch slices AdmitBatch reuses across rounds so a
-	// steady-state batch allocates nothing.
+	// Per-round screen state, guarded by mu. senders holds one slot per
+	// sender, valid while its stamp equals stamp, which advances at each
+	// round boundary — so a new round costs no clearing. dup and first
+	// spill whatever a slot cannot hold: a sender's second distinct
+	// message and second stream of one round. A sender that sends one
+	// message per round never reaches them, so they are built on first
+	// use and cleared at round boundaries.
+	senders []senderRound
+	stamp   uint64
+	dup     map[dupKey]struct{}
+	first   map[uniKey]sim.Payload
+
+	// Batch-admission state, guarded by mu: the signed-message cache,
+	// built on the first signature check that needs it, and the scratch
+	// slices AdmitBatch reuses across rounds so a steady-state batch
+	// allocates nothing.
 	msgCache map[sigKey][]byte
 	pend     []int
 	shareBuf []threshsig.Share
 	idxBuf   []int
 }
 
-// New builds a validator for the rule set.
+// New builds a validator for the rule set. Its per-sender slots and the
+// pending-index scratch are sized for Rules.N here, so screening honest
+// rounds allocates nothing afterwards.
 func New(rules Rules) *Validator {
+	n := max(rules.N, 0)
 	return &Validator{
-		rules:    rules.withDefaults(),
-		dup:      make(map[dupKey]struct{}),
-		first:    make(map[uniKey]firstSeen),
-		msgCache: make(map[sigKey][]byte),
+		rules:   rules.withDefaults(),
+		senders: make([]senderRound, n),
+		stamp:   1,
+		pend:    make([]int, 0, n),
 	}
 }
 
@@ -416,14 +443,12 @@ func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeE
 	if !memo.valid || !bytes.Equal(raw, memo.raw) {
 		memo.raw, memo.hash, memo.valid = raw, sha256.Sum256(raw), true
 	}
-	hash := memo.hash
-	if _, seen := v.dup[dupKey{from: from, hash: hash}]; seen {
+	s := &v.senders[from]
+	if v.duplicate(s, from, memo.hash) {
 		return class, RejectDuplicate, false
 	}
-	v.dup[dupKey{from: from, hash: hash}] = struct{}{}
 	if singleInstance(class) {
-		key := uniKey{from: from, class: class, sub: subKey(p)}
-		if prev, seen := v.first[key]; seen {
+		if prev, conflict := v.openStream(s, from, class, subKey(p), p); conflict {
 			// Same stream, different bytes: equivocation. The first
 			// payload stands (matching the machines' first-wins rules);
 			// the conflict is recorded as evidence.
@@ -431,14 +456,70 @@ func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeE
 				//lint:hotpath cold path: evidence is only rendered when an equivocation strikes
 				v.rep.Evidence = append(v.rep.Evidence, Evidence{
 					From: from, Round: round, Class: class,
-					First: renderPayload(prev.payload), Second: renderPayload(p),
+					First: renderPayload(prev), Second: renderPayload(p),
 				})
 			}
 			return class, RejectEquivocation, false
 		}
-		v.first[key] = firstSeen{hash: hash, payload: p}
 	}
 	return class, 0, true
+}
+
+// duplicate records that from sent a message with this digest in the
+// current round and reports whether it already had. The sender's slot
+// holds its first digest of the round; only a sender's second distinct
+// message of a round (a flood, an equivocation, or a phase that sends
+// two, like Σ beside an Ω share) reaches the dup spill.
+//
+//lint:hotpath
+func (v *Validator) duplicate(s *senderRound, from int, digest [sha256.Size]byte) bool {
+	if s.stamp != v.stamp {
+		// The sender's first message this round opens its slot, which
+		// drops whatever the slot held for an earlier round.
+		*s = senderRound{stamp: v.stamp, digest: digest}
+		return false
+	}
+	if s.digest == digest {
+		return true
+	}
+	key := dupKey{from: from, hash: digest}
+	if _, seen := v.dup[key]; seen {
+		return true
+	}
+	if v.dup == nil {
+		//lint:hotpath cold path: the spill is built for the first sender to send two distinct messages in one round
+		v.dup = make(map[dupKey]struct{})
+	}
+	v.dup[key] = struct{}{}
+	return false
+}
+
+// openStream admits p as the first payload of from's (class, sub)
+// stream this round, or returns the payload that already opened it. The
+// sender's slot holds its first stream of the round; a second stream in
+// one round (quad Ω shares for several levels, or a flood) goes to the
+// first spill. s must already be stamped for the round (duplicate does
+// that).
+//
+//lint:hotpath
+func (v *Validator) openStream(s *senderRound, from int, class Class, sub int, p sim.Payload) (sim.Payload, bool) {
+	if s.stream.class == ClassUnknown {
+		s.stream = firstSeen{class: class, sub: sub, payload: p}
+		return nil, false
+	}
+	if s.stream.class == class && s.stream.sub == sub {
+		return s.stream.payload, true
+	}
+	key := uniKey{from: from, class: class, sub: sub}
+	if prev, seen := v.first[key]; seen {
+		return prev, true
+	}
+	if v.first == nil {
+		//lint:hotpath cold path: the spill is built for the first sender to open two streams in one round
+		v.first = make(map[uniKey]sim.Payload)
+	}
+	v.first[key] = p
+	return nil, false
 }
 
 // renderPayload renders a payload compactly for evidence records.

@@ -217,6 +217,19 @@ func TestAppendEncodeBatchEquivalence(t *testing.T) {
 	}
 }
 
+// decoderSink keeps NewDecoder's result on the heap in
+// TestNewDecoderAllocations.
+var decoderSink *Decoder
+
+// TestNewDecoderAllocations: the transport builds a Decoder per node per
+// instance, so building one is a single allocation; the intern cache
+// waits for something to intern.
+func TestNewDecoderAllocations(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { decoderSink = NewDecoder() }); allocs != 1 {
+		t.Fatalf("NewDecoder made %.1f allocations, want 1", allocs)
+	}
+}
+
 // TestDecoderInterning: byte-identical inputs return the cached
 // payload; slice-carrying classes always decode fresh; the cache cap
 // stops insertion but never rejects traffic; nil decoders pass through.
@@ -287,6 +300,21 @@ func TestDecoderInterning(t *testing.T) {
 		}
 		if len(d.cache) != 0 {
 			t.Error("failed decode polluted the cache")
+		}
+	})
+	t.Run("cache is built on the first internable insert", func(t *testing.T) {
+		d := NewDecoder()
+		if _, err := d.DecodeAlias(mustEncode(ba.TCPayload{Data: []byte{1}})); err != nil {
+			t.Fatal(err)
+		}
+		if d.cache != nil {
+			t.Error("a blob built the intern cache")
+		}
+		if _, err := d.Decode(raw); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.cache) != 1 {
+			t.Errorf("cache holds %d entries after one internable decode, want 1", len(d.cache))
 		}
 	})
 	t.Run("cap stops insertion not decoding", func(t *testing.T) {

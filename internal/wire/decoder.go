@@ -35,13 +35,17 @@ const internCap = 4096
 // are interned. Certificates and proxcast sets carry slices; sharing
 // one decoded instance across deliveries would let one consumer's
 // mutation leak into another's, so those classes always decode fresh.
+//
+// The transport builds one Decoder per node per instance, and an
+// instance's honest traffic interns a handful of payloads, so the cache
+// is built small, on the first insert: NewDecoder is one allocation.
 type Decoder struct {
 	cache map[string]sim.Payload
 }
 
 // NewDecoder builds an empty interning decoder.
 func NewDecoder() *Decoder {
-	return &Decoder{cache: make(map[string]sim.Payload, 64)}
+	return &Decoder{}
 }
 
 // Decode decodes b, consulting the intern cache first. A nil receiver
@@ -61,6 +65,9 @@ func (d *Decoder) Decode(b []byte) (sim.Payload, error) {
 		return nil, err
 	}
 	if internable(p) && len(d.cache) < internCap {
+		if d.cache == nil {
+			d.cache = make(map[string]sim.Payload)
+		}
 		d.cache[string(b)] = p
 	}
 	return p, nil

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Analyzer-and-test mutation smoke: prove the guards actually detect
 # the faults they claim to rule out. A pristine copy of the module is
-# mutated four times — swapping the transport's one batched ingress
+# mutated five times — swapping the transport's one batched ingress
 # screen for the decode-only sieve, stripping the deadline arming from
 # readFrameInto, deleting the configurable payload size cap from the
-# validate rules, and releasing a node's received frame before the
-# machine has stepped on the payloads that alias it — and each time the
-# matching guard (balint for the first two, the payload cap unit tests
-# for the third, the poisoned-frame lifetime test for the fourth) must
-# go red. A guard that stays green on a mutated module is a broken
-# guard, not a clean module; CI runs this nightly.
+# validate rules, releasing a node's received frame before the machine
+# has stepped on the payloads that alias it, and making the screen's
+# duplicate check consult only a sender's slot, never its spill — and
+# each time the matching guard (balint for the first two, the payload
+# cap unit tests for the third, the poisoned-frame lifetime test for the
+# fourth, the screen's differential and batch-splitting tests for the
+# fifth) must go red. A guard that stays green on a mutated module is a
+# broken guard, not a clean module; CI runs this nightly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -125,5 +127,22 @@ fi
 sed -i '/sends = machine\.Deliver(round, inbox)/{N;s/^\(.*\)\n\(.*\)$/\2\n\1/}' "$mux"
 (cd "$tmp" && go build ./internal/transport)
 expect_test_fail 'TestPoisonedFramesPayloadMatchesSim' ./internal/transport
+
+echo "mutation 5: the duplicate check consults the sender's slot and skips the spill"
+validate="$tmp/internal/validate/validate.go"
+spill_line='if _, seen := v.dup[key]; seen {'
+if [[ "$(grep -cF "$spill_line" "$validate")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one dup-spill lookup in validate.go" >&2
+    exit 1
+fi
+# The copy still carries mutations 3 and 4, so the tests must be green
+# before the change for their red to mean anything.
+(cd "$tmp" && go test -count=1 -run 'TestBatchEquivalenceAdversarial|FuzzAdmitBatch' ./internal/validate)
+# A sender's second distinct message of a round still lands in the
+# spill, but a resend of it is no longer found there: it passes as new,
+# then trips the equivocation check or is admitted twice.
+sed -i 's/if _, seen := v\.dup\[key\]; seen {/if false {/' "$validate"
+(cd "$tmp" && go build ./internal/validate)
+expect_test_fail 'TestBatchEquivalenceAdversarial|FuzzAdmitBatch' ./internal/validate
 
 echo "MUTATION SMOKE OK"
