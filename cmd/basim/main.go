@@ -65,13 +65,12 @@ func main() {
 		advName   = flag.String("adversary", "passive", "passive | crash | worstcase")
 		coinMode  = flag.String("coin", "ideal", "ideal | threshold")
 		seed      = flag.Int64("seed", 1, "execution seed")
-		workers   = flag.Int("workers", 0, "engine worker goroutines (0 = sequential, -1 = GOMAXPROCS)")
 		verbose   = flag.Bool("v", false, "dump per-party payloads")
 		overTCP   = flag.Bool("tcp", false, "run honest parties as TCP nodes (adversary must be passive)")
 		roundTO   = flag.Duration("round-timeout", 30*time.Second, "per-round deadline in -tcp mode")
 	)
 	flag.Parse()
-	if err := run(*protoName, *n, *t, *kappa, *inputsStr, *advName, *coinMode, *seed, *workers, *verbose, *overTCP, *roundTO); err != nil {
+	if err := run(*protoName, *n, *t, *kappa, *inputsStr, *advName, *coinMode, *seed, *verbose, *overTCP, *roundTO); err != nil {
 		fmt.Fprintf(os.Stderr, "basim: %v\n", err)
 		os.Exit(1)
 	}
@@ -102,7 +101,7 @@ func preflight(protoName string, n, t, kappa int, overTCP bool, roundTO time.Dur
 	return nil
 }
 
-func run(protoName string, n, t, kappa int, inputsStr, advName, coinMode string, seed int64, workers int, verbose, overTCP bool, roundTO time.Duration) error {
+func run(protoName string, n, t, kappa int, inputsStr, advName, coinMode string, seed int64, verbose, overTCP bool, roundTO time.Duration) error {
 	if err := preflight(protoName, n, t, kappa, overTCP, roundTO); err != nil {
 		return err
 	}
@@ -204,8 +203,7 @@ func run(protoName string, n, t, kappa int, inputsStr, advName, coinMode string,
 
 	res, err := sim.Run(sim.Config{
 		N: n, T: t, Rounds: proto.Rounds, Seed: seed,
-		Workers: workers,
-		Tracer:  &printTracer{verbose: verbose},
+		Tracer: &printTracer{verbose: verbose},
 	}, proto.Machines, adv)
 	if err != nil {
 		return err

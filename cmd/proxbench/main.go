@@ -97,7 +97,6 @@ func main() {
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		outDir  = flag.String("out", "", "also write each table to <dir>/<name>.txt and .csv")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		workers = flag.Int("workers", 0, "engine worker goroutines per trial (0 = sequential, -1 = GOMAXPROCS)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -111,7 +110,6 @@ func main() {
 		return
 	}
 
-	harness.EngineWorkers = *workers
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {

@@ -93,16 +93,16 @@ func runBounds(kappa, trials int, alpha float64) bool {
 	if err != nil {
 		fail(err)
 	}
-	half, err := conformance.HalfBoundSample(3, 1, trials)
+	half, err := conformance.HalfBoundSample(3, 1, 2, trials) // one Prox_5 iteration
 	if err != nil {
 		fail(err)
 	}
-	for _, sample := range []conformance.BoundSample{oneshot, half} {
+	for _, sample := range []*conformance.Outcome{oneshot, half} {
 		report, err := sample.Check(alpha)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("bound %s s=%d: %s\n", sample.Family, sample.Slots, report)
+		fmt.Printf("bound %s: %s\n", sample.Name, report)
 		failed = failed || !report.Consistent
 	}
 	return failed

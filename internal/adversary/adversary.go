@@ -49,6 +49,29 @@ func (f *Func) Act(round int, honest []sim.Message, env *sim.Env) []sim.Message 
 	return nil
 }
 
+// Blind runs Inner without the rushing view: Inner.Act receives a nil
+// honest-traffic slice every round, as if it had to speak before the
+// honest parties. This breaks the paper's adversary model and exists
+// only for the rushing ablation — it quantifies how much of an
+// attack's power comes from rushing.
+type Blind struct {
+	// Inner is the wrapped strategy; it keeps its corruption powers.
+	Inner sim.Adversary
+}
+
+var _ sim.Adversary = (*Blind)(nil)
+
+// Name implements sim.Adversary.
+func (b *Blind) Name() string { return "blind(" + b.Inner.Name() + ")" }
+
+// Init implements sim.Adversary.
+func (b *Blind) Init(env *sim.Env) { b.Inner.Init(env) }
+
+// Act implements sim.Adversary.
+func (b *Blind) Act(round int, _ []sim.Message, env *sim.Env) []sim.Message {
+	return b.Inner.Act(round, nil, env)
+}
+
 // CorruptSet statically corrupts the given parties during Init.
 func CorruptSet(env *sim.Env, victims []sim.PartyID) {
 	for _, p := range victims {

@@ -280,3 +280,55 @@ func TestExpandAdaptiveSplitWarmActAllocations(t *testing.T) {
 		t.Error("Act did not refill its own buffer")
 	}
 }
+
+// TestBlindHidesHonestTraffic pins the rushing ablation's wrapper: its
+// inner adversary sees a nil view in every round yet keeps its
+// corruptions and injections, while the tracer still receives the
+// round's honest traffic.
+func TestBlindHidesHonestTraffic(t *testing.T) {
+	const n, tc, rounds = 4, 1, 3
+	var views [][]sim.Message
+	inner := &adversary.Func{
+		InitFunc: func(env *sim.Env) { env.Corrupt(0) },
+		ActFunc: func(round int, honest []sim.Message, env *sim.Env) []sim.Message {
+			views = append(views, honest)
+			return []sim.Message{{From: 0, To: sim.Broadcast, Payload: proxcensus.EchoPayload{Z: 1}}}
+		},
+	}
+	machines := make([]sim.Machine, n)
+	for i := range machines {
+		machines[i] = proxcensus.NewExpandMachine(n, tc, rounds, i%2)
+	}
+	rec := &sim.Recorder{}
+	blind := &adversary.Blind{Inner: inner}
+	res, err := sim.Run(sim.Config{N: n, T: tc, Rounds: rounds, Seed: 1, Tracer: rec}, machines, blind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(views) != rounds {
+		t.Fatalf("inner adversary acted %d times, want %d", len(views), rounds)
+	}
+	for r, view := range views {
+		if view != nil {
+			t.Errorf("round %d: inner adversary saw %d honest messages, want a nil view", r+1, len(view))
+		}
+	}
+	// The recorder files the Init-time corruption under round 0.
+	if len(rec.Rounds) != rounds+1 {
+		t.Fatalf("recorded %d rounds, want round 0 plus %d", len(rec.Rounds), rounds)
+	}
+	for _, rr := range rec.Rounds[1:] {
+		if got := len(rr.Honest); got != (n-tc)*n {
+			t.Errorf("round %d: tracer saw %d honest messages, want %d", rr.Round, got, (n-tc)*n)
+		}
+		if got := len(rr.Adversarial); got != 1 {
+			t.Errorf("round %d: tracer saw %d adversary messages, want the injected 1", rr.Round, got)
+		}
+	}
+	if len(res.Corrupted) != 1 || res.Corrupted[0] != 0 {
+		t.Errorf("corrupted = %v, want [0]", res.Corrupted)
+	}
+	if got := blind.Name(); got != "blind(func)" {
+		t.Errorf("Name = %q", got)
+	}
+}

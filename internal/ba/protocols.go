@@ -311,25 +311,6 @@ func (p *Protocol) RunTraced(adv sim.Adversary, seed int64, tr sim.Tracer) (*sim
 	return sim.Run(sim.Config{N: p.N, T: p.T, Rounds: p.Rounds, Seed: seed, Tracer: tr}, p.Machines, adv)
 }
 
-// RunWorkers executes the protocol like Run with the engine's parallel
-// phases spread over `workers` goroutines (see sim.Config.Workers).
-// Traces, metrics and outputs are identical for every worker count —
-// the cross-mode equivalence test enforces this.
-func (p *Protocol) RunWorkers(adv sim.Adversary, seed int64, workers int) (*sim.Result, error) {
-	return sim.Run(sim.Config{N: p.N, T: p.T, Rounds: p.Rounds, Seed: seed, Workers: workers}, p.Machines, adv)
-}
-
-// RunTracedWorkers combines RunTraced and RunWorkers.
-func (p *Protocol) RunTracedWorkers(adv sim.Adversary, seed int64, workers int, tr sim.Tracer) (*sim.Result, error) {
-	return sim.Run(sim.Config{N: p.N, T: p.T, Rounds: p.Rounds, Seed: seed, Tracer: tr, Workers: workers}, p.Machines, adv)
-}
-
-// RunNonRushing executes the protocol with the rushing ablation: the
-// adversary no longer sees honest traffic before speaking each round.
-func (p *Protocol) RunNonRushing(adv sim.Adversary, seed int64) (*sim.Result, error) {
-	return sim.Run(sim.Config{N: p.N, T: p.T, Rounds: p.Rounds, Seed: seed, NonRushing: true}, p.Machines, adv)
-}
-
 // Decisions extracts the honest parties' BA outputs from a simulation
 // result, ordered by party ID.
 func Decisions(res *sim.Result) []Value {

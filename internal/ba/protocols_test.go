@@ -76,19 +76,20 @@ func TestBAValidityAllProtocols(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					proto, err := b.build(setup, kappa, constInputs(n, v))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if proto.Rounds != b.rounds(kappa) {
-						t.Fatalf("rounds = %d, want %d", proto.Rounds, b.rounds(kappa))
-					}
 					advs := []sim.Adversary{
 						sim.Passive{},
 						&adversary.Crash{Victims: adversary.FirstT(tc)},
 						&adversary.LateCrash{Victims: adversary.FirstT(tc), When: 2},
 					}
 					for _, adv := range advs {
+						// Machines hold state: every run needs fresh ones.
+						proto, err := b.build(setup, kappa, constInputs(n, v))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if proto.Rounds != b.rounds(kappa) {
+							t.Fatalf("rounds = %d, want %d", proto.Rounds, b.rounds(kappa))
+						}
 						res, err := proto.Run(adv, 5)
 						if err != nil {
 							t.Fatalf("adversary %s: %v", adv.Name(), err)
@@ -100,13 +101,39 @@ func TestBAValidityAllProtocols(t *testing.T) {
 							t.Errorf("adversary %s: executed %d rounds, want %d", adv.Name(), res.Metrics.Rounds, proto.Rounds)
 						}
 					}
-					// Protocols cannot be reused across runs (machines hold
-					// state); rebuild for each adversary above instead of
-					// sharing — validated by constructing fresh per adversary.
-					_ = proto
 				})
 			}
 		}
+	}
+}
+
+// TestThresholdCoinCarriesSignatures checks that the metering sees the
+// threshold coin: with t parties crashed, the honest traffic of every
+// family still carries coin-share signatures.
+func TestThresholdCoinCarriesSignatures(t *testing.T) {
+	const kappa = 2
+	for _, b := range builders() {
+		t.Run(b.name, func(t *testing.T) {
+			n, tc := 7, 2
+			if b.needs == 2 {
+				n, tc = 5, 2
+			}
+			setup, err := ba.NewSetup(n, tc, ba.CoinThreshold, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proto, err := b.build(setup, kappa, constInputs(n, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := proto.Run(&adversary.Crash{Victims: adversary.FirstT(tc)}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Metrics.TotalHonestSignatures() == 0 {
+				t.Error("threshold-coin run carries no signatures")
+			}
+		})
 	}
 }
 

@@ -1,22 +1,22 @@
+// Package harness implements the experiment suite indexed in DESIGN.md
+// §4 and recorded in EXPERIMENTS.md: every table/figure and every
+// quantitative claim of the paper's evaluation (Section 3.5, Corollaries
+// 1-2, Theorem 1, appendices) has a generator here, and renders its
+// result table. Every disagreement-counting experiment samples through
+// conformance.Sample; cmd/proxbench calls these.
 package harness
 
 import (
 	"bytes"
 	"fmt"
-	"math"
 
 	"proxcensus/internal/adversary"
 	"proxcensus/internal/ba"
+	"proxcensus/internal/conformance"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
 	"proxcensus/internal/stats"
 )
-
-// This file implements the experiment suite indexed in DESIGN.md §4 and
-// recorded in EXPERIMENTS.md: every table/figure and every quantitative
-// claim of the paper's evaluation (Section 3.5, Corollaries 1-2,
-// Theorem 1, appendices) has a generator here. cmd/proxbench and the
-// repository benchmarks call these.
 
 // ExperimentRoundsThird reproduces E1 (structural part): the round
 // budgets of the one-shot protocol vs fixed-round Feldman-Micali for
@@ -58,24 +58,11 @@ func ExperimentErrorThird(tCorrupt int, kappas []int, trials int) (*Table, error
 		Columns: []string{"kappa", "rounds", "bound", "measured", "95% CI"},
 	}
 	for _, kappa := range kappas {
-		kappa := kappa
-		out, err := RunTrialsParallel("oneshot", trials, 0, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-			setup, err := ba.NewSetup(n, tCorrupt, ba.CoinIdeal, seed*2934871+17)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto, err := ba.NewOneShot(setup, kappa, splitBinaryInputs(n, tCorrupt))
-			if err != nil {
-				return nil, nil, err
-			}
-			return proto, &adversary.ExpandAdaptiveSplit{N: n, T: tCorrupt, Period: proto.Rounds}, nil
-		})
+		out, err := conformance.OneShotBoundSample(n, tCorrupt, kappa, trials)
 		if err != nil {
 			return nil, err
 		}
-		bound := math.Pow(2, -float64(kappa))
-		table.AddRow(kappa, out.Rounds, fmt.Sprintf("%.4g", bound), out.ErrorRate.P,
-			fmt.Sprintf("[%.4g, %.4g]", out.ErrorRate.Lo, out.ErrorRate.Hi))
+		table.AddRow(kappa, out.Rounds, fmt.Sprintf("%.4g", out.Bound), out.ErrorRate.P, interval(out.ErrorRate))
 	}
 	return table, nil
 }
@@ -91,26 +78,11 @@ func ExperimentErrorHalf(tCorrupt int, kappas []int, trials int) (*Table, error)
 		Columns: []string{"kappa", "rounds", "bound", "measured", "95% CI"},
 	}
 	for _, kappa := range kappas {
-		kappa := kappa
-		out, err := RunTrialsParallel("half", trials, 0, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-			setup, err := ba.NewSetup(n, tCorrupt, ba.CoinIdeal, seed*7394551+3)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto, err := ba.NewHalf(setup, kappa, splitBinaryInputs(n, tCorrupt))
-			if err != nil {
-				return nil, nil, err
-			}
-			adv := &adversary.LinearAdaptiveSplit{N: n, T: tCorrupt, Period: 3, Keys: setup.ProxSKs[:tCorrupt]}
-			return proto, adv, nil
-		})
+		out, err := conformance.HalfBoundSample(n, tCorrupt, kappa, trials)
 		if err != nil {
 			return nil, err
 		}
-		iters := (kappa + 1) / 2
-		bound := math.Pow(0.25, float64(iters))
-		table.AddRow(kappa, out.Rounds, fmt.Sprintf("%.4g", bound), out.ErrorRate.P,
-			fmt.Sprintf("[%.4g, %.4g]", out.ErrorRate.Lo, out.ErrorRate.Hi))
+		table.AddRow(kappa, out.Rounds, fmt.Sprintf("%.4g", out.Bound), out.ErrorRate.P, interval(out.ErrorRate))
 	}
 	return table, nil
 }
@@ -155,7 +127,7 @@ func ExperimentCommScaling(ns []int, kappa int) (*CommScalingResult, error) {
 			}
 			return float64(res.Metrics.TotalHonestSignatures()), nil
 		}
-		inputs := splitBinaryInputs(n, tCorrupt)
+		inputs := adversary.LinearSplitInputs(n, tCorrupt)
 		a, err := meter(func(s *ba.Setup) (*ba.Protocol, error) { return ba.NewHalf(s, kappa, inputs) })
 		if err != nil {
 			return nil, err
@@ -202,88 +174,48 @@ func ExperimentIterationFailure(trials int) (*Table, error) {
 		Columns: []string{"iteration", "s", "1/(s-1)", "measured", "95% CI"},
 	}
 	type row struct {
-		name    string
-		slots   int
-		factory TrialFactory
+		name   string
+		slots  int
+		sample func() (*conformance.Outcome, error)
 	}
 	rows := []row{
-		{"oneshot kappa=1 (n=4)", 3, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-			setup, err := ba.NewSetup(4, 1, ba.CoinIdeal, seed*101+7)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto, err := ba.NewOneShot(setup, 1, splitBinaryInputs(4, 1))
-			if err != nil {
-				return nil, nil, err
-			}
-			return proto, &adversary.ExpandAdaptiveSplit{N: 4, T: 1, Period: proto.Rounds}, nil
+		{"oneshot kappa=1 (n=4)", 3, func() (*conformance.Outcome, error) { return conformance.OneShotBoundSample(4, 1, 1, trials) }},
+		{"oneshot kappa=2 (n=4)", 5, func() (*conformance.Outcome, error) { return conformance.OneShotBoundSample(4, 1, 2, trials) }},
+		{"oneshot kappa=3 (n=4)", 9, func() (*conformance.Outcome, error) { return conformance.OneShotBoundSample(4, 1, 3, trials) }},
+		{"fm single iteration (n=4)", 3, func() (*conformance.Outcome, error) {
+			return conformance.Sample("fm", trials, 0.5, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
+				setup, err := ba.NewSetup(4, 1, ba.CoinIdeal, seed*109+1)
+				if err != nil {
+					return nil, nil, err
+				}
+				proto, err := ba.NewFM(setup, 1, adversary.LinearSplitInputs(4, 1))
+				if err != nil {
+					return nil, nil, err
+				}
+				return proto, &adversary.ExpandAdaptiveSplit{N: 4, T: 1, Period: 2}, nil
+			})
 		}},
-		{"oneshot kappa=2 (n=4)", 5, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-			setup, err := ba.NewSetup(4, 1, ba.CoinIdeal, seed*103+11)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto, err := ba.NewOneShot(setup, 2, splitBinaryInputs(4, 1))
-			if err != nil {
-				return nil, nil, err
-			}
-			return proto, &adversary.ExpandAdaptiveSplit{N: 4, T: 1, Period: proto.Rounds}, nil
-		}},
-		{"oneshot kappa=3 (n=4)", 9, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-			setup, err := ba.NewSetup(4, 1, ba.CoinIdeal, seed*107+13)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto, err := ba.NewOneShot(setup, 3, splitBinaryInputs(4, 1))
-			if err != nil {
-				return nil, nil, err
-			}
-			return proto, &adversary.ExpandAdaptiveSplit{N: 4, T: 1, Period: proto.Rounds}, nil
-		}},
-		{"fm single iteration (n=4)", 3, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-			setup, err := ba.NewSetup(4, 1, ba.CoinIdeal, seed*109+1)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto, err := ba.NewFM(setup, 1, splitBinaryInputs(4, 1))
-			if err != nil {
-				return nil, nil, err
-			}
-			return proto, &adversary.ExpandAdaptiveSplit{N: 4, T: 1, Period: 2}, nil
-		}},
-		{"half single iteration (n=3)", 5, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-			setup, err := ba.NewSetup(3, 1, ba.CoinIdeal, seed*113+5)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto, err := ba.NewHalf(setup, 2, splitBinaryInputs(3, 1))
-			if err != nil {
-				return nil, nil, err
-			}
-			adv := &adversary.LinearAdaptiveSplit{N: 3, T: 1, Period: 3, Keys: setup.ProxSKs[:1]}
-			return proto, adv, nil
-		}},
-		{"mv single iteration (n=3)", 3, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-			setup, err := ba.NewSetup(3, 1, ba.CoinIdeal, seed*127+9)
-			if err != nil {
-				return nil, nil, err
-			}
-			proto, err := ba.NewMV(setup, 1, splitBinaryInputs(3, 1))
-			if err != nil {
-				return nil, nil, err
-			}
-			adv := &adversary.LinearAdaptiveSplit{N: 3, T: 1, Period: 2, Keys: setup.ProxSKs[:1]}
-			return proto, adv, nil
+		{"half single iteration (n=3)", 5, func() (*conformance.Outcome, error) { return conformance.HalfBoundSample(3, 1, 2, trials) }},
+		{"mv single iteration (n=3)", 3, func() (*conformance.Outcome, error) {
+			return conformance.Sample("mv", trials, 0.5, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
+				setup, err := ba.NewSetup(3, 1, ba.CoinIdeal, seed*127+9)
+				if err != nil {
+					return nil, nil, err
+				}
+				proto, err := ba.NewMV(setup, 1, adversary.LinearSplitInputs(3, 1))
+				if err != nil {
+					return nil, nil, err
+				}
+				return proto, &adversary.LinearAdaptiveSplit{N: 3, T: 1, Period: 2, Keys: setup.ProxSKs[:1]}, nil
+			})
 		}},
 	}
 	for _, r := range rows {
-		out, err := RunTrialsParallel(r.name, trials, 0, r.factory)
+		out, err := r.sample()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
-		bound := 1 / float64(r.slots-1)
-		table.AddRow(r.name, r.slots, fmt.Sprintf("%.4g", bound), out.ErrorRate.P,
-			fmt.Sprintf("[%.4g, %.4g]", out.ErrorRate.Lo, out.ErrorRate.Hi))
+		table.AddRow(r.name, r.slots, fmt.Sprintf("%.4g", out.Bound), out.ErrorRate.P, interval(out.ErrorRate))
 	}
 	return table, nil
 }
@@ -320,8 +252,7 @@ func ExperimentMultivalued(kappas []int, trials int) (*Table, error) {
 		Columns: []string{"kappa", "binary n/3", "multi n/3", "binary n/2", "multi n/2", "agreement"},
 	}
 	for _, kappa := range kappas {
-		kappa := kappa
-		out, err := RunTrialsParallel("multival", trials, 0, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
+		out, err := conformance.Sample("multival", trials, 0, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
 			setup, err := ba.NewSetup(7, 2, ba.CoinIdeal, seed*131+3)
 			if err != nil {
 				return nil, nil, err
@@ -375,7 +306,7 @@ func ExperimentPayloadDissemination(ns, sizes []int, kappa, trials int) (*Table,
 				if err != nil {
 					return nil, err
 				}
-				res, err := proto.RunWorkers(&adversary.Crash{Victims: adversary.FirstT(t)}, int64(trial), EngineWorkers)
+				res, err := proto.Run(&adversary.Crash{Victims: adversary.FirstT(t)}, int64(trial))
 				if err != nil {
 					return nil, err
 				}
@@ -434,7 +365,7 @@ func ExperimentCoinParallelism(tCorrupt, kappa, trials int) (*Table, error) {
 		Columns: []string{"variant", "rounds", "measured error", "95% CI"},
 	}
 	run := func(name string, build func(setup *ba.Setup) (*ba.Protocol, error)) error {
-		out, err := RunTrialsParallel(name, trials, 0, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
+		out, err := conformance.Sample(name, trials, 0, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
 			setup, err := ba.NewSetup(n, tCorrupt, ba.CoinIdeal, seed*151+7)
 			if err != nil {
 				return nil, nil, err
@@ -449,11 +380,10 @@ func ExperimentCoinParallelism(tCorrupt, kappa, trials int) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		table.AddRow(name, out.Rounds, out.ErrorRate.P,
-			fmt.Sprintf("[%.4g, %.4g]", out.ErrorRate.Lo, out.ErrorRate.Hi))
+		table.AddRow(name, out.Rounds, out.ErrorRate.P, interval(out.ErrorRate))
 		return nil
 	}
-	inputs := splitBinaryInputs(n, tCorrupt)
+	inputs := adversary.LinearSplitInputs(n, tCorrupt)
 	if err := run("parallel (paper)", func(s *ba.Setup) (*ba.Protocol, error) { return ba.NewHalf(s, kappa, inputs) }); err != nil {
 		return nil, err
 	}
@@ -474,39 +404,29 @@ func ExperimentRushing(trials int) (*Table, error) {
 		Columns: []string{"adversary view", "measured error", "95% CI"},
 	}
 	for _, rushing := range []bool{true, false} {
-		failures := 0
-		for trial := 0; trial < trials; trial++ {
-			setup, err := ba.NewSetup(n, tCorrupt, ba.CoinIdeal, int64(trial*157+11))
-			if err != nil {
-				return nil, err
-			}
-			proto, err := ba.NewOneShot(setup, kappa, splitBinaryInputs(n, tCorrupt))
-			if err != nil {
-				return nil, err
-			}
-			adv := &adversary.ExpandAdaptiveSplit{N: n, T: tCorrupt, Period: proto.Rounds}
-			var res *sim.Result
-			if rushing {
-				res, err = proto.Run(adv, int64(trial))
-			} else {
-				res, err = proto.RunNonRushing(adv, int64(trial))
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := ba.CheckAgreement(ba.Decisions(res)); err != nil {
-				failures++
-			}
-		}
-		rate, err := stats.NewProportion(failures, trials)
-		if err != nil {
-			return nil, err
-		}
 		label := "rushing (model)"
 		if !rushing {
 			label = "non-rushing (ablation)"
 		}
-		table.AddRow(label, rate.P, fmt.Sprintf("[%.4g, %.4g]", rate.Lo, rate.Hi))
+		out, err := conformance.Sample(label, trials, 0, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
+			setup, err := ba.NewSetup(n, tCorrupt, ba.CoinIdeal, seed*157+11)
+			if err != nil {
+				return nil, nil, err
+			}
+			proto, err := ba.NewOneShot(setup, kappa, adversary.LinearSplitInputs(n, tCorrupt))
+			if err != nil {
+				return nil, nil, err
+			}
+			var adv sim.Adversary = &adversary.ExpandAdaptiveSplit{N: n, T: tCorrupt, Period: proto.Rounds}
+			if !rushing {
+				adv = &adversary.Blind{Inner: adv}
+			}
+			return proto, adv, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		table.AddRow(label, out.ErrorRate.P, interval(out.ErrorRate))
 	}
 	return table, nil
 }
@@ -556,7 +476,7 @@ func ExperimentTermination(trials int) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			proto, err := ba.NewLasVegas(setup, 60, splitBinaryInputs(n, tCorrupt))
+			proto, err := ba.NewLasVegas(setup, 60, adversary.LinearSplitInputs(n, tCorrupt))
 			if err != nil {
 				return err
 			}
@@ -616,12 +536,7 @@ func ExperimentTermination(trials int) (*Table, error) {
 	return table, nil
 }
 
-// splitBinaryInputs is the canonical non-unanimous honest input vector:
-// the first honest party holds 0, the rest hold 1.
-func splitBinaryInputs(n, t int) []ba.Value {
-	inputs := make([]ba.Value, n)
-	for i := t + 1; i < n; i++ {
-		inputs[i] = 1
-	}
-	return inputs
+// interval renders a proportion's 95% Wilson interval as a table cell.
+func interval(p stats.Proportion) string {
+	return fmt.Sprintf("[%.4g, %.4g]", p.Lo, p.Hi)
 }

@@ -5,49 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"proxcensus/internal/adversary"
-	"proxcensus/internal/ba"
-	"proxcensus/internal/sim"
 )
-
-func TestRunTrialsFaultFree(t *testing.T) {
-	out, err := RunTrials("test", 10, func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-		setup, err := ba.NewSetup(4, 1, ba.CoinIdeal, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		proto, err := ba.NewOneShot(setup, 4, []ba.Value{1, 1, 1, 1})
-		if err != nil {
-			return nil, nil, err
-		}
-		return proto, sim.Passive{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Disagreements != 0 {
-		t.Errorf("disagreements = %d, want 0", out.Disagreements)
-	}
-	if out.Rounds != 5 {
-		t.Errorf("rounds = %d, want 5", out.Rounds)
-	}
-	if out.AvgMessages <= 0 || out.AvgBytes <= 0 {
-		t.Errorf("traffic averages not positive: %+v", out)
-	}
-	if out.ErrorRate.Trials != 10 {
-		t.Errorf("error-rate trials = %d", out.ErrorRate.Trials)
-	}
-	if s := out.String(); !strings.Contains(s, "test") {
-		t.Errorf("summary %q missing name", s)
-	}
-}
-
-func TestRunTrialsValidation(t *testing.T) {
-	if _, err := RunTrials("x", 0, nil); err == nil {
-		t.Error("zero trials must fail")
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tab := &Table{
@@ -201,13 +159,21 @@ func TestExperimentProxcast(t *testing.T) {
 	}
 }
 
+// TestExperimentRushing is A3's claim: with the rushing view the
+// adaptive splitter forces disagreement, blinded it never does.
 func TestExperimentRushing(t *testing.T) {
-	tab, err := ExperimentRushing(120)
+	tab, err := ExperimentRushing(200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	if rushing := tab.Rows[0]; rushing[0] != "rushing (model)" || rushing[1] == "0" {
+		t.Errorf("rushing row = %v, want a nonzero error", rushing)
+	}
+	if blind := tab.Rows[1]; blind[0] != "non-rushing (ablation)" || blind[1] != "0" {
+		t.Errorf("non-rushing row = %v, want error 0", blind)
 	}
 }
 
@@ -239,61 +205,6 @@ func TestExperimentErrorTables(t *testing.T) {
 	}
 	if len(e2.Rows) != 1 {
 		t.Fatalf("E2 rows = %d", len(e2.Rows))
-	}
-}
-
-func TestMeterOnce(t *testing.T) {
-	res, err := MeterOnce(func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-		setup, err := ba.NewSetup(5, 2, ba.CoinThreshold, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		proto, err := ba.NewHalf(setup, 2, []ba.Value{1, 1, 1, 1, 1})
-		if err != nil {
-			return nil, nil, err
-		}
-		return proto, &adversary.Crash{Victims: adversary.FirstT(2)}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.TotalHonestSignatures() == 0 {
-		t.Error("threshold-coin run must carry signatures")
-	}
-}
-
-func TestRunTrialsParallelMatchesSequential(t *testing.T) {
-	factory := func(seed int64) (*ba.Protocol, sim.Adversary, error) {
-		setup, err := ba.NewSetup(4, 1, ba.CoinIdeal, seed*31+5)
-		if err != nil {
-			return nil, nil, err
-		}
-		proto, err := ba.NewOneShot(setup, 2, []ba.Value{0, 0, 1, 1})
-		if err != nil {
-			return nil, nil, err
-		}
-		return proto, &adversary.ExpandAdaptiveSplit{N: 4, T: 1, Period: proto.Rounds}, nil
-	}
-	seq, err := RunTrials("seq", 60, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunTrialsParallel("par", 60, 4, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Disagreements != par.Disagreements {
-		t.Errorf("sequential %d disagreements, parallel %d — must be identical (per-trial seeds)",
-			seq.Disagreements, par.Disagreements)
-	}
-	if seq.AvgMessages != par.AvgMessages || seq.AvgSignatures != par.AvgSignatures {
-		t.Errorf("traffic averages differ: %+v vs %+v", seq, par)
-	}
-}
-
-func TestRunTrialsParallelValidation(t *testing.T) {
-	if _, err := RunTrialsParallel("x", 0, 2, nil); err == nil {
-		t.Error("zero trials must fail")
 	}
 }
 

@@ -33,20 +33,6 @@ type Config struct {
 	Seed int64
 	// Tracer, if non-nil, observes the execution.
 	Tracer Tracer
-	// NonRushing, if set, hides the honest round traffic from the
-	// adversary (it acts first each round). This breaks the paper's
-	// adversary model and exists only for the rushing ablation — it
-	// quantifies how much of an attack's power comes from rushing.
-	NonRushing bool
-	// Workers sets the engine's worker pool size for the parallel
-	// phases (send collection, inbox routing, machine stepping).
-	// 0 or 1 runs every phase inline on the calling goroutine —
-	// byte-identical to the historical sequential engine; > 1 spreads
-	// the per-party work over that many goroutines; < 0 selects
-	// GOMAXPROCS. Every setting produces the same traces, metrics and
-	// outputs: parallel work writes only party-indexed slots and the
-	// merge order is fixed by party ID (see DESIGN.md §9).
-	Workers int
 }
 
 // Result is the outcome of an execution.
@@ -87,7 +73,6 @@ type engine struct {
 	adv      Adversary
 	env      *Env
 	tracer   Tracer
-	workers  int
 
 	// pending[p] holds party p's sends for the upcoming round.
 	pending [][]Send
@@ -95,8 +80,7 @@ type engine struct {
 	// refilled each round in ascending (party, send, recipient) order.
 	honest []Message
 	// offsets[p] is the start of party p's span in honest; offsets[n]
-	// is the round's total. Spans are disjoint, so the parallel fill
-	// races with nothing.
+	// is the round's total.
 	offsets []int
 	// subtotal[p] meters party p's sends of the current round; folded
 	// into the round metrics only for parties still honest after the
@@ -117,15 +101,6 @@ type engine struct {
 	advStart []int
 	bySender []int
 	advOrder []int
-
-	// curRound and fill carry the current round's state into the
-	// per-party phase methods, whose closures (fillFn, routeFn, stepFn)
-	// are bound once at construction so the hot loop allocates none.
-	curRound int
-	fill     []Message
-	fillFn   func(p int)
-	routeFn  func(p int)
-	stepFn   func(p int)
 }
 
 // Run executes machines for cfg.Rounds synchronous rounds against adv.
@@ -137,9 +112,6 @@ type engine struct {
 // round-r messages are routed to their recipients (Phase 3, strongly
 // rushing); then every honest party receives all round-r messages
 // addressed to it and computes its round r+1 messages (Phase 4).
-//
-// Phases 1, 3 and 4 run across cfg.Workers goroutines; Phase 2 is
-// always sequential, preserving the adversary model exactly.
 func Run(cfg Config, machines []Machine, adv Adversary) (*Result, error) {
 	if cfg.N <= 0 || cfg.T < 0 || cfg.T >= cfg.N || cfg.Rounds < 0 {
 		return nil, fmt.Errorf("%w: n=%d t=%d rounds=%d", ErrBadConfig, cfg.N, cfg.T, cfg.Rounds)
@@ -160,7 +132,6 @@ func Run(cfg Config, machines []Machine, adv Adversary) (*Result, error) {
 		adv:      adv,
 		env:      newEnv(cfg.N, cfg.T, rand.New(rand.NewSource(cfg.Seed)), tracer),
 		tracer:   tracer,
-		workers:  resolveWorkers(cfg.Workers),
 		pending:  make([][]Send, cfg.N),
 		offsets:  make([]int, cfg.N+1),
 		subtotal: make([]RoundMetrics, cfg.N),
@@ -169,9 +140,6 @@ func Run(cfg Config, machines []Machine, adv Adversary) (*Result, error) {
 		advStart: make([]int, cfg.N+1),
 		bySender: make([]int, cfg.N+1),
 	}
-	e.fillFn = e.fillParty
-	e.routeFn = e.routeParty
-	e.stepFn = e.stepParty
 	return e.run()
 }
 
@@ -228,11 +196,9 @@ func (e *engine) run() (*Result, error) {
 }
 
 // collectSends is Phase 1: expand every honest party's pending sends
-// into the pooled shared buffer. Broadcasts fan out to n addressed
-// copies sharing one payload. Span starts are prefix sums computed
-// sequentially; the fill then writes disjoint spans in parallel, so the
-// resulting order — ascending (party, send index, recipient) — is
-// identical for every worker count.
+// into the pooled shared buffer, in ascending (party, send index,
+// recipient) order, and meter each party's sends into its subtotal.
+// Broadcasts fan out to n addressed copies sharing one payload.
 //
 //lint:hotpath
 func (e *engine) collectSends(round int) []Message {
@@ -251,43 +217,26 @@ func (e *engine) collectSends(round int) []Message {
 		e.honest = make([]Message, total)
 	}
 	honest := e.honest[:total]
-
-	e.curRound = round
-	e.fill = honest
-	parallelFor(e.workers, n, e.fillFn)
-	e.fill = nil
+	for p := 0; p < n; p++ {
+		e.subtotal[p] = RoundMetrics{}
+		if e.env.IsCorrupted(p) {
+			continue
+		}
+		fillSends(honest[e.offsets[p]:e.offsets[p+1]], p, round, n, e.pending[p])
+		for _, s := range e.pending[p] {
+			e.subtotal[p].accumulate(s.Payload, copies(n, s.To))
+		}
+	}
 	e.honest = honest[:0]
 	return honest
 }
 
-// fillParty expands party p's sends into its span of the shared buffer
-// and meters them. Spans are disjoint, so concurrent fills never touch
-// the same slot.
-//
-//lint:hotpath
-func (e *engine) fillParty(p int) {
-	e.subtotal[p] = RoundMetrics{}
-	if e.env.IsCorrupted(p) {
-		return
-	}
-	n := e.cfg.N
-	fillSends(e.fill[e.offsets[p]:e.offsets[p+1]], p, e.curRound, n, e.pending[p])
-	for _, s := range e.pending[p] {
-		e.subtotal[p].accumulate(s.Payload, copies(n, s.To))
-	}
-}
-
-// adversaryAct is Phase 2, always sequential: the adversary observes
-// the round's honest traffic (unless the rushing ablation hides it) and
-// answers with the corrupted parties' messages. The view aliases the
-// engine's pooled buffer; adversaries must treat it as read-only and
-// not retain it past the call (see Adversary.Act).
+// adversaryAct is Phase 2: the adversary observes the round's honest
+// traffic and answers with the corrupted parties' messages. The view
+// aliases the engine's pooled buffer; adversaries must treat it as
+// read-only and not retain it past the call (see Adversary.Act).
 func (e *engine) adversaryAct(round int, honest []Message) ([]Message, error) {
-	view := honest
-	if e.cfg.NonRushing {
-		view = nil
-	}
-	advMsgs := e.adv.Act(round, view, e.env)
+	advMsgs := e.adv.Act(round, honest, e.env)
 	for i := range advMsgs {
 		if !e.env.IsCorrupted(advMsgs[i].From) {
 			return nil, fmt.Errorf("%w: party %d in round %d", ErrForgedSender, advMsgs[i].From, round)
@@ -299,9 +248,8 @@ func (e *engine) adversaryAct(round int, honest []Message) ([]Message, error) {
 }
 
 // meterRound folds the per-sender subtotals of parties that survived
-// Phase 2 honest into the round metrics. Summing party-indexed integer
-// subtotals in ID order makes the result independent of which worker
-// metered which party.
+// Phase 2 honest into the round metrics: a party corrupted mid-round
+// had its sends dropped, so they do not count (strongly rushing).
 //
 //lint:hotpath
 func (e *engine) meterRound(advMsgs []Message) RoundMetrics {
@@ -320,19 +268,20 @@ func (e *engine) meterRound(advMsgs []Message) RoundMetrics {
 
 // routeInboxes is Phase 3: deliver the round's surviving messages into
 // the pooled per-party inboxes, each built in ascending sender order.
-// Two sequential passes first bucket the adversary's messages per
-// recipient and count each recipient's deliveries; then every inbox is
-// filled in parallel by one merge of its bucket with the honest senders'
-// pending lists, re-addressed lazily (a broadcast is one Send scanned n
-// times, never n buffered copies). Messages from parties corrupted
-// during Phase 2 are dropped here (strongly rushing).
+// Two passes first bucket the adversary's messages per recipient and
+// count each recipient's deliveries; then every inbox is filled by one
+// merge of its bucket with the honest senders' pending lists,
+// re-addressed lazily (a broadcast is one Send scanned n times, never n
+// buffered copies). Messages from parties corrupted during Phase 2 are
+// dropped here (strongly rushing).
 //
 //lint:hotpath
 func (e *engine) routeInboxes(round int, advMsgs []Message) {
 	e.bucketAdversary(advMsgs)
 	e.countHonest()
-	e.curRound = round
-	parallelFor(e.workers, e.cfg.N, e.routeFn)
+	for p := 0; p < e.cfg.N; p++ {
+		e.routeParty(p, round)
+	}
 }
 
 // bucketAdversary sorts the round's adversary messages into one bucket
@@ -432,13 +381,18 @@ func (e *engine) countHonest() {
 }
 
 // stepMachines is Phase 4: every honest machine receives its inbox and
-// produces next round's sends. Machines are stepped in parallel — each
-// writes only its own pending slot, and the inbox order is already
-// fixed by sender, so worker scheduling cannot change what any machine
-// observes.
+// produces next round's sends; a corrupted party's pending slot is
+// cleared.
+//
+//lint:hotpath
 func (e *engine) stepMachines(round int) {
-	e.curRound = round
-	parallelFor(e.workers, e.cfg.N, e.stepFn)
+	for p := 0; p < e.cfg.N; p++ {
+		if e.env.IsCorrupted(p) {
+			e.pending[p] = nil
+			continue
+		}
+		e.pending[p] = e.machines[p].Deliver(round, e.inbox[p])
+	}
 }
 
 // routeParty fills recipient p's pooled inbox, sized exactly, by
@@ -449,7 +403,7 @@ func (e *engine) stepMachines(round int) {
 // (or injection) order.
 //
 //lint:hotpath
-func (e *engine) routeParty(p int) {
+func (e *engine) routeParty(p, round int) {
 	buf := e.inbox[p][:0]
 	corrupted := e.env.corrupted
 	if corrupted[p] {
@@ -469,23 +423,11 @@ func (e *engine) routeParty(p int) {
 		}
 		for _, s := range sends {
 			if s.To == Broadcast || s.To == p {
-				buf = append(buf, Message{From: q, To: p, Round: e.curRound, Payload: s.Payload})
+				buf = append(buf, Message{From: q, To: p, Round: round, Payload: s.Payload})
 			}
 		}
 	}
 	e.inbox[p] = buf
-}
-
-// stepParty steps party p's machine on its inbox, writing only p's own
-// pending slot.
-//
-//lint:hotpath
-func (e *engine) stepParty(p int) {
-	if e.env.IsCorrupted(p) {
-		e.pending[p] = nil
-		return
-	}
-	e.pending[p] = e.machines[p].Deliver(e.curRound, e.inbox[p])
 }
 
 // expandedCount returns how many addressed messages a send list expands

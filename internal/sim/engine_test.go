@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -379,5 +382,121 @@ func TestRunNilPayloadDelivery(t *testing.T) {
 	// chaos machines have no output until round 2; expect ErrNoOutput.
 	if !errors.Is(err, ErrNoOutput) {
 		t.Fatalf("err = %v, want ErrNoOutput", err)
+	}
+}
+
+// fixedSendMachine broadcasts a pre-built send list every round; it
+// allocates nothing after construction, so it isolates the engine's own
+// allocation behavior.
+type fixedSendMachine struct {
+	sends []Send
+	seen  int
+}
+
+func (m *fixedSendMachine) Start() []Send { return m.sends }
+
+func (m *fixedSendMachine) Deliver(round int, in []Message) []Send {
+	m.seen += len(in)
+	return m.sends
+}
+
+func (m *fixedSendMachine) Output() (any, bool) { return m.seen, true }
+
+// reusingAdversary corrupts parties 0..t-1 and injects, every round,
+// one broadcast and one unicast per corrupted party from a buffer it
+// owns and refills (sim.Adversary allows reuse across calls).
+type reusingAdversary struct {
+	t       int
+	payload Payload
+	msgs    []Message
+}
+
+func (a *reusingAdversary) Name() string { return "reusing" }
+
+func (a *reusingAdversary) Init(env *Env) {
+	for p := 0; p < a.t; p++ {
+		env.Corrupt(p)
+	}
+}
+
+func (a *reusingAdversary) Act(round int, _ []Message, env *Env) []Message {
+	msgs := a.msgs[:0]
+	for from := a.t - 1; from >= 0; from-- {
+		msgs = append(msgs,
+			Message{From: from, To: Broadcast, Payload: a.payload},
+			Message{From: from, To: (from + round) % env.N(), Payload: a.payload})
+	}
+	a.msgs = msgs
+	return msgs
+}
+
+// TestRunSteadyStateAllocations locks in the pooling refactor: once the
+// round loop is warm (round 1 grows the pooled buffers), additional
+// rounds must allocate nothing — also with an
+// adversary whose unicasts and broadcasts the engine buckets into the
+// inboxes. Measured as the marginal allocation count per extra round
+// between a short and a long execution of allocation-free machines.
+func TestRunSteadyStateAllocations(t *testing.T) {
+	const n = 8
+	var payload Payload = testPayload{v: 1, sigs: 1}
+	machines := make([]Machine, n)
+	for p := 0; p < n; p++ {
+		machines[p] = &fixedSendMachine{sends: []Send{{To: Broadcast, Payload: payload}}}
+	}
+	for _, tc := range []struct {
+		name string
+		t    int
+		adv  Adversary
+	}{
+		{"passive", 0, Passive{}},
+		{"injecting", 2, &reusingAdversary{t: 2, payload: payload}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(rounds int) float64 {
+				return testing.AllocsPerRun(10, func() {
+					if _, err := Run(Config{N: n, T: tc.t, Rounds: rounds}, machines, tc.adv); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			const short, long = 2, 34
+			perRound := (allocs(long) - allocs(short)) / float64(long-short)
+			if perRound >= 1 {
+				t.Errorf("engine allocates %.2f objects per steady-state round; want 0", perRound)
+			}
+		})
+	}
+}
+
+// TestRunGoldenAdversaries pins the two adversary shapes the protocol
+// goldens exercise least: an adaptive mid-round corruption (the
+// strongly rushing drop) and broadcasts plus unicasts injected in
+// descending sender order (the adversary bucketing). The hashes cover
+// the trace, metrics, outputs and corrupted set, and were recorded
+// while the engine still had a parallel mode that was checked
+// byte-identical to the sequential one.
+func TestRunGoldenAdversaries(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		adv  Adversary
+		want string
+	}{
+		{"mid-round", &midRoundCorruptor{victim: 2, when: 3}, "e16bbe9d272d869dd9ab4b39f00e8c8f49c8baa97ff982e327a723910ec6c6d6"},
+		{"injecting", &reusingAdversary{t: 3, payload: testPayload{v: 100}}, "14340b39c2678c0f2f9c73bb6cfa9347d68ab3b2d91cf43f3b00755823d338e6"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n, corrupt, rounds = 9, 3, 6
+			rec := &Recorder{}
+			res, err := Run(Config{N: n, T: corrupt, Rounds: rounds, Seed: 7, Tracer: rec}, echoMachines(n, rounds), tc.adv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			h.Write([]byte(rec.Fingerprint()))
+			fmt.Fprintf(h, "|%+v|%v|%v", res.Metrics, res.HonestOutputs(), res.Corrupted)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("execution hash = %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

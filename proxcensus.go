@@ -39,7 +39,7 @@ import (
 
 	"proxcensus/internal/adversary"
 	"proxcensus/internal/ba"
-	"proxcensus/internal/harness"
+	"proxcensus/internal/conformance"
 	"proxcensus/internal/sim"
 	"proxcensus/internal/transport"
 )
@@ -190,15 +190,16 @@ func WorstCaseHalf(setup *Setup, roundsPerIteration int) Adversary {
 
 // Outcome aggregates a batch of trials (error rate with confidence
 // interval, traffic averages).
-type Outcome = harness.Outcome
+type Outcome = conformance.Outcome
 
-// TrialFactory builds a fresh protocol and adversary per trial.
-type TrialFactory = harness.TrialFactory
+// TrialFactory builds a fresh protocol and adversary per trial. Trials
+// run in parallel, so it must not share mutable state across calls.
+type TrialFactory = conformance.TrialFactory
 
 // RunTrials executes repeated independent runs and aggregates
 // agreement failures and traffic.
 func RunTrials(name string, trials int, factory TrialFactory) (*Outcome, error) {
-	return harness.RunTrials(name, trials, factory)
+	return conformance.Sample(name, trials, 0, factory)
 }
 
 // RunLocalTCP executes a protocol with every party as a separate TCP
