@@ -21,8 +21,6 @@ import (
 	"syscall"
 	"time"
 
-	"proxcensus/internal/ba"
-	"proxcensus/internal/quorum"
 	"proxcensus/internal/service"
 	"proxcensus/internal/transport"
 )
@@ -53,35 +51,17 @@ func main() {
 }
 
 // preflight rejects bad parameter combinations before any setup or
-// socket work, with a pointed per-flag error: quorum bounds through
-// internal/quorum and the queueing knobs that admission control needs.
-func preflight(n, t, kappa, maxPending, maxActive, batch, maxPayload int, retryAfter, roundTO, report time.Duration) error {
+// socket work: service.Config.Validate for everything the service
+// checks, then the flags only the daemon reads.
+func preflight(cfg service.Config, report time.Duration) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	switch {
-	case n < 2:
-		return fmt.Errorf("-n must be at least 2, got %d", n)
-	case t < 0:
-		return fmt.Errorf("-t must be non-negative, got %d", t)
-	case !quorum.TolerateThird(n, t):
-		return fmt.Errorf("multivalued instances require 3t < n, got n=%d t=%d (raise -n or lower -t)", n, t)
-	case kappa < 1:
-		return fmt.Errorf("-kappa must be >= 1, got %d", kappa)
-	case maxPending < 1:
-		return fmt.Errorf("-max-pending must be positive, got %d", maxPending)
-	case maxActive < 1:
-		return fmt.Errorf("-max-active must be positive, got %d", maxActive)
-	case batch < 1:
-		return fmt.Errorf("-batch must be positive, got %d", batch)
-	case maxPayload < 1:
-		return fmt.Errorf("-max-payload must be positive, got %d", maxPayload)
-	case maxPayload > service.MaxAPIPayload:
-		return fmt.Errorf("-max-payload %d exceeds the line-protocol ceiling %d", maxPayload, service.MaxAPIPayload)
-	case batch*(maxPayload+8) > ba.MaxPayloadBytes:
-		return fmt.Errorf("-batch %d x -max-payload %d encodes past the %d-byte wire cap (lower one of them)",
-			batch, maxPayload, ba.MaxPayloadBytes)
-	case retryAfter <= 0:
-		return fmt.Errorf("-retry-after must be positive, got %s", retryAfter)
-	case roundTO <= 0:
-		return fmt.Errorf("-round-timeout must be positive, got %s", roundTO)
+	case cfg.RetryAfter <= 0:
+		return fmt.Errorf("-retry-after must be positive, got %s", cfg.RetryAfter)
+	case cfg.Transport.RoundTimeout <= 0:
+		return fmt.Errorf("-round-timeout must be positive, got %s", cfg.Transport.RoundTimeout)
 	case report < 0:
 		return fmt.Errorf("-report must be non-negative, got %s", report)
 	}
@@ -90,17 +70,18 @@ func preflight(n, t, kappa, maxPending, maxActive, batch, maxPayload int, retryA
 
 func run(n, t, kappa int, seed int64, listen, addrFile string, maxPending, maxActive, batch, maxPayload int,
 	retryAfter, roundTO, duration, report time.Duration) error {
-	if err := preflight(n, t, kappa, maxPending, maxActive, batch, maxPayload, retryAfter, roundTO, report); err != nil {
-		return err
-	}
-
-	svc, err := service.New(service.Config{
+	cfg := service.Config{
 		N: n, T: t, Kappa: kappa, Seed: seed,
 		MaxPending: maxPending, MaxActive: maxActive, Batch: batch,
 		MaxPayload: maxPayload,
 		RetryAfter: retryAfter,
 		Transport:  transport.Config{RoundTimeout: roundTO},
-	})
+	}
+	if err := preflight(cfg, report); err != nil {
+		return err
+	}
+
+	svc, err := service.New(cfg)
 	if err != nil {
 		return err
 	}

@@ -63,50 +63,109 @@ func (TCCandidate) ByteSize() int { return 8 + threshsig.Size }
 
 // tcOutcome is the prefix stage output: the binary-BA input bit and the
 // candidate to adopt if the BA decides 1.
-type tcOutcome struct {
+type tcOutcome[T any] struct {
 	Bit  Value
-	Cand Value
+	Cand T
 }
 
-// tcPrefixThird is the 2-round Turpin-Coan prefix for t < n/3. Each
-// round counts every sender's first message of the round's class (in
-// round 2 its first valid echo) into tally, scratch sized for n senders
-// at construction, so neither round allocates for its count.
-type tcPrefixThird struct {
-	n, t  int
-	input Value
-	round int
-	y     Value
-	yOK   bool
-	out   tcOutcome
-	tally []valueCount
+// tcDomain is the value domain a tcPrefixThird runs over, implemented
+// by a zero-size type: valueDomain for ints, bytesDomain for payloads.
+type tcDomain[T any] interface {
+	// msg is what round r broadcasts: the input in round 1, the
+	// n-t-supported candidate in round 2 ("no value" unless valid).
+	msg(round int, v T, valid bool) sim.Payload
+	// read returns the value p carries if p is round r's class, and in
+	// round 2 a valid echo.
+	read(round int, p sim.Payload) (v T, ok bool)
+	equal(a, b T) bool
+	// less is the tie-break order: both rounds prefer the smaller value.
+	less(a, b T) bool
+	// own returns a value equal to v that outlives Deliver — which a
+	// delivered v need not — reusing y or input when equal to v.
+	own(v, y, input T) T
 }
 
-var _ sim.Machine = (*tcPrefixThird)(nil)
+// valueDomain is the int domain: TCValue and TCEcho on the wire, values
+// owned by copy.
+type valueDomain struct{}
 
-func newTCPrefixThird(n, t int, input Value) *tcPrefixThird {
-	return &tcPrefixThird{n: n, t: t, input: input, tally: make([]valueCount, 0, max(n, 0))}
+func (valueDomain) msg(round int, v Value, valid bool) sim.Payload {
+	if round == 1 {
+		return TCValue{V: v}
+	}
+	return TCEcho{V: v, Valid: valid}
 }
 
-// valueCount is one distinct value of a prefix round and how many
-// senders sent it.
-type valueCount struct {
-	v     Value
+func (valueDomain) read(round int, p sim.Payload) (Value, bool) {
+	if round == 1 {
+		m, ok := p.(TCValue)
+		return m.V, ok
+	}
+	m, ok := p.(TCEcho)
+	return m.V, ok && m.Valid
+}
+
+func (valueDomain) equal(a, b Value) bool   { return a == b }
+func (valueDomain) less(a, b Value) bool    { return a < b }
+func (valueDomain) own(v, _, _ Value) Value { return v }
+
+// tcPrefixThird is the 2-round Turpin-Coan prefix for t < n/3 over the
+// value domain D. Each round counts every sender's first message of the
+// round's class (in round 2 its first valid echo) into counts, scratch
+// sized for n senders at construction, so neither round allocates for
+// its count. Delivered values are compared in place; the one candidate
+// a round keeps goes through D.own. The rules — quorums, first per
+// sender, ties to the smaller value — are written once for every
+// domain, so the bit fed to the binary core is the same in both domains
+// under any order-preserving injection between them.
+type tcPrefixThird[T any, D tcDomain[T]] struct {
+	d      D
+	n, t   int
+	input  T
+	round  int
+	y      T
+	yOK    bool
+	out    tcOutcome[T]
+	counts []tcCount[T]
+}
+
+func newTCPrefixThird[T any, D tcDomain[T]](n, t int, input T) *tcPrefixThird[T, D] {
+	return &tcPrefixThird[T, D]{n: n, t: t, input: input, counts: make([]tcCount[T], 0, max(n, 0))}
+}
+
+// tcCount is one distinct value of a prefix round and how many senders
+// sent it. v may alias the delivered message, so counts live no longer
+// than the Deliver call that built them.
+type tcCount[T any] struct {
+	v     T
 	count int
 }
 
-// tallyValue counts v into tally: one comparison per distinct value and
-// no allocation while tally has room, which n senders never outgrow.
+// tally recounts round r's inbox into m.counts: each sender's first
+// message of the round's class counts once, an invalid echo does not use
+// up its sender's slot, and a value already counted costs one comparison
+// per distinct value and no allocation — n senders never outgrow the
+// scratch.
 //
 //lint:hotpath
-func tallyValue(tally []valueCount, v Value) []valueCount {
-	for i := range tally {
-		if tally[i].v == v {
-			tally[i].count++
-			return tally
+func (m *tcPrefixThird[T, D]) tally(round int, in []sim.Message) {
+	var seen senderSet
+	m.counts = m.counts[:0]
+	for _, msg := range in {
+		v, ok := m.d.read(round, msg.Payload)
+		if !ok || !seen.add(msg.From) {
+			continue
+		}
+		i := 0
+		for i < len(m.counts) && !m.d.equal(m.counts[i].v, v) {
+			i++
+		}
+		if i < len(m.counts) {
+			m.counts[i].count++
+		} else {
+			m.counts = append(m.counts, tcCount[T]{v: v, count: 1})
 		}
 	}
-	return append(tally, valueCount{v: v, count: 1})
 }
 
 // senderSetWords is the stack bitset of a senderSet: one bit per sender
@@ -148,61 +207,51 @@ func (s *senderSet) add(from sim.PartyID) bool {
 }
 
 // Start implements sim.Machine.
-func (m *tcPrefixThird) Start() []sim.Send {
-	return sim.BroadcastSend(TCValue{V: m.input})
+func (m *tcPrefixThird[T, D]) Start() []sim.Send {
+	return sim.BroadcastSend(m.d.msg(1, m.input, true))
 }
 
 // Deliver implements sim.Machine.
-func (m *tcPrefixThird) Deliver(round int, in []sim.Message) []sim.Send {
+func (m *tcPrefixThird[T, D]) Deliver(round int, in []sim.Message) []sim.Send {
 	m.round = round
 	switch round {
 	case 1:
-		var seen senderSet
-		m.tally = m.tally[:0]
-		for _, msg := range in {
-			p, ok := msg.Payload.(TCValue)
-			if !ok || !seen.add(msg.From) {
-				continue
-			}
-			m.tally = tallyValue(m.tally, p.V)
-		}
+		m.tally(1, in)
 		// The smallest value with n-t support.
-		m.yOK = false
-		for _, c := range m.tally {
-			if quorum.Reached(c.count, m.n, m.t) && (!m.yOK || c.v < m.y) {
-				m.y, m.yOK = c.v, true
+		var y *tcCount[T]
+		for i := range m.counts {
+			if c := &m.counts[i]; quorum.Reached(c.count, m.n, m.t) && (y == nil || m.d.less(c.v, y.v)) {
+				y = c
 			}
 		}
-		return sim.BroadcastSend(TCEcho{V: m.y, Valid: m.yOK})
+		var none T
+		m.y, m.yOK = none, y != nil
+		if m.yOK {
+			m.y = m.d.own(y.v, m.y, m.input)
+		}
+		return sim.BroadcastSend(m.d.msg(2, m.y, m.yOK))
 	case 2:
-		var seen senderSet
-		m.tally = m.tally[:0]
-		for _, msg := range in {
-			// An invalid echo does not use up its sender's slot.
-			p, ok := msg.Payload.(TCEcho)
-			if !ok || !p.Valid || !seen.add(msg.From) {
-				continue
-			}
-			m.tally = tallyValue(m.tally, p.V)
-		}
+		m.tally(2, in)
 		// The most-echoed value, ties to the smallest.
-		var best valueCount
-		for _, c := range m.tally {
-			if c.count > best.count || (c.count == best.count && c.v < best.v) {
+		var best tcCount[T]
+		for _, c := range m.counts {
+			if c.count > best.count || (c.count == best.count && m.d.less(c.v, best.v)) {
 				best = c
 			}
 		}
-		bit := Value(0)
-		if quorum.Reached(best.count, m.n, m.t) {
-			bit = 1
+		m.out = tcOutcome[T]{}
+		if best.count > 0 {
+			m.out.Cand = m.d.own(best.v, m.y, m.input)
 		}
-		m.out = tcOutcome{Bit: bit, Cand: best.v}
+		if quorum.Reached(best.count, m.n, m.t) {
+			m.out.Bit = 1
+		}
 	}
 	return nil
 }
 
 // Output implements sim.Machine.
-func (m *tcPrefixThird) Output() (any, bool) {
+func (m *tcPrefixThird[T, D]) Output() (any, bool) {
 	if m.round < 2 {
 		return nil, false
 	}
@@ -218,7 +267,7 @@ type tcPrefixHalf struct {
 	pk    *threshsig.PublicKey
 	inner *proxcensus.LinearMachine
 	round int
-	out   tcOutcome
+	out   tcOutcome[Value]
 }
 
 var _ sim.Machine = (*tcPrefixHalf)(nil)
@@ -246,7 +295,7 @@ func (m *tcPrefixHalf) Deliver(round int, in []sim.Message) []sim.Send {
 		if !ok || !isRes || res.Grade < 1 {
 			return nil
 		}
-		m.out = tcOutcome{Bit: 1, Cand: res.Value}
+		m.out = tcOutcome[Value]{Bit: 1, Cand: res.Value}
 		omega, err := m.inner.OmegaProof(res.Value)
 		if err != nil {
 			// Grade >= 1 implies the proof is held; defensive only.
@@ -288,11 +337,21 @@ func MultivaluedOneShotRounds(kappa int) int { return OneShotRounds(kappa) + 2 }
 // one-shot protocol. If the binary decision is 0, parties output
 // defaultValue.
 func NewMultivaluedOneShot(setup *Setup, kappa int, inputs []Value, defaultValue Value) (*Protocol, error) {
+	return newMultivaluedThird[Value, valueDomain]("multivalued-oneshot-n3", setup, kappa, inputs, defaultValue)
+}
+
+// newMultivaluedThird builds multivalued BA for t < n/3 over the value
+// domain D: the 2-round Turpin-Coan prefix, then the κ+1-round binary
+// one-shot core, then the prefix's candidate if the core decides 1 and
+// defaultValue if it decides 0. Every domain flips its coins in the
+// "mv-oneshot" domain, so under one setup the digest and payload
+// families flip byte-identical coins.
+func newMultivaluedThird[T any, D tcDomain[T]](name string, setup *Setup, kappa int, inputs []T, defaultValue T) (*Protocol, error) {
 	if err := checkInputs(setup, kappa, inputs); err != nil {
 		return nil, err
 	}
 	if !quorum.TolerateThird(setup.N, setup.T) {
-		return nil, fmt.Errorf("ba: multivalued one-shot needs t < n/3, got n=%d t=%d", setup.N, setup.T)
+		return nil, fmt.Errorf("ba: %s needs t < n/3, got n=%d t=%d", name, setup.N, setup.T)
 	}
 	slots := proxcensus.ExpandSlots(kappa)
 	comps, oracle := setup.CoinComponents(slots-1, "mv-oneshot")
@@ -300,13 +359,13 @@ func NewMultivaluedOneShot(setup *Setup, kappa int, inputs []Value, defaultValue
 	for i := range machines {
 		party := i
 		input := inputs[i]
-		var cand Value
+		var cand T
 		machines[i] = sim.NewChain([]sim.Stage{
 			{Rounds: 2, New: func(any) sim.Machine {
-				return newTCPrefixThird(setup.N, setup.T, input)
+				return newTCPrefixThird[T, D](setup.N, setup.T, input)
 			}},
 			{Rounds: OneShotRounds(kappa), New: func(prev any) sim.Machine {
-				out := prev.(tcOutcome)
+				out := prev.(tcOutcome[T])
 				cand = out.Cand
 				return NewIterMachine(IterConfig{
 					Slots:      slots,
@@ -324,7 +383,7 @@ func NewMultivaluedOneShot(setup *Setup, kappa int, inputs []Value, defaultValue
 		})
 	}
 	return &Protocol{
-		Name: "multivalued-oneshot-n3", N: setup.N, T: setup.T,
+		Name: name, N: setup.N, T: setup.T,
 		Rounds: MultivaluedOneShotRounds(kappa), Machines: machines, Oracle: oracle,
 	}, nil
 }
@@ -356,7 +415,7 @@ func NewMultivaluedHalf(setup *Setup, kappa int, inputs []Value, defaultValue Va
 				return newTCPrefixHalf(setup.N, setup.T, input, setup.ProxPK, setup.ProxSKs[party])
 			}},
 			{Rounds: iters * iterRounds, New: func(prev any) sim.Machine {
-				out := prev.(tcOutcome)
+				out := prev.(tcOutcome[Value])
 				cand = out.Cand
 				return NewIterChain(iters, iterRounds, out.Bit, func(iter int, in Value) *IterMachine {
 					return NewIterMachine(IterConfig{

@@ -66,7 +66,7 @@ func (r refDigestPrefix) round1(in []sim.Message) (Value, bool) {
 	return 0, false
 }
 
-func (r refDigestPrefix) round2(in []sim.Message) tcOutcome {
+func (r refDigestPrefix) round2(in []sim.Message) tcOutcome[Value] {
 	counts := r.counts(2, in)
 	best, bestCount := Value(0), 0
 	for _, v := range sortedValues(counts) {
@@ -74,7 +74,7 @@ func (r refDigestPrefix) round2(in []sim.Message) tcOutcome {
 			best, bestCount = v, counts[v]
 		}
 	}
-	out := tcOutcome{Cand: best}
+	out := tcOutcome[Value]{Cand: best}
 	if quorum.Reached(bestCount, r.n, r.t) {
 		out.Bit = 1
 	}
@@ -133,7 +133,7 @@ func TestDigestPrefixMatchesCountMapRule(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ref := refDigestPrefix{n: c.n, t: c.t}
-			m := newTCPrefixThird(c.n, c.t, 0)
+			m := newTCPrefixThird[Value, valueDomain](c.n, c.t, 0)
 			sends := m.Deliver(1, c.r1)
 			wantY, wantOK := ref.round1(c.r1)
 			if m.yOK != wantOK || (wantOK && m.y != wantY) {
@@ -161,7 +161,7 @@ func TestDigestPrefixWarmAllocations(t *testing.T) {
 		r1[i] = sim.Message{From: i, Round: 1, Payload: TCValue{V: 42}}
 		r2[i] = sim.Message{From: i, Round: 2, Payload: TCEcho{V: 42, Valid: true}}
 	}
-	m := newTCPrefixThird(n, tc, 42)
+	m := newTCPrefixThird[Value, valueDomain](n, tc, 42)
 	for round, in := range [][]sim.Message{r1, r2} {
 		want := 0.0
 		if round == 0 {
@@ -172,7 +172,7 @@ func TestDigestPrefixWarmAllocations(t *testing.T) {
 			t.Errorf("round %d: warm Deliver made %.1f allocations, want %.0f", round+1, got, want)
 		}
 	}
-	if m.out != (tcOutcome{Bit: 1, Cand: 42}) {
+	if m.out != (tcOutcome[Value]{Bit: 1, Cand: 42}) {
 		t.Fatalf("outcome %+v, want bit 1 for 42", m.out)
 	}
 }

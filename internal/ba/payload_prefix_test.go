@@ -41,7 +41,7 @@ func refPrefixRound1(n, t int, in [][]byte) (y []byte, ok bool) {
 
 // refPrefixRound2 is round 2's: walking ascending, move only on a
 // strictly higher count.
-func refPrefixRound2(n, t int, in [][]byte) tcPayloadOutcome {
+func refPrefixRound2(n, t int, in [][]byte) tcOutcome[[]byte] {
 	counts := make(map[string]int)
 	for _, data := range in {
 		counts[string(data)]++
@@ -53,7 +53,7 @@ func refPrefixRound2(n, t int, in [][]byte) tcPayloadOutcome {
 			best, bestCount = []byte(k), counts[k]
 		}
 	}
-	out := tcPayloadOutcome{Cand: best}
+	out := tcOutcome[[]byte]{Cand: best}
 	if quorum.Reached(bestCount, n, t) {
 		out.Bit = 1
 	}
@@ -135,7 +135,7 @@ func TestPayloadPrefixMatchesSortedKeyRule(t *testing.T) {
 // compares both rounds with the sorted-key rule.
 func checkPayloadPrefix(t *testing.T, n, tc int, in [][]byte, in2 []sim.Message) {
 	t.Helper()
-	m := newTCPayloadPrefixThird(n, tc, nil)
+	m := newTCPrefixThird[[]byte, bytesDomain](n, tc, nil)
 	sends := m.Deliver(1, prefixInbox(1, in))
 	wantY, wantOK := refPrefixRound1(n, tc, in)
 	if m.yOK != wantOK || (wantOK && !sameBytes(m.y, wantY)) {
@@ -155,7 +155,7 @@ func checkPayloadPrefix(t *testing.T, n, tc int, in [][]byte, in2 []sim.Message)
 // — a sender's second message, the other round's class, an echo
 // marked invalid.
 func TestPayloadPrefixFiltersLikeBefore(t *testing.T) {
-	m := newTCPayloadPrefixThird(4, 1, nil)
+	m := newTCPrefixThird[[]byte, bytesDomain](4, 1, nil)
 	x, y := []byte("x"), []byte("y")
 	m.Deliver(1, []sim.Message{
 		{From: 0, Payload: TCPayload{Data: x}},
@@ -189,7 +189,7 @@ func TestPayloadPrefixCopiesWhatItKeeps(t *testing.T) {
 	want := bytes.Repeat([]byte{7}, 1024)
 	for _, input := range [][]byte{nil, append([]byte(nil), want...)} {
 		for round := 1; round <= 2; round++ {
-			m := newTCPayloadPrefixThird(n, tc, input)
+			m := newTCPrefixThird[[]byte, bytesDomain](n, tc, input)
 			wire := make([][]byte, n)
 			for i := range wire {
 				wire[i] = append([]byte(nil), want...)
@@ -224,7 +224,7 @@ func TestPayloadPrefixRoundAllocations(t *testing.T) {
 	}
 	perRound := func(input []byte, round int) uint64 {
 		in := prefixInbox(round, data)
-		m := newTCPayloadPrefixThird(n, tc, input)
+		m := newTCPrefixThird[[]byte, bytesDomain](n, tc, input)
 		m.Deliver(round, in)
 		const runs = 20
 		var before, after runtime.MemStats

@@ -224,7 +224,7 @@ func newMV(setup *Setup, kappa int, inputs []Value, explicitCerts bool) (*Protoc
 }
 
 // checkInputs validates common constructor arguments.
-func checkInputs(setup *Setup, kappa int, inputs []Value) error {
+func checkInputs[T any](setup *Setup, kappa int, inputs []T) error {
 	if setup == nil {
 		return fmt.Errorf("ba: nil setup")
 	}

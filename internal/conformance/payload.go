@@ -130,7 +130,7 @@ func PayloadTarget(kappa, size int) (Target, Space, error) {
 	rounds := ba.MultivaluedOneShotRounds(kappa)
 	tg := Target{
 		Name: "mv-payload", N: n, T: t, Rounds: rounds,
-		Machines: payloadMachines(base, kappa, vocab),
+		Machines: baMachines(base, payloadBuilder(kappa, vocab)),
 		Record:   RecordPayload(vocab),
 	}
 	sp := Space{N: n, T: t, Rounds: rounds, Palettes: payloadPalettes(kappa, size, vocab)}
@@ -160,13 +160,10 @@ func PayloadEquivocationSpace(kappa, size int) Space {
 	return Space{N: n, T: t, Rounds: rounds, Palettes: palettes}
 }
 
-// payloadMachines adapts the payload builder to Target.Machines: rank
-// inputs become vocabulary byte strings, the ideal-coin sequence is
-// reseeded per execution.
-func payloadMachines(base *ba.Setup, kappa int, vocab [][]byte) func([]int, int64) ([]sim.Machine, error) {
-	return func(inputs []int, coinSeed int64) ([]sim.Machine, error) {
-		s := *base
-		s.Seed = coinSeed
+// payloadBuilder builds the payload family over vocabulary ranks: rank
+// inputs become vocabulary byte strings, with a nil default.
+func payloadBuilder(kappa int, vocab [][]byte) protoBuilder {
+	return func(s *ba.Setup, inputs []int) (*ba.Protocol, error) {
 		byteIn := make([][]byte, len(inputs))
 		for i, v := range inputs {
 			if v < 0 || v >= len(vocab) {
@@ -174,11 +171,7 @@ func payloadMachines(base *ba.Setup, kappa int, vocab [][]byte) func([]int, int6
 			}
 			byteIn[i] = vocab[v]
 		}
-		proto, err := ba.NewMultivaluedPayloadOneShot(&s, kappa, byteIn, nil)
-		if err != nil {
-			return nil, err
-		}
-		return proto.Machines, nil
+		return ba.NewMultivaluedPayloadOneShot(s, kappa, byteIn, nil)
 	}
 }
 

@@ -235,6 +235,8 @@ func TestConfigValidatePayload(t *testing.T) {
 		{"negative max-payload", func(c *Config) { c.MaxPayload = -1 }, "max-payload"},
 		{"line-protocol ceiling", func(c *Config) { c.MaxPayload = MaxAPIPayload + 1 }, "line-protocol"},
 		{"wire cap", func(c *Config) { c.Batch = 64; c.MaxPayload = MaxAPIPayload }, "wire cap"},
+		// 2^50 x (16376+8) = 2^64, which a multiplied check wraps to 0.
+		{"wire cap overflow", func(c *Config) { c.Batch = 1 << 50; c.MaxPayload = 16376 }, "wire cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -124,9 +124,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("service: max-payload must be positive, got %d", c.MaxPayload)
 	case c.MaxPayload > MaxAPIPayload:
 		return fmt.Errorf("service: max-payload %d exceeds the line-protocol ceiling %d", c.MaxPayload, MaxAPIPayload)
-	case c.Batch*(c.MaxPayload+8) > ba.MaxPayloadBytes:
-		return fmt.Errorf("service: batch*max-payload encoding %d exceeds the %d wire cap (lower batch or max-payload)",
-			c.Batch*(c.MaxPayload+8), ba.MaxPayloadBytes)
+	case c.Batch > ba.MaxPayloadBytes/(c.MaxPayload+8): // Batch*(MaxPayload+8) > cap, without the overflow
+		return fmt.Errorf("service: batch %d x max-payload %d encodes past the %d-byte wire cap (lower batch or max-payload)",
+			c.Batch, c.MaxPayload, ba.MaxPayloadBytes)
 	case c.RetryAfter < 0:
 		return fmt.Errorf("service: negative retry-after %s", c.RetryAfter)
 	}

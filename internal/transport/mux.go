@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -631,7 +630,9 @@ func (hi *HubInstance) runRound(round int) {
 
 	// Route: to == sim.Broadcast fans out to every party; messages
 	// crossing an injected partition are dropped like the simulator's
-	// message-dropping adversary; dead nodes receive nothing.
+	// message-dropping adversary; dead nodes receive nothing. Senders are
+	// walked in ascending order and each one's messages in send order, so
+	// every inbox comes out in sender order with no sort.
 	for id := range hi.inboxes {
 		hi.inboxes[id] = hi.inboxes[id][:0]
 	}
@@ -674,9 +675,7 @@ func (hi *HubInstance) runRound(round int) {
 		if hi.dead[id] {
 			continue
 		}
-		inbox := hi.inboxes[id]
-		sort.SliceStable(inbox, func(i, j int) bool { return inbox[i].Addr < inbox[j].Addr })
-		frame, err := wire.AppendEncodeTaggedBatch(hi.outFrame[:0], hi.id, round, inbox)
+		frame, err := wire.AppendEncodeTaggedBatch(hi.outFrame[:0], hi.id, round, hi.inboxes[id])
 		if frame != nil {
 			hi.outFrame = frame
 		}

@@ -444,3 +444,69 @@ func TestMuxFloodLogBounded(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestHubDeliversInSenderOrder: every delivery batch lists its senders
+// in ascending order and each sender's entries in the order it sent
+// them — the order DESIGN §9's within-batch digest memo relies on. Raw
+// peers mix unicast and broadcast entries and send in descending ID
+// order, so the hub's routing, not arrival, sets the order.
+func TestHubDeliversInSenderOrder(t *testing.T) {
+	const n, rounds = 4, 3
+	hub := rawHub(t, n)
+	clients := make([]*RawClient, n)
+	for id := range clients {
+		c, err := DialRaw(hub.Addr(), id, 0, quickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		clients[id] = c
+	}
+	report := serve(t, hub, rounds)
+	// Entry k of sender from's round batch carries {from, k}; a third of
+	// the entries are broadcasts, the rest unicasts around the ring.
+	batch := func(round, from int) []wire.BatchMsg {
+		msgs := make([]wire.BatchMsg, 2*n)
+		for k := range msgs {
+			to := (from + k) % n
+			if (from+k+round)%3 == 0 {
+				to = sim.Broadcast
+			}
+			msgs[k] = wire.BatchMsg{Addr: to, Payload: []byte{byte(from), byte(k)}}
+		}
+		return msgs
+	}
+	for round := 1; round <= rounds; round++ {
+		for from := n - 1; from >= 0; from-- {
+			if err := clients[from].SendBatch(round, batch(round, from)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for to, c := range clients {
+			got, msgs, err := c.Recv()
+			if err != nil || got != round {
+				t.Fatalf("node %d: delivery round %d (%v), want %d", to, got, err, round)
+			}
+			var want []wire.BatchMsg
+			for from := 0; from < n; from++ {
+				for _, m := range batch(round, from) {
+					if m.Addr == to || m.Addr == sim.Broadcast {
+						want = append(want, wire.BatchMsg{Addr: from, Payload: m.Payload})
+					}
+				}
+			}
+			if len(msgs) != len(want) {
+				t.Fatalf("round %d node %d: %d entries delivered, want %d", round, to, len(msgs), len(want))
+			}
+			for i := range want {
+				if msgs[i].Addr != want[i].Addr || string(msgs[i].Payload) != string(want[i].Payload) {
+					t.Fatalf("round %d node %d: entry %d is sender %d entry %v, want sender %d entry %v",
+						round, to, i, msgs[i].Addr, msgs[i].Payload, want[i].Addr, want[i].Payload)
+				}
+			}
+		}
+	}
+	if rep := report(); rep.Deaths() != 0 {
+		t.Fatalf("deaths = %d, want 0\nlog: %v", rep.Deaths(), rep.Events)
+	}
+}

@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 # Analyzer-and-test mutation smoke: prove the guards actually detect
 # the faults they claim to rule out. A pristine copy of the module is
-# mutated five times — swapping the transport's one batched ingress
+# mutated six times — swapping the transport's one batched ingress
 # screen for the decode-only sieve, stripping the deadline arming from
 # readFrameInto, deleting the configurable payload size cap from the
 # validate rules, releasing a node's received frame before the machine
-# has stepped on the payloads that alias it, and making the screen's
-# duplicate check consult only a sender's slot, never its spill — and
-# each time the matching guard (balint for the first two, the payload
-# cap unit tests for the third, the poisoned-frame lifetime test for the
-# fourth, the screen's differential and batch-splitting tests for the
-# fifth) must go red. A guard that stays green on a mutated module is a
-# broken guard, not a clean module; CI runs this nightly.
+# has stepped on the payloads that alias it, making the screen's
+# duplicate check consult only a sender's slot, never its spill, and
+# flipping the Turpin-Coan prefix's round-2 tie-break — and each time
+# the matching guard (balint for the first two, the payload cap unit
+# tests for the third, the poisoned-frame lifetime test for the fourth,
+# the screen's differential and batch-splitting tests for the fifth,
+# both value domains' reference tests for the sixth) must go red. A
+# guard that stays green on a mutated module is a broken guard, not a
+# clean module; CI runs this nightly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -144,5 +146,23 @@ fi
 sed -i 's/if _, seen := v\.dup\[key\]; seen {/if false {/' "$validate"
 (cd "$tmp" && go build ./internal/validate)
 expect_test_fail 'TestBatchEquivalenceAdversarial|FuzzAdmitBatch' ./internal/validate
+
+echo "mutation 6: flip the prefix's round-2 tie-break to the larger value"
+multival="$tmp/internal/ba/multival.go"
+tie_line='d.less(c.v, best.v)'
+if [[ "$(grep -cF "$tie_line" "$multival")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one round-2 tie-break in multival.go" >&2
+    exit 1
+fi
+prefix_tests='TestDigestPrefixMatchesCountMapRule|TestPayloadPrefixMatchesSortedKeyRule'
+# The copy still carries mutations 3 to 5, so the tests must be green
+# before the flip for their red to mean anything.
+(cd "$tmp" && go test -count=1 -run "$prefix_tests" ./internal/ba)
+# One prefix serves both value domains, so one edit must break both
+# families' reference tests.
+sed -i 's/d\.less(c\.v, best\.v)/d.less(best.v, c.v)/' "$multival"
+(cd "$tmp" && go build ./internal/ba)
+expect_test_fail 'TestDigestPrefixMatchesCountMapRule' ./internal/ba
+expect_test_fail 'TestPayloadPrefixMatchesSortedKeyRule' ./internal/ba
 
 echo "MUTATION SMOKE OK"
