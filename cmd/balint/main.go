@@ -8,7 +8,6 @@
 //	go run ./cmd/balint ./internal/ba    # one package
 //	go run ./cmd/balint -list            # describe the analyzers
 //	go run ./cmd/balint -run hotalloc,quorumexpr ./...
-//	go run ./cmd/balint -short ./...     # skip the call-graph analyzers
 //	go run ./cmd/balint -json ./...      # machine-readable diagnostics
 //
 // Human diagnostics print as file:line:col: message (analyzer), sorted
@@ -42,13 +41,9 @@ func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	short := flag.Bool("short", false, "skip the module-scoped call-graph analyzers")
 	flag.Parse()
 
 	analyzers := lint.All()
-	if *short {
-		analyzers = lint.WithoutModule(analyzers)
-	}
 	if *run != "" {
 		var err error
 		analyzers, err = lint.Select(analyzers, strings.Split(*run, ","))

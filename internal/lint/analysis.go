@@ -5,7 +5,7 @@
 // without depending on it: the module is intentionally dependency-free,
 // so the framework is rebuilt here on go/ast, go/types and go/build.
 //
-// Analyzers (one file each):
+// Analyzers (one file each, every one a per-package Run):
 //
 //   - nomapiter: no range over a map in protocol packages unless the
 //     loop is annotated //lint:ordered (map iteration order must never
@@ -20,10 +20,6 @@
 //     not retain the []sim.Message slice the engine hands them (the
 //     inbox, the honest view: both alias pooled engine buffers that
 //     are overwritten every round).
-//
-// Flow-aware analyzers built on the shared CFG/dominance and call-graph
-// core (cfg.go, graph.go):
-//
 //   - hotalloc: functions annotated //lint:hotpath must contain no
 //     allocating constructs (the static form of the engine's
 //     steady-state allocation test).
@@ -31,12 +27,11 @@
 //     through named threshold predicates (internal/quorum) so the
 //     off-by-one class the conformance mutation test plants has one
 //     audited home.
-//   - ingressflow: values decoded from the wire are untrusted and must
-//     pass through the internal/validate screen before reaching a
-//     protocol machine Step/Deliver; //lint:trusted exempts attacker
-//     and test harness code.
-//   - deadlineguard: every net.Conn read/write in internal/transport
-//     must be dominated by a deadline set on the same connection.
+//
+// The transport's wire invariants — every delivery passes the ingress
+// screen, every frame read and write runs under a deadline — have one
+// site each, so tests in internal/transport and internal/chaos hold
+// them rather than an analyzer (DESIGN §7).
 //
 // The cmd/balint multichecker drives all of them over the module;
 // linttest runs them over testdata packages with // want expectations.
@@ -64,13 +59,7 @@ type Analyzer struct {
 	// driver consults Scope; test harnesses call Run directly.
 	Scope func(relPkgPath string) bool
 	// Run analyzes one package, reporting findings via pass.Reportf.
-	// Exactly one of Run and RunModule is set.
 	Run func(pass *Pass) error
-	// RunModule analyzes the whole load at once (call graph, cross-
-	// package dataflow), reporting findings via mp.Reportf. Module
-	// analyzers are driven through AnalyzeModule; Scope filters where
-	// their diagnostics may land, not which packages they see.
-	RunModule func(mp *ModulePass) error
 }
 
 // Diagnostic is one finding at a source position.
@@ -145,6 +134,20 @@ func (p *Pass) HasDirective(pos token.Pos, name string) bool {
 		p.directives[directiveKey{at.Filename, at.Line - 1, name}]
 }
 
+// FuncHasDirective reports whether the function declaration carries the
+// directive: on the line above the declaration or anywhere in its doc
+// comment.
+func FuncHasDirective(pass *Pass, fd *ast.FuncDecl, name string) bool {
+	if fd.Doc != nil {
+		for _, c := range fd.Doc.List {
+			if m := directiveRE.FindStringSubmatch(c.Text); m != nil && m[1] == name {
+				return true
+			}
+		}
+	}
+	return pass.HasDirective(fd.Pos(), name)
+}
+
 // calleeFunc resolves the function or method a call expression invokes,
 // or nil when the callee is not a named function (e.g. a function
 // value, conversion, or builtin).
@@ -194,14 +197,10 @@ func exceptPackages(rels ...string) func(string) bool {
 	}
 }
 
-// All returns every analyzer in the suite, in stable order. The first
-// five are per-package AST checks; the last four are the flow-aware
-// suite built on the shared CFG/call-graph core (hotalloc and
-// quorumexpr run per package, ingressflow and deadlineguard need the
-// whole module).
+// All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoMapIter, NoRandGlobal, NoWallClock, CheckedErr, NoRetain,
-		HotAlloc, QuorumExpr, IngressFlow, DeadlineGuard,
+		HotAlloc, QuorumExpr,
 	}
 }

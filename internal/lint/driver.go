@@ -26,34 +26,12 @@ func Select(analyzers []*Analyzer, names []string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// WithoutModule drops the module-scoped (call-graph) analyzers: the
-// -short pre-commit mode, which keeps runs to per-package AST checks.
-func WithoutModule(analyzers []*Analyzer) []*Analyzer {
-	out := make([]*Analyzer, 0, len(analyzers))
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // RunSuite drives analyzers over loaded packages exactly as cmd/balint
-// and the module-clean test do: per-package analyzers run on each
-// in-scope package, module analyzers run once over the whole load with
-// scope applied to where their diagnostics land. Diagnostics come back
-// sorted by position.
+// and the module-clean test do: each analyzer runs on every package in
+// its scope. Diagnostics come back sorted by position.
 func RunSuite(l *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.RunModule != nil {
-			ds, err := AnalyzeModule(l, a, pkgs, true)
-			if err != nil {
-				return nil, err
-			}
-			diags = append(diags, ds...)
-			continue
-		}
 		for _, pkg := range pkgs {
 			if a.Scope != nil && !a.Scope(pkg.RelPath) {
 				continue

@@ -43,14 +43,7 @@ func Run(t *testing.T, dir string, a *lint.Analyzer) {
 	}
 
 	wants := collectWants(t, loader.Fset(), pkg)
-	var diags []lint.Diagnostic
-	if a.RunModule != nil {
-		// Module analyzers see the testdata package as a one-package
-		// module; Scope is not applied so testdata can live anywhere.
-		diags, err = lint.AnalyzeModule(loader, a, []*lint.Package{pkg}, false)
-	} else {
-		diags, err = lint.Analyze(loader, a, pkg)
-	}
+	diags, err := lint.Analyze(loader, a, pkg)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

@@ -39,7 +39,7 @@ func TestModuleIsClean(t *testing.T) {
 func TestAllAnalyzersRegistered(t *testing.T) {
 	want := []string{
 		"nomapiter", "norandglobal", "nowallclock", "checkederr", "noretain",
-		"hotalloc", "quorumexpr", "ingressflow", "deadlineguard",
+		"hotalloc", "quorumexpr",
 	}
 	got := lint.All()
 	if len(got) != len(want) {
@@ -52,29 +52,8 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		if a.Doc == "" {
 			t.Errorf("%s has no Doc", a.Name)
 		}
-		if (a.Run == nil) == (a.RunModule == nil) {
-			t.Errorf("%s must set exactly one of Run and RunModule", a.Name)
-		}
-	}
-}
-
-// TestShortModeDropsModuleAnalyzers pins which analyzers the -short
-// pre-commit mode keeps: everything that does not need the whole-module
-// call graph.
-func TestShortModeDropsModuleAnalyzers(t *testing.T) {
-	short := lint.WithoutModule(lint.All())
-	names := make(map[string]bool, len(short))
-	for _, a := range short {
-		names[a.Name] = true
-	}
-	for _, dropped := range []string{"ingressflow", "deadlineguard"} {
-		if names[dropped] {
-			t.Errorf("-short should drop module analyzer %s", dropped)
-		}
-	}
-	for _, kept := range []string{"nomapiter", "hotalloc", "quorumexpr"} {
-		if !names[kept] {
-			t.Errorf("-short should keep per-package analyzer %s", kept)
+		if a.Run == nil {
+			t.Errorf("%s has no Run", a.Name)
 		}
 	}
 }

@@ -1147,13 +1147,14 @@ func (nd *MuxNode) awaitLane(lane chan muxBatch, round int, wait time.Duration) 
 // screen everything in a single batched ingress call, and route the
 // admitted payloads. The hub stamps the authentic sender into Addr, so
 // the validator's sender checks bind to real identities. The call is
-// unconditional — a nil validator admits exactly what decodes — so the
-// screen structurally dominates the machine delivery of the returned
-// inbox (the ingressflow invariant). The inbox carries decoded values,
-// which never alias msgs (TestIngressSteadyStateAllocations pins the
-// zero-allocation steady state) — except the Data of the two payload
-// blob classes, which sub-slices msgs' frame and is valid until the
-// caller releases that frame, after Deliver
+// unconditional — a nil validator admits exactly what decodes — and it
+// is the transport's only screen: swapping it for validate.DecodeOnly
+// turns TestHubFloodControl and chaos's TestByzRejectionClasses red
+// (scripts/lint_mutation.sh, mutation 1). The inbox carries decoded
+// values, which never alias msgs (TestIngressSteadyStateAllocations
+// pins the zero-allocation steady state) — except the Data of the two
+// payload blob classes, which sub-slices msgs' frame and is valid until
+// the caller releases that frame, after Deliver
 // (TestPayloadRoundDecodeAllocations pins that no blob is copied).
 //
 //lint:hotpath

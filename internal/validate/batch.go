@@ -82,8 +82,9 @@ func DecodeOnly(in []Inbound, verdicts []bool) []bool {
 //
 // A nil receiver is the validation-off mode: it admits exactly the
 // traffic that decodes. Keeping that fallback inside AdmitBatch lets
-// the transport call the screen unconditionally on its ingress path,
-// which is what the ingressflow analyzer verifies.
+// the transport call the screen unconditionally on its ingress path;
+// transport's TestHubFloodControl and chaos's TestByzRejectionClasses
+// go red if that call is replaced by DecodeOnly.
 //
 //lint:hotpath
 func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool {

@@ -3,10 +3,8 @@
 # suite (see internal/lint and DESIGN.md "Static invariants"). CI runs
 # this before any tests; run it locally before sending a change.
 #
-# Usage: lint.sh [-run analyzer[,analyzer...]] [-short]
+# Usage: lint.sh [-run analyzer[,analyzer...]]
 #   -run    run only the named analyzers (balint -list shows them)
-#   -short  skip the module-wide call-graph analyzers (ingressflow,
-#           deadlineguard); the per-file suite stays in the inner loop
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,10 +15,6 @@ while [[ $# -gt 0 ]]; do
         [[ $# -ge 2 ]] || { echo "lint.sh: -run needs an analyzer list" >&2; exit 2; }
         balint_args+=(-run "$2")
         shift 2
-        ;;
-    -short)
-        balint_args+=(-short)
-        shift
         ;;
     *)
         echo "lint.sh: unknown argument: $1" >&2

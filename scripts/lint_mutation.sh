@@ -1,84 +1,37 @@
 #!/usr/bin/env bash
-# Analyzer-and-test mutation smoke: prove the guards actually detect
-# the faults they claim to rule out. A pristine copy of the module is
-# mutated six times — swapping the transport's one batched ingress
-# screen for the decode-only sieve, stripping the deadline arming from
-# readFrameInto, deleting the configurable payload size cap from the
-# validate rules, releasing a node's received frame before the machine
-# has stepped on the payloads that alias it, making the screen's
-# duplicate check consult only a sender's slot, never its spill, and
-# flipping the Turpin-Coan prefix's round-2 tie-break — and each time
-# the matching guard (balint for the first two, the payload cap unit
-# tests for the third, the poisoned-frame lifetime test for the fourth,
-# the screen's differential and batch-splitting tests for the fifth,
-# both value domains' reference tests for the sixth) must go red. A
-# guard that stays green on a mutated module is a broken guard, not a
-# clean module; CI runs this nightly.
+# Mutation smoke: prove the test wall detects the faults it claims to
+# rule out. A pristine copy of the module is mutated seven times, and
+# each time the tests named for that mutation must go red:
+#   1. the transport's one batched ingress screen swapped for the
+#      decode-only sieve: the hub flood-control test and the chaos
+#      suite's Byzantine rejection classes;
+#   2. the read deadline stripped from readFrameInto: the hub's and the
+#      node's idle-read timeout tests;
+#   3. the configurable payload size cap deleted from the validate
+#      rules: the payload cap unit tests;
+#   4. a node's received frame released before the machine has stepped
+#      on the payloads that alias it: the poisoned-frame lifetime test;
+#   5. the screen's duplicate check consulting only a sender's slot,
+#      never its spill: the screen's differential and batch-splitting
+#      tests;
+#   6. the Turpin-Coan prefix's round-2 tie-break flipped: both value
+#      domains' reference tests;
+#   7. the write deadline stripped from writeFrame: the stalled-peer
+#      write timeout test.
+# Every mutation first checks that its tests are green on the copy as it
+# stands, so their red means the mutation and nothing else. A test that
+# stays green on a mutated module is a broken guard, not a clean module;
+# CI runs this nightly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-tmp="$(mktemp -d "${TMPDIR:-/tmp}/balint-mutation.XXXXXX")"
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/lint-mutation.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
 
 # Copy the working tree (not a git archive: local runs should test the
 # tree as it is), excluding VCS metadata, result artifacts and the
 # benchmark's build cache.
 tar --exclude=./.git --exclude=./results --exclude=./.bench_build -cf - . | tar -C "$tmp" -xf -
-
-balint() {
-    (cd "$tmp" && go run ./cmd/balint "$@" ./...)
-}
-
-# expect_finding <analyzer> runs balint restricted to one analyzer and
-# asserts it fails with a finding attributed to that analyzer.
-expect_finding() {
-    local analyzer="$1" out status
-    set +e
-    out="$(balint -run "$analyzer" 2>&1)"
-    status=$?
-    set -e
-    if [[ $status -eq 0 ]]; then
-        echo "FAIL: $analyzer stayed green on the mutated module" >&2
-        exit 1
-    fi
-    if ! grep -q "($analyzer)" <<<"$out"; then
-        echo "FAIL: balint failed but reported no $analyzer finding:" >&2
-        echo "$out" >&2
-        exit 1
-    fi
-    echo "ok: $analyzer caught the mutation"
-}
-
-echo "baseline: flow analyzers must be clean on the unmutated module"
-balint -run ingressflow,deadlineguard
-
-echo "mutation 1: swap the batched ingress screen for the decode-only sieve"
-mux="$tmp/internal/transport/mux.go"
-cp "$mux" "$tmp/mux.pristine"
-# AdmitBatch is the only screen there is; the transport must call it in
-# exactly one place, or this mutation no longer removes the screen.
-admit_line='verdicts := ir.ingress.AdmitBatch(round, ir.in, ir.verdicts[:0])'
-admit_calls="$(grep -hF '.AdmitBatch(' "$tmp"/internal/transport/*.go)"
-if [[ "$(wc -l <<<"$admit_calls")" -ne 1 ]] || ! grep -qF "$admit_line" <<<"$admit_calls"; then
-    echo "FAIL: expected exactly one AdmitBatch call in internal/transport, the screen line in mux.go" >&2
-    exit 1
-fi
-sed -i "s/verdicts := ir\.ingress\.AdmitBatch(round, ir\.in, ir\.verdicts\[:0\])/verdicts := validate.DecodeOnly(ir.in, ir.verdicts[:0])/" "$mux"
-(cd "$tmp" && go build ./internal/transport)
-expect_finding ingressflow
-
-cp "$tmp/mux.pristine" "$mux"
-
-echo "mutation 2: strip the deadline arming from readFrameInto"
-transport="$tmp/internal/transport/transport.go"
-arm_line='if err := conn.SetReadDeadline(deadline); err != nil {'
-if [[ "$(grep -cF "$arm_line" "$transport")" -ne 1 ]]; then
-    echo "FAIL: expected exactly one readFrameInto arming line in transport.go" >&2
-    exit 1
-fi
-sed -i '/if err := conn\.SetReadDeadline(deadline); err != nil {/,+2d' "$transport"
-(cd "$tmp" && go build ./internal/transport)
-expect_finding deadlineguard
 
 # expect_test_fail <pattern> <pkg> asserts the named tests go red on
 # the mutated module — green means the test wall has a hole.
@@ -95,6 +48,41 @@ expect_test_fail() {
     fi
     echo "ok: $pattern caught the mutation"
 }
+
+echo "mutation 1: swap the batched ingress screen for the decode-only sieve"
+mux="$tmp/internal/transport/mux.go"
+cp "$mux" "$tmp/mux.pristine"
+# AdmitBatch is the only screen there is; the transport must call it in
+# exactly one place, or this mutation no longer removes the screen.
+admit_line='verdicts := ir.ingress.AdmitBatch(round, ir.in, ir.verdicts[:0])'
+admit_calls="$(grep -hF '.AdmitBatch(' "$tmp"/internal/transport/*.go)"
+if [[ "$(wc -l <<<"$admit_calls")" -ne 1 ]] || ! grep -qF "$admit_line" <<<"$admit_calls"; then
+    echo "FAIL: expected exactly one AdmitBatch call in internal/transport, the screen line in mux.go" >&2
+    exit 1
+fi
+(cd "$tmp" && go test -count=1 -run 'TestHubFloodControl' ./internal/transport)
+(cd "$tmp" && go test -count=1 -run 'TestByzRejectionClasses' ./internal/chaos)
+sed -i "s/verdicts := ir\.ingress\.AdmitBatch(round, ir\.in, ir\.verdicts\[:0\])/verdicts := validate.DecodeOnly(ir.in, ir.verdicts[:0])/" "$mux"
+(cd "$tmp" && go build ./internal/transport)
+expect_test_fail 'TestHubFloodControl' ./internal/transport
+expect_test_fail 'TestByzRejectionClasses' ./internal/chaos
+
+cp "$tmp/mux.pristine" "$mux"
+
+echo "mutation 2: strip the deadline arming from readFrameInto"
+transport="$tmp/internal/transport/transport.go"
+arm_line='if err := conn.SetReadDeadline(deadline); err != nil {'
+if [[ "$(grep -cF "$arm_line" "$transport")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one readFrameInto arming line in transport.go" >&2
+    exit 1
+fi
+read_tests='TestHubReadTimesOutSilentPeer|TestNodeReadTimesOutSilentHub'
+(cd "$tmp" && go test -count=1 -run "$read_tests" ./internal/transport)
+sed -i '/if err := conn\.SetReadDeadline(deadline); err != nil {/,+2d' "$transport"
+(cd "$tmp" && go build ./internal/transport)
+# Without the deadline both readers block until their watchdog fires.
+expect_test_fail 'TestHubReadTimesOutSilentPeer' ./internal/transport
+expect_test_fail 'TestNodeReadTimesOutSilentHub' ./internal/transport
 
 echo "mutation 3: delete the configurable payload size cap from the validate rules"
 rules="$tmp/internal/validate/rules.go"
@@ -164,5 +152,20 @@ sed -i 's/d\.less(c\.v, best\.v)/d.less(best.v, c.v)/' "$multival"
 (cd "$tmp" && go build ./internal/ba)
 expect_test_fail 'TestDigestPrefixMatchesCountMapRule' ./internal/ba
 expect_test_fail 'TestPayloadPrefixMatchesSortedKeyRule' ./internal/ba
+
+echo "mutation 7: strip the deadline arming from writeFrame"
+arm_line='if err := conn.SetWriteDeadline(deadline); err != nil {'
+if [[ "$(grep -cF "$arm_line" "$transport")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one writeFrame arming line in transport.go" >&2
+    exit 1
+fi
+# The copy still carries mutations 2 to 6, so the test must be green
+# before the strip for its red to mean anything.
+(cd "$tmp" && go test -count=1 -run 'TestWriteFrameTimesOutOnStalledPeer' ./internal/transport)
+sed -i '/if err := conn\.SetWriteDeadline(deadline); err != nil {/,+2d' "$transport"
+(cd "$tmp" && go build ./internal/transport)
+# Without the deadline the write blocks on the full socket buffers until
+# the test's watchdog fires.
+expect_test_fail 'TestWriteFrameTimesOutOnStalledPeer' ./internal/transport
 
 echo "MUTATION SMOKE OK"
