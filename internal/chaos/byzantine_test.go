@@ -108,8 +108,8 @@ func TestByzRejectionClasses(t *testing.T) {
 				t.Error("dupflood never tripped the hub flood cap")
 			}
 			v := res.Validation()
-			// Per honest node and round the hub forwards at most FloodLimit
-			// copies; all but the first collapse at ingress.
+			// Per honest node and round the hub forwards at most
+			// DefaultFloodLimit copies; all but the first collapse at ingress.
 			if v.Rejections(validate.RejectDuplicate) < (n-1)*rounds {
 				t.Errorf("duplicate rejections = %d, want >= %d: %s",
 					v.Rejections(validate.RejectDuplicate), (n-1)*rounds, v.Summary())
@@ -163,8 +163,9 @@ func TestByzDupHeavySchedule(t *testing.T) {
 		return
 	}
 	v := res.Validation()
-	// The hub forwards at most FloodLimit copies per flooded round; each
-	// honest node admits one and rejects the rest, every round.
+	// The hub forwards at most DefaultFloodLimit copies per flooded
+	// round; each honest node admits one and rejects the rest, every
+	// round.
 	min := (n - 1) * rounds * (transport.DefaultFloodLimit - 1)
 	if got := v.Rejections(validate.RejectDuplicate); got < min {
 		t.Errorf("duplicate rejections = %d, want >= %d: %s", got, min, v.Summary())

@@ -32,10 +32,6 @@ func quickCfg() transport.Config {
 	return transport.Config{
 		RoundTimeout: 300 * time.Millisecond,
 		JoinTimeout:  2 * time.Second,
-		DialTimeout:  time.Second,
-		DialAttempts: 4,
-		BackoffBase:  5 * time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
 	}
 }
 

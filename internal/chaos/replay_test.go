@@ -3,6 +3,7 @@ package chaos_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"proxcensus/internal/chaos"
 	"proxcensus/internal/proxcensus"
@@ -78,6 +79,35 @@ func TestParseAcceptsHandWrittenSpec(t *testing.T) {
 	faulty := fmt.Sprint(s.FaultyNodes())
 	if faulty != "[3 4]" {
 		t.Errorf("FaultyNodes() = %s, want [3 4]", faulty)
+	}
+}
+
+// TestScheduleDelayAddsNetworkEgress pins the one place a network model
+// reaches the transport: a net segment adds the model's egress latency
+// to the node's scheduled delay, and without one the delay is the
+// schedule's alone.
+func TestScheduleDelayAddsNetworkEgress(t *testing.T) {
+	const n, tc, rounds = 4, 1, 3
+	withNet, err := chaos.Parse("net:lan@5;delay:1@2+5ms", n, tc, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	egress := withNet.NetModel().Egress(1, 2, n)
+	if egress <= 0 {
+		t.Fatalf("lan egress %s, want positive", egress)
+	}
+	if got, want := withNet.Delay(1, 2), 5*time.Millisecond+egress; got != want {
+		t.Errorf("with net: Delay(1, 2) = %s, want 5ms + egress %s = %s", got, egress, want)
+	}
+	if got := withNet.Delay(0, 2); got != withNet.NetModel().Egress(0, 2, n) {
+		t.Errorf("with net: undelayed node 0 pays %s, want its egress alone", got)
+	}
+	bare, err := chaos.Parse("delay:1@2+5ms", n, tc, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bare.Delay(1, 2); got != 5*time.Millisecond {
+		t.Errorf("without net: Delay(1, 2) = %s, want 5ms", got)
 	}
 }
 

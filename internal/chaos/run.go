@@ -13,12 +13,8 @@ import (
 	"proxcensus/internal/validate"
 )
 
-// A Schedule plugs straight into the transport as its fault injector,
-// including churn windows.
-var (
-	_ transport.FaultInjector = Schedule{}
-	_ transport.Churner       = Schedule{}
-)
+// A Schedule plugs straight into the transport as its fault injector.
+var _ transport.FaultInjector = Schedule{}
 
 // ErrByzantine marks a node the schedule ran as a Byzantine attacker:
 // it holds its authenticated slot but produces no protocol output by

@@ -264,7 +264,7 @@ func (s Schedule) Delay(id, round int) time.Duration {
 	return total
 }
 
-// Churn implements transport.Churner: the node's crash-and-rejoin
+// Churn implements transport.FaultInjector: the node's crash-and-rejoin
 // window, or (0, 0) when it never churns.
 func (s Schedule) Churn(id int) (down, up int) {
 	for _, f := range s.Faults {

@@ -232,11 +232,3 @@ func ProxOracles() []Oracle {
 func BAOracles() []Oracle {
 	return []Oracle{BAAgreement{}, BAValidity{}, Termination{}}
 }
-
-// AllOracles returns every oracle; inapplicable ones skip themselves.
-func AllOracles() []Oracle {
-	return []Oracle{
-		Adjacency{}, PreAgreementForcing{}, GradedValidity{},
-		BAAgreement{}, BAValidity{}, Termination{},
-	}
-}

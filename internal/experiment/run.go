@@ -221,7 +221,6 @@ func (r *Runner) build(tr Trial) ([]sim.Machine, transport.Config, error) {
 	cfg := transport.Config{
 		RoundTimeout: rt,
 		JoinTimeout:  4 * rt,
-		DialTimeout:  2 * rt,
 	}
 	switch s.Family {
 	case FamilyExpand:

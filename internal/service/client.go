@@ -221,28 +221,7 @@ func (c *Client) Close() error { return c.conn.Close() }
 // Propose pipelines one proposal and returns the channel its Result
 // arrives on (exactly one).
 func (c *Client) Propose(value int) (<-chan Result, error) {
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		return nil, errors.New("service: client connection lost")
-	}
-	c.next++
-	reqid := strconv.Itoa(c.next)
-	ch := make(chan Result, 1)
-	c.waiters[reqid] = ch
-	c.mu.Unlock()
-
-	c.wmu.Lock()
-	_ = c.conn.SetWriteDeadline(time.Now().Add(apiWriteTimeout))
-	_, err := fmt.Fprintf(c.conn, "propose %s %d\n", reqid, value)
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.waiters, reqid)
-		c.mu.Unlock()
-		return nil, err
-	}
-	return ch, nil
+	return c.send("propose %s %d\n", value)
 }
 
 // ProposePayload pipelines one ℓ-bit payload proposal and returns the
@@ -255,6 +234,13 @@ func (c *Client) ProposePayload(data []byte) (<-chan Result, error) {
 	if len(data) > MaxAPIPayload {
 		return nil, fmt.Errorf("service: payload %d bytes exceeds the line-protocol ceiling %d", len(data), MaxAPIPayload)
 	}
+	return c.send("proposeb %s %s\n", hex.EncodeToString(data))
+}
+
+// send registers a waiter under the next request ID and writes the
+// request line format renders from that ID and arg; the waiter is
+// dropped again if the write fails.
+func (c *Client) send(format string, arg any) (<-chan Result, error) {
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
@@ -268,7 +254,7 @@ func (c *Client) ProposePayload(data []byte) (<-chan Result, error) {
 
 	c.wmu.Lock()
 	_ = c.conn.SetWriteDeadline(time.Now().Add(apiWriteTimeout))
-	_, err := fmt.Fprintf(c.conn, "proposeb %s %s\n", reqid, hex.EncodeToString(data))
+	_, err := fmt.Fprintf(c.conn, format, reqid, arg)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()

@@ -61,12 +61,10 @@ type Config struct {
 	MaxPayload int
 	// RetryAfter is the backoff hint attached to shed proposals.
 	RetryAfter time.Duration
-	// NoScreen disables per-instance ingress validation (on by default
-	// with the permissive General rules).
-	NoScreen bool
 	// Transport tunes the underlying transport. Transport.Faults injects
 	// a fault schedule (internal/chaos) into every instance, each on its
-	// own round clock.
+	// own round clock. A nil Transport.NewIngress selects the default
+	// per-instance ingress screen.
 	Transport transport.Config
 }
 
@@ -228,7 +226,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	tcfg := cfg.Transport
-	if !cfg.NoScreen && tcfg.NewIngress == nil {
+	if tcfg.NewIngress == nil {
 		// Per-instance ingress screening: the permissive General rules
 		// (sender range, decode, duplicate and equivocation checks that
 		// hold for any protocol, value domain left open for batch

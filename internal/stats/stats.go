@@ -164,47 +164,6 @@ func (f PowerFit) String() string {
 	return fmt.Sprintf("y ~ %.3g * x^%.3f (R2=%.4f)", f.Coeff, f.Exponent, f.R2)
 }
 
-// Histogram counts samples into equal-width buckets over [lo, hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	Under   int
-	Over    int
-}
-
-// NewHistogram builds a histogram with the given bucket count.
-func NewHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	if buckets <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: invalid histogram [%g,%g) x%d", lo, hi, buckets)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, buckets)}, nil
-}
-
-// Add counts one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-		if idx >= len(h.Buckets) {
-			idx = len(h.Buckets) - 1
-		}
-		h.Buckets[idx]++
-	}
-}
-
-// Total returns the number of samples added, including out-of-range.
-func (h *Histogram) Total() int {
-	total := h.Under + h.Over
-	for _, b := range h.Buckets {
-		total += b
-	}
-	return total
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of a sample by sorting a
 // copy (the input is not modified).
 func Quantile(xs []float64, q float64) (float64, error) {

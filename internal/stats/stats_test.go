@@ -146,38 +146,6 @@ func TestFitPowerErrors(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 15} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket0 = %d, want 2", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 { // 2
-		t.Errorf("bucket1 = %d, want 1", h.Buckets[1])
-	}
-	if h.Buckets[4] != 1 { // 9.99
-		t.Errorf("bucket4 = %d, want 1", h.Buckets[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d, want 7", h.Total())
-	}
-
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range must fail")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero buckets must fail")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	tests := []struct{ q, want float64 }{

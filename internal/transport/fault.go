@@ -5,8 +5,9 @@ import "time"
 // FaultInjector decides which deployment faults strike a TCP
 // execution. The transport consults it at fixed points of the one round
 // loop every execution runs: MuxNode.RunInstance applies crash-stop,
-// connection drops, send delays and frame duplication to its own
-// traffic; HubInstance.runRound applies partitions when routing. Each
+// connection drops, send delays, frame duplication and churn to its own
+// traffic; HubInstance.runRound applies partitions when routing and
+// holds churned nodes' slots empty on the same schedule. Each
 // instance consults it with its own round number, so in a service the
 // same schedule strikes every instance. Implementations must be
 // deterministic pure functions of their arguments (the chaos harness
@@ -37,29 +38,15 @@ type FaultInjector interface {
 	// r; the hub silently drops crossing messages, exactly like the
 	// simulator's message-dropping adversary.
 	Partitioned(from, to, round int) bool
-}
-
-// Churner is an optional FaultInjector extension for node churn:
-// crash-plus-rejoin windows. Churn(id) returns (down, up): the node
-// bounces its connection before sending round down, sends and receives
-// nothing through round up-1 (the hub logs its death at down and its
-// slot delivers empty), receives round up's delivery (the hub logs the
-// rejoin), and resumes sending from round up+1. Both sides read the
-// window from the injector, so the rejoin round never depends on
-// connection timing. down == 0 means the node never churns.
-// Implementations must satisfy the same determinism and concurrency
-// contract as FaultInjector.
-type Churner interface {
+	// Churn returns node id's crash-plus-rejoin window (down, up): the
+	// node bounces its connection before sending round down, sends and
+	// receives nothing through round up-1 (the hub logs its death at
+	// down and its slot delivers empty), receives round up's delivery
+	// (the hub logs the rejoin), and resumes sending from round up+1.
+	// Both sides read the window from the injector, so the rejoin round
+	// never depends on connection timing. down == 0 means the node never
+	// churns.
 	Churn(id int) (down, up int)
-}
-
-// churnWindow extracts a node's churn window from an injector,
-// returning (0, 0) when the injector doesn't churn.
-func churnWindow(inj FaultInjector, id int) (down, up int) {
-	if c, ok := inj.(Churner); ok {
-		return c.Churn(id)
-	}
-	return 0, 0
 }
 
 // NoFaults is the identity injector: a fault-free execution.
@@ -81,3 +68,6 @@ func (NoFaults) Duplicate(int, int) bool { return false }
 
 // Partitioned implements FaultInjector.
 func (NoFaults) Partitioned(int, int, int) bool { return false }
+
+// Churn implements FaultInjector.
+func (NoFaults) Churn(int) (down, up int) { return 0, 0 }

@@ -85,13 +85,13 @@ func floodRun(t *testing.T, cfg Config, n, rounds, entries int) *RunResult {
 }
 
 // TestHubFloodControl asserts a flooding peer cannot blow up survivor
-// memory or round latency: the hub truncates its batches at the flood
-// cap and logs EventFlood, the survivors still agree, and the ingress
-// layer collapses what leaks through to a single logical message.
+// memory or round latency: the hub truncates its batches at
+// DefaultFloodLimit and logs EventFlood, the survivors still agree, and
+// the ingress layer collapses what leaks through to a single logical
+// message.
 func TestHubFloodControl(t *testing.T) {
-	const n, rounds, floodCap, entries = 4, 3, 64, 5000
+	const n, rounds, entries = 4, 3, 5000
 	cfg := quickConfig()
-	cfg.FloodLimit = floodCap
 	cfg.NewIngress = func(int) *validate.Validator {
 		return validate.New(validate.ForExpand(n, rounds, 1))
 	}
@@ -118,15 +118,15 @@ func TestHubFloodControl(t *testing.T) {
 		if results[i].Value != 1 {
 			t.Errorf("node %d flipped to %d under flood", i, results[i].Value)
 		}
-		// Ingress duplicate collapse: of the <= floodCap copies the hub lets
-		// through per round, the machine sees exactly one.
+		// Ingress duplicate collapse: of the <= DefaultFloodLimit copies the
+		// hub lets through per round, the machine sees exactly one.
 		v := res.Nodes[i].Validation
 		if v == nil {
 			t.Fatalf("node %d: no validation report", i)
 		}
-		if v.Rejections(validate.RejectDuplicate) < (floodCap-1)*rounds {
+		if v.Rejections(validate.RejectDuplicate) < (DefaultFloodLimit-1)*rounds {
 			t.Errorf("node %d: duplicate rejections = %d, want >= %d (%s)",
-				i, v.Rejections(validate.RejectDuplicate), (floodCap-1)*rounds, v.Summary())
+				i, v.Rejections(validate.RejectDuplicate), (DefaultFloodLimit-1)*rounds, v.Summary())
 		}
 	}
 	if err := proxcensus.CheckConsistency(proxcensus.ExpandSlots(rounds), results); err != nil {
@@ -136,22 +136,5 @@ func TestHubFloodControl(t *testing.T) {
 	// 3-round run gets a budget far below rounds x RoundTimeout.
 	if budget := time.Duration(rounds) * cfg.RoundTimeout; elapsed > budget {
 		t.Errorf("flooded run took %s, budget %s", elapsed, budget)
-	}
-}
-
-// TestFloodLimitUnbounded verifies the escape hatch: a negative limit
-// disables truncation.
-func TestFloodLimitUnbounded(t *testing.T) {
-	const n, rounds, entries = 4, 2, 400
-	cfg := quickConfig()
-	cfg.FloodLimit = -1
-	res := floodRun(t, cfg, n, rounds, entries)
-	if got := res.Hub.Count(EventFlood); got != 0 {
-		t.Errorf("flood events = %d with the cap disabled", got)
-	}
-	for i := 0; i < n-1; i++ {
-		if res.Errs[i] != nil {
-			t.Fatalf("honest node %d failed: %v", i, res.Errs[i])
-		}
 	}
 }

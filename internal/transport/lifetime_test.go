@@ -128,9 +128,8 @@ func TestPoisonedFramesPayloadMatchesSim(t *testing.T) {
 // free list is within its bounds, holds each frame once, and shares
 // none with the lane.
 func TestMuxFloodFrameLifetimes(t *testing.T) {
-	const frames, finished = 3000, 5
+	const frames, finished = 200, 5
 	cfg := quickConfig()
-	cfg.FloodLimit = 1
 	hub, err := NewMuxHub(1, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +151,11 @@ func TestMuxFloodFrameLifetimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	batch := []wire.BatchMsg{{Addr: 0, Payload: []byte("first")}, {Addr: 0, Payload: []byte("over the cap")}}
+	batch := make([]wire.BatchMsg, DefaultFloodLimit+1)
+	for i := range batch {
+		batch[i] = wire.BatchMsg{Addr: 0, Payload: []byte("over the cap")}
+	}
+	batch[0].Payload = []byte("first")
 	for _, c.Instance = range []int{LocalInstance, finished} {
 		for i := 0; i < frames; i++ {
 			if err := c.SendBatch(1, batch); err != nil {

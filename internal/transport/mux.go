@@ -405,14 +405,14 @@ func (h *MuxHub) reader(id int, mc *muxConn) {
 			h.connLost(id, mc, "read: "+err.Error())
 			return
 		}
-		inst, round, dropped, err := f.parse(h.cfg.FloodLimit)
+		inst, round, dropped, err := f.parse(DefaultFloodLimit)
 		if err != nil {
 			h.frames.put(f)
 			h.connLost(id, mc, "decode: "+err.Error())
 			return
 		}
 		if dropped > 0 {
-			h.log.add(EventFlood, id, round, fmt.Sprintf("instance %d: truncated %d batch entries over the %d cap", inst, dropped, h.cfg.FloodLimit))
+			h.log.add(EventFlood, id, round, fmt.Sprintf("instance %d: truncated %d batch entries over the %d cap", inst, dropped, DefaultFloodLimit))
 		}
 		h.route(id, inst, round, f)
 	}
@@ -606,7 +606,7 @@ func (hi *HubInstance) runRound(round int) {
 	var wg sync.WaitGroup
 	for id := 0; id < hi.h.n; id++ {
 		hi.batches[id] = nil
-		if down, up := churnWindow(faults, id); down > 0 && round >= down && round <= up {
+		if down, up := faults.Churn(id); down > 0 && round >= down && round <= up {
 			switch round {
 			case down:
 				hi.log.death(id, round, fmt.Sprintf("churn window open until round %d", up))
@@ -795,8 +795,8 @@ func NewMuxNode(addr string, id int, cfg Config) (*MuxNode, error) {
 // lost connection. Closing stop abandons the backoff waits.
 func dial(addr string, id, resume int, cfg Config, log *eventLog, stop <-chan struct{}) (net.Conn, error) {
 	var last error
-	backoff := cfg.BackoffBase
-	for attempt := 0; attempt < cfg.DialAttempts; attempt++ {
+	backoff := backoffBase
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			wait := jitterBackoff(backoff, id, resume, attempt)
 			log.add(EventRetry, id, resume, fmt.Sprintf("attempt %d backing off %s: %v", attempt, wait, last))
@@ -805,9 +805,9 @@ func dial(addr string, id, resume int, cfg Config, log *eventLog, stop <-chan st
 			case <-stop:
 				return nil, ErrMuxClosed
 			}
-			backoff = nextBackoff(backoff, cfg.BackoffMax)
+			backoff = nextBackoff(backoff, backoffMax)
 		}
-		conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err != nil {
 			last = err
 			continue
@@ -825,7 +825,7 @@ func dial(addr string, id, resume int, cfg Config, log *eventLog, stop <-chan st
 		log.add(kind, id, resume, "connected")
 		return conn, nil
 	}
-	return nil, fmt.Errorf("transport: dial %s after %d attempts: %w", addr, cfg.DialAttempts, last)
+	return nil, fmt.Errorf("transport: dial %s after %d attempts: %w", addr, dialAttempts, last)
 }
 
 // redial replaces the shared connection and returns the current one.
@@ -1027,7 +1027,7 @@ func (nd *MuxNode) RunInstance(inst, rounds int, machine sim.Machine) (any, erro
 
 	inj := nd.cfg.Faults
 	crash := inj.CrashRound(nd.id)
-	churnDown, churnUp := churnWindow(inj, nd.id)
+	churnDown, churnUp := inj.Churn(nd.id)
 	sends := machine.Start()
 	for round := 1; round <= rounds; round++ {
 		if round == crash {

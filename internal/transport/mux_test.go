@@ -399,14 +399,13 @@ func TestMuxChurnRejoins(t *testing.T) {
 	}
 }
 
-// TestMuxFloodLogBounded: a peer spraying a live instance with 10000
+// TestMuxFloodLogBounded: a peer spraying a live instance with 400
 // over-cap frames — each truncated, all but the first few overflowing
-// its lane — and 10000 strays for an unknown instance grows no log
-// past the per-kind cap; the surplus is counted, not recorded.
+// its lane — and 400 strays for an unknown instance grows no log past
+// the per-kind cap; the surplus is counted, not recorded.
 func TestMuxFloodLogBounded(t *testing.T) {
-	const frames = 10000
+	const frames = 400
 	cfg := quickConfig()
-	cfg.FloodLimit = 1
 	hub, err := NewMuxHub(1, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +419,7 @@ func TestMuxFloodLogBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	batch := []wire.BatchMsg{{Addr: 0}, {Addr: 0}}
+	batch := make([]wire.BatchMsg, DefaultFloodLimit+1)
 	for _, c.Instance = range []int{LocalInstance, 999} {
 		for i := 0; i < frames; i++ {
 			if err := c.SendBatch(1, batch); err != nil {

@@ -8,7 +8,8 @@ import (
 // NetModel is a seeded WAN-like latency model for a whole execution:
 // every directed link gets a stable asymmetry multiplier and a
 // per-round jitter draw, all pure functions of (Seed, from, to,
-// round). The model plugs in behind the FaultInjector.Delay hook: in a
+// round). The model plugs in behind the FaultInjector.Delay hook
+// (internal/chaos's Schedule.Delay adds it for a net: segment): in a
 // hub-synchronized round a node's traffic is gathered only once its
 // slowest message has arrived, so the model surfaces as a per-node
 // egress delay equal to the node's worst outgoing link that round.
@@ -108,46 +109,6 @@ func (m *NetModel) Egress(id, round, n int) time.Duration {
 	}
 	return worst
 }
-
-// networkInjector layers a NetModel's egress latency on top of another
-// injector's deployment faults.
-type networkInjector struct {
-	inner FaultInjector
-	model *NetModel
-	n     int
-}
-
-// WithNetwork wraps an injector so every node's round sends also pay
-// the model's egress latency. The inner injector's churn windows (if
-// it has any) pass through.
-func WithNetwork(inner FaultInjector, m *NetModel, n int) FaultInjector {
-	if m == nil {
-		return inner
-	}
-	return networkInjector{inner: inner, model: m, n: n}
-}
-
-// CrashRound implements FaultInjector.
-func (i networkInjector) CrashRound(id int) int { return i.inner.CrashRound(id) }
-
-// DropConn implements FaultInjector.
-func (i networkInjector) DropConn(id, round int) bool { return i.inner.DropConn(id, round) }
-
-// Delay implements FaultInjector: injected delays plus network egress.
-func (i networkInjector) Delay(id, round int) time.Duration {
-	return i.inner.Delay(id, round) + i.model.Egress(id, round, i.n)
-}
-
-// Duplicate implements FaultInjector.
-func (i networkInjector) Duplicate(id, round int) bool { return i.inner.Duplicate(id, round) }
-
-// Partitioned implements FaultInjector.
-func (i networkInjector) Partitioned(from, to, round int) bool {
-	return i.inner.Partitioned(from, to, round)
-}
-
-// Churn implements Churner by forwarding to the inner injector.
-func (i networkInjector) Churn(id int) (down, up int) { return churnWindow(i.inner, id) }
 
 // String aids logs and errors.
 func (m *NetModel) String() string {

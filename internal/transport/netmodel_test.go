@@ -84,24 +84,6 @@ func TestLookupNetModelUnknown(t *testing.T) {
 	}
 }
 
-func TestWithNetworkAddsEgressToDelay(t *testing.T) {
-	m, _ := LookupNetModel("lan", 5)
-	const n = 4
-	inj := WithNetwork(NoFaults{}, m, n)
-	for id := 0; id < n; id++ {
-		want := m.Egress(id, 2, n)
-		if got := inj.Delay(id, 2); got != want {
-			t.Fatalf("node %d delay %s != egress %s", id, got, want)
-		}
-	}
-	if inj.CrashRound(0) != 0 || inj.DropConn(0, 1) || inj.Duplicate(0, 1) || inj.Partitioned(0, 1, 1) {
-		t.Fatal("network wrapper invented non-delay faults")
-	}
-	if WithNetwork(NoFaults{}, nil, n) != (NoFaults{}) {
-		t.Fatal("nil model should return the inner injector unchanged")
-	}
-}
-
 func TestJitterBackoffBoundsAndDeterminism(t *testing.T) {
 	base := 40 * time.Millisecond
 	for id := 0; id < 8; id++ {

@@ -24,8 +24,8 @@ type RawClient struct {
 }
 
 // DialRaw connects to the hub at addr and claims node slot id with a
-// versioned hello, retrying with the configuration's backoff like an
-// honest node. resume is 0 on first contact.
+// versioned hello, retrying with the same capped backoff as an honest
+// node. resume is 0 on first contact.
 func DialRaw(addr string, id, resume int, cfg Config) (*RawClient, error) {
 	cfg = cfg.withDefaults()
 	conn, err := dial(addr, id, resume, cfg, newEventLog(0), nil)

@@ -24,7 +24,7 @@
 // Byzantine peers that speak the wire format maliciously. Each honest
 // node can screen its ingress through internal/validate
 // (Config.NewIngress), and the hub truncates flooding senders at
-// Config.FloodLimit. The adaptive rushing adversary of the proofs still
+// DefaultFloodLimit. The adaptive rushing adversary of the proofs still
 // lives in the simulator (internal/sim), which shares the same Machine
 // interface.
 package transport
@@ -58,8 +58,8 @@ var (
 // maxFrame bounds a single frame (a full round batch) on the wire.
 const maxFrame = wire.MaxFrame
 
-// Config tunes the timing, retry and fault behaviour of a TCP
-// execution. The zero value of any field falls back to its default.
+// Config tunes the timing and fault behaviour of a TCP execution. The
+// zero value of any field falls back to its default.
 type Config struct {
 	// RoundTimeout is the per-instance round deadline: the hub declares a
 	// node dead for an instance if its batch does not arrive within it,
@@ -68,14 +68,10 @@ type Config struct {
 	// JoinTimeout bounds the initial gathering of hellos; nodes that
 	// never join are dead from round 1 of every instance.
 	JoinTimeout time.Duration
-	// DialTimeout bounds one TCP dial attempt.
-	DialTimeout time.Duration
-	// DialAttempts caps dial/reconnect attempts per connection.
-	DialAttempts int
-	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// between dial attempts.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	// IdleTimeout bounds one read on a node's shared connection, which is
+	// legitimately silent between instances. Zero selects
+	// DefaultIdleTimeout.
+	IdleTimeout time.Duration
 	// Faults injects deployment faults; nil means NoFaults.
 	Faults FaultInjector
 	// NewIngress, when set, builds the per-node wire-ingress validator:
@@ -84,34 +80,33 @@ type Config struct {
 	// transport.Report. Nil runs without ingress validation (payloads
 	// that fail to decode are still skipped).
 	NewIngress func(id int) *validate.Validator
-	// FloodLimit caps how many batch entries the hub materializes from
-	// one node's round frame; the surplus is truncated and logged as an
-	// EventFlood. Zero selects DefaultFloodLimit, negative disables the
-	// cap.
-	FloodLimit int
-	// IdleTimeout bounds one read on a node's shared connection, which is
-	// legitimately silent between instances. Zero selects
-	// DefaultIdleTimeout.
-	IdleTimeout time.Duration
 }
 
-// DefaultFloodLimit bounds per-sender batch entries per round. Honest
-// nodes send at most one message per peer per round (n entries, or one
-// broadcast), so the default leaves ample headroom while keeping a
-// flooding peer from stuffing 64 MiB frames into every honest inbox.
+// DefaultFloodLimit caps how many batch entries the hub materializes
+// from one node's round frame; the surplus is truncated and logged as
+// an EventFlood. Honest nodes send at most one message per peer per
+// round (n entries, or one broadcast), so the cap leaves ample headroom
+// while keeping a flooding peer from stuffing 64 MiB frames into every
+// honest inbox.
 const DefaultFloodLimit = 256
+
+// A node makes at most dialAttempts dial attempts per connection, each
+// bounded by dialTimeout, with a capped exponential backoff from
+// backoffBase up to backoffMax between them.
+const (
+	dialTimeout  = 5 * time.Second
+	dialAttempts = 4
+	backoffBase  = 25 * time.Millisecond
+	backoffMax   = 2 * time.Second
+)
 
 // DefaultConfig returns the production defaults: generous deadlines
 // (localhost rounds complete in microseconds, so they only catch
-// hangs) and a handful of dial retries.
+// hangs).
 func DefaultConfig() Config {
 	return Config{
 		RoundTimeout: 30 * time.Second,
 		JoinTimeout:  30 * time.Second,
-		DialTimeout:  5 * time.Second,
-		DialAttempts: 4,
-		BackoffBase:  25 * time.Millisecond,
-		BackoffMax:   2 * time.Second,
 		Faults:       NoFaults{},
 	}
 }
@@ -125,23 +120,8 @@ func (c Config) withDefaults() Config {
 	if c.JoinTimeout <= 0 {
 		c.JoinTimeout = d.JoinTimeout
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = d.DialTimeout
-	}
-	if c.DialAttempts <= 0 {
-		c.DialAttempts = d.DialAttempts
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = d.BackoffBase
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = d.BackoffMax
-	}
 	if c.Faults == nil {
 		c.Faults = NoFaults{}
-	}
-	if c.FloodLimit == 0 {
-		c.FloodLimit = DefaultFloodLimit
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = DefaultIdleTimeout

@@ -14,17 +14,12 @@ import (
 	"proxcensus/internal/wire"
 )
 
-// quickConfig keeps fault-path tests fast: short deadlines, quick
-// backoff. Localhost rounds run in microseconds, so 400ms is still a
-// generous margin.
+// quickConfig keeps fault-path tests fast: short deadlines. Localhost
+// rounds run in microseconds, so 400ms is still a generous margin.
 func quickConfig() Config {
 	return Config{
 		RoundTimeout: 400 * time.Millisecond,
 		JoinTimeout:  time.Second,
-		DialTimeout:  time.Second,
-		DialAttempts: 3,
-		BackoffBase:  5 * time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
 	}
 }
 
@@ -129,8 +124,8 @@ func TestNodeBadHubAddress(t *testing.T) {
 	if _, err := dial("127.0.0.1:1", 0, 0, quickConfig().withDefaults(), log, nil); err == nil {
 		t.Error("dialing a dead address must fail")
 	}
-	if got := log.snapshot().Count(EventRetry); got != 2 {
-		t.Errorf("retry events = %d, want 2 (3 attempts)", got)
+	if got := log.snapshot().Count(EventRetry); got != 3 {
+		t.Errorf("retry events = %d, want 3 (4 attempts)", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated seven times, and
+# rule out. A pristine copy of the module is mutated eight times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for the
 #      decode-only sieve: the hub flood-control test and the chaos
@@ -17,7 +17,8 @@
 #   6. the Turpin-Coan prefix's round-2 tie-break flipped: both value
 #      domains' reference tests;
 #   7. the write deadline stripped from writeFrame: the stalled-peer
-#      write timeout test.
+#      write timeout test;
+#   8. the hub reader's flood cap removed: the hub flood-control test.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -167,5 +168,22 @@ sed -i '/if err := conn\.SetWriteDeadline(deadline); err != nil {/,+2d' "$transp
 # Without the deadline the write blocks on the full socket buffers until
 # the test's watchdog fires.
 expect_test_fail 'TestWriteFrameTimesOutOnStalledPeer' ./internal/transport
+
+echo "mutation 8: the hub reader parses round frames with no flood cap"
+cp "$tmp/mux.pristine" "$mux"
+parse_line='f.parse(DefaultFloodLimit)'
+if [[ "$(grep -cF "$parse_line" "$mux")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one capped frame parse in mux.go, the hub reader's" >&2
+    exit 1
+fi
+# mux.go is pristine again, but the copy still carries mutations 2, 3
+# and 5 to 7, so the test must be green before the change for its red
+# to mean anything.
+(cd "$tmp" && go test -count=1 -run 'TestHubFloodControl' ./internal/transport)
+# A negative cap materializes every entry: the flooder's batches reach
+# the nodes whole and no EventFlood is logged.
+sed -i 's/f\.parse(DefaultFloodLimit)/f.parse(-1)/' "$mux"
+(cd "$tmp" && go build ./internal/transport)
+expect_test_fail 'TestHubFloodControl' ./internal/transport
 
 echo "MUTATION SMOKE OK"
