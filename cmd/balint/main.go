@@ -7,7 +7,7 @@
 //	go run ./cmd/balint ./...            # whole module (the CI invocation)
 //	go run ./cmd/balint ./internal/ba    # one package
 //	go run ./cmd/balint -list            # describe the analyzers
-//	go run ./cmd/balint -run hotalloc,quorumexpr ./...
+//	go run ./cmd/balint -run noretain,quorumexpr ./...
 //	go run ./cmd/balint -json ./...      # machine-readable diagnostics
 //
 // Human diagnostics print as file:line:col: message (analyzer), sorted

@@ -146,8 +146,6 @@ type tcCount[T any] struct {
 // up its sender's slot, and a value already counted costs one comparison
 // per distinct value and no allocation — n senders never outgrow the
 // scratch.
-//
-//lint:hotpath
 func (m *tcPrefixThird[T, D]) tally(round int, in []sim.Message) {
 	var seen senderSet
 	m.counts = m.counts[:0]
@@ -184,8 +182,6 @@ type senderSet struct {
 }
 
 // add marks from and reports whether it was unmarked.
-//
-//lint:hotpath
 func (s *senderSet) add(from sim.PartyID) bool {
 	if from >= 0 && from < senderSetWords*64 {
 		word, bit := from>>6, uint64(1)<<uint(from&63)
@@ -199,7 +195,6 @@ func (s *senderSet) add(from sim.PartyID) bool {
 		return false
 	}
 	if s.spill == nil {
-		//lint:hotpath cold path: IDs past the bitset need n > 1024 or a hand-built inbox
 		s.spill = make(map[sim.PartyID]bool)
 	}
 	s.spill[from] = true

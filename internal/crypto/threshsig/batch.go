@@ -41,11 +41,8 @@ const macShortMax = 128
 // messages up to macShortMax bytes; longer messages take the stdlib
 // path. Keys are exactly Size bytes (one SHA-256 output), which is
 // below the block size, so the HMAC key schedule is a straight XOR pad.
-//
-//lint:hotpath
 func macShort(key [Size]byte, m []byte) [Size]byte {
 	if len(m) > macShortMax {
-		//lint:hotpath cold path: no protocol message exceeds macShortMax
 		return mac(key, m)
 	}
 	var inner [hmacBlock + macShortMax]byte
@@ -72,13 +69,11 @@ func macShort(key [Size]byte, m []byte) [Size]byte {
 // shareKeyOf returns signer i's share key, from the cache Deal
 // populates or (for keys built before the cache existed, e.g. decoded
 // from older state) by deriving it on the spot.
-//
-//lint:hotpath
 func (pk *PublicKey) shareKeyOf(i int) [Size]byte {
 	if pk.keys != nil {
 		return pk.keys[i]
 	}
-	//lint:hotpath cold path: cacheless keys only occur in hand-built test fixtures
+	// Cold: cacheless keys only occur in hand-built test fixtures.
 	return shareKey(pk.master, i)
 }
 
@@ -91,8 +86,6 @@ func (pk *PublicKey) shareKeyOf(i int) [Size]byte {
 // share keys, no allocation. On false the caller cannot tell which
 // share failed — fall back to per-share VerShare to attribute blame,
 // so one Byzantine share never poisons the honest rest of a batch.
-//
-//lint:hotpath
 func VerBatch(pk *PublicKey, m []byte, shares []Share) bool {
 	for i := range shares {
 		s := &shares[i]

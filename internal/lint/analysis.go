@@ -20,9 +20,6 @@
 //     not retain the []sim.Message slice the engine hands them (the
 //     inbox, the honest view: both alias pooled engine buffers that
 //     are overwritten every round).
-//   - hotalloc: functions annotated //lint:hotpath must contain no
-//     allocating constructs (the static form of the engine's
-//     steady-state allocation test).
 //   - quorumexpr: comparisons against inline n/t arithmetic must go
 //     through named threshold predicates (internal/quorum) so the
 //     off-by-one class the conformance mutation test plants has one
@@ -31,7 +28,9 @@
 // The transport's wire invariants — every delivery passes the ingress
 // screen, every frame read and write runs under a deadline — have one
 // site each, so tests in internal/transport and internal/chaos hold
-// them rather than an analyzer (DESIGN §7).
+// them rather than an analyzer (DESIGN §7). Zero steady-state
+// allocation on the round loop is likewise held by testing.AllocsPerRun
+// pins, which measure what the compiler actually emits.
 //
 // The cmd/balint multichecker drives all of them over the module;
 // linttest runs them over testdata packages with // want expectations.
@@ -134,18 +133,16 @@ func (p *Pass) HasDirective(pos token.Pos, name string) bool {
 		p.directives[directiveKey{at.Filename, at.Line - 1, name}]
 }
 
-// FuncHasDirective reports whether the function declaration carries the
-// directive: on the line above the declaration or anywhere in its doc
-// comment.
-func FuncHasDirective(pass *Pass, fd *ast.FuncDecl, name string) bool {
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			if m := directiveRE.FindStringSubmatch(c.Text); m != nil && m[1] == name {
-				return true
-			}
-		}
+// isBuiltin reports whether call invokes the named builtin (append,
+// make, ...), resolved through the type checker so a shadowing local
+// of the same name does not match.
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
 	}
-	return pass.HasDirective(fd.Pos(), name)
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
 }
 
 // calleeFunc resolves the function or method a call expression invokes,
@@ -201,6 +198,6 @@ func exceptPackages(rels ...string) func(string) bool {
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoMapIter, NoRandGlobal, NoWallClock, CheckedErr, NoRetain,
-		HotAlloc, QuorumExpr,
+		QuorumExpr,
 	}
 }

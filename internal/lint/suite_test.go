@@ -39,7 +39,7 @@ func TestModuleIsClean(t *testing.T) {
 func TestAllAnalyzersRegistered(t *testing.T) {
 	want := []string{
 		"nomapiter", "norandglobal", "nowallclock", "checkederr", "noretain",
-		"hotalloc", "quorumexpr",
+		"quorumexpr",
 	}
 	got := lint.All()
 	if len(got) != len(want) {

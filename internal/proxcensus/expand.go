@@ -88,8 +88,6 @@ func ExpandStep(n, t, s int, echoes []Echo) Result {
 }
 
 // expandStep is ExpandStep with caller-owned scratch sized for n.
-//
-//lint:hotpath
 func expandStep(n, t, s int, echoes []Echo, sc *expandScratch) Result {
 	sc.begin(s)
 	for _, e := range echoes {
@@ -99,8 +97,6 @@ func expandStep(n, t, s int, echoes []Echo, sc *expandScratch) Result {
 }
 
 // begin starts tallying a step whose echoes carry Prox_s pairs.
-//
-//lint:hotpath
 func (sc *expandScratch) begin(s int) {
 	sc.gen++
 	if sc.gen == 0 { // wrapped: stale marks could collide
@@ -114,8 +110,6 @@ func (sc *expandScratch) begin(s int) {
 
 // add tallies one echo, unless its sender is outside [0, n) or already
 // tallied this step, or its grade is outside the source range.
-//
-//lint:hotpath
 func (sc *expandScratch) add(from sim.PartyID, z Value, h int) {
 	if from < 0 || from >= len(sc.seen) || sc.seen[from] == sc.gen || h < 0 || h > sc.maxG {
 		return
@@ -143,8 +137,6 @@ func (sc *expandScratch) add(from sim.PartyID, z Value, h int) {
 // ordered by value, then grade, so each value's grades form one
 // ascending segment and the scan below visits exactly the candidates
 // the rule needs, in its tie-breaking order.
-//
-//lint:hotpath
 func (sc *expandScratch) decide(n, t, s int) Result {
 	maxG, zeroGrade := sc.maxG, sc.zeroGrade
 	b := s % 2

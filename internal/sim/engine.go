@@ -199,8 +199,6 @@ func (e *engine) run() (*Result, error) {
 // into the pooled shared buffer, in ascending (party, send index,
 // recipient) order, and meter each party's sends into its subtotal.
 // Broadcasts fan out to n addressed copies sharing one payload.
-//
-//lint:hotpath
 func (e *engine) collectSends(round int) []Message {
 	n := e.cfg.N
 	e.offsets[0] = 0
@@ -213,7 +211,6 @@ func (e *engine) collectSends(round int) []Message {
 	}
 	total := e.offsets[n]
 	if cap(e.honest) < total {
-		//lint:hotpath amortized pool growth: hit only when a round outgrows every prior round
 		e.honest = make([]Message, total)
 	}
 	honest := e.honest[:total]
@@ -250,8 +247,6 @@ func (e *engine) adversaryAct(round int, honest []Message) ([]Message, error) {
 // meterRound folds the per-sender subtotals of parties that survived
 // Phase 2 honest into the round metrics: a party corrupted mid-round
 // had its sends dropped, so they do not count (strongly rushing).
-//
-//lint:hotpath
 func (e *engine) meterRound(advMsgs []Message) RoundMetrics {
 	var rm RoundMetrics
 	for p := 0; p < e.cfg.N; p++ {
@@ -274,8 +269,6 @@ func (e *engine) meterRound(advMsgs []Message) RoundMetrics {
 // re-addressed lazily (a broadcast is one Send scanned n times, never n
 // buffered copies). Messages from parties corrupted during Phase 2 are
 // dropped here (strongly rushing).
-//
-//lint:hotpath
 func (e *engine) routeInboxes(round int, advMsgs []Message) {
 	e.bucketAdversary(advMsgs)
 	e.countHonest()
@@ -290,8 +283,6 @@ func (e *engine) routeInboxes(round int, advMsgs []Message) {
 // one pass that copies each message, broadcasts fanned out, into its
 // recipients' buckets. Buckets of corrupted recipients stay empty;
 // out-of-range unicasts are dropped.
-//
-//lint:hotpath
 func (e *engine) bucketAdversary(advMsgs []Message) {
 	n := e.cfg.N
 	corrupted := e.env.corrupted
@@ -359,8 +350,6 @@ func (e *engine) bucketAdversary(advMsgs []Message) {
 // countHonest counts the round's surviving honest deliveries per
 // recipient: honestBroadcasts reach every honest party, honestTo[p]
 // counts the in-range unicasts addressed to p.
-//
-//lint:hotpath
 func (e *engine) countHonest() {
 	corrupted := e.env.corrupted
 	clear(e.honestTo)
@@ -383,8 +372,6 @@ func (e *engine) countHonest() {
 // stepMachines is Phase 4: every honest machine receives its inbox and
 // produces next round's sends; a corrupted party's pending slot is
 // cleared.
-//
-//lint:hotpath
 func (e *engine) stepMachines(round int) {
 	for p := 0; p < e.cfg.N; p++ {
 		if e.env.IsCorrupted(p) {
@@ -401,8 +388,6 @@ func (e *engine) stepMachines(round int) {
 // adversary bucket. Honest and corrupted senders are disjoint, so the
 // inbox is sorted by sender, and each sender's messages keep their send
 // (or injection) order.
-//
-//lint:hotpath
 func (e *engine) routeParty(p, round int) {
 	buf := e.inbox[p][:0]
 	corrupted := e.env.corrupted
@@ -432,8 +417,6 @@ func (e *engine) routeParty(p, round int) {
 
 // expandedCount returns how many addressed messages a send list expands
 // to (mirroring expandSends).
-//
-//lint:hotpath
 func expandedCount(n int, sends []Send) int {
 	count := 0
 	for _, s := range sends {
@@ -445,8 +428,6 @@ func expandedCount(n int, sends []Send) int {
 // copies returns how many addressed messages a send to `to` expands to:
 // n for a broadcast, one for an in-range unicast, none for an
 // out-of-range recipient.
-//
-//lint:hotpath
 func copies(n int, to PartyID) int {
 	switch {
 	case to == Broadcast:
@@ -459,8 +440,6 @@ func copies(n int, to PartyID) int {
 
 // fillSends writes the expansion of a send list into dst, which must
 // have length expandedCount(n, sends).
-//
-//lint:hotpath
 func fillSends(dst []Message, from PartyID, round, n int, sends []Send) {
 	i := 0
 	for _, s := range sends {

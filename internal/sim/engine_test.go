@@ -468,6 +468,57 @@ func TestRunSteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// retainingMachine broadcasts its round number and keeps the inbox
+// slice the engine hands it in round 1 — the retention noretain forbids
+// real machines. In round 2 it records what that kept slice holds.
+type retainingMachine struct {
+	kept    []Message
+	inRound []int // kept[i].Round, read during round 2
+}
+
+func (m *retainingMachine) Start() []Send { return BroadcastSend(testPayload{v: 1}) }
+
+func (m *retainingMachine) Deliver(round int, in []Message) []Send {
+	switch round {
+	case 1:
+		m.kept = in
+	case 2:
+		for _, msg := range m.kept {
+			m.inRound = append(m.inRound, msg.Round)
+		}
+	}
+	return BroadcastSend(testPayload{v: round + 1})
+}
+
+func (m *retainingMachine) Output() (any, bool) { return nil, true }
+
+// TestRetainedInboxIsOverwritten is noretain's runtime witness: the
+// engine pools each party's inbox, so a slice a machine keeps from
+// round 1 holds round 2's messages by the time round 2 is delivered.
+// That is the hazard the analyzer rules out; if the engine ever stops
+// pooling inboxes this test fails, and noretain's reason with it.
+func TestRetainedInboxIsOverwritten(t *testing.T) {
+	const n = 4
+	machines := make([]Machine, n)
+	for p := range machines {
+		machines[p] = &retainingMachine{}
+	}
+	if _, err := Run(Config{N: n, Rounds: 2}, machines, nil); err != nil {
+		t.Fatal(err)
+	}
+	for p, m := range machines {
+		got := m.(*retainingMachine).inRound
+		if len(got) != n {
+			t.Fatalf("party %d kept %d messages, want %d", p, len(got), n)
+		}
+		for i, r := range got {
+			if r != 2 {
+				t.Errorf("party %d: kept round-1 message %d reads round %d in round 2; want the pooled inbox overwritten with round 2", p, i, r)
+			}
+		}
+	}
+}
+
 // TestRunGoldenAdversaries pins the two adversary shapes the protocol
 // goldens exercise least: an adaptive mid-round corruption (the
 // strongly rushing drop) and broadcasts plus unicasts injected in

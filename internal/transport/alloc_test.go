@@ -2,8 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
 	"runtime"
 	"testing"
+	"time"
 
 	"proxcensus/internal/ba"
 	"proxcensus/internal/crypto/threshsig"
@@ -71,18 +74,24 @@ func TestIngressSteadyStateAllocations(t *testing.T) {
 }
 
 // TestSendSteadyStateAllocations is the egress twin: encoding a round
-// of sends into the pooled arena and framing them must allocate
-// nothing once the buffers are warm.
+// of sends — signed votes, a payload echo and a share certificate,
+// whose blob and share list are copied into the arena — and framing
+// them must allocate nothing once the buffers are warm.
 func TestSendSteadyStateAllocations(t *testing.T) {
 	nd, msgs := ingressFixture(t, 16)
-	sends := make([]sim.Send, 0, len(msgs))
+	sends := make([]sim.Send, 0, len(msgs)+2)
+	cert := proxcensus.LinearSigmaCert{V: 1}
 	for i := range msgs {
 		p, err := wire.Decode(msgs[i].Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sends = append(sends, sim.Send{To: sim.Broadcast, Payload: p})
+		cert.Shares = append(cert.Shares, p.(proxcensus.LinearVote).Share)
 	}
+	sends = append(sends,
+		sim.Send{To: 3, Payload: ba.TCPayloadEcho{Data: bytes.Repeat([]byte{0x5a}, 4<<10), Valid: true}},
+		sim.Send{To: sim.Broadcast, Payload: cert})
 	want, err := nd.encodeSends(5, sends) // warm arena, batch, frame
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +108,48 @@ func TestSendSteadyStateAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state send encode allocates %.1f objects; want 0", allocs)
+	}
+}
+
+// frameLoopConn is an in-memory net.Conn that serves one wire frame —
+// length header, then body — over and over. Only Read and
+// SetReadDeadline are implemented.
+type frameLoopConn struct {
+	net.Conn
+	wire []byte
+	off  int
+}
+
+func (c *frameLoopConn) Read(p []byte) (int, error) {
+	n := copy(p, c.wire[c.off:])
+	c.off = (c.off + n) % len(c.wire)
+	return n, nil
+}
+
+func (c *frameLoopConn) SetReadDeadline(time.Time) error { return nil }
+
+// TestReadFrameIntoWarmAllocations pins the frame reader every mux
+// reader goroutine runs: with a warm buffer, reading a round frame —
+// header and body — allocates nothing. The length header once lived in
+// a local array, which io.ReadFull's interface call moved to the heap:
+// one allocation per frame.
+func TestReadFrameIntoWarmAllocations(t *testing.T) {
+	_, msgs := ingressFixture(t, 16)
+	body, err := wire.AppendEncodeTaggedBatch(nil, LocalInstance, 1, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &frameLoopConn{wire: append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)}
+	deadline := time.Now().Add(time.Minute)
+	var buf []byte
+	allocs := testing.AllocsPerRun(50, func() { // the warm-up run grows buf
+		buf, err = readFrameInto(conn, deadline, buf[:0])
+		if err != nil || !bytes.Equal(buf, body) {
+			t.Fatalf("read %d bytes, err %v; want the %d-byte frame", len(buf), err, len(body))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm frame read allocates %.2f objects per frame; want 0", allocs)
 	}
 }
 

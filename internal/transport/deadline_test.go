@@ -112,7 +112,7 @@ func silentHub(t *testing.T) (addr string, resumes <-chan int) {
 			if err != nil {
 				continue
 			}
-			if _, resume, _, err := wire.DecodeHelloVersion(hello); err == nil {
+			if _, resume, _, err := wire.DecodeHello(hello); err == nil {
 				select {
 				case out <- resume:
 				default:

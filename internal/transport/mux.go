@@ -352,7 +352,7 @@ func (h *MuxHub) admit(conn net.Conn) {
 		reject(-1, 0, "hello read: "+err.Error())
 		return
 	}
-	id, resume, version, err := wire.DecodeHelloVersion(frame)
+	id, resume, version, err := wire.DecodeHello(frame)
 	if err == nil {
 		err = wire.CheckVersion(version, wire.VersionMux)
 	}
@@ -812,7 +812,7 @@ func dial(addr string, id, resume int, cfg Config, log *eventLog, stop <-chan st
 			last = err
 			continue
 		}
-		hello := wire.EncodeHelloVersion(id, resume, wire.VersionMux)
+		hello := wire.EncodeHello(id, resume)
 		if err := writeFrame(conn, hello, time.Now().Add(cfg.RoundTimeout)); err != nil {
 			_ = conn.Close()
 			last = err
@@ -1156,8 +1156,6 @@ func (nd *MuxNode) awaitLane(lane chan muxBatch, round int, wait time.Duration) 
 // payload blob classes, which sub-slices msgs' frame and is valid until
 // the caller releases that frame, after Deliver
 // (TestPayloadRoundDecodeAllocations pins that no blob is copied).
-//
-//lint:hotpath
 func (ir *instanceRun) decodeRound(round int, msgs []wire.BatchMsg) []sim.Message {
 	ir.in = ir.in[:0]
 	for i := range msgs {
@@ -1182,8 +1180,6 @@ func (ir *instanceRun) decodeRound(round int, msgs []wire.BatchMsg) []sim.Messag
 // growth can never let a later payload clobber an earlier one; the
 // frame is built over the same reused buffer. Steady-state sending
 // allocates nothing.
-//
-//lint:hotpath
 func (ir *instanceRun) encodeSends(round int, sends []sim.Send) ([]byte, error) {
 	arena := ir.encArena[:0]
 	batch := ir.batch[:0]

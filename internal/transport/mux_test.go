@@ -189,7 +189,8 @@ func TestMuxVersionMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = conn.Close() }()
-		if err := writeFrame(conn, wire.EncodeHello(0, 0), time.Now().Add(time.Second)); err != nil {
+		legacy := make([]byte, 16) // a v1 hello: id 0, resume 0, no version byte
+		if err := writeFrame(conn, legacy, time.Now().Add(time.Second)); err != nil {
 			t.Fatal(err)
 		}
 		if !closedByHub(t, conn) {

@@ -176,30 +176,30 @@ func readFrame(conn net.Conn, deadline time.Time) ([]byte, error) {
 }
 
 // readFrameInto receives a length-prefixed frame bounded by the
-// deadline, reading the body into buf (grown as needed) so a pooled
-// caller buffer makes steady-state reads allocation-free. The result
+// deadline, reading the header and then the body into buf (grown as
+// needed) so a pooled caller buffer makes steady-state reads
+// allocation-free (TestReadFrameIntoWarmAllocations). The result
 // aliases buf's possibly-regrown backing array; buf (extended) is
 // returned even on error so pooled callers keep their capacity.
-//
-//lint:hotpath
 func readFrameInto(conn net.Conn, deadline time.Time, buf []byte) ([]byte, error) {
 	if err := conn.SetReadDeadline(deadline); err != nil {
 		return buf, err
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	// Not a local array: io.ReadFull's interface call would move it to
+	// the heap on every frame.
+	buf = slices.Grow(buf[:0], 4)
+	hdr := buf[:4]
+	if _, err := io.ReadFull(conn, hdr); err != nil {
 		return buf, err
 	}
-	size := int(binary.BigEndian.Uint32(hdr[:]))
+	size := int(binary.BigEndian.Uint32(hdr))
 	if size > maxFrame {
-		//lint:hotpath cold path: oversized frame, connection is abandoned
 		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
 	if cap(buf) < size {
 		// Grow, not make: the capacity rounds up to the allocator's size
 		// class, so the next round's frame — the same batch a few bytes
 		// longer — fits the slack instead of costing a second buffer.
-		//lint:hotpath amortized: the buffer grows to the high-water frame size once, then is reused
 		buf = slices.Grow([]byte(nil), size)
 	}
 	buf = buf[:size]

@@ -163,7 +163,7 @@ func rawDial(t *testing.T, addr string, id, resume int) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := wire.EncodeHelloVersion(id, resume, wire.VersionMux)
+	hello := wire.EncodeHello(id, resume)
 	if err := writeFrame(conn, hello, time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}

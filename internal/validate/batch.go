@@ -85,8 +85,6 @@ func DecodeOnly(in []Inbound, verdicts []bool) []bool {
 // the transport call the screen unconditionally on its ingress path;
 // transport's TestHubFloodControl and chaos's TestByzRejectionClasses
 // go red if that call is replaced by DecodeOnly.
-//
-//lint:hotpath
 func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool {
 	if v == nil {
 		return DecodeOnly(in, verdicts)
@@ -172,9 +170,12 @@ func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool 
 			}
 		} else {
 			// Fallback: attribute blame per share so one Byzantine
-			// share never poisons the honest rest of the group.
+			// share never poisons the honest rest of the group. A
+			// one-share VerBatch is exactly VerShare, minus VerShare's
+			// key derivation and hmac.New allocations
+			// (TestBatchSteadyStateAllocations).
 			for si, idx := range v.idxBuf {
-				v.settle(&verdicts[idx], threshsig.VerShare(pk, msg, v.shareBuf[si]))
+				v.settle(&verdicts[idx], threshsig.VerBatch(pk, msg, v.shareBuf[si:si+1]))
 			}
 		}
 	}
@@ -182,8 +183,6 @@ func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool 
 }
 
 // settle finalizes one deferred verdict and counts it.
-//
-//lint:hotpath
 func (v *Validator) settle(verdict *bool, ok bool) {
 	if ok {
 		*verdict = true
@@ -198,8 +197,6 @@ func (v *Validator) settle(verdict *bool, ok bool) {
 // value, instance) group — and if so returns the group key, the share,
 // and the verifying key. Certificates, combined signatures and
 // dealer-signed sets verify individually.
-//
-//lint:hotpath
 func (v *Validator) batchInfo(p sim.Payload) (sigKey, threshsig.Share, *threshsig.PublicKey, bool) {
 	switch pv := p.(type) {
 	case proxcensus.LinearVote:
@@ -221,13 +218,10 @@ func (v *Validator) batchInfo(p sim.Payload) (sigKey, threshsig.Share, *threshsi
 // building and caching it on first use. The cache persists across
 // rounds: vote messages recur every iteration, coin instances advance
 // slowly, and the cap bounds adversarial growth.
-//
-//lint:hotpath
 func (v *Validator) sigMessage(key sigKey) []byte {
 	if m, ok := v.msgCache[key]; ok {
 		return m
 	}
-	//lint:hotpath cold path: each distinct signed message is built once, then cached
 	var m []byte
 	switch key.class {
 	case ClassLinearVote:
@@ -243,7 +237,6 @@ func (v *Validator) sigMessage(key sigKey) []byte {
 	}
 	if len(v.msgCache) < msgCacheCap {
 		if v.msgCache == nil {
-			//lint:hotpath cold path: the cache is built once, by the validator's first signature group
 			v.msgCache = make(map[sigKey][]byte)
 		}
 		v.msgCache[key] = m

@@ -357,29 +357,39 @@ func TestCertValidLargeN(t *testing.T) {
 }
 
 // TestBatchSteadyStateAllocations: after warm-up, screening a full
-// round of signed votes through AdmitBatch must not allocate.
+// round of signed votes through AdmitBatch must not allocate. That
+// holds with a forger too: its forged share fails its group's VerBatch,
+// and every share of the group is re-verified alone to find it. A
+// blame path that allocated would let one Byzantine sender buy garbage
+// on every honest node each round.
 func TestBatchSteadyStateAllocations(t *testing.T) {
 	setup, rules := halfSetup(t, 16)
-	v := New(rules)
-	in := make([]Inbound, 0, 16)
-	for i := 0; i < 16; i++ {
-		in = append(in, inboundOf(t, i, signedVote(setup, i, i%2)))
-	}
-	verdicts := make([]bool, 0, 16)
-	round := 0
-	run := func() {
-		round++
-		verdicts = v.AdmitBatch(1+3*(round-1), in, verdicts[:0])
-		for _, ok := range verdicts {
-			if !ok {
-				t.Fatal("honest vote rejected")
+	for _, forger := range []int{-1, 5} { // -1: no forger
+		v := New(rules)
+		in := make([]Inbound, 0, 16)
+		for i := 0; i < 16; i++ {
+			vote := signedVote(setup, i, i%2)
+			if i == forger {
+				vote.Share.MAC[3] ^= 0xff
 			}
+			in = append(in, inboundOf(t, i, vote))
 		}
-	}
-	for i := 0; i < 3; i++ {
-		run() // warm caches: message cache, signature scratches
-	}
-	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Fatalf("AdmitBatch allocated %.1f objects per steady-state round, want 0", allocs)
+		verdicts := make([]bool, 0, 16)
+		round := 1
+		run := func() {
+			verdicts = v.AdmitBatch(round, in, verdicts[:0])
+			for i, ok := range verdicts {
+				if ok != (i != forger) {
+					t.Fatalf("forger %d, round %d: sender %d verdict %t", forger, round, i, ok)
+				}
+			}
+			round += 3 // the next vote round
+		}
+		for i := 0; i < 3; i++ {
+			run() // warm caches: message cache, signature scratches
+		}
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Errorf("forger %d: AdmitBatch allocated %.1f objects per steady-state round, want 0", forger, allocs)
+		}
 	}
 }

@@ -421,8 +421,6 @@ func (v *Validator) Report() Report {
 // calls of one batch: round-batch inboxes are sorted, so the broadcast
 // case (many senders echoing byte-identical payloads) hashes once per
 // run of equal bytes instead of per message.
-//
-//lint:hotpath
 func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeErr error, memo *digestMemo) (Class, Reason, bool) {
 	if from < 0 || from >= v.rules.N {
 		return ClassUnknown, RejectSender, false
@@ -453,7 +451,6 @@ func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeE
 			// payload stands (matching the machines' first-wins rules);
 			// the conflict is recorded as evidence.
 			if len(v.rep.Evidence) < evidenceCap {
-				//lint:hotpath cold path: evidence is only rendered when an equivocation strikes
 				v.rep.Evidence = append(v.rep.Evidence, Evidence{
 					From: from, Round: round, Class: class,
 					First: renderPayload(prev), Second: renderPayload(p),
@@ -470,8 +467,6 @@ func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeE
 // holds its first digest of the round; only a sender's second distinct
 // message of a round (a flood, an equivocation, or a phase that sends
 // two, like Σ beside an Ω share) reaches the dup spill.
-//
-//lint:hotpath
 func (v *Validator) duplicate(s *senderRound, from int, digest [sha256.Size]byte) bool {
 	if s.stamp != v.stamp {
 		// The sender's first message this round opens its slot, which
@@ -487,7 +482,6 @@ func (v *Validator) duplicate(s *senderRound, from int, digest [sha256.Size]byte
 		return true
 	}
 	if v.dup == nil {
-		//lint:hotpath cold path: the spill is built for the first sender to send two distinct messages in one round
 		v.dup = make(map[dupKey]struct{})
 	}
 	v.dup[key] = struct{}{}
@@ -500,8 +494,6 @@ func (v *Validator) duplicate(s *senderRound, from int, digest [sha256.Size]byte
 // one round (quad Ω shares for several levels, or a flood) goes to the
 // first spill. s must already be stamped for the round (duplicate does
 // that).
-//
-//lint:hotpath
 func (v *Validator) openStream(s *senderRound, from int, class Class, sub int, p sim.Payload) (sim.Payload, bool) {
 	if s.stream.class == ClassUnknown {
 		s.stream = firstSeen{class: class, sub: sub, payload: p}
@@ -515,7 +507,6 @@ func (v *Validator) openStream(s *senderRound, from int, class Class, sub int, p
 		return prev, true
 	}
 	if v.first == nil {
-		//lint:hotpath cold path: the spill is built for the first sender to open two streams in one round
 		v.first = make(map[uniKey]sim.Payload)
 	}
 	v.first[key] = p
@@ -562,8 +553,6 @@ func renderPayload(p sim.Payload) string {
 // shareValid verifies one threshold share against a message under pk,
 // requiring the share to be the sender's own (authenticated channels:
 // a sender may only contribute its own share).
-//
-//lint:hotpath
 func shareValid(pk *threshsig.PublicKey, from int, m []byte, s threshsig.Share) bool {
 	return s.Signer == from && threshsig.VerShare(pk, m, s)
 }
@@ -588,8 +577,6 @@ var certBitmapPool = sync.Pool{
 // a bad share before a good one is judged stricter than before, never
 // looser. Out-of-range signers can never verify, so they are skipped
 // without occupying a bitmap slot.
-//
-//lint:hotpath
 func certValid(pk *threshsig.PublicKey, m []byte, shares []threshsig.Share) bool {
 	n := pk.N()
 	var stack [certBitmapWords]uint64
@@ -597,10 +584,8 @@ func certValid(pk *threshsig.PublicKey, m []byte, shares []threshsig.Share) bool
 	if words := (n + 63) / 64; words <= certBitmapWords {
 		seen = stack[:words]
 	} else {
-		//lint:hotpath cold path: bitmap spill only for n > 1024, beyond any config in this repo
 		spill := certBitmapPool.Get().(*[]uint64)
 		if cap(*spill) < words {
-			//lint:hotpath cold path: pool warm-up for oversized party counts
 			*spill = make([]uint64, words)
 		}
 		seen = (*spill)[:words]

@@ -11,25 +11,28 @@ func TestHelloRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ id, resume int }{
 		{0, 0}, {3, 0}, {7, 12}, {1 << 20, 1 << 29},
 	} {
-		id, resume, err := DecodeHello(EncodeHello(tc.id, tc.resume))
+		id, resume, version, err := DecodeHello(EncodeHello(tc.id, tc.resume))
 		if err != nil {
 			t.Fatalf("hello(%d,%d): %v", tc.id, tc.resume, err)
 		}
-		if id != tc.id || resume != tc.resume {
-			t.Errorf("hello(%d,%d) decoded to (%d,%d)", tc.id, tc.resume, id, resume)
+		if id != tc.id || resume != tc.resume || version != VersionMux {
+			t.Errorf("hello(%d,%d) decoded to (%d,%d) v%d", tc.id, tc.resume, id, resume, version)
 		}
 	}
 }
 
 func TestHelloRejectsMalformed(t *testing.T) {
-	if _, _, err := DecodeHello([]byte{1, 2, 3}); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := DecodeHello([]byte{1, 2, 3}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("short hello: err = %v, want ErrBadFrame", err)
 	}
 	neg := EncodeHello(0, 0)
 	negResume := int64(-5)
-	binary.BigEndian.PutUint64(neg[8:], uint64(negResume))
-	if _, _, err := DecodeHello(neg); !errors.Is(err, ErrBadFrame) {
+	binary.BigEndian.PutUint64(neg[8:16], uint64(negResume))
+	if _, _, _, err := DecodeHello(neg); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("negative resume: err = %v, want ErrBadFrame", err)
+	}
+	if _, _, _, err := DecodeHello(neg[:16]); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("negative resume in a v1 hello: err = %v, want ErrBadFrame", err)
 	}
 }
 

@@ -64,7 +64,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	f.Add(empty)
 	f.Add([]byte{})
-	f.Add(EncodeHello(4, 7))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 7}) // a v1 hello: id 4, resume 7
 	f.Add(bytes.Repeat([]byte{0xff}, 40))
 	// A frame of a later instance, whole and truncated mid-tag.
 	tagged, err := AppendEncodeTaggedBatch(nil, 9, 3, []BatchMsg{{Addr: 1, Payload: []byte{0x42}}})

@@ -8,49 +8,35 @@ import (
 	"testing"
 )
 
-// TestHelloVersionRoundtrip: the versioned hello must roundtrip for
-// both generations, and the v1 encoding must be byte-identical to the
-// legacy EncodeHello so pre-versioning peers still interoperate.
+// TestHelloVersionRoundtrip: the hello on the wire is the v1 body
+// (id, resume) plus one version byte, byte for byte, and a hand-built
+// 16-byte v1 hello still decodes — as VersionLegacy, which the hub
+// then refuses through CheckVersion.
 func TestHelloVersionRoundtrip(t *testing.T) {
-	legacy := EncodeHelloVersion(3, 7, VersionLegacy)
-	if !bytes.Equal(legacy, EncodeHello(3, 7)) {
-		t.Fatalf("v1 hello %x differs from legacy EncodeHello %x", legacy, EncodeHello(3, 7))
+	want := []byte{0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 9, VersionMux}
+	if got := EncodeHello(5, 9); !bytes.Equal(got, want) {
+		t.Fatalf("v2 hello %x, want %x", got, want)
 	}
-	id, resume, version, err := DecodeHelloVersion(legacy)
+	legacy := []byte{0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 7}
+	id, resume, version, err := DecodeHello(legacy)
 	if err != nil || id != 3 || resume != 7 || version != VersionLegacy {
-		t.Fatalf("v1 roundtrip: id=%d resume=%d version=%d err=%v", id, resume, version, err)
-	}
-	// The legacy decoder must still accept the v1 body it always has.
-	if _, _, err := DecodeHello(legacy); err != nil {
-		t.Fatalf("legacy DecodeHello rejected a v1 hello: %v", err)
-	}
-
-	mux := EncodeHelloVersion(5, 0, VersionMux)
-	if len(mux) != helloSizeV {
-		t.Fatalf("v2 hello is %d bytes, want %d", len(mux), helloSizeV)
-	}
-	id, resume, version, err = DecodeHelloVersion(mux)
-	if err != nil || id != 5 || resume != 0 || version != VersionMux {
-		t.Fatalf("v2 roundtrip: id=%d resume=%d version=%d err=%v", id, resume, version, err)
-	}
-	// A pre-versioning peer must reject the 17-byte body outright
-	// rather than misparse it.
-	if _, _, err := DecodeHello(mux); err == nil {
-		t.Fatal("legacy DecodeHello accepted a v2 hello")
+		t.Fatalf("v1 decode: id=%d resume=%d version=%d err=%v", id, resume, version, err)
 	}
 }
 
 // TestHelloVersionMalformed: wrong lengths and a zero version byte are
 // rejected with ErrBadFrame.
 func TestHelloVersionMalformed(t *testing.T) {
+	zeroVersion := EncodeHello(1, 0)
+	zeroVersion[legacyHelloSize] = 0
 	for _, body := range [][]byte{
 		nil,
-		make([]byte, helloSize-1),
-		make([]byte, helloSizeV+1),
-		append(EncodeHello(1, 0), 0), // version byte 0
+		make([]byte, legacyHelloSize-1),
+		make([]byte, helloSize+1),
+		zeroVersion,
 	} {
-		if _, _, _, err := DecodeHelloVersion(body); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("DecodeHelloVersion(%d bytes) err = %v, want ErrBadFrame", len(body), err)
+		if _, _, _, err := DecodeHello(body); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("DecodeHello(%d bytes) err = %v, want ErrBadFrame", len(body), err)
 		}
 	}
 }
@@ -123,6 +109,34 @@ func TestTaggedBatchRoundtrip(t *testing.T) {
 	}
 }
 
+// TestDecodeAliasWarmAllocations: the mux readers parse every round
+// frame through DecodeTaggedBatchAliasCapped into their frame's pooled
+// scratch; once that scratch has grown, a parse allocates nothing,
+// flood-capped or not.
+func TestDecodeAliasWarmAllocations(t *testing.T) {
+	msgs := make([]BatchMsg, 16)
+	for i := range msgs {
+		msgs[i] = BatchMsg{Addr: i, Payload: bytes.Repeat([]byte{byte(i)}, 64)}
+	}
+	frame, err := AppendEncodeTaggedBatch(nil, 3, 5, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch []BatchMsg
+	for _, tc := range []struct{ maxMsgs, kept int }{{-1, 16}, {8, 8}} {
+		allocs := testing.AllocsPerRun(50, func() { // the warm-up run grows scratch
+			_, round, got, _, err := DecodeTaggedBatchAliasCapped(frame, tc.maxMsgs, scratch[:0])
+			if err != nil || round != 5 || len(got) != tc.kept {
+				t.Fatalf("cap %d: round %d, %d msgs, err %v", tc.maxMsgs, round, len(got), err)
+			}
+			scratch = got
+		})
+		if allocs != 0 {
+			t.Errorf("cap %d: warm alias parse allocates %.1f objects, want 0", tc.maxMsgs, allocs)
+		}
+	}
+}
+
 // TestTaggedBatchBounds: out-of-range instance tags are rejected on
 // both the encode and decode sides.
 func TestTaggedBatchBounds(t *testing.T) {
@@ -190,7 +204,7 @@ func FuzzDecodeTagged(f *testing.F) {
 	f.Add(seed[:4])            // truncated mid-tag
 	f.Add(seed[taggedHeader:]) // cross-decode: a v1 body, which has no tag
 	f.Add([]byte{})
-	f.Add(EncodeHelloVersion(4, 7, VersionMux))
+	f.Add(EncodeHello(4, 7))
 
 	f.Fuzz(checkBatchCanonical)
 }

@@ -18,8 +18,6 @@ import (
 )
 
 // appendBlob appends a length-prefixed byte blob.
-//
-//lint:hotpath
 func appendBlob(b []byte, data []byte) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(len(data)))
 	return append(b, data...)
@@ -28,14 +26,11 @@ func appendBlob(b []byte, data []byte) []byte {
 // blob consumes a length-prefixed byte blob, copying the bytes out of
 // the input so the decoded payload never aliases it and may be held
 // for as long as the caller likes.
-//
-//lint:hotpath
 func (r *reader) blob() []byte {
 	raw := r.blobAlias()
 	if raw == nil {
 		return nil
 	}
-	//lint:hotpath one bounded allocation per decoded payload; the copy is what detaches it from the input
 	out := make([]byte, len(raw))
 	copy(out, raw)
 	return out
@@ -44,15 +39,12 @@ func (r *reader) blob() []byte {
 // blobAlias consumes a length-prefixed byte blob as a three-index
 // sub-slice of the input — zero-copy, caller owns the aliasing
 // contract. A zero-length blob returns nil.
-//
-//lint:hotpath
 func (r *reader) blobAlias() []byte {
 	count := r.int64()
 	if r.err != nil {
 		return nil
 	}
 	if count < 0 || count > ba.MaxPayloadBytes {
-		//lint:hotpath cold path: malformed frame, connection is abandoned
 		r.err = fmt.Errorf("%w: %d payload bytes", ErrPayloadSize, count)
 		return nil
 	}

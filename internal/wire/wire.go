@@ -211,8 +211,6 @@ func finish(p sim.Payload, r *reader) (sim.Payload, error) {
 }
 
 // appendInts appends big-endian int64s.
-//
-//lint:hotpath
 func appendInts(b []byte, vals ...int64) []byte {
 	for _, v := range vals {
 		b = binary.BigEndian.AppendUint64(b, uint64(v))
@@ -221,16 +219,12 @@ func appendInts(b []byte, vals ...int64) []byte {
 }
 
 // appendShare appends a signature share (signer + MAC).
-//
-//lint:hotpath
 func appendShare(b []byte, s threshsig.Share) []byte {
 	b = appendInts(b, int64(s.Signer))
 	return append(b, s.MAC[:]...)
 }
 
 // appendShares appends a length-prefixed share list.
-//
-//lint:hotpath
 func appendShares(b []byte, shares []threshsig.Share) []byte {
 	b = appendInts(b, int64(len(shares)))
 	for _, s := range shares {
@@ -245,7 +239,6 @@ type reader struct {
 	err error
 }
 
-//lint:hotpath
 func (r *reader) int64() int64 {
 	if r.err != nil {
 		return 0
@@ -259,7 +252,6 @@ func (r *reader) int64() int64 {
 	return v
 }
 
-//lint:hotpath
 func (r *reader) byte() byte {
 	if r.err != nil {
 		return 0
@@ -273,7 +265,6 @@ func (r *reader) byte() byte {
 	return v
 }
 
-//lint:hotpath
 func (r *reader) bytes32() [32]byte {
 	var out [32]byte
 	if r.err != nil {
@@ -288,25 +279,22 @@ func (r *reader) bytes32() [32]byte {
 	return out
 }
 
-//lint:hotpath
 func (r *reader) share() threshsig.Share {
 	signer := r.int64()
 	mac := r.bytes32()
 	return threshsig.Share{Signer: int(signer), MAC: mac}
 }
 
-//lint:hotpath
 func (r *reader) shares() []threshsig.Share {
 	count := r.int64()
 	if r.err != nil {
 		return nil
 	}
 	if count < 0 || count > 1<<16 {
-		//lint:hotpath cold path: malformed frame, connection is abandoned
 		r.err = fmt.Errorf("%w: %d shares", ErrTruncated, count)
 		return nil
 	}
-	//lint:hotpath one bounded allocation per decoded cert; certs are rare control traffic
+	// One bounded allocation per decoded cert; certs are rare control traffic.
 	out := make([]threshsig.Share, 0, count)
 	for i := int64(0); i < count; i++ {
 		out = append(out, r.share())

@@ -165,6 +165,42 @@ func TestDecodeHugeShareCount(t *testing.T) {
 	}
 }
 
+// payloadSink keeps decoded payloads live in TestReaderAllocations.
+var payloadSink sim.Payload
+
+// TestReaderAllocations pins the readers every Decode arm is built
+// from — int64, byte, bytes32, share and the aliasing blob reader — at
+// zero allocations, so a decode that misses the intern cache costs
+// exactly the interface box of its payload. The copying blob and
+// share-list readers allocate by contract (decoder.go).
+func TestReaderAllocations(t *testing.T) {
+	vote, err := Encode(proxcensus.LinearVote{V: 1, Share: threshsig.Share{Signer: 3, MAC: [32]byte{9}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo, err := Encode(ba.TCPayloadEcho{Data: bytes.Repeat([]byte{7}, 64), Valid: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		r := reader{buf: vote[1:]}
+		_, _ = r.int64(), r.share() // share reads an int64 and a bytes32
+		e := reader{buf: echo[1:]}
+		_, _ = e.blobAlias(), e.byte()
+		if r.err != nil || len(r.buf) != 0 || e.err != nil || len(e.buf) != 0 {
+			t.Fatalf("readers left %d/%d bytes, errs %v/%v", len(r.buf), len(e.buf), r.err, e.err)
+		}
+	}); allocs != 0 {
+		t.Errorf("readers allocate %.1f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { payloadSink, err = Decode(vote) }); allocs != 1 || err != nil {
+		t.Errorf("Decode(vote) allocates %.1f objects (err %v), want 1: the interface box", allocs, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { payloadSink, err = DecodeAlias(echo) }); allocs != 1 || err != nil {
+		t.Errorf("DecodeAlias(echo) allocates %.1f objects (err %v), want 1: the interface box", allocs, err)
+	}
+}
+
 func TestQuickFuzzDecode(t *testing.T) {
 	// Decode must never panic on arbitrary bytes.
 	f := func(b []byte) bool {

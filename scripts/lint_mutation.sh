@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated eight times, and
+# rule out. A pristine copy of the module is mutated nine times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for the
 #      decode-only sieve: the hub flood-control test and the chaos
@@ -18,7 +18,9 @@
 #      domains' reference tests;
 #   7. the write deadline stripped from writeFrame: the stalled-peer
 #      write timeout test;
-#   8. the hub reader's flood cap removed: the hub flood-control test.
+#   8. the hub reader's flood cap removed: the hub flood-control test;
+#   9. the node's pooled ingress scratch dropped every round: the
+#      steady-state ingress allocation pin.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -185,5 +187,22 @@ fi
 sed -i 's/f\.parse(DefaultFloodLimit)/f.parse(-1)/' "$mux"
 (cd "$tmp" && go build ./internal/transport)
 expect_test_fail 'TestHubFloodControl' ./internal/transport
+
+echo "mutation 9: decodeRound drops its pooled ingress scratch every round"
+cp "$tmp/mux.pristine" "$mux"
+reset_line='ir.in = ir.in[:0]'
+if [[ "$(grep -cF "$reset_line" "$mux")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one ingress scratch reset in mux.go, decodeRound's" >&2
+    exit 1
+fi
+# mux.go is pristine again, but the copy still carries mutations 2, 3
+# and 5 to 7, so the test must be green before the change for its red
+# to mean anything.
+(cd "$tmp" && go test -count=1 -run 'TestIngressSteadyStateAllocations' ./internal/transport)
+# The round's Inbound list regrows from nil every round. Behaviour is
+# unchanged, so only the allocation pin can notice.
+sed -i 's/ir\.in = ir\.in\[:0\]/ir.in = nil/' "$mux"
+(cd "$tmp" && go build ./internal/transport)
+expect_test_fail 'TestIngressSteadyStateAllocations' ./internal/transport
 
 echo "MUTATION SMOKE OK"
