@@ -40,7 +40,7 @@ const (
 	// VersionMux is the multiplexed framing every endpoint speaks: a
 	// versioned hello, then instance-tagged batch frames, many
 	// concurrent instances per connection.
-	VersionMux = 2
+	VersionMux = 3
 )
 
 // legacyHelloSize is the v1 hello body: node ID plus the round the
@@ -105,6 +105,7 @@ func CheckVersion(peer, local int) error {
 		return nil
 	}
 	return fmt.Errorf("%w: protocol version mismatch: peer announced v%d, this endpoint speaks v%d "+
-		"(v1 = legacy single-instance framing, v2 = instance-tagged mux framing)",
+		"(v1 = legacy single-instance framing, v2 = instance-tagged mux framing, "+
+		"v3 = v2 with back-referenced payloads)",
 		ErrBadFrame, peer, local)
 }
