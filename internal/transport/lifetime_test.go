@@ -73,11 +73,16 @@ func TestFrameList(t *testing.T) {
 // what the same setup decides in the simulator. The decoded blobs
 // alias their frame, so a frame released before the machine has stepped
 // (scripts/lint_mutation.sh moves the release to prove it) would feed
-// it 0xDB and break this equality.
+// it 0xDB and break this equality. The minority value is as long as the
+// quorum value and party 0 sends it, so every relayed round-1 frame
+// carries it just ahead of the quorum's first copy: a codec that took
+// equal lengths for equal bytes (mutation 10) would hand the quorum's
+// senders party 0's bytes.
 func TestPoisonedFramesPayloadMatchesSim(t *testing.T) {
 	const n, tc, kappa = 7, 2, 2
 	quorumValue := bytes.Repeat([]byte{0x51}, 16<<10)
-	inputs := [][]byte{quorumValue, quorumValue, bytes.Repeat([]byte{0x4D}, 3000), quorumValue, nil, quorumValue, quorumValue}
+	minority := bytes.Repeat([]byte{0x4D}, len(quorumValue))
+	inputs := [][]byte{minority, quorumValue, quorumValue, quorumValue, nil, quorumValue, quorumValue}
 	build := func() *ba.Protocol {
 		setup, err := ba.NewSetup(n, tc, ba.CoinThreshold, 41)
 		if err != nil {

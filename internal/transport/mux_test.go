@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"net"
 	"strings"
 	"sync"
@@ -179,30 +180,41 @@ func TestMuxSilentNodeDegrades(t *testing.T) {
 	}
 }
 
-// TestMuxVersionMismatch: a legacy (v1) hello is rejected at admission
+// TestMuxVersionMismatch: a legacy (v1) hello and a v2 hello — the mux
+// framing before back-referenced payloads — are rejected at admission
 // with the negotiation error naming the versions.
 func TestMuxVersionMismatch(t *testing.T) {
-	t.Run("legacy hello at mux hub", func(t *testing.T) {
-		hub := rawHub(t, 2)
-		conn, err := net.Dial("tcp", hub.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = conn.Close() }()
-		legacy := make([]byte, 16) // a v1 hello: id 0, resume 0, no version byte
-		if err := writeFrame(conn, legacy, time.Now().Add(time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		if !closedByHub(t, conn) {
-			t.Fatal("legacy hello left open")
-		}
-		for _, e := range hub.Report().Events {
-			if e.Kind == EventReject && strings.Contains(e.Detail, "version mismatch") {
-				return
+	v2 := wire.EncodeHello(0, 0)
+	v2[len(v2)-1] = 2
+	for _, tc := range []struct {
+		name, peer string
+		hello      []byte
+	}{
+		{"legacy hello at mux hub", "v1", make([]byte, 16)}, // id 0, resume 0, no version byte
+		{"v2 hello at mux hub", "v2", v2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hub := rawHub(t, 2)
+			conn, err := net.Dial("tcp", hub.Addr())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Fatalf("no version-mismatch reject logged; events: %+v", hub.Report().Events)
-	})
+			defer func() { _ = conn.Close() }()
+			if err := writeFrame(conn, tc.hello, time.Now().Add(time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if !closedByHub(t, conn) {
+				t.Fatalf("%s hello left open", tc.peer)
+			}
+			for _, e := range hub.Report().Events {
+				if e.Kind == EventReject && strings.Contains(e.Detail, "version mismatch") &&
+					strings.Contains(e.Detail, "peer announced "+tc.peer) {
+					return
+				}
+			}
+			t.Fatalf("no version-mismatch reject naming %s logged; events: %+v", tc.peer, hub.Report().Events)
+		})
+	}
 }
 
 // TestMuxUnknownInstanceDropped: frames tagged with an unregistered
@@ -447,15 +459,29 @@ func TestMuxFloodLogBounded(t *testing.T) {
 
 // TestHubDeliversInSenderOrder: every delivery batch lists its senders
 // in ascending order and each sender's entries in the order it sent
-// them — the order DESIGN §9's within-batch digest memo relies on. Raw
-// peers mix unicast and broadcast entries and send in descending ID
-// order, so the hub's routing, not arrival, sets the order.
+// them — the order DESIGN §9's within-batch digest memo relies on — and
+// holds exactly what routing owes its recipient, whether the hub
+// encodes a frame per recipient or one for all of them. Raw peers send
+// in descending ID order, so the hub's routing, not arrival, sets the
+// order. Round 1 mixes unicasts and broadcasts; later rounds broadcast
+// only, which lets the hub encode once. Every sender sends some
+// payloads byte-equal to other senders', which a delivery carries once
+// and the parse resolves to one blob. Round 3 cuts the link between
+// nodes 0 and 1; node 3 stays silent from round 4, so the hub declares
+// it dead and delivers to it no more.
 func TestHubDeliversInSenderOrder(t *testing.T) {
-	const n, rounds = 4, 3
-	hub := rawHub(t, n)
+	const n, rounds, cutRound, silent, silentFrom = 4, 5, 3, 3, 4
+	cut := func(from, to, round int) bool { return round == cutRound && from != to && from+to == 1 }
+	cfg := quickConfig()
+	cfg.Faults = &testInjector{part: cut}
+	hub, err := NewMuxHub(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = hub.Close() })
 	clients := make([]*RawClient, n)
 	for id := range clients {
-		c, err := DialRaw(hub.Addr(), id, 0, quickConfig())
+		c, err := DialRaw(hub.Addr(), id, 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,32 +489,48 @@ func TestHubDeliversInSenderOrder(t *testing.T) {
 		clients[id] = c
 	}
 	report := serve(t, hub, rounds)
-	// Entry k of sender from's round batch carries {from, k}; a third of
-	// the entries are broadcasts, the rest unicasts around the ring.
+	live := func(id, round int) bool { return id != silent || round < silentFrom }
+	// Entry k of sender from's round batch carries {round, from, k},
+	// except its first and last two, which carry {round, 0xEE} from every
+	// sender. In round 1 a third of the entries are broadcasts and the
+	// rest unicasts around the ring.
 	batch := func(round, from int) []wire.BatchMsg {
 		msgs := make([]wire.BatchMsg, 2*n)
 		for k := range msgs {
-			to := (from + k) % n
-			if (from+k+round)%3 == 0 {
-				to = sim.Broadcast
+			to := sim.Broadcast
+			if round == 1 && (from+k)%3 != 0 {
+				to = (from + k) % n
 			}
-			msgs[k] = wire.BatchMsg{Addr: to, Payload: []byte{byte(from), byte(k)}}
+			payload := []byte{byte(round), byte(from), byte(k)}
+			if k == 0 || k >= len(msgs)-2 {
+				payload = []byte{byte(round), 0xEE}
+			}
+			msgs[k] = wire.BatchMsg{Addr: to, Payload: payload}
 		}
 		return msgs
 	}
 	for round := 1; round <= rounds; round++ {
 		for from := n - 1; from >= 0; from-- {
+			if !live(from, round) {
+				continue
+			}
 			if err := clients[from].SendBatch(round, batch(round, from)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for to, c := range clients {
+			if !live(to, round) {
+				continue
+			}
 			got, msgs, err := c.Recv()
 			if err != nil || got != round {
 				t.Fatalf("node %d: delivery round %d (%v), want %d", to, got, err, round)
 			}
 			var want []wire.BatchMsg
 			for from := 0; from < n; from++ {
+				if !live(from, round) || cut(from, to, round) {
+					continue
+				}
 				for _, m := range batch(round, from) {
 					if m.Addr == to || m.Addr == sim.Broadcast {
 						want = append(want, wire.BatchMsg{Addr: from, Payload: m.Payload})
@@ -503,10 +545,92 @@ func TestHubDeliversInSenderOrder(t *testing.T) {
 					t.Fatalf("round %d node %d: entry %d is sender %d entry %v, want sender %d entry %v",
 						round, to, i, msgs[i].Addr, msgs[i].Payload, want[i].Addr, want[i].Payload)
 				}
+				if i > 0 && string(want[i].Payload) == string(want[i-1].Payload) &&
+					&msgs[i].Payload[0] != &msgs[i-1].Payload[0] {
+					t.Fatalf("round %d node %d: entry %d repeats entry %d's bytes but was delivered again", round, to, i, i-1)
+				}
 			}
 		}
 	}
-	if rep := report(); rep.Deaths() != 0 {
-		t.Fatalf("deaths = %d, want 0\nlog: %v", rep.Deaths(), rep.Events)
+	rep := report()
+	if rep.Deaths() != 1 || !rep.Dead[silent] {
+		t.Fatalf("deaths = %d (dead[%d]=%v), want exactly the silent node\nlog: %v", rep.Deaths(), silent, rep.Dead[silent], rep.Events)
+	}
+	if rep.Count(EventPartition) != 1 {
+		t.Fatalf("%d partition events, want 1 for round %d\nlog: %v", rep.Count(EventPartition), cutRound, rep.Events)
+	}
+}
+
+// TestHubEncodeOnceWarmAllocations pins the hub's delivery encoding. In
+// a broadcast-only round every live recipient's inbox is the same
+// senders' same payload slices, so one frame serves them all; a dead
+// recipient gets none, and a recipient whose inbox a partition trimmed
+// gets a frame of its own, which ends the run — the recipient after it
+// is encoded afresh even though its inbox matches an earlier one. Each
+// frame decodes to its recipient's inbox, and once its buffers have
+// grown a round allocates nothing.
+func TestHubEncodeOnceWarmAllocations(t *testing.T) {
+	const n, size, dead, trimmed = 16, 16 << 10, 5, 9
+	blobs := make([][]byte, n)
+	for i := range blobs {
+		blobs[i] = bytes.Repeat([]byte{byte(i % 3)}, size) // senders 0, 3, 6, … send alike
+	}
+	hi := &HubInstance{
+		h:          &MuxHub{n: n},
+		id:         7,
+		dead:       make([]bool, n),
+		log:        newEventLog(n),
+		inboxes:    make([][]wire.BatchMsg, n),
+		deliveries: make([][]byte, n),
+	}
+	route := func(to int, skip int) {
+		hi.inboxes[to] = hi.inboxes[to][:0]
+		for from, b := range blobs {
+			if from != skip {
+				hi.inboxes[to] = append(hi.inboxes[to], wire.BatchMsg{Addr: from, Payload: b})
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		degrade bool
+		frames  int // distinct encodings
+	}{
+		{"broadcast round", false, 1},
+		{"a dead and a partitioned recipient", true, 3},
+	} {
+		for to := range hi.inboxes {
+			route(to, -1)
+		}
+		if tc.degrade {
+			hi.dead[dead] = true
+			route(trimmed, 0)
+		}
+		hi.encodeDeliveries(2) // grows the buffers
+		if allocs := testing.AllocsPerRun(20, func() { hi.encodeDeliveries(2) }); allocs != 0 {
+			t.Errorf("%s: warm delivery encoding allocates %.1f objects; want 0", tc.name, allocs)
+		}
+		distinct := map[*byte]bool{}
+		for to, frame := range hi.deliveries {
+			if hi.dead[to] {
+				if frame != nil {
+					t.Fatalf("%s: dead recipient %d has a delivery", tc.name, to)
+				}
+				continue
+			}
+			distinct[&frame[0]] = true
+			inst, round, got, err := wire.DecodeTaggedBatch(frame)
+			if err != nil || inst != 7 || round != 2 || len(got) != len(hi.inboxes[to]) {
+				t.Fatalf("%s: recipient %d: instance %d round %d, %d entries, err %v", tc.name, to, inst, round, len(got), err)
+			}
+			for i, m := range hi.inboxes[to] {
+				if got[i].Addr != m.Addr || !bytes.Equal(got[i].Payload, m.Payload) {
+					t.Fatalf("%s: recipient %d entry %d differs from its inbox", tc.name, to, i)
+				}
+			}
+		}
+		if len(distinct) != tc.frames {
+			t.Errorf("%s: %d distinct delivery frames, want %d", tc.name, len(distinct), tc.frames)
+		}
 	}
 }

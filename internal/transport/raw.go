@@ -57,14 +57,17 @@ func (c *RawClient) SendFrame(body []byte) error {
 	return writeFrame(c.conn, body, time.Now().Add(c.cfg.RoundTimeout))
 }
 
-// Recv reads the hub's next delivery, of whatever instance, and decodes
-// it as a batch. Like honest nodes it allows two round timeouts: the
-// hub may spend a full one waiting out a dying peer.
+// Recv reads the hub's next delivery, of whatever instance, and parses
+// it as a batch in place: every read is a fresh buffer the returned
+// payloads alias, and the entries back-referencing one literal share
+// its bytes, so a delivery costs its frame plus its entry list however
+// often the frame repeats a payload. Like honest nodes it allows two
+// round timeouts: the hub may spend a full one waiting out a dying peer.
 func (c *RawClient) Recv() (round int, msgs []wire.BatchMsg, err error) {
 	frame, err := readFrame(c.conn, time.Now().Add(2*c.cfg.RoundTimeout))
 	if err != nil {
 		return 0, nil, err
 	}
-	_, round, msgs, err = wire.DecodeTaggedBatch(frame)
+	_, round, msgs, _, err = wire.DecodeTaggedBatchAliasCapped(frame, -1, nil)
 	return round, msgs, err
 }

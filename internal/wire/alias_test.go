@@ -126,6 +126,11 @@ func FuzzDecodeAlias(f *testing.F) {
 		f.Add(single)
 	}
 	f.Add([]byte{})
+	// Back-references the core must refuse: first in the frame, after an
+	// empty literal, and below -1.
+	f.Add(handBatch(ref(0)))
+	f.Add(handBatch(lit(0, nil), ref(1)))
+	f.Add(handBatch(lit(0, []byte{7}), handEntry{1, -2, nil}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := append([]byte(nil), data...)

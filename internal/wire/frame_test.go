@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -82,6 +83,15 @@ func TestBatchRejectsMalformed(t *testing.T) {
 	minusOne := int64(-1)
 	binary.BigEndian.PutUint64(negRound[8:16], uint64(minusOne))
 	bad["negative round"] = negRound
+	// Back-references the encoder never writes: each would decode, and
+	// re-encode to other bytes, if the core let it through.
+	blob := []byte{9, 9}
+	bad["reference before any literal"] = handBatch(ref(0), lit(1, blob))
+	bad["reference to an empty literal"] = handBatch(lit(0, nil), ref(1))
+	bad["reference past the previous literal"] = handBatch(lit(0, blob), lit(1, []byte{8}), handEntry{2, -2, nil})
+	bad["length far below -1"] = handBatch(lit(0, blob), handEntry{1, math.MinInt64, nil})
+	bad["literal repeating the previous literal"] = handBatch(lit(0, blob), lit(1, []byte{9, 9}))
+	bad["literal repeating a referenced literal"] = handBatch(lit(0, blob), ref(1), lit(2, []byte{9, 9}))
 
 	for name, frame := range bad { //lint:ordered assertions are independent per case
 		if _, _, _, _, err := DecodeTaggedBatchCapped(frame, -1); !errors.Is(err, ErrBadFrame) {

@@ -85,6 +85,25 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	f.Add(withBlob)
 	f.Add(withBlob[:len(withBlob)-512])
+	// Back-reference seeds: one blob broadcast by three senders (a
+	// literal, then two references), the same frame cut inside its last
+	// reference, and layouts the encoder never writes — a reference
+	// first, a reference after an empty literal, a length below -1 and a
+	// literal repeating the previous one.
+	relayed, err := AppendEncodeTaggedBatch(nil, 4, 6, []BatchMsg{
+		{Addr: 0, Payload: blob},
+		{Addr: 1, Payload: bytes.Clone(blob)},
+		{Addr: 2, Payload: bytes.Clone(blob)},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(relayed)
+	f.Add(relayed[:len(relayed)-4])
+	f.Add(handBatch(ref(0)))
+	f.Add(handBatch(lit(0, nil), ref(1)))
+	f.Add(handBatch(lit(0, []byte{7}), handEntry{1, -2, nil}))
+	f.Add(handBatch(lit(0, []byte{7}), lit(1, []byte{7})))
 
 	f.Fuzz(checkBatchCanonical)
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated nine times, and
+# rule out. A pristine copy of the module is mutated ten times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for the
 #      decode-only sieve: the hub flood-control test and the chaos
@@ -20,7 +20,10 @@
 #      write timeout test;
 #   8. the hub reader's flood cap removed: the hub flood-control test;
 #   9. the node's pooled ingress scratch dropped every round: the
-#      steady-state ingress allocation pin.
+#      steady-state ingress allocation pin;
+#  10. the batch codec's back-reference test comparing payload lengths
+#      instead of bytes: payload BA over TCP against the simulator, and
+#      the wire's back-reference layout table.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -204,5 +207,27 @@ fi
 sed -i 's/ir\.in = ir\.in\[:0\]/ir.in = nil/' "$mux"
 (cd "$tmp" && go build ./internal/transport)
 expect_test_fail 'TestIngressSteadyStateAllocations' ./internal/transport
+
+echo "mutation 10: the batch codec takes a payload of equal length for a repeat"
+cp "$tmp/mux.pristine" "$mux"
+codec="$tmp/internal/wire/mux.go"
+repeat_line='return len(p) > 0 && bytes.Equal(p, last)'
+if [[ "$(grep -cF "$repeat_line" "$codec")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one payload comparison in wire/mux.go, repeats'" >&2
+    exit 1
+fi
+# The transport's mux.go is pristine again, but the copy still carries
+# mutations 2, 3 and 5 to 7, so the tests must be green before the
+# change for their red to mean anything.
+(cd "$tmp" && go test -count=1 -run 'TestPoisonedFramesPayloadMatchesSim' ./internal/transport)
+(cd "$tmp" && go test -count=1 -run 'TestBatchBackReferenceLayout' ./internal/wire)
+# Distinct payloads of one length now go out as back-references to the
+# first, so receivers read another sender's bytes: shares fail the
+# screen and blobs differ. The appended line keeps the import in use.
+sed -i 's/return len(p) > 0 \&\& bytes\.Equal(p, last)/return len(p) > 0 \&\& len(p) == len(last)/' "$codec"
+echo 'var _ = bytes.Equal' >>"$codec"
+(cd "$tmp" && go build ./internal/wire)
+expect_test_fail 'TestPoisonedFramesPayloadMatchesSim' ./internal/transport
+expect_test_fail 'TestBatchBackReferenceLayout' ./internal/wire
 
 echo "MUTATION SMOKE OK"
