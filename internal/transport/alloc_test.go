@@ -112,8 +112,8 @@ func TestSendSteadyStateAllocations(t *testing.T) {
 }
 
 // frameLoopConn is an in-memory net.Conn that serves one wire frame —
-// length header, then body — over and over. Only Read and
-// SetReadDeadline are implemented.
+// length header, then body — over and over, and swallows writes. Only
+// Read, Write and the two deadline setters are implemented.
 type frameLoopConn struct {
 	net.Conn
 	wire []byte
@@ -126,30 +126,132 @@ func (c *frameLoopConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func (c *frameLoopConn) SetReadDeadline(time.Time) error { return nil }
+func (c *frameLoopConn) Write(p []byte) (int, error) { return len(p), nil }
+
+func (c *frameLoopConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *frameLoopConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestReadFrameIntoWarmAllocations pins the frame reader every mux
-// reader goroutine runs: with a warm buffer, reading a round frame —
-// header and body — allocates nothing. The length header once lived in
-// a local array, which io.ReadFull's interface call moved to the heap:
-// one allocation per frame.
+// reader goroutine runs, through the connection's buffered reader: with
+// a warm buffer, reading a round frame — header and body, out of the
+// connection buffer — allocates nothing. The length header once lived
+// in a local array, which io.ReadFull's interface call moved to the
+// heap: one allocation per frame.
 func TestReadFrameIntoWarmAllocations(t *testing.T) {
 	_, msgs := ingressFixture(t, 16)
 	body, err := wire.AppendEncodeTaggedBatch(nil, LocalInstance, 1, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := &frameLoopConn{wire: append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)}
+	conn := &frameLoopConn{wire: framed(body)}
+	br := newConnReader(conn)
 	deadline := time.Now().Add(time.Minute)
 	var buf []byte
 	allocs := testing.AllocsPerRun(50, func() { // the warm-up run grows buf
-		buf, err = readFrameInto(conn, deadline, buf[:0])
+		buf, err = readFrameInto(conn, br, deadline, buf[:0])
 		if err != nil || !bytes.Equal(buf, body) {
 			t.Fatalf("read %d bytes, err %v; want the %d-byte frame", len(buf), err, len(body))
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("warm frame read allocates %.2f objects per frame; want 0", allocs)
+	}
+}
+
+// TestWriteFrameWarmAllocations pins the frame writer: a sealed frame —
+// the length prefix reserved and filled in the sender's reused encode
+// buffer — goes out in one conn.Write and allocates nothing. A 4-byte
+// header array written on its own once escaped through the interface
+// call: one allocation, and one extra syscall, per frame.
+func TestWriteFrameWarmAllocations(t *testing.T) {
+	ir, msgs := ingressFixture(t, 16)
+	sends := make([]sim.Send, len(msgs))
+	for i := range msgs {
+		p, err := wire.Decode(msgs[i].Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sends[i] = sim.Send{To: sim.Broadcast, Payload: p}
+	}
+	frame, err := ir.encodeSends(1, sends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := binary.BigEndian.Uint32(frame); int(size) != len(frame)-frameHeader {
+		t.Fatalf("length prefix %d on a %d-byte body", size, len(frame)-frameHeader)
+	}
+	conn := &frameLoopConn{}
+	deadline := time.Now().Add(time.Minute)
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := writeFrame(conn, frame, deadline); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm frame write allocates %.2f objects per frame; want 0", allocs)
+	}
+}
+
+// TestHubGatherWarmAllocations pins a hub round's gather: with every
+// lane holding its node's frame, gathering all sixteen against the
+// instance's re-armed timer allocates nothing. A gather goroutine and a
+// timer per node once cost a round 2n objects and more.
+func TestHubGatherWarmAllocations(t *testing.T) {
+	const n = 16
+	h := &MuxHub{
+		n:      n,
+		cfg:    quickConfig().withDefaults(),
+		frames: make(frameList, frameListLen),
+		conns:  make([]*muxConn, n),
+		done:   make(chan struct{}),
+	}
+	hi := &HubInstance{h: h, mail: make([]chan muxBatch, n), dead: make([]bool, n), log: newEventLog(n), batches: make([]*frame, n)}
+	for id := range hi.mail {
+		h.conns[id] = &muxConn{down: make(chan struct{})}
+		hi.mail[id] = make(chan muxBatch, muxMailDepth)
+	}
+	defer func() { hi.timer.Stop() }()
+	round := 1
+	step := func() {
+		for id := range hi.mail {
+			hi.mail[id] <- muxBatch{round: round, frame: h.frames.get()}
+		}
+		hi.gatherRound(round)
+		for id, f := range hi.batches {
+			if f == nil {
+				t.Fatalf("round %d: node %d not gathered: %v", round, id, hi.log.snapshot().Events)
+			}
+			h.frames.put(f)
+		}
+		round++
+	}
+	step() // makes the timer and the frames
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("warm gather round allocates %.1f objects; want 0", allocs)
+	}
+}
+
+// TestAwaitLaneWarmAllocations pins a node's receive wait: taking a
+// round's delivery off its lane against the instance's re-armed timer
+// allocates nothing.
+func TestAwaitLaneWarmAllocations(t *testing.T) {
+	nd := &MuxNode{frames: make(frameList, frameListLen), done: make(chan struct{})}
+	ir := &instanceRun{node: nd}
+	defer func() { ir.timer.Stop() }()
+	lane := make(chan muxBatch, muxMailDepth)
+	round := 1
+	step := func() {
+		lane <- muxBatch{round: round, frame: nd.frames.get()}
+		f, err := ir.awaitLane(lane, round, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.frames.put(f)
+		round++
+	}
+	step() // makes the timer and the frame
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("warm lane wait allocates %.1f objects; want 0", allocs)
 	}
 }
 
@@ -314,9 +416,10 @@ func TestReceiveDoesNotAmplify(t *testing.T) {
 	defer func() { _ = c.Close() }()
 	// receive sends body down the pipe and measures what step allocates
 	// taking it off.
+	sealed := framed(body)
 	receive := func(step func()) uint64 {
 		sent := make(chan error, 1)
-		go func() { sent <- writeFrame(hubEnd, body, time.Now().Add(time.Minute)) }()
+		go func() { sent <- writeFrame(hubEnd, sealed, time.Now().Add(time.Minute)) }()
 		b := allocated(step)
 		if err := <-sent; err != nil {
 			t.Fatal(err)

@@ -9,17 +9,25 @@
 // lane left off. internal/service layers admission control and instance
 // lifecycle on top; RunLocalConfig runs a single instance.
 //
-// Received bytes are copied once per hop: off the socket into a frame.
-// The frame — read buffer plus parsed batch — travels with its batch
-// from the connection reader down the lane to the round loop, everything
-// downstream aliases it (batch entries, routed inboxes, decoded payload
-// blobs), and whoever ends its journey releases it to the endpoint's
-// free list: a drop site on the spot, the hub once the round's last
-// delivery is written, the node once Machine.Deliver has returned.
+// Each frame crosses the socket in one syscall each way when it can. A
+// sender encodes its body behind a reserved length prefix and writes the
+// sealed frame with one conn.Write; every connection reader reads
+// through a buffer of its own (connBufSize), so one read syscall takes
+// in every frame the peer has queued. Received bytes are copied once per
+// hop into a frame: a small frame out of the connection buffer, a body
+// larger than the buffer straight off the socket. The frame — read
+// buffer plus parsed batch — travels with its batch from the connection
+// reader down the lane to the round loop, everything downstream aliases
+// it (batch entries, routed inboxes, decoded payload blobs), and whoever
+// ends its journey releases it to the endpoint's free list: a drop site
+// on the spot, the hub once the round's last delivery is written, the
+// node once Machine.Deliver has returned. Each round loop waits against
+// one timer of its own, re-armed round over round.
 
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -127,9 +135,11 @@ func (l frameList) put(f *frame) {
 	}
 }
 
-// read receives one length-prefixed frame body from conn into buf.
-func (f *frame) read(conn net.Conn, deadline time.Time) (err error) {
-	f.buf, err = readFrameInto(conn, deadline, f.buf[:0])
+// read receives one length-prefixed frame body into buf through r,
+// conn's buffered reader, which outlives the frame: bytes it holds past
+// this frame belong to the next one.
+func (f *frame) read(conn net.Conn, r *bufio.Reader, deadline time.Time) (err error) {
+	f.buf, err = readFrameInto(conn, r, deadline, f.buf[:0])
 	return err
 }
 
@@ -347,12 +357,16 @@ func (h *MuxHub) admit(conn net.Conn) {
 		h.log.add(EventReject, id, resume, detail)
 		_ = conn.Close()
 	}
-	frame, err := readFrame(conn, time.Now().Add(h.cfg.JoinTimeout))
+	// The hello is read through the connection's buffered reader, which
+	// the node's reader then inherits: a round frame the peer sent on the
+	// hello's heels may already sit in its buffer.
+	br := newConnReader(conn)
+	hello, err := readFrameInto(conn, br, time.Now().Add(h.cfg.JoinTimeout), nil)
 	if err != nil {
 		reject(-1, 0, "hello read: "+err.Error())
 		return
 	}
-	id, resume, version, err := wire.DecodeHello(frame)
+	id, resume, version, err := wire.DecodeHello(hello)
 	if err == nil {
 		err = wire.CheckVersion(version, wire.VersionMux)
 	}
@@ -390,17 +404,18 @@ func (h *MuxHub) admit(conn net.Conn) {
 		h.downConn(old)
 	}
 	h.readers.Add(1)
-	go h.reader(id, mc)
+	go h.reader(id, mc, br)
 }
 
-// reader drains one node's shared connection, demultiplexing tagged
-// frames into instance lanes. Each frame is read into a buffer of its
-// own off the hub's free list and handed on with its batch.
-func (h *MuxHub) reader(id int, mc *muxConn) {
+// reader drains one node's shared connection through br, the buffered
+// reader admit read the hello with, demultiplexing tagged frames into
+// instance lanes. Each frame is read into a buffer of its own off the
+// hub's free list and handed on with its batch.
+func (h *MuxHub) reader(id int, mc *muxConn, br *bufio.Reader) {
 	defer h.readers.Done()
 	for {
 		f := h.frames.get()
-		if err := f.read(mc.conn, time.Now().Add(h.cfg.IdleTimeout)); err != nil {
+		if err := f.read(mc.conn, br, time.Now().Add(h.cfg.IdleTimeout)); err != nil {
 			h.frames.put(f)
 			h.connLost(id, mc, "read: "+err.Error())
 			return
@@ -448,11 +463,11 @@ func (h *MuxHub) route(from, inst, round int, f *frame) {
 	}
 }
 
-// write delivers one frame on node id's current connection, serialized
-// against concurrent instances. A failed write downs the connection,
-// and a down connection is waited out: the node may be mid-redial, so
-// the frame goes to the replacement if one is admitted before the
-// deadline. A node with no slot at all fails at once.
+// write delivers one sealed frame on node id's current connection,
+// serialized against concurrent instances. A failed write downs the
+// connection, and a down connection is waited out: the node may be
+// mid-redial, so the frame goes to the replacement if one is admitted
+// before the deadline. A node with no slot at all fails at once.
 func (h *MuxHub) write(id int, frame []byte, deadline time.Time) error {
 	var timer *time.Timer
 	for {
@@ -562,11 +577,15 @@ type HubInstance struct {
 	// Round scratch owned by the sequential Run loop. batches holds the
 	// round's gathered frames (nil for a node that sent none); inboxes
 	// alias them until the round's deliveries are written. deliveries
-	// holds each recipient's encoded frame, one of outFrames.
+	// holds each recipient's sealed frame, one of outFrames.
 	batches    []*frame
 	inboxes    [][]wire.BatchMsg
 	deliveries [][]byte
 	outFrames  [][]byte
+	// timer bounds each round's gather, re-armed round over round;
+	// expired records that it fired during the current round.
+	timer   *time.Timer
+	expired bool
 }
 
 // Report returns a snapshot of this instance's event log: per-instance
@@ -580,6 +599,9 @@ func (hi *HubInstance) Run() error {
 	defer hi.h.finish(hi)
 	for round := 1; round <= hi.rounds; round++ {
 		hi.runRound(round)
+	}
+	if hi.timer != nil {
+		hi.timer.Stop()
 	}
 	return nil
 }
@@ -597,39 +619,8 @@ func (hi *HubInstance) die(id, round int, detail string) {
 // deliver, and release the gathered frames.
 func (hi *HubInstance) runRound(round int) {
 	start := time.Now()
-	deadline := start.Add(hi.h.cfg.RoundTimeout)
 	faults := hi.h.cfg.Faults
-
-	// Gather concurrently: one slow or dead node must not serialize the
-	// waits of the others against the shared deadline. A churned node
-	// (FaultInjector churn window down..up) is offline on schedule: it
-	// is dead from round down, sends nothing through round up, and is
-	// delivered to again from round up on — pinned by the schedule, not
-	// by when its replacement connection lands, so replays are exact.
-	var wg sync.WaitGroup
-	for id := 0; id < hi.h.n; id++ {
-		hi.batches[id] = nil
-		if down, up := faults.Churn(id); down > 0 && round >= down && round <= up {
-			switch round {
-			case down:
-				hi.log.death(id, round, fmt.Sprintf("churn window open until round %d", up))
-				hi.dead[id] = true
-			case up:
-				hi.log.revive(id, round, fmt.Sprintf("rejoining after churn at round %d", down))
-				hi.dead[id] = false
-			}
-			continue
-		}
-		if hi.dead[id] {
-			continue
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			hi.batches[id] = hi.gather(id, round, deadline)
-		}(id)
-	}
-	wg.Wait()
+	hi.gatherRound(round)
 
 	// Route: to == sim.Broadcast fans out to every party; messages
 	// crossing an injected partition are dropped like the simulator's
@@ -693,7 +684,7 @@ func (hi *HubInstance) runRound(round int) {
 	hi.log.roundDone(round, time.Since(start))
 }
 
-// encodeDeliveries encodes each live recipient's inbox into its
+// encodeDeliveries encodes each live recipient's inbox into its sealed
 // delivery frame, deliveries[id] (nil for a dead recipient). A
 // recipient whose inbox matches the previous encoded one entry for
 // entry — same senders, same payload slices — shares that encoding, so
@@ -716,12 +707,12 @@ func (hi *HubInstance) encodeDeliveries(round int) {
 		if used == len(hi.outFrames) {
 			hi.outFrames = append(hi.outFrames, nil)
 		}
-		frame, err := wire.AppendEncodeTaggedBatch(hi.outFrames[used][:0], hi.id, round, hi.inboxes[id])
+		frame, err := wire.AppendEncodeTaggedBatch(beginFrame(hi.outFrames[used]), hi.id, round, hi.inboxes[id])
 		if err != nil {
 			hi.die(id, round, "encode delivery: "+err.Error())
 			continue
 		}
-		hi.outFrames[used], hi.deliveries[id], last = frame, frame, id
+		hi.outFrames[used], hi.deliveries[id], last = frame, sealFrame(frame), id
 		used++
 	}
 }
@@ -743,41 +734,102 @@ func sameInbox(a, b []wire.BatchMsg) bool {
 	return true
 }
 
+// gatherRound fills batches with every live node's round-r frame. The
+// nodes are gathered one after another in ascending order against one
+// deadline, the instance's timer armed for RoundTimeout: a wait on a
+// slow or dead node costs the others nothing, because their frames
+// queue in their lanes meanwhile, and once the timer has fired the
+// remaining lanes are polled without blocking. A churned node
+// (FaultInjector churn window down..up) is offline on schedule: it is
+// dead from round down, sends nothing through round up, and is
+// delivered to again from round up on — pinned by the schedule, not by
+// when its replacement connection lands, so replays are exact.
+func (hi *HubInstance) gatherRound(round int) {
+	rearm(&hi.timer, hi.h.cfg.RoundTimeout)
+	hi.expired = false
+	faults := hi.h.cfg.Faults
+	for id := 0; id < hi.h.n; id++ {
+		hi.batches[id] = nil
+		if down, up := faults.Churn(id); down > 0 && round >= down && round <= up {
+			switch round {
+			case down:
+				hi.log.death(id, round, fmt.Sprintf("churn window open until round %d", up))
+				hi.dead[id] = true
+			case up:
+				hi.log.revive(id, round, fmt.Sprintf("rejoining after churn at round %d", down))
+				hi.dead[id] = false
+			}
+			continue
+		}
+		if !hi.dead[id] {
+			hi.batches[id] = hi.gather(id, round)
+		}
+	}
+}
+
+// rearm makes *t fire after d: a new timer the first time, the same one
+// stopped, drained and reset after that. go.mod's go 1.22 keeps the
+// pre-1.23 timer channel, where a timer that fired unobserved still
+// holds its tick; the drain takes it without ever blocking, under either
+// channel semantics, so the next wait starts on a fresh deadline.
+func rearm(t **time.Timer, d time.Duration) {
+	if *t == nil {
+		*t = time.NewTimer(d)
+		return
+	}
+	if !(*t).Stop() {
+		select {
+		case <-(*t).C:
+		default:
+		}
+	}
+	(*t).Reset(d)
+}
+
 // gather awaits node id's round-r batch on this instance's lane,
-// skipping stale rounds, until the per-instance deadline declares the
-// node dead for this instance. Connection state is not consulted: lanes
-// outlive connections, so a node that bounces its connection and
-// resends inside the deadline loses nothing. Only a node with no
-// connection slot at all is dead without a wait. The returned frame is
-// the caller's to release; stale and future frames are released here.
-func (hi *HubInstance) gather(id, round int, deadline time.Time) *frame {
+// skipping stale rounds, until the round's timer declares the node dead
+// for this instance; once the timer has fired, the lane is only polled.
+// Connection state is not consulted: lanes outlive connections, so a
+// node that bounces its connection and resends inside the deadline
+// loses nothing. Only a node with no connection slot at all is dead
+// without a wait. The returned frame is the caller's to release; stale
+// and future frames are released here.
+func (hi *HubInstance) gather(id, round int) *frame {
 	if !hi.h.joined(id) {
 		hi.die(id, round, "no connection")
 		return nil
 	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
 	for {
-		select {
-		case b := <-hi.mail[id]:
-			switch {
-			case b.round == round:
-				return b.frame
-			case b.round < round:
-				hi.h.frames.put(b.frame)
-				hi.log.add(EventStale, id, round, fmt.Sprintf("discarded round-%d frame", b.round))
+		var b muxBatch
+		if hi.expired {
+			select {
+			case b = <-hi.mail[id]:
 			default:
-				// Lock-step forbids future rounds: the node cannot have
-				// seen round r's delivery before the hub sent it.
-				hi.h.frames.put(b.frame)
-				hi.die(id, round, fmt.Sprintf("frame from future round %d", b.round))
+				hi.die(id, round, "no batch before round deadline")
 				return nil
 			}
-		case <-timer.C:
-			hi.die(id, round, "no batch before round deadline")
-			return nil
-		case <-hi.h.done:
-			hi.die(id, round, "hub closed")
+		} else {
+			select {
+			case b = <-hi.mail[id]:
+			case <-hi.timer.C:
+				hi.expired = true
+				continue
+			case <-hi.h.done:
+				hi.die(id, round, "hub closed")
+				return nil
+			}
+		}
+		switch {
+		case b.round == round:
+			return b.frame
+		case b.round < round:
+			hi.h.frames.put(b.frame)
+			hi.log.add(EventStale, id, round, fmt.Sprintf("discarded round-%d frame", b.round))
+		default:
+			// Lock-step forbids future rounds: the node cannot have seen
+			// round r's delivery before the hub sent it.
+			hi.h.frames.put(b.frame)
+			hi.die(id, round, fmt.Sprintf("frame from future round %d", b.round))
 			return nil
 		}
 	}
@@ -860,7 +912,7 @@ func dial(addr string, id, resume int, cfg Config, log *eventLog, stop <-chan st
 			last = err
 			continue
 		}
-		hello := wire.EncodeHello(id, resume)
+		hello := framed(wire.EncodeHello(id, resume))
 		if err := writeFrame(conn, hello, time.Now().Add(cfg.RoundTimeout)); err != nil {
 			_ = conn.Close()
 			last = err
@@ -940,22 +992,26 @@ func (nd *MuxNode) Report() Report {
 	return rep
 }
 
-// reader drains the shared connection, demultiplexing hub deliveries
-// into instance lanes. A failed read redials — with resume 1, since a
-// connection shared by many instances has no one current round — and
-// carries on with whatever connection is then current; it exits only
-// once the node has failed for good. Each delivery is read into a frame
-// of its own off the node's free list and handed on with its batch; a
-// delivery that goes nowhere is released here.
+// reader drains the shared connection through a buffered reader of its
+// own, demultiplexing hub deliveries into instance lanes. A failed read
+// redials — with resume 1, since a connection shared by many instances
+// has no one current round — and carries on with whatever connection is
+// then current, its buffer reset onto it: no byte the old connection
+// left behind is parsed. It exits only once the node has failed for
+// good. Each delivery is read into a frame of its own off the node's
+// free list and handed on with its batch; a delivery that goes nowhere
+// is released here.
 func (nd *MuxNode) reader(conn net.Conn) {
 	defer close(nd.readerDone)
+	br := newConnReader(conn)
 	for {
 		f := nd.frames.get()
-		if err := f.read(conn, time.Now().Add(nd.cfg.IdleTimeout)); err != nil {
+		if err := f.read(conn, br, time.Now().Add(nd.cfg.IdleTimeout)); err != nil {
 			nd.frames.put(f)
 			if conn, err = nd.redial(conn, 1, "read: "+err.Error()); err != nil {
 				return
 			}
+			br.Reset(conn)
 			continue
 		}
 		inst, round, _, err := f.parse(-1) // the hub capped what it relayed
@@ -1014,9 +1070,9 @@ func (nd *MuxNode) unregister(inst int) {
 	nd.mu.Unlock()
 }
 
-// write sends one frame on the shared connection, serialized against
-// concurrent instances, absorbing one broken connection by redialing
-// and resending.
+// write sends one sealed frame on the shared connection, serialized
+// against concurrent instances, absorbing one broken connection by
+// redialing and resending.
 func (nd *MuxNode) write(frame []byte, round int) error {
 	for attempt := 0; ; attempt++ {
 		nd.wmu.Lock()
@@ -1048,6 +1104,8 @@ type instanceRun struct {
 	encArena []byte
 	batch    []wire.BatchMsg
 	frame    []byte
+	// timer bounds each round's receive, re-armed round over round.
+	timer *time.Timer
 }
 
 // RunInstance executes one machine as instance `inst` over the shared
@@ -1072,6 +1130,11 @@ func (nd *MuxNode) RunInstance(inst, rounds int, machine sim.Machine) (any, erro
 		ir.ingress = nd.cfg.NewIngress(nd.id)
 	}
 	defer ir.mergeReport()
+	defer func() {
+		if ir.timer != nil {
+			ir.timer.Stop()
+		}
+	}()
 
 	inj := nd.cfg.Faults
 	crash := inj.CrashRound(nd.id)
@@ -1103,7 +1166,7 @@ func (nd *MuxNode) RunInstance(inst, rounds int, machine sim.Machine) (any, erro
 		} else if err := ir.send(round, sends); err != nil {
 			return nil, err
 		}
-		f, err := nd.awaitLane(lane, round, wait)
+		f, err := ir.awaitLane(lane, round, wait)
 		if err != nil {
 			return nil, fmt.Errorf("transport: instance %d round %d receive: %w", inst, round, err)
 		}
@@ -1164,12 +1227,12 @@ func (ir *instanceRun) mergeReport() {
 }
 
 // awaitLane receives the round-r delivery off an instance lane,
-// skipping stale rounds, until the wait expires or the node fails. The
-// returned frame is the caller's to release; stale and future ones are
-// released here.
-func (nd *MuxNode) awaitLane(lane chan muxBatch, round int, wait time.Duration) (*frame, error) {
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
+// skipping stale rounds, until the wait expires on the instance's timer
+// or the node fails. The returned frame is the caller's to release;
+// stale and future ones are released here.
+func (ir *instanceRun) awaitLane(lane chan muxBatch, round int, wait time.Duration) (*frame, error) {
+	nd := ir.node
+	rearm(&ir.timer, wait)
 	for {
 		select {
 		case b := <-lane:
@@ -1184,7 +1247,7 @@ func (nd *MuxNode) awaitLane(lane chan muxBatch, round int, wait time.Duration) 
 			}
 		case <-nd.done:
 			return nil, fmt.Errorf("connection lost: %w", nd.err)
-		case <-timer.C:
+		case <-ir.timer.C:
 			return nil, errors.New("no delivery before deadline")
 		}
 	}
@@ -1226,8 +1289,8 @@ func (ir *instanceRun) decodeRound(round int, msgs []wire.BatchMsg) []sim.Messag
 // buffers and frames them with the instance tag. Payloads are appended
 // into one arena and referenced by full-slice sub-slices, so arena
 // growth can never let a later payload clobber an earlier one; the
-// frame is built over the same reused buffer. Steady-state sending
-// allocates nothing.
+// sealed frame is built over the same reused buffer. Steady-state
+// sending allocates nothing.
 func (ir *instanceRun) encodeSends(round int, sends []sim.Send) ([]byte, error) {
 	arena := ir.encArena[:0]
 	batch := ir.batch[:0]
@@ -1241,9 +1304,10 @@ func (ir *instanceRun) encodeSends(round int, sends []sim.Send) ([]byte, error) 
 	}
 	ir.encArena = arena
 	ir.batch = batch
-	frame, err := wire.AppendEncodeTaggedBatch(ir.frame[:0], ir.inst, round, batch)
-	if frame != nil {
-		ir.frame = frame
+	frame, err := wire.AppendEncodeTaggedBatch(beginFrame(ir.frame), ir.inst, round, batch)
+	if err != nil {
+		return nil, err
 	}
-	return frame, err
+	ir.frame = frame
+	return sealFrame(frame), nil
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"strings"
 	"sync"
@@ -200,7 +201,7 @@ func TestMuxVersionMismatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { _ = conn.Close() }()
-			if err := writeFrame(conn, tc.hello, time.Now().Add(time.Second)); err != nil {
+			if err := writeFrame(conn, framed(tc.hello), time.Now().Add(time.Second)); err != nil {
 				t.Fatal(err)
 			}
 			if !closedByHub(t, conn) {
@@ -229,7 +230,7 @@ func TestMuxUnknownInstanceDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[0].write(stray, 1); err != nil {
+	if err := nodes[0].write(framed(stray), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -619,7 +620,10 @@ func TestHubEncodeOnceWarmAllocations(t *testing.T) {
 				continue
 			}
 			distinct[&frame[0]] = true
-			inst, round, got, err := wire.DecodeTaggedBatch(frame)
+			if size := binary.BigEndian.Uint32(frame); int(size) != len(frame)-frameHeader {
+				t.Fatalf("%s: recipient %d: length prefix %d on a %d-byte body", tc.name, to, size, len(frame)-frameHeader)
+			}
+			inst, round, got, err := wire.DecodeTaggedBatch(frame[frameHeader:])
 			if err != nil || inst != 7 || round != 2 || len(got) != len(hi.inboxes[to]) {
 				t.Fatalf("%s: recipient %d: instance %d round %d, %d entries, err %v", tc.name, to, inst, round, len(got), err)
 			}

@@ -163,7 +163,7 @@ func rawDial(t *testing.T, addr string, id, resume int) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := wire.EncodeHello(id, resume)
+	hello := framed(wire.EncodeHello(id, resume))
 	if err := writeFrame(conn, hello, time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func sendEmptyRound(t *testing.T, conn net.Conn, round int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, frame, time.Now().Add(time.Second)); err != nil {
+	if err := writeFrame(conn, framed(frame), time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated ten times, and
+# rule out. A pristine copy of the module is mutated eleven times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for the
 #      decode-only sieve: the hub flood-control test and the chaos
@@ -23,7 +23,9 @@
 #      steady-state ingress allocation pin;
 #  10. the batch codec's back-reference test comparing payload lengths
 #      instead of bytes: payload BA over TCP against the simulator, and
-#      the wire's back-reference layout table.
+#      the wire's back-reference layout table;
+#  11. the connection readers building their buffered reader per frame
+#      instead of once per connection: the coalesced-frames test.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -229,5 +231,23 @@ echo 'var _ = bytes.Equal' >>"$codec"
 (cd "$tmp" && go build ./internal/wire)
 expect_test_fail 'TestPoisonedFramesPayloadMatchesSim' ./internal/transport
 expect_test_fail 'TestBatchBackReferenceLayout' ./internal/wire
+
+echo "mutation 11: the connection readers buffer each frame afresh"
+cp "$tmp/mux.pristine" "$mux"
+read_line='readFrameInto(conn, r, deadline, f.buf[:0])'
+if [[ "$(grep -cF "$read_line" "$mux")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one buffered frame read in mux.go, frame.read's" >&2
+    exit 1
+fi
+# mux.go is pristine again, but the copy still carries mutations 2, 3,
+# 5 to 7 and 10, so the test must be green before the change for its
+# red to mean anything.
+(cd "$tmp" && go test -count=1 -run 'TestCoalescedFramesEachReadOnce' ./internal/transport)
+# Every frame read gets a fresh buffer: whatever the read syscall took
+# in past the frame — the frames the peer sent in the same segment — is
+# thrown away with it.
+sed -i 's/readFrameInto(conn, r, deadline, f\.buf\[:0\])/readFrameInto(conn, newConnReader(conn), deadline, f.buf[:0])/' "$mux"
+(cd "$tmp" && go build ./internal/transport)
+expect_test_fail 'TestCoalescedFramesEachReadOnce' ./internal/transport
 
 echo "MUTATION SMOKE OK"
