@@ -77,11 +77,15 @@ func main() {
 }
 
 // preflight rejects parameter combinations before any setup or socket
-// work: unknown protocols, kappa below 1, quorum-bound violations and
-// nonpositive TCP deadlines all fail here with a pointed error.
-func preflight(protoName string, n, t, kappa int, overTCP bool, roundTO time.Duration) error {
+// work: unknown protocols and coins, kappa below 1, quorum-bound
+// violations and nonpositive TCP deadlines all fail here with a
+// pointed error.
+func preflight(protoName string, n, t, kappa int, coinMode string, overTCP bool, roundTO time.Duration) error {
 	if kappa < 1 {
 		return fmt.Errorf("-kappa must be >= 1, got %d", kappa)
+	}
+	if coinMode != "ideal" && coinMode != "threshold" {
+		return fmt.Errorf("unknown -coin %q (know ideal, threshold)", coinMode)
 	}
 	switch protoName {
 	case "oneshot", "fm":
@@ -102,7 +106,7 @@ func preflight(protoName string, n, t, kappa int, overTCP bool, roundTO time.Dur
 }
 
 func run(protoName string, n, t, kappa int, inputsStr, advName, coinMode string, seed int64, verbose, overTCP bool, roundTO time.Duration) error {
-	if err := preflight(protoName, n, t, kappa, overTCP, roundTO); err != nil {
+	if err := preflight(protoName, n, t, kappa, coinMode, overTCP, roundTO); err != nil {
 		return err
 	}
 	mode := ba.CoinIdeal
@@ -182,7 +186,7 @@ func run(protoName string, n, t, kappa int, inputsStr, advName, coinMode string,
 		}
 		cfg := transport.DefaultConfig()
 		cfg.RoundTimeout = roundTO
-		res, err := transport.RunLocalConfig(proto.Machines, proto.Rounds, cfg)
+		res, err := transport.RunLocal(proto.Machines, proto.Rounds, cfg, nil)
 		if err != nil {
 			return err
 		}

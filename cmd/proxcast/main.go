@@ -12,8 +12,8 @@
 // Byzantine nodes speaking the wire format maliciously (byz:NODE@ROLE,
 // roles equivocate|garbage|replay|straddle|wronground|dupflood|
 // malformed). Honest nodes screen their ingress through
-// internal/validate unless -validate=false. The printed spec replays
-// the exact schedule via -faults:
+// internal/validate. The printed spec replays the exact schedule via
+// -faults:
 //
 //	proxcast -n 6 -s 9 -seed 3
 //	proxcast -n 6 -s 9 -faults 'crash:2@3;drop:1@2'
@@ -47,12 +47,11 @@ func main() {
 		faults   = flag.String("faults", "", "chaos schedule spec to inject over TCP (e.g. 'crash:2@3;byz:5@garbage')")
 		seed     = flag.Int64("seed", 0, "generate a seeded chaos schedule and run it over TCP (0 = simulator)")
 		roundTO  = flag.Duration("round-timeout", time.Second, "per-round deadline in chaos mode")
-		screen   = flag.Bool("validate", true, "screen honest ingress through the validation layer in chaos mode")
 	)
 	flag.Parse()
 	var err error
 	if *faults != "" || *seed != 0 {
-		err = runChaos(*n, *t, *s, *behavior, *input, *pr, *faults, *seed, *roundTO, *screen)
+		err = runChaos(*n, *t, *s, *behavior, *input, *pr, *faults, *seed, *roundTO)
 	} else {
 		err = run(*n, *t, *s, *behavior, *release, *input, *pr)
 	}
@@ -66,7 +65,7 @@ func main() {
 // schedule: parsed from -faults, or generated from -seed. Byzantine
 // nodes come from the schedule (byz:NODE@ROLE); the -dealer strategies
 // are adaptive simulator adversaries and stay simulator-only.
-func runChaos(n, t, s int, behavior string, input int, pr bool, spec string, seed int64, roundTO time.Duration, screen bool) error {
+func runChaos(n, t, s int, behavior string, input int, pr bool, spec string, seed int64, roundTO time.Duration) error {
 	// Pre-flight: every knob the run depends on is checked before a
 	// socket opens, each with its own pointed error.
 	switch {
@@ -97,24 +96,15 @@ func runChaos(n, t, s int, behavior string, input int, pr bool, spec string, see
 	var keySeed [sig.Size]byte
 	keySeed[0] = 0x5a
 	pk, sk := sig.KeyGen(dealer, keySeed)
-	machines := make([]sim.Machine, n)
-	for i := 0; i < n; i++ {
-		cfg := proxcensus.ProxcastConfig{
-			N: n, T: t, Slots: s, Self: i, Dealer: dealer,
-			Input: input, DealerPK: pk, PlayerReplaceable: pr,
-		}
-		if i == dealer {
-			cfg.DealerSK = sk
-		}
-		machines[i] = proxcensus.NewProxcastMachine(cfg)
-	}
+	machines := proxcensus.NewProxcastMachines(proxcensus.ProxcastConfig{
+		N: n, T: t, Slots: s, Dealer: dealer,
+		Input: input, DealerPK: pk, DealerSK: sk, PlayerReplaceable: pr,
+	})
 
 	cfg := transport.DefaultConfig()
 	cfg.RoundTimeout = roundTO
-	if screen {
-		cfg.NewIngress = func(int) *validate.Validator {
-			return validate.New(validate.ForProxcast(n, rounds, pk))
-		}
+	cfg.NewIngress = func(int) *validate.Validator {
+		return validate.New(validate.ForProxcast(n, rounds, pk))
 	}
 	res, err := chaos.Run(machines, sched, cfg)
 	if err != nil {
@@ -134,12 +124,10 @@ func runChaos(n, t, s int, behavior string, input int, pr bool, spec string, see
 		fmt.Printf("  party %d: value=%d grade=%d/%d\n", id, r.Value, r.Grade, proxcensus.MaxGrade(s))
 	}
 	fmt.Printf("transport: %s\n", res.Hub.Summary())
-	if screen {
-		v := res.Validation()
-		fmt.Printf("ingress: %s\n", v.Summary())
-		for _, e := range v.Evidence {
-			fmt.Printf("  equivocation %s\n", e)
-		}
+	v := res.Validation()
+	fmt.Printf("ingress: %s\n", v.Summary())
+	for _, e := range v.Evidence {
+		fmt.Printf("  equivocation %s\n", e)
 	}
 	if err := res.CheckAgreement(); err != nil {
 		fmt.Printf("AGREEMENT: VIOLATED (%v)\n", err)
@@ -151,90 +139,44 @@ func runChaos(n, t, s int, behavior string, input int, pr bool, spec string, see
 	return nil
 }
 
+// run executes the proxcast in the simulator against the -dealer
+// strategy, after a pre-flight that rejects every input the strategy
+// cannot honour with a pointed error.
 func run(n, t, s int, behavior string, release, input int, pr bool) error {
 	if s < 2 || n < 2 || t < 0 || t >= n {
 		return fmt.Errorf("invalid parameters n=%d t=%d s=%d", n, t, s)
 	}
-	const dealer = 0
+	if behavior == "release" {
+		switch {
+		case t < 2:
+			return fmt.Errorf("-dealer release corrupts the dealer and an accomplice, so it needs -t >= 2, got %d", t)
+		case release < 1 || release > s-1:
+			return fmt.Errorf("-release must lie in [1, s-1] = [1, %d] to release within the run, got %d", s-1, release)
+		}
+	}
+	const dealer, accomplice = 0, 1
 	var seed [sig.Size]byte
 	seed[0] = 0x5a
 	pk, sk := sig.KeyGen(dealer, seed)
-
-	machines := make([]sim.Machine, n)
-	for i := 0; i < n; i++ {
-		cfg := proxcensus.ProxcastConfig{
-			N: n, T: t, Slots: s, Self: i, Dealer: dealer,
-			Input: input, DealerPK: pk, PlayerReplaceable: pr,
-		}
-		if i == dealer && behavior == "honest" {
-			cfg.DealerSK = sk
-		}
-		machines[i] = proxcensus.NewProxcastMachine(cfg)
+	cfg := proxcensus.ProxcastConfig{
+		N: n, T: t, Slots: s, Dealer: dealer,
+		Input: input, DealerPK: pk, PlayerReplaceable: pr,
 	}
 
-	var adv sim.Adversary = sim.Passive{}
-	pairFor := func(v int) proxcensus.ProxcastSet {
-		return proxcensus.ProxcastSet{Pairs: []proxcensus.ProxcastPair{
-			{Z: v, Sig: sig.Sign(sk, proxcensus.ProxcastMessage(v))},
-		}}
-	}
+	var adv sim.Adversary
 	switch behavior {
 	case "honest":
+		adv, cfg.DealerSK = sim.Passive{}, sk
 	case "equivocate":
-		adv = &adversary.Func{
-			StrategyName: "equivocating-dealer",
-			InitFunc:     func(env *sim.Env) { env.Corrupt(dealer) },
-			ActFunc: func(round int, _ []sim.Message, env *sim.Env) []sim.Message {
-				if round != 1 {
-					return nil
-				}
-				var msgs []sim.Message
-				for to := 0; to < env.N(); to++ {
-					v := 0
-					if to >= env.N()/2 {
-						v = 1
-					}
-					msgs = append(msgs, sim.Message{From: dealer, To: to, Payload: pairFor(v)})
-				}
-				return msgs
-			},
-		}
+		adv = adversary.EquivocatingDealer(dealer, sk)
 	case "withhold":
-		adv = &adversary.Func{
-			StrategyName: "withholding-dealer",
-			InitFunc:     func(env *sim.Env) { env.Corrupt(dealer) },
-			ActFunc: func(round int, _ []sim.Message, env *sim.Env) []sim.Message {
-				if round != 1 {
-					return nil
-				}
-				return []sim.Message{{From: dealer, To: env.N() - 1, Payload: pairFor(input)}}
-			},
-		}
+		adv = adversary.WithholdingDealer(dealer, n-1, input, sk)
 	case "release":
-		adv = &adversary.Func{
-			StrategyName: "late-release-dealer",
-			InitFunc: func(env *sim.Env) {
-				env.Corrupt(dealer)
-				env.Corrupt(1)
-			},
-			ActFunc: func(round int, _ []sim.Message, env *sim.Env) []sim.Message {
-				var msgs []sim.Message
-				if round == 1 {
-					for to := 0; to < env.N(); to++ {
-						msgs = append(msgs, sim.Message{From: dealer, To: to, Payload: pairFor(0)})
-					}
-				}
-				if round == release {
-					for to := 0; to < env.N(); to++ {
-						msgs = append(msgs, sim.Message{From: 1, To: to, Payload: pairFor(1)})
-					}
-				}
-				return msgs
-			},
-		}
+		adv = adversary.LateReleaseDealer(dealer, accomplice, release, sk)
 	default:
 		return fmt.Errorf("unknown dealer behaviour %q", behavior)
 	}
+	machines := proxcensus.NewProxcastMachines(cfg)
 
 	res, err := sim.Run(sim.Config{N: n, T: t, Rounds: s - 1, Seed: 1}, machines, adv)
 	if err != nil {

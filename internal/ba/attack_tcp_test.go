@@ -1,6 +1,7 @@
 package ba_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -136,5 +137,70 @@ func tcpValidityRun(t *testing.T, family, spec string, n, tc, kappa int, input b
 		if v := res.Outputs[id].(ba.Value); v != input {
 			t.Errorf("spec %q: survivor %d decided %d, want %d (validity)", spec, id, v, input)
 		}
+	}
+}
+
+// TestGeneralScreenAdmitsEveryFamily runs every BA family over TCP with
+// no NewIngress configured, so RunLocal screens each node with
+// validate.General. The screen must be transparent to honest traffic:
+// every node reports a screen that rejected nothing and logged no
+// evidence, and every decision equals the simulator's on the same
+// setup, split inputs and seed.
+func TestGeneralScreenAdmitsEveryFamily(t *testing.T) {
+	const n, tc, kappa, seed = 7, 2, 4, 3
+	inputs := []ba.Value{0, 1, 1, 0, 1, 0, 1}
+	setup, err := ba.NewSetup(n, tc, ba.CoinThreshold, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := []struct {
+		name  string
+		build func() (*ba.Protocol, error)
+	}{
+		{"oneshot", func() (*ba.Protocol, error) { return ba.NewOneShot(setup, kappa, inputs) }},
+		{"fm", func() (*ba.Protocol, error) { return ba.NewFM(setup, kappa, inputs) }},
+		{"half", func() (*ba.Protocol, error) { return ba.NewHalf(setup, kappa, inputs) }},
+		{"half-sequential-coin", func() (*ba.Protocol, error) { return ba.NewHalfSequentialCoin(setup, kappa, inputs) }},
+		{"mv", func() (*ba.Protocol, error) { return ba.NewMV(setup, kappa, inputs) }},
+		{"mvcert", func() (*ba.Protocol, error) { return ba.NewMVCert(setup, kappa, inputs) }},
+		{"quad", func() (*ba.Protocol, error) { return ba.NewIteratedHalfQuad(setup, kappa, 3, inputs) }},
+		{"lasvegas", func() (*ba.Protocol, error) { return ba.NewLasVegas(setup, kappa, inputs) }},
+		{"multivalued-oneshot", func() (*ba.Protocol, error) { return ba.NewMultivaluedOneShot(setup, kappa, inputs, -1) }},
+		{"multivalued-half", func() (*ba.Protocol, error) { return ba.NewMultivaluedHalf(setup, kappa, inputs, -1) }},
+	}
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			simProto, err := fam.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := simProto.Run(nil, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tcpProto, err := fam.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := transport.RunLocal(tcpProto.Machines, tcpProto.Rounds, tcpCfg(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if res.Errs[i] != nil {
+					t.Fatalf("node %d: %v", i, res.Errs[i])
+				}
+				v := res.Nodes[i].Validation
+				if v == nil {
+					t.Fatalf("node %d ran unscreened", i)
+				}
+				if v.Admitted == 0 || v.TotalRejected() != 0 || len(v.Evidence) != 0 {
+					t.Errorf("node %d: screen rejected honest traffic: %s, evidence %v", i, v.Summary(), v.Evidence)
+				}
+				if got, ref := fmt.Sprint(res.Outputs[i]), fmt.Sprint(want.Outputs[i]); got != ref {
+					t.Errorf("node %d decided %s over TCP, %s in the simulator", i, got, ref)
+				}
+			}
+		})
 	}
 }

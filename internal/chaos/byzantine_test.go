@@ -22,7 +22,7 @@ func expandMachines(n, tc, rounds int) []sim.Machine {
 }
 
 // expandIngressCfg is quickCfg with every honest node screening its
-// ingress against the expand rule set.
+// ingress against the expand rule set instead of the general one.
 func expandIngressCfg(n, rounds int) transport.Config {
 	cfg := quickCfg()
 	cfg.NewIngress = func(int) *validate.Validator {
@@ -177,7 +177,7 @@ func TestByzDupHeavySchedule(t *testing.T) {
 
 // TestByzMixedSchedules combines Byzantine roles with crashes,
 // partitions and benign faults under one corruption budget, across all
-// three protocol families, with ingress screening on. Survivor
+// three protocol families, with protocol-aware ingress rules. Survivor
 // agreement and validity must hold and the attacks must show up in the
 // merged ingress report.
 func TestByzMixedSchedules(t *testing.T) {

@@ -27,7 +27,8 @@ func TestMain(m *testing.M) {
 
 // quickCfg keeps chaos runs fast: each crash round costs one
 // RoundTimeout of hub waiting, everything else completes in
-// milliseconds. Injected delays top out at 50ms, a 6x margin.
+// milliseconds. Injected delays top out at 50ms, a 6x margin. It sets
+// no NewIngress, so every node screens with validate.General.
 func quickCfg() transport.Config {
 	return transport.Config{
 		RoundTimeout: 300 * time.Millisecond,

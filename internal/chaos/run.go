@@ -67,7 +67,7 @@ func Run(machines []sim.Machine, s Schedule, cfg transport.Config) (*Result, err
 			return fmt.Errorf("%w: role %s", ErrByzantine, role)
 		}
 	}
-	run, err := transport.RunLocalRaw(machines, s.Rounds, cfg, byz)
+	run, err := transport.RunLocal(machines, s.Rounds, cfg, byz)
 	if run == nil {
 		return nil, err
 	}
@@ -116,8 +116,9 @@ func (r *Result) CheckAgreement() error {
 	return nil
 }
 
-// Validation merges every honest node's ingress-screening report; the
-// zero Report when validation was off (Config.NewIngress unset).
+// Validation merges every honest node's ingress-screening report.
+// Every honest node screens: with Config.NewIngress unset, through
+// validate.General.
 func (r *Result) Validation() validate.Report {
 	var total validate.Report
 	for _, rep := range r.Nodes {

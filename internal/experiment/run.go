@@ -228,11 +228,9 @@ func (r *Runner) build(tr Trial) ([]sim.Machine, transport.Config, error) {
 		for i := range machines {
 			machines[i] = proxcensus.NewExpandMachine(s.N, s.T, s.Rounds, s.InputValue())
 		}
-		if s.ScreenIngress() {
-			n, rounds := s.N, s.Rounds
-			cfg.NewIngress = func(int) *validate.Validator {
-				return validate.New(validate.ForExpand(n, rounds, 1))
-			}
+		n, rounds := s.N, s.Rounds
+		cfg.NewIngress = func(int) *validate.Validator {
+			return validate.New(validate.ForExpand(n, rounds, 1))
 		}
 		return machines, cfg, nil
 	case FamilyOneShot, FamilyHalf:
@@ -253,15 +251,13 @@ func (r *Runner) build(tr Trial) ([]sim.Machine, transport.Config, error) {
 		if err != nil {
 			return nil, cfg, err
 		}
-		if s.ScreenIngress() {
-			n, kappa, fam := s.N, s.Kappa, s.Family
-			coinPK, proxPK := setup.CoinPK, setup.ProxPK
-			cfg.NewIngress = func(int) *validate.Validator {
-				if fam == FamilyOneShot {
-					return validate.New(validate.ForOneShot(n, kappa, 1, coinPK))
-				}
-				return validate.New(validate.ForHalf(n, coinPK, proxPK))
+		n, kappa, fam := s.N, s.Kappa, s.Family
+		coinPK, proxPK := setup.CoinPK, setup.ProxPK
+		cfg.NewIngress = func(int) *validate.Validator {
+			if fam == FamilyOneShot {
+				return validate.New(validate.ForOneShot(n, kappa, 1, coinPK))
 			}
+			return validate.New(validate.ForHalf(n, coinPK, proxPK))
 		}
 		return p.Machines, cfg, nil
 	default:

@@ -97,9 +97,6 @@ type Spec struct {
 	// TrialTimeoutMS is the mandatory per-trial watchdog. Zero derives
 	// (rounds+2) × 4 × round timeout, clamped to at least 10s.
 	TrialTimeoutMS int `json:"trial_timeout_ms,omitempty"`
-
-	// Screen toggles per-node ingress validation (default true).
-	Screen *bool `json:"screen,omitempty"`
 }
 
 // ParseSpec decodes a JSON spec, rejecting unknown fields (a typo'd
@@ -138,9 +135,6 @@ func (s *Spec) InputValue() int {
 	}
 	return *s.Input
 }
-
-// ScreenIngress reports whether trials validate their wire ingress.
-func (s *Spec) ScreenIngress() bool { return s.Screen == nil || *s.Screen }
 
 // RoundTimeout returns the per-round deadline.
 func (s *Spec) RoundTimeout() time.Duration {

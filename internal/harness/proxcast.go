@@ -18,47 +18,14 @@ func runProxcastRelease(n, tCorrupt, slots, release int) ([]int, error) {
 	if tCorrupt < 2 {
 		return nil, fmt.Errorf("harness: proxcast release scenario needs t >= 2 (dealer + accomplice), got %d", tCorrupt)
 	}
-	const dealer, mole = 0, 1
+	const dealer, accomplice = 0, 1
 	var seed [sig.Size]byte
 	seed[0] = 0xaa
 	pk, sk := sig.KeyGen(dealer, seed)
-
-	machines := make([]sim.Machine, n)
-	for i := 0; i < n; i++ {
-		cfg := proxcensus.ProxcastConfig{
-			N: n, T: tCorrupt, Slots: slots, Self: i, Dealer: dealer,
-			Input: 0, DealerPK: pk,
-		}
-		if i == dealer {
-			cfg.DealerSK = sk
-		}
-		machines[i] = proxcensus.NewProxcastMachine(cfg)
-	}
-	adv := &adversary.Func{
-		StrategyName: "late-release",
-		InitFunc: func(env *sim.Env) {
-			env.Corrupt(dealer)
-			env.Corrupt(mole)
-		},
-		ActFunc: func(round int, _ []sim.Message, env *sim.Env) []sim.Message {
-			var msgs []sim.Message
-			if round == 1 {
-				for to := 0; to < env.N(); to++ {
-					msgs = append(msgs, sim.Message{From: dealer, To: to, Payload: proxcensus.ProxcastSet{
-						Pairs: []proxcensus.ProxcastPair{{Z: 0, Sig: sig.Sign(sk, proxcensus.ProxcastMessage(0))}},
-					}})
-				}
-			}
-			if round == release {
-				for to := 0; to < env.N(); to++ {
-					msgs = append(msgs, sim.Message{From: mole, To: to, Payload: proxcensus.ProxcastSet{
-						Pairs: []proxcensus.ProxcastPair{{Z: 1, Sig: sig.Sign(sk, proxcensus.ProxcastMessage(1))}},
-					}})
-				}
-			}
-			return msgs
-		},
-	}
+	machines := proxcensus.NewProxcastMachines(proxcensus.ProxcastConfig{
+		N: n, T: tCorrupt, Slots: slots, Dealer: dealer, Input: 0, DealerPK: pk, DealerSK: sk,
+	})
+	adv := adversary.LateReleaseDealer(dealer, accomplice, release, sk)
 	res, err := sim.Run(sim.Config{N: n, T: tCorrupt, Rounds: slots - 1, Seed: 5}, machines, adv)
 	if err != nil {
 		return nil, fmt.Errorf("harness: proxcast run: %w", err)

@@ -105,6 +105,22 @@ func NewProxcastMachine(cfg ProxcastConfig) *ProxcastMachine {
 	}
 }
 
+// NewProxcastMachines builds every party's machine for one execution:
+// party i runs cfg with Self = i, and only the dealer's machine keeps
+// cfg.DealerSK.
+func NewProxcastMachines(cfg ProxcastConfig) []sim.Machine {
+	sk := cfg.DealerSK
+	machines := make([]sim.Machine, cfg.N)
+	for i := range machines {
+		cfg.Self, cfg.DealerSK = i, nil
+		if i == cfg.Dealer {
+			cfg.DealerSK = sk
+		}
+		machines[i] = NewProxcastMachine(cfg)
+	}
+	return machines
+}
+
 // Rounds returns the protocol's round budget, s-1.
 func (m *ProxcastMachine) Rounds() int { return ProxcastRounds(m.s) }
 

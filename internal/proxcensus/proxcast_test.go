@@ -20,17 +20,10 @@ func proxcastSeed() [sig.Size]byte {
 func runProxcast(t *testing.T, n, tc, s int, dealer sim.PartyID, input int, adv sim.Adversary, pr bool) map[int]proxcensus.Result {
 	t.Helper()
 	pk, sk := sig.KeyGen(dealer, proxcastSeed())
-	machines := make([]sim.Machine, n)
-	for i := 0; i < n; i++ {
-		cfg := proxcensus.ProxcastConfig{
-			N: n, T: tc, Slots: s, Self: i, Dealer: dealer,
-			Input: input, DealerPK: pk, PlayerReplaceable: pr,
-		}
-		if i == dealer {
-			cfg.DealerSK = sk
-		}
-		machines[i] = proxcensus.NewProxcastMachine(cfg)
-	}
+	machines := proxcensus.NewProxcastMachines(proxcensus.ProxcastConfig{
+		N: n, T: tc, Slots: s, Dealer: dealer,
+		Input: input, DealerPK: pk, DealerSK: sk, PlayerReplaceable: pr,
+	})
 	res, err := sim.Run(sim.Config{N: n, T: tc, Rounds: s - 1, Seed: 7}, machines, adv)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -74,37 +67,12 @@ func TestProxcastHonestDealerWithByzantinePeers(t *testing.T) {
 	}
 }
 
-// equivocatingDealer corrupts the dealer and sends signature-valid but
-// contradictory values to the two halves of the network in round 1.
-func equivocatingDealer(dealer sim.PartyID, sk *sig.SecretKey) sim.Adversary {
-	return &adversary.Func{
-		StrategyName: "equivocating-dealer",
-		InitFunc:     func(env *sim.Env) { env.Corrupt(dealer) },
-		ActFunc: func(round int, _ []sim.Message, env *sim.Env) []sim.Message {
-			if round != 1 {
-				return nil
-			}
-			var msgs []sim.Message
-			for to := 0; to < env.N(); to++ {
-				v := 0
-				if to >= env.N()/2 {
-					v = 1
-				}
-				msgs = append(msgs, sim.Message{From: dealer, To: to, Payload: proxcensus.ProxcastSet{
-					Pairs: []proxcensus.ProxcastPair{{Z: v, Sig: sig.Sign(sk, proxcensus.ProxcastMessage(v))}},
-				}})
-			}
-			return msgs
-		},
-	}
-}
-
 func TestProxcastEquivocatingDealer(t *testing.T) {
 	for _, s := range []int{3, 4, 5, 6, 8, 9} {
 		t.Run(fmt.Sprintf("s=%d", s), func(t *testing.T) {
 			const n, tc, dealer = 6, 1, 0
 			_, sk := sig.KeyGen(dealer, proxcastSeed())
-			got := runProxcast(t, n, tc, s, dealer, 0, equivocatingDealer(dealer, sk), false)
+			got := runProxcast(t, n, tc, s, dealer, 0, adversary.EquivocatingDealer(dealer, sk), false)
 			honest := resultsOf(got)
 			if err := proxcensus.CheckConsistency(s, honest); err != nil {
 				t.Fatal(err)
@@ -120,29 +88,12 @@ func TestProxcastEquivocatingDealer(t *testing.T) {
 	}
 }
 
-// withholdingDealer sends the signed value only to one favourite in
-// round 1; honest forwarding must lift everyone else to grade >= G-1.
-func withholdingDealer(dealer sim.PartyID, favourite sim.PartyID, sk *sig.SecretKey) sim.Adversary {
-	return &adversary.Func{
-		StrategyName: "withholding-dealer",
-		InitFunc:     func(env *sim.Env) { env.Corrupt(dealer) },
-		ActFunc: func(round int, _ []sim.Message, env *sim.Env) []sim.Message {
-			if round != 1 {
-				return nil
-			}
-			return []sim.Message{{From: dealer, To: favourite, Payload: proxcensus.ProxcastSet{
-				Pairs: []proxcensus.ProxcastPair{{Z: 1, Sig: sig.Sign(sk, proxcensus.ProxcastMessage(1))}},
-			}}}
-		},
-	}
-}
-
 func TestProxcastWithholdingDealer(t *testing.T) {
 	for _, s := range []int{3, 5, 7, 9} {
 		t.Run(fmt.Sprintf("s=%d", s), func(t *testing.T) {
 			const n, tc, dealer, fav = 5, 1, 0, 3
 			_, sk := sig.KeyGen(dealer, proxcastSeed())
-			got := runProxcast(t, n, tc, s, dealer, 0, withholdingDealer(dealer, fav, sk), false)
+			got := runProxcast(t, n, tc, s, dealer, 0, adversary.WithholdingDealer(dealer, fav, 1, sk), false)
 			honest := resultsOf(got)
 			if err := proxcensus.CheckConsistency(s, honest); err != nil {
 				t.Fatal(err)
@@ -167,39 +118,15 @@ func TestProxcastWithholdingDealer(t *testing.T) {
 	}
 }
 
-// lateContradiction lets the run start clean and releases the second
-// signature at a chosen round through a corrupted non-dealer.
+// TestProxcastLateContradictionGrades lets the run start clean and
+// releases the second signature at a chosen round through a corrupted
+// non-dealer.
 func TestProxcastLateContradictionGrades(t *testing.T) {
 	const n, tc, dealer, mole, s = 5, 2, 0, 1, 9
 	_, sk := sig.KeyGen(dealer, proxcastSeed())
 	for release := 2; release <= s-1; release++ {
 		t.Run(fmt.Sprintf("release=%d", release), func(t *testing.T) {
-			adv := &adversary.Func{
-				StrategyName: "late-contradiction",
-				InitFunc: func(env *sim.Env) {
-					env.Corrupt(dealer)
-					env.Corrupt(mole)
-				},
-				ActFunc: func(round int, _ []sim.Message, env *sim.Env) []sim.Message {
-					var msgs []sim.Message
-					if round == 1 {
-						// Dealer behaves normally toward everyone.
-						for to := 0; to < env.N(); to++ {
-							msgs = append(msgs, sim.Message{From: dealer, To: to, Payload: proxcensus.ProxcastSet{
-								Pairs: []proxcensus.ProxcastPair{{Z: 0, Sig: sig.Sign(sk, proxcensus.ProxcastMessage(0))}},
-							}})
-						}
-					}
-					if round == release {
-						for to := 0; to < env.N(); to++ {
-							msgs = append(msgs, sim.Message{From: mole, To: to, Payload: proxcensus.ProxcastSet{
-								Pairs: []proxcensus.ProxcastPair{{Z: 1, Sig: sig.Sign(sk, proxcensus.ProxcastMessage(1))}},
-							}})
-						}
-					}
-					return msgs
-				},
-			}
+			adv := adversary.LateReleaseDealer(dealer, mole, release, sk)
 			got := runProxcast(t, n, tc, s, dealer, 0, adv, false)
 			honest := resultsOf(got)
 			if err := proxcensus.CheckConsistency(s, honest); err != nil {
@@ -225,7 +152,7 @@ func TestProxcastPlayerReplaceableQuota(t *testing.T) {
 	// in round 2 does not extend that party's singleton window.
 	const n, tc, dealer, fav, s = 5, 2, 0, 3, 5
 	_, sk := sig.KeyGen(dealer, proxcastSeed())
-	got := runProxcast(t, n, tc, s, dealer, 0, withholdingDealer(dealer, fav, sk), true)
+	got := runProxcast(t, n, tc, s, dealer, 0, adversary.WithholdingDealer(dealer, fav, 1, sk), true)
 	honest := resultsOf(got)
 	if err := proxcensus.CheckConsistency(s, honest); err != nil {
 		t.Fatal(err)
@@ -236,7 +163,7 @@ func TestProxcastPlayerReplaceableQuota(t *testing.T) {
 	// favourite's round-2 window now needs n-t=3 forwarders of the pair:
 	// only the favourite itself forwarded it in round 2, so the window
 	// breaks and grades must drop below the non-replaceable run.
-	basic := runProxcast(t, n, tc, s, dealer, 0, withholdingDealer(dealer, fav, sk), false)
+	basic := runProxcast(t, n, tc, s, dealer, 0, adversary.WithholdingDealer(dealer, fav, 1, sk), false)
 	if got[fav].Grade >= basic[fav].Grade {
 		t.Errorf("player-replaceable grade %d should be below basic grade %d", got[fav].Grade, basic[fav].Grade)
 	}

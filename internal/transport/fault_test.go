@@ -53,7 +53,7 @@ func TestReconnectAfterInjectedDrop(t *testing.T) {
 	const n, tc, rounds = 4, 1, 3
 	cfg := quickConfig()
 	cfg.Faults = &testInjector{drop: map[[2]int]bool{{1, 2}: true}}
-	res, err := RunLocalConfig(expandMachines(n, tc, rounds, 1), rounds, cfg)
+	res, err := RunLocal(expandMachines(n, tc, rounds, 1), rounds, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDelayAndDuplicateTolerated(t *testing.T) {
 		delay: map[[2]int]time.Duration{{0, 1}: 50 * time.Millisecond},
 		dup:   map[[2]int]bool{{2, 2}: true},
 	}
-	res, err := RunLocalConfig(expandMachines(n, tc, rounds, 1), rounds, cfg)
+	res, err := RunLocal(expandMachines(n, tc, rounds, 1), rounds, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCrashStopDegradesGracefully(t *testing.T) {
 	const n, tc, rounds = 4, 1, 3
 	cfg := quickConfig()
 	cfg.Faults = &testInjector{crash: map[int]int{3: 2}}
-	res, err := RunLocalConfig(expandMachines(n, tc, rounds, 1), rounds, cfg)
+	res, err := RunLocal(expandMachines(n, tc, rounds, 1), rounds, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPartitionCutsTraffic(t *testing.T) {
 	cfg.Faults = &testInjector{part: func(from, to, _ int) bool {
 		return (from == 3) != (to == 3)
 	}}
-	res, err := RunLocalConfig(expandMachines(n, tc, rounds, 1), rounds, cfg)
+	res, err := RunLocal(expandMachines(n, tc, rounds, 1), rounds, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestIngressValidationTransparent(t *testing.T) {
 	cfg.NewIngress = func(int) *validate.Validator {
 		return validate.New(validate.ForExpand(n, rounds, 1))
 	}
-	res, err := RunLocalConfig(machines, rounds, cfg)
+	res, err := RunLocal(machines, rounds, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func floodRun(t *testing.T, cfg Config, n, rounds, entries int) *RunResult {
 		}
 		return nil
 	}
-	res, err := RunLocalRaw(expandMachines(n, 1, rounds, 1), rounds, cfg, map[int]func(string) error{n - 1: flood})
+	res, err := RunLocal(expandMachines(n, 1, rounds, 1), rounds, cfg, map[int]func(string) error{n - 1: flood})
 	if err != nil {
 		t.Fatal(err)
 	}

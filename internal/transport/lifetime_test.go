@@ -108,7 +108,7 @@ func TestPoisonedFramesPayloadMatchesSim(t *testing.T) {
 		return validate.New(validate.ForPayloadService(n, len(quorumValue)))
 	}
 	proto := build()
-	res, err := RunLocalConfig(proto.Machines, proto.Rounds, cfg)
+	res, err := RunLocal(proto.Machines, proto.Rounds, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

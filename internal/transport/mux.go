@@ -7,7 +7,7 @@
 // Lanes outlive any one connection: a node that loses its connection
 // redials with a resume hello and every instance carries on where its
 // lane left off. internal/service layers admission control and instance
-// lifecycle on top; RunLocalConfig runs a single instance.
+// lifecycle on top; RunLocal runs a single instance.
 //
 // Each frame crosses the socket in one syscall each way when it can. A
 // sender encodes its body behind a reserved length prefix and writes the
@@ -860,7 +860,6 @@ type MuxNode struct {
 
 	valMu      sync.Mutex
 	validation validate.Report
-	screened   bool
 
 	done       chan struct{} // closed once err is set
 	readerDone chan struct{}
@@ -984,11 +983,9 @@ func (nd *MuxNode) Close() error {
 func (nd *MuxNode) Report() Report {
 	rep := nd.log.snapshot()
 	nd.valMu.Lock()
-	if nd.screened {
-		v := nd.validation
-		rep.Validation = &v
-	}
+	v := nd.validation
 	nd.valMu.Unlock()
+	rep.Validation = &v
 	return rep
 }
 
@@ -1111,7 +1108,9 @@ type instanceRun struct {
 // RunInstance executes one machine as instance `inst` over the shared
 // connection and returns its output. Safe to call concurrently for
 // distinct instances; the per-instance ingress validator comes from
-// Config.NewIngress and its report merges into the node's Report.
+// Config.NewIngress and its report merges into the node's Report. A
+// node configured without NewIngress refuses to run: it does not know
+// n, so it cannot pick a screen itself.
 //
 // Injected faults apply to this node's own traffic, and every instance
 // consults the injector with its own round number: a scheduled
@@ -1120,15 +1119,15 @@ type instanceRun struct {
 // delivery in flight at that moment may lose it and with it the node,
 // which is what a connection fault is.
 func (nd *MuxNode) RunInstance(inst, rounds int, machine sim.Machine) (any, error) {
+	if nd.cfg.NewIngress == nil {
+		return nil, fmt.Errorf("transport: instance %d: node %d has no Config.NewIngress to screen its ingress", inst, nd.id)
+	}
 	lane, err := nd.register(inst)
 	if err != nil {
 		return nil, err
 	}
 	defer nd.unregister(inst)
-	ir := &instanceRun{node: nd, inst: inst, dec: wire.NewDecoder()}
-	if nd.cfg.NewIngress != nil {
-		ir.ingress = nd.cfg.NewIngress(nd.id)
-	}
+	ir := &instanceRun{node: nd, inst: inst, dec: wire.NewDecoder(), ingress: nd.cfg.NewIngress(nd.id)}
 	defer ir.mergeReport()
 	defer func() {
 		if ir.timer != nil {
@@ -1216,13 +1215,9 @@ func (ir *instanceRun) send(round int, sends []sim.Send) error {
 // mergeReport folds this instance's ingress screening into the node's
 // aggregate.
 func (ir *instanceRun) mergeReport() {
-	if ir.ingress == nil {
-		return
-	}
 	rep := ir.ingress.Report()
 	ir.node.valMu.Lock()
 	ir.node.validation.Merge(rep)
-	ir.node.screened = true
 	ir.node.valMu.Unlock()
 }
 
@@ -1258,10 +1253,9 @@ func (ir *instanceRun) awaitLane(lane chan muxBatch, round int, wait time.Durati
 // screen everything in a single batched ingress call, and route the
 // admitted payloads. The hub stamps the authentic sender into Addr, so
 // the validator's sender checks bind to real identities. The call is
-// unconditional — a nil validator admits exactly what decodes — and it
-// is the transport's only screen: swapping it for validate.DecodeOnly
-// turns TestHubFloodControl and chaos's TestByzRejectionClasses red
-// (scripts/lint_mutation.sh, mutation 1). The inbox carries decoded
+// the transport's only screen: swapping it for a loop that admits
+// whatever decodes turns TestHubFloodControl and chaos's
+// TestByzRejectionClasses red (scripts/lint_mutation.sh, mutation 1). The inbox carries decoded
 // values, which never alias msgs (TestIngressSteadyStateAllocations
 // pins the zero-allocation steady state) — except the Data of the two
 // payload blob classes, which sub-slices msgs' frame and is valid until

@@ -16,8 +16,13 @@ import (
 )
 
 // muxPair starts a hub and n connected nodes with cleanup registered.
+// Like RunLocal, it screens with validate.General when cfg sets no
+// NewIngress.
 func muxPair(t *testing.T, n int, cfg Config) (*MuxHub, []*MuxNode) {
 	t.Helper()
+	if cfg.NewIngress == nil {
+		cfg.NewIngress = func(int) *validate.Validator { return validate.New(validate.General(n)) }
+	}
 	hub, err := NewMuxHub(n, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -285,6 +290,25 @@ func TestMuxIngressScreening(t *testing.T) {
 	}
 }
 
+// TestMuxNodeRefusesUnscreenedInstance: a node configured without
+// NewIngress cannot pick a screen (it does not know n), so it refuses
+// to run an instance and says which field is missing.
+func TestMuxNodeRefusesUnscreenedInstance(t *testing.T) {
+	hub, err := NewMuxHub(1, quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = hub.Close() }()
+	nd, err := NewMuxNode(hub.Addr(), 0, quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nd.Close() }()
+	if out, err := nd.RunInstance(1, 1, sim.NewFunc(1)); err == nil || !strings.Contains(err.Error(), "NewIngress") {
+		t.Fatalf("unscreened RunInstance = %v, %v; want an error naming NewIngress", out, err)
+	}
+}
+
 // TestMergeReports: events concatenate, dead marks union, validation
 // accumulates.
 func TestMergeReports(t *testing.T) {
@@ -396,7 +420,7 @@ func TestMuxChurnRejoins(t *testing.T) {
 	const n, tc, rounds = 4, 1, 5
 	cfg := quickConfig()
 	cfg.Faults = &testInjector{churn: map[int][2]int{2: {2, 4}}}
-	res, err := RunLocalConfig(expandMachines(n, tc, rounds, 1), rounds, cfg)
+	res, err := RunLocal(expandMachines(n, tc, rounds, 1), rounds, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,8 +152,7 @@ type Report struct {
 	// Events.
 	Suppressed int
 	// Validation is the node's ingress-screening report (node reports
-	// only, and only when the configuration enables an ingress
-	// validator).
+	// only; nil on hub reports).
 	Validation *validate.Report
 }
 

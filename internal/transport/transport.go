@@ -4,8 +4,9 @@
 // the internal/wire binary format. Each node holds one long-lived
 // connection that carries any number of concurrent protocol instances
 // (mux.go); a single execution (RunLocal, internal/chaos) is the same
-// hub and nodes running one instance, so every fault schedule and
-// attack suite exercises the code the proxserve daemon runs.
+// hub and nodes running one instance behind the same ingress screen,
+// so every fault schedule and attack suite exercises the code the
+// proxserve daemon runs.
 //
 // The hub enforces the synchronous model per instance: a round's
 // traffic is gathered from every live node before anything is
@@ -21,8 +22,8 @@
 // >= n-t nodes. A pluggable FaultInjector induces crash-stop, drops,
 // delays, duplicated frames, partitions and churn on demand;
 // internal/chaos builds seeded schedules on top of it, including
-// Byzantine peers that speak the wire format maliciously. Each honest
-// node can screen its ingress through internal/validate
+// Byzantine peers that speak the wire format maliciously. Every honest
+// node screens its ingress through internal/validate
 // (Config.NewIngress), and the hub truncates flooding senders at
 // DefaultFloodLimit. The adaptive rushing adversary of the proofs still
 // lives in the simulator (internal/sim), which shares the same Machine
@@ -75,11 +76,11 @@ type Config struct {
 	IdleTimeout time.Duration
 	// Faults injects deployment faults; nil means NoFaults.
 	Faults FaultInjector
-	// NewIngress, when set, builds the per-node wire-ingress validator:
-	// every delivered payload passes through it before reaching the
-	// machine, and the screening report surfaces in the node's
-	// transport.Report. Nil runs without ingress validation (payloads
-	// that fail to decode are still skipped).
+	// NewIngress builds the per-node wire-ingress validator: every
+	// delivered payload passes through it before reaching the machine,
+	// and the screening report surfaces in the node's transport.Report.
+	// A MuxNode refuses to run an instance without it; RunLocal fills a
+	// nil one with validate.General over its machine count.
 	NewIngress func(id int) *validate.Validator
 }
 
@@ -261,22 +262,22 @@ type RunResult struct {
 // LocalInstance is the instance tag a local execution runs under.
 const LocalInstance = 0
 
-// RunLocalConfig executes a full protocol locally over TCP under the
-// given configuration: it starts a hub, connects one node per machine,
-// runs the protocol as a single instance and returns the per-node
-// outcomes plus the structured reports. The returned error covers
+// RunLocal executes a full protocol locally over TCP under the given
+// configuration: it starts a hub, connects one node per machine, runs
+// the protocol as a single instance and returns the per-node outcomes
+// plus the structured reports. Every node screens its ingress: a nil
+// cfg.NewIngress screens with validate.General(len(machines)). Some
+// slots may be played by wire-level peers instead of machines: raw[id],
+// when set, is handed the hub address, claims slot id itself (DialRaw)
+// and speaks for it; its error lands in Errs[id]. This is how
+// internal/chaos seats Byzantine nodes. The returned error covers
 // hub-level failures only — individual node failures (crashes, deaths)
 // land in RunResult.Errs so callers can assert on the survivors.
-func RunLocalConfig(machines []sim.Machine, rounds int, cfg Config) (*RunResult, error) {
-	return RunLocalRaw(machines, rounds, cfg, nil)
-}
-
-// RunLocalRaw is RunLocalConfig with some slots played by wire-level
-// peers instead of machines: raw[id], when set, is handed the hub
-// address, claims slot id itself (DialRaw) and speaks for it; its error
-// lands in Errs[id]. This is how internal/chaos seats Byzantine nodes.
-func RunLocalRaw(machines []sim.Machine, rounds int, cfg Config, raw map[int]func(addr string) error) (*RunResult, error) {
+func RunLocal(machines []sim.Machine, rounds int, cfg Config, raw map[int]func(addr string) error) (*RunResult, error) {
 	n := len(machines)
+	if cfg.NewIngress == nil {
+		cfg.NewIngress = func(int) *validate.Validator { return validate.New(validate.General(n)) }
+	}
 	hub, err := NewMuxHub(n, cfg)
 	if err != nil {
 		return nil, err
@@ -328,19 +329,4 @@ func RunLocalRaw(machines []sim.Machine, rounds int, cfg Config, raw map[int]fun
 		}
 	}
 	return res, err
-}
-
-// RunLocal executes a fault-free protocol locally over TCP and returns
-// the outputs by party ID; any node failure is fatal.
-func RunLocal(machines []sim.Machine, rounds int) ([]any, error) {
-	res, err := RunLocalConfig(machines, rounds, DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	for i, e := range res.Errs {
-		if e != nil {
-			return nil, fmt.Errorf("node %d: %w", i, e)
-		}
-	}
-	return res.Outputs, nil
 }

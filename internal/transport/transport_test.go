@@ -23,16 +23,29 @@ func quickConfig() Config {
 	}
 }
 
+// runLocalOK runs a fault-free execution under DefaultConfig and
+// returns the outputs by party ID; any node failure is fatal.
+func runLocalOK(t *testing.T, machines []sim.Machine, rounds int) []any {
+	t.Helper()
+	res, err := RunLocal(machines, rounds, DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range res.Errs {
+		if e != nil {
+			t.Fatalf("node %d: %v", i, e)
+		}
+	}
+	return res.Outputs
+}
+
 func TestRunLocalExpandProxcensus(t *testing.T) {
 	const n, tc, rounds = 4, 1, 3
 	machines := make([]sim.Machine, n)
 	for i := 0; i < n; i++ {
 		machines[i] = proxcensus.NewExpandMachine(n, tc, rounds, 1)
 	}
-	outputs, err := RunLocal(machines, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outputs := runLocalOK(t, machines, rounds)
 	want := proxcensus.Result{Value: 1, Grade: proxcensus.MaxGrade(proxcensus.ExpandSlots(rounds))}
 	for i, out := range outputs {
 		if out.(proxcensus.Result) != want {
@@ -51,10 +64,7 @@ func TestRunLocalOneShotBA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outputs, err := RunLocal(proto.Machines, proto.Rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outputs := runLocalOK(t, proto.Machines, proto.Rounds)
 	first := outputs[0].(ba.Value)
 	for i, out := range outputs {
 		if out.(ba.Value) != first {
@@ -91,10 +101,7 @@ func TestRunLocalHalfBAAgainstSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outputs, err := RunLocal(protoB.Machines, protoB.Rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outputs := runLocalOK(t, protoB.Machines, protoB.Rounds)
 	for i, out := range outputs {
 		if out.(ba.Value) != simDecisions[i] {
 			t.Errorf("node %d: TCP decided %v, simulator decided %v", i, out, simDecisions[i])
@@ -147,10 +154,7 @@ func TestNextBackoffCaps(t *testing.T) {
 
 func TestRunLocalZeroRounds(t *testing.T) {
 	machines := []sim.Machine{sim.NewFunc(1), sim.NewFunc(2)}
-	outputs, err := RunLocal(machines, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outputs := runLocalOK(t, machines, 0)
 	if outputs[0].(int) != 1 || outputs[1].(int) != 2 {
 		t.Errorf("outputs = %v", outputs)
 	}
@@ -220,7 +224,7 @@ func rawHub(t *testing.T, n int) *MuxHub {
 }
 
 // serve runs the local instance on a hub whose peers have dialed and
-// returns a wait for the report RunLocalConfig would build.
+// returns a wait for the report RunLocal would build.
 func serve(t *testing.T, hub *MuxHub, rounds int) func() Report {
 	t.Helper()
 	_ = hub.AwaitNodes(time.Second) // absentees are dead from round 1
@@ -447,7 +451,7 @@ func TestRunWithGarbageNode(t *testing.T) {
 	// n=4, t=1, the honest parties must still reach the top grade on
 	// their common input.
 	const n, tc, rounds = 4, 1, 3
-	res, err := RunLocalRaw(expandMachines(n, tc, rounds, 1), rounds, DefaultConfig(), map[int]func(string) error{
+	res, err := RunLocal(expandMachines(n, tc, rounds, 1), rounds, DefaultConfig(), map[int]func(string) error{
 		3: func(addr string) error { return garbageNode(addr, 3, rounds) },
 	})
 	if err != nil {

@@ -63,32 +63,13 @@ type sigKey struct {
 	a, b  int
 }
 
-// DecodeOnly is the validation-off screen: it fills verdicts (reusing
-// the given slice) with whether each message simply decoded. It is
-// AdmitBatch's nil-receiver behavior, split out so the transport's
-// screen-off mode and tests share one definition.
-func DecodeOnly(in []Inbound, verdicts []bool) []bool {
-	verdicts = verdicts[:0]
-	for i := range in {
-		verdicts = append(verdicts, in[i].Err == nil)
-	}
-	return verdicts
-}
-
 // AdmitBatch screens one round batch and returns one verdict per
 // message — true when the machine should see it — appending into the
 // caller's verdicts slice (pass verdicts[:0] of a pooled slice for an
 // allocation-free steady state). Rejections are counted, never fatal.
-//
-// A nil receiver is the validation-off mode: it admits exactly the
-// traffic that decodes. Keeping that fallback inside AdmitBatch lets
-// the transport call the screen unconditionally on its ingress path;
-// transport's TestHubFloodControl and chaos's TestByzRejectionClasses
-// go red if that call is replaced by DecodeOnly.
+// It is the transport's one ingress screen: every node of every TCP
+// execution calls it on each delivered round.
 func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool {
-	if v == nil {
-		return DecodeOnly(in, verdicts)
-	}
 	verdicts = verdicts[:0]
 	v.mu.Lock()
 	defer v.mu.Unlock()

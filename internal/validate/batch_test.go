@@ -230,22 +230,6 @@ func buildAdversarialBatch(t testing.TB, rng *rand.Rand, setup *ba.Setup, sigma1
 	return in
 }
 
-// TestBatchNilValidator: nil receiver admits exactly what decodes.
-func TestBatchNilValidator(t *testing.T) {
-	var v *Validator
-	in := []Inbound{
-		inboundOf(t, 0, proxcensus.EchoPayload{Z: 1, H: 0}),
-		{From: 1, Raw: []byte{0xff}, Payload: nil, Err: wire.ErrBadTag},
-	}
-	got := v.AdmitBatch(3, in, nil)
-	if !reflect.DeepEqual(got, []bool{true, false}) {
-		t.Fatalf("nil validator verdicts = %v", got)
-	}
-	if got2 := DecodeOnly(in, got[:0]); !reflect.DeepEqual(got2, []bool{true, false}) {
-		t.Fatalf("DecodeOnly = %v", got2)
-	}
-}
-
 // TestBatchVerdictSliceReuse: passing a pooled verdict slice reuses its
 // backing array.
 func TestBatchVerdictSliceReuse(t *testing.T) {

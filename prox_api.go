@@ -220,17 +220,10 @@ func RunProxcast(run ProxcastRun) (*ProxExecution, error) {
 		return nil, fmt.Errorf("proxcensus: dealer %d out of range", run.Dealer)
 	}
 	pk, sk := run.DealerKeys()
-	machines := make([]sim.Machine, run.N)
-	for i := 0; i < run.N; i++ {
-		cfg := proxcensus.ProxcastConfig{
-			N: run.N, T: run.T, Slots: run.Slots, Self: i, Dealer: run.Dealer,
-			Input: run.Input, DealerPK: pk, PlayerReplaceable: run.PlayerReplaceable,
-		}
-		if i == run.Dealer {
-			cfg.DealerSK = sk
-		}
-		machines[i] = proxcensus.NewProxcastMachine(cfg)
-	}
+	machines := proxcensus.NewProxcastMachines(proxcensus.ProxcastConfig{
+		N: run.N, T: run.T, Slots: run.Slots, Dealer: run.Dealer,
+		Input: run.Input, DealerPK: pk, DealerSK: sk, PlayerReplaceable: run.PlayerReplaceable,
+	})
 	res, err := sim.Run(sim.Config{N: run.N, T: run.T, Rounds: run.Slots - 1, Seed: run.Seed}, machines, run.Adversary)
 	if err != nil {
 		return nil, err

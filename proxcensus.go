@@ -205,14 +205,18 @@ func RunTrials(name string, trials int, factory TrialFactory) (*Outcome, error) 
 // RunLocalTCP executes a protocol with every party as a separate TCP
 // node on localhost (fault-free deployment demo): a hub synchronizes
 // the rounds and payloads travel in the repository's binary wire
-// format. It returns the decisions by party ID.
+// format, and every node screens its ingress. It returns the decisions
+// by party ID; any node failure is fatal.
 func RunLocalTCP(proto *Protocol) ([]Value, error) {
-	outputs, err := transport.RunLocal(proto.Machines, proto.Rounds)
+	res, err := transport.RunLocal(proto.Machines, proto.Rounds, transport.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}
-	decisions := make([]Value, len(outputs))
-	for i, o := range outputs {
+	decisions := make([]Value, len(res.Outputs))
+	for i, o := range res.Outputs {
+		if res.Errs[i] != nil {
+			return nil, fmt.Errorf("proxcensus: node %d: %w", i, res.Errs[i])
+		}
 		v, ok := o.(Value)
 		if !ok {
 			return nil, fmt.Errorf("proxcensus: node %d output %T, want Value", i, o)

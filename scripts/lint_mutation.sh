@@ -2,9 +2,9 @@
 # Mutation smoke: prove the test wall detects the faults it claims to
 # rule out. A pristine copy of the module is mutated eleven times, and
 # each time the tests named for that mutation must go red:
-#   1. the transport's one batched ingress screen swapped for the
-#      decode-only sieve: the hub flood-control test and the chaos
-#      suite's Byzantine rejection classes;
+#   1. the transport's one batched ingress screen swapped for an inline
+#      loop that admits whatever decodes: the hub flood-control test and
+#      the chaos suite's Byzantine rejection classes;
 #   2. the read deadline stripped from readFrameInto: the hub's and the
 #      node's idle-read timeout tests;
 #   3. the configurable payload size cap deleted from the validate
@@ -57,7 +57,7 @@ expect_test_fail() {
     echo "ok: $pattern caught the mutation"
 }
 
-echo "mutation 1: swap the batched ingress screen for the decode-only sieve"
+echo "mutation 1: swap the batched ingress screen for a loop that admits whatever decodes"
 mux="$tmp/internal/transport/mux.go"
 cp "$mux" "$tmp/mux.pristine"
 # AdmitBatch is the only screen there is; the transport must call it in
@@ -70,7 +70,9 @@ if [[ "$(wc -l <<<"$admit_calls")" -ne 1 ]] || ! grep -qF "$admit_line" <<<"$adm
 fi
 (cd "$tmp" && go test -count=1 -run 'TestHubFloodControl' ./internal/transport)
 (cd "$tmp" && go test -count=1 -run 'TestByzRejectionClasses' ./internal/chaos)
-sed -i "s/verdicts := ir\.ingress\.AdmitBatch(round, ir\.in, ir\.verdicts\[:0\])/verdicts := validate.DecodeOnly(ir.in, ir.verdicts[:0])/" "$mux"
+# There is no screen-off mode to fall back on, so the mutation writes
+# the decode-only loop inline.
+sed -i "s/verdicts := ir\.ingress\.AdmitBatch(round, ir\.in, ir\.verdicts\[:0\])/verdicts := ir.verdicts[:0]; for i := range ir.in { verdicts = append(verdicts, ir.in[i].Err == nil) }/" "$mux"
 (cd "$tmp" && go build ./internal/transport)
 expect_test_fail 'TestHubFloodControl' ./internal/transport
 expect_test_fail 'TestByzRejectionClasses' ./internal/chaos
