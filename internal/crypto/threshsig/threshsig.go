@@ -15,6 +15,11 @@
 //   - a signature share on m is HMAC(k_i, m),
 //   - the combined signature on m is HMAC(K, m).
 //
+// Deal derives every share key once and keeps it in the public key, so
+// checking a share is one HMAC. Every HMAC here goes through mac, which
+// hashes the short domain-tagged messages the protocols sign on stack
+// buffers and allocates nothing.
+//
 // Combine structurally enforces the threshold: it refuses to produce a
 // signature unless given `threshold` valid shares from distinct signers.
 // Uniqueness holds by determinism. Unforgeability holds for every
@@ -72,9 +77,8 @@ type PublicKey struct {
 	n         int
 	threshold int
 	master    [Size]byte
-	// keys caches the derived share key of every signer so batch
-	// verification (VerBatch) skips the per-call key-derivation HMAC.
-	// Populated by Deal; a nil cache only means derivation on demand.
+	// keys holds every signer's share key, derived once by Deal, so
+	// VerShare skips the key-derivation HMAC.
 	keys [][Size]byte
 }
 
@@ -123,7 +127,7 @@ func VerShare(pk *PublicKey, m []byte, s Share) bool {
 	if s.Signer < 0 || s.Signer >= pk.n {
 		return false
 	}
-	want := mac(shareKey(pk.master, s.Signer), m)
+	want := mac(pk.keys[s.Signer], m)
 	return hmac.Equal(want[:], s.MAC[:])
 }
 
@@ -158,24 +162,20 @@ func Combine(pk *PublicKey, m []byte, shares []Share) (Signature, error) {
 // it silently drops invalid, duplicate or out-of-range shares and only
 // errors (with ErrInsufficientShares) when fewer than the threshold
 // survive. Byzantine senders can always supply garbage shares, so
-// protocol code should not abort on them.
+// protocol code should not abort on them. It stops verifying as soon as
+// the threshold is met.
 func CombineFiltered(pk *PublicKey, m []byte, shares []Share) (Signature, error) {
-	good := make([]Share, 0, len(shares))
-	seen := make(map[int]struct{}, len(shares))
+	seen := make(map[int]struct{}, pk.threshold)
 	for _, s := range shares {
-		if s.Signer < 0 || s.Signer >= pk.n {
-			continue
-		}
-		if _, dup := seen[s.Signer]; dup {
-			continue
-		}
-		if !VerShare(pk, m, s) {
+		if _, dup := seen[s.Signer]; dup || !VerShare(pk, m, s) {
 			continue
 		}
 		seen[s.Signer] = struct{}{}
-		good = append(good, s)
+		if len(seen) == pk.threshold {
+			return Signature(mac(pk.master, m)), nil
+		}
 	}
-	return Combine(pk, m, good)
+	return Signature{}, fmt.Errorf("%w: got %d, need %d", ErrInsufficientShares, len(seen), pk.threshold)
 }
 
 // Ver reports whether sig is the valid combined signature on m under pk.
@@ -184,23 +184,60 @@ func Ver(pk *PublicKey, m []byte, sig Signature) bool {
 	return hmac.Equal(want[:], sig[:])
 }
 
+// shareTag domain-separates share-key derivation from signing.
+const shareTag = "threshsig/share/"
+
 // shareKey derives party i's share key from the master key.
 func shareKey(master [Size]byte, i int) [Size]byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(i))
-	h := hmac.New(sha256.New, master[:])
-	h.Write([]byte("threshsig/share/"))
-	h.Write(buf[:])
-	var out [Size]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var msg [len(shareTag) + 8]byte
+	copy(msg[:], shareTag)
+	binary.BigEndian.PutUint64(msg[len(shareTag):], uint64(i))
+	return mac(master, msg[:])
 }
 
-// mac computes HMAC-SHA256(key, m).
+// hmacBlock is the SHA-256 block size HMAC pads keys to.
+const hmacBlock = 64
+
+// macInlineMax bounds the message length mac hashes on stack buffers.
+// Every message signed in this repository is a short domain tag plus a
+// fixed-width value encoding, far below it.
+const macInlineMax = 128
+
+// mac computes HMAC-SHA256(key, m). Keys are exactly Size bytes, below
+// the block size, so the key schedule is a straight XOR pad, and a
+// message up to macInlineMax bytes is hashed without heap allocation.
 func mac(key [Size]byte, m []byte) [Size]byte {
+	if len(m) > macInlineMax {
+		return macLong(key, m)
+	}
+	var inner [hmacBlock + macInlineMax]byte
+	for i := range inner[:hmacBlock] {
+		inner[i] = 0x36
+	}
+	for i, b := range key {
+		inner[i] = b ^ 0x36
+	}
+	n := hmacBlock + copy(inner[hmacBlock:], m)
+	ih := sha256.Sum256(inner[:n])
+
+	var outer [hmacBlock + Size]byte
+	for i := range outer[:hmacBlock] {
+		outer[i] = 0x5c
+	}
+	for i, b := range key {
+		outer[i] = b ^ 0x5c
+	}
+	copy(outer[hmacBlock:], ih[:])
+	return sha256.Sum256(outer[:])
+}
+
+// macLong is mac for messages past macInlineMax, through the stdlib
+// HMAC. It is a function of its own because hmac.New keeps the key
+// slice: inline, it would move every mac call's key to the heap.
+func macLong(key [Size]byte, m []byte) [Size]byte {
 	h := hmac.New(sha256.New, key[:])
 	h.Write(m)
 	var out [Size]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }

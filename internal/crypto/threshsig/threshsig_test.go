@@ -229,6 +229,11 @@ func TestCombineFiltered(t *testing.T) {
 	if !Ver(pk, m, sig) {
 		t.Error("filtered combine produced invalid signature")
 	}
+	// The same shares behind the garbage combine to the same signature.
+	reordered := append(append([]Share(nil), shares[5:]...), shares[:5]...)
+	if again, err := CombineFiltered(pk, m, reordered); err != nil || again != sig {
+		t.Errorf("garbage-first CombineFiltered = %x, %v; want %x", again, err, sig)
+	}
 
 	_, err = CombineFiltered(pk, m, shares[:4])
 	if !errors.Is(err, ErrInsufficientShares) {

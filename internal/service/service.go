@@ -63,8 +63,8 @@ type Config struct {
 	RetryAfter time.Duration
 	// Transport tunes the underlying transport. Transport.Faults injects
 	// a fault schedule (internal/chaos) into every instance, each on its
-	// own round clock. A nil Transport.NewIngress selects the default
-	// per-instance ingress screen.
+	// own round clock. Transport.NewIngress must stay nil: the service
+	// always builds its own per-instance ingress screen.
 	Transport transport.Config
 }
 
@@ -127,6 +127,8 @@ func (c Config) Validate() error {
 			c.Batch, c.MaxPayload, ba.MaxPayloadBytes)
 	case c.RetryAfter < 0:
 		return fmt.Errorf("service: negative retry-after %s", c.RetryAfter)
+	case c.Transport.NewIngress != nil:
+		return errors.New("service: Transport.NewIngress must be nil: the service screens ingress with its own payload-capped rules")
 	}
 	return nil
 }
@@ -225,18 +227,15 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Per-instance ingress screening: the permissive General rules
+	// (sender range, decode, duplicate and equivocation checks that hold
+	// for any protocol, value domain left open for batch digests) plus
+	// the payload size cap at the largest honest batch encoding —
+	// oversize payload floods die at admission.
 	tcfg := cfg.Transport
-	if tcfg.NewIngress == nil {
-		// Per-instance ingress screening: the permissive General rules
-		// (sender range, decode, duplicate and equivocation checks that
-		// hold for any protocol, value domain left open for batch
-		// digests) plus the payload size cap at the largest honest batch
-		// encoding — oversize payload floods die at admission.
-		n := cfg.N
-		payloadCap := cfg.Batch * (cfg.MaxPayload + 8)
-		tcfg.NewIngress = func(id int) *validate.Validator {
-			return validate.New(validate.ForPayloadService(n, payloadCap))
-		}
+	n, payloadCap := cfg.N, cfg.Batch*(cfg.MaxPayload+8)
+	tcfg.NewIngress = func(int) *validate.Validator {
+		return validate.New(validate.ForPayloadService(n, payloadCap))
 	}
 	hub, err := transport.NewMuxHub(cfg.N, tcfg)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"proxcensus/internal/ba"
 	"proxcensus/internal/chaos"
 	"proxcensus/internal/transport"
+	"proxcensus/internal/validate"
 )
 
 // TestMain runs the package's tests with released transport frames
@@ -164,6 +165,9 @@ func TestConfigValidate(t *testing.T) {
 		{"max-pending", func(c *Config) { c.MaxPending = -1 }, "max-pending"},
 		{"max-active", func(c *Config) { c.MaxActive = -1 }, "max-active"},
 		{"batch", func(c *Config) { c.Batch = -1 }, "batch"},
+		{"ingress override", func(c *Config) {
+			c.Transport.NewIngress = func(int) *validate.Validator { return nil }
+		}, "NewIngress"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

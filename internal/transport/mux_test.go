@@ -482,6 +482,43 @@ func TestMuxFloodLogBounded(t *testing.T) {
 	}
 }
 
+// TestMuxIdleLogBounded: an idle pair whose connections time out and
+// redial every few milliseconds logs a conn-lost and a reconnect per
+// cycle on both ends, forever. Every kind stops at eventLogCap entries
+// and the rest is counted as suppressed, so an idle daemon's logs stay
+// bounded.
+func TestMuxIdleLogBounded(t *testing.T) {
+	cfg := quickConfig()
+	cfg.IdleTimeout = 10 * time.Millisecond
+	hub, nodes := muxPair(t, 2, cfg)
+	reports := func() []Report {
+		return []Report{hub.Report(), nodes[0].Report(), nodes[1].Report()}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		suppressed := 0
+		for i, rep := range reports() {
+			counts := make(map[EventKind]int)
+			for _, e := range rep.Events {
+				if counts[e.Kind]++; counts[e.Kind] > eventLogCap {
+					t.Fatalf("log %d holds over %d %s events", i, eventLogCap, e.Kind)
+				}
+			}
+			if rep.Suppressed > 0 {
+				suppressed++
+			}
+		}
+		if suppressed == 3 {
+			return
+		}
+		if time.Now().After(deadline) {
+			rep := hub.Report()
+			t.Fatalf("only %d of 3 logs suppressed anything; hub: %d events, %s", suppressed, len(rep.Events), rep.Summary())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestHubDeliversInSenderOrder: every delivery batch lists its senders
 // in ascending order and each sender's entries in the order it sent
 // them — the order DESIGN §9's within-batch digest memo relies on — and

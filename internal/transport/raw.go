@@ -8,8 +8,8 @@ import (
 )
 
 // RawClient is a wire-level hub connection that bypasses the MuxNode
-// machinery: it sends exactly the frames it is told to, well-formed or
-// not. The chaos harness uses it to run Byzantine nodes — peers that
+// machinery: it sends exactly the round batches it is told to, whatever
+// the payload bytes inside them. The chaos harness uses it to run Byzantine nodes — peers that
 // hold an authenticated slot (the hub stamps their true ID on every
 // delivery) but speak the protocol maliciously. It is not safe for
 // concurrent use.
@@ -18,7 +18,6 @@ type RawClient struct {
 	// is LocalInstance, the instance a local execution runs as.
 	Instance int
 
-	id   int
 	conn net.Conn
 	cfg  Config
 }
@@ -32,11 +31,8 @@ func DialRaw(addr string, id, resume int, cfg Config) (*RawClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RawClient{id: id, conn: conn, cfg: cfg}, nil
+	return &RawClient{conn: conn, cfg: cfg}, nil
 }
-
-// ID returns the node slot this client claimed.
-func (c *RawClient) ID() int { return c.id }
 
 // Close releases the connection.
 func (c *RawClient) Close() error { return c.conn.Close() }
@@ -48,16 +44,7 @@ func (c *RawClient) SendBatch(round int, msgs []wire.BatchMsg) error {
 	if err != nil {
 		return err
 	}
-	return c.write(sealFrame(frame))
-}
-
-// SendFrame sends an arbitrary frame body — including bodies that are
-// not valid batches at all (the malformed-frame attack).
-func (c *RawClient) SendFrame(body []byte) error { return c.write(framed(body)) }
-
-// write sends one sealed frame.
-func (c *RawClient) write(frame []byte) error {
-	return writeFrame(c.conn, frame, time.Now().Add(c.cfg.RoundTimeout))
+	return writeFrame(c.conn, sealFrame(frame), time.Now().Add(c.cfg.RoundTimeout))
 }
 
 // Recv reads the hub's next delivery, of whatever instance, straight

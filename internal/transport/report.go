@@ -53,16 +53,18 @@ const (
 	// EventRejoin records a churned node's window closing; the node is
 	// live again, and delivered to, from this round on.
 	EventRejoin
+
+	numEventKinds
 )
 
-// eventLogCap bounds how many entries of each kind in cappedKinds one
-// log records. A remote peer triggers these at will — garbage hellos,
-// strays for finished instances, overflowing lanes, over-cap batches —
-// so past the cap they are counted in Report.Suppressed instead of
-// growing a long-lived endpoint's heap.
+// eventLogCap bounds how many entries of each kind one log records. A
+// remote peer triggers events at will — garbage hellos, strays for
+// finished instances, overflowing lanes, over-cap batches — and so
+// does time alone: an idle connection is dropped and redialled every
+// IdleTimeout. Past the cap an event is counted in Report.Suppressed
+// instead of growing a long-lived endpoint's heap. Report.Dead and
+// Report.RoundLatency are kept whole.
 const eventLogCap = 64
-
-var cappedKinds = [...]bool{EventReject: true, EventStale: true, EventFlood: true}
 
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
@@ -147,9 +149,8 @@ type Report struct {
 	// RoundLatency holds the hub's barrier latency per round, indexed
 	// round-1 (hub reports only).
 	RoundLatency []time.Duration
-	// Suppressed counts the reject, stale-frame and flood events that
-	// fired past the log's per-kind cap and are therefore missing from
-	// Events.
+	// Suppressed counts the events that fired past the log's per-kind
+	// cap and are therefore missing from Events.
 	Suppressed int
 	// Validation is the node's ingress-screening report (node reports
 	// only; nil on hub reports).
@@ -260,7 +261,7 @@ type eventLog struct {
 	events     []Event
 	dead       []bool
 	latency    []time.Duration
-	recorded   [len(cappedKinds)]int // entries per capped kind, up to eventLogCap
+	recorded   [numEventKinds]int // entries per kind, up to eventLogCap
 	suppressed int
 }
 
@@ -274,26 +275,29 @@ func newEventLog(n int) *eventLog {
 	return l
 }
 
-// add records one event; the capped kinds stop being recorded, but not
-// counted, at eventLogCap entries each.
+// record appends one event, or only counts it once its kind holds
+// eventLogCap entries. The caller holds l.mu.
+func (l *eventLog) record(e Event) {
+	if l.recorded[e.Kind] == eventLogCap {
+		l.suppressed++
+		return
+	}
+	l.recorded[e.Kind]++
+	l.events = append(l.events, e)
+}
+
+// add records one event.
 func (l *eventLog) add(kind EventKind, node, round int, detail string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if int(kind) < len(cappedKinds) && cappedKinds[kind] {
-		if l.recorded[kind] == eventLogCap {
-			l.suppressed++
-			return
-		}
-		l.recorded[kind]++
-	}
-	l.events = append(l.events, Event{Kind: kind, Node: node, Round: round, Detail: detail})
+	l.record(Event{Kind: kind, Node: node, Round: round, Detail: detail})
 }
 
 // death records a node's death event and marks it dead.
 func (l *eventLog) death(node, round int, detail string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Kind: EventDeath, Node: node, Round: round, Detail: detail})
+	l.record(Event{Kind: EventDeath, Node: node, Round: round, Detail: detail})
 	if node >= 0 && node < len(l.dead) {
 		l.dead[node] = true
 	}
@@ -303,7 +307,7 @@ func (l *eventLog) death(node, round int, detail string) {
 func (l *eventLog) revive(node, round int, detail string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Kind: EventRejoin, Node: node, Round: round, Detail: detail})
+	l.record(Event{Kind: EventRejoin, Node: node, Round: round, Detail: detail})
 	if node >= 0 && node < len(l.dead) {
 		l.dead[node] = false
 	}
@@ -322,7 +326,7 @@ func (l *eventLog) markDead(dead []bool) {
 func (l *eventLog) roundDone(round int, elapsed time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Kind: EventRound, Node: -1, Round: round, Elapsed: elapsed})
+	l.record(Event{Kind: EventRound, Node: -1, Round: round, Elapsed: elapsed})
 	l.latency = append(l.latency, elapsed)
 }
 

@@ -182,7 +182,7 @@ func sealFrame(frame []byte) []byte {
 }
 
 // framed copies a body behind a length prefix into a fresh frame, for
-// the cold senders: hellos and RawClient.SendFrame's arbitrary bodies.
+// the cold sender: the hello.
 func framed(body []byte) []byte {
 	return sealFrame(append(beginFrame(make([]byte, 0, frameHeader+len(body))), body...))
 }

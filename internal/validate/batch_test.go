@@ -219,8 +219,8 @@ func buildAdversarialBatch(t testing.TB, rng *rand.Rand, setup *ba.Setup, sigma1
 			in = append(in, inboundOf(t, from, p))
 			continue
 		}
-		// Votes and shares mostly claim their signer as sender so the
-		// batchable path is exercised; sometimes not.
+		// Votes and shares mostly claim their signer as sender so their
+		// signatures get checked; sometimes not.
 		sender := signer
 		if rng.Intn(4) == 0 {
 			sender = rng.Intn(n)
@@ -342,10 +342,10 @@ func TestCertValidLargeN(t *testing.T) {
 
 // TestBatchSteadyStateAllocations: after warm-up, screening a full
 // round of signed votes through AdmitBatch must not allocate. That
-// holds with a forger too: its forged share fails its group's VerBatch,
-// and every share of the group is re-verified alone to find it. A
-// blame path that allocated would let one Byzantine sender buy garbage
-// on every honest node each round.
+// holds with a forger too: rejecting its forged share must cost no
+// more than admitting an honest one. A rejection path that allocated
+// would let one Byzantine sender buy garbage on every honest node each
+// round.
 func TestBatchSteadyStateAllocations(t *testing.T) {
 	setup, rules := halfSetup(t, 16)
 	for _, forger := range []int{-1, 5} { // -1: no forger
@@ -370,7 +370,7 @@ func TestBatchSteadyStateAllocations(t *testing.T) {
 			round += 3 // the next vote round
 		}
 		for i := 0; i < 3; i++ {
-			run() // warm caches: message cache, signature scratches
+			run() // warm the signed-message cache
 		}
 		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 			t.Errorf("forger %d: AdmitBatch allocated %.1f objects per steady-state round, want 0", forger, allocs)

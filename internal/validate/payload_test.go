@@ -1,7 +1,7 @@
 // Payload ingress tests: the size cap (service ceiling and hard wire
 // cap), content-hash duplicate suppression and payload-equivocation
 // evidence at kilobyte sizes, batch-splitting invariance for the
-// non-batchable payload classes, and the steady-state and cold-instance
+// unsigned payload classes, and the steady-state and cold-instance
 // allocation pins.
 
 package validate
@@ -91,9 +91,8 @@ func TestPayloadDuplicateAndEquivocation(t *testing.T) {
 
 // TestPayloadBatchEquivalence: one AdmitBatch call over the round must
 // match one call per message verdict-for-verdict on payload traffic —
-// including duplicates, equivocators and oversize floods — even though
-// payload classes carry no signatures and settle entirely in the
-// batch's first pass.
+// including duplicates, equivocators and oversize floods, which
+// carry no signatures.
 func TestPayloadBatchEquivalence(t *testing.T) {
 	big := bytes.Repeat([]byte{7}, 4096)
 	in := []Inbound{

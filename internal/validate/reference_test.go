@@ -18,11 +18,11 @@ import (
 // refScreen is the map-based screen AdmitBatch ran before it kept
 // per-sender slots: every (sender, digest) pair of the round in one
 // set, every single-instance stream in one map, both cleared at each
-// round boundary. It screens message by message and verifies each
-// signature on its own, which batch_test.go's splitting suites show
-// AdmitBatch agrees with.
+// round boundary. It screens message by message and checks each
+// signature through the screen's own signatureOK.
 type refScreen struct {
 	rules Rules
+	sigs  *Validator
 	round int
 	dup   map[dupKey]struct{}
 	first map[uniKey]sim.Payload
@@ -32,6 +32,7 @@ type refScreen struct {
 func newRefScreen(rules Rules) *refScreen {
 	return &refScreen{
 		rules: rules.withDefaults(),
+		sigs:  New(rules),
 		dup:   make(map[dupKey]struct{}),
 		first: make(map[uniKey]sim.Payload),
 	}
@@ -47,7 +48,7 @@ func admitReference(r *refScreen, round int, in []Inbound) []bool {
 	out := make([]bool, len(in))
 	for i, m := range in {
 		reason, ok := r.checkPre(round, m)
-		if ok && !r.rules.signatureOK(m.From, m.Payload) {
+		if ok && !r.sigs.signatureOK(m.From, m.Payload) {
 			reason, ok = RejectSignature, false
 		}
 		if !ok {

@@ -264,51 +264,49 @@ func (r Rules) inDomain(round int, p sim.Payload) bool {
 
 // signatureOK verifies signatures and shares at admission, mirroring
 // the checks the machines apply internally. Nil keys skip the class.
-func (r Rules) signatureOK(from int, p sim.Payload) bool {
-	switch v := p.(type) {
+// Threshold shares verify against sigMessage's cached messages, so a
+// steady-state round of shares allocates nothing.
+func (v *Validator) signatureOK(from int, p sim.Payload) bool {
+	r := &v.rules
+	switch pv := p.(type) {
 	case proxcensus.LinearVote:
-		return r.ProxPK == nil ||
-			shareValid(r.ProxPK, from, proxcensus.LinearSigmaMessage(v.V), v.Share)
+		return v.shareOK(r.ProxPK, sigKey{class: ClassLinearVote, a: pv.V}, from, pv.Share)
 	case proxcensus.LinearOmegaShare:
-		return r.ProxPK == nil ||
-			shareValid(r.ProxPK, from, proxcensus.LinearOmegaMessage(v.V), v.Share)
+		return v.shareOK(r.ProxPK, sigKey{class: ClassLinearOmegaShare, a: pv.V}, from, pv.Share)
 	case proxcensus.LinearSigma:
 		return r.ProxPK == nil ||
-			threshsig.Ver(r.ProxPK, proxcensus.LinearSigmaMessage(v.V), v.Sig)
+			threshsig.Ver(r.ProxPK, proxcensus.LinearSigmaMessage(pv.V), pv.Sig)
 	case proxcensus.LinearOmega:
 		return r.ProxPK == nil ||
-			threshsig.Ver(r.ProxPK, proxcensus.LinearOmegaMessage(v.V), v.Sig)
+			threshsig.Ver(r.ProxPK, proxcensus.LinearOmegaMessage(pv.V), pv.Sig)
 	case proxcensus.LinearSigmaCert:
 		return r.ProxPK == nil ||
-			certValid(r.ProxPK, proxcensus.LinearSigmaMessage(v.V), v.Shares)
+			certValid(r.ProxPK, proxcensus.LinearSigmaMessage(pv.V), pv.Shares)
 	case proxcensus.LinearOmegaCert:
 		return r.ProxPK == nil ||
-			certValid(r.ProxPK, proxcensus.LinearOmegaMessage(v.V), v.Shares)
+			certValid(r.ProxPK, proxcensus.LinearOmegaMessage(pv.V), pv.Shares)
 	case proxcensus.QuadVote:
-		return r.ProxPK == nil ||
-			shareValid(r.ProxPK, from, proxcensus.QuadMessage(v.V, 1), v.Share)
+		return v.shareOK(r.ProxPK, sigKey{class: ClassQuadVote, a: pv.V}, from, pv.Share)
 	case proxcensus.QuadOmegaShare:
-		return r.ProxPK == nil ||
-			shareValid(r.ProxPK, from, proxcensus.QuadMessage(v.V, v.J), v.Share)
+		return v.shareOK(r.ProxPK, sigKey{class: ClassQuadOmegaShare, a: pv.V, b: pv.J}, from, pv.Share)
 	case proxcensus.QuadSig:
 		return r.ProxPK == nil ||
-			threshsig.Ver(r.ProxPK, proxcensus.QuadMessage(v.V, v.J), v.Sig)
+			threshsig.Ver(r.ProxPK, proxcensus.QuadMessage(pv.V, pv.J), pv.Sig)
 	case proxcensus.ProxcastSet:
 		if r.DealerPK == nil {
 			return true
 		}
-		for _, pair := range v.Pairs {
+		for _, pair := range pv.Pairs {
 			if !sig.Ver(r.DealerPK, proxcensus.ProxcastMessage(pair.Z), pair.Sig) {
 				return false
 			}
 		}
 		return true
 	case coin.SharePayload:
-		return r.CoinPK == nil ||
-			shareValid(r.CoinPK, from, coin.InstanceMessage(r.CoinDomain, v.K), v.Share)
+		return v.shareOK(r.CoinPK, sigKey{class: ClassCoinShare, a: pv.K}, from, pv.Share)
 	case ba.TCCandidate:
 		return r.ProxPK == nil ||
-			threshsig.Ver(r.ProxPK, proxcensus.LinearOmegaMessage(v.V), v.Omega)
+			threshsig.Ver(r.ProxPK, proxcensus.LinearOmegaMessage(pv.V), pv.Omega)
 	default:
 		return true
 	}

@@ -379,26 +379,19 @@ type Validator struct {
 	dup     map[dupKey]struct{}
 	first   map[uniKey]sim.Payload
 
-	// Batch-admission state, guarded by mu: the signed-message cache,
-	// built on the first signature check that needs it, and the scratch
-	// slices AdmitBatch reuses across rounds so a steady-state batch
-	// allocates nothing.
+	// msgCache holds the signed messages shares verify against, guarded
+	// by mu and built on the first share check that needs it.
 	msgCache map[sigKey][]byte
-	pend     []int
-	shareBuf []threshsig.Share
-	idxBuf   []int
 }
 
-// New builds a validator for the rule set. Its per-sender slots and the
-// pending-index scratch are sized for Rules.N here, so screening honest
-// rounds allocates nothing afterwards.
+// New builds a validator for the rule set. Its per-sender slots are
+// sized for Rules.N here, so screening honest rounds allocates nothing
+// afterwards.
 func New(rules Rules) *Validator {
-	n := max(rules.N, 0)
 	return &Validator{
 		rules:   rules.withDefaults(),
-		senders: make([]senderRound, n),
+		senders: make([]senderRound, max(rules.N, 0)),
 		stamp:   1,
-		pend:    make([]int, 0, n),
 	}
 }
 
@@ -414,36 +407,33 @@ func (v *Validator) Report() Report {
 // checkPre runs every screening stage before signature verification,
 // in fixed order: sender, decode, phase type, domain, duplicate,
 // equivocation. Signature checks come last — they are the expensive
-// step, and everything cheaper prunes first — and AdmitBatch settles
-// them in groups after running checkPre over the whole batch in
-// arrival order, so duplicate and equivocation state evolves message
-// by message. memo carries the raw-bytes digest across consecutive
-// calls of one batch: round-batch inboxes are sorted, so the broadcast
-// case (many senders echoing byte-identical payloads) hashes once per
-// run of equal bytes instead of per message.
-func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeErr error, memo *digestMemo) (Class, Reason, bool) {
+// step, and everything cheaper prunes first. memo carries the raw-bytes
+// digest across consecutive calls of one batch: round-batch inboxes are
+// sorted, so the broadcast case (many senders echoing byte-identical
+// payloads) hashes once per run of equal bytes instead of per message.
+func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeErr error, memo *digestMemo) (Reason, bool) {
 	if from < 0 || from >= v.rules.N {
-		return ClassUnknown, RejectSender, false
+		return RejectSender, false
 	}
 	if decodeErr != nil || p == nil {
-		return ClassUnknown, RejectMalformed, false
+		return RejectMalformed, false
 	}
 	class := ClassOf(p)
 	if class == ClassUnknown {
-		return ClassUnknown, RejectMalformed, false
+		return RejectMalformed, false
 	}
 	if allowed := v.rules.allowedAt(round); allowed != nil && !allowed.Has(class) {
-		return class, RejectType, false
+		return RejectType, false
 	}
 	if !v.rules.inDomain(round, p) {
-		return class, RejectDomain, false
+		return RejectDomain, false
 	}
 	if !memo.valid || !bytes.Equal(raw, memo.raw) {
 		memo.raw, memo.hash, memo.valid = raw, sha256.Sum256(raw), true
 	}
 	s := &v.senders[from]
 	if v.duplicate(s, from, memo.hash) {
-		return class, RejectDuplicate, false
+		return RejectDuplicate, false
 	}
 	if singleInstance(class) {
 		if prev, conflict := v.openStream(s, from, class, subKey(p), p); conflict {
@@ -456,10 +446,10 @@ func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeE
 					First: renderPayload(prev), Second: renderPayload(p),
 				})
 			}
-			return class, RejectEquivocation, false
+			return RejectEquivocation, false
 		}
 	}
-	return class, 0, true
+	return 0, true
 }
 
 // duplicate records that from sent a message with this digest in the
@@ -550,11 +540,12 @@ func renderPayload(p sim.Payload) string {
 	}
 }
 
-// shareValid verifies one threshold share against a message under pk,
-// requiring the share to be the sender's own (authenticated channels:
-// a sender may only contribute its own share).
-func shareValid(pk *threshsig.PublicKey, from int, m []byte, s threshsig.Share) bool {
-	return s.Signer == from && threshsig.VerShare(pk, m, s)
+// shareOK verifies one threshold share against the signed message of
+// its key under pk, requiring the share to be the sender's own
+// (authenticated channels: a sender may only contribute its own share).
+// A nil pk skips the check.
+func (v *Validator) shareOK(pk *threshsig.PublicKey, key sigKey, from int, s threshsig.Share) bool {
+	return pk == nil || (s.Signer == from && threshsig.VerShare(pk, v.sigMessage(key), s))
 }
 
 // certBitmapWords is the seen-bitmap size kept on the stack: one bit

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated eleven times, and
+# rule out. A pristine copy of the module is mutated twelve times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for an inline
 #      loop that admits whatever decodes: the hub flood-control test and
@@ -25,7 +25,10 @@
 #      instead of bytes: payload BA over TCP against the simulator, and
 #      the wire's back-reference layout table;
 #  11. the connection readers building their buffered reader per frame
-#      instead of once per connection: the coalesced-frames test.
+#      instead of once per connection: the coalesced-frames test;
+#  12. the screen's one signature stage skipped, so AdmitBatch admits
+#      whatever passes its cheap checks: the bad-signature and
+#      forged-share tests.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -251,5 +254,24 @@ fi
 sed -i 's/readFrameInto(conn, r, deadline, f\.buf\[:0\])/readFrameInto(conn, newConnReader(conn), deadline, f.buf[:0])/' "$mux"
 (cd "$tmp" && go build ./internal/transport)
 expect_test_fail 'TestCoalescedFramesEachReadOnce' ./internal/transport
+
+echo "mutation 12: AdmitBatch skips its signature check"
+batch="$tmp/internal/validate/batch.go"
+sig_line='if ok && !v.signatureOK(m.From, m.Payload) {'
+if [[ "$(grep -cF "$sig_line" "$batch")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one signature check in validate/batch.go, AdmitBatch's" >&2
+    exit 1
+fi
+sig_tests='TestRejectBadSignatures|TestBatchVerifyFallback'
+# The copy still carries mutations 3 and 5 in validate, so the tests
+# must be green before the change for their red to mean anything.
+(cd "$tmp" && go test -count=1 -run "$sig_tests" ./internal/validate)
+# Every share, combined signature and certificate passes: the screen
+# still dedups and catches equivocation, but a forged share reaches the
+# machine.
+sed -i 's/if ok \&\& !v\.signatureOK(m\.From, m\.Payload) {/if false {/' "$batch"
+(cd "$tmp" && go build ./internal/validate)
+expect_test_fail 'TestRejectBadSignatures' ./internal/validate
+expect_test_fail 'TestBatchVerifyFallback' ./internal/validate
 
 echo "MUTATION SMOKE OK"

@@ -46,8 +46,11 @@ go test -count=1 -run 'TestTCP' ./internal/ba
 
 # Experiment lab: the checked-in smoke spec end-to-end — declarative
 # sweep, timeout-wrapped trials, JSONL artifact, degradation curve and
-# the zero-fault decision gate.
-go run ./cmd/proxlab -spec experiments/specs/smoke-expand.json -out results/experiments -gate -q
+# the zero-fault decision gate. The artifacts go to a temporary
+# directory, so a run leaves the checked-in results untouched.
+lab_out="$(mktemp -d "${TMPDIR:-/tmp}/smoke-lab.XXXXXX")"
+trap 'rm -rf "$lab_out"' EXIT
+go run ./cmd/proxlab -spec experiments/specs/smoke-expand.json -out "$lab_out" -gate -q
 go run ./cmd/proxbench -exp slots
 go run ./cmd/proxbench -exp rounds13
 go run ./cmd/proxbench -exp iterprob -trials 300
