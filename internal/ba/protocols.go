@@ -26,6 +26,14 @@ type Protocol struct {
 	Oracle *coin.Oracle
 }
 
+// Coin domains: the prefix of the instance message each protocol's
+// threshold coin signs its shares under. The ingress screen verifies
+// coin shares against the same names, so a rename here reaches both.
+const (
+	OneShotCoinDomain = "oneshot"
+	HalfCoinDomain    = "half-n2"
+)
+
 // OneShotRounds returns the round budget κ+1 of the t < n/3 one-shot
 // protocol (Corollary 2).
 func OneShotRounds(kappa int) int { return kappa + 1 }
@@ -43,7 +51,7 @@ func NewOneShot(setup *Setup, kappa int, inputs []Value) (*Protocol, error) {
 		return nil, fmt.Errorf("ba: one-shot protocol needs t < n/3, got n=%d t=%d", setup.N, setup.T)
 	}
 	slots := proxcensus.ExpandSlots(kappa)
-	comps, oracle := setup.CoinComponents(slots-1, "oneshot")
+	comps, oracle := setup.CoinComponents(slots-1, OneShotCoinDomain)
 	machines := make([]sim.Machine, setup.N)
 	for i := range machines {
 		machines[i] = NewIterMachine(IterConfig{
@@ -104,7 +112,7 @@ func HalfRounds(kappa int) int { return 3 * ((kappa + 1) / 2) }
 // failure 1/4, so 3κ/2 rounds reach error 2^{-κ}, versus 2κ for the
 // Micali-Vaikuntanathan baseline.
 func NewHalf(setup *Setup, kappa int, inputs []Value) (*Protocol, error) {
-	return newIteratedHalf(setup, kappa, 5, true, "half-n2", inputs)
+	return newIteratedHalf(setup, kappa, 5, true, HalfCoinDomain, inputs)
 }
 
 // IteratedHalfRounds returns the round budget of NewIteratedHalf for a

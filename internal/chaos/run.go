@@ -22,21 +22,15 @@ var _ transport.FaultInjector = Schedule{}
 // node.
 var ErrByzantine = errors.New("chaos: node ran byzantine by schedule")
 
-// Result collects one chaos execution: the schedule that ran, the
-// per-node outcomes, and the structured transport reports.
+// Result collects one chaos execution: the schedule that ran, and the
+// transport's per-node outcomes and structured reports. In Errs,
+// scheduled crashes surface as transport.ErrCrashed and Byzantine nodes
+// as ErrByzantine; their Nodes slots hold a zero Report, since
+// attackers do not narrate themselves.
 type Result struct {
+	transport.RunResult
 	// Schedule is the fault schedule that was injected.
 	Schedule Schedule
-	// Outputs holds machine outputs by party ID (nil for failed nodes).
-	Outputs []any
-	// Errs holds per-node errors; scheduled crashes surface as
-	// transport.ErrCrashed and Byzantine nodes as ErrByzantine.
-	Errs []error
-	// Hub is the hub's event report.
-	Hub transport.Report
-	// Nodes holds each node's own event report, by party ID. Byzantine
-	// slots hold a zero Report: attackers do not narrate themselves.
-	Nodes []transport.Report
 }
 
 // Run executes the machines over TCP with the schedule injected:
@@ -71,7 +65,7 @@ func Run(machines []sim.Machine, s Schedule, cfg transport.Config) (*Result, err
 	if run == nil {
 		return nil, err
 	}
-	return &Result{Schedule: s, Outputs: run.Outputs, Errs: run.Errs, Hub: run.Hub, Nodes: run.Nodes}, err
+	return &Result{RunResult: *run, Schedule: s}, err
 }
 
 // Survivors returns the non-faulty nodes — everyone the schedule
@@ -120,13 +114,10 @@ func (r *Result) CheckAgreement() error {
 // Every honest node screens: with Config.NewIngress unset, through
 // validate.General.
 func (r *Result) Validation() validate.Report {
-	var total validate.Report
-	for _, rep := range r.Nodes {
-		if rep.Validation != nil {
-			total.Merge(*rep.Validation)
-		}
+	if v := transport.MergeReports(r.Nodes...).Validation; v != nil {
+		return *v
 	}
-	return total
+	return validate.Report{}
 }
 
 // TraceHash digests the deterministic portion of the execution: the

@@ -220,15 +220,19 @@ func (m *ProxcastMachine) Output() (any, bool) {
 	return Result{Value: m.singleValue, Grade: g}, true
 }
 
+// MaxProxcastPairs is the most pairs an honest ProxcastSet carries: two
+// distinct dealer-signed pairs already prove equivocation.
+const MaxProxcastPairs = 2
+
 // absorbPair adds a valid dealer-signed pair to the set, keeping at most
-// two distinct pairs.
+// MaxProxcastPairs distinct pairs.
 func (m *ProxcastMachine) absorbPair(pair ProxcastPair) {
 	for _, p := range m.set {
 		if p == pair {
 			return
 		}
 	}
-	if len(m.set) < 2 {
+	if len(m.set) < MaxProxcastPairs {
 		m.set = append(m.set, pair)
 	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -335,6 +336,33 @@ func TestMergeReports(t *testing.T) {
 	}
 }
 
+// TestReportCountPastLogCap: Count is exact past the per-kind log cap,
+// in a snapshot and summed across a merge, while Suppressed counts only
+// the events missing from Events.
+func TestReportCountPastLogCap(t *testing.T) {
+	const retries = eventLogCap + 36
+	l := newEventLog(0)
+	for i := 0; i < retries; i++ {
+		l.add(EventRetry, 0, 0, "")
+	}
+	l.add(EventDial, 0, 0, "")
+	rep := l.snapshot()
+	if rep.Count(EventRetry) != retries || rep.Count(EventDial) != 1 || rep.Count(EventFlood) != 0 {
+		t.Fatalf("counts: retry=%d dial=%d flood=%d, want %d, 1, 0",
+			rep.Count(EventRetry), rep.Count(EventDial), rep.Count(EventFlood), retries)
+	}
+	if len(rep.Events) != eventLogCap+1 || rep.Suppressed != retries-eventLogCap {
+		t.Fatalf("log holds %d events with %d suppressed, want %d and %d",
+			len(rep.Events), rep.Suppressed, eventLogCap+1, retries-eventLogCap)
+	}
+	if s := rep.Summary(); !strings.Contains(s, fmt.Sprintf("retries=%d ", retries)) {
+		t.Fatalf("summary %q misreports the retries", s)
+	}
+	if m := MergeReports(rep, rep); m.Count(EventRetry) != 2*retries || m.Suppressed != 2*rep.Suppressed {
+		t.Fatalf("merged: retry=%d suppressed=%d", m.Count(EventRetry), m.Suppressed)
+	}
+}
+
 // TestMuxDupInstance: registering the same live instance twice fails on
 // both ends.
 func TestMuxDupInstance(t *testing.T) {
@@ -468,7 +496,7 @@ func TestMuxFloodLogBounded(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		rep := hub.Report()
-		seen := rep.Suppressed + rep.Count(EventFlood) + rep.Count(EventStale)
+		seen := rep.Count(EventFlood) + rep.Count(EventStale)
 		if len(rep.Events) > 2*eventLogCap+1 {
 			t.Fatalf("hub log grew to %d entries", len(rep.Events))
 		}

@@ -155,17 +155,18 @@ type Report struct {
 	// Validation is the node's ingress-screening report (node reports
 	// only; nil on hub reports).
 	Validation *validate.Report
+
+	// counts holds how many events of each kind fired, logged or not.
+	counts [numEventKinds]int
 }
 
-// Count returns how many events of the given kind were recorded.
+// Count returns how many events of the given kind fired, including
+// those suppressed past the log cap.
 func (r Report) Count(kind EventKind) int {
-	n := 0
-	for _, e := range r.Events {
-		if e.Kind == kind {
-			n++
-		}
+	if kind < 0 || kind >= numEventKinds {
+		return 0
 	}
-	return n
+	return r.counts[kind]
 }
 
 // Deaths returns how many nodes the hub declared dead.
@@ -228,9 +229,9 @@ func (r Report) WriteLog(w io.Writer) error {
 
 // MergeReports folds several execution reports into one: events and
 // round latencies concatenate in argument order, a node dead in any
-// report is dead in the merge, and suppressed counts and validation
-// reports accumulate. It collapses the hub's, the instances' and the
-// nodes' reports into one view of an execution or a service.
+// report is dead in the merge, and event counts, suppressed counts and
+// validation reports accumulate. It collapses the hub's, the instances'
+// and the nodes' reports into one view of an execution or a service.
 func MergeReports(reps ...Report) Report {
 	var out Report
 	var val *validate.Report
@@ -244,6 +245,9 @@ func MergeReports(reps ...Report) Report {
 		}
 		out.RoundLatency = append(out.RoundLatency, r.RoundLatency...)
 		out.Suppressed += r.Suppressed
+		for k, c := range r.counts {
+			out.counts[k] += c
+		}
 		if r.Validation != nil {
 			if val == nil {
 				val = &validate.Report{}
@@ -261,7 +265,7 @@ type eventLog struct {
 	events     []Event
 	dead       []bool
 	latency    []time.Duration
-	recorded   [numEventKinds]int // entries per kind, up to eventLogCap
+	counts     [numEventKinds]int // events per kind; the first eventLogCap are logged
 	suppressed int
 }
 
@@ -275,14 +279,13 @@ func newEventLog(n int) *eventLog {
 	return l
 }
 
-// record appends one event, or only counts it once its kind holds
+// record counts one event and appends it, unless its kind already holds
 // eventLogCap entries. The caller holds l.mu.
 func (l *eventLog) record(e Event) {
-	if l.recorded[e.Kind] == eventLogCap {
+	if l.counts[e.Kind]++; l.counts[e.Kind] > eventLogCap {
 		l.suppressed++
 		return
 	}
-	l.recorded[e.Kind]++
 	l.events = append(l.events, e)
 }
 
@@ -339,5 +342,6 @@ func (l *eventLog) snapshot() Report {
 		Dead:         append([]bool(nil), l.dead...),
 		RoundLatency: append([]time.Duration(nil), l.latency...),
 		Suppressed:   l.suppressed,
+		counts:       l.counts,
 	}
 }

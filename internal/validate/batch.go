@@ -15,6 +15,7 @@ import (
 	"proxcensus/internal/coin"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
+	"proxcensus/internal/wire"
 )
 
 // Inbound is one decoded ingress message handed to AdmitBatch: the
@@ -29,7 +30,8 @@ import (
 type Inbound struct {
 	// From is the claimed sender address.
 	From int
-	// Raw is the payload's wire encoding; it may alias a frame.
+	// Raw is the payload's wire encoding; it may alias a frame. Its tag
+	// byte is the class the screen judges the payload as.
 	Raw []byte
 	// Payload is the decoded payload, nil when decoding failed.
 	Payload sim.Payload
@@ -53,7 +55,7 @@ const msgCacheCap = 1024
 // sigKey identifies one signed message: every share of a given class
 // over the same values verifies against the same bytes.
 type sigKey struct {
-	class Class
+	class wire.Class
 	a, b  int
 }
 
@@ -104,15 +106,15 @@ func (v *Validator) sigMessage(key sigKey) []byte {
 	}
 	var m []byte
 	switch key.class {
-	case ClassLinearVote:
+	case wire.ClassLinearVote:
 		m = proxcensus.LinearSigmaMessage(key.a)
-	case ClassLinearOmegaShare:
+	case wire.ClassLinearOmegaShare:
 		m = proxcensus.LinearOmegaMessage(key.a)
-	case ClassQuadVote:
+	case wire.ClassQuadVote:
 		m = proxcensus.QuadMessage(key.a, 1)
-	case ClassQuadOmegaShare:
+	case wire.ClassQuadOmegaShare:
 		m = proxcensus.QuadMessage(key.a, key.b)
-	case ClassCoinShare:
+	case wire.ClassCoinShare:
 		m = coin.InstanceMessage(v.rules.CoinDomain, key.a)
 	}
 	if len(v.msgCache) < msgCacheCap {

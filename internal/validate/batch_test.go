@@ -198,7 +198,7 @@ func buildAdversarialBatch(t testing.TB, rng *rand.Rand, setup *ba.Setup, sigma1
 			inst := (round - 1) / 3
 			p = coin.SharePayload{
 				K:     inst,
-				Share: threshsig.SignShare(setup.CoinSKs[signer], coin.InstanceMessage("half-n2", inst)),
+				Share: threshsig.SignShare(setup.CoinSKs[signer], coin.InstanceMessage(ba.HalfCoinDomain, inst)),
 			}
 		case 6: // domain violation
 			p = proxcensus.LinearVote{V: 7, Share: signedVote(setup, signer, 1).Share}

@@ -14,7 +14,16 @@ import (
 
 	"proxcensus/internal/ba"
 	"proxcensus/internal/proxcensus"
+	"proxcensus/internal/wire"
 )
+
+// taggedRaw stands in for a payload's encoding: the class's tag byte,
+// which the screen reads the class from, then filler that keeps
+// distinct messages' digests distinct. A payload over
+// ba.MaxPayloadBytes has no encoding, so the hard-cap test needs one.
+func taggedRaw(c wire.Class, filler string) []byte {
+	return append([]byte{byte(c)}, filler...)
+}
 
 func payloadOf(t testing.TB, from int, data []byte) Inbound {
 	t.Helper()
@@ -23,13 +32,13 @@ func payloadOf(t testing.TB, from int, data []byte) Inbound {
 
 func TestPayloadSizeCap(t *testing.T) {
 	v := New(ForPayloadService(4, 100))
-	if !admitOne(v, 1, Inbound{From: 0, Raw: []byte("raw-a"), Payload: ba.TCPayload{Data: bytes.Repeat([]byte{1}, 100)}}) {
+	if !admitOne(v, 1, Inbound{From: 0, Raw: taggedRaw(wire.ClassTCPayload, "raw-a"), Payload: ba.TCPayload{Data: bytes.Repeat([]byte{1}, 100)}}) {
 		t.Error("payload at the service cap rejected")
 	}
-	if admitOne(v, 1, Inbound{From: 1, Raw: []byte("raw-b"), Payload: ba.TCPayload{Data: bytes.Repeat([]byte{1}, 101)}}) {
+	if admitOne(v, 1, Inbound{From: 1, Raw: taggedRaw(wire.ClassTCPayload, "raw-b"), Payload: ba.TCPayload{Data: bytes.Repeat([]byte{1}, 101)}}) {
 		t.Error("payload over the service cap admitted")
 	}
-	if admitOne(v, 1, Inbound{From: 2, Raw: []byte("raw-c"), Payload: ba.TCPayloadEcho{Data: bytes.Repeat([]byte{1}, 101), Valid: true}}) {
+	if admitOne(v, 1, Inbound{From: 2, Raw: taggedRaw(wire.ClassTCPayloadEcho, "raw-c"), Payload: ba.TCPayloadEcho{Data: bytes.Repeat([]byte{1}, 101), Valid: true}}) {
 		t.Error("payload echo over the service cap admitted")
 	}
 	if got := v.Report().Rejections(RejectDomain); got != 2 {
@@ -43,11 +52,11 @@ func TestPayloadHardCap(t *testing.T) {
 	// decoder bug let it through) is still a domain violation.
 	v := New(General(4))
 	over := ba.TCPayload{Data: make([]byte, ba.MaxPayloadBytes+1)}
-	if admitOne(v, 1, Inbound{From: 0, Raw: []byte("raw"), Payload: over}) {
+	if admitOne(v, 1, Inbound{From: 0, Raw: taggedRaw(wire.ClassTCPayload, "raw"), Payload: over}) {
 		t.Error("payload over the hard wire cap admitted under General rules")
 	}
 	at := ba.TCPayload{Data: make([]byte, ba.MaxPayloadBytes)}
-	if !admitOne(v, 1, Inbound{From: 1, Raw: []byte("raw2"), Payload: at}) {
+	if !admitOne(v, 1, Inbound{From: 1, Raw: taggedRaw(wire.ClassTCPayload, "raw2"), Payload: at}) {
 		t.Error("payload at the hard wire cap rejected under General rules")
 	}
 }
@@ -57,16 +66,16 @@ func TestPayloadDuplicateAndEquivocation(t *testing.T) {
 	a := bytes.Repeat([]byte{0xaa}, 2048)
 	b := bytes.Repeat([]byte{0xbb}, 2048)
 
-	if !admitOne(v, 1, Inbound{From: 0, Raw: []byte("raw-a"), Payload: ba.TCPayload{Data: a}}) {
+	if !admitOne(v, 1, Inbound{From: 0, Raw: taggedRaw(wire.ClassTCPayload, "raw-a"), Payload: ba.TCPayload{Data: a}}) {
 		t.Fatal("first payload rejected")
 	}
 	// Byte-identical resend: duplicate, not equivocation.
-	if admitOne(v, 1, Inbound{From: 0, Raw: []byte("raw-a"), Payload: ba.TCPayload{Data: a}}) {
+	if admitOne(v, 1, Inbound{From: 0, Raw: taggedRaw(wire.ClassTCPayload, "raw-a"), Payload: ba.TCPayload{Data: a}}) {
 		t.Error("duplicate payload admitted")
 	}
 	// Different content, same sender, same round: payload equivocation,
 	// with evidence keyed on the content hash, not the content.
-	if admitOne(v, 1, Inbound{From: 0, Raw: []byte("raw-b"), Payload: ba.TCPayload{Data: b}}) {
+	if admitOne(v, 1, Inbound{From: 0, Raw: taggedRaw(wire.ClassTCPayload, "raw-b"), Payload: ba.TCPayload{Data: b}}) {
 		t.Error("equivocating payload admitted")
 	}
 	rep := v.Report()
@@ -78,7 +87,7 @@ func TestPayloadDuplicateAndEquivocation(t *testing.T) {
 		t.Fatalf("evidence entries = %d, want 1", len(rep.Evidence))
 	}
 	ev := rep.Evidence[0]
-	if ev.Class != ClassTCPayload || ev.From != 0 {
+	if ev.Class != wire.ClassTCPayload || ev.From != 0 {
 		t.Errorf("evidence = %+v, want class tc-payload from 0", ev)
 	}
 	if !strings.Contains(ev.First, "len=2048") || !strings.Contains(ev.First, "sha=") {

@@ -19,7 +19,9 @@ import (
 // per-sender slots: every (sender, digest) pair of the round in one
 // set, every single-instance stream in one map, both cleared at each
 // round boundary. It screens message by message and checks each
-// signature through the screen's own signatureOK.
+// signature through the screen's own signatureOK. It classifies a
+// message by its payload's Go type where the screen reads the wire tag,
+// so the differential also holds the tag to the type it encodes.
 type refScreen struct {
 	rules Rules
 	sigs  *Validator
@@ -68,8 +70,8 @@ func (r *refScreen) checkPre(round int, m Inbound) (Reason, bool) {
 	if m.Err != nil || m.Payload == nil {
 		return RejectMalformed, false
 	}
-	class := ClassOf(m.Payload)
-	if class == ClassUnknown {
+	class := refClassOf(m.Payload)
+	if class == wire.ClassUnknown {
 		return RejectMalformed, false
 	}
 	if allowed := r.rules.allowedAt(round); allowed != nil && !allowed.Has(class) {
@@ -97,6 +99,48 @@ func (r *refScreen) checkPre(round int, m Inbound) (Reason, bool) {
 		r.first[key] = m.Payload
 	}
 	return 0, true
+}
+
+// refClassOf maps a decoded payload to its class by Go type.
+func refClassOf(p sim.Payload) wire.Class {
+	switch p.(type) {
+	case proxcensus.EchoPayload:
+		return wire.ClassEcho
+	case proxcensus.LinearVote:
+		return wire.ClassLinearVote
+	case proxcensus.LinearOmegaShare:
+		return wire.ClassLinearOmegaShare
+	case proxcensus.LinearSigma:
+		return wire.ClassLinearSigma
+	case proxcensus.LinearOmega:
+		return wire.ClassLinearOmega
+	case proxcensus.LinearSigmaCert:
+		return wire.ClassLinearSigmaCert
+	case proxcensus.LinearOmegaCert:
+		return wire.ClassLinearOmegaCert
+	case proxcensus.QuadVote:
+		return wire.ClassQuadVote
+	case proxcensus.QuadOmegaShare:
+		return wire.ClassQuadOmegaShare
+	case proxcensus.QuadSig:
+		return wire.ClassQuadSig
+	case proxcensus.ProxcastSet:
+		return wire.ClassProxcastSet
+	case coin.SharePayload:
+		return wire.ClassCoinShare
+	case ba.TCValue:
+		return wire.ClassTCValue
+	case ba.TCEcho:
+		return wire.ClassTCEcho
+	case ba.TCCandidate:
+		return wire.ClassTCCandidate
+	case ba.TCPayload:
+		return wire.ClassTCPayload
+	case ba.TCPayloadEcho:
+		return wire.ClassTCPayloadEcho
+	default:
+		return wire.ClassUnknown
+	}
 }
 
 // admitFuzzN is the party count of the differential screen; senders are
@@ -130,7 +174,7 @@ func (k *admitFuzzKit) rules(sel byte) Rules {
 	case 1:
 		r := General(admitFuzzN)
 		r.MaxValue = 2
-		r.ProxPK, r.CoinPK, r.CoinDomain = k.setup.ProxPK, k.setup.CoinPK, "half-n2"
+		r.ProxPK, r.CoinPK, r.CoinDomain = k.setup.ProxPK, k.setup.CoinPK, ba.HalfCoinDomain
 		return r
 	default:
 		return ForPayloadService(admitFuzzN, 2)
@@ -170,7 +214,7 @@ func (k *admitFuzzKit) payload(from int, c, v, s byte) sim.Payload {
 	case 4:
 		return proxcensus.QuadOmegaShare{V: val % 2, J: val / 2, Share: sign(prox, proxcensus.QuadMessage(val%2, val/2))}
 	case 5:
-		return coin.SharePayload{K: val % 2, Share: sign(k.setup.CoinSKs, coin.InstanceMessage("half-n2", val%2))}
+		return coin.SharePayload{K: val % 2, Share: sign(k.setup.CoinSKs, coin.InstanceMessage(ba.HalfCoinDomain, val%2))}
 	case 6:
 		return ba.TCValue{V: val}
 	case 7:

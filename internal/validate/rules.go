@@ -7,41 +7,38 @@ import (
 	"proxcensus/internal/crypto/threshsig"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
+	"proxcensus/internal/wire"
 )
 
 // AllowNone is a ClassSet admitting no decodable payload class: it
-// carries only the ClassUnknown bit, which no decoded payload maps to
-// (undecodable traffic is rejected as malformed before the type
-// check). Use it for rounds where honest parties send nothing, e.g.
-// the ideal-coin round.
-const AllowNone ClassSet = 1 << uint(ClassUnknown)
+// carries only the wire.ClassUnknown bit, which no decoded payload's
+// tag carries (undecodable traffic is rejected as malformed before the
+// type check). Use it for rounds where honest parties send nothing,
+// e.g. the ideal-coin round.
+const AllowNone ClassSet = 1 << uint(wire.ClassUnknown)
 
-// Rules parameterizes a Validator for one protocol execution. The zero
-// value of each field means "don't check": nil phase table admits any
-// class, MaxValue 0 leaves values unbounded, nil keys skip signature
-// verification. Constructors below build the tables for the repo's
-// protocol families.
+// Rules parameterizes a Validator for one protocol execution. It is
+// plain data. The zero value of each field means "don't check": nil
+// phase table admits any class, MaxValue 0 leaves values unbounded, nil
+// keys skip signature verification. Constructors below build the
+// tables for the repo's protocol families.
 type Rules struct {
 	// N is the party count; senders outside [0, N) are rejected.
 	N int
 
 	// Period is the protocol's iteration length in rounds; Phase is
-	// indexed by (round-1) % Period. A zero Period or an all-zero Phase
-	// entry admits every class for the affected rounds.
+	// indexed by the local round (round-1) % Period. A zero Period or an
+	// all-zero Phase entry admits every class for the affected rounds.
+	// A positive Period also fixes two domains: an echo's grade is
+	// capped at the most an expand Proxcensus reports in its local round,
+	// and a coin share must be for instance (round-1) / Period, the
+	// iteration the round belongs to.
 	Period int
 	Phase  []ClassSet
 
 	// MaxValue, when positive, bounds protocol values (echo Z, vote V,
 	// proxcast Z, TC values) to [0, MaxValue].
 	MaxValue int
-
-	// GradeFor, when set, returns the maximum legal echo grade for a
-	// round; echoes above it are domain violations.
-	GradeFor func(round int) int
-
-	// MaxPairs, when positive, bounds ProxcastSet sizes (the protocol
-	// caps honest sets at two pairs).
-	MaxPairs int
 
 	// MaxPayloadBytes, when positive, bounds multivalued payload sizes
 	// (TCPayload/TCPayloadEcho Data) below the hard ba.MaxPayloadBytes
@@ -53,13 +50,10 @@ type Rules struct {
 	// and certificates at admission.
 	ProxPK *threshsig.PublicKey
 
-	// CoinPK, CoinDomain and CoinInstanceFor verify coin shares: the
-	// share must be the sender's own, verify for the domain's instance
-	// message, and (when CoinInstanceFor is set) carry the instance
-	// expected for the round.
-	CoinPK          *threshsig.PublicKey
-	CoinDomain      string
-	CoinInstanceFor func(round int) int
+	// CoinPK and CoinDomain verify coin shares: the share must be the
+	// sender's own and verify for the domain's instance message.
+	CoinPK     *threshsig.PublicKey
+	CoinDomain string
 
 	// DealerPK verifies the dealer signatures inside ProxcastSet pairs.
 	DealerPK *sig.PublicKey
@@ -79,24 +73,24 @@ func (r Rules) withDefaults() Rules {
 func General(n int) Rules { return Rules{N: n} }
 
 // ForExpand returns rules for the standalone r-round expand Proxcensus
-// (Prox_{2^r+1}): echoes only, with the round-k grade capped at the
-// maximum grade of the Prox_{2^{k-1}+1} the echo reports.
+// (Prox_{2^r+1}): echoes only. Its Period caps the round-k grade at
+// the maximum grade of the Prox_{2^{k-1}+1} the echo reports.
 func ForExpand(n, rounds, maxValue int) Rules {
 	phase := make([]ClassSet, rounds)
 	for i := range phase {
-		phase[i] = Classes(ClassEcho)
+		phase[i] = Classes(wire.ClassEcho)
 	}
 	return Rules{
 		N:        n,
 		Period:   rounds,
 		Phase:    phase,
 		MaxValue: maxValue,
-		GradeFor: expandGradeBound,
 	}
 }
 
-// expandGradeBound caps the grade an honest party can report in expand
-// round k: its pair comes from the previous round's Prox_{2^{k-1}+1}.
+// expandGradeBound caps the grade an honest party can report in local
+// expand round k: its pair comes from the previous round's
+// Prox_{2^{k-1}+1}.
 func expandGradeBound(round int) int {
 	if round < 1 {
 		return 0
@@ -110,22 +104,20 @@ func expandGradeBound(round int) int {
 func ForOneShot(n, kappa, maxValue int, coinPK *threshsig.PublicKey) Rules {
 	phase := make([]ClassSet, kappa+1)
 	for i := 0; i < kappa; i++ {
-		phase[i] = Classes(ClassEcho)
+		phase[i] = Classes(wire.ClassEcho)
 	}
 	phase[kappa] = AllowNone
 	if coinPK != nil {
-		phase[kappa] = Classes(ClassCoinShare)
+		phase[kappa] = Classes(wire.ClassCoinShare)
 	}
 	return Rules{
-		N:        n,
-		Period:   kappa + 1,
-		Phase:    phase,
-		MaxValue: maxValue,
-		GradeFor: expandGradeBound,
-		CoinPK:   coinPK,
-		// The one-shot protocol flips a single coin: instance 0.
-		CoinDomain:      "oneshot",
-		CoinInstanceFor: func(int) int { return 0 },
+		N: n,
+		// One iteration, so the coin round expects instance 0.
+		Period:     kappa + 1,
+		Phase:      phase,
+		MaxValue:   maxValue,
+		CoinPK:     coinPK,
+		CoinDomain: ba.OneShotCoinDomain,
 	}
 }
 
@@ -139,30 +131,29 @@ func ForHalf(n int, coinPK *threshsig.PublicKey, proxPK *threshsig.PublicKey) Ru
 		N:      n,
 		Period: 3,
 		Phase: []ClassSet{
-			Classes(ClassLinearVote),
-			Classes(ClassLinearSigma, ClassLinearOmegaShare),
-			Classes(ClassLinearSigma, ClassLinearOmega, ClassCoinShare),
+			Classes(wire.ClassLinearVote),
+			Classes(wire.ClassLinearSigma, wire.ClassLinearOmegaShare),
+			Classes(wire.ClassLinearSigma, wire.ClassLinearOmega, wire.ClassCoinShare),
 		},
-		MaxValue:        1,
-		ProxPK:          proxPK,
-		CoinPK:          coinPK,
-		CoinDomain:      "half-n2",
-		CoinInstanceFor: func(round int) int { return (round - 1) / 3 },
+		MaxValue:   1,
+		ProxPK:     proxPK,
+		CoinPK:     coinPK,
+		CoinDomain: ba.HalfCoinDomain,
 	}
 }
 
 // ForProxcast returns rules for the s-slot Proxcast of Appendix A:
-// dealer-signed pair sets, at most two pairs, every round.
+// dealer-signed pair sets every round. The pair cap holds under every
+// rule set.
 func ForProxcast(n, rounds int, dealerPK *sig.PublicKey) Rules {
 	phase := make([]ClassSet, rounds)
 	for i := range phase {
-		phase[i] = Classes(ClassProxcastSet)
+		phase[i] = Classes(wire.ClassProxcastSet)
 	}
 	return Rules{
 		N:        n,
 		Period:   rounds,
 		Phase:    phase,
-		MaxPairs: 2,
 		DealerPK: dealerPK,
 	}
 }
@@ -207,7 +198,7 @@ func (r Rules) inDomain(round int, p sim.Payload) bool {
 		if v.H < 0 {
 			return false
 		}
-		if r.GradeFor != nil && v.H > r.GradeFor(round) {
+		if r.Period > 0 && v.H > expandGradeBound((round-1)%r.Period+1) {
 			return false
 		}
 		return r.valueOK(v.Z)
@@ -230,7 +221,7 @@ func (r Rules) inDomain(round int, p sim.Payload) bool {
 	case proxcensus.QuadSig:
 		return r.valueOK(v.V) && v.J >= 0
 	case proxcensus.ProxcastSet:
-		if r.MaxPairs > 0 && len(v.Pairs) > r.MaxPairs {
+		if len(v.Pairs) > proxcensus.MaxProxcastPairs {
 			return false
 		}
 		for _, pair := range v.Pairs {
@@ -240,13 +231,7 @@ func (r Rules) inDomain(round int, p sim.Payload) bool {
 		}
 		return true
 	case coin.SharePayload:
-		if v.K < 0 {
-			return false
-		}
-		if r.CoinInstanceFor != nil && v.K != r.CoinInstanceFor(round) {
-			return false
-		}
-		return true
+		return v.K >= 0 && (r.Period <= 0 || v.K == (round-1)/r.Period)
 	case ba.TCValue:
 		return r.valueOK(v.V)
 	case ba.TCEcho:
@@ -270,9 +255,9 @@ func (v *Validator) signatureOK(from int, p sim.Payload) bool {
 	r := &v.rules
 	switch pv := p.(type) {
 	case proxcensus.LinearVote:
-		return v.shareOK(r.ProxPK, sigKey{class: ClassLinearVote, a: pv.V}, from, pv.Share)
+		return v.shareOK(r.ProxPK, sigKey{class: wire.ClassLinearVote, a: pv.V}, from, pv.Share)
 	case proxcensus.LinearOmegaShare:
-		return v.shareOK(r.ProxPK, sigKey{class: ClassLinearOmegaShare, a: pv.V}, from, pv.Share)
+		return v.shareOK(r.ProxPK, sigKey{class: wire.ClassLinearOmegaShare, a: pv.V}, from, pv.Share)
 	case proxcensus.LinearSigma:
 		return r.ProxPK == nil ||
 			threshsig.Ver(r.ProxPK, proxcensus.LinearSigmaMessage(pv.V), pv.Sig)
@@ -286,9 +271,9 @@ func (v *Validator) signatureOK(from int, p sim.Payload) bool {
 		return r.ProxPK == nil ||
 			certValid(r.ProxPK, proxcensus.LinearOmegaMessage(pv.V), pv.Shares)
 	case proxcensus.QuadVote:
-		return v.shareOK(r.ProxPK, sigKey{class: ClassQuadVote, a: pv.V}, from, pv.Share)
+		return v.shareOK(r.ProxPK, sigKey{class: wire.ClassQuadVote, a: pv.V}, from, pv.Share)
 	case proxcensus.QuadOmegaShare:
-		return v.shareOK(r.ProxPK, sigKey{class: ClassQuadOmegaShare, a: pv.V, b: pv.J}, from, pv.Share)
+		return v.shareOK(r.ProxPK, sigKey{class: wire.ClassQuadOmegaShare, a: pv.V, b: pv.J}, from, pv.Share)
 	case proxcensus.QuadSig:
 		return r.ProxPK == nil ||
 			threshsig.Ver(r.ProxPK, proxcensus.QuadMessage(pv.V, pv.J), pv.Sig)
@@ -303,7 +288,7 @@ func (v *Validator) signatureOK(from int, p sim.Payload) bool {
 		}
 		return true
 	case coin.SharePayload:
-		return v.shareOK(r.CoinPK, sigKey{class: ClassCoinShare, a: pv.K}, from, pv.Share)
+		return v.shareOK(r.CoinPK, sigKey{class: wire.ClassCoinShare, a: pv.K}, from, pv.Share)
 	case ba.TCCandidate:
 		return r.ProxPK == nil ||
 			threshsig.Ver(r.ProxPK, proxcensus.LinearOmegaMessage(pv.V), pv.Omega)

@@ -35,125 +35,14 @@ import (
 	"proxcensus/internal/crypto/threshsig"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
+	"proxcensus/internal/wire"
 )
 
-// Class identifies a payload family on the wire. It mirrors the wire
-// codec's type-tag registry at the granularity phase rules care about.
-type Class int
-
-// Payload classes, in wire-tag order.
-const (
-	ClassUnknown Class = iota
-	ClassEcho
-	ClassLinearVote
-	ClassLinearOmegaShare
-	ClassLinearSigma
-	ClassLinearOmega
-	ClassLinearSigmaCert
-	ClassLinearOmegaCert
-	ClassQuadVote
-	ClassQuadOmegaShare
-	ClassQuadSig
-	ClassProxcastSet
-	ClassCoinShare
-	ClassTCValue
-	ClassTCEcho
-	ClassTCCandidate
-	ClassTCPayload
-	ClassTCPayloadEcho
-
-	numClasses
-)
-
-// String implements fmt.Stringer.
-func (c Class) String() string {
-	switch c {
-	case ClassEcho:
-		return "echo"
-	case ClassLinearVote:
-		return "linear-vote"
-	case ClassLinearOmegaShare:
-		return "linear-omega-share"
-	case ClassLinearSigma:
-		return "linear-sigma"
-	case ClassLinearOmega:
-		return "linear-omega"
-	case ClassLinearSigmaCert:
-		return "linear-sigma-cert"
-	case ClassLinearOmegaCert:
-		return "linear-omega-cert"
-	case ClassQuadVote:
-		return "quad-vote"
-	case ClassQuadOmegaShare:
-		return "quad-omega-share"
-	case ClassQuadSig:
-		return "quad-sig"
-	case ClassProxcastSet:
-		return "proxcast-set"
-	case ClassCoinShare:
-		return "coin-share"
-	case ClassTCValue:
-		return "tc-value"
-	case ClassTCEcho:
-		return "tc-echo"
-	case ClassTCCandidate:
-		return "tc-candidate"
-	case ClassTCPayload:
-		return "tc-payload"
-	case ClassTCPayloadEcho:
-		return "tc-payload-echo"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
-
-// ClassOf maps a decoded payload to its class.
-func ClassOf(p sim.Payload) Class {
-	switch p.(type) {
-	case proxcensus.EchoPayload:
-		return ClassEcho
-	case proxcensus.LinearVote:
-		return ClassLinearVote
-	case proxcensus.LinearOmegaShare:
-		return ClassLinearOmegaShare
-	case proxcensus.LinearSigma:
-		return ClassLinearSigma
-	case proxcensus.LinearOmega:
-		return ClassLinearOmega
-	case proxcensus.LinearSigmaCert:
-		return ClassLinearSigmaCert
-	case proxcensus.LinearOmegaCert:
-		return ClassLinearOmegaCert
-	case proxcensus.QuadVote:
-		return ClassQuadVote
-	case proxcensus.QuadOmegaShare:
-		return ClassQuadOmegaShare
-	case proxcensus.QuadSig:
-		return ClassQuadSig
-	case proxcensus.ProxcastSet:
-		return ClassProxcastSet
-	case coin.SharePayload:
-		return ClassCoinShare
-	case ba.TCValue:
-		return ClassTCValue
-	case ba.TCEcho:
-		return ClassTCEcho
-	case ba.TCCandidate:
-		return ClassTCCandidate
-	case ba.TCPayload:
-		return ClassTCPayload
-	case ba.TCPayloadEcho:
-		return ClassTCPayloadEcho
-	default:
-		return ClassUnknown
-	}
-}
-
-// ClassSet is a bitmask of allowed classes for one protocol phase.
+// ClassSet is a bitmask of allowed wire classes for one protocol phase.
 type ClassSet uint32
 
 // Classes builds a set.
-func Classes(cs ...Class) ClassSet {
+func Classes(cs ...wire.Class) ClassSet {
 	var s ClassSet
 	for _, c := range cs {
 		s |= 1 << uint(c)
@@ -162,7 +51,7 @@ func Classes(cs ...Class) ClassSet {
 }
 
 // Has reports membership.
-func (s ClassSet) Has(c Class) bool { return s&(1<<uint(c)) != 0 }
+func (s ClassSet) Has(c wire.Class) bool { return s&(1<<uint(c)) != 0 }
 
 // Reason classifies one rejection.
 type Reason int
@@ -217,7 +106,7 @@ type Evidence struct {
 	// From is the equivocating sender, Round the round it struck.
 	From, Round int
 	// Class is the payload class both conflicting payloads share.
-	Class Class
+	Class wire.Class
 	// First and Second render the conflicting payloads.
 	First, Second string
 }
@@ -294,11 +183,11 @@ func (r Report) Summary() string {
 // payload of the class per sender per round, making any conflicting
 // pair an equivocation. Multi-instance classes (Σ/Ω forwards, which
 // may legally cover several values in one round) are exempt.
-func singleInstance(c Class) bool {
+func singleInstance(c wire.Class) bool {
 	switch c {
-	case ClassEcho, ClassLinearVote, ClassLinearOmegaShare,
-		ClassQuadVote, ClassProxcastSet, ClassCoinShare,
-		ClassTCValue, ClassTCEcho, ClassTCPayload, ClassTCPayloadEcho:
+	case wire.ClassEcho, wire.ClassLinearVote, wire.ClassLinearOmegaShare,
+		wire.ClassQuadVote, wire.ClassProxcastSet, wire.ClassCoinShare,
+		wire.ClassTCValue, wire.ClassTCEcho, wire.ClassTCPayload, wire.ClassTCPayloadEcho:
 		return true
 	default:
 		return false
@@ -321,7 +210,7 @@ func subKey(p sim.Payload) int {
 // uniKey identifies one single-instance stream.
 type uniKey struct {
 	from  int
-	class Class
+	class wire.Class
 	sub   int
 }
 
@@ -336,7 +225,7 @@ type uniKey struct {
 // slot stamped for an earlier round is never consulted, and the
 // sender's first message of a new round overwrites it.
 type firstSeen struct {
-	class   Class // ClassUnknown: no stream opened yet
+	class   wire.Class // wire.ClassUnknown: no stream opened yet
 	sub     int
 	payload sim.Payload
 }
@@ -418,8 +307,10 @@ func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeE
 	if decodeErr != nil || p == nil {
 		return RejectMalformed, false
 	}
-	class := ClassOf(p)
-	if class == ClassUnknown {
+	// The class is the tag the decoder has just read. Raw comes from the
+	// caller, so it is read with a bounds and registry check.
+	class := wire.EncodedClass(raw)
+	if class == wire.ClassUnknown {
 		return RejectMalformed, false
 	}
 	if allowed := v.rules.allowedAt(round); allowed != nil && !allowed.Has(class) {
@@ -484,8 +375,8 @@ func (v *Validator) duplicate(s *senderRound, from int, digest [sha256.Size]byte
 // one round (quad Ω shares for several levels, or a flood) goes to the
 // first spill. s must already be stamped for the round (duplicate does
 // that).
-func (v *Validator) openStream(s *senderRound, from int, class Class, sub int, p sim.Payload) (sim.Payload, bool) {
-	if s.stream.class == ClassUnknown {
+func (v *Validator) openStream(s *senderRound, from int, class wire.Class, sub int, p sim.Payload) (sim.Payload, bool) {
+	if s.stream.class == wire.ClassUnknown {
 		s.stream = firstSeen{class: class, sub: sub, payload: p}
 		return nil, false
 	}

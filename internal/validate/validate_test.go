@@ -81,7 +81,7 @@ func TestRejectTypeForPhase(t *testing.T) {
 	if admitPayload(t, v, 4, 1, proxcensus.EchoPayload{Z: 1, H: 0}) {
 		t.Fatal("echo admitted in the coin round")
 	}
-	share := coin.SharePayload{K: 0, Share: threshsig.SignShare(setup.CoinSKs[2], coin.InstanceMessage("oneshot", 0))}
+	share := coin.SharePayload{K: 0, Share: threshsig.SignShare(setup.CoinSKs[2], coin.InstanceMessage(ba.OneShotCoinDomain, 0))}
 	if !admitPayload(t, v, 4, 2, share) {
 		t.Fatal("coin share rejected in coin round")
 	}
@@ -131,7 +131,7 @@ func TestRejectWrongCoinInstance(t *testing.T) {
 	setup := testSetup(t, 4, 1)
 	v := New(ForHalf(4, setup.CoinPK, setup.ProxPK))
 	mk := func(k int) coin.SharePayload {
-		return coin.SharePayload{K: k, Share: threshsig.SignShare(setup.CoinSKs[1], coin.InstanceMessage("half-n2", k))}
+		return coin.SharePayload{K: k, Share: threshsig.SignShare(setup.CoinSKs[1], coin.InstanceMessage(ba.HalfCoinDomain, k))}
 	}
 	// Round 3 is iteration 0's coin round; instance 1 belongs to round 6.
 	if admitPayload(t, v, 3, 1, mk(1)) {
@@ -168,7 +168,7 @@ func TestRejectBadSignatures(t *testing.T) {
 		t.Fatal("forged sigma admitted")
 	}
 	// A coin share for the right instance under the wrong key.
-	badCoin := coin.SharePayload{K: 0, Share: threshsig.SignShare(setup.ProxSKs[2], coin.InstanceMessage("half-n2", 0))}
+	badCoin := coin.SharePayload{K: 0, Share: threshsig.SignShare(setup.ProxSKs[2], coin.InstanceMessage(ba.HalfCoinDomain, 0))}
 	if admitPayload(t, v, 3, 2, badCoin) {
 		t.Fatal("wrong-key coin share admitted")
 	}
@@ -201,6 +201,10 @@ func TestProxcastSignatureAndPairCap(t *testing.T) {
 	rep := v.Report()
 	if rep.Rejections(RejectSignature) != 1 || rep.Rejections(RejectDomain) != 1 {
 		t.Fatalf("report: %s", rep.Summary())
+	}
+	// The pair cap is the protocol's, not the rule set's.
+	if admitPayload(t, New(General(4)), 1, 2, three) {
+		t.Fatal("oversized pair set admitted under General rules")
 	}
 }
 
@@ -246,7 +250,7 @@ func TestEquivocationDetection(t *testing.T) {
 		t.Fatalf("evidence entries = %d, want 1", len(rep.Evidence))
 	}
 	e := rep.Evidence[0]
-	if e.From != 3 || e.Round != 2 || e.Class != ClassEcho {
+	if e.From != 3 || e.Round != 2 || e.Class != wire.ClassEcho {
 		t.Fatalf("evidence = %+v", e)
 	}
 	if !strings.Contains(e.String(), "z=0") || !strings.Contains(e.String(), "z=1") {
@@ -263,10 +267,10 @@ func TestEquivocationPerInstanceSubKeys(t *testing.T) {
 	// Permissive phase rules so both instances land in one round.
 	rules := General(4)
 	rules.CoinPK = setup.CoinPK
-	rules.CoinDomain = "half-n2"
+	rules.CoinDomain = ba.HalfCoinDomain
 	v := New(rules)
 	mk := func(k int) coin.SharePayload {
-		return coin.SharePayload{K: k, Share: threshsig.SignShare(setup.CoinSKs[1], coin.InstanceMessage("half-n2", k))}
+		return coin.SharePayload{K: k, Share: threshsig.SignShare(setup.CoinSKs[1], coin.InstanceMessage(ba.HalfCoinDomain, k))}
 	}
 	// Shares for different instances are independent streams.
 	if !admitPayload(t, v, 1, 1, mk(0)) || !admitPayload(t, v, 1, 1, mk(1)) {
@@ -318,7 +322,7 @@ func TestReportMergeAndSummary(t *testing.T) {
 	a.Rejected[RejectDomain] = 2
 	b.Admitted = 4
 	b.Rejected[RejectDuplicate] = 1
-	b.Evidence = []Evidence{{From: 1, Round: 2, Class: ClassEcho}}
+	b.Evidence = []Evidence{{From: 1, Round: 2, Class: wire.ClassEcho}}
 	a.Merge(b)
 	if a.Admitted != 7 || a.TotalRejected() != 3 || len(a.Evidence) != 1 {
 		t.Fatalf("merge: %+v", a)

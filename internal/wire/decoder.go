@@ -13,11 +13,7 @@
 
 package wire
 
-import (
-	"proxcensus/internal/ba"
-	"proxcensus/internal/proxcensus"
-	"proxcensus/internal/sim"
-)
+import "proxcensus/internal/sim"
 
 // internCap bounds the payloads a Decoder caches. Honest steady-state
 // traffic is highly repetitive — the same (signer, value) share bytes
@@ -64,7 +60,8 @@ func (d *Decoder) Decode(b []byte) (sim.Payload, error) {
 	if err != nil {
 		return nil, err
 	}
-	if internable(p) && len(d.cache) < internCap {
+	// b decoded, so it holds at least its tag byte.
+	if internable(Class(b[0])) && len(d.cache) < internCap {
 		if d.cache == nil {
 			d.cache = make(map[string]sim.Payload)
 		}
@@ -81,18 +78,17 @@ func (d *Decoder) Decode(b []byte) (sim.Payload, error) {
 // they could never hit (the lookup would hash the whole blob for
 // nothing). Every other class decodes exactly as Decode does.
 func (d *Decoder) DecodeAlias(b []byte) (sim.Payload, error) {
-	if len(b) > 0 && (b[0] == tagTCPayload || b[0] == tagTCPayloadEcho) {
+	if len(b) > 0 && (Class(b[0]) == ClassTCPayload || Class(b[0]) == ClassTCPayloadEcho) {
 		return DecodeAlias(b)
 	}
 	return d.Decode(b)
 }
 
-// internable reports whether a decoded payload may be cached and
-// handed out more than once. Slice-carrying classes are excluded.
-func internable(p sim.Payload) bool {
-	switch p.(type) {
-	case proxcensus.LinearSigmaCert, proxcensus.LinearOmegaCert, proxcensus.ProxcastSet,
-		ba.TCPayload, ba.TCPayloadEcho:
+// internable reports whether a decoded payload of class c may be cached
+// and handed out more than once. Slice-carrying classes are excluded.
+func internable(c Class) bool {
+	switch c {
+	case ClassLinearSigmaCert, ClassLinearOmegaCert, ClassProxcastSet, ClassTCPayload, ClassTCPayloadEcho:
 		return false
 	default:
 		return true

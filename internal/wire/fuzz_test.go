@@ -20,7 +20,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00})
-	f.Add([]byte{tagLinearSigmaCert, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{byte(ClassLinearSigmaCert), 0, 0, 0, 0, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)

@@ -73,11 +73,11 @@ func DecodeAlias(b []byte) (sim.Payload, error) {
 	if len(b) == 0 {
 		return nil, ErrTruncated
 	}
-	switch b[0] {
-	case tagTCPayload:
+	switch Class(b[0]) {
+	case ClassTCPayload:
 		r := reader{buf: b[1:]}
 		return finish(ba.TCPayload{Data: r.blobAlias()}, &r)
-	case tagTCPayloadEcho:
+	case ClassTCPayloadEcho:
 		r := reader{buf: b[1:]}
 		data := r.blobAlias()
 		valid := r.byte() == 1

@@ -66,7 +66,7 @@ func TestDecodePayloadHugeLength(t *testing.T) {
 	// A frame claiming 2^40 payload bytes must be rejected by the cap
 	// check before any allocation — the blob twin of the huge-share-count
 	// test.
-	b := []byte{tagTCPayload}
+	b := []byte{byte(ClassTCPayload)}
 	b = binary.BigEndian.AppendUint64(b, 1<<40)
 	if _, err := Decode(b); !errors.Is(err, ErrPayloadSize) {
 		t.Errorf("huge length claim: err = %v, want ErrPayloadSize", err)
@@ -76,7 +76,7 @@ func TestDecodePayloadHugeLength(t *testing.T) {
 	}
 	// A negative length (sign bit set) is likewise a size error, not a
 	// panic or a wraparound allocation.
-	neg := []byte{tagTCPayload}
+	neg := []byte{byte(ClassTCPayload)}
 	neg = binary.BigEndian.AppendUint64(neg, 1<<63)
 	if _, err := Decode(neg); !errors.Is(err, ErrPayloadSize) {
 		t.Errorf("negative length claim: err = %v, want ErrPayloadSize", err)
@@ -220,10 +220,10 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	huge := []byte{tagTCPayload}
+	huge := []byte{byte(ClassTCPayload)}
 	huge = binary.BigEndian.AppendUint64(huge, 1<<40)
 	f.Add(huge)
-	f.Add([]byte{tagTCPayloadEcho, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{byte(ClassTCPayloadEcho), 0, 0, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)

@@ -32,27 +32,84 @@ var (
 	ErrPayloadSize = errors.New("wire: payload exceeds size cap")
 )
 
-// Type tags. The zero value is reserved so accidental zero bytes fail
-// loudly.
+// Class is a payload class: the one-byte type tag every encoding
+// starts with. It is the repository's one enumeration of the message
+// classes the protocols speak; the ingress screen's phase tables,
+// equivocation streams and evidence records all key on it. ClassUnknown
+// is reserved, so accidental zero bytes fail loudly.
+type Class byte
+
+// Payload classes, in tag order. Adding a class means one row here, one
+// name in classNames, one arm each in AppendEncode and Decode, and one
+// rule in the ingress screen.
 const (
-	tagEcho byte = iota + 1
-	tagLinearVote
-	tagLinearOmegaShare
-	tagLinearSigma
-	tagLinearOmega
-	tagLinearSigmaCert
-	tagLinearOmegaCert
-	tagQuadVote
-	tagQuadOmegaShare
-	tagQuadSig
-	tagProxcastSet
-	tagCoinShare
-	tagTCValue
-	tagTCEcho
-	tagTCCandidate
-	tagTCPayload
-	tagTCPayloadEcho
+	ClassUnknown Class = iota
+	ClassEcho
+	ClassLinearVote
+	ClassLinearOmegaShare
+	ClassLinearSigma
+	ClassLinearOmega
+	ClassLinearSigmaCert
+	ClassLinearOmegaCert
+	ClassQuadVote
+	ClassQuadOmegaShare
+	ClassQuadSig
+	ClassProxcastSet
+	ClassCoinShare
+	ClassTCValue
+	ClassTCEcho
+	ClassTCCandidate
+	ClassTCPayload
+	ClassTCPayloadEcho
 )
+
+// classNames names each registered class; the names appear in
+// equivocation evidence and the transport's logs.
+var classNames = [...]string{
+	ClassEcho:             "echo",
+	ClassLinearVote:       "linear-vote",
+	ClassLinearOmegaShare: "linear-omega-share",
+	ClassLinearSigma:      "linear-sigma",
+	ClassLinearOmega:      "linear-omega",
+	ClassLinearSigmaCert:  "linear-sigma-cert",
+	ClassLinearOmegaCert:  "linear-omega-cert",
+	ClassQuadVote:         "quad-vote",
+	ClassQuadOmegaShare:   "quad-omega-share",
+	ClassQuadSig:          "quad-sig",
+	ClassProxcastSet:      "proxcast-set",
+	ClassCoinShare:        "coin-share",
+	ClassTCValue:          "tc-value",
+	ClassTCEcho:           "tc-echo",
+	ClassTCCandidate:      "tc-candidate",
+	ClassTCPayload:        "tc-payload",
+	ClassTCPayloadEcho:    "tc-payload-echo",
+}
+
+// String implements fmt.Stringer.
+func (c Class) String() string {
+	if c.registered() {
+		return classNames[c]
+	}
+	return fmt.Sprintf("Class(%d)", int(c))
+}
+
+// registered reports whether c is a class the codec encodes.
+func (c Class) registered() bool {
+	return c != ClassUnknown && int(c) < len(classNames)
+}
+
+// EncodedClass returns the class of an encoding: its tag byte, or
+// ClassUnknown when b is empty or its tag is unregistered. Callers pass
+// bytes from the wire, so nothing about b is assumed.
+func EncodedClass(b []byte) Class {
+	if len(b) == 0 {
+		return ClassUnknown
+	}
+	if c := Class(b[0]); c.registered() {
+		return c
+	}
+	return ClassUnknown
+}
 
 // Encode serializes a payload with its type tag into a fresh buffer.
 func Encode(p sim.Payload) ([]byte, error) {
@@ -68,54 +125,54 @@ func Encode(p sim.Payload) ([]byte, error) {
 func AppendEncode(dst []byte, p sim.Payload) ([]byte, error) {
 	switch v := p.(type) {
 	case proxcensus.EchoPayload:
-		return appendInts(append(dst, tagEcho), int64(v.Z), int64(v.H)), nil
+		return appendInts(append(dst, byte(ClassEcho)), int64(v.Z), int64(v.H)), nil
 	case proxcensus.LinearVote:
-		return appendShare(appendInts(append(dst, tagLinearVote), int64(v.V)), v.Share), nil
+		return appendShare(appendInts(append(dst, byte(ClassLinearVote)), int64(v.V)), v.Share), nil
 	case proxcensus.LinearOmegaShare:
-		return appendShare(appendInts(append(dst, tagLinearOmegaShare), int64(v.V)), v.Share), nil
+		return appendShare(appendInts(append(dst, byte(ClassLinearOmegaShare)), int64(v.V)), v.Share), nil
 	case proxcensus.LinearSigma:
-		return append(appendInts(append(dst, tagLinearSigma), int64(v.V)), v.Sig[:]...), nil
+		return append(appendInts(append(dst, byte(ClassLinearSigma)), int64(v.V)), v.Sig[:]...), nil
 	case proxcensus.LinearOmega:
-		return append(appendInts(append(dst, tagLinearOmega), int64(v.V)), v.Sig[:]...), nil
+		return append(appendInts(append(dst, byte(ClassLinearOmega)), int64(v.V)), v.Sig[:]...), nil
 	case proxcensus.LinearSigmaCert:
-		return appendShares(appendInts(append(dst, tagLinearSigmaCert), int64(v.V)), v.Shares), nil
+		return appendShares(appendInts(append(dst, byte(ClassLinearSigmaCert)), int64(v.V)), v.Shares), nil
 	case proxcensus.LinearOmegaCert:
-		return appendShares(appendInts(append(dst, tagLinearOmegaCert), int64(v.V)), v.Shares), nil
+		return appendShares(appendInts(append(dst, byte(ClassLinearOmegaCert)), int64(v.V)), v.Shares), nil
 	case proxcensus.QuadVote:
-		return appendShare(appendInts(append(dst, tagQuadVote), int64(v.V)), v.Share), nil
+		return appendShare(appendInts(append(dst, byte(ClassQuadVote)), int64(v.V)), v.Share), nil
 	case proxcensus.QuadOmegaShare:
-		return appendShare(appendInts(append(dst, tagQuadOmegaShare), int64(v.V), int64(v.J)), v.Share), nil
+		return appendShare(appendInts(append(dst, byte(ClassQuadOmegaShare)), int64(v.V), int64(v.J)), v.Share), nil
 	case proxcensus.QuadSig:
-		return append(appendInts(append(dst, tagQuadSig), int64(v.V), int64(v.J)), v.Sig[:]...), nil
+		return append(appendInts(append(dst, byte(ClassQuadSig)), int64(v.V), int64(v.J)), v.Sig[:]...), nil
 	case proxcensus.ProxcastSet:
-		out := appendInts(append(dst, tagProxcastSet), int64(len(v.Pairs)))
+		out := appendInts(append(dst, byte(ClassProxcastSet)), int64(len(v.Pairs)))
 		for _, pair := range v.Pairs {
 			out = appendInts(out, int64(pair.Z))
 			out = append(out, pair.Sig[:]...)
 		}
 		return out, nil
 	case coin.SharePayload:
-		return appendShare(appendInts(append(dst, tagCoinShare), int64(v.K)), v.Share), nil
+		return appendShare(appendInts(append(dst, byte(ClassCoinShare)), int64(v.K)), v.Share), nil
 	case ba.TCValue:
-		return appendInts(append(dst, tagTCValue), int64(v.V)), nil
+		return appendInts(append(dst, byte(ClassTCValue)), int64(v.V)), nil
 	case ba.TCEcho:
-		b := appendInts(append(dst, tagTCEcho), int64(v.V))
+		b := appendInts(append(dst, byte(ClassTCEcho)), int64(v.V))
 		if v.Valid {
 			return append(b, 1), nil
 		}
 		return append(b, 0), nil
 	case ba.TCCandidate:
-		return append(appendInts(append(dst, tagTCCandidate), int64(v.V)), v.Omega[:]...), nil
+		return append(appendInts(append(dst, byte(ClassTCCandidate)), int64(v.V)), v.Omega[:]...), nil
 	case ba.TCPayload:
 		if len(v.Data) > ba.MaxPayloadBytes {
 			return nil, fmt.Errorf("%w: %d payload bytes", ErrPayloadSize, len(v.Data))
 		}
-		return appendBlob(append(dst, tagTCPayload), v.Data), nil
+		return appendBlob(append(dst, byte(ClassTCPayload)), v.Data), nil
 	case ba.TCPayloadEcho:
 		if len(v.Data) > ba.MaxPayloadBytes {
 			return nil, fmt.Errorf("%w: %d payload bytes", ErrPayloadSize, len(v.Data))
 		}
-		b := appendBlob(append(dst, tagTCPayloadEcho), v.Data)
+		b := appendBlob(append(dst, byte(ClassTCPayloadEcho)), v.Data)
 		if v.Valid {
 			return append(b, 1), nil
 		}
@@ -131,40 +188,40 @@ func Decode(b []byte) (sim.Payload, error) {
 		return nil, ErrTruncated
 	}
 	r := reader{buf: b[1:]}
-	switch b[0] {
-	case tagEcho:
+	switch Class(b[0]) {
+	case ClassEcho:
 		z, h := r.int64(), r.int64()
 		return finish(proxcensus.EchoPayload{Z: int(z), H: int(h)}, &r)
-	case tagLinearVote:
+	case ClassLinearVote:
 		v := r.int64()
 		s := r.share()
 		return finish(proxcensus.LinearVote{V: int(v), Share: s}, &r)
-	case tagLinearOmegaShare:
+	case ClassLinearOmegaShare:
 		v := r.int64()
 		s := r.share()
 		return finish(proxcensus.LinearOmegaShare{V: int(v), Share: s}, &r)
-	case tagLinearSigma:
+	case ClassLinearSigma:
 		v := r.int64()
 		return finish(proxcensus.LinearSigma{V: int(v), Sig: threshsig.Signature(r.bytes32())}, &r)
-	case tagLinearOmega:
+	case ClassLinearOmega:
 		v := r.int64()
 		return finish(proxcensus.LinearOmega{V: int(v), Sig: threshsig.Signature(r.bytes32())}, &r)
-	case tagLinearSigmaCert:
+	case ClassLinearSigmaCert:
 		v := r.int64()
 		return finish(proxcensus.LinearSigmaCert{V: int(v), Shares: r.shares()}, &r)
-	case tagLinearOmegaCert:
+	case ClassLinearOmegaCert:
 		v := r.int64()
 		return finish(proxcensus.LinearOmegaCert{V: int(v), Shares: r.shares()}, &r)
-	case tagQuadVote:
+	case ClassQuadVote:
 		v := r.int64()
 		return finish(proxcensus.QuadVote{V: int(v), Share: r.share()}, &r)
-	case tagQuadOmegaShare:
+	case ClassQuadOmegaShare:
 		v, j := r.int64(), r.int64()
 		return finish(proxcensus.QuadOmegaShare{V: int(v), J: int(j), Share: r.share()}, &r)
-	case tagQuadSig:
+	case ClassQuadSig:
 		v, j := r.int64(), r.int64()
 		return finish(proxcensus.QuadSig{V: int(v), J: int(j), Sig: threshsig.Signature(r.bytes32())}, &r)
-	case tagProxcastSet:
+	case ClassProxcastSet:
 		count := r.int64()
 		if count < 0 || count > 16 {
 			return nil, fmt.Errorf("%w: %d proxcast pairs", ErrTruncated, count)
@@ -175,21 +232,21 @@ func Decode(b []byte) (sim.Payload, error) {
 			pairs = append(pairs, proxcensus.ProxcastPair{Z: int(z), Sig: sig.Signature(r.bytes32())})
 		}
 		return finish(proxcensus.ProxcastSet{Pairs: pairs}, &r)
-	case tagCoinShare:
+	case ClassCoinShare:
 		k := r.int64()
 		return finish(coin.SharePayload{K: int(k), Share: r.share()}, &r)
-	case tagTCValue:
+	case ClassTCValue:
 		return finish(ba.TCValue{V: int(r.int64())}, &r)
-	case tagTCEcho:
+	case ClassTCEcho:
 		v := r.int64()
 		valid := r.byte() == 1
 		return finish(ba.TCEcho{V: int(v), Valid: valid}, &r)
-	case tagTCCandidate:
+	case ClassTCCandidate:
 		v := r.int64()
 		return finish(ba.TCCandidate{V: int(v), Omega: threshsig.Signature(r.bytes32())}, &r)
-	case tagTCPayload:
+	case ClassTCPayload:
 		return finish(ba.TCPayload{Data: r.blob()}, &r)
-	case tagTCPayloadEcho:
+	case ClassTCPayloadEcho:
 		data := r.blob()
 		valid := r.byte() == 1
 		return finish(ba.TCPayloadEcho{Data: data, Valid: valid}, &r)

@@ -59,6 +59,70 @@ func samplePayloads() []sim.Payload {
 	}
 }
 
+// TestClassTable: one sample per payload class, in tag order. Each
+// encodes under its class's tag, which EncodedClass reads back, decodes
+// to itself, and prints as the class's name — the name equivocation
+// evidence and the transport's logs carry. The row's class is the
+// reference: the tag is checked against the payload's Go type here.
+func TestClassTable(t *testing.T) {
+	var plainSig sig.Signature
+	plainSig[3] = 7
+	rows := []struct {
+		class Class
+		name  string
+		p     sim.Payload
+	}{
+		{ClassEcho, "echo", proxcensus.EchoPayload{Z: 3, H: 7}},
+		{ClassLinearVote, "linear-vote", proxcensus.LinearVote{V: 1, Share: share(4, 0xab)}},
+		{ClassLinearOmegaShare, "linear-omega-share", proxcensus.LinearOmegaShare{V: 0, Share: share(2, 0xcd)}},
+		{ClassLinearSigma, "linear-sigma", proxcensus.LinearSigma{V: 5, Sig: sig32(0x11)}},
+		{ClassLinearOmega, "linear-omega", proxcensus.LinearOmega{V: 1, Sig: sig32(0x22)}},
+		{ClassLinearSigmaCert, "linear-sigma-cert", proxcensus.LinearSigmaCert{V: 2, Shares: []threshsig.Share{share(0, 1), share(1, 2)}}},
+		{ClassLinearOmegaCert, "linear-omega-cert", proxcensus.LinearOmegaCert{V: 1, Shares: []threshsig.Share{share(3, 4)}}},
+		{ClassQuadVote, "quad-vote", proxcensus.QuadVote{V: 1, Share: share(3, 0x44)}},
+		{ClassQuadOmegaShare, "quad-omega-share", proxcensus.QuadOmegaShare{V: 0, J: 4, Share: share(6, 0x55)}},
+		{ClassQuadSig, "quad-sig", proxcensus.QuadSig{V: 1, J: 2, Sig: sig32(0x66)}},
+		{ClassProxcastSet, "proxcast-set", proxcensus.ProxcastSet{Pairs: []proxcensus.ProxcastPair{{Z: 2, Sig: plainSig}}}},
+		{ClassCoinShare, "coin-share", coin.SharePayload{K: 12, Share: share(1, 0x77)}},
+		{ClassTCValue, "tc-value", ba.TCValue{V: 9}},
+		{ClassTCEcho, "tc-echo", ba.TCEcho{V: 3, Valid: true}},
+		{ClassTCCandidate, "tc-candidate", ba.TCCandidate{V: 8, Omega: sig32(0x99)}},
+		{ClassTCPayload, "tc-payload", ba.TCPayload{Data: []byte("multivalued")}},
+		{ClassTCPayloadEcho, "tc-payload-echo", ba.TCPayloadEcho{Data: []byte{0x5a, 0x5b}, Valid: true}},
+	}
+	for i, row := range rows {
+		if want := Class(i + 1); row.class != want {
+			t.Fatalf("row %d is class %d, want %d: the table must list every class in tag order", i, row.class, want)
+		}
+		b, err := Encode(row.p)
+		if err != nil {
+			t.Fatalf("Encode(%T): %v", row.p, err)
+		}
+		if b[0] != byte(row.class) || EncodedClass(b) != row.class {
+			t.Errorf("%T encodes with tag %d, EncodedClass %d, want class %d", row.p, b[0], EncodedClass(b), row.class)
+		}
+		got, err := Decode(b)
+		if err != nil || !payloadEqual(row.p, got) {
+			t.Errorf("%T round trip: got %+v, %v", row.p, got, err)
+		}
+		if row.class.String() != row.name {
+			t.Errorf("class %d prints %q, want %q", row.class, row.class.String(), row.name)
+		}
+	}
+	// Nothing past the table is a class.
+	if next := Class(len(rows) + 1); next.registered() {
+		t.Errorf("class %d is registered but has no row", next)
+	}
+	for _, b := range [][]byte{nil, {0}, {byte(len(rows) + 1)}, {0xff, 1}} {
+		if c := EncodedClass(b); c != ClassUnknown {
+			t.Errorf("EncodedClass(%x) = %v, want ClassUnknown", b, c)
+		}
+	}
+	if got := Class(0xff).String(); got != "Class(255)" {
+		t.Errorf("unregistered class prints %q", got)
+	}
+}
+
 func TestRoundTripAllPayloads(t *testing.T) {
 	for _, p := range samplePayloads() {
 		b, err := Encode(p)
@@ -155,7 +219,7 @@ func mustEncode(p sim.Payload) []byte {
 func TestDecodeHugeShareCount(t *testing.T) {
 	// A certificate claiming 2^40 shares must be rejected, not
 	// allocated.
-	b := []byte{0x06} // tagLinearSigmaCert
+	b := []byte{byte(ClassLinearSigmaCert)}
 	b = append(b, make([]byte, 8)...)
 	huge := make([]byte, 8)
 	huge[2] = 0x01 // 2^40

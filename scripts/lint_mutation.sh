@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated twelve times, and
+# rule out. A pristine copy of the module is mutated thirteen times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for an inline
 #      loop that admits whatever decodes: the hub flood-control test and
@@ -28,7 +28,10 @@
 #      instead of once per connection: the coalesced-frames test;
 #  12. the screen's one signature stage skipped, so AdmitBatch admits
 #      whatever passes its cheap checks: the bad-signature and
-#      forged-share tests.
+#      forged-share tests;
+#  13. the screen reading a message's class from the last byte of its
+#      encoding instead of the tag: the wire's class table, the screen's
+#      wrong-phase-type test and the admission differential.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -273,5 +276,28 @@ sed -i 's/if ok \&\& !v\.signatureOK(m\.From, m\.Payload) {/if false {/' "$batch
 (cd "$tmp" && go build ./internal/validate)
 expect_test_fail 'TestRejectBadSignatures' ./internal/validate
 expect_test_fail 'TestBatchVerifyFallback' ./internal/validate
+
+echo "mutation 13: the screen reads a message's class from the last byte of its encoding"
+# Earlier mutations left validate and the wire codec edited; start both
+# from the tree as it stands.
+cp internal/validate/*.go "$tmp/internal/validate/"
+cp internal/wire/*.go "$tmp/internal/wire/"
+wirecodec="$tmp/internal/wire/wire.go"
+class_line='if c := Class(b[0]); c.registered() {'
+if [[ "$(grep -cF "$class_line" "$wirecodec")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one tag read in wire.go, EncodedClass's" >&2
+    exit 1
+fi
+screen_tests='TestRejectTypeForPhase|FuzzAdmitBatch'
+(cd "$tmp" && go test -count=1 -run 'TestClassTable' ./internal/wire)
+(cd "$tmp" && go test -count=1 -run "$screen_tests" ./internal/validate)
+# The screen judges each message as whatever class its last byte names,
+# mostly none at all: honest echoes and values are rejected as
+# malformed, or pass a phase table as a class they are not.
+sed -i 's/if c := Class(b\[0\]); c\.registered() {/if c := Class(b[len(b)-1]); c.registered() {/' "$wirecodec"
+(cd "$tmp" && go build ./internal/wire)
+expect_test_fail 'TestClassTable' ./internal/wire
+expect_test_fail 'TestRejectTypeForPhase' ./internal/validate
+expect_test_fail 'FuzzAdmitBatch' ./internal/validate
 
 echo "MUTATION SMOKE OK"
