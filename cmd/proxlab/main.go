@@ -69,7 +69,6 @@ func run(specPath, outDir, curvePath string, gate, quiet bool) error {
 	if err != nil {
 		return err
 	}
-	defer func() { _ = af.Close() }()
 
 	fmt.Printf("proxlab: %s: family=%s n=%d t=%d rounds=%d trials=%d network=%s\n",
 		spec.Name, spec.Family, spec.N, spec.T, spec.ProtocolRounds(), len(trials), orNone(spec.Network))
@@ -77,16 +76,21 @@ func run(specPath, outDir, curvePath string, gate, quiet bool) error {
 		spec.RoundTimeout(), spec.TrialTimeout())
 
 	// Stream each result the moment it classifies: a killed sweep
-	// still leaves a parseable partial artifact.
+	// still leaves a parseable partial artifact, and a failed write
+	// (a full disk, say) stops the sweep instead of archiving less
+	// than it reports.
 	enc := json.NewEncoder(af)
 	r := &experiment.Runner{
 		Spec: spec,
-		Sink: func(tr experiment.TrialResult) { _ = enc.Encode(tr) },
+		Sink: func(tr experiment.TrialResult) error { return enc.Encode(tr) },
 	}
 	if !quiet {
 		r.Logf = func(format string, args ...any) { fmt.Printf("  "+format+"\n", args...) }
 	}
 	results, err := r.Run()
+	if cerr := af.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}

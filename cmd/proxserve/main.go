@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"proxcensus/internal/service"
-	"proxcensus/internal/transport"
 )
 
 func main() {
@@ -60,8 +59,8 @@ func preflight(cfg service.Config, report time.Duration) error {
 	switch {
 	case cfg.RetryAfter <= 0:
 		return fmt.Errorf("-retry-after must be positive, got %s", cfg.RetryAfter)
-	case cfg.Transport.RoundTimeout <= 0:
-		return fmt.Errorf("-round-timeout must be positive, got %s", cfg.Transport.RoundTimeout)
+	case cfg.RoundTimeout <= 0:
+		return fmt.Errorf("-round-timeout must be positive, got %s", cfg.RoundTimeout)
 	case report < 0:
 		return fmt.Errorf("-report must be non-negative, got %s", report)
 	}
@@ -73,9 +72,9 @@ func run(n, t, kappa int, seed int64, listen, addrFile string, maxPending, maxAc
 	cfg := service.Config{
 		N: n, T: t, Kappa: kappa, Seed: seed,
 		MaxPending: maxPending, MaxActive: maxActive, Batch: batch,
-		MaxPayload: maxPayload,
-		RetryAfter: retryAfter,
-		Transport:  transport.Config{RoundTimeout: roundTO},
+		MaxPayload:   maxPayload,
+		RetryAfter:   retryAfter,
+		RoundTimeout: roundTO,
 	}
 	if err := preflight(cfg, report); err != nil {
 		return err

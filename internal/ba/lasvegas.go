@@ -151,14 +151,14 @@ func NewLasVegas(setup *Setup, maxIterations int, inputs []Value) (*Protocol, er
 	if !quorum.TolerateThird(setup.N, setup.T) {
 		return nil, fmt.Errorf("ba: Las Vegas FM needs t < n/3, got n=%d t=%d", setup.N, setup.T)
 	}
-	comps, oracle := setup.CoinComponents(2, "lasvegas")
+	comps := setup.CoinComponents(2, "lasvegas")
 	machines := make([]sim.Machine, setup.N)
 	for i := range machines {
 		machines[i] = NewLVMachine(setup.N, setup.T, i, inputs[i], comps[i])
 	}
 	return &Protocol{
 		Name: "lasvegas-n3", N: setup.N, T: setup.T,
-		Rounds: maxIterations * LVRoundsPerIteration, Machines: machines, Oracle: oracle,
+		Rounds: maxIterations * LVRoundsPerIteration, Machines: machines,
 	}, nil
 }
 

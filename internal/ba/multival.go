@@ -349,7 +349,7 @@ func newMultivaluedThird[T any, D tcDomain[T]](name string, setup *Setup, kappa 
 		return nil, fmt.Errorf("ba: %s needs t < n/3, got n=%d t=%d", name, setup.N, setup.T)
 	}
 	slots := proxcensus.ExpandSlots(kappa)
-	comps, oracle := setup.CoinComponents(slots-1, "mv-oneshot")
+	comps := setup.CoinComponents(slots-1, "mv-oneshot")
 	machines := make([]sim.Machine, setup.N)
 	for i := range machines {
 		party := i
@@ -379,7 +379,7 @@ func newMultivaluedThird[T any, D tcDomain[T]](name string, setup *Setup, kappa 
 	}
 	return &Protocol{
 		Name: name, N: setup.N, T: setup.T,
-		Rounds: MultivaluedOneShotRounds(kappa), Machines: machines, Oracle: oracle,
+		Rounds: MultivaluedOneShotRounds(kappa), Machines: machines,
 	}, nil
 }
 
@@ -397,7 +397,7 @@ func NewMultivaluedHalf(setup *Setup, kappa int, inputs []Value, defaultValue Va
 	if !quorum.TolerateHalf(setup.N, setup.T) {
 		return nil, fmt.Errorf("ba: multivalued half needs t < n/2, got n=%d t=%d", setup.N, setup.T)
 	}
-	comps, oracle := setup.CoinComponents(4, "mv-half")
+	comps := setup.CoinComponents(4, "mv-half")
 	iterRounds := IterConfig{ProxRounds: 3, Parallel: true}.Rounds()
 	iters := halfIterations(kappa, 5)
 	machines := make([]sim.Machine, setup.N)
@@ -433,6 +433,6 @@ func NewMultivaluedHalf(setup *Setup, kappa int, inputs []Value, defaultValue Va
 	}
 	return &Protocol{
 		Name: "multivalued-half-n2", N: setup.N, T: setup.T,
-		Rounds: MultivaluedHalfRounds(kappa), Machines: machines, Oracle: oracle,
+		Rounds: MultivaluedHalfRounds(kappa), Machines: machines,
 	}, nil
 }

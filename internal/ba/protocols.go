@@ -3,7 +3,6 @@ package ba
 import (
 	"fmt"
 
-	"proxcensus/internal/coin"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/quorum"
 	"proxcensus/internal/sim"
@@ -21,9 +20,6 @@ type Protocol struct {
 	Rounds int
 	// Machines holds one state machine per party, indexed by ID.
 	Machines []sim.Machine
-	// Oracle is the shared ideal coin (nil in threshold-coin mode);
-	// exposed so coin-aware adversaries can Peek revealed instances.
-	Oracle *coin.Oracle
 }
 
 // Coin domains: the prefix of the instance message each protocol's
@@ -51,7 +47,7 @@ func NewOneShot(setup *Setup, kappa int, inputs []Value) (*Protocol, error) {
 		return nil, fmt.Errorf("ba: one-shot protocol needs t < n/3, got n=%d t=%d", setup.N, setup.T)
 	}
 	slots := proxcensus.ExpandSlots(kappa)
-	comps, oracle := setup.CoinComponents(slots-1, OneShotCoinDomain)
+	comps := setup.CoinComponents(slots-1, OneShotCoinDomain)
 	machines := make([]sim.Machine, setup.N)
 	for i := range machines {
 		machines[i] = NewIterMachine(IterConfig{
@@ -63,7 +59,7 @@ func NewOneShot(setup *Setup, kappa int, inputs []Value) (*Protocol, error) {
 	}
 	return &Protocol{
 		Name: "oneshot-n3", N: setup.N, T: setup.T,
-		Rounds: OneShotRounds(kappa), Machines: machines, Oracle: oracle,
+		Rounds: OneShotRounds(kappa), Machines: machines,
 	}, nil
 }
 
@@ -81,7 +77,7 @@ func NewFM(setup *Setup, kappa int, inputs []Value) (*Protocol, error) {
 	if !quorum.TolerateThird(setup.N, setup.T) {
 		return nil, fmt.Errorf("ba: FM baseline needs t < n/3, got n=%d t=%d", setup.N, setup.T)
 	}
-	comps, oracle := setup.CoinComponents(2, "fm")
+	comps := setup.CoinComponents(2, "fm")
 	machines := make([]sim.Machine, setup.N)
 	for i := range machines {
 		party := i
@@ -97,7 +93,7 @@ func NewFM(setup *Setup, kappa int, inputs []Value) (*Protocol, error) {
 	}
 	return &Protocol{
 		Name: "fm-n3", N: setup.N, T: setup.T,
-		Rounds: FMRounds(kappa), Machines: machines, Oracle: oracle,
+		Rounds: FMRounds(kappa), Machines: machines,
 	}, nil
 }
 
@@ -152,7 +148,7 @@ func newIteratedHalf(setup *Setup, kappa, slots int, parallel bool, name string,
 	}
 	r := (slots + 1) / 2 // linear protocol rounds for 2r-1 slots
 	iters := halfIterations(kappa, slots)
-	comps, oracle := setup.CoinComponents(slots-1, name)
+	comps := setup.CoinComponents(slots-1, name)
 	roundsPerIter := IterConfig{ProxRounds: r, Parallel: parallel}.Rounds()
 	machines := make([]sim.Machine, setup.N)
 	for i := range machines {
@@ -170,7 +166,7 @@ func newIteratedHalf(setup *Setup, kappa, slots int, parallel bool, name string,
 	}
 	return &Protocol{
 		Name: name, N: setup.N, T: setup.T,
-		Rounds: iters * roundsPerIter, Machines: machines, Oracle: oracle,
+		Rounds: iters * roundsPerIter, Machines: machines,
 	}, nil
 }
 
@@ -206,7 +202,7 @@ func newMV(setup *Setup, kappa int, inputs []Value, explicitCerts bool) (*Protoc
 	if explicitCerts {
 		name = "mv-n2-pki"
 	}
-	comps, oracle := setup.CoinComponents(2, name)
+	comps := setup.CoinComponents(2, name)
 	machines := make([]sim.Machine, setup.N)
 	for i := range machines {
 		party := i
@@ -227,7 +223,7 @@ func newMV(setup *Setup, kappa int, inputs []Value, explicitCerts bool) (*Protoc
 	}
 	return &Protocol{
 		Name: name, N: setup.N, T: setup.T,
-		Rounds: MVRounds(kappa), Machines: machines, Oracle: oracle,
+		Rounds: MVRounds(kappa), Machines: machines,
 	}, nil
 }
 
@@ -274,7 +270,7 @@ func NewIteratedHalfQuad(setup *Setup, kappa, proxRounds int, inputs []Value) (*
 	slots := proxcensus.QuadSlots(proxRounds)
 	name := fmt.Sprintf("half-n2-quad-r%d", proxRounds)
 	iters := halfIterations(kappa, slots)
-	comps, oracle := setup.CoinComponents(slots-1, name)
+	comps := setup.CoinComponents(slots-1, name)
 	roundsPerIter := proxRounds + 1
 	machines := make([]sim.Machine, setup.N)
 	for i := range machines {
@@ -291,7 +287,7 @@ func NewIteratedHalfQuad(setup *Setup, kappa, proxRounds int, inputs []Value) (*
 	}
 	return &Protocol{
 		Name: name, N: setup.N, T: setup.T,
-		Rounds: iters * roundsPerIter, Machines: machines, Oracle: oracle,
+		Rounds: iters * roundsPerIter, Machines: machines,
 	}, nil
 }
 

@@ -143,22 +143,21 @@ func NewSetupDistributed(n, t int, mode CoinMode, blobs [][]byte) (*Setup, error
 }
 
 // CoinComponents builds one coin participant per party over the range
-// [1, rangeN], plus the shared Oracle when the mode is ideal (nil in
-// threshold mode). domain separates protocol executions sharing a
-// setup.
-func (s *Setup) CoinComponents(rangeN int, domain string) ([]coin.Component, *coin.Oracle) {
+// [1, rangeN]; in ideal mode they share one Oracle. domain separates
+// protocol executions sharing a setup.
+func (s *Setup) CoinComponents(rangeN int, domain string) []coin.Component {
 	comps := make([]coin.Component, s.N)
 	if s.Mode == CoinThreshold {
 		for i := range comps {
 			comps[i] = coin.NewThreshold(s.CoinPK, s.CoinSKs[i], rangeN, domain)
 		}
-		return comps, nil
+		return comps
 	}
 	oracle := coin.NewOracle(rangeN, s.Seed^int64(len(domain))<<32+hashDomain(domain))
 	for i := range comps {
 		comps[i] = coin.NewIdealComponent(oracle)
 	}
-	return comps, oracle
+	return comps
 }
 
 // deriveSeed expands the scalar seed into a labelled 32-byte dealer

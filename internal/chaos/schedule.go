@@ -4,7 +4,7 @@
 // same seed always yields the same faults, so every chaos failure is
 // replayable from its printed spec — and since a chaos run and the
 // proxserve daemon share one transport, the same Schedule drops into a
-// service as service.Config.Transport.Faults. Schedules mix benign
+// service as service.Config.Faults. Schedules mix benign
 // deployment faults (crash-stop, connection drops, send delays,
 // duplicated frames, partitions) with Byzantine nodes: parties that
 // hold their authenticated slot but speak the wire format maliciously,

@@ -7,8 +7,9 @@
 //
 //   - Oracle: the ideal 1-round multivalued coin the paper's round
 //     comparisons assume. The value is a deterministic hash of
-//     (seed, k); it is revealed to the adversary exactly when the first
-//     honest party enters the coin round (1-fairness).
+//     (seed, k). No adversary is ever handed the oracle, so Coin_k stays
+//     hidden from it at least until the first honest party enters the
+//     coin round (the 1-fairness the paper's analysis needs).
 //
 //   - Threshold: the real construction from unique threshold signatures
 //     in the random-oracle model [16]: every party broadcasts a
@@ -26,7 +27,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"proxcensus/internal/crypto/threshsig"
 	"proxcensus/internal/sim"
@@ -54,44 +54,16 @@ type Component interface {
 
 // Oracle is the shared ideal-coin functionality of one execution. All
 // honest parties' IdealComponent handles reference a single Oracle.
-// It is safe for concurrent use.
+// It is immutable, so it is safe for concurrent use.
 type Oracle struct {
 	rangeN int
 	seed   int64
-
-	mu       sync.Mutex
-	revealed map[int]bool
 }
 
 // NewOracle creates an ideal coin over [1, rangeN], deterministic in
 // seed.
 func NewOracle(rangeN int, seed int64) *Oracle {
-	return &Oracle{rangeN: rangeN, seed: seed, revealed: make(map[int]bool)}
-}
-
-// Range returns the coin domain size.
-func (o *Oracle) Range() int { return o.rangeN }
-
-// reveal marks instance k as queried by an honest party and returns its
-// value.
-func (o *Oracle) reveal(k int) int {
-	o.mu.Lock()
-	o.revealed[k] = true
-	o.mu.Unlock()
-	return o.value(k)
-}
-
-// Peek is the adversary's access: it returns Coin_k only once an honest
-// party has queried instance k. Before that the value is information-
-// theoretically hidden from the adversary (it is never computed for it).
-func (o *Oracle) Peek(k int) (int, bool) {
-	o.mu.Lock()
-	ok := o.revealed[k]
-	o.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	return o.value(k), true
+	return &Oracle{rangeN: rangeN, seed: seed}
 }
 
 // value hashes (seed, k) into [1, rangeN].
@@ -103,10 +75,9 @@ func (o *Oracle) value(k int) int {
 	return reduce(h, o.rangeN)
 }
 
-// IdealComponent adapts an Oracle to the Component interface. Entering
-// the coin round (Sends) reveals the instance to the adversary, matching
-// the rushing model: corrupted parties learn the coin in the round it is
-// flipped, not earlier.
+// IdealComponent adapts an Oracle to the Component interface. Only the
+// honest parties' Value calls compute Coin_k; nothing hands it to the
+// adversary.
 type IdealComponent struct {
 	oracle *Oracle
 }
@@ -121,14 +92,11 @@ func (c *IdealComponent) Range() int { return c.oracle.rangeN }
 
 // Sends implements Component. The ideal coin costs a round but no
 // messages.
-func (c *IdealComponent) Sends(k int) []sim.Send {
-	c.oracle.reveal(k)
-	return nil
-}
+func (c *IdealComponent) Sends(int) []sim.Send { return nil }
 
 // Value implements Component.
 func (c *IdealComponent) Value(k int, _ []sim.Message) (int, error) {
-	return c.oracle.reveal(k), nil
+	return c.oracle.value(k), nil
 }
 
 // SharePayload carries one party's threshold-signature share for coin

@@ -10,12 +10,15 @@ import (
 )
 
 func TestOracleRange(t *testing.T) {
-	o := NewOracle(16, 7)
-	if o.Range() != 16 {
-		t.Fatalf("Range = %d, want 16", o.Range())
+	c := NewIdealComponent(NewOracle(16, 7))
+	if c.Range() != 16 {
+		t.Fatalf("Range = %d, want 16", c.Range())
 	}
 	for k := 0; k < 1000; k++ {
-		v := o.reveal(k)
+		v, err := c.Value(k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if v < 1 || v > 16 {
 			t.Fatalf("Coin_%d = %d out of [1,16]", k, v)
 		}
@@ -23,14 +26,16 @@ func TestOracleRange(t *testing.T) {
 }
 
 func TestOracleDeterministicPerSeed(t *testing.T) {
-	a, b := NewOracle(8, 3), NewOracle(8, 3)
+	a, b := NewIdealComponent(NewOracle(8, 3)), NewIdealComponent(NewOracle(8, 3))
 	c := NewOracle(8, 4)
 	same, diff := true, true
 	for k := 0; k < 64; k++ {
-		if a.reveal(k) != b.reveal(k) {
+		va, _ := a.Value(k, nil)
+		vb, _ := b.Value(k, nil)
+		if va != vb {
 			same = false
 		}
-		if a.value(k) != c.value(k) {
+		if va != c.value(k) {
 			diff = false
 		}
 	}
@@ -42,35 +47,12 @@ func TestOracleDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestOraclePeekOnlyAfterReveal(t *testing.T) {
-	o := NewOracle(4, 1)
-	if _, ok := o.Peek(5); ok {
-		t.Fatal("Peek before any honest query must fail")
-	}
-	c := NewIdealComponent(o)
-	c.Sends(5) // honest party enters the coin round
-	v, ok := o.Peek(5)
-	if !ok {
-		t.Fatal("Peek after reveal must succeed")
-	}
-	got, err := c.Value(5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != v {
-		t.Errorf("component value %d != peeked value %d", got, v)
-	}
-	if _, ok := o.Peek(6); ok {
-		t.Error("instance 6 was never queried; Peek must fail")
-	}
-}
-
 func TestOracleRoughUniformity(t *testing.T) {
 	const rangeN, samples = 4, 4000
 	o := NewOracle(rangeN, 99)
 	counts := make([]int, rangeN+1)
 	for k := 0; k < samples; k++ {
-		counts[o.reveal(k)]++
+		counts[o.value(k)]++
 	}
 	want := samples / rangeN
 	for v := 1; v <= rangeN; v++ {

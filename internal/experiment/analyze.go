@@ -78,18 +78,6 @@ func Curve(results []TrialResult) ([]CurvePoint, error) {
 	return out, nil
 }
 
-// WriteJSONL streams results as one JSON object per line — the
-// archive format cmd/proxlab produces and ReadJSONL consumes.
-func WriteJSONL(w io.Writer, results []TrialResult) error {
-	enc := json.NewEncoder(w)
-	for _, tr := range results {
-		if err := enc.Encode(tr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReadJSONL loads a results archive, tolerating partial output: blank
 // lines and lines that fail to parse (a truncated final line from a
 // killed sweep, say) are skipped and counted, never fatal.

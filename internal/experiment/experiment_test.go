@@ -2,6 +2,8 @@ package experiment_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -217,6 +219,32 @@ func TestRunSweepEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunStopsAtSinkError: a Sink that fails (cmd/proxlab's artifact
+// write on a full disk) stops the sweep at that trial, and Run returns
+// the error with only the results the Sink accepted.
+func TestRunStopsAtSinkError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sockets")
+	}
+	s := specExpand()
+	s.RoundTimeoutMS = 300
+	errFull := errors.New("disk full")
+	calls := 0
+	res, err := (&experiment.Runner{Spec: s, Sink: func(experiment.TrialResult) error {
+		calls++
+		if calls == 2 {
+			return errFull
+		}
+		return nil
+	}}).Run()
+	if !errors.Is(err, errFull) {
+		t.Fatalf("Run() error = %v, want the sink's %v", err, errFull)
+	}
+	if calls != 2 || len(res) != 1 {
+		t.Fatalf("sink called %d times, %d results returned; want 2 calls and 1 result", calls, len(res))
+	}
+}
+
 // TestTrialWatchdogClassifiesTimeout pins the mandatory timeout wrap:
 // a trial that cannot finish inside its budget classifies timed-out
 // instead of wedging the sweep.
@@ -256,8 +284,11 @@ func TestCurvePartialOutput(t *testing.T) {
 		{Faults: 2, Outcome: experiment.OutcomeTimedOut, WallMS: 500},
 	}
 	var buf bytes.Buffer
-	if err := experiment.WriteJSONL(&buf, results); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf) // the archive writer cmd/proxlab's Sink uses
+	for _, tr := range results {
+		if err := enc.Encode(tr); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Corrupt the archive the way a killed sweep does: truncate the
 	// last line and add noise.

@@ -63,15 +63,17 @@ type Runner struct {
 	Spec *Spec
 	// Sink, when set, receives each TrialResult the moment it is
 	// classified — cmd/proxlab streams JSONL through it so an
-	// interrupted sweep still leaves a usable partial artifact.
-	Sink func(TrialResult)
+	// interrupted sweep still leaves a usable partial artifact. An
+	// error stops the sweep: Run returns it.
+	Sink func(TrialResult) error
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
 
 // Run validates the spec, compiles the grid and executes every trial.
-// The error covers grid compilation only; trial-level trouble is
-// classified into the results, never returned.
+// The error covers grid compilation and the Sink: the first Sink error
+// stops the sweep and is returned with the results the Sink accepted.
+// Trial-level trouble is classified into the results, never returned.
 func (r *Runner) Run() ([]TrialResult, error) {
 	trials, err := r.Spec.Trials()
 	if err != nil {
@@ -85,7 +87,9 @@ func (r *Runner) Run() ([]TrialResult, error) {
 				tr.Index+1, len(trials), tr.Faults, tr.Seed, res.Outcome, res.WallMS, detailSuffix(res.Detail))
 		}
 		if r.Sink != nil {
-			r.Sink(res)
+			if err := r.Sink(res); err != nil {
+				return out, fmt.Errorf("experiment: sink rejected trial %d: %w", tr.Index, err)
+			}
 		}
 		out = append(out, res)
 	}

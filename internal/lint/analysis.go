@@ -32,7 +32,9 @@
 // allocation on the round loop is likewise held by testing.AllocsPerRun
 // pins, which measure what the compiler actually emits.
 //
-// The cmd/balint multichecker drives all of them over the module;
+// TestModuleIsClean (suite_test.go) is the one driver: it runs each
+// analyzer over the whole module as its own subtest, so
+// `go test -run 'TestModuleIsClean/noretain' ./internal/lint` runs one.
 // linttest runs them over testdata packages with // want expectations.
 package lint
 
@@ -47,14 +49,15 @@ import (
 
 // Analyzer is one named invariant check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -list output.
+	// Name identifies the analyzer in diagnostics and names its
+	// TestModuleIsClean subtest.
 	Name string
 	// Doc is a one-paragraph description: what is forbidden, why, and
 	// how to annotate legitimate exemptions.
 	Doc string
 	// Scope reports whether the analyzer applies to a package, given
 	// its module-relative path ("" is the module root, "internal/ba",
-	// "cmd/balint", ...). A nil Scope applies to every package. The
+	// "cmd/basim", ...). A nil Scope applies to every package. The
 	// driver consults Scope; test harnesses call Run directly.
 	Scope func(relPkgPath string) bool
 	// Run analyzes one package, reporting findings via pass.Reportf.

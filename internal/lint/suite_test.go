@@ -6,10 +6,12 @@ import (
 	"proxcensus/internal/lint"
 )
 
-// TestModuleIsClean runs the full analyzer suite over the whole module,
-// exactly as cmd/balint does, and requires zero diagnostics: the
-// determinism invariants are enforced, not aspirational. A failure here
-// reproduces with `go run ./cmd/balint ./...`.
+// TestModuleIsClean is the one driver of the analyzer suite: it loads
+// the whole module once and runs each analyzer over it as its own
+// subtest, requiring zero diagnostics, so the determinism invariants
+// are enforced, not aspirational. `go test -run
+// 'TestModuleIsClean/noretain' ./internal/lint` runs one analyzer;
+// scripts/lint.sh runs them all.
 func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
@@ -25,12 +27,16 @@ func TestModuleIsClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; the ./... pattern should cover the module", len(pkgs))
 	}
-	diags, err := lint.RunSuite(loader, pkgs, lint.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s: %s: %s", d.Analyzer, loader.Fset().Position(d.Pos), d.Message)
+	for _, a := range lint.All() {
+		t.Run(a.Name, func(t *testing.T) {
+			diags, err := lint.AnalyzeAll(loader, a, pkgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range diags {
+				t.Errorf("%s: %s", loader.Fset().Position(d.Pos), d.Message)
+			}
+		})
 	}
 }
 

@@ -61,11 +61,13 @@ type Config struct {
 	MaxPayload int
 	// RetryAfter is the backoff hint attached to shed proposals.
 	RetryAfter time.Duration
-	// Transport tunes the underlying transport. Transport.Faults injects
-	// a fault schedule (internal/chaos) into every instance, each on its
-	// own round clock. Transport.NewIngress must stay nil: the service
-	// always builds its own per-instance ingress screen.
-	Transport transport.Config
+	// RoundTimeout is each instance's round deadline: the hub declares
+	// a node dead for an instance whose round batch misses it. Zero
+	// selects the transport's default.
+	RoundTimeout time.Duration
+	// Faults injects a fault schedule (internal/chaos) into every
+	// instance, each on its own round clock; nil injects none.
+	Faults transport.FaultInjector
 }
 
 // Defaults for the zero Config fields.
@@ -127,8 +129,6 @@ func (c Config) Validate() error {
 			c.Batch, c.MaxPayload, ba.MaxPayloadBytes)
 	case c.RetryAfter < 0:
 		return fmt.Errorf("service: negative retry-after %s", c.RetryAfter)
-	case c.Transport.NewIngress != nil:
-		return errors.New("service: Transport.NewIngress must be nil: the service screens ingress with its own payload-capped rules")
 	}
 	return nil
 }
@@ -144,9 +144,9 @@ type Decision struct {
 	// the round-trip proof that what the instance agreed on contains the
 	// client's bytes. Nil for digest proposals and failed instances.
 	Payload []byte
-	// Digest is the batch digest the instance agreed on. For payload
-	// batches it is a digest of the decided batch bytes (observability
-	// only; agreement is on the bytes themselves).
+	// Digest is the batch digest a digest proposal's instance agreed
+	// on. It is 0 for payload proposals, whose instances agree on the
+	// batch bytes themselves.
 	Digest ba.Value
 	// Committed reports whether the instance decided the proposal's
 	// batch (true on every honest path; false only if the instance
@@ -232,10 +232,13 @@ func New(cfg Config) (*Service, error) {
 	// for any protocol, value domain left open for batch digests) plus
 	// the payload size cap at the largest honest batch encoding —
 	// oversize payload floods die at admission.
-	tcfg := cfg.Transport
 	n, payloadCap := cfg.N, cfg.Batch*(cfg.MaxPayload+8)
-	tcfg.NewIngress = func(int) *validate.Validator {
-		return validate.New(validate.ForPayloadService(n, payloadCap))
+	tcfg := transport.Config{
+		RoundTimeout: cfg.RoundTimeout,
+		Faults:       cfg.Faults,
+		NewIngress: func(int) *validate.Validator {
+			return validate.New(validate.ForPayloadService(n, payloadCap))
+		},
 	}
 	hub, err := transport.NewMuxHub(cfg.N, tcfg)
 	if err != nil {
@@ -256,11 +259,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.nodes[i] = nd
 	}
-	jt := tcfg.JoinTimeout
-	if jt <= 0 {
-		jt = transport.DefaultConfig().JoinTimeout
-	}
-	if err := hub.AwaitNodes(jt); err != nil {
+	if err := hub.AwaitNodes(transport.DefaultConfig().JoinTimeout); err != nil {
 		s.teardown()
 		return nil, err
 	}
@@ -439,13 +438,6 @@ func batchDigest(batch []proposal) ba.Value {
 	return ba.Value(h.Sum64() >> 1) // mask the sign bit: wire values are non-negative
 }
 
-// payloadDigest is the observability digest of decided batch bytes.
-func payloadDigest(b []byte) ba.Value {
-	h := fnv.New64a()
-	_, _ = h.Write(b)
-	return ba.Value(h.Sum64() >> 1)
-}
-
 // encodeBatchPayload concatenates a payload batch into the instance
 // input: per proposal an 8-byte big-endian length then the bytes. The
 // framing is what lets a committed decision be split back into the
@@ -513,10 +505,9 @@ func (s *Service) runInstance(batch []proposal) {
 		decided, err = decide(s, inst, input,
 			ba.NewMultivaluedPayloadOneShot, ba.PayloadDecisionsFromOutputs, ba.CheckPayloadAgreement)
 		committed = err == nil && bytes.Equal(decided, input)
-		digest = payloadDigest(decided)
 		if err == nil && !committed {
-			err = fmt.Errorf("service: instance %d decided %d bytes (digest %d), batch input %d bytes (digest %d)",
-				inst, len(decided), digest, len(input), payloadDigest(input))
+			err = fmt.Errorf("service: instance %d decided %d bytes, not its %d-byte batch input",
+				inst, len(decided), len(input))
 		}
 		if committed {
 			segs = splitBatchPayload(decided)

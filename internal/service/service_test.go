@@ -11,7 +11,6 @@ import (
 	"proxcensus/internal/ba"
 	"proxcensus/internal/chaos"
 	"proxcensus/internal/transport"
-	"proxcensus/internal/validate"
 )
 
 // TestMain runs the package's tests with released transport frames
@@ -24,15 +23,12 @@ func TestMain(m *testing.M) {
 }
 
 // quickService keeps tests fast: n=4 t=1 kappa=1 instances (4 rounds)
-// with tight transport deadlines.
+// with a tight round deadline.
 func quickService(t *testing.T, mutate func(*Config)) *Service {
 	t.Helper()
 	cfg := Config{
 		N: 4, T: 1, Kappa: 1, Seed: 7,
-		Transport: transport.Config{
-			RoundTimeout: 2 * time.Second,
-			JoinTimeout:  5 * time.Second,
-		},
+		RoundTimeout: 2 * time.Second,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -165,9 +161,6 @@ func TestConfigValidate(t *testing.T) {
 		{"max-pending", func(c *Config) { c.MaxPending = -1 }, "max-pending"},
 		{"max-active", func(c *Config) { c.MaxActive = -1 }, "max-active"},
 		{"batch", func(c *Config) { c.Batch = -1 }, "batch"},
-		{"ingress override", func(c *Config) {
-			c.Transport.NewIngress = func(int) *validate.Validator { return nil }
-		}, "NewIngress"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -257,8 +250,8 @@ func TestServiceUnderInjectedFaults(t *testing.T) {
 			}
 			s := quickService(t, func(c *Config) {
 				c.Batch, c.MaxActive, c.MaxPending = 4, tc.maxActive, total
-				c.Transport.Faults = sched
-				c.Transport.RoundTimeout = 300 * time.Millisecond // what each instance pays for the crash
+				c.Faults = sched
+				c.RoundTimeout = 300 * time.Millisecond // what each instance pays for the crash
 			})
 			tickets := make([]*Ticket, total)
 			payloads := make([][]byte, total)

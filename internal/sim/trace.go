@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -10,7 +9,7 @@ import (
 // Recorder is a Tracer that captures a full execution transcript:
 // every honest and adversarial message per round plus corruption
 // events. Transcripts support determinism checks (two runs with equal
-// seeds must record byte-identical transcripts) and post-mortem dumps.
+// seeds must record byte-identical transcripts) and replay checks.
 type Recorder struct {
 	// Rounds holds one record per executed round, in order.
 	Rounds []RoundRecord
@@ -79,32 +78,6 @@ func (r *Recorder) Fingerprint() string {
 	return b.String()
 }
 
-// Dump writes a human-readable transcript.
-func (r *Recorder) Dump(w io.Writer) error {
-	for _, rec := range r.Rounds {
-		if _, err := fmt.Fprintf(w, "=== round %d: %d honest, %d adversarial msgs\n",
-			rec.Round, len(rec.Honest), len(rec.Adversarial)); err != nil {
-			return err
-		}
-		for _, p := range rec.Corruptions {
-			if _, err := fmt.Fprintf(w, "  corrupted: party %d\n", p); err != nil {
-				return err
-			}
-		}
-		for _, m := range rec.Honest {
-			if _, err := fmt.Fprintf(w, "  %2d -> %2d  %#v\n", m.From, m.To, m.Payload); err != nil {
-				return err
-			}
-		}
-		for _, m := range rec.Adversarial {
-			if _, err := fmt.Fprintf(w, "  %2d => %2d  %#v (byz)\n", m.From, m.To, m.Payload); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // writeCanonical appends a canonical rendering of a message set.
 func writeCanonical(b *strings.Builder, msgs []Message) {
 	sorted := append([]Message(nil), msgs...)
@@ -116,39 +89,5 @@ func writeCanonical(b *strings.Builder, msgs []Message) {
 	})
 	for _, m := range sorted {
 		fmt.Fprintf(b, "%d>%d:%#v;", m.From, m.To, m.Payload)
-	}
-}
-
-// MultiTracer fans events out to several tracers (e.g. record and
-// print simultaneously).
-type MultiTracer []Tracer
-
-var _ Tracer = MultiTracer{}
-
-// RoundStart implements Tracer.
-func (m MultiTracer) RoundStart(round int) {
-	for _, t := range m {
-		t.RoundStart(round)
-	}
-}
-
-// HonestSent implements Tracer.
-func (m MultiTracer) HonestSent(round int, msgs []Message) {
-	for _, t := range m {
-		t.HonestSent(round, msgs)
-	}
-}
-
-// AdversarySent implements Tracer.
-func (m MultiTracer) AdversarySent(round int, msgs []Message) {
-	for _, t := range m {
-		t.AdversarySent(round, msgs)
-	}
-}
-
-// Corrupted implements Tracer.
-func (m MultiTracer) Corrupted(round int, p PartyID) {
-	for _, t := range m {
-		t.Corrupted(round, p)
 	}
 }

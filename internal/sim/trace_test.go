@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func recordedRun(t *testing.T, seed int64) *Recorder {
 	t.Helper()
@@ -59,33 +56,5 @@ func TestRecorderFingerprintDistinguishes(t *testing.T) {
 	}
 	if recA.Fingerprint() == recB.Fingerprint() {
 		t.Error("different executions must fingerprint differently")
-	}
-}
-
-func TestRecorderDump(t *testing.T) {
-	rec := recordedRun(t, 5)
-	var b strings.Builder
-	if err := rec.Dump(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"=== round 1", "corrupted: party 0", "(byz)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump missing %q", want)
-		}
-	}
-}
-
-func TestMultiTracer(t *testing.T) {
-	a, b := &Recorder{}, &Recorder{}
-	cfg := Config{N: 2, T: 0, Rounds: 2, Seed: 1, Tracer: MultiTracer{a, b}}
-	if _, err := Run(cfg, echoMachines(2, 2), Passive{}); err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("fanned-out tracers must record identically")
-	}
-	if len(a.Rounds) != 2 {
-		t.Errorf("rounds = %d", len(a.Rounds))
 	}
 }

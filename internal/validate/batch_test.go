@@ -314,7 +314,7 @@ func TestCertValidDuplicateBeforeValid(t *testing.T) {
 	})
 }
 
-// TestCertValidLargeN exercises the pooled spill bitmap past the
+// TestCertValidLargeN exercises the heap-allocated bitmap past the
 // stack's 1024-signer capacity.
 func TestCertValidLargeN(t *testing.T) {
 	n := 1100

@@ -443,17 +443,12 @@ func (v *Validator) shareOK(pk *threshsig.PublicKey, key sigKey, from int, s thr
 // per signer covers n <= 1024 without touching the heap.
 const certBitmapWords = 16
 
-// certBitmapPool recycles spill bitmaps for party counts beyond the
-// stack bitmap.
-var certBitmapPool = sync.Pool{
-	New: func() any { return new([]uint64) },
-}
-
 // certValid verifies an explicit share set: at least threshold shares
 // from distinct signers, each verifying against the message. Only the
 // first share from each signer is considered — tracked by a linear
 // pass over a seen-bitmap (n is known), stack-allocated for n <= 1024
-// and pooled beyond, since the screen sits on the hot ingress path.
+// since the screen sits on the hot ingress path, and plainly allocated
+// beyond.
 // Honest certs carry unique signers, so the first-occurrence rule
 // changes nothing for them; an adversarial cert padding a signer with
 // a bad share before a good one is judged stricter than before, never
@@ -462,19 +457,9 @@ var certBitmapPool = sync.Pool{
 func certValid(pk *threshsig.PublicKey, m []byte, shares []threshsig.Share) bool {
 	n := pk.N()
 	var stack [certBitmapWords]uint64
-	var seen []uint64
-	if words := (n + 63) / 64; words <= certBitmapWords {
-		seen = stack[:words]
-	} else {
-		spill := certBitmapPool.Get().(*[]uint64)
-		if cap(*spill) < words {
-			*spill = make([]uint64, words)
-		}
-		seen = (*spill)[:words]
-		for i := range seen {
-			seen[i] = 0
-		}
-		defer certBitmapPool.Put(spill)
+	seen := stack[:]
+	if words := (n + 63) / 64; words > certBitmapWords {
+		seen = make([]uint64, words)
 	}
 	distinct := 0
 	for _, s := range shares {

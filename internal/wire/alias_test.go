@@ -237,7 +237,7 @@ func TestNewDecoderAllocations(t *testing.T) {
 
 // TestDecoderInterning: byte-identical inputs return the cached
 // payload; slice-carrying classes always decode fresh; the cache cap
-// stops insertion but never rejects traffic; nil decoders pass through.
+// stops insertion but never rejects traffic.
 func TestDecoderInterning(t *testing.T) {
 	vote := proxcensus.LinearVote{V: 1, Share: share(4, 0xab)}
 	raw := mustEncode(vote)
@@ -289,13 +289,6 @@ func TestDecoderInterning(t *testing.T) {
 			if _, cached := d.cache[string(rawP)]; cached {
 				t.Errorf("%T was interned", p)
 			}
-		}
-	})
-	t.Run("nil decoder passes through", func(t *testing.T) {
-		var d *Decoder
-		p, err := d.Decode(raw)
-		if err != nil || p != sim.Payload(vote) {
-			t.Fatalf("nil decoder: p=%v err=%v", p, err)
 		}
 	})
 	t.Run("errors are not cached", func(t *testing.T) {

@@ -9,7 +9,8 @@
 // property is what makes interning sound: an interned payload can be
 // handed out again for a later byte-identical message. FuzzDecodeAlias
 // pins the property. DecodeAlias relaxes it for exactly the two blob
-// classes, whose Data then sub-slices the input.
+// classes, whose Data then sub-slices the input. Both run the one
+// decode body (wire.go), in copying and in aliasing mode.
 
 package wire
 
@@ -44,19 +45,15 @@ func NewDecoder() *Decoder {
 	return &Decoder{}
 }
 
-// Decode decodes b, consulting the intern cache first. A nil receiver
-// decodes without interning. The map lookup converts b without
+// Decode decodes b, consulting the intern cache first. The map lookup converts b without
 // allocating (the compiler's m[string(b)] optimization); only a miss
 // that inserts pays for the key copy, so a warmed cache decodes a
 // steady-state round with zero allocations.
 func (d *Decoder) Decode(b []byte) (sim.Payload, error) {
-	if d == nil {
-		return Decode(b)
-	}
 	if p, ok := d.cache[string(b)]; ok {
 		return p, nil
 	}
-	p, err := Decode(b)
+	p, err := decode(b, false)
 	if err != nil {
 		return nil, err
 	}
@@ -73,13 +70,13 @@ func (d *Decoder) Decode(b []byte) (sim.Payload, error) {
 // DecodeAlias is Decode for a caller that owns b until every payload
 // decoded from it is dead — the transport's receive path, where b is a
 // received frame released only after Machine.Deliver returns. The two
-// blob classes take the package-level DecodeAlias arm, so Data
-// sub-slices b instead of being copied out, and skip the intern cache
+// blob classes decode in aliasing mode, so Data sub-slices b instead
+// of being copied out, and skip the intern cache
 // they could never hit (the lookup would hash the whole blob for
 // nothing). Every other class decodes exactly as Decode does.
 func (d *Decoder) DecodeAlias(b []byte) (sim.Payload, error) {
 	if len(b) > 0 && (Class(b[0]) == ClassTCPayload || Class(b[0]) == ClassTCPayloadEcho) {
-		return DecodeAlias(b)
+		return decode(b, true)
 	}
 	return d.Decode(b)
 }

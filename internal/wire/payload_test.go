@@ -71,7 +71,7 @@ func TestDecodePayloadHugeLength(t *testing.T) {
 	if _, err := Decode(b); !errors.Is(err, ErrPayloadSize) {
 		t.Errorf("huge length claim: err = %v, want ErrPayloadSize", err)
 	}
-	if _, err := DecodeAlias(b); !errors.Is(err, ErrPayloadSize) {
+	if _, err := decode(b, true); !errors.Is(err, ErrPayloadSize) {
 		t.Errorf("huge length claim (alias): err = %v, want ErrPayloadSize", err)
 	}
 	// A negative length (sign bit set) is likewise a size error, not a
@@ -101,7 +101,7 @@ func TestDecodePayloadMalformed(t *testing.T) {
 			if _, err := Decode(tt.b); err == nil {
 				t.Error("malformed payload frame decoded (copy path)")
 			}
-			if _, err := DecodeAlias(tt.b); err == nil {
+			if _, err := decode(tt.b, true); err == nil {
 				t.Error("malformed payload frame decoded (alias path)")
 			}
 		})
@@ -128,42 +128,41 @@ func TestDecodePayloadCopies(t *testing.T) {
 	}
 }
 
-// TestDecodeAliasAliases pins the inverse contract: DecodeAlias hands
-// back sub-slices of the input, zero-copy, and agrees with Decode on
-// every accepted input.
+// TestDecodeAliasAliases pins the inverse contract: the decode body in
+// aliasing mode hands back sub-slices of the input, zero-copy, and
+// agrees with Decode on every accepted input.
 func TestDecodeAliasAliases(t *testing.T) {
 	data := bytes.Repeat([]byte{0x42}, 256)
 	frame := mustEncode(ba.TCPayloadEcho{Data: data, Valid: true})
-	p, err := DecodeAlias(frame)
+	p, err := decode(frame, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := p.(ba.TCPayloadEcho)
 	if !bytes.Equal(got.Data, data) || !got.Valid {
-		t.Fatalf("DecodeAlias round trip mismatch")
+		t.Fatalf("aliasing decode round trip mismatch")
 	}
 	frame[len(frame)-2] ^= 0xff // inside the blob (last blob byte precedes the valid byte)
 	if bytes.Equal(got.Data, data) {
-		t.Fatal("DecodeAlias copied: mutation of the frame did not show through")
+		t.Fatal("aliasing decode copied: mutation of the frame did not show through")
 	}
-	// Non-blob classes fall through to the copying Decode and match it.
+	// Non-blob classes decode exactly as the copying Decode does.
 	for _, sample := range samplePayloads() {
 		raw := mustEncode(sample)
-		viaAlias, errA := DecodeAlias(append([]byte(nil), raw...))
+		viaAlias, errA := decode(append([]byte(nil), raw...), true)
 		viaCopy, errC := Decode(raw)
 		if (errA == nil) != (errC == nil) {
 			t.Fatalf("%T: alias err=%v copy err=%v", sample, errA, errC)
 		}
 		if errA == nil && !payloadEqual(viaAlias, viaCopy) {
-			t.Errorf("%T: DecodeAlias and Decode disagree", sample)
+			t.Errorf("%T: aliasing decode and Decode disagree", sample)
 		}
 	}
 }
 
 // TestDecoderDecodeAlias pins the transport's decode entry point: the
 // two blob classes alias the input and never enter the intern cache,
-// every other class takes the interning Decode unchanged, and a nil
-// receiver still decodes.
+// and every other class takes the interning Decode unchanged.
 func TestDecoderDecodeAlias(t *testing.T) {
 	d := NewDecoder()
 	for _, blob := range []sim.Payload{
@@ -190,10 +189,6 @@ func TestDecoderDecodeAlias(t *testing.T) {
 	}
 	if again, _ := d.DecodeAlias(echo); again != first {
 		t.Errorf("interned payload not reused: %v != %v", again, first)
-	}
-	var none *Decoder
-	if p, err := none.DecodeAlias(echo); err != nil || p != first {
-		t.Errorf("nil receiver: p=%v err=%v", p, err)
 	}
 	if _, err := d.DecodeAlias(nil); err == nil {
 		t.Error("empty input must fail")
@@ -227,7 +222,7 @@ func FuzzDecodePayload(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
-		pa, errA := DecodeAlias(append([]byte(nil), data...))
+		pa, errA := decode(append([]byte(nil), data...), true)
 		if (err == nil) != (errA == nil) {
 			t.Fatalf("copy/alias verdict split: copy err=%v alias err=%v", err, errA)
 		}

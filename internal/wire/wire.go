@@ -182,8 +182,21 @@ func AppendEncode(dst []byte, p sim.Payload) ([]byte, error) {
 	}
 }
 
-// Decode deserializes a payload previously produced by Encode.
+// Decode deserializes a payload previously produced by Encode. The
+// decoded payload never aliases b and may be held for as long as the
+// caller likes.
 func Decode(b []byte) (sim.Payload, error) {
+	return decode(b, false)
+}
+
+// decode is the one payload decode body. With alias set, the two blob
+// classes' Data sub-slices b (three-index, so appends cannot clobber
+// neighbors) instead of being copied out; every other class's
+// fixed-width fields are copied by construction, and certificate share
+// lists are always freshly allocated, so alias changes nothing else.
+// An aliasing caller owns the contract: b must stay untouched for as
+// long as any decoded payload is live (Decoder.DecodeAlias).
+func decode(b []byte, alias bool) (sim.Payload, error) {
 	if len(b) == 0 {
 		return nil, ErrTruncated
 	}
@@ -245,9 +258,9 @@ func Decode(b []byte) (sim.Payload, error) {
 		v := r.int64()
 		return finish(ba.TCCandidate{V: int(v), Omega: threshsig.Signature(r.bytes32())}, &r)
 	case ClassTCPayload:
-		return finish(ba.TCPayload{Data: r.blob()}, &r)
+		return finish(ba.TCPayload{Data: r.blob(alias)}, &r)
 	case ClassTCPayloadEcho:
-		data := r.blob()
+		data := r.blob(alias)
 		valid := r.byte() == 1
 		return finish(ba.TCPayloadEcho{Data: data, Valid: valid}, &r)
 	default:

@@ -250,7 +250,7 @@ func TestReaderAllocations(t *testing.T) {
 		r := reader{buf: vote[1:]}
 		_, _ = r.int64(), r.share() // share reads an int64 and a bytes32
 		e := reader{buf: echo[1:]}
-		_, _ = e.blobAlias(), e.byte()
+		_, _ = e.blob(true), e.byte()
 		if r.err != nil || len(r.buf) != 0 || e.err != nil || len(e.buf) != 0 {
 			t.Fatalf("readers left %d/%d bytes, errs %v/%v", len(r.buf), len(e.buf), r.err, e.err)
 		}
@@ -260,8 +260,8 @@ func TestReaderAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { payloadSink, err = Decode(vote) }); allocs != 1 || err != nil {
 		t.Errorf("Decode(vote) allocates %.1f objects (err %v), want 1: the interface box", allocs, err)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { payloadSink, err = DecodeAlias(echo) }); allocs != 1 || err != nil {
-		t.Errorf("DecodeAlias(echo) allocates %.1f objects (err %v), want 1: the interface box", allocs, err)
+	if allocs := testing.AllocsPerRun(100, func() { payloadSink, err = decode(echo, true) }); allocs != 1 || err != nil {
+		t.Errorf("decode(echo, true) allocates %.1f objects (err %v), want 1: the interface box", allocs, err)
 	}
 }
 

@@ -1,27 +1,18 @@
 #!/usr/bin/env bash
-# Static checks: compile, go vet, and the repo's invariant analyzer
-# suite (see internal/lint and DESIGN.md "Static invariants"). CI runs
-# this before any tests; run it locally before sending a change.
+# Static checks: compile, go vet, gofmt, and the repo's invariant
+# analyzer suite (see internal/lint and DESIGN.md "Static invariants"),
+# which TestModuleIsClean drives over the whole module. Run it locally
+# before sending a change. One analyzer alone:
+#   go test -count=1 -run 'TestModuleIsClean/noretain' ./internal/lint
 #
-# Usage: lint.sh [-run analyzer[,analyzer...]]
-#   -run    run only the named analyzers (balint -list shows them)
+# Usage: lint.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-balint_args=()
-while [[ $# -gt 0 ]]; do
-    case "$1" in
-    -run)
-        [[ $# -ge 2 ]] || { echo "lint.sh: -run needs an analyzer list" >&2; exit 2; }
-        balint_args+=(-run "$2")
-        shift 2
-        ;;
-    *)
-        echo "lint.sh: unknown argument: $1" >&2
-        exit 2
-        ;;
-    esac
-done
+if [[ $# -gt 0 ]]; then
+    echo "lint.sh: takes no arguments" >&2
+    exit 2
+fi
 
 go build ./...
 go vet ./...
@@ -31,6 +22,6 @@ if [[ -n "${gofmt_out}" ]]; then
     echo "${gofmt_out}" >&2
     exit 1
 fi
-go run ./cmd/balint "${balint_args[@]}" ./...
+go test -count=1 -run '^TestModuleIsClean$' ./internal/lint
 
 echo "LINT OK"

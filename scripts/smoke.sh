@@ -8,12 +8,12 @@ go build ./...
 go vet ./...
 
 # Race-detect the packages with real concurrency (goroutines + sockets
-# in the TCP transport, shared oracle state in coin, the trial-parallel
-# sampler in conformance), and stress the TCP transport: 5 repeated
-# runs shake out the startup/shutdown, reconnect and churn races a
-# single run can miss, and — every test of transport and service runs
-# with released frames poisoned — a frame released while something
-# still reads it.
+# in the TCP transport, the one immutable Oracle every party reads in
+# coin, the trial-parallel sampler in conformance), and stress the TCP
+# transport: 5 repeated runs shake out the startup/shutdown, reconnect
+# and churn races a single run can miss, and — every test of transport
+# and service runs with released frames poisoned — a frame released
+# while something still reads it.
 go test -race ./internal/transport ./internal/coin ./internal/conformance ./internal/service
 go test -race -count=5 -run 'TestRunLocal|TestHub|TestReconnect|TestMuxBounce|TestMuxNodeRedials|TestMuxChurn|TestFrameList|TestPoisonedFrames|TestMuxFlood' ./internal/transport
 go test -race -count=5 -run 'TestServicePayloadRoundTrip|TestServiceUnderInjectedFaults' ./internal/service
