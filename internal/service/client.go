@@ -68,11 +68,12 @@ func (s *Service) ServeAPI(ln net.Listener) error {
 func (s *Service) serveConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	var wmu sync.Mutex
-	reply := func(line string) {
+	// reply writes one response line, newline included, in one Write.
+	reply := func(line []byte) {
 		wmu.Lock()
 		defer wmu.Unlock()
 		_ = conn.SetWriteDeadline(time.Now().Add(apiWriteTimeout))
-		_, _ = fmt.Fprintln(conn, line)
+		_, _ = conn.Write(line)
 	}
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -82,7 +83,7 @@ func (s *Service) serveConn(conn net.Conn) {
 	for sc.Scan() {
 		req, refusal := parseRequest(sc.Text())
 		if refusal != "" {
-			reply(refusal)
+			reply([]byte(refusal + "\n"))
 			continue
 		}
 		if req.reqid == "" {
@@ -91,20 +92,22 @@ func (s *Service) serveConn(conn net.Conn) {
 		var tk *Ticket
 		var err error
 		if req.isPayload {
-			tk, err = s.SubmitPayload(req.payload)
+			// The payload was hex-decoded into a slice of its own, so
+			// the service keeps it without a copy.
+			tk, err = s.submitPayload(req.payload, true)
 		} else {
 			tk, err = s.Submit(req.value)
 		}
 		switch {
 		case errors.Is(err, ErrOverloaded):
-			reply(fmt.Sprintf("busy %s %d", req.reqid, s.cfg.RetryAfter.Milliseconds()))
+			reply(fmt.Appendf(nil, "busy %s %d\n", req.reqid, s.cfg.RetryAfter.Milliseconds()))
 		case err != nil:
-			reply(fmt.Sprintf("err %s %v", req.reqid, err))
+			reply(fmt.Appendf(nil, "err %s %v\n", req.reqid, err))
 		default:
 			wg.Add(1)
 			go func(reqid string, isPayload bool) {
 				defer wg.Done()
-				reply(decisionLine(reqid, isPayload, tk.Wait()))
+				reply(answerLine(reqid, isPayload, tk.Wait()))
 			}(req.reqid, req.isPayload) // not req: its payload is not held until the decision
 		}
 	}
@@ -147,23 +150,39 @@ func parseRequest(line string) (req request, refusal string) {
 	return req, ""
 }
 
-// decisionLine renders the answer to a decided request: `decidedb`
-// for a payload proposal, `decided` for a value.
-func decisionLine(reqid string, isPayload bool, d Decision) string {
-	committed := 0
+// answerLine renders the answer to a decided request, newline
+// included: `decidedb` for a payload proposal, `decided` for a value.
+// It allocates the line once, at its full size, so a payload answer's
+// hex is written straight into the buffer the connection is written
+// from.
+func answerLine(reqid string, isPayload bool, d Decision) []byte {
+	committed := int64(0)
 	if d.Committed {
 		committed = 1
 	}
+	// Room for the verb, the request ID, four numbers of up to 20
+	// characters with their separators, the payload hex and the newline.
+	b := make([]byte, 0, len("decidedb ")+len(reqid)+4*21+hex.EncodedLen(len(d.Payload))+1)
+	if isPayload {
+		b = append(b, "decidedb "...)
+	} else {
+		b = append(b, "decided "...)
+	}
+	b = append(append(b, reqid...), ' ')
+	b = append(strconv.AppendInt(b, int64(d.Instance), 10), ' ')
 	if !isPayload {
-		return fmt.Sprintf("decided %s %d %d %d %d",
-			reqid, d.Instance, int(d.Digest), committed, d.Latency.Microseconds())
+		b = append(strconv.AppendInt(b, int64(d.Digest), 10), ' ')
 	}
-	echo := "-"
-	if d.Committed {
-		echo = hex.EncodeToString(d.Payload)
+	b = append(strconv.AppendInt(b, committed, 10), ' ')
+	b = strconv.AppendInt(b, d.Latency.Microseconds(), 10)
+	switch {
+	case !isPayload:
+	case d.Committed:
+		b = hex.AppendEncode(append(b, ' '), d.Payload)
+	default:
+		b = append(b, " -"...)
 	}
-	return fmt.Sprintf("decidedb %s %d %d %d %s",
-		reqid, d.Instance, committed, d.Latency.Microseconds(), echo)
+	return append(b, '\n')
 }
 
 // Result is one parsed API response on the client side.
@@ -221,7 +240,8 @@ func (c *Client) Close() error { return c.conn.Close() }
 // Propose pipelines one proposal and returns the channel its Result
 // arrives on (exactly one).
 func (c *Client) Propose(value int) (<-chan Result, error) {
-	return c.send("propose %s %d\n", value)
+	// An int renders in at most 20 characters.
+	return c.send("propose", 20, func(b []byte) []byte { return strconv.AppendInt(b, int64(value), 10) })
 }
 
 // ProposePayload pipelines one ℓ-bit payload proposal and returns the
@@ -234,13 +254,14 @@ func (c *Client) ProposePayload(data []byte) (<-chan Result, error) {
 	if len(data) > MaxAPIPayload {
 		return nil, fmt.Errorf("service: payload %d bytes exceeds the line-protocol ceiling %d", len(data), MaxAPIPayload)
 	}
-	return c.send("proposeb %s %s\n", hex.EncodeToString(data))
+	return c.send("proposeb", hex.EncodedLen(len(data)), func(b []byte) []byte { return hex.AppendEncode(b, data) })
 }
 
 // send registers a waiter under the next request ID and writes the
-// request line format renders from that ID and arg; the waiter is
-// dropped again if the write fails.
-func (c *Client) send(format string, arg any) (<-chan Result, error) {
+// request line `<verb> <reqid> <arg>` in one Write, appending it into
+// one buffer sized for argLen bytes of arg, which appendArg renders;
+// the waiter is dropped again if the write fails.
+func (c *Client) send(verb string, argLen int, appendArg func([]byte) []byte) (<-chan Result, error) {
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
@@ -252,9 +273,12 @@ func (c *Client) send(format string, arg any) (<-chan Result, error) {
 	c.waiters[reqid] = ch
 	c.mu.Unlock()
 
+	line := make([]byte, 0, len(verb)+len(reqid)+argLen+3)
+	line = append(append(append(append(line, verb...), ' '), reqid...), ' ')
+	line = append(appendArg(line), '\n')
 	c.wmu.Lock()
 	_ = c.conn.SetWriteDeadline(time.Now().Add(apiWriteTimeout))
-	_, err := fmt.Fprintf(c.conn, format, reqid, arg)
+	_, err := c.conn.Write(line)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()

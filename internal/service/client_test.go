@@ -224,6 +224,78 @@ func TestParseResult(t *testing.T) {
 	}
 }
 
+// decisionLine is answerLine as a string, the form the line-protocol
+// tests parse.
+func decisionLine(reqid string, isPayload bool, d Decision) string {
+	return string(answerLine(reqid, isPayload, d))
+}
+
+// TestAPILinesMatchSprintfRendering: the answer and request lines built
+// by appending are byte for byte the lines fmt rendered before —
+// Fprintln of the Sprintf answer on the server, Fprintf of the request
+// format on the client — so no client of the line protocol can tell.
+func TestAPILinesMatchSprintfRendering(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x00, 0x5a, 0xff, 0x13}, 1<<10)
+	sprintfDecision := func(reqid string, isPayload bool, d Decision) string {
+		committed := 0
+		if d.Committed {
+			committed = 1
+		}
+		if !isPayload {
+			return fmt.Sprintf("decided %s %d %d %d %d\n",
+				reqid, d.Instance, int(d.Digest), committed, d.Latency.Microseconds())
+		}
+		echo := "-"
+		if d.Committed {
+			echo = hex.EncodeToString(d.Payload)
+		}
+		return fmt.Sprintf("decidedb %s %d %d %d %s\n",
+			reqid, d.Instance, committed, d.Latency.Microseconds(), echo)
+	}
+	for _, tc := range []struct {
+		reqid     string
+		isPayload bool
+		d         Decision
+	}{
+		{"r1", true, Decision{Instance: 12, Committed: true, Latency: 1843 * time.Microsecond, Payload: payload}},
+		{"r2", true, Decision{Instance: 1 << 40, Latency: time.Second, Payload: payload}},
+		{"r3", true, Decision{Instance: 0, Committed: true, Payload: []byte{}}},
+		{"4", false, Decision{Instance: 7, Digest: 1<<62 + 5, Committed: true, Latency: 900 * time.Microsecond}},
+		{"5", false, Decision{Instance: 8}},
+	} {
+		want := sprintfDecision(tc.reqid, tc.isPayload, tc.d)
+		if got := answerLine(tc.reqid, tc.isPayload, tc.d); string(got) != want {
+			t.Errorf("answer %s: appended %.80q, Sprintf rendered %.80q", tc.reqid, got, want)
+		}
+	}
+
+	srv, cli := net.Pipe()
+	defer func() { _ = srv.Close() }()
+	c := &Client{conn: cli, waiters: make(map[string]chan Result)}
+	lines := make(chan string, 2)
+	go func() {
+		r := bufio.NewReaderSize(srv, apiMaxLine)
+		for range 2 {
+			line, _ := r.ReadString('\n')
+			lines <- line
+		}
+	}()
+	if _, err := c.ProposePayload(payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Propose(-42); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{
+		fmt.Sprintf("proposeb %s %s\n", "1", hex.EncodeToString(payload)),
+		fmt.Sprintf("propose %s %d\n", "2", -42),
+	} {
+		if got := <-lines; got != want {
+			t.Errorf("request %d: appended %.80q, Fprintf rendered %.80q", i+1, got, want)
+		}
+	}
+}
+
 // FuzzAPILine drives both line parsers with arbitrary text. Neither may
 // panic. A request line either parses — and then renders back to a line
 // that parses to the same request, and every answer the server can give

@@ -313,13 +313,22 @@ func (s *Service) Submit(value ba.Value) (*Ticket, error) {
 // with ErrOverloaded when full). The payload is copied, so the caller
 // may reuse its buffer immediately.
 func (s *Service) SubmitPayload(data []byte) (*Ticket, error) {
+	return s.submitPayload(data, false)
+}
+
+// submitPayload is SubmitPayload for a caller that may hand data over:
+// owned data is kept as is, anything else is copied first.
+func (s *Service) submitPayload(data []byte, owned bool) (*Ticket, error) {
 	if len(data) == 0 {
 		return nil, errors.New("service: empty payload")
 	}
 	if len(data) > s.cfg.MaxPayload {
 		return nil, fmt.Errorf("service: payload %d bytes exceeds max-payload %d", len(data), s.cfg.MaxPayload)
 	}
-	return s.enqueue(proposal{payload: append([]byte(nil), data...), isPayload: true})
+	if !owned {
+		data = append([]byte(nil), data...)
+	}
+	return s.enqueue(proposal{payload: data, isPayload: true})
 }
 
 // enqueue is admission control: the proposal gets its ticket and a

@@ -416,7 +416,7 @@ func (e *engine) routeParty(p, round int) {
 }
 
 // expandedCount returns how many addressed messages a send list expands
-// to (mirroring expandSends).
+// to (what fillSends writes).
 func expandedCount(n int, sends []Send) int {
 	count := 0
 	for _, s := range sends {
@@ -456,11 +456,4 @@ func fillSends(dst []Message, from PartyID, round, n int, sends []Send) {
 		dst[i] = Message{From: from, To: s.To, Round: round, Payload: s.Payload}
 		i++
 	}
-}
-
-// expandSends turns a machine's send list into addressed messages.
-func expandSends(from PartyID, round, n int, sends []Send) []Message {
-	msgs := make([]Message, expandedCount(n, sends))
-	fillSends(msgs, from, round, n, sends)
-	return msgs
 }

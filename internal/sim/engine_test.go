@@ -314,11 +314,13 @@ func TestRunZeroRounds(t *testing.T) {
 }
 
 func TestExpandSendsUnicastRange(t *testing.T) {
-	msgs := expandSends(0, 1, 3, []Send{
+	sends := []Send{
 		{To: 2, Payload: testPayload{v: 1}},
 		{To: 9, Payload: testPayload{v: 2}},  // silently dropped
 		{To: -5, Payload: testPayload{v: 3}}, // silently dropped
-	})
+	}
+	msgs := make([]Message, expandedCount(3, sends))
+	fillSends(msgs, 0, 1, 3, sends)
 	if len(msgs) != 1 || msgs[0].To != 2 {
 		t.Errorf("msgs = %+v, want single message to party 2", msgs)
 	}

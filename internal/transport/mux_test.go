@@ -549,7 +549,9 @@ func TestMuxIdleLogBounded(t *testing.T) {
 
 // TestHubDeliversInSenderOrder: every delivery batch lists its senders
 // in ascending order and each sender's entries in the order it sent
-// them — the order DESIGN §9's within-batch digest memo relies on — and
+// them — the order the simulator's engine builds its inboxes in
+// (DESIGN §9, inbox routing), so a machine sees the same inbox over TCP
+// as in the simulator — and
 // holds exactly what routing owes its recipient, whether the hub
 // encodes a frame per recipient or one for all of them. Raw peers send
 // in descending ID order, so the hub's routing, not arrival, sets the

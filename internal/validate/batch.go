@@ -10,8 +10,6 @@
 package validate
 
 import (
-	"crypto/sha256"
-
 	"proxcensus/internal/coin"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
@@ -23,10 +21,12 @@ import (
 // path Raw — and the Data of a payload-blob Payload — sub-slices a
 // received frame the transport releases once the round's machine step
 // is done, so both are valid for the round only. Per sender and round,
-// AdmitBatch keeps digests of Raw, never the bytes, and the Payload
-// that opened each single-instance stream, for equivocation evidence.
-// It reads such a Payload only while its round lasts: later rounds
-// never consult it, and the sender's first message of one overwrites it.
+// AdmitBatch keeps the Raw of the sender's first message, for the
+// duplicate check, and the Payload that opened each single-instance
+// stream, for equivocation evidence; a sender's later distinct messages
+// of the round are kept as digests. It reads a kept Raw or Payload only
+// while its round lasts: later rounds never consult it, and the
+// sender's first message of one overwrites it.
 type Inbound struct {
 	// From is the claimed sender address.
 	From int
@@ -37,13 +37,6 @@ type Inbound struct {
 	Payload sim.Payload
 	// Err is the decode error, nil on success.
 	Err error
-}
-
-// digestMemo carries the last raw-bytes digest across one batch pass.
-type digestMemo struct {
-	raw   []byte
-	hash  [sha256.Size]byte
-	valid bool
 }
 
 // msgCacheCap bounds the per-validator cache of signed-message
@@ -79,10 +72,9 @@ func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool 
 		clear(v.first)
 	}
 
-	var memo digestMemo
 	for i := range in {
 		m := &in[i]
-		reason, ok := v.checkPre(round, m.From, m.Raw, m.Payload, m.Err, &memo)
+		reason, ok := v.checkPre(round, m.From, m.Raw, m.Payload, m.Err)
 		if ok && !v.signatureOK(m.From, m.Payload) {
 			reason, ok = RejectSignature, false
 		}

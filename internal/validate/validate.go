@@ -231,12 +231,14 @@ type firstSeen struct {
 }
 
 // senderRound is what the screen keeps about one sender for the round
-// its stamp names: the digest of the sender's first message, which is
-// all the duplicate check needs while the sender sends one message per
-// round, and the sender's first single-instance stream.
+// its stamp names: the wire bytes of the sender's first message, which
+// are all the duplicate check needs while the sender sends one message
+// per round, and the sender's first single-instance stream. raw aliases
+// the round's frame like the stream's payload does, and like it is only
+// ever read while its round lasts.
 type senderRound struct {
 	stamp  uint64
-	digest [sha256.Size]byte
+	raw    []byte
 	stream firstSeen
 }
 
@@ -296,11 +298,8 @@ func (v *Validator) Report() Report {
 // checkPre runs every screening stage before signature verification,
 // in fixed order: sender, decode, phase type, domain, duplicate,
 // equivocation. Signature checks come last — they are the expensive
-// step, and everything cheaper prunes first. memo carries the raw-bytes
-// digest across consecutive calls of one batch: round-batch inboxes are
-// sorted, so the broadcast case (many senders echoing byte-identical
-// payloads) hashes once per run of equal bytes instead of per message.
-func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeErr error, memo *digestMemo) (Reason, bool) {
+// step, and everything cheaper prunes first.
+func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeErr error) (Reason, bool) {
 	if from < 0 || from >= v.rules.N {
 		return RejectSender, false
 	}
@@ -319,11 +318,8 @@ func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeE
 	if !v.rules.inDomain(round, p) {
 		return RejectDomain, false
 	}
-	if !memo.valid || !bytes.Equal(raw, memo.raw) {
-		memo.raw, memo.hash, memo.valid = raw, sha256.Sum256(raw), true
-	}
 	s := &v.senders[from]
-	if v.duplicate(s, from, memo.hash) {
+	if v.duplicate(s, from, raw) {
 		return RejectDuplicate, false
 	}
 	if singleInstance(class) {
@@ -343,22 +339,24 @@ func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeE
 	return 0, true
 }
 
-// duplicate records that from sent a message with this digest in the
-// current round and reports whether it already had. The sender's slot
-// holds its first digest of the round; only a sender's second distinct
-// message of a round (a flood, an equivocation, or a phase that sends
-// two, like Σ beside an Ω share) reaches the dup spill.
-func (v *Validator) duplicate(s *senderRound, from int, digest [sha256.Size]byte) bool {
+// duplicate records that from sent a message with these wire bytes in
+// the current round and reports whether it already had. The sender's
+// slot holds its first message of the round, compared byte for byte, so
+// a sender that sends one message per round is never hashed; only a
+// sender's second distinct message of a round (a flood, an
+// equivocation, or a phase that sends two, like Σ beside an Ω share)
+// is digested into the dup spill.
+func (v *Validator) duplicate(s *senderRound, from int, raw []byte) bool {
 	if s.stamp != v.stamp {
 		// The sender's first message this round opens its slot, which
 		// drops whatever the slot held for an earlier round.
-		*s = senderRound{stamp: v.stamp, digest: digest}
+		*s = senderRound{stamp: v.stamp, raw: raw}
 		return false
 	}
-	if s.digest == digest {
+	if bytes.Equal(s.raw, raw) {
 		return true
 	}
-	key := dupKey{from: from, hash: digest}
+	key := dupKey{from: from, hash: sha256.Sum256(raw)}
 	if _, seen := v.dup[key]; seen {
 		return true
 	}

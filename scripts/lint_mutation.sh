@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated thirteen times, and
+# rule out. A pristine copy of the module is mutated fourteen times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for an inline
 #      loop that admits whatever decodes: the hub flood-control test and
@@ -31,7 +31,10 @@
 #      forged-share tests;
 #  13. the screen reading a message's class from the last byte of its
 #      encoding instead of the tag: the wire's class table, the screen's
-#      wrong-phase-type test and the admission differential.
+#      wrong-phase-type test and the admission differential;
+#  14. the screen's duplicate check taking a sender's message for its
+#      first of the round when only the lengths match: the admission
+#      differential and the vote and payload equivocation tests.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -299,5 +302,29 @@ sed -i 's/if c := Class(b\[0\]); c\.registered() {/if c := Class(b[len(b)-1]); c
 expect_test_fail 'TestClassTable' ./internal/wire
 expect_test_fail 'TestRejectTypeForPhase' ./internal/validate
 expect_test_fail 'FuzzAdmitBatch' ./internal/validate
+
+echo "mutation 14: the duplicate check compares a sender's message to its first by length"
+# Mutation 13 left the wire codec edited, and mutations 3, 5 and 12 the
+# screen; start both from the tree as it stands.
+cp internal/validate/*.go "$tmp/internal/validate/"
+cp internal/wire/*.go "$tmp/internal/wire/"
+validate="$tmp/internal/validate/validate.go"
+slot_line='if bytes.Equal(s.raw, raw) {'
+if [[ "$(grep -cF "$slot_line" "$validate")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one slot comparison in validate.go, duplicate's" >&2
+    exit 1
+fi
+slot_tests='FuzzAdmitBatch|TestEquivocationDetection|TestPayloadDuplicateAndEquivocation'
+(cd "$tmp" && go test -count=1 -run "$slot_tests" ./internal/validate)
+# A sender's second message of a round that is as long as its first —
+# a vote for the other value, a payload of the same size — is rejected
+# as a duplicate instead of being caught as an equivocation. The
+# appended line keeps the import in use.
+sed -i 's/if bytes\.Equal(s\.raw, raw) {/if len(s.raw) == len(raw) {/' "$validate"
+echo 'var _ = bytes.Equal' >>"$validate"
+(cd "$tmp" && go build ./internal/validate)
+expect_test_fail 'FuzzAdmitBatch' ./internal/validate
+expect_test_fail 'TestEquivocationDetection' ./internal/validate
+expect_test_fail 'TestPayloadDuplicateAndEquivocation' ./internal/validate
 
 echo "MUTATION SMOKE OK"
