@@ -338,8 +338,8 @@ func NewMultivaluedOneShot(setup *Setup, kappa int, inputs []Value, defaultValue
 // newMultivaluedThird builds multivalued BA for t < n/3 over the value
 // domain D: the 2-round Turpin-Coan prefix, then the κ+1-round binary
 // one-shot core, then the prefix's candidate if the core decides 1 and
-// defaultValue if it decides 0. Every domain flips its coins in the
-// "mv-oneshot" domain, so under one setup the digest and payload
+// defaultValue if it decides 0. Every domain flips its coins in
+// MultivaluedCoinDomain, so under one setup the digest and payload
 // families flip byte-identical coins.
 func newMultivaluedThird[T any, D tcDomain[T]](name string, setup *Setup, kappa int, inputs []T, defaultValue T) (*Protocol, error) {
 	if err := checkInputs(setup, kappa, inputs); err != nil {
@@ -349,7 +349,7 @@ func newMultivaluedThird[T any, D tcDomain[T]](name string, setup *Setup, kappa 
 		return nil, fmt.Errorf("ba: %s needs t < n/3, got n=%d t=%d", name, setup.N, setup.T)
 	}
 	slots := proxcensus.ExpandSlots(kappa)
-	comps := setup.CoinComponents(slots-1, "mv-oneshot")
+	comps := setup.CoinComponents(slots-1, MultivaluedCoinDomain)
 	machines := make([]sim.Machine, setup.N)
 	for i := range machines {
 		party := i

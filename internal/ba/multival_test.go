@@ -22,7 +22,7 @@ type mvBuilder struct {
 
 func mvBuilders() []mvBuilder {
 	return []mvBuilder{
-		{"mv-oneshot", 3, ba.MultivaluedOneShotRounds,
+		{ba.MultivaluedCoinDomain, 3, ba.MultivaluedOneShotRounds,
 			func(s *ba.Setup, k int, in []ba.Value) (*ba.Protocol, error) {
 				return ba.NewMultivaluedOneShot(s, k, in, mvDefault)
 			}},

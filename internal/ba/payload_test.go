@@ -272,9 +272,9 @@ func TestPayloadResilienceValidation(t *testing.T) {
 // inputs and their rank under an order-preserving injection into the
 // digest domain — the payload protocol and the digest protocol decide
 // the SAME point of the input lattice under the same seeds and the
-// same adversary placements. The two families share the "mv-oneshot"
-// coin domain, so under one setup seed their binary cores flip
-// byte-identical coins; everything left to check is the prefix.
+// same adversary placements. The two families share
+// ba.MultivaluedCoinDomain, so under one setup seed their binary cores
+// flip byte-identical coins; everything left to check is the prefix.
 func TestPayloadDigestDifferential(t *testing.T) {
 	const n, tc, kappa, trials = 7, 2, 5, 12
 	vocab := make([][]byte, 4)

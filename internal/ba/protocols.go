@@ -28,6 +28,9 @@ type Protocol struct {
 const (
 	OneShotCoinDomain = "oneshot"
 	HalfCoinDomain    = "half-n2"
+	// MultivaluedCoinDomain is shared by both value domains of the
+	// t < n/3 multivalued protocol, digest and payload alike.
+	MultivaluedCoinDomain = "mv-oneshot"
 )
 
 // OneShotRounds returns the round budget κ+1 of the t < n/3 one-shot

@@ -20,12 +20,12 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -61,29 +61,52 @@ func (s *Service) ServeAPI(ln net.Listener) error {
 	}
 }
 
+// lineWriter is the write side of one line-API connection: each line
+// is rendered into the connection's one buffer and written with one
+// Write, both under mu, so once the buffer has grown to the longest
+// line — at most apiMaxLine plus an answer's numbers — a line costs no
+// allocation of its own.
+type lineWriter struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+// begin locks the write side and returns its buffer, emptied, for one
+// line to be appended to.
+func (w *lineWriter) begin() []byte {
+	w.mu.Lock()
+	return w.buf[:0]
+}
+
+// flush writes line — begin's buffer with one line appended, newline
+// included — to conn in one Write, keeps the buffer for the next line
+// and unlocks.
+func (w *lineWriter) flush(conn net.Conn, line []byte) error {
+	defer w.mu.Unlock()
+	w.buf = line
+	_ = conn.SetWriteDeadline(time.Now().Add(apiWriteTimeout))
+	_, err := conn.Write(line)
+	return err
+}
+
 // serveConn drains one client connection: each request line submits a
 // proposal, shed verdicts answer immediately, and accepted proposals
 // answer from a per-proposal goroutine when the decision lands, so a
-// slow instance never blocks the request stream.
+// slow instance never blocks the request stream. Requests are parsed
+// where the scanner holds them, which is valid only until the next
+// Scan: the parsed request owns its request ID and payload.
 func (s *Service) serveConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
-	var wmu sync.Mutex
-	// reply writes one response line, newline included, in one Write.
-	reply := func(line []byte) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(apiWriteTimeout))
-		_, _ = conn.Write(line)
-	}
+	var w lineWriter
 	var wg sync.WaitGroup
 	defer wg.Wait()
 
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 256), apiMaxLine)
 	for sc.Scan() {
-		req, refusal := parseRequest(sc.Text())
+		req, refusal := parseRequest(sc.Bytes())
 		if refusal != "" {
-			reply([]byte(refusal + "\n"))
+			_ = w.flush(conn, append(append(w.begin(), refusal...), '\n'))
 			continue
 		}
 		if req.reqid == "" {
@@ -100,14 +123,15 @@ func (s *Service) serveConn(conn net.Conn) {
 		}
 		switch {
 		case errors.Is(err, ErrOverloaded):
-			reply(fmt.Appendf(nil, "busy %s %d\n", req.reqid, s.cfg.RetryAfter.Milliseconds()))
+			_ = w.flush(conn, fmt.Appendf(w.begin(), "busy %s %d\n", req.reqid, s.cfg.RetryAfter.Milliseconds()))
 		case err != nil:
-			reply(fmt.Appendf(nil, "err %s %v\n", req.reqid, err))
+			_ = w.flush(conn, fmt.Appendf(w.begin(), "err %s %v\n", req.reqid, err))
 		default:
 			wg.Add(1)
 			go func(reqid string, isPayload bool) {
 				defer wg.Done()
-				reply(answerLine(reqid, isPayload, tk.Wait()))
+				d := tk.Wait() // before begin: the write side is not held while the instance runs
+				_ = w.flush(conn, appendAnswer(w.begin(), reqid, isPayload, d))
 			}(req.reqid, req.isPayload) // not req: its payload is not held until the decision
 		}
 	}
@@ -122,27 +146,32 @@ type request struct {
 	payload   []byte
 }
 
-// parseRequest splits one request line. A line that carries no
-// proposal comes back with the `err` line that refuses it; a blank
-// line earns no answer and comes back as the zero request.
-func parseRequest(line string) (req request, refusal string) {
-	fields := strings.Fields(line)
+// parseRequest splits one request line in place. The request it
+// returns shares no byte with line, so line may be overwritten as soon
+// as it returns: the payload is hex-decoded into a slice of its own, of
+// exactly the payload's size. A line that carries no proposal comes
+// back with the `err` line that refuses it; a blank line earns no
+// answer and comes back as the zero request.
+func parseRequest(line []byte) (req request, refusal string) {
+	fields := bytes.Fields(line)
 	if len(fields) == 0 {
 		return request{}, ""
 	}
-	if len(fields) != 3 || (fields[0] != "propose" && fields[0] != "proposeb") {
+	verb := fields[0]
+	if len(fields) != 3 || (string(verb) != "propose" && string(verb) != "proposeb") {
 		return request{}, "err - malformed request, want: propose <reqid> <value> | proposeb <reqid> <payload-hex>"
 	}
-	req = request{reqid: fields[1], isPayload: fields[0] == "proposeb"}
-	if req.isPayload {
-		payload, err := hex.DecodeString(fields[2])
+	req = request{reqid: string(fields[1]), isPayload: string(verb) == "proposeb"}
+	if f := fields[2]; req.isPayload {
+		payload := make([]byte, hex.DecodedLen(len(f)))
+		n, err := hex.Decode(payload, f)
 		if err != nil {
 			return request{}, fmt.Sprintf("err %s payload is not hex: %v", req.reqid, err)
 		}
-		req.payload = payload
+		req.payload = payload[:n]
 		return req, ""
 	}
-	value, err := strconv.Atoi(fields[2])
+	value, err := strconv.Atoi(string(fields[2]))
 	if err != nil {
 		return request{}, fmt.Sprintf("err %s value %q is not an integer", req.reqid, fields[2])
 	}
@@ -150,19 +179,15 @@ func parseRequest(line string) (req request, refusal string) {
 	return req, ""
 }
 
-// answerLine renders the answer to a decided request, newline
-// included: `decidedb` for a payload proposal, `decided` for a value.
-// It allocates the line once, at its full size, so a payload answer's
-// hex is written straight into the buffer the connection is written
-// from.
-func answerLine(reqid string, isPayload bool, d Decision) []byte {
+// appendAnswer appends the answer to a decided request to b, newline
+// included: `decidedb` for a payload proposal, `decided` for a value. A
+// payload answer's hex goes straight into b, the buffer the connection
+// is written from.
+func appendAnswer(b []byte, reqid string, isPayload bool, d Decision) []byte {
 	committed := int64(0)
 	if d.Committed {
 		committed = 1
 	}
-	// Room for the verb, the request ID, four numbers of up to 20
-	// characters with their separators, the payload hex and the newline.
-	b := make([]byte, 0, len("decidedb ")+len(reqid)+4*21+hex.EncodedLen(len(d.Payload))+1)
 	if isPayload {
 		b = append(b, "decidedb "...)
 	} else {
@@ -214,7 +239,7 @@ type Result struct {
 // responses to per-request channels.
 type Client struct {
 	conn net.Conn
-	wmu  sync.Mutex
+	w    lineWriter
 
 	mu      sync.Mutex
 	next    int
@@ -240,8 +265,7 @@ func (c *Client) Close() error { return c.conn.Close() }
 // Propose pipelines one proposal and returns the channel its Result
 // arrives on (exactly one).
 func (c *Client) Propose(value int) (<-chan Result, error) {
-	// An int renders in at most 20 characters.
-	return c.send("propose", 20, func(b []byte) []byte { return strconv.AppendInt(b, int64(value), 10) })
+	return c.send("propose", func(b []byte) []byte { return strconv.AppendInt(b, int64(value), 10) })
 }
 
 // ProposePayload pipelines one ℓ-bit payload proposal and returns the
@@ -254,14 +278,14 @@ func (c *Client) ProposePayload(data []byte) (<-chan Result, error) {
 	if len(data) > MaxAPIPayload {
 		return nil, fmt.Errorf("service: payload %d bytes exceeds the line-protocol ceiling %d", len(data), MaxAPIPayload)
 	}
-	return c.send("proposeb", hex.EncodedLen(len(data)), func(b []byte) []byte { return hex.AppendEncode(b, data) })
+	return c.send("proposeb", func(b []byte) []byte { return hex.AppendEncode(b, data) })
 }
 
 // send registers a waiter under the next request ID and writes the
-// request line `<verb> <reqid> <arg>` in one Write, appending it into
-// one buffer sized for argLen bytes of arg, which appendArg renders;
-// the waiter is dropped again if the write fails.
-func (c *Client) send(verb string, argLen int, appendArg func([]byte) []byte) (<-chan Result, error) {
+// request line `<verb> <reqid> <arg>`, with arg rendered by appendArg,
+// from the connection's one line buffer; the waiter is dropped again if
+// the write fails.
+func (c *Client) send(verb string, appendArg func([]byte) []byte) (<-chan Result, error) {
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
@@ -273,14 +297,8 @@ func (c *Client) send(verb string, argLen int, appendArg func([]byte) []byte) (<
 	c.waiters[reqid] = ch
 	c.mu.Unlock()
 
-	line := make([]byte, 0, len(verb)+len(reqid)+argLen+3)
-	line = append(append(append(append(line, verb...), ' '), reqid...), ' ')
-	line = append(appendArg(line), '\n')
-	c.wmu.Lock()
-	_ = c.conn.SetWriteDeadline(time.Now().Add(apiWriteTimeout))
-	_, err := c.conn.Write(line)
-	c.wmu.Unlock()
-	if err != nil {
+	line := append(append(append(append(c.w.begin(), verb...), ' '), reqid...), ' ')
+	if err := c.w.flush(c.conn, append(appendArg(line), '\n')); err != nil {
 		c.mu.Lock()
 		delete(c.waiters, reqid)
 		c.mu.Unlock()
@@ -289,13 +307,14 @@ func (c *Client) send(verb string, argLen int, appendArg func([]byte) []byte) (<
 	return ch, nil
 }
 
-// reader dispatches response lines to their waiters; on connection
-// loss every outstanding waiter resolves with the failure.
+// reader dispatches response lines to their waiters, each parsed where
+// the scanner holds it; on connection loss every outstanding waiter
+// resolves with the failure.
 func (c *Client) reader() {
 	sc := bufio.NewScanner(c.conn)
 	sc.Buffer(make([]byte, 0, 256), apiMaxLine)
 	for sc.Scan() {
-		res, ok := parseResult(sc.Text())
+		res, ok := parseResult(sc.Bytes())
 		if !ok {
 			continue
 		}
@@ -317,22 +336,23 @@ func (c *Client) reader() {
 	}
 }
 
-// parseResult parses one response line.
-func parseResult(line string) (Result, bool) {
-	fields := strings.Fields(line)
+// parseResult parses one response line in place; like parseRequest's,
+// its Result shares no byte with line.
+func parseResult(line []byte) (Result, bool) {
+	fields := bytes.Fields(line)
 	if len(fields) < 2 {
 		return Result{}, false
 	}
-	res := Result{ReqID: fields[1]}
-	switch fields[0] {
+	res := Result{ReqID: string(fields[1])}
+	switch string(fields[0]) {
 	case "decided":
 		if len(fields) != 6 {
 			return Result{}, false
 		}
-		inst, err1 := strconv.Atoi(fields[2])
-		digest, err2 := strconv.Atoi(fields[3])
-		committed, err3 := strconv.Atoi(fields[4])
-		latUS, err4 := strconv.ParseInt(fields[5], 10, 64)
+		inst, err1 := strconv.Atoi(string(fields[2]))
+		digest, err2 := strconv.Atoi(string(fields[3]))
+		committed, err3 := strconv.Atoi(string(fields[4]))
+		latUS, err4 := strconv.ParseInt(string(fields[5]), 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return Result{}, false
 		}
@@ -346,15 +366,15 @@ func parseResult(line string) (Result, bool) {
 		if len(fields) != 6 {
 			return Result{}, false
 		}
-		inst, err1 := strconv.Atoi(fields[2])
-		committed, err2 := strconv.Atoi(fields[3])
-		latUS, err3 := strconv.ParseInt(fields[4], 10, 64)
+		inst, err1 := strconv.Atoi(string(fields[2]))
+		committed, err2 := strconv.Atoi(string(fields[3]))
+		latUS, err3 := strconv.ParseInt(string(fields[4]), 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return Result{}, false
 		}
-		if fields[5] != "-" {
-			payload, err := hex.DecodeString(fields[5])
-			if err != nil {
+		if f := fields[5]; string(f) != "-" {
+			payload := make([]byte, hex.DecodedLen(len(f)))
+			if _, err := hex.Decode(payload, f); err != nil {
 				return Result{}, false
 			}
 			res.Payload = payload
@@ -368,7 +388,7 @@ func parseResult(line string) (Result, bool) {
 		if len(fields) != 3 {
 			return Result{}, false
 		}
-		ms, err := strconv.ParseInt(fields[2], 10, 64)
+		ms, err := strconv.ParseInt(string(fields[2]), 10, 64)
 		if err != nil {
 			return Result{}, false
 		}
@@ -376,7 +396,7 @@ func parseResult(line string) (Result, bool) {
 		res.RetryAfter = time.Duration(ms) * time.Millisecond
 		return res, true
 	case "err":
-		res.Err = strings.Join(fields[2:], " ")
+		res.Err = string(bytes.Join(fields[2:], []byte{' '}))
 		return res, true
 	default:
 		return Result{}, false

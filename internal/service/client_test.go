@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -185,17 +186,17 @@ func TestServiceClientPayloadAPI(t *testing.T) {
 // TestParseResultPayload: decidedb parsing round-trips committed and
 // uncommitted responses and rejects garbage hex.
 func TestParseResultPayload(t *testing.T) {
-	res, ok := parseResult("decidedb 4 2 1 900 beef")
+	res, ok := parseResult([]byte("decidedb 4 2 1 900 beef"))
 	if !ok || !res.Decided || !res.Committed || res.Instance != 2 ||
 		res.Latency != 900*time.Microsecond || !bytes.Equal(res.Payload, []byte{0xbe, 0xef}) {
 		t.Fatalf("decidedb parse: %+v ok=%v", res, ok)
 	}
-	res, ok = parseResult("decidedb 5 3 0 100 -")
+	res, ok = parseResult([]byte("decidedb 5 3 0 100 -"))
 	if !ok || !res.Decided || res.Committed || res.Payload != nil {
 		t.Fatalf("uncommitted decidedb parse: %+v ok=%v", res, ok)
 	}
 	for _, bad := range []string{"decidedb 1 2 1 900", "decidedb 1 2 1 900 zz", "decidedb 1 x 1 900 beef"} {
-		if _, ok := parseResult(bad); ok {
+		if _, ok := parseResult([]byte(bad)); ok {
 			t.Errorf("parsed garbage %q", bad)
 		}
 	}
@@ -204,30 +205,78 @@ func TestParseResultPayload(t *testing.T) {
 // TestParseResult: response parsing round-trips the three verdicts and
 // rejects garbage.
 func TestParseResult(t *testing.T) {
-	res, ok := parseResult("decided 7 3 99 1 1500")
+	res, ok := parseResult([]byte("decided 7 3 99 1 1500"))
 	if !ok || !res.Decided || res.ReqID != "7" || res.Instance != 3 || res.Digest != 99 ||
 		!res.Committed || res.Latency != 1500*time.Microsecond {
 		t.Fatalf("decided parse: %+v ok=%v", res, ok)
 	}
-	res, ok = parseResult("busy 8 50")
+	res, ok = parseResult([]byte("busy 8 50"))
 	if !ok || !res.Busy || res.RetryAfter != 50*time.Millisecond {
 		t.Fatalf("busy parse: %+v ok=%v", res, ok)
 	}
-	res, ok = parseResult("err 9 something broke")
+	res, ok = parseResult([]byte("err 9 something broke"))
 	if !ok || res.Err != "something broke" {
 		t.Fatalf("err parse: %+v ok=%v", res, ok)
 	}
 	for _, bad := range []string{"", "decided", "decided 1 2", "what 1 2 3", "busy x y"} {
-		if _, ok := parseResult(bad); ok {
+		if _, ok := parseResult([]byte(bad)); ok {
 			t.Errorf("parsed garbage %q", bad)
 		}
 	}
 }
 
-// decisionLine is answerLine as a string, the form the line-protocol
-// tests parse.
+// TestParseLineAllocations: both ends parse a line where the scanner
+// holds it. Parsing a warm 8 KiB proposeb line, or the decidedb answer
+// that echoes its payload, allocates the 4 KiB payload at exactly its
+// size and nothing else sized by the line: no string copy of the line,
+// no 8 KiB decode buffer, and no payload that aliases the line.
+func TestParseLineAllocations(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x00, 0x5a, 0xff, 0x13}, 1<<10)
+	request := fmt.Appendf(nil, "proposeb r1 %x", payload)
+	answer := appendAnswer(nil, "r1", true, Decision{Instance: 3, Committed: true, Latency: time.Millisecond, Payload: payload})
+	answer = answer[:len(answer)-1] // the scanner strips the newline
+	for _, tc := range []struct {
+		name  string
+		parse func() []byte
+	}{
+		{"proposeb", func() []byte {
+			req, refusal := parseRequest(request)
+			if refusal != "" {
+				t.Fatal(refusal)
+			}
+			return req.payload
+		}},
+		{"decidedb", func() []byte {
+			res, ok := parseResult(answer)
+			if !ok {
+				t.Fatal("answer did not parse")
+			}
+			return res.Payload
+		}},
+	} {
+		got := tc.parse()
+		if !bytes.Equal(got, payload) || cap(got) != len(payload) {
+			t.Errorf("%s: parsed %d bytes at capacity %d; want the %d-byte payload at its exact size", tc.name, len(got), cap(got), len(payload))
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() { tc.parse() })
+		runtime.ReadMemStats(&after)
+		// The payload, the field slice and the request ID; the bytes
+		// leave room for the two small objects and no line-sized one.
+		perLine := int(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+		if allocs > 3 || perLine > len(payload)+512 {
+			t.Errorf("%s: parsing a %d-byte line allocates %.1f objects, %d bytes; want at most 3 objects and %d bytes",
+				tc.name, len(request), allocs, perLine, len(payload)+512)
+		}
+	}
+}
+
+// decisionLine is appendAnswer's line as a string, the form the
+// line-protocol tests parse.
 func decisionLine(reqid string, isPayload bool, d Decision) string {
-	return string(answerLine(reqid, isPayload, d))
+	return string(appendAnswer(nil, reqid, isPayload, d))
 }
 
 // TestAPILinesMatchSprintfRendering: the answer and request lines built
@@ -264,7 +313,7 @@ func TestAPILinesMatchSprintfRendering(t *testing.T) {
 		{"5", false, Decision{Instance: 8}},
 	} {
 		want := sprintfDecision(tc.reqid, tc.isPayload, tc.d)
-		if got := answerLine(tc.reqid, tc.isPayload, tc.d); string(got) != want {
+		if got := appendAnswer(nil, tc.reqid, tc.isPayload, tc.d); string(got) != want {
 			t.Errorf("answer %s: appended %.80q, Sprintf rendered %.80q", tc.reqid, got, want)
 		}
 	}
@@ -327,10 +376,10 @@ func FuzzAPILine(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		req, refusal := parseRequest(line)
+		req, refusal := parseRequest([]byte(line))
 		switch {
 		case refusal != "":
-			if res, ok := parseResult(refusal); !ok || res.Err == "" || res.Decided || res.Busy {
+			if res, ok := parseResult([]byte(refusal)); !ok || res.Err == "" || res.Decided || res.Busy {
 				t.Fatalf("refusal %q of %q does not parse as an err line: %+v", refusal, line, res)
 			}
 		case req.reqid != "":
@@ -338,7 +387,7 @@ func FuzzAPILine(f *testing.F) {
 			if req.isPayload {
 				rendered = fmt.Sprintf("proposeb %s %x", req.reqid, req.payload)
 			}
-			again, refusal := parseRequest(rendered)
+			again, refusal := parseRequest([]byte(rendered))
 			if refusal != "" || again.reqid != req.reqid || again.isPayload != req.isPayload ||
 				again.value != req.value || !bytes.Equal(again.payload, req.payload) {
 				t.Fatalf("%q parsed to %+v, which renders to %q and parses to %+v (%q)", line, req, rendered, again, refusal)
@@ -350,19 +399,19 @@ func FuzzAPILine(f *testing.F) {
 				fmt.Sprintf("busy %s %d", req.reqid, 50),
 				fmt.Sprintf("err %s %v", req.reqid, ErrClosed),
 			} {
-				res, ok := parseResult(answer)
+				res, ok := parseResult([]byte(answer))
 				if !ok || res.ReqID != req.reqid {
 					t.Fatalf("answer %q to %q parsed to %+v ok=%v", answer, line, res, ok)
 				}
 			}
-			if res, _ := parseResult(decisionLine(req.reqid, req.isPayload, d)); !res.Committed || !bytes.Equal(res.Payload, req.payload) {
+			if res, _ := parseResult([]byte(decisionLine(req.reqid, req.isPayload, d))); !res.Committed || !bytes.Equal(res.Payload, req.payload) {
 				t.Fatalf("committed answer to %q lost its payload: %+v", line, res)
 			}
 		case strings.TrimSpace(line) != "":
 			t.Fatalf("%q earned neither a request nor a refusal", line)
 		}
 
-		if res, ok := parseResult(line); ok {
+		if res, ok := parseResult([]byte(line)); ok {
 			verdicts := 0
 			for _, v := range []bool{res.Decided, res.Busy, res.Err != ""} {
 				if v {

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -122,6 +124,75 @@ func TestPoisonedFramesPayloadMatchesSim(t *testing.T) {
 	}
 	if v := res.Nodes[0].Validation; v == nil || v.TotalRejected() != 0 {
 		t.Errorf("ingress screen: %+v, want everything admitted", v)
+	}
+}
+
+// TestConcurrentPayloadInstancesShareWriteBuffers: twelve payload
+// instances run at once over one hub and four nodes, each proposing a
+// 16 KiB payload of its own, so every node encodes all twelve
+// instances' rounds into its one set of write buffers, interleaved as
+// the scheduler pleases, while released receive frames are poisoned.
+// Every node must decide each instance's own bytes: a send buffer
+// reused before its frame was written, or a payload read from a frame
+// after its release, shows up as another instance's bytes or 0xDB.
+func TestConcurrentPayloadInstancesShareWriteBuffers(t *testing.T) {
+	const n, tc, kappa, instances, size = 4, 1, 2, 12, 16 << 10
+	cfg := quickConfig()
+	cfg.RoundTimeout = 2 * time.Second // twelve concurrent barriers on busy CI
+	cfg.NewIngress = func(int) *validate.Validator {
+		return validate.New(validate.ForPayloadService(n, size))
+	}
+	hub, nodes := muxPair(t, n, cfg)
+	setup, err := ba.NewSetup(n, tc, ba.CoinThreshold, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	failures := make(chan string, instances*(n+1))
+	for inst := 1; inst <= instances; inst++ {
+		value := make([]byte, size)
+		for j := range value {
+			value[j] = byte(inst*37 + j*11)
+		}
+		inputs := make([][]byte, n)
+		for i := range inputs {
+			inputs[i] = value
+		}
+		proto, err := ba.NewMultivaluedPayloadOneShot(setup, kappa, inputs, []byte("default"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi, err := hub.StartInstance(inst, proto.Rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := hi.Run(); err != nil {
+				failures <- fmt.Sprintf("instance %d hub: %v", inst, err)
+			}
+		}()
+		for i, nd := range nodes {
+			wg.Add(1)
+			go func(i int, nd *MuxNode, m sim.Machine) {
+				defer wg.Done()
+				out, err := nd.RunInstance(inst, proto.Rounds, m)
+				if err != nil {
+					failures <- err.Error()
+					return
+				}
+				if got, _ := out.([]byte); !bytes.Equal(got, value) {
+					failures <- fmt.Sprintf("instance %d node %d decided %d bytes (%.8x…), not its own %d", inst, i, len(got), got, len(value))
+				}
+			}(i, nd, proto.Machines[i])
+		}
+	}
+	wg.Wait()
+	close(failures)
+	for f := range failures {
+		t.Error(f)
 	}
 }
 

@@ -848,8 +848,14 @@ type MuxNode struct {
 	// frames is the reader's free list; instances release into it.
 	frames frameList
 	// wmu serializes writes and redials, so nobody writes to a
-	// connection that is being replaced.
-	wmu sync.Mutex
+	// connection that is being replaced, and guards the node's write
+	// buffers: every instance's round sends are encoded into the one
+	// arena, batch and frame and written inside the same critical
+	// section (sendRound).
+	wmu    sync.Mutex
+	arena  []byte
+	batch  []wire.BatchMsg
+	wframe []byte
 
 	mu    sync.Mutex
 	conn  net.Conn // current shared connection; written under wmu and mu
@@ -1067,28 +1073,76 @@ func (nd *MuxNode) unregister(inst int) {
 	nd.mu.Unlock()
 }
 
-// write sends one sealed frame on the shared connection, serialized
-// against concurrent instances, absorbing one broken connection by
-// redialing and resending.
-func (nd *MuxNode) write(frame []byte, round int) error {
+// sendRound encodes instance inst's round sends into the node's write
+// buffers and writes the sealed frame on the shared connection, all
+// under wmu, so one buffer set serves every instance the node runs and
+// what the node allocates does not depend on how they interleave. A
+// broken connection is absorbed once by redialing, encoding again — the
+// buffers may have carried another instance's frame in between — and
+// resending. An encode error fails the round as an encode, not as a
+// send.
+func (nd *MuxNode) sendRound(inst, round int, sends []sim.Send) error {
 	for attempt := 0; ; attempt++ {
 		nd.wmu.Lock()
+		frame, err := nd.encodeSends(inst, round, sends)
+		if err != nil {
+			nd.wmu.Unlock()
+			return fmt.Errorf("transport: instance %d round %d encode: %w", inst, round, err)
+		}
 		conn := nd.conn // replaced only by redial, which holds wmu
-		err := writeFrame(conn, frame, time.Now().Add(nd.cfg.RoundTimeout))
+		err = writeFrame(conn, frame, time.Now().Add(nd.cfg.RoundTimeout))
+		if cap(nd.arena) > frameKeepMax || cap(nd.wframe) > frameKeepMax {
+			// Oversized buffers go to the collector, as frames do.
+			nd.arena, nd.batch, nd.wframe = nil, nil, nil
+		}
 		nd.wmu.Unlock()
-		if err == nil || attempt > 0 {
-			return err
+		if err == nil {
+			return nil
 		}
-		if _, derr := nd.redial(conn, round, "send: "+err.Error()); derr != nil {
-			return errors.Join(err, derr)
+		if attempt == 0 {
+			_, derr := nd.redial(conn, round, "send: "+err.Error())
+			if derr == nil {
+				continue
+			}
+			err = errors.Join(err, derr)
 		}
+		return fmt.Errorf("transport: instance %d round %d send: %w", inst, round, err)
 	}
 }
 
+// encodeSends encodes a machine's sends into the node's write buffers
+// and frames them with the instance tag; the caller holds wmu. Payloads
+// are appended into one arena and referenced by full-slice sub-slices,
+// so arena growth can never let a later payload clobber an earlier one;
+// the sealed frame is built over the same reused buffer. Once the
+// buffers have grown to the node's largest round, sending allocates
+// nothing.
+func (nd *MuxNode) encodeSends(inst, round int, sends []sim.Send) ([]byte, error) {
+	arena := nd.arena[:0]
+	batch := nd.batch[:0]
+	var err error
+	for _, s := range sends {
+		start := len(arena)
+		if arena, err = wire.AppendEncode(arena, s.Payload); err != nil {
+			return nil, err
+		}
+		batch = append(batch, wire.BatchMsg{Addr: s.To, Payload: arena[start:len(arena):len(arena)]})
+	}
+	nd.arena = arena
+	nd.batch = batch
+	frame, err := wire.AppendEncodeTaggedBatch(beginFrame(nd.wframe), inst, round, batch)
+	if err != nil {
+		return nil, err
+	}
+	nd.wframe = frame
+	return sealFrame(frame), nil
+}
+
 // instanceRun is one RunInstance call's private state: decoder,
-// ingress validator and scratch are per instance, so concurrent
-// instances share nothing but the connection. All scratch is reused
-// round over round, so a steady-state round allocates nothing.
+// ingress validator and receive scratch are per instance, so concurrent
+// instances share nothing but the connection and its write buffers. All
+// scratch is reused round over round, so a steady-state round allocates
+// nothing.
 type instanceRun struct {
 	node    *MuxNode
 	inst    int
@@ -1098,9 +1152,6 @@ type instanceRun struct {
 	in       []validate.Inbound
 	verdicts []bool
 	inbox    []sim.Message
-	encArena []byte
-	batch    []wire.BatchMsg
-	frame    []byte
 	// timer bounds each round's receive, re-armed round over round.
 	timer *time.Timer
 }
@@ -1196,18 +1247,15 @@ func (ir *instanceRun) send(round int, sends []sim.Send) error {
 		nd.log.add(EventDelay, nd.id, round, fmt.Sprintf("delaying send by %s", d))
 		time.Sleep(d)
 	}
-	frame, err := ir.encodeSends(round, sends)
-	if err != nil {
-		return fmt.Errorf("transport: instance %d round %d encode: %w", ir.inst, round, err)
-	}
-	if err := nd.write(frame, round); err != nil {
-		return fmt.Errorf("transport: instance %d round %d send: %w", ir.inst, round, err)
+	if err := nd.sendRound(ir.inst, round, sends); err != nil {
+		return err
 	}
 	if inj.Duplicate(nd.id, round) {
 		nd.log.add(EventDup, nd.id, round, "duplicating batch frame")
 		// Best effort: the duplicate models a retransmission race, so its
-		// own failure is not one.
-		_ = nd.write(frame, round)
+		// own failure is not one. The write buffers may hold another
+		// instance's frame by now, so the round is encoded again.
+		_ = nd.sendRound(ir.inst, round, sends)
 	}
 	return nil
 }
@@ -1277,31 +1325,4 @@ func (ir *instanceRun) decodeRound(round int, msgs []wire.BatchMsg) []sim.Messag
 		ir.inbox = append(ir.inbox, sim.Message{From: ir.in[i].From, To: ir.node.id, Round: round, Payload: ir.in[i].Payload})
 	}
 	return ir.inbox
-}
-
-// encodeSends encodes a machine's sends into this instance's reused
-// buffers and frames them with the instance tag. Payloads are appended
-// into one arena and referenced by full-slice sub-slices, so arena
-// growth can never let a later payload clobber an earlier one; the
-// sealed frame is built over the same reused buffer. Steady-state
-// sending allocates nothing.
-func (ir *instanceRun) encodeSends(round int, sends []sim.Send) ([]byte, error) {
-	arena := ir.encArena[:0]
-	batch := ir.batch[:0]
-	var err error
-	for _, s := range sends {
-		start := len(arena)
-		if arena, err = wire.AppendEncode(arena, s.Payload); err != nil {
-			return nil, err
-		}
-		batch = append(batch, wire.BatchMsg{Addr: s.To, Payload: arena[start:len(arena):len(arena)]})
-	}
-	ir.encArena = arena
-	ir.batch = batch
-	frame, err := wire.AppendEncodeTaggedBatch(beginFrame(ir.frame), ir.inst, round, batch)
-	if err != nil {
-		return nil, err
-	}
-	ir.frame = frame
-	return sealFrame(frame), nil
 }

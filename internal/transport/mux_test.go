@@ -231,12 +231,9 @@ func TestMuxUnknownInstanceDropped(t *testing.T) {
 	const n, tc, rounds = 4, 1, 2
 	hub, nodes := muxPair(t, n, quickConfig())
 
-	// Node 0 sends a frame for instance 999 that nothing registered.
-	stray, err := wire.AppendEncodeTaggedBatch(nil, 999, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nodes[0].write(framed(stray), 1); err != nil {
+	// Node 0 sends an empty round for instance 999, which nothing
+	// registered, through its one write path.
+	if err := nodes[0].sendRound(999, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 

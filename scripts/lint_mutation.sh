@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated fourteen times, and
+# rule out. A pristine copy of the module is mutated fifteen times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for an inline
 #      loop that admits whatever decodes: the hub flood-control test and
@@ -34,7 +34,11 @@
 #      wrong-phase-type test and the admission differential;
 #  14. the screen's duplicate check taking a sender's message for its
 #      first of the round when only the lengths match: the admission
-#      differential and the vote and payload equivocation tests.
+#      differential and the vote and payload equivocation tests;
+#  15. the line API hex-decoding a proposeb payload in place, so the
+#      queued payload aliases the scanner's line: the client payload
+#      round trip, the daemon's end-to-end test and the line-parse
+#      allocation pin.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -326,5 +330,28 @@ echo 'var _ = bytes.Equal' >>"$validate"
 expect_test_fail 'FuzzAdmitBatch' ./internal/validate
 expect_test_fail 'TestEquivocationDetection' ./internal/validate
 expect_test_fail 'TestPayloadDuplicateAndEquivocation' ./internal/validate
+
+echo "mutation 15: parseRequest decodes a payload in place, aliasing the scanner's line"
+# Start the packages earlier mutations edited from the tree as it
+# stands, so the service runs on the real transport, codec and screen.
+cp internal/validate/*.go "$tmp/internal/validate/"
+cp internal/wire/*.go "$tmp/internal/wire/"
+cp internal/transport/*.go "$tmp/internal/transport/"
+client="$tmp/internal/service/client.go"
+decode_line='n, err := hex.Decode(payload, f)'
+if [[ "$(grep -cF "$decode_line" "$client")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one payload decode in client.go, parseRequest's" >&2
+    exit 1
+fi
+(cd "$tmp" && go test -count=1 -run 'TestServiceClientPayloadAPI|TestParseLineAllocations' ./internal/service)
+(cd "$tmp" && go test -count=1 -run 'TestDaemonEndToEnd' ./cmd/proxserve)
+# The payload is decoded into the first half of the line it came in on
+# and queued as that: the scanner's next read moves later lines over
+# it, so pipelined proposals decide bytes the client never sent.
+sed -i 's/n, err := hex\.Decode(payload, f)/n, err := hex.Decode(f, f); payload = f/' "$client"
+(cd "$tmp" && go build ./internal/service)
+expect_test_fail 'TestServiceClientPayloadAPI' ./internal/service
+expect_test_fail 'TestParseLineAllocations' ./internal/service
+expect_test_fail 'TestDaemonEndToEnd' ./cmd/proxserve
 
 echo "MUTATION SMOKE OK"
