@@ -90,8 +90,9 @@ func TestBoundCheckerHasTeeth(t *testing.T) {
 }
 
 // TestBoundSamplePinnedCounts pins the disagreement counts of the two
-// bound samples at 5000 trials to the values `proxconform -bounds
-// -trials 5000` printed before the sampler ran trials in parallel: the
+// bound samples at 5000 trials to the values the sequential sampler
+// printed before it ran trials in parallel (now the κ=2 oneshot and
+// half rows of `proxlab -exp iterprob -trials 5000`): the
 // seed scheme (trial i builds from seed i, executes with seed i*7+1)
 // and the index-order fold make the count a pure function of the trial
 // count.

@@ -99,21 +99,26 @@ func ReadJSONL(r io.Reader) (results []TrialResult, skipped int, err error) {
 	return results, skipped, sc.Err()
 }
 
+// minTailTrials is the fewest trials at a fault level for which the
+// curve reports a p99. Below it a tail percentile is no tail (at five
+// trials the p99 is the maximum), so the level shows its median alone.
+const minTailTrials = 40
+
 // WriteCurve renders a degradation curve as an aligned text table —
-// the human-readable companion to the JSONL artifact.
+// the human-readable companion to the JSONL artifact. A level with
+// fewer than minTailTrials trials shows its p50 alone.
 func WriteCurve(w io.Writer, name string, curve []CurvePoint) error {
-	if _, err := fmt.Fprintf(w, "# %s: decision rate and wall-clock as faults sweep\n", name); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-7s %-7s %-8s %-9s %-9s %-18s %10s %10s\n",
-		"faults", "trials", "decided", "degraded", "timedout", "rate [95% Wilson]", "p50(ms)", "p99(ms)"); err != nil {
-		return err
+	t := &Table{
+		Title:   name + ": decision rate and wall-clock as faults sweep",
+		Columns: []string{"faults", "trials", "decided", "degraded", "timedout", "rate [95% Wilson]", "p50(ms)", "p99(ms)"},
 	}
 	for _, p := range curve {
-		if _, err := fmt.Fprintf(w, "%-7d %-7d %-8d %-9d %-9d %.2f [%.2f, %.2f]  %10.1f %10.1f\n",
-			p.Faults, p.Trials, p.Decided, p.Degraded, p.TimedOut, p.Rate, p.Lo, p.Hi, p.P50MS, p.P99MS); err != nil {
-			return err
+		p99 := "-"
+		if p.Trials >= minTailTrials {
+			p99 = fmt.Sprintf("%.1f", p.P99MS)
 		}
+		t.AddRow(p.Faults, p.Trials, p.Decided, p.Degraded, p.TimedOut,
+			fmt.Sprintf("%.2f [%.2f, %.2f]", p.Rate, p.Lo, p.Hi), fmt.Sprintf("%.1f", p.P50MS), p99)
 	}
-	return nil
+	return t.Render(w)
 }

@@ -327,4 +327,28 @@ func TestCurvePartialOutput(t *testing.T) {
 			t.Errorf("curve table missing %q:\n%s", want, table.String())
 		}
 	}
+	// Two trials per level support a median, not a p99: the p99 cell
+	// is "-" until a level has 40 trials.
+	for _, tc := range []struct {
+		trials int
+		p99    string
+	}{{2, "-"}, {39, "-"}, {40, "39.6"}} {
+		level := make([]experiment.TrialResult, tc.trials)
+		for i := range level {
+			level[i] = experiment.TrialResult{Outcome: experiment.OutcomeDecided, WallMS: float64(i + 1)}
+		}
+		curve, err := experiment.Curve(level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table.Reset()
+		if err := experiment.WriteCurve(&table, "unit", curve); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(table.String()), "\n")
+		cells := strings.Fields(lines[len(lines)-1])
+		if got := cells[len(cells)-1]; got != tc.p99 {
+			t.Errorf("%d trials: p99 cell %q, want %q\n%s", tc.trials, got, tc.p99, table.String())
+		}
+	}
 }

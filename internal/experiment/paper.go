@@ -1,48 +1,104 @@
-// Package harness implements the experiment suite indexed in DESIGN.md
-// §4 and recorded in EXPERIMENTS.md: every table/figure and every
-// quantitative claim of the paper's evaluation (Section 3.5, Corollaries
-// 1-2, Theorem 1, appendices) has a generator here, and renders its
-// result table. Every disagreement-counting experiment samples through
-// conformance.Sample; cmd/proxbench calls these.
-package harness
+package experiment
 
 import (
 	"bytes"
 	"fmt"
+	"sort"
 
 	"proxcensus/internal/adversary"
 	"proxcensus/internal/ba"
 	"proxcensus/internal/conformance"
+	"proxcensus/internal/crypto/sig"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
 	"proxcensus/internal/stats"
 )
 
+// This file holds the paper's evaluation: every table, figure and
+// quantitative claim indexed in DESIGN.md §4 / EXPERIMENTS.md (Section
+// 3.5, Corollaries 1-2, Theorem 1, appendices) has a generator here that
+// renders its result table. Every disagreement-counting experiment
+// samples through conformance.Sample.
+
+// PaperTable is one registered paper experiment; proxlab -exp ID runs
+// it and results/ID.{txt,csv} hold its output at the default trials
+// and kappa.
+type PaperTable struct {
+	ID   string
+	Desc string
+	// Run renders the table; trials sizes the sampled experiments and
+	// kappa the metered ones.
+	Run func(trials, kappa int) (*Table, error)
+}
+
+// PaperTables lists the paper experiments in run order.
+func PaperTables() []PaperTable {
+	return []PaperTable{
+		{"rounds13", "E1: round budgets t<n/3 (kappa+1 vs 2*kappa)", func(trials, kappa int) (*Table, error) {
+			return ExperimentRoundsThird([]int{5, 10, 20, 30, 40, 60, 80}), nil
+		}},
+		{"rounds12", "E2: round budgets t<n/2 (3*kappa/2 vs 2*kappa)", func(trials, kappa int) (*Table, error) {
+			return ExperimentRoundsHalf([]int{5, 10, 20, 30, 40, 60, 80}), nil
+		}},
+		{"error13", "E1: measured error vs bound, one-shot t<n/3, worst-case adversary", func(trials, kappa int) (*Table, error) {
+			return ExperimentErrorThird(1, []int{1, 2, 3, 4, 5}, trials)
+		}},
+		{"error12", "E2: measured error vs bound, iterated Prox_5 t<n/2, worst-case adversary", func(trials, kappa int) (*Table, error) {
+			return ExperimentErrorHalf(1, []int{2, 4, 6, 8}, trials)
+		}},
+		{"comm", "E3: signatures sent vs n (ours n^2 vs MV-PKI n^3)", func(trials, kappa int) (*Table, error) {
+			table, _, err := ExperimentCommScaling([]int{9, 15, 21, 31, 41, 51, 65}, kappa)
+			return table, err
+		}},
+		{"iterprob", "E4: per-iteration failure probability vs 1/(s-1)", func(trials, kappa int) (*Table, error) {
+			return ExperimentIterationFailure(trials)
+		}},
+		{"slots", "E5: Proxcensus slots by round budget, all four families", func(trials, kappa int) (*Table, error) {
+			return ExperimentSlotGrowth(10), nil
+		}},
+		{"multival", "E6: multivalued overhead (+2 / +3 rounds)", func(trials, kappa int) (*Table, error) {
+			return ExperimentMultivalued([]int{5, 10, 20, 30}, 20)
+		}},
+		{"proxcast", "E7: proxcast grades vs contradiction-release round", func(trials, kappa int) (*Table, error) {
+			return ExperimentProxcast(6, 2, 9)
+		}},
+		{"payload", "E9: payload dissemination cost, bytes on wire per decided byte at n in {16,64}", func(trials, kappa int) (*Table, error) {
+			return ExperimentPayloadDissemination([]int{16, 64}, []int{1024, 4096}, kappa, max(trials/100, 3))
+		}},
+		{"slotchoice", "A1: slot-count ablation for the iterated t<n/2 protocol (footnote 6)", func(trials, kappa int) (*Table, error) {
+			return ExperimentSlotChoice(kappa * 10), nil
+		}},
+		{"coinpar", "A2: coin parallelism ablation (3 vs 4 rounds/iteration)", func(trials, kappa int) (*Table, error) {
+			return ExperimentCoinParallelism(1, 4, trials)
+		}},
+		{"rushing", "A3: rushing ablation (attack power without the rushing view)", func(trials, kappa int) (*Table, error) {
+			return ExperimentRushing(trials)
+		}},
+		{"termination", "E8: Las Vegas vs fixed-round termination (expected rounds, staggered halts)", func(trials, kappa int) (*Table, error) {
+			return ExperimentTermination(trials)
+		}},
+	}
+}
+
 // ExperimentRoundsThird reproduces E1 (structural part): the round
 // budgets of the one-shot protocol vs fixed-round Feldman-Micali for
 // t < n/3 (Corollary 2: κ+1 vs 2κ — an asymptotic factor-2 saving).
 func ExperimentRoundsThird(kappas []int) *Table {
-	t := &Table{
-		Title:   "E1: rounds to error 2^-kappa, t<n/3 (paper: kappa+1 vs 2*kappa)",
-		Columns: []string{"kappa", "oneshot", "fm", "saving"},
-	}
-	for _, k := range kappas {
-		ours, fm := ba.OneShotRounds(k), ba.FMRounds(k)
-		t.AddRow(k, ours, fm, fmt.Sprintf("%.3f", float64(ours)/float64(fm)))
-	}
-	return t
+	return roundsTable("E1: rounds to error 2^-kappa, t<n/3 (paper: kappa+1 vs 2*kappa)",
+		[]string{"kappa", "oneshot", "fm", "saving"}, kappas, ba.OneShotRounds, ba.FMRounds)
 }
 
 // ExperimentRoundsHalf reproduces E2 (structural part): 3κ/2 vs 2κ for
 // t < n/2 (Corollary 2 — a factor-3/4 saving).
 func ExperimentRoundsHalf(kappas []int) *Table {
-	t := &Table{
-		Title:   "E2: rounds to error 2^-kappa, t<n/2 (paper: 3*kappa/2 vs 2*kappa)",
-		Columns: []string{"kappa", "half", "mv", "saving"},
-	}
+	return roundsTable("E2: rounds to error 2^-kappa, t<n/2 (paper: 3*kappa/2 vs 2*kappa)",
+		[]string{"kappa", "half", "mv", "saving"}, kappas, ba.HalfRounds, ba.MVRounds)
+}
+
+func roundsTable(title string, columns []string, kappas []int, ours, baseline func(int) int) *Table {
+	t := &Table{Title: title, Columns: columns}
 	for _, k := range kappas {
-		ours, mv := ba.HalfRounds(k), ba.MVRounds(k)
-		t.AddRow(k, ours, mv, fmt.Sprintf("%.3f", float64(ours)/float64(mv)))
+		t.AddRow(k, ours(k), baseline(k), fmt.Sprintf("%.3f", float64(ours(k))/float64(baseline(k))))
 	}
 	return t
 }
@@ -52,19 +108,11 @@ func ExperimentRoundsHalf(kappas []int) *Table {
 // straddle attack, against the bound 2^-κ, at the extremal n = 3t+1.
 func ExperimentErrorThird(tCorrupt int, kappas []int, trials int) (*Table, error) {
 	n := 3*tCorrupt + 1
-	table := &Table{
-		Title:   fmt.Sprintf("E1: measured error, one-shot t<n/3 (n=%d, t=%d, %d trials, worst-case adversary)", n, tCorrupt, trials),
-		Note:    "paper bound: 2^-kappa per Theorem 1 with s=2^kappa+1",
-		Columns: []string{"kappa", "rounds", "bound", "measured", "95% CI"},
-	}
-	for _, kappa := range kappas {
-		out, err := conformance.OneShotBoundSample(n, tCorrupt, kappa, trials)
-		if err != nil {
-			return nil, err
-		}
-		table.AddRow(kappa, out.Rounds, fmt.Sprintf("%.4g", out.Bound), out.ErrorRate.P, interval(out.ErrorRate))
-	}
-	return table, nil
+	return errorTable(fmt.Sprintf("E1: measured error, one-shot t<n/3 (n=%d, t=%d, %d trials, worst-case adversary)", n, tCorrupt, trials),
+		"paper bound: 2^-kappa per Theorem 1 with s=2^kappa+1", kappas,
+		func(kappa int) (*conformance.Outcome, error) {
+			return conformance.OneShotBoundSample(n, tCorrupt, kappa, trials)
+		})
 }
 
 // ExperimentErrorHalf reproduces E2 (empirical part) at the extremal
@@ -72,95 +120,70 @@ func ExperimentErrorThird(tCorrupt int, kappas []int, trials int) (*Table, error
 // bound under the adaptive straddle attack.
 func ExperimentErrorHalf(tCorrupt int, kappas []int, trials int) (*Table, error) {
 	n := 2*tCorrupt + 1
-	table := &Table{
-		Title:   fmt.Sprintf("E2: measured error, iterated Prox_5 t<n/2 (n=%d, t=%d, %d trials, worst-case adversary)", n, tCorrupt, trials),
-		Note:    "paper bound: (1/4)^(kappa/2) = 2^-kappa",
-		Columns: []string{"kappa", "rounds", "bound", "measured", "95% CI"},
-	}
+	return errorTable(fmt.Sprintf("E2: measured error, iterated Prox_5 t<n/2 (n=%d, t=%d, %d trials, worst-case adversary)", n, tCorrupt, trials),
+		"paper bound: (1/4)^(kappa/2) = 2^-kappa", kappas,
+		func(kappa int) (*conformance.Outcome, error) {
+			return conformance.HalfBoundSample(n, tCorrupt, kappa, trials)
+		})
+}
+
+func errorTable(title, note string, kappas []int, sample func(kappa int) (*conformance.Outcome, error)) (*Table, error) {
+	table := &Table{Title: title, Note: note, Columns: []string{"kappa", "rounds", "bound", "measured", "95% CI"}}
 	for _, kappa := range kappas {
-		out, err := conformance.HalfBoundSample(n, tCorrupt, kappa, trials)
+		out, err := sample(kappa)
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(kappa, out.Rounds, fmt.Sprintf("%.4g", out.Bound), out.ErrorRate.P, interval(out.ErrorRate))
+		table.AddBoundRow(fmt.Sprintf("kappa=%d", kappa), out, kappa, out.Rounds, fmt.Sprintf("%.4g", out.Bound), out.ErrorRate.P, interval(out.ErrorRate))
 	}
 	return table, nil
-}
-
-// CommScalingResult pairs the E3 table with the fitted exponents.
-type CommScalingResult struct {
-	Table    *Table
-	FitOurs  stats.PowerFit
-	FitMV    stats.PowerFit
-	FitMVPKI stats.PowerFit
 }
 
 // ExperimentCommScaling reproduces E3: honest signatures sent vs n for
 // the paper's t < n/2 protocol (threshold signatures, O(κn²)) against
 // the MV baseline in both wire formats — threshold (also O(κn²)) and
 // PKI certificates (O(κn³), the complexity the paper quotes for MV).
-// The fitted exponents make the factor-n gap quantitative.
-func ExperimentCommScaling(ns []int, kappa int) (*CommScalingResult, error) {
-	table := &Table{
+// The fitted exponents make the factor-n gap quantitative; fits holds
+// them in column order (half, mv-thresh, mv-pki).
+func ExperimentCommScaling(ns []int, kappa int) (table *Table, fits []stats.PowerFit, err error) {
+	table = &Table{
 		Title:   fmt.Sprintf("E3: honest signatures sent vs n (kappa=%d, fault-free run)", kappa),
 		Note:    "paper: ours O(kappa n^2); MV O(kappa n^3) even assuming threshold signatures",
 		Columns: []string{"n", "t", "half(sigs)", "mv-thresh(sigs)", "mv-pki(sigs)"},
 	}
+	builders := []func(*ba.Setup, int, []ba.Value) (*ba.Protocol, error){ba.NewHalf, ba.NewMV, ba.NewMVCert}
 	xs := make([]float64, 0, len(ns))
-	ours := make([]float64, 0, len(ns))
-	mv := make([]float64, 0, len(ns))
-	mvpki := make([]float64, 0, len(ns))
+	sigs := make([][]float64, len(builders))
 	for _, n := range ns {
 		tCorrupt := (n - 1) / 2
-		meter := func(build func(setup *ba.Setup) (*ba.Protocol, error)) (float64, error) {
+		inputs := adversary.LinearSplitInputs(n, tCorrupt)
+		for i, build := range builders {
 			setup, err := ba.NewSetup(n, tCorrupt, ba.CoinIdeal, 99)
 			if err != nil {
-				return 0, err
+				return nil, nil, err
 			}
-			proto, err := build(setup)
+			proto, err := build(setup, kappa, inputs)
 			if err != nil {
-				return 0, err
+				return nil, nil, err
 			}
 			res, err := proto.Run(sim.Passive{}, 1)
 			if err != nil {
-				return 0, err
+				return nil, nil, err
 			}
-			return float64(res.Metrics.TotalHonestSignatures()), nil
+			sigs[i] = append(sigs[i], float64(res.Metrics.TotalHonestSignatures()))
 		}
-		inputs := adversary.LinearSplitInputs(n, tCorrupt)
-		a, err := meter(func(s *ba.Setup) (*ba.Protocol, error) { return ba.NewHalf(s, kappa, inputs) })
-		if err != nil {
-			return nil, err
-		}
-		b, err := meter(func(s *ba.Setup) (*ba.Protocol, error) { return ba.NewMV(s, kappa, inputs) })
-		if err != nil {
-			return nil, err
-		}
-		c, err := meter(func(s *ba.Setup) (*ba.Protocol, error) { return ba.NewMVCert(s, kappa, inputs) })
-		if err != nil {
-			return nil, err
-		}
-		table.AddRow(n, tCorrupt, a, b, c)
+		table.AddRow(n, tCorrupt, sigs[0][len(xs)], sigs[1][len(xs)], sigs[2][len(xs)])
 		xs = append(xs, float64(n))
-		ours = append(ours, a)
-		mv = append(mv, b)
-		mvpki = append(mvpki, c)
 	}
-	fitOurs, err := stats.FitPower(xs, ours)
-	if err != nil {
-		return nil, err
+	fits = make([]stats.PowerFit, len(builders))
+	for i := range fits {
+		if fits[i], err = stats.FitPower(xs, sigs[i]); err != nil {
+			return nil, nil, err
+		}
 	}
-	fitMV, err := stats.FitPower(xs, mv)
-	if err != nil {
-		return nil, err
-	}
-	fitMVPKI, err := stats.FitPower(xs, mvpki)
-	if err != nil {
-		return nil, err
-	}
-	table.AddRow("fit", "", fmt.Sprintf("n^%.2f", fitOurs.Exponent),
-		fmt.Sprintf("n^%.2f", fitMV.Exponent), fmt.Sprintf("n^%.2f", fitMVPKI.Exponent))
-	return &CommScalingResult{Table: table, FitOurs: fitOurs, FitMV: fitMV, FitMVPKI: fitMVPKI}, nil
+	table.AddRow("fit", "", fmt.Sprintf("n^%.2f", fits[0].Exponent),
+		fmt.Sprintf("n^%.2f", fits[1].Exponent), fmt.Sprintf("n^%.2f", fits[2].Exponent))
+	return table, fits, nil
 }
 
 // ExperimentIterationFailure reproduces E4: the per-iteration
@@ -215,7 +238,7 @@ func ExperimentIterationFailure(trials int) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
-		table.AddRow(r.name, r.slots, fmt.Sprintf("%.4g", out.Bound), out.ErrorRate.P, interval(out.ErrorRate))
+		table.AddBoundRow(r.name, out, r.name, r.slots, fmt.Sprintf("%.4g", out.Bound), out.ErrorRate.P, interval(out.ErrorRate))
 	}
 	return table, nil
 }
@@ -454,6 +477,38 @@ func ExperimentProxcast(n, tCorrupt, slots int) (*Table, error) {
 	return table, nil
 }
 
+// runProxcastRelease executes s-slot Proxcast with a corrupted dealer
+// that serves value 0 honestly in round 1 and has an accomplice release
+// the contradicting signature on 1 at the given round. It returns the
+// sorted distinct honest grades.
+func runProxcastRelease(n, tCorrupt, slots, release int) ([]int, error) {
+	if tCorrupt < 2 {
+		return nil, fmt.Errorf("experiment: proxcast release scenario needs t >= 2 (dealer + accomplice), got %d", tCorrupt)
+	}
+	const dealer, accomplice = 0, 1
+	var seed [sig.Size]byte
+	seed[0] = 0xaa
+	pk, sk := sig.KeyGen(dealer, seed)
+	machines := proxcensus.NewProxcastMachines(proxcensus.ProxcastConfig{
+		N: n, T: tCorrupt, Slots: slots, Dealer: dealer, Input: 0, DealerPK: pk, DealerSK: sk,
+	})
+	adv := adversary.LateReleaseDealer(dealer, accomplice, release, sk)
+	res, err := sim.Run(sim.Config{N: n, T: tCorrupt, Rounds: slots - 1, Seed: 5}, machines, adv)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: proxcast run: %w", err)
+	}
+	seen := map[int]bool{}
+	for _, o := range res.Outputs {
+		seen[o.(proxcensus.Result).Grade] = true
+	}
+	grades := make([]int, 0, len(seen))
+	for g := range seen {
+		grades = append(grades, g)
+	}
+	sort.Ints(grades)
+	return grades, nil
+}
+
 // ExperimentTermination reproduces the paper's Section 1 motivation:
 // probabilistic-termination ('Las Vegas') BA is fast in expectation but
 // terminates non-simultaneously, while the fixed-round protocols always
@@ -487,19 +542,12 @@ func ExperimentTermination(trials int) (*Table, error) {
 			decisions := ba.LVDecisions(res)
 			lo, hi := decisions[0].HaltedRound, decisions[0].HaltedRound
 			for _, d := range decisions {
-				if d.HaltedRound < lo {
-					lo = d.HaltedRound
-				}
-				if d.HaltedRound > hi {
-					hi = d.HaltedRound
-				}
+				lo, hi = min(lo, d.HaltedRound), max(hi, d.HaltedRound)
 			}
 			if hi != lo {
 				staggered++
 			}
-			if hi > maxRounds {
-				maxRounds = hi
-			}
+			maxRounds = max(maxRounds, hi)
 			worst = append(worst, float64(hi))
 		}
 		summary, err := stats.Summarize(worst)

@@ -1,14 +1,19 @@
-package harness
+package experiment_test
 
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"proxcensus/internal/conformance"
+	"proxcensus/internal/experiment"
 )
 
 func TestTableRender(t *testing.T) {
-	tab := &Table{
+	tab := &experiment.Table{
 		Title:   "demo",
 		Note:    "a note",
 		Columns: []string{"a", "bb", "ccc"},
@@ -35,7 +40,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestExperimentRoundTables(t *testing.T) {
-	e1 := ExperimentRoundsThird([]int{10, 20, 30})
+	e1 := experiment.ExperimentRoundsThird([]int{10, 20, 30})
 	if len(e1.Rows) != 3 {
 		t.Fatalf("E1 rows = %d", len(e1.Rows))
 	}
@@ -43,14 +48,14 @@ func TestExperimentRoundTables(t *testing.T) {
 	if e1.Rows[2][1] != "31" || e1.Rows[2][2] != "60" {
 		t.Errorf("E1 row = %v", e1.Rows[2])
 	}
-	e2 := ExperimentRoundsHalf([]int{10, 20})
+	e2 := experiment.ExperimentRoundsHalf([]int{10, 20})
 	if e2.Rows[0][1] != "15" || e2.Rows[0][2] != "20" {
 		t.Errorf("E2 row = %v", e2.Rows[0])
 	}
 }
 
 func TestExperimentSlotGrowth(t *testing.T) {
-	tab := ExperimentSlotGrowth(6)
+	tab := experiment.ExperimentSlotGrowth(6)
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -68,7 +73,7 @@ func TestExperimentSlotGrowth(t *testing.T) {
 }
 
 func TestExperimentSlotChoice(t *testing.T) {
-	tab := ExperimentSlotChoice(30)
+	tab := experiment.ExperimentSlotChoice(30)
 	if len(tab.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -101,7 +106,7 @@ func TestExperimentIterationFailureQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical experiment")
 	}
-	tab, err := ExperimentIterationFailure(300)
+	tab, err := experiment.ExperimentIterationFailure(300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,24 +116,25 @@ func TestExperimentIterationFailureQuick(t *testing.T) {
 }
 
 func TestExperimentCommScaling(t *testing.T) {
-	res, err := ExperimentCommScaling([]int{3, 5, 7, 9, 11}, 4)
+	_, fits, err := experiment.ExperimentCommScaling([]int{3, 5, 7, 9, 11}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FitOurs.Exponent < 1.5 || res.FitOurs.Exponent > 2.5 {
-		t.Errorf("our protocol's comm exponent = %.2f, want ~2", res.FitOurs.Exponent)
+	ours, mvPKI := fits[0], fits[2]
+	if ours.Exponent < 1.5 || ours.Exponent > 2.5 {
+		t.Errorf("our protocol's comm exponent = %.2f, want ~2", ours.Exponent)
 	}
-	if res.FitMVPKI.Exponent < 2.5 || res.FitMVPKI.Exponent > 3.5 {
-		t.Errorf("MV-PKI comm exponent = %.2f, want ~3", res.FitMVPKI.Exponent)
+	if mvPKI.Exponent < 2.5 || mvPKI.Exponent > 3.5 {
+		t.Errorf("MV-PKI comm exponent = %.2f, want ~3", mvPKI.Exponent)
 	}
-	if res.FitMVPKI.Exponent <= res.FitOurs.Exponent {
+	if mvPKI.Exponent <= ours.Exponent {
 		t.Errorf("MV-PKI exponent %.2f should exceed ours %.2f (the paper's factor-n claim)",
-			res.FitMVPKI.Exponent, res.FitOurs.Exponent)
+			mvPKI.Exponent, ours.Exponent)
 	}
 }
 
 func TestExperimentMultivalued(t *testing.T) {
-	tab, err := ExperimentMultivalued([]int{4, 8}, 5)
+	tab, err := experiment.ExperimentMultivalued([]int{4, 8}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +148,7 @@ func TestExperimentMultivalued(t *testing.T) {
 }
 
 func TestExperimentProxcast(t *testing.T) {
-	tab, err := ExperimentProxcast(6, 2, 9)
+	tab, err := experiment.ExperimentProxcast(6, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +168,7 @@ func TestExperimentProxcast(t *testing.T) {
 // TestExperimentRushing is A3's claim: with the rushing view the
 // adaptive splitter forces disagreement, blinded it never does.
 func TestExperimentRushing(t *testing.T) {
-	tab, err := ExperimentRushing(200)
+	tab, err := experiment.ExperimentRushing(200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +184,7 @@ func TestExperimentRushing(t *testing.T) {
 }
 
 func TestExperimentCoinParallelism(t *testing.T) {
-	tab, err := ExperimentCoinParallelism(1, 4, 100)
+	tab, err := experiment.ExperimentCoinParallelism(1, 4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +198,14 @@ func TestExperimentErrorTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical experiment")
 	}
-	e1, err := ExperimentErrorThird(1, []int{1, 2}, 200)
+	e1, err := experiment.ExperimentErrorThird(1, []int{1, 2}, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(e1.Rows) != 2 {
 		t.Fatalf("E1 rows = %d", len(e1.Rows))
 	}
-	e2, err := ExperimentErrorHalf(1, []int{2}, 200)
+	e2, err := experiment.ExperimentErrorHalf(1, []int{2}, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +215,7 @@ func TestExperimentErrorTables(t *testing.T) {
 }
 
 func TestExperimentTermination(t *testing.T) {
-	tab, err := ExperimentTermination(60)
+	tab, err := experiment.ExperimentTermination(60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,5 +234,62 @@ func TestExperimentTermination(t *testing.T) {
 	}
 	if !found {
 		t.Error("missing stagger row")
+	}
+}
+
+// TestResultsRegenerate renders every registered paper table at the
+// checked-in parameters (proxlab -exp all -trials 2000 -kappa 3) and
+// demands results/<id>.txt and .csv byte for byte: the tables are pure
+// functions of their parameters.
+func TestResultsRegenerate(t *testing.T) {
+	for _, pt := range experiment.PaperTables() {
+		t.Run(pt.ID, func(t *testing.T) {
+			tab, err := pt.Run(2000, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var txt, csv bytes.Buffer
+			if err := tab.Render(&txt); err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.CSV(&csv); err != nil {
+				t.Fatal(err)
+			}
+			for ext, got := range map[string][]byte{".txt": txt.Bytes(), ".csv": csv.Bytes()} {
+				path := filepath.Join("..", "..", "results", pt.ID+ext)
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s does not regenerate:\n--- checked in\n%s\n--- rendered\n%s", path, want, got)
+				}
+			}
+		})
+	}
+}
+
+// TestGateRejectsRowOverBound is proxlab -exp -gate's verdict: a row
+// whose measured rate sits significantly above its bound fails the
+// table, and rows within their bound or claiming none pass.
+func TestGateRejectsRowOverBound(t *testing.T) {
+	sample := func(name string, disagreements int, bound float64) *conformance.Outcome {
+		return &conformance.Outcome{Name: name, Trials: 1000, Disagreements: disagreements, Bound: bound}
+	}
+	tab := &experiment.Table{Columns: []string{"row", "measured"}}
+	tab.AddBoundRow("within", sample("within", 240, 0.25), "within", 0.24)
+	tab.AddBoundRow("unclaimed", sample("unclaimed", 900, 0), "unclaimed", 0.9)
+	var out bytes.Buffer
+	if n, exceeded, err := tab.Gate(&out, "unit", 1e-4); err != nil || n != 1 || len(exceeded) != 0 {
+		t.Fatalf("Gate() = %d, %v, %v; want 1 row tested and none exceeded\n%s", n, exceeded, err, out.String())
+	}
+	tab.AddBoundRow("over", sample("over", 400, 0.25), "over", 0.4)
+	out.Reset()
+	n, exceeded, err := tab.Gate(&out, "unit", 1e-4)
+	if err != nil || n != 2 || len(exceeded) != 1 || exceeded[0] != "over" {
+		t.Fatalf("Gate() = %d, %v, %v; want 2 rows tested and [over] exceeded", n, exceeded, err)
+	}
+	if !strings.Contains(out.String(), "gate unit: over: REJECTED") {
+		t.Errorf("Gate() wrote no rejection line for the row over its bound:\n%s", out.String())
 	}
 }

@@ -1,14 +1,15 @@
-// Package experiment turns robustness questions into declarative,
-// replayable sweep grids: a Spec names a protocol family, an (n, t)
-// frame, a fault-level sweep (exact faulty-node counts 0→t via
-// chaos.GenerateFaulty, or one explicit schedule), a network latency
-// model and a seed list, and compiles each grid cell down to the
-// existing chaos/transport machinery. Every trial is wrapped in a
-// mandatory timeout, every parameter is validated before any socket
-// opens, and the analysis layer tolerates partial output: a trial is
-// classified decided, degraded or timed-out instead of wedging the
-// sweep. cmd/proxlab runs specs from JSON files and archives JSONL
-// artifacts plus graceful-degradation curves.
+// Package experiment holds every experiment cmd/proxlab runs: the
+// paper tables (paper.go, registered by id in PaperTables), the
+// conformance sweep and replay (conform.go), and declarative TCP sweep
+// grids. A Spec names a protocol family, an (n, t) frame, a fault-level
+// sweep (exact faulty-node counts 0→t via chaos.GenerateFaulty, or one
+// explicit schedule), a network latency model and a seed list, and
+// compiles each grid cell down to the existing chaos/transport
+// machinery. Every trial is wrapped in a mandatory timeout, every
+// parameter is validated before any socket opens, and the analysis
+// layer tolerates partial output: a trial is classified decided,
+// degraded or timed-out instead of wedging the sweep. All of them
+// render through one Table.
 package experiment
 
 import (

@@ -1,13 +1,16 @@
-package harness
+package experiment
 
 import (
 	"fmt"
 	"io"
 	"strings"
+
+	"proxcensus/internal/conformance"
 )
 
-// Table is a simple aligned-text/CSV result table for experiment
-// output.
+// Table is the one result renderer: the paper tables and the
+// degradation curve both print as aligned text, and the paper tables
+// are also written as CSV.
 type Table struct {
 	// Title is printed above the table.
 	Title string
@@ -18,6 +21,15 @@ type Table struct {
 	Columns []string
 	// Rows hold the formatted cells.
 	Rows [][]string
+
+	// bounded lists the rows that report a sample claiming a bound.
+	bounded []boundedRow
+}
+
+// boundedRow ties a row's label to the sample it reports.
+type boundedRow struct {
+	label  string
+	sample *conformance.Outcome
 }
 
 // AddRow appends a row, formatting each cell with %v.
@@ -32,6 +44,38 @@ func (t *Table) AddRow(cells ...any) {
 		}
 	}
 	t.Rows = append(t.Rows, row)
+}
+
+// AddBoundRow appends a row that reports sample. When the sample claims
+// a bound (Bound > 0), Gate tests the row against it under label.
+func (t *Table) AddBoundRow(label string, sample *conformance.Outcome, cells ...any) {
+	t.AddRow(cells...)
+	if sample.Bound > 0 {
+		t.bounded = append(t.bounded, boundedRow{label: label, sample: sample})
+	}
+}
+
+// Gate tests every row that carries a bound with the exact one-sided
+// binomial test at significance alpha and writes one verdict line per
+// row, prefixed with id. It returns how many rows it tested and the
+// labels of those whose measured rate is significantly above their
+// bound.
+func (t *Table) Gate(w io.Writer, id string, alpha float64) (tested int, exceeded []string, err error) {
+	var b strings.Builder
+	for _, r := range t.bounded {
+		report, err := r.sample.Check(alpha)
+		if err != nil {
+			return 0, nil, fmt.Errorf("%s: %w", r.label, err)
+		}
+		fmt.Fprintf(&b, "gate %s: %s: %s\n", id, r.label, report)
+		if !report.Consistent {
+			exceeded = append(exceeded, r.label)
+		}
+	}
+	if _, err := io.WriteString(w, b.String()); err != nil {
+		return 0, nil, err
+	}
+	return len(t.bounded), exceeded, nil
 }
 
 // Render writes the table as aligned text.
@@ -89,11 +133,4 @@ func (t *Table) CSV(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -44,16 +44,19 @@ go run ./cmd/proxcast -s 6 -faults 'churn:2@2-4;net:lan@7' -round-timeout 500ms
 go test -short -count=1 ./internal/chaos
 go test -count=1 -run 'TestTCP' ./internal/ba
 
-# Experiment lab: the checked-in smoke spec end-to-end — declarative
-# sweep, timeout-wrapped trials, JSONL artifact, degradation curve and
-# the zero-fault decision gate. The artifacts go to a temporary
-# directory, so a run leaves the checked-in results untouched.
+# Experiments, through the one experiment CLI: the checked-in smoke spec
+# end-to-end — declarative sweep, timeout-wrapped trials, JSONL
+# artifact, degradation curve and the zero-fault decision gate — then
+# three paper tables, the last gated on its bounds, and a short
+# conformance sweep. The artifacts go to a temporary directory, so a
+# run leaves the checked-in results untouched.
 lab_out="$(mktemp -d "${TMPDIR:-/tmp}/smoke-lab.XXXXXX")"
 trap 'rm -rf "$lab_out"' EXIT
 go run ./cmd/proxlab -spec experiments/specs/smoke-expand.json -out "$lab_out" -gate -q
-go run ./cmd/proxbench -exp slots
-go run ./cmd/proxbench -exp rounds13
-go run ./cmd/proxbench -exp iterprob -trials 300
+go run ./cmd/proxlab -exp slots
+go run ./cmd/proxlab -exp rounds13
+go run ./cmd/proxlab -exp iterprob -trials 300 -gate
+go run ./cmd/proxlab -conform all -strategies 100
 
 # Consensus service: the proxserve daemon run in-process exactly as
 # main runs it — found through -addr-file, driven over the client API
