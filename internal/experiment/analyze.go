@@ -100,13 +100,16 @@ func ReadJSONL(r io.Reader) (results []TrialResult, skipped int, err error) {
 }
 
 // minTailTrials is the fewest trials at a fault level for which the
-// curve reports a p99. Below it a tail percentile is no tail (at five
-// trials the p99 is the maximum), so the level shows its median alone.
-const minTailTrials = 40
+// curve reports a p99: the highest percentile a table may report is
+// one with at least ten trials beyond it, and a p99 has ten beyond it
+// from 1 000 trials on. Below that a p99 is the interpolation between
+// the few largest values, no tail, so the level shows its median alone.
+const minTailTrials = 1000
 
 // WriteCurve renders a degradation curve as an aligned text table —
 // the human-readable companion to the JSONL artifact. A level with
-// fewer than minTailTrials trials shows its p50 alone.
+// fewer than minTailTrials trials shows its p50 alone and "-" for its
+// p99.
 func WriteCurve(w io.Writer, name string, curve []CurvePoint) error {
 	t := &Table{
 		Title:   name + ": decision rate and wall-clock as faults sweep",

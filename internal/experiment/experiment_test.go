@@ -328,11 +328,11 @@ func TestCurvePartialOutput(t *testing.T) {
 		}
 	}
 	// Two trials per level support a median, not a p99: the p99 cell
-	// is "-" until a level has 40 trials.
+	// is "-" until a level has 1 000 trials, ten of them beyond it.
 	for _, tc := range []struct {
 		trials int
 		p99    string
-	}{{2, "-"}, {39, "-"}, {40, "39.6"}} {
+	}{{2, "-"}, {999, "-"}, {1000, "990.0"}} {
 		level := make([]experiment.TrialResult, tc.trials)
 		for i := range level {
 			level[i] = experiment.TrialResult{Outcome: experiment.OutcomeDecided, WallMS: float64(i + 1)}

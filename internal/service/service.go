@@ -227,11 +227,11 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Per-instance ingress screening: the permissive General rules
-	// (sender range, decode, duplicate and equivocation checks that hold
-	// for any protocol, value domain left open for batch digests) plus
-	// the payload size cap at the largest honest batch encoding —
-	// oversize payload floods die at admission.
+	// Ingress screening, one validator per instance slot of a node: the
+	// permissive General rules (sender range, decode, duplicate and
+	// equivocation checks that hold for any protocol, value domain left
+	// open for batch digests) plus the payload size cap at the largest
+	// honest batch encoding — oversize payload floods die at admission.
 	n, payloadCap := cfg.N, cfg.Batch*(cfg.MaxPayload+8)
 	tcfg := transport.Config{
 		RoundTimeout: cfg.RoundTimeout,

@@ -22,7 +22,10 @@
 // ends its journey releases it to the endpoint's free list: a drop site
 // on the spot, the hub once the round's last delivery is written, the
 // node once Machine.Deliver has returned. Each round loop waits against
-// one timer of its own, re-armed round over round.
+// one timer, re-armed round over round. What an instance's rounds need
+// beyond its lanes — receive scratch, decoder, screen, timer on a node;
+// round scratch and timer on the hub — sits in instance slots that
+// serve one instance after another (instanceRun, roundScratch).
 
 package transport
 
@@ -190,6 +193,9 @@ type MuxHub struct {
 	// changed is closed and replaced whenever conns changes.
 	changed chan struct{}
 	insts   map[int]*HubInstance
+	// idle holds the round scratch of finished instances, a stack that
+	// StartInstance takes from before it makes any.
+	idle []roundScratch
 
 	done       chan struct{} // closed, under mu, by Close
 	acceptDone chan struct{}
@@ -529,12 +535,9 @@ func (h *MuxHub) StartInstance(inst, rounds int) (*HubInstance, error) {
 	}
 	hi := &HubInstance{
 		h: h, id: inst, rounds: rounds,
-		mail:       make([]chan muxBatch, h.n),
-		dead:       make([]bool, h.n),
-		log:        newEventLog(h.n),
-		batches:    make([]*frame, h.n),
-		inboxes:    make([][]wire.BatchMsg, h.n),
-		deliveries: make([][]byte, h.n),
+		mail: make([]chan muxBatch, h.n),
+		dead: make([]bool, h.n),
+		log:  newEventLog(h.n),
 	}
 	for i := range hi.mail {
 		hi.mail[i] = make(chan muxBatch, muxMailDepth)
@@ -548,24 +551,97 @@ func (h *MuxHub) StartInstance(inst, rounds int) (*HubInstance, error) {
 		return nil, fmt.Errorf("%w: %d", ErrDupInstance, inst)
 	}
 	h.insts[inst] = hi
+	var s roundScratch
+	if k := len(h.idle); k > 0 {
+		s, h.idle[k-1] = h.idle[k-1], roundScratch{}
+		h.idle = h.idle[:k-1]
+	} else {
+		s = roundScratch{
+			batches:    make([]*frame, h.n),
+			inboxes:    make([][]wire.BatchMsg, h.n),
+			deliveries: make([][]byte, h.n),
+		}
+	}
+	hi.batches, hi.inboxes, hi.deliveries, hi.outFrames, hi.timer = s.batches, s.inboxes, s.deliveries, s.outFrames, s.timer
 	return hi, nil
 }
 
 // finish garbage-collects a completed instance's routing entry — frames
-// still in flight for it are dropped as unknown-instance strays — and
-// folds its final dead marks into the hub's report, which outlives it.
+// still in flight for it are dropped as unknown-instance strays —
+// returns its round scratch to the idle stack, and folds its final dead
+// marks into the hub's report, which outlives it.
 func (h *MuxHub) finish(hi *HubInstance) {
+	s := hi.releaseScratch()
 	h.mu.Lock()
 	delete(h.insts, hi.id)
+	h.idle = append(h.idle, s)
 	h.mu.Unlock()
 	h.log.markDead(hi.dead)
+}
+
+// roundScratch is a HubInstance's round scratch while no instance runs
+// on it. The hub keeps the scratch of finished instances on a stack and
+// hands it to the instances it starts, so the buffers a round grows
+// serve one instance after another; mail, dead and the event log stay
+// per instance, because a finished instance's late frame may still be
+// on its way to a lane, and its report is read after Run returns.
+type roundScratch struct {
+	batches    []*frame
+	inboxes    [][]wire.BatchMsg
+	deliveries [][]byte
+	outFrames  [][]byte
+	timer      *time.Timer
+}
+
+// releaseScratch stops the instance's timer and takes its round scratch
+// off it, emptied: batches, inboxes and deliveries are cleared, so the
+// idle scratch holds no reference into a released frame, and routing
+// scratch or delivery buffers that grew past their keep bounds are left
+// to the collector.
+func (hi *HubInstance) releaseScratch() roundScratch {
+	if hi.timer != nil {
+		hi.timer.Stop()
+	}
+	clear(hi.batches)
+	clear(hi.deliveries)
+	for id := range hi.inboxes {
+		hi.inboxes[id] = idleScratch(hi.inboxes[id])
+	}
+	for i, buf := range hi.outFrames {
+		if cap(buf) > frameKeepMax {
+			hi.outFrames[i] = nil
+		}
+	}
+	s := roundScratch{hi.batches, hi.inboxes, hi.deliveries, hi.outFrames, hi.timer}
+	hi.batches, hi.inboxes, hi.deliveries, hi.outFrames, hi.timer = nil, nil, nil, nil, nil
+	return s
+}
+
+// slotKeepMax bounds, in entries, each receive or routing scratch slice
+// an idle slot keeps. Honest rounds fill a few entries per sender; a
+// slice that grew past the bound carried a flood, and it is dropped
+// when its slot goes idle, as frames past frameKeepMax are, so that no
+// flooding peer pins its memory in idle slots.
+const slotKeepMax = 4 * DefaultFloodLimit
+
+// idleScratch empties a scratch slice for an idle slot: every entry up
+// to its capacity is zeroed, since entries alias frames that have been
+// released, and a slice past slotKeepMax entries is dropped.
+func idleScratch[T any](s []T) []T {
+	if cap(s) > slotKeepMax {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // HubInstance drives one instance's synchronous rounds over the hub's
 // shared connections: gather every live node's tagged batch under a
 // per-instance round deadline, route, and deliver tagged frames.
 // Deaths are per instance — a node that misses this instance's
-// deadline is dead here and untouched elsewhere.
+// deadline is dead here and untouched elsewhere. The struct, its lanes
+// and its log belong to the instance; its round scratch is taken from
+// the hub's idle stack by StartInstance and returned by finish.
 type HubInstance struct {
 	h      *MuxHub
 	id     int
@@ -574,10 +650,11 @@ type HubInstance struct {
 	dead   []bool
 	log    *eventLog
 
-	// Round scratch owned by the sequential Run loop. batches holds the
-	// round's gathered frames (nil for a node that sent none); inboxes
-	// alias them until the round's deliveries are written. deliveries
-	// holds each recipient's sealed frame, one of outFrames.
+	// Round scratch owned by the sequential Run loop (see roundScratch).
+	// batches holds the round's gathered frames (nil for a node that
+	// sent none); inboxes alias them until the round's deliveries are
+	// written. deliveries holds each recipient's sealed frame, one of
+	// outFrames.
 	batches    []*frame
 	inboxes    [][]wire.BatchMsg
 	deliveries [][]byte
@@ -599,9 +676,6 @@ func (hi *HubInstance) Run() error {
 	defer hi.h.finish(hi)
 	for round := 1; round <= hi.rounds; round++ {
 		hi.runRound(round)
-	}
-	if hi.timer != nil {
-		hi.timer.Stop()
 	}
 	return nil
 }
@@ -860,6 +934,9 @@ type MuxNode struct {
 	mu    sync.Mutex
 	conn  net.Conn // current shared connection; written under wmu and mu
 	lanes map[int]chan muxBatch
+	// slots holds the idle instance slots, a stack that RunInstance
+	// takes from before it makes any.
+	slots []*instanceRun
 	// seeded counts the frames register has put on the free list.
 	seeded int
 	err    error // terminal: closed, or redial attempts exhausted
@@ -1138,11 +1215,13 @@ func (nd *MuxNode) encodeSends(inst, round int, sends []sim.Send) ([]byte, error
 	return sealFrame(frame), nil
 }
 
-// instanceRun is one RunInstance call's private state: decoder,
-// ingress validator and receive scratch are per instance, so concurrent
-// instances share nothing but the connection and its write buffers. All
-// scratch is reused round over round, so a steady-state round allocates
-// nothing.
+// instanceRun is an instance slot: the decoder, the ingress validator
+// and the receive scratch one RunInstance call runs on. A node keeps
+// its idle slots on a stack, and each call takes one for its instance
+// and returns it reset (putSlot), so concurrent instances share nothing
+// but the connection and its write buffers, and consecutive ones share
+// the slot's grown buffers and maps. All scratch is reused round over
+// round, so a steady-state round allocates nothing.
 type instanceRun struct {
 	node    *MuxNode
 	inst    int
@@ -1158,10 +1237,12 @@ type instanceRun struct {
 
 // RunInstance executes one machine as instance `inst` over the shared
 // connection and returns its output. Safe to call concurrently for
-// distinct instances; the per-instance ingress validator comes from
-// Config.NewIngress and its report merges into the node's Report. A
-// node configured without NewIngress refuses to run: it does not know
-// n, so it cannot pick a screen itself.
+// distinct instances. Each call runs on an idle instance slot, or a new
+// one when none is idle, whose ingress validator comes from
+// Config.NewIngress; the validator's report merges into the node's
+// Report when the instance ends. A node configured without NewIngress
+// refuses to run: it does not know n, so it cannot pick a screen
+// itself.
 //
 // Injected faults apply to this node's own traffic, and every instance
 // consults the injector with its own round number: a scheduled
@@ -1178,13 +1259,8 @@ func (nd *MuxNode) RunInstance(inst, rounds int, machine sim.Machine) (any, erro
 		return nil, err
 	}
 	defer nd.unregister(inst)
-	ir := &instanceRun{node: nd, inst: inst, dec: wire.NewDecoder(), ingress: nd.cfg.NewIngress(nd.id)}
-	defer ir.mergeReport()
-	defer func() {
-		if ir.timer != nil {
-			ir.timer.Stop()
-		}
-	}()
+	ir := nd.takeSlot(inst)
+	defer nd.putSlot(ir)
 
 	inj := nd.cfg.Faults
 	crash := inj.CrashRound(nd.id)
@@ -1260,13 +1336,46 @@ func (ir *instanceRun) send(round int, sends []sim.Send) error {
 	return nil
 }
 
-// mergeReport folds this instance's ingress screening into the node's
-// aggregate.
-func (ir *instanceRun) mergeReport() {
+// takeSlot returns an idle instance slot set up for inst, or a new one
+// when none is idle. Every instance of one workload has the same shape,
+// so which slot serves which instance does not matter, and a node ends
+// up with as many slots as it ever ran instances at once.
+func (nd *MuxNode) takeSlot(inst int) *instanceRun {
+	var ir *instanceRun
+	nd.mu.Lock()
+	if k := len(nd.slots); k > 0 {
+		ir, nd.slots[k-1] = nd.slots[k-1], nil
+		nd.slots = nd.slots[:k-1]
+	}
+	nd.mu.Unlock()
+	if ir == nil {
+		ir = &instanceRun{node: nd, dec: wire.NewDecoder(), ingress: nd.cfg.NewIngress(nd.id)}
+	}
+	ir.inst = inst
+	return ir
+}
+
+// putSlot ends an instance on its slot: it folds the instance's ingress
+// screening into the node's aggregate, resets the validator and the
+// decoder to the state they were built in, stops the timer, empties the
+// receive scratch — whose entries alias frames already released — and
+// puts the slot back on the idle stack.
+func (nd *MuxNode) putSlot(ir *instanceRun) {
 	rep := ir.ingress.Report()
-	ir.node.valMu.Lock()
-	ir.node.validation.Merge(rep)
-	ir.node.valMu.Unlock()
+	nd.valMu.Lock()
+	nd.validation.Merge(rep)
+	nd.valMu.Unlock()
+	ir.ingress.Reset()
+	ir.dec.Reset()
+	if ir.timer != nil {
+		ir.timer.Stop()
+	}
+	ir.in = idleScratch(ir.in)
+	ir.verdicts = idleScratch(ir.verdicts)
+	ir.inbox = idleScratch(ir.inbox)
+	nd.mu.Lock()
+	nd.slots = append(nd.slots, ir)
+	nd.mu.Unlock()
 }
 
 // awaitLane receives the round-r delivery off an instance lane,
@@ -1297,7 +1406,7 @@ func (ir *instanceRun) awaitLane(lane chan muxBatch, round int, wait time.Durati
 }
 
 // decodeRound turns one instance round's delivered batch into the
-// machine inbox: decode through the per-instance interning Decoder,
+// machine inbox: decode through the slot's interning Decoder,
 // screen everything in a single batched ingress call, and route the
 // admitted payloads. The hub stamps the authentic sender into Addr, so
 // the validator's sender checks bind to real identities. The call is

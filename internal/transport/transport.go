@@ -76,11 +76,15 @@ type Config struct {
 	IdleTimeout time.Duration
 	// Faults injects deployment faults; nil means NoFaults.
 	Faults FaultInjector
-	// NewIngress builds the per-node wire-ingress validator: every
-	// delivered payload passes through it before reaching the machine,
-	// and the screening report surfaces in the node's transport.Report.
-	// A MuxNode refuses to run an instance without it; RunLocal fills a
-	// nil one with validate.General over its machine count.
+	// NewIngress builds a node's wire-ingress validator: every delivered
+	// payload passes through it before reaching the machine, and the
+	// screening report surfaces in the node's transport.Report. A node
+	// calls it once per instance slot, not once per instance: the slot
+	// serves one instance after another, and the transport merges the
+	// validator's report and resets it (validate.Validator.Reset)
+	// between them. A MuxNode refuses to run an instance without it;
+	// RunLocal fills a nil one with validate.General over its machine
+	// count.
 	NewIngress func(id int) *validate.Validator
 }
 

@@ -160,8 +160,8 @@ func TestPayloadSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// TestColdInstanceAllocations: the service builds a validator per node
-// per instance, so a fresh one must be cheap too — New sizes everything
+// TestColdInstanceAllocations: a node builds a validator for each
+// instance slot it opens, so a fresh one must be cheap too — New sizes everything
 // honest traffic needs, and screening an instance's five honest rounds
 // (payloads, payload echoes, three echo rounds) allocates nothing after
 // it.
@@ -198,5 +198,41 @@ func TestColdInstanceAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a fresh validator allocated %.1f objects screening five honest rounds, want 0", allocs)
+	}
+}
+
+// TestWarmInstanceAllocations is TestColdInstanceAllocations for a
+// validator the transport keeps across instances: Reset, then the same
+// instance's five honest rounds, allocates nothing either.
+func TestWarmInstanceAllocations(t *testing.T) {
+	const n = 16
+	candidate := bytes.Repeat([]byte{0x42}, 1024)
+	rounds := make([][]Inbound, 5)
+	for i := 0; i < n; i++ {
+		rounds[0] = append(rounds[0], inboundOf(t, i, ba.TCPayload{Data: candidate}))
+		rounds[1] = append(rounds[1], inboundOf(t, i, ba.TCPayloadEcho{Data: candidate, Valid: true}))
+		for r := 2; r < 5; r++ {
+			rounds[r] = append(rounds[r], inboundOf(t, i, proxcensus.EchoPayload{Z: 1, H: r - 2}))
+		}
+	}
+	v := New(ForPayloadService(n, 1<<20))
+	verdicts := make([]bool, 0, n)
+	instance := func() {
+		v.Reset()
+		for r, in := range rounds {
+			verdicts = v.AdmitBatch(r+1, in, verdicts[:0])
+			for _, ok := range verdicts {
+				if !ok {
+					t.Fatalf("round %d: honest message rejected", r+1)
+				}
+			}
+		}
+	}
+	instance() // the first instance grows what the next ones reuse
+	if allocs := testing.AllocsPerRun(20, instance); allocs != 0 {
+		t.Fatalf("a reset validator allocated %.1f objects screening five honest rounds, want 0", allocs)
+	}
+	if got := v.Report().Admitted; got != 5*n {
+		t.Fatalf("report after one instance admits %d, want %d: Reset must zero the counters", got, 5*n)
 	}
 }

@@ -286,6 +286,30 @@ func New(rules Rules) *Validator {
 	}
 }
 
+// Reset returns the validator to the state New leaves, keeping what it
+// has grown: the transport screens one instance after another with one
+// validator, so an instance's screen starts from no round, no sender
+// slot, no spill, no counters and no evidence. round goes to 0, so the
+// next instance's first round is a round boundary even when it equals
+// the last round screened; the fresh stamp retires every sender slot.
+// Slots drop the wire bytes and payload they kept, which alias a frame
+// that has since been released. The report starts from zero, so one the
+// caller has merged is never merged again.
+func (v *Validator) Reset() {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.round = 0
+	v.stamp++
+	for i := range v.senders {
+		v.senders[i].raw = nil
+		v.senders[i].stream.payload = nil
+	}
+	clear(v.dup)
+	clear(v.first)
+	clear(v.msgCache)
+	v.rep = Report{}
+}
+
 // Report returns a snapshot of the screening outcome so far.
 func (v *Validator) Report() Report {
 	v.mu.Lock()

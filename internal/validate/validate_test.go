@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -370,5 +371,71 @@ func TestGeneralRulesAdmitEverythingDecodable(t *testing.T) {
 		if !admitPayload(t, v, 1, 0, p) {
 			t.Errorf("general rules rejected %T", p)
 		}
+	}
+}
+
+// TestResetMatchesNew: a validator that screened one instance and was
+// Reset screens the next exactly as a fresh one does. The first
+// instance leaves every kind of state behind — a duplicate, an
+// equivocation with its evidence, a wrong-phase message, threshold
+// shares in the signed-message cache — and the second starts in the
+// round the first ended in, with the same bytes, so a stale round
+// number, sender slot or spill would reject honest traffic there.
+func TestResetMatchesNew(t *testing.T) {
+	const n = 4
+	setup := testSetup(t, n, 1)
+	rules := ForHalf(n, setup.CoinPK, setup.ProxPK)
+	vote := func(from, v int) Inbound {
+		return inboundOf(t, from, proxcensus.LinearVote{V: v, Share: threshsig.SignShare(setup.ProxSKs[from], proxcensus.LinearSigmaMessage(v))})
+	}
+	omega := func(from, v int) Inbound {
+		return inboundOf(t, from, proxcensus.LinearOmegaShare{V: v, Share: threshsig.SignShare(setup.ProxSKs[from], proxcensus.LinearOmegaMessage(v))})
+	}
+	type round struct {
+		r  int
+		in []Inbound
+	}
+	first := []round{
+		{1, []Inbound{vote(0, 1), vote(1, 1), vote(1, 1), vote(2, 0), vote(2, 1), omega(3, 1)}},
+		{2, []Inbound{omega(0, 1), omega(1, 1), omega(2, 0), omega(2, 1), vote(3, 1)}},
+	}
+	second := []round{
+		{2, []Inbound{omega(0, 1), omega(1, 1), omega(2, 0), omega(3, 1), omega(3, 0)}},
+		{3, nil},
+		{4, []Inbound{vote(0, 1), vote(1, 0), vote(2, 1), vote(2, 1), vote(3, 1)}},
+	}
+	screen := func(v *Validator, script []round) [][]bool {
+		var out [][]bool
+		for _, rd := range script {
+			out = append(out, v.AdmitBatch(rd.r, rd.in, nil))
+		}
+		return out
+	}
+
+	reused := New(rules)
+	screen(reused, first)
+	if rep := reused.Report(); rep.Rejections(RejectDuplicate) == 0 || rep.Rejections(RejectEquivocation) == 0 ||
+		rep.Rejections(RejectType) == 0 || len(rep.Evidence) == 0 {
+		t.Fatalf("the first instance must leave a duplicate, an equivocation and a wrong-phase message: %s", rep.Summary())
+	}
+	reused.Reset()
+	if reused.round != 0 {
+		t.Fatalf("Reset left the screen at round %d, want 0 as New does", reused.round)
+	}
+	for i, s := range reused.senders {
+		if s.stamp == reused.stamp || s.raw != nil || s.stream.payload != nil {
+			t.Fatalf("sender %d's slot is still live or holds the first instance's message after Reset", i)
+		}
+	}
+	fresh := New(rules)
+	got, want := screen(reused, second), screen(fresh, second)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts after Reset %v, from New %v", got, want)
+	}
+	if !want[0][0] || !want[0][1] || want[0][4] {
+		t.Fatalf("second instance's first round: verdicts %v, want the honest shares admitted and sender 3's second share rejected", want[0])
+	}
+	if g, w := reused.Report(), fresh.Report(); !reportsEqual(g, w) {
+		t.Fatalf("report after Reset %s %v, from New %s %v", g.Summary(), g.Evidence, w.Summary(), w.Evidence)
 	}
 }

@@ -226,9 +226,9 @@ func TestAppendEncodeBatchEquivalence(t *testing.T) {
 // TestNewDecoderAllocations.
 var decoderSink *Decoder
 
-// TestNewDecoderAllocations: the transport builds a Decoder per node per
-// instance, so building one is a single allocation; the intern cache
-// waits for something to intern.
+// TestNewDecoderAllocations: the transport builds a Decoder for each
+// instance slot a node opens, so building one is a single allocation;
+// the intern cache waits for something to intern.
 func TestNewDecoderAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { decoderSink = NewDecoder() }); allocs != 1 {
 		t.Fatalf("NewDecoder made %.1f allocations, want 1", allocs)
@@ -329,6 +329,18 @@ func TestDecoderInterning(t *testing.T) {
 		p, err := d.Decode(mustEncode(proxcensus.EchoPayload{Z: -1234, H: 1}))
 		if err != nil || p != sim.Payload(proxcensus.EchoPayload{Z: -1234, H: 1}) {
 			t.Fatalf("full cache broke decoding: p=%v err=%v", p, err)
+		}
+		// Reset empties the full cache and keeps its map, so the next
+		// instance interns again.
+		d.Reset()
+		if d.cache == nil || len(d.cache) != 0 {
+			t.Fatalf("after Reset the cache is nil=%t with %d entries, want an empty map", d.cache == nil, len(d.cache))
+		}
+		if _, err := d.Decode(raw); err != nil {
+			t.Fatal(err)
+		}
+		if _, cached := d.cache[string(raw)]; !cached {
+			t.Error("a reset decoder did not intern")
 		}
 	})
 }

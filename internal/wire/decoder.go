@@ -33,9 +33,10 @@ const internCap = 4096
 // one decoded instance across deliveries would let one consumer's
 // mutation leak into another's, so those classes always decode fresh.
 //
-// The transport builds one Decoder per node per instance, and an
-// instance's honest traffic interns a handful of payloads, so the cache
-// is built small, on the first insert: NewDecoder is one allocation.
+// The transport keeps one Decoder per instance slot of a node and
+// resets it between the instances the slot serves. An instance's honest
+// traffic interns a handful of payloads, so the cache is built small,
+// on the first insert: NewDecoder is one allocation.
 type Decoder struct {
 	cache map[string]sim.Payload
 }
@@ -44,6 +45,11 @@ type Decoder struct {
 func NewDecoder() *Decoder {
 	return &Decoder{}
 }
+
+// Reset empties the intern cache and keeps its map. A cache carried
+// from one instance into the next would fill with the earlier
+// instances' batch digests up to internCap and then stop interning.
+func (d *Decoder) Reset() { clear(d.cache) }
 
 // Decode decodes b, consulting the intern cache first. The map lookup converts b without
 // allocating (the compiler's m[string(b)] optimization); only a miss

@@ -48,8 +48,8 @@ const backRef = -1
 // laid out exactly as in v2. Each payload is compared with one earlier
 // payload only, so encoding takes time linear in the frame.
 //
-// The transport reuses one frame buffer per instance across rounds, so
-// steady-state sending allocates nothing, and a buffer that is too
+// The transport reuses its frame buffers across rounds and instances,
+// so steady-state sending allocates nothing, and a buffer that is too
 // small grows to the frame's size in one step instead of climbing
 // append's growth ladder.
 func AppendEncodeTaggedBatch(dst []byte, instance, round int, msgs []BatchMsg) ([]byte, error) {

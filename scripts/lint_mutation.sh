@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated fifteen times, and
+# rule out. A pristine copy of the module is mutated sixteen times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for an inline
 #      loop that admits whatever decodes: the hub flood-control test and
@@ -38,7 +38,10 @@
 #  15. the line API hex-decoding a proposeb payload in place, so the
 #      queued payload aliases the scanner's line: the client payload
 #      round trip, the daemon's end-to-end test and the line-parse
-#      allocation pin.
+#      allocation pin;
+#  16. a node's instance slot going back idle without its screen reset:
+#      the slot-reuse test, whose second instance opens with the bytes
+#      the first one's screen still holds.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -353,5 +356,23 @@ sed -i 's/n, err := hex\.Decode(payload, f)/n, err := hex.Decode(f, f); payload 
 expect_test_fail 'TestServiceClientPayloadAPI' ./internal/service
 expect_test_fail 'TestParseLineAllocations' ./internal/service
 expect_test_fail 'TestDaemonEndToEnd' ./cmd/proxserve
+
+echo "mutation 16: a node's instance slot goes back idle with its screen as the instance left it"
+cp internal/transport/*.go "$tmp/internal/transport/"
+reset_call='ir.ingress.Reset()'
+if [[ "$(grep -cF "$reset_call" "$mux")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one screen reset in mux.go, putSlot's" >&2
+    exit 1
+fi
+(cd "$tmp" && go test -count=1 -run 'TestSlotReuseScreensAfresh' ./internal/transport)
+# The next instance on the slot starts at the round the last one ended
+# in, with every sender's slot still holding that round's message: its
+# first round's honest traffic is rejected as duplicates or
+# equivocations. (Deleting Reset's round = 0 alone is masked by the
+# fresh stamp Reset also takes; the validate package's Reset test pins
+# both.)
+sed -i '/ir\.ingress\.Reset()/d' "$mux"
+(cd "$tmp" && go build ./internal/transport)
+expect_test_fail 'TestSlotReuseScreensAfresh' ./internal/transport
 
 echo "MUTATION SMOKE OK"
