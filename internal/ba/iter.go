@@ -52,6 +52,13 @@ func NewIterMachine(cfg IterConfig) *IterMachine {
 	return &IterMachine{cfg: cfg}
 }
 
+// reset rewinds the machine to what NewIterMachine leaves, for the
+// config it was built with. The inner Proxcensus machine is the
+// caller's to reset.
+func (m *IterMachine) reset() {
+	m.round, m.out, m.done = 0, 0, false
+}
+
 // Rounds returns the iteration's round budget.
 func (m *IterMachine) Rounds() int { return m.cfg.Rounds() }
 

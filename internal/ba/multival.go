@@ -3,6 +3,7 @@ package ba
 import (
 	"fmt"
 
+	"proxcensus/internal/coin"
 	"proxcensus/internal/crypto/threshsig"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/quorum"
@@ -131,6 +132,14 @@ type tcPrefixThird[T any, D tcDomain[T]] struct {
 
 func newTCPrefixThird[T any, D tcDomain[T]](n, t int, input T) *tcPrefixThird[T, D] {
 	return &tcPrefixThird[T, D]{n: n, t: t, input: input, counts: make([]tcCount[T], 0, max(n, 0))}
+}
+
+// reset rewinds the prefix to what newTCPrefixThird(n, t, input) leaves,
+// keeping its tally scratch, whose entries it clears: they may alias a
+// released frame.
+func (m *tcPrefixThird[T, D]) reset(input T) {
+	clear(m.counts[:cap(m.counts)])
+	*m = tcPrefixThird[T, D]{n: m.n, t: m.t, input: input, counts: m.counts[:0]}
 }
 
 // tcCount is one distinct value of a prefix round and how many senders
@@ -340,7 +349,8 @@ func NewMultivaluedOneShot(setup *Setup, kappa int, inputs []Value, defaultValue
 // one-shot core, then the prefix's candidate if the core decides 1 and
 // defaultValue if it decides 0. Every domain flips its coins in
 // MultivaluedCoinDomain, so under one setup the digest and payload
-// families flip byte-identical coins.
+// families flip byte-identical coins. Each party's machine is an
+// mvParty, so Protocol.Reset can run the same machines again.
 func newMultivaluedThird[T any, D tcDomain[T]](name string, setup *Setup, kappa int, inputs []T, defaultValue T) (*Protocol, error) {
 	if err := checkInputs(setup, kappa, inputs); err != nil {
 		return nil, err
@@ -352,35 +362,99 @@ func newMultivaluedThird[T any, D tcDomain[T]](name string, setup *Setup, kappa 
 	comps := setup.CoinComponents(slots-1, MultivaluedCoinDomain)
 	machines := make([]sim.Machine, setup.N)
 	for i := range machines {
-		party := i
-		input := inputs[i]
-		var cand T
-		machines[i] = sim.NewChain([]sim.Stage{
-			{Rounds: 2, New: func(any) sim.Machine {
-				return newTCPrefixThird[T, D](setup.N, setup.T, input)
-			}},
-			{Rounds: OneShotRounds(kappa), New: func(prev any) sim.Machine {
-				out := prev.(tcOutcome[T])
-				cand = out.Cand
-				return NewIterMachine(IterConfig{
-					Slots:      slots,
-					ProxRounds: kappa,
-					Prox:       proxcensus.NewExpandMachine(setup.N, setup.T, kappa, out.Bit),
-					Coin:       comps[party],
-				})
-			}},
-			{Rounds: 0, New: func(prev any) sim.Machine {
-				if prev.(Value) == 1 {
-					return sim.NewFunc(cand)
-				}
-				return sim.NewFunc(defaultValue)
-			}},
+		p := &mvParty[T, D]{setup: setup, kappa: kappa, coin: comps[i], def: defaultValue, input: inputs[i]}
+		p.Chain = sim.NewChain([]sim.Stage{
+			{Rounds: 2, New: p.prefixStage},
+			{Rounds: OneShotRounds(kappa), New: p.coreStage},
+			{Rounds: 0, New: p.outputStage},
 		})
+		machines[i] = p
 	}
 	return &Protocol{
 		Name: name, N: setup.N, T: setup.T,
 		Rounds: MultivaluedOneShotRounds(kappa), Machines: machines,
 	}, nil
+}
+
+// mvParty is one party's machine of the t < n/3 multivalued protocol:
+// the chain of its three stages, and the stage machines, which the
+// stage constructors build the first time the chain enters a stage and
+// reuse, reset, every time after. One family implementation serves a
+// single execution and a run of them alike.
+type mvParty[T any, D tcDomain[T]] struct {
+	*sim.Chain
+	setup *Setup
+	kappa int
+	coin  coin.Component
+	def   T
+
+	input T
+	// cand is the prefix's candidate, decided if the core decides 1.
+	cand T
+
+	prefix *tcPrefixThird[T, D]
+	iter   *IterMachine
+	prox   *proxcensus.ExpandMachine
+}
+
+// prefixStage enters the Turpin-Coan prefix. A prefix built earlier was
+// already reset with this execution's input by reset.
+func (p *mvParty[T, D]) prefixStage(any) sim.Machine {
+	if p.prefix == nil {
+		p.prefix = newTCPrefixThird[T, D](p.setup.N, p.setup.T, p.input)
+	}
+	return p.prefix
+}
+
+// coreStage enters the binary one-shot core on the prefix's bit.
+func (p *mvParty[T, D]) coreStage(prev any) sim.Machine {
+	out := prev.(tcOutcome[T])
+	p.cand = out.Cand
+	if p.iter == nil {
+		p.prox = proxcensus.NewExpandMachine(p.setup.N, p.setup.T, p.kappa, out.Bit)
+		p.iter = NewIterMachine(IterConfig{
+			Slots:      proxcensus.ExpandSlots(p.kappa),
+			ProxRounds: p.kappa,
+			Prox:       p.prox,
+			Coin:       p.coin,
+		})
+		return p.iter
+	}
+	p.prox.Reset(out.Bit)
+	p.iter.reset()
+	return p.iter
+}
+
+// outputStage decides the candidate or the default.
+func (p *mvParty[T, D]) outputStage(prev any) sim.Machine {
+	if prev.(Value) == 1 {
+		return sim.NewFunc(p.cand)
+	}
+	return sim.NewFunc(p.def)
+}
+
+// reset implements resetter: it rewinds the chain and the prefix to
+// what newMultivaluedThird leaves, with party i's entry of inputs as
+// the input, or with none when inputs is nil. Either way the party
+// drops every input, candidate and delivered payload of the last
+// execution. It reports false, changing nothing, if inputs is not a
+// []T.
+func (p *mvParty[T, D]) reset(i int, inputs any) bool {
+	var input T
+	if inputs != nil {
+		in, ok := inputs.([]T)
+		if !ok {
+			return false
+		}
+		input = in[i]
+	}
+	var none T
+	p.input, p.cand = input, none
+	p.Chain.Reset()
+	if p.prefix != nil {
+		p.prefix.reset(input)
+	}
+	return true
 }
 
 // MultivaluedHalfRounds returns 3κ/2+3: the half-regime binary protocol

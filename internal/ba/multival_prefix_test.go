@@ -1,7 +1,9 @@
 package ba
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"proxcensus/internal/quorum"
@@ -175,4 +177,84 @@ func TestDigestPrefixWarmAllocations(t *testing.T) {
 	if m.out != (tcOutcome[Value]{Bit: 1, Cand: 42}) {
 		t.Fatalf("outcome %+v, want bit 1 for 42", m.out)
 	}
+}
+
+// prefixScript is one prefix execution as inboxes: round 1's messages,
+// then round 2's, each sender's value sent in the domain's class for
+// the round (an echo marked invalid where valid is false).
+func prefixScript[T any, D tcDomain[T]](r1 []T, r2 []T, valid []bool) [2][]sim.Message {
+	var d D
+	var s [2][]sim.Message
+	for i, v := range r1 {
+		s[0] = append(s[0], sim.Message{From: i % 7, Round: 1, Payload: d.msg(1, v, true)})
+	}
+	for i, v := range r2 {
+		s[1] = append(s[1], sim.Message{From: i % 7, Round: 2, Payload: d.msg(2, v, valid[i])})
+	}
+	return s
+}
+
+// runPrefix drives a prefix through the rounds of script it is given
+// and renders what it sent and output after each step.
+func runPrefix[T any, D tcDomain[T]](m *tcPrefixThird[T, D], script [2][]sim.Message, rounds int) string {
+	var b strings.Builder
+	out, ok := m.Output()
+	fmt.Fprintf(&b, "start %v | %v %t\n", m.Start(), out, ok)
+	for r := 1; r <= rounds; r++ {
+		sends := m.Deliver(r, script[r-1])
+		out, ok := m.Output()
+		fmt.Fprintf(&b, "r%d %v | %v %t\n", r, sends, out, ok)
+	}
+	return b.String()
+}
+
+// checkPrefixResetMatchesNew: a prefix that ran one execution and then
+// one abandoned after round 1, then reset with a new input, runs a
+// third script exactly as a new prefix does, and holds no value of the
+// earlier executions in its tally scratch.
+func checkPrefixResetMatchesNew[T any, D tcDomain[T]](t *testing.T, inputs [3]T, scripts [3][2][]sim.Message) {
+	t.Helper()
+	const n, tc = 7, 2
+	m := newTCPrefixThird[T, D](n, tc, inputs[0])
+	runPrefix(m, scripts[0], 2)
+	m.reset(inputs[1])
+	runPrefix(m, scripts[1], 1)
+	m.reset(inputs[2])
+	var zero tcCount[T]
+	for i, c := range m.counts[:cap(m.counts)] {
+		if fmt.Sprint(c) != fmt.Sprint(zero) {
+			t.Fatalf("tally entry %d holds %v after reset", i, c)
+		}
+	}
+	got := runPrefix(m, scripts[2], 2)
+	want := runPrefix(newTCPrefixThird[T, D](n, tc, inputs[2]), scripts[2], 2)
+	if got != want {
+		t.Fatalf("after reset:\n%s\nfrom newTCPrefixThird:\n%s", got, want)
+	}
+}
+
+// TestPrefixResetMatchesNew: the Turpin-Coan prefix's reset in both
+// value domains, on scripts with duplicates, invalid echoes and
+// equivocating senders: the first decides its input's value, the
+// abandoned one stops holding a round-1 candidate, the third gets no
+// round-1 quorum and adopts the most-echoed value with bit 0.
+func TestPrefixResetMatchesNew(t *testing.T) {
+	valid := []bool{true, true, false, true, true, true, true, true, false}
+	t.Run("digest", func(t *testing.T) {
+		checkPrefixResetMatchesNew[Value, valueDomain](t, [3]Value{4, 6, 2}, [3][2][]sim.Message{
+			prefixScript[Value, valueDomain]([]Value{4, 4, 4, 4, 4, 5, 4, 3}, []Value{4, 4, 4, 4, 4, 4, 4, 5, 5}, valid),
+			prefixScript[Value, valueDomain]([]Value{6, 6, 6, 6, 6, 6, 1}, nil, nil),
+			prefixScript[Value, valueDomain]([]Value{2, 2, 2, 3, 3, 3, 8, 2}, []Value{3, 3, 8, 8, 8, 3, 1, 2, 8}, valid),
+		})
+	})
+	t.Run("payload", func(t *testing.T) {
+		b := func(s string) []byte { return []byte(s) }
+		checkPrefixResetMatchesNew[[]byte, bytesDomain](t, [3][]byte{b("dd"), b("ff"), b("bb")}, [3][2][]sim.Message{
+			prefixScript[[]byte, bytesDomain]([][]byte{b("dd"), b("dd"), b("dd"), b("dd"), b("dd"), b("ee"), b("dd"), b("cc")},
+				[][]byte{b("dd"), b("dd"), b("dd"), b("dd"), b("dd"), b("dd"), b("dd"), b("ee"), b("ee")}, valid),
+			prefixScript[[]byte, bytesDomain]([][]byte{b("ff"), b("ff"), b("ff"), b("ff"), b("ff"), b("ff"), b("a")}, nil, nil),
+			prefixScript[[]byte, bytesDomain]([][]byte{b("bb"), b("bb"), b("bb"), b("cc"), b("cc"), b("cc"), b("hh"), b("bb")},
+				[][]byte{b("cc"), b("cc"), b("hh"), b("hh"), b("hh"), b("cc"), b("a"), b("bb"), b("hh")}, valid),
+		})
+	})
 }

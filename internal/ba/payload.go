@@ -120,15 +120,23 @@ func (bytesDomain) own(v, y, input []byte) []byte {
 // flip byte-identical coins — the anchor of the payload/digest
 // differential suite.
 func NewMultivaluedPayloadOneShot(setup *Setup, kappa int, inputs [][]byte, defaultPayload []byte) (*Protocol, error) {
-	for i, in := range inputs {
-		if len(in) > MaxPayloadBytes {
-			return nil, fmt.Errorf("ba: party %d input is %d bytes, cap is %d", i, len(in), MaxPayloadBytes)
-		}
+	if err := checkPayloadInputs(inputs); err != nil {
+		return nil, err
 	}
 	if len(defaultPayload) > MaxPayloadBytes {
 		return nil, fmt.Errorf("ba: default payload is %d bytes, cap is %d", len(defaultPayload), MaxPayloadBytes)
 	}
 	return newMultivaluedThird[[]byte, bytesDomain]("multivalued-payload-n3", setup, kappa, inputs, defaultPayload)
+}
+
+// checkPayloadInputs rejects an input past MaxPayloadBytes.
+func checkPayloadInputs(inputs [][]byte) error {
+	for i, in := range inputs {
+		if len(in) > MaxPayloadBytes {
+			return fmt.Errorf("ba: party %d input is %d bytes, cap is %d", i, len(in), MaxPayloadBytes)
+		}
+	}
+	return nil
 }
 
 // PayloadDecisions extracts the honest parties' byte-string decisions

@@ -246,3 +246,49 @@ func TestPayloadPrefixRoundAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleProtocolPinsNothing: a payload protocol released with
+// Reset(nil) after an execution holds none of the bytes it ran on — no
+// input, candidate, decision or tallied payload — while the decision
+// read before the release keeps its bytes.
+func TestIdleProtocolPinsNothing(t *testing.T) {
+	const n, tc, kappa = 4, 1, 2
+	setup, err := NewSetup(n, tc, CoinIdeal, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := bytes.Repeat([]byte{7}, 100)
+	inputs := [][]byte{input, input, input, input}
+	proto, err := NewMultivaluedPayloadOneShot(setup, kappa, inputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := proto.Run(sim.Passive{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decided := PayloadDecisions(res)
+	if err := proto.Reset(nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range proto.Machines {
+		p := m.(*mvParty[[]byte, bytesDomain])
+		if out, ok := p.Output(); ok || out != nil {
+			t.Errorf("party %d: the idle chain still outputs %v", i, out)
+		}
+		pre := p.prefix
+		if p.input != nil || p.cand != nil || pre.input != nil || pre.y != nil || pre.out.Cand != nil {
+			t.Errorf("party %d: the idle protocol still holds an input or candidate", i)
+		}
+		for k, c := range pre.counts[:cap(pre.counts)] {
+			if c.v != nil || c.count != 0 {
+				t.Errorf("party %d: tally entry %d still holds %d bytes", i, k, len(c.v))
+			}
+		}
+	}
+	for i, d := range decided {
+		if !bytes.Equal(d, input) {
+			t.Errorf("party %d's decision read before the release changed", i)
+		}
+	}
+}

@@ -22,6 +22,46 @@ type Protocol struct {
 	Machines []sim.Machine
 }
 
+// Reset rewinds a protocol built by NewMultivaluedOneShot or
+// NewMultivaluedPayloadOneShot to what its constructor leaves, with
+// inputs — a []Value or a [][]byte, one per party, as the constructor
+// took — in place of the constructor's, so the same machines run
+// another execution, keeping their scratch instead of being rebuilt.
+// It holds after any execution, finished or cut short at any round.
+// Nil inputs release instead: the machines drop every input, candidate
+// and delivered payload they hold, so an idle protocol pins none of
+// them, and it must be Reset with inputs before it runs again. Bytes an
+// execution decided are never reused. Other protocols have no reset
+// path and return an error, as do inputs of the wrong type or length.
+func (p *Protocol) Reset(inputs any) error {
+	var err error
+	switch in := inputs.(type) {
+	case []Value:
+		err = checkLen(len(in), p.N)
+	case [][]byte:
+		if err = checkLen(len(in), p.N); err == nil {
+			err = checkPayloadInputs(in)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for i, m := range p.Machines {
+		r, ok := m.(resetter)
+		if !ok || !r.reset(i, inputs) {
+			return fmt.Errorf("ba: %s cannot be reset with %T inputs", p.Name, inputs)
+		}
+	}
+	return nil
+}
+
+// resetter is a party machine Protocol.Reset can rewind: reset(i,
+// inputs) takes party i's input from inputs, or none from nil, and
+// reports false, changing nothing, for inputs of another domain.
+type resetter interface {
+	reset(i int, inputs any) bool
+}
+
 // Coin domains: the prefix of the instance message each protocol's
 // threshold coin signs its shares under. The ingress screen verifies
 // coin shares against the same names, so a rename here reaches both.
@@ -238,8 +278,13 @@ func checkInputs[T any](setup *Setup, kappa int, inputs []T) error {
 	if kappa < 1 {
 		return fmt.Errorf("ba: kappa must be >= 1, got %d", kappa)
 	}
-	if len(inputs) != setup.N {
-		return fmt.Errorf("ba: %d inputs for n=%d", len(inputs), setup.N)
+	return checkLen(len(inputs), setup.N)
+}
+
+// checkLen rejects an input count other than n.
+func checkLen(inputs, n int) error {
+	if inputs != n {
+		return fmt.Errorf("ba: %d inputs for n=%d", inputs, n)
 	}
 	return nil
 }

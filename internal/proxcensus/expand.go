@@ -266,6 +266,13 @@ func NewExpandMachine(n, t, rounds int, input Value) *ExpandMachine {
 	}
 }
 
+// Reset rewinds the machine to what NewExpandMachine(n, t, rounds,
+// input) leaves, for the n, t and rounds it was built with, keeping its
+// tally scratch: the next execution allocates nothing for it.
+func (m *ExpandMachine) Reset(input Value) {
+	m.cur, m.sCur, m.round = Result{Value: input, Grade: 0}, 2, 0
+}
+
 // Rounds returns the protocol's round budget.
 func (m *ExpandMachine) Rounds() int { return m.rounds }
 

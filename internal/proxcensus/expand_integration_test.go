@@ -223,3 +223,65 @@ func TestExpandMachineMetrics(t *testing.T) {
 		t.Errorf("messages = %d, want %d", got, n*n*rounds)
 	}
 }
+
+// TestExpandMachineResetMatchesNew: machines run once under a Byzantine
+// adversary, then through a run abandoned after round 2, then Reset
+// with new inputs, execute the next script exactly as machines from
+// NewExpandMachine do: the same transcript and outputs. Resetting a
+// warm machine allocates nothing.
+func TestExpandMachineResetMatchesNew(t *testing.T) {
+	const n, tc, rounds = 7, 2, 4
+	newAdv := func() sim.Adversary {
+		return &adversary.Random{Victims: adversary.FirstT(tc), Gen: randomEchoGen}
+	}
+	inputs := [][]int{{0, 1, 1, 0, 1, 0, 1}, {1, 1, 0, 0, 0, 1, 1}, {1, 0, 1, 1, 0, 1, 0}}
+	build := func(in []int) []sim.Machine {
+		ms := make([]sim.Machine, n)
+		for i := range ms {
+			ms[i] = proxcensus.NewExpandMachine(n, tc, rounds, in[i])
+		}
+		return ms
+	}
+	run := func(ms []sim.Machine, r int, seed int64) (string, map[int]any, error) {
+		rec := &sim.Recorder{}
+		res, err := sim.Run(sim.Config{N: n, T: tc, Rounds: r, Seed: seed, Tracer: rec}, ms, newAdv())
+		if err != nil {
+			return "", nil, err
+		}
+		return rec.Fingerprint(), res.Outputs, nil
+	}
+	reset := func(ms []sim.Machine, in []int) {
+		for i, m := range ms {
+			m.(*proxcensus.ExpandMachine).Reset(in[i])
+		}
+	}
+
+	reused := build(inputs[0])
+	if _, _, err := run(reused, rounds, 3); err != nil {
+		t.Fatal(err)
+	}
+	reset(reused, inputs[1])
+	if _, _, err := run(reused, 2, 4); err == nil {
+		t.Fatal("a run abandoned after round 2 of 4 produced outputs")
+	}
+	reset(reused, inputs[2])
+	got, gotOut, err := run(reused, rounds, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantOut, err := run(build(inputs[2]), rounds, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("transcript after Reset differs from NewExpandMachine's:\n%.2000s\nwant:\n%.2000s", got, want)
+	}
+	if fmt.Sprint(gotOut) != fmt.Sprint(wantOut) {
+		t.Fatalf("outputs after Reset %v, from NewExpandMachine %v", gotOut, wantOut)
+	}
+
+	m := reused[n-1].(*proxcensus.ExpandMachine)
+	if allocs := testing.AllocsPerRun(50, func() { m.Reset(1) }); allocs != 0 {
+		t.Errorf("Reset of a warm machine allocates %.1f objects, want 0", allocs)
+	}
+}

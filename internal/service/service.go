@@ -388,6 +388,11 @@ func (s *Service) Report() transport.Report {
 // the instance to decision. MaxActive workers bound the concurrency.
 func (s *Service) worker() {
 	defer s.workers.Done()
+	w := &workerState{
+		batch: make([]proposal, 0, s.cfg.Batch),
+		outs:  make([]any, s.cfg.N),
+		errs:  make([]error, s.cfg.N),
+	}
 	var carry *proposal
 	for {
 		var first proposal
@@ -401,9 +406,33 @@ func (s *Service) worker() {
 			first = p
 		}
 		var batch []proposal
-		batch, carry = s.collect(first)
-		s.runInstance(batch)
+		batch, carry = s.collect(w.batch[:0], first)
+		s.runInstance(w, batch)
+		clear(batch)
 	}
+}
+
+// workerState is what a worker keeps from one instance to the next: the
+// machine set of each instance family, built the first time the worker
+// runs that family and reset for every later instance instead of
+// rebuilt, and the slices an instance fills. A worker runs one instance
+// at a time, so none of it is shared or locked, and a service holds at
+// most MaxActive × 2 sets. Between instances the slices are cleared and
+// the sets released (ba.Protocol.Reset with nil inputs), so an idle
+// worker pins no proposal, payload or decision.
+type workerState struct {
+	digest  machineSet[ba.Value]
+	payload machineSet[[]byte]
+	batch   []proposal
+	outs    []any
+	errs    []error
+}
+
+// machineSet is one family's protocol and the inputs slice it is reset
+// with; proto is nil until the family's first instance.
+type machineSet[T any] struct {
+	proto  *ba.Protocol
+	inputs []T
 }
 
 // collect folds queued proposals into one instance batch without
@@ -411,10 +440,10 @@ func (s *Service) worker() {
 // latency (instance per proposal) when idle. Batches are homogeneous —
 // a proposal of the other kind (digest vs payload) ends the batch and
 // is carried over to seed the worker's next instance, so the two
-// families never share an instance.
-func (s *Service) collect(first proposal) ([]proposal, *proposal) {
-	batch := make([]proposal, 1, s.cfg.Batch)
-	batch[0] = first
+// families never share an instance. The batch is appended to batch,
+// which the worker passes in empty with room for Batch proposals.
+func (s *Service) collect(batch []proposal, first proposal) ([]proposal, *proposal) {
+	batch = append(batch, first)
 	for len(batch) < s.cfg.Batch {
 		select {
 		case p, ok := <-s.pending:
@@ -484,9 +513,9 @@ func splitBatchPayload(b []byte) [][]byte {
 	return segs
 }
 
-// runInstance runs one BA instance for a batch and resolves its
-// tickets.
-func (s *Service) runInstance(batch []proposal) {
+// runInstance runs one BA instance for a batch on the worker's machine
+// sets and resolves its tickets.
+func (s *Service) runInstance(w *workerState, batch []proposal) {
 	s.mu.Lock()
 	s.nextInstance++
 	inst := s.nextInstance
@@ -511,7 +540,7 @@ func (s *Service) runInstance(batch []proposal) {
 	if batch[0].isPayload {
 		input := encodeBatchPayload(batch)
 		var decided []byte
-		decided, err = decide(s, inst, input,
+		decided, err = decide(s, w, &w.payload, inst, input,
 			ba.NewMultivaluedPayloadOneShot, ba.PayloadDecisionsFromOutputs, ba.CheckPayloadAgreement)
 		committed = err == nil && bytes.Equal(decided, input)
 		if err == nil && !committed {
@@ -524,7 +553,7 @@ func (s *Service) runInstance(batch []proposal) {
 	} else {
 		digest = batchDigest(batch)
 		var decidedV ba.Value
-		decidedV, err = decide(s, inst, digest,
+		decidedV, err = decide(s, w, &w.digest, inst, digest,
 			ba.NewMultivaluedOneShot, ba.DecisionsFromOutputs, ba.CheckAgreement)
 		committed = err == nil && decidedV == digest
 		if err == nil && !committed {
@@ -563,19 +592,41 @@ func (s *Service) runInstance(batch []proposal) {
 // travels the wire and what the parties decide are the batch bytes
 // themselves, not a digest stand-in. Both constructors take the
 // fallback decision last, and both families use its zero value.
-func decide[T any](s *Service, inst int, input T,
+//
+// The machines are set's: built by the constructor on the family's
+// first instance, reset with the new inputs on every later one, and
+// released when the instance ends, however it ends. The decision is
+// read before the release, and a decided byte string is the
+// candidate's own bytes — under pre-agreement the caller's input —
+// which no reset ever reuses.
+func decide[T any](s *Service, w *workerState, set *machineSet[T], inst int, input T,
 	build func(*ba.Setup, int, []T, T) (*ba.Protocol, error),
 	extract func([]any) []T, agree func([]T) error) (T, error) {
 	var fallback T
-	inputs := make([]T, s.cfg.N)
-	for i := range inputs {
-		inputs[i] = input
+	if set.inputs == nil {
+		set.inputs = make([]T, s.cfg.N)
 	}
-	proto, err := build(s.setup, s.cfg.Kappa, inputs, fallback)
-	if err != nil {
+	for i := range set.inputs {
+		set.inputs[i] = input
+	}
+	defer func() {
+		clear(set.inputs)
+		clear(w.outs)
+		clear(w.errs)
+		if set.proto != nil {
+			_ = set.proto.Reset(nil) // cannot fail: nil inputs fit every family
+		}
+	}()
+	if set.proto == nil {
+		proto, err := build(s.setup, s.cfg.Kappa, set.inputs, fallback)
+		if err != nil {
+			return fallback, err
+		}
+		set.proto = proto
+	} else if err := set.proto.Reset(set.inputs); err != nil {
 		return fallback, err
 	}
-	outs, err := s.drive(inst, proto.Rounds, proto.Machines)
+	outs, err := s.drive(w, inst, set.proto.Rounds, set.proto.Machines)
 	if err != nil {
 		return fallback, err
 	}
@@ -594,8 +645,10 @@ func decide[T any](s *Service, inst int, input T,
 // outputs of the parties that finished. A party may fail (crashed or
 // cut off by an injected fault, declared dead by the hub); the instance
 // stands as long as an n-t quorum returned, which is all BA promises
-// to wait for. The caller checks that the returned outputs agree.
-func (s *Service) drive(inst, rounds int, machines []sim.Machine) ([]any, error) {
+// to wait for. The caller checks that the returned outputs agree. The
+// outputs are collected in the worker's outs and errs, so the returned
+// slice aliases w.outs.
+func (s *Service) drive(w *workerState, inst, rounds int, machines []sim.Machine) ([]any, error) {
 	hi, err := s.hub.StartInstance(inst, rounds)
 	if err != nil {
 		return nil, err
@@ -603,8 +656,7 @@ func (s *Service) drive(inst, rounds int, machines []sim.Machine) ([]any, error)
 	hubDone := make(chan error, 1)
 	go func() { hubDone <- hi.Run() }()
 
-	outs := make([]any, s.cfg.N)
-	errs := make([]error, s.cfg.N)
+	outs, errs := w.outs, w.errs
 	var wg sync.WaitGroup
 	for i := range machines {
 		wg.Add(1)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,5 +274,106 @@ func TestServiceUnderInjectedFaults(t *testing.T) {
 			}
 			tc.check(t, s.Report())
 		})
+	}
+}
+
+// switchedFaults is a fault injector a test arms for one instance at a
+// time: fault cut partitions node 3 from every other node for every
+// round; fault crash crash-stops nodes 2 and 3 in round 2.
+type switchedFaults struct {
+	transport.NoFaults
+	fault atomic.Int32
+}
+
+const (
+	faultNone int32 = iota
+	faultCut
+	faultCrash
+)
+
+func (f *switchedFaults) Partitioned(from, to, _ int) bool {
+	return f.fault.Load() == faultCut && from != to && (from == 3 || to == 3)
+}
+
+func (f *switchedFaults) CrashRound(id int) int {
+	if f.fault.Load() == faultCrash && id >= 2 {
+		return 2
+	}
+	return 0
+}
+
+// TestWorkerReusesMachinesAcrossInstances: one worker runs every
+// instance, so after each family's first instance it runs on machines
+// reset from the last one. Digest and payload instances alternate with
+// a new value each. The first digest instance fails: node 3 is cut off,
+// decides alone, and the service refuses the disagreement — its
+// machines end decided on the default. A later payload instance fails
+// with two nodes crashed in round 2, its machines cut short mid-prefix.
+// Every other ticket commits its own value or bytes, and every decided
+// payload is still byte-equal to its proposal after all later instances
+// ran on the same machines.
+func TestWorkerReusesMachinesAcrossInstances(t *testing.T) {
+	faults := &switchedFaults{}
+	s := quickService(t, func(c *Config) {
+		c.MaxActive, c.Batch = 1, 4
+		c.Faults = faults
+		c.RoundTimeout = 300 * time.Millisecond
+	})
+	type result struct {
+		d       Decision
+		payload []byte
+	}
+	var results []result
+	for i := 0; i < 12; i++ {
+		fault := faultNone
+		switch i {
+		case 0:
+			fault = faultCut
+		case 5:
+			fault = faultCrash
+		}
+		faults.fault.Store(fault)
+		var (
+			tk      *Ticket
+			err     error
+			payload []byte
+			value   = ba.Value(1000 + 17*i)
+		)
+		if i%2 == 0 {
+			tk, err = s.Submit(value)
+		} else {
+			payload = bytes.Repeat([]byte{byte(i), byte(255 - i)}, 64+i)
+			tk, err = s.SubmitPayload(payload)
+		}
+		if err != nil {
+			t.Fatalf("instance %d: submit: %v", i, err)
+		}
+		d := tk.Wait()
+		faults.fault.Store(faultNone)
+		if fault != faultNone {
+			if d.Committed || d.Err == nil {
+				t.Fatalf("instance %d: committed under an injected fault", i)
+			}
+			continue
+		}
+		if !d.Committed || d.Err != nil {
+			t.Fatalf("instance %d: committed=%v err=%v", i, d.Committed, d.Err)
+		}
+		if payload == nil {
+			if want := batchDigest([]proposal{{value: value}}); d.Value != value || d.Digest != want {
+				t.Fatalf("instance %d: decided value %d digest %d, want %d and %d", i, d.Value, d.Digest, value, want)
+			}
+		} else if !bytes.Equal(d.Payload, payload) {
+			t.Fatalf("instance %d: decided %d bytes that are not its proposal", i, len(d.Payload))
+		}
+		results = append(results, result{d, payload})
+	}
+	for _, r := range results {
+		if r.payload != nil && !bytes.Equal(r.d.Payload, r.payload) {
+			t.Fatalf("instance %d's decided payload changed after later instances ran", r.d.Instance)
+		}
+	}
+	if st := s.Stats(); st.Instances != 12 || st.Failed != 2 || st.Decided != 10 {
+		t.Fatalf("stats %+v, want 12 instances, 2 failed and 10 decided proposals", st)
 	}
 }

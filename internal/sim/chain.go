@@ -20,10 +20,13 @@ func ChainRounds(stages []Stage) int {
 }
 
 // Chain sequentially composes fixed-round machines: stage k+1 is
-// constructed from stage k's output and sees only its own round window,
-// re-based to start at round 1. Fixed-round protocols compose without
-// any termination coordination — this is the simultaneous-termination
-// advantage of Monte-Carlo-style BA the paper highlights (Section 1).
+// constructed from stage k's output and sees only its own round window.
+// Deliver's round argument is the stage's local round, starting at 1 in
+// every window; the inbox is handed on as the engine delivered it, with
+// each Message.Round still the global round. Fixed-round protocols
+// compose without any termination coordination — this is the
+// simultaneous-termination advantage of Monte-Carlo-style BA the paper
+// highlights (Section 1).
 type Chain struct {
 	stages []Stage
 	idx    int
@@ -31,10 +34,6 @@ type Chain struct {
 	offset int // global round at which the current stage's window starts
 	done   bool
 	out    any
-	// inbox is the Chain's own buffer for re-based rounds, reused every
-	// round. It never holds the engine's in, which is pooled: at offset
-	// 0 the inbox is passed through instead.
-	inbox []Message
 }
 
 var _ Machine = (*Chain)(nil)
@@ -42,6 +41,15 @@ var _ Machine = (*Chain)(nil)
 // NewChain builds a chained machine. Stages must be non-empty.
 func NewChain(stages []Stage) *Chain {
 	return &Chain{stages: stages, idx: -1}
+}
+
+// Reset rewinds the chain to what NewChain leaves: no stage entered,
+// no output, the stages kept. Starting it again calls each stage's New
+// anew, so stage constructors that reuse their machines run the chain
+// again without building any; the chain drops its references to the
+// last run's machine and output.
+func (c *Chain) Reset() {
+	*c = Chain{stages: c.stages, idx: -1}
 }
 
 // Start implements Machine.
@@ -55,7 +63,7 @@ func (c *Chain) Deliver(round int, in []Message) []Send {
 		return nil
 	}
 	rel := round - c.offset
-	sends := c.cur.Deliver(rel, c.rebase(in))
+	sends := c.cur.Deliver(rel, in)
 	if rel >= c.stages[c.idx].Rounds {
 		// The stage's window is over; its trailing sends (if any) fall
 		// outside the window and are dropped in favour of the next
@@ -108,21 +116,6 @@ func (c *Chain) advance(round int, prev any) []Send {
 		}
 		prev = out
 	}
-}
-
-// rebase rewrites message round numbers into the current stage's local
-// round numbering, copying into c.inbox. The first stage's window
-// starts at round 0, so its inbox needs no rewrite and in itself is
-// returned — which is why the result must never be stored in c.inbox.
-func (c *Chain) rebase(in []Message) []Message {
-	if c.offset == 0 {
-		return in
-	}
-	c.inbox = append(c.inbox[:0], in...)
-	for i := range c.inbox {
-		c.inbox[i].Round -= c.offset
-	}
-	return c.inbox
 }
 
 // Func wraps a pure function as a zero-round stage machine.

@@ -111,11 +111,13 @@ func TestChainRounds(t *testing.T) {
 	}
 }
 
-func TestChainRebaseRounds(t *testing.T) {
-	// The second stage must see local round numbers starting at 1.
+// TestChainLocalRounds: the second stage is told its local rounds,
+// starting at 1, while the messages it is handed keep the engine's
+// global round numbers.
+func TestChainLocalRounds(t *testing.T) {
 	var seen []int
 	probe := func(prev any) Machine {
-		return &probeMachine{seen: &seen}
+		return &probeMachine{seen: &seen, offset: 2}
 	}
 	const n = 2
 	machines := make([]Machine, n)
@@ -145,9 +147,12 @@ func TestChainRebaseRounds(t *testing.T) {
 	}
 }
 
+// probeMachine records the local rounds it is delivered and flags any
+// message whose Round is not the global round offset+round.
 type probeMachine struct {
-	seen *[]int
-	last int
+	seen   *[]int
+	offset int
+	last   int
 }
 
 func (p *probeMachine) Start() []Send { return nil }
@@ -155,7 +160,7 @@ func (p *probeMachine) Deliver(round int, in []Message) []Send {
 	*p.seen = append(*p.seen, round)
 	p.last = round
 	for _, m := range in {
-		if m.Round != round {
+		if m.Round != p.offset+round {
 			*p.seen = append(*p.seen, -1000-m.Round) // flag mismatch
 		}
 	}
@@ -232,12 +237,11 @@ func (q *quietMachine) Deliver(round int, in []Message) []Send {
 }
 func (q *quietMachine) Output() (any, bool) { return q.round, q.round >= q.rounds }
 
-// TestChainRebaseReusesItsBuffer: a stage past the first sees its
-// inbox re-based into the Chain's own buffer — reused every round, so a
-// warm round allocates nothing — while the engine's inbox keeps its
-// global round numbers, and the first stage is handed the engine's
-// inbox itself.
-func TestChainRebaseReusesItsBuffer(t *testing.T) {
+// TestChainPassesEngineInbox: every stage, the first and a later one,
+// is handed the engine's inbox itself, messages and their global Round
+// unchanged, with its local round in Deliver's argument — so a warm
+// round allocates nothing.
+func TestChainPassesEngineInbox(t *testing.T) {
 	first, second := &quietMachine{rounds: 2}, &quietMachine{rounds: 1 << 20}
 	c := NewChain([]Stage{
 		{Rounds: 2, New: func(any) Machine { return first }},
@@ -252,13 +256,12 @@ func TestChainRebaseReusesItsBuffer(t *testing.T) {
 		c.Deliver(round, in)
 	}
 	deliver(1)
-	if &first.last[0] != &in[0] {
-		t.Fatal("the first stage was not handed the engine's inbox")
+	if &first.last[0] != &in[0] || first.round != 1 {
+		t.Fatalf("the first stage was not handed the engine's inbox at local round 1 (round %d)", first.round)
 	}
 	deliver(2) // the first stage's window ends; the second starts at offset 2
 	round := 2
 	deliver(round + 1)
-	buf := &second.last[0]
 	allocs := testing.AllocsPerRun(50, func() {
 		round++
 		deliver(round)
@@ -266,12 +269,58 @@ func TestChainRebaseReusesItsBuffer(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("warm Chain.Deliver at offset 2 made %.1f allocations, want 0", allocs)
 	}
-	if &second.last[0] != buf || &second.last[0] == &in[0] {
-		t.Error("the second stage's inbox is not the Chain's own reused buffer")
+	if &second.last[0] != &in[0] {
+		t.Error("the second stage was not handed the engine's inbox")
+	}
+	if second.round != round-2 {
+		t.Errorf("the second stage was told round %d, want local round %d", second.round, round-2)
 	}
 	for i, m := range second.last {
-		if m.Round != round-2 || in[i].Round != round {
-			t.Fatalf("message %d: stage sees round %d, engine inbox says %d; want %d and %d", i, m.Round, in[i].Round, round-2, round)
+		if m.Round != round {
+			t.Fatalf("message %d: the second stage sees round %d, want the global round %d", i, m.Round, round)
+		}
+	}
+}
+
+// TestChainResetMatchesNew: a chain Reset after a run cut short inside
+// its second stage runs like a new one, building its stages afresh.
+func TestChainResetMatchesNew(t *testing.T) {
+	const n = 3
+	stages := func() []Stage {
+		return []Stage{
+			{Rounds: 2, New: func(any) Machine { return &addMachine{value: 1, rounds: 2} }},
+			{Rounds: 1, New: func(prev any) Machine { return &addMachine{value: prev.(int), rounds: 1} }},
+		}
+	}
+	chains := make([]*Chain, n)
+	machines := make([]Machine, n)
+	for i := range machines {
+		chains[i] = NewChain(stages())
+		machines[i] = chains[i]
+	}
+	if _, err := Run(Config{N: n, T: 0, Rounds: 3, Seed: 1}, machines, Passive{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chains {
+		c.Reset()
+		if out, ok := c.Output(); ok || out != nil {
+			t.Fatalf("a Reset chain reports output %v, %v", out, ok)
+		}
+	}
+	// Abandon the second run in its last stage's only round.
+	if _, err := Run(Config{N: n, T: 0, Rounds: 2, Seed: 1}, machines, Passive{}); err == nil {
+		t.Fatal("a run cut before the last stage's round produced outputs")
+	}
+	for _, c := range chains {
+		c.Reset()
+	}
+	res, err := Run(Config{N: n, T: 0, Rounds: 3, Seed: 1}, machines, Passive{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, out := range res.Outputs {
+		if out.(int) != 27 {
+			t.Errorf("party %d output %v after Reset, want 27 as from NewChain", p, out)
 		}
 	}
 }

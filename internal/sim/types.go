@@ -40,8 +40,11 @@ type Payload interface {
 // Round are set by the engine; a Byzantine party cannot spoof an honest
 // sender identity.
 type Message struct {
-	From    PartyID
-	To      PartyID
+	From PartyID
+	To   PartyID
+	// Round is the engine's global round, 1 to Config.Rounds. A stage
+	// of a Chain is handed the engine's messages unchanged, so its local
+	// round is Deliver's round argument, not this field.
 	Round   int
 	Payload Payload
 }

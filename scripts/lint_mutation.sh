@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated sixteen times, and
+# rule out. A pristine copy of the module is mutated seventeen times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for an inline
 #      loop that admits whatever decodes: the hub flood-control test and
@@ -41,7 +41,10 @@
 #      allocation pin;
 #  16. a node's instance slot going back idle without its screen reset:
 #      the slot-reuse test, whose second instance opens with the bytes
-#      the first one's screen still holds.
+#      the first one's screen still holds;
+#  17. a reused multivalued machine set keeping its binary core's done
+#      flag from the last instance: the protocol's reset-vs-new
+#      differential and the service's machine-reuse test.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -374,5 +377,29 @@ fi
 sed -i '/ir\.ingress\.Reset()/d' "$mux"
 (cd "$tmp" && go build ./internal/transport)
 expect_test_fail 'TestSlotReuseScreensAfresh' ./internal/transport
+
+echo "mutation 17: a reused machine set keeps its core's done flag from the last instance"
+# Start every package an earlier mutation edited from the tree as it
+# stands: the prefix (mutation 6), the screen, the codec, the transport
+# and the line API all run under the service test.
+for pkg in ba validate wire transport service; do
+    cp internal/$pkg/*.go "$tmp/internal/$pkg/"
+done
+iter="$tmp/internal/ba/iter.go"
+iter_reset='m.round, m.out, m.done = 0, 0, false'
+if [[ "$(grep -cF "$iter_reset" "$iter")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one IterMachine rewind in iter.go, reset's" >&2
+    exit 1
+fi
+(cd "$tmp" && go test -count=1 -run 'TestProtocolResetMatchesNew' ./internal/ba)
+(cd "$tmp" && go test -count=1 -run 'TestWorkerReusesMachinesAcrossInstances' ./internal/service)
+# A reset core stays done: it skips its rounds and outputs the bit it
+# decided last time. The service's first digest instance leaves the
+# cut-off node decided on the default, so that node decides the default
+# again in the next digest instance on the same worker.
+sed -i 's/m\.round, m\.out, m\.done = 0, 0, false/m.round, m.out = 0, 0/' "$iter"
+(cd "$tmp" && go build ./internal/ba)
+expect_test_fail 'TestProtocolResetMatchesNew' ./internal/ba
+expect_test_fail 'TestWorkerReusesMachinesAcrossInstances' ./internal/service
 
 echo "MUTATION SMOKE OK"
