@@ -8,12 +8,25 @@
 //	proxlab -curve results/experiments/smoke-expand.jsonl     # its curve again
 //	proxlab -conform all -exhaustive             # every family + the expand model check
 //	proxlab -conform oneshot -replay 'v=0:cr=1:...' -inputs 0111
+//	proxlab -run oneshot -n 7 -t 2 -kappa 8      # one traced BA execution
+//	proxlab -run half -n 5 -t 2 -kappa 6 -adversary worstcase -v
+//	proxlab -run fm -n 4 -t 1 -kappa 4 -tcp      # the same over TCP
+//	proxlab -run proxcast -s 9 -adversary release -release 5
+//	proxlab -run proxcast -s 5 -faults 'byz:5@equivocate;crash:2@3'
+//
+// -run executes one protocol: a BA family (oneshot, fm, half, mv) or
+// the s-slot Proxcast of Appendix A, whose -adversary strategies are
+// the dealer's (honest, equivocate, withhold, release). -tcp, or a
+// -faults schedule (the grammar of internal/chaos), runs it over the
+// TCP transport; simulator adversaries stay on the simulator, and
+// Byzantine nodes over TCP are byz:NODE@ROLE entries in -faults.
 //
 // -gate exits 1 unless the run met its claim: with -exp, every row that
 // carries a bound passes the exact binomial test at -alpha; with -spec
 // and -curve, every faults=0 trial decided. -conform always exits 1 on a
-// conformance failure. Errors, and flags the chosen mode does not read,
-// exit 2. Performance numbers come from cmd/proxperf, not from here.
+// conformance failure. -run prints its verdict and exits 0. Errors, and
+// flags the chosen mode or protocol does not read, exit 2. Performance
+// numbers come from cmd/proxperf, not from here.
 package main
 
 import (
@@ -34,11 +47,15 @@ import (
 
 // readBy names, for each flag only some modes read, those modes. The
 // profile flags work in every mode; -replay turns -conform into the
-// replay mode.
+// replay mode, and with -run the protocol stands in for the mode.
 var readBy = map[string]string{
-	"trials": "exp", "kappa": "exp conform replay", "alpha": "exp conform",
+	"trials": "exp", "kappa": "exp conform replay " + baProtocols, "alpha": "exp conform",
 	"gate": "exp spec curve conform replay", "out": "exp spec", "q": "spec",
-	"strategies": "conform", "seed": "conform", "exhaustive": "conform", "inputs": "replay",
+	"strategies": "conform", "seed": "conform " + baProtocols, "exhaustive": "conform",
+	"inputs": "replay " + runProtocols, "coin": baProtocols, "v": baProtocols,
+	"n": runProtocols, "t": runProtocols, "adversary": runProtocols,
+	"tcp": runProtocols, "faults": runProtocols, "round-timeout": runProtocols,
+	"s": "proxcast", "release": "proxcast", "player-replaceable": "proxcast",
 }
 
 // claimError is a run that finished without meeting its claim: exit 1.
@@ -57,16 +74,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		curvePath  = fs.String("curve", "", "render the degradation curve of an existing JSONL artifact")
 		conform    = fs.String("conform", "", "sweep these comma-separated protocol families for conformance, or all")
 		strategies = fs.Int("strategies", 500, "-conform: distinct strategies per family")
-		seed       = fs.Int64("seed", 0x5eed, "-conform: search seed; everything derives from it")
+		seed       = fs.Int64("seed", 0x5eed, "-conform: search seed, everything derives from it; -run: execution seed, default 1 there")
 		alpha      = fs.Float64("alpha", 1e-4, "significance level of the bound checks (-conform, -exp -gate)")
 		exhaustive = fs.Bool("exhaustive", false, "-conform: also run the exhaustive 2-round expand model check (~27k executions)")
 		replay     = fs.String("replay", "", "-conform FAMILY: replay this StrategyID (needs -inputs)")
-		inputs     = fs.String("inputs", "", "-replay: input bits, one 0/1 digit per party")
+		inputs     = fs.String("inputs", "", "-replay, -run: input bits, one 0/1 digit per party (-run default: t+1 zeros, then ones); -run proxcast: the dealer's digit (default 1)")
 		out        = fs.String("out", "", "-exp: also write each table to <dir>/<id>.txt and .csv; -spec: artifact directory (default results/experiments)")
 		trials     = fs.Int("trials", 2000, "-exp: trials per sampled table")
-		kappa      = fs.Int("kappa", 0, "security parameter (default 3 with -exp, 2 with -conform)")
+		kappa      = fs.Int("kappa", 0, "security parameter (default 3 with -exp, 2 with -conform, 8 with -run)")
 		gate       = fs.Bool("gate", false, "exit 1 unless the run met its claim (see the package doc)")
 		quiet      = fs.Bool("q", false, "-spec: suppress per-trial progress lines")
+		protocol   = fs.String("run", "", "execute one run of this protocol: "+strings.ReplaceAll(runProtocols, " ", " | "))
+		n          = fs.Int("n", 0, "-run: number of parties (default 7, proxcast 6)")
+		t          = fs.Int("t", 2, "-run: corruption budget")
+		s          = fs.Int("s", 9, "-run proxcast: slot count (runs s-1 rounds)")
+		adv        = fs.String("adversary", "", "-run: "+strings.ReplaceAll(baAdversaries, " ", " | ")+" (default passive); proxcast: "+strings.ReplaceAll(dealers, " ", " | ")+" (default honest)")
+		coin       = fs.String("coin", "ideal", "-run: ideal | threshold")
+		release    = fs.Int("release", 3, "-run proxcast -adversary release: the round the contradiction is released")
+		pr         = fs.Bool("player-replaceable", false, "-run proxcast: enable the n-t forwarding quota (t<n/2 variant)")
+		verbose    = fs.Bool("v", false, "-run: dump the payloads party 0 receives each round")
+		tcp        = fs.Bool("tcp", false, "-run: execute over the TCP transport")
+		faults     = fs.String("faults", "", "-run: chaos fault schedule to inject over TCP, e.g. 'crash:2@3;byz:5@garbage' (implies -tcp)")
+		roundTO    = fs.Duration("round-timeout", 0, "-run: per-round deadline over TCP (default 30s, proxcast 1s)")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -77,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	mode, err := pickMode(fs, *replay != "")
+	mode, err := pickMode(fs, *replay != "", *protocol)
 	var cpuFile *os.File
 	if err == nil && *cpuProf != "" {
 		if cpuFile, err = os.Create(*cpuProf); err == nil {
@@ -100,6 +129,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			err = runReplay(stdout, *conform, orDefault(*kappa, 2), *inputs, *replay)
 		case "conform":
 			err = runConform(stdout, *conform, orDefault(*kappa, 2), *strategies, *seed, *alpha, *exhaustive)
+		case "run":
+			x := execution{
+				protocol: *protocol, n: *n, t: *t, kappa: *kappa, s: *s, release: *release,
+				inputs: *inputs, adversary: *adv, coin: *coin, faults: *faults, seed: 1,
+				verbose: *verbose, tcp: *tcp || *faults != "", replaceable: *pr, roundTimeout: *roundTO,
+			}
+			fs.Visit(func(f *flag.Flag) {
+				if f.Name == "seed" {
+					x.seed = *seed
+				}
+			})
+			err = x.run(stdout)
 		}
 	}
 	if cpuFile != nil {
@@ -120,25 +161,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // pickMode names the one mode the set flags select and refuses any set
-// flag that mode does not read.
-func pickMode(fs *flag.FlagSet, replay bool) (string, error) {
+// flag that mode, or with -run the protocol, does not read.
+func pickMode(fs *flag.FlagSet, replay bool, protocol string) (string, error) {
 	var modes []string
 	fs.Visit(func(f *flag.Flag) {
-		if strings.Contains(" exp list spec curve conform ", " "+f.Name+" ") {
+		if strings.Contains(" exp list spec curve conform run ", " "+f.Name+" ") {
 			modes = append(modes, f.Name)
 		}
 	})
 	if len(modes) != 1 {
-		return "", fmt.Errorf("name one of -exp, -list, -spec, -curve or -conform (got %d)", len(modes))
+		return "", fmt.Errorf("name one of -exp, -list, -spec, -curve, -conform or -run (got %d)", len(modes))
 	}
 	mode := modes[0]
 	if mode == "conform" && replay {
 		mode = "replay"
 	}
+	reader, label := mode, mode
+	if mode == "run" {
+		if !strings.Contains(" "+runProtocols+" ", " "+protocol+" ") {
+			return "", fmt.Errorf("unknown -run protocol %q (know %s)", protocol, strings.ReplaceAll(runProtocols, " ", ", "))
+		}
+		reader, label = protocol, "run "+protocol
+	}
 	var err error
 	fs.Visit(func(f *flag.Flag) {
-		if modes, ok := readBy[f.Name]; ok && !strings.Contains(" "+modes+" ", " "+mode+" ") {
-			err = fmt.Errorf("-%s has no meaning with -%s", f.Name, mode)
+		if modes, ok := readBy[f.Name]; ok && !strings.Contains(" "+modes+" ", " "+reader+" ") {
+			err = fmt.Errorf("-%s has no meaning with -%s", f.Name, label)
 		}
 	})
 	return mode, err

@@ -352,7 +352,7 @@ func NewMultivaluedOneShot(setup *Setup, kappa int, inputs []Value, defaultValue
 // families flip byte-identical coins. Each party's machine is an
 // mvParty, so Protocol.Reset can run the same machines again.
 func newMultivaluedThird[T any, D tcDomain[T]](name string, setup *Setup, kappa int, inputs []T, defaultValue T) (*Protocol, error) {
-	if err := checkInputs(setup, kappa, inputs); err != nil {
+	if err := checkExpandInputs(setup, kappa, inputs); err != nil {
 		return nil, err
 	}
 	if !quorum.TolerateThird(setup.N, setup.T) {

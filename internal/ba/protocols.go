@@ -83,7 +83,7 @@ func OneShotRounds(kappa int) int { return kappa + 1 }
 // coin flip and the extraction cut. Error probability 1/(s-1) = 2^{-κ};
 // total κ+1 rounds versus 2κ for fixed-round Feldman-Micali.
 func NewOneShot(setup *Setup, kappa int, inputs []Value) (*Protocol, error) {
-	if err := checkInputs(setup, kappa, inputs); err != nil {
+	if err := checkExpandInputs(setup, kappa, inputs); err != nil {
 		return nil, err
 	}
 	if !quorum.TolerateThird(setup.N, setup.T) {
@@ -279,6 +279,16 @@ func checkInputs[T any](setup *Setup, kappa int, inputs []T) error {
 		return fmt.Errorf("ba: kappa must be >= 1, got %d", kappa)
 	}
 	return checkLen(len(inputs), setup.N)
+}
+
+// checkExpandInputs is checkInputs for the families whose core is
+// Prox_{2^κ+1}: κ past proxcensus.MaxExpandRounds would overflow the
+// slot count.
+func checkExpandInputs[T any](setup *Setup, kappa int, inputs []T) error {
+	if kappa > proxcensus.MaxExpandRounds {
+		return fmt.Errorf("ba: kappa must be <= %d (2^kappa+1 slots must fit an int), got %d", proxcensus.MaxExpandRounds, kappa)
+	}
+	return checkInputs(setup, kappa, inputs)
 }
 
 // checkLen rejects an input count other than n.

@@ -3,6 +3,7 @@ package ba_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"proxcensus/internal/adversary"
@@ -231,6 +232,26 @@ func TestBAConstructorValidation(t *testing.T) {
 	t.Run("bad kappa", func(t *testing.T) {
 		if _, err := ba.NewOneShot(setup13, 0, constInputs(7, 0)); err == nil {
 			t.Error("kappa=0 must fail")
+		}
+	})
+	t.Run("kappa past the slot bound", func(t *testing.T) {
+		setup4, err := ba.NewSetup(4, 1, ba.CoinIdeal, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, build := range map[string]func(kappa int) (*ba.Protocol, error){
+			"oneshot":             func(k int) (*ba.Protocol, error) { return ba.NewOneShot(setup4, k, constInputs(4, 1)) },
+			"multivalued-oneshot": func(k int) (*ba.Protocol, error) { return ba.NewMultivaluedOneShot(setup4, k, constInputs(4, 1), -1) },
+			"multivalued-payload": func(k int) (*ba.Protocol, error) {
+				return ba.NewMultivaluedPayloadOneShot(setup4, k, make([][]byte, 4), nil)
+			},
+		} {
+			if _, err := build(62); err != nil {
+				t.Errorf("%s: kappa=62: %v", name, err)
+			}
+			if _, err := build(63); err == nil || !strings.Contains(err.Error(), "kappa must be <= 62") {
+				t.Errorf("%s: kappa=63 = %v, want the slot-bound error", name, err)
+			}
 		}
 	})
 	t.Run("bad inputs length", func(t *testing.T) {

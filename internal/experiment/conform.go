@@ -62,12 +62,9 @@ func Replay(w io.Writer, family string, kappa int, inputBits, id string) (violat
 			return false, err
 		}
 	}
-	inputs := make([]int, 0, len(inputBits))
-	for _, c := range inputBits {
-		if c != '0' && c != '1' {
-			return false, fmt.Errorf("inputs must be 0/1 digits, got %q", inputBits)
-		}
-		inputs = append(inputs, int(c-'0'))
+	inputs, err := ParseBits(inputBits)
+	if err != nil {
+		return false, err
 	}
 	if len(inputs) != tg.N {
 		return false, fmt.Errorf("family %s has n=%d, got %d input digits", family, tg.N, len(inputs))
@@ -86,4 +83,16 @@ func Replay(w io.Writer, family string, kappa int, inputBits, id string) (violat
 	}
 	_, err = io.WriteString(w, b.String())
 	return len(violations) > 0, err
+}
+
+// ParseBits reads an input string of 0/1 digits, one per party.
+func ParseBits(bits string) ([]int, error) {
+	vals := make([]int, 0, len(bits))
+	for _, c := range bits {
+		if c != '0' && c != '1' {
+			return nil, fmt.Errorf("inputs must be 0/1 digits, got %q", bits)
+		}
+		vals = append(vals, int(c-'0'))
+	}
+	return vals, nil
 }

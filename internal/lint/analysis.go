@@ -57,7 +57,7 @@ type Analyzer struct {
 	Doc string
 	// Scope reports whether the analyzer applies to a package, given
 	// its module-relative path ("" is the module root, "internal/ba",
-	// "cmd/basim", ...). A nil Scope applies to every package. The
+	// "cmd/proxlab", ...). A nil Scope applies to every package. The
 	// driver consults Scope; test harnesses call Run directly.
 	Scope func(relPkgPath string) bool
 	// Run analyzes one package, reporting findings via pass.Reportf.

@@ -21,7 +21,7 @@ func TestNoWallClockScope(t *testing.T) {
 		"internal/service":      false,
 		"examples/tcpcluster":   false,
 		"examples":              false,
-		"cmd/basim":             false,
+		"cmd/proxlab":           false,
 		"internal/transport/x":  false,
 		"internal/transporters": true, // prefix match must respect path boundaries
 	} {

@@ -3,6 +3,7 @@ package proxcensus
 import (
 	"cmp"
 	"slices"
+	"strconv"
 
 	"proxcensus/internal/quorum"
 	"proxcensus/internal/sim"
@@ -233,8 +234,13 @@ func (sc *expandScratch) decide(n, t, s int) Result {
 }
 
 // ExpandSlots returns the slot count of Prox_{2^r+1} built by r
-// expansion rounds from the parties' raw inputs (Prox_2).
+// expansion rounds from the parties' raw inputs (Prox_2). Past
+// MaxExpandRounds the count overflows an int.
 func ExpandSlots(rounds int) int { return 1<<rounds + 1 }
+
+// MaxExpandRounds is the most expansion rounds whose slot count
+// 2^r+1 an int holds: 62 on 64-bit platforms.
+const MaxExpandRounds = strconv.IntSize - 2
 
 // ExpandMachine runs the r-round iterated expansion protocol achieving
 // Prox_{2^r+1} for t < n/3 (Corollary 1). Round k echoes the party's

@@ -51,6 +51,8 @@ func (f ProxFamily) String() string {
 // Slots returns the slot count the family reaches in the given rounds.
 func (f ProxFamily) Slots(rounds int) (int, error) {
 	switch {
+	case f == ProxExpand && rounds > proxcensus.MaxExpandRounds:
+		return 0, fmt.Errorf("proxcensus: expand supports at most %d rounds (2^r+1 slots must fit an int), got %d", proxcensus.MaxExpandRounds, rounds)
 	case f == ProxExpand && rounds >= 0:
 		return proxcensus.ExpandSlots(rounds), nil
 	case f == ProxLinear && rounds >= 2:

@@ -15,6 +15,8 @@ func TestProxFamilySlots(t *testing.T) {
 	}{
 		{proxcensus.ProxExpand, 3, 9, false},
 		{proxcensus.ProxExpand, 0, 2, false},
+		{proxcensus.ProxExpand, 62, 1<<62 + 1, false},
+		{proxcensus.ProxExpand, 63, 0, true},
 		{proxcensus.ProxLinear, 3, 5, false},
 		{proxcensus.ProxLinear, 1, 0, true},
 		{proxcensus.ProxQuadratic, 6, 15, false},

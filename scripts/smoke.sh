@@ -24,23 +24,26 @@ go run ./examples/gradedvote
 go run ./examples/tcpcluster
 go run ./examples/adversarial
 
-go run ./cmd/basim -protocol oneshot -n 7 -t 2 -kappa 8
-go run ./cmd/basim -protocol half -n 5 -t 2 -kappa 6 -adversary worstcase -coin threshold
-go run ./cmd/basim -protocol fm -n 4 -t 1 -kappa 4 -tcp
-go run ./cmd/proxcast -dealer honest
-go run ./cmd/proxcast -dealer equivocate
-go run ./cmd/proxcast -dealer release -release 5 -s 9
+# Single executions, through the one execution mode: BA on the
+# simulator and over TCP, and the Appendix A Proxcast under misbehaving
+# dealers.
+go run ./cmd/proxlab -run oneshot -n 7 -t 2 -kappa 8
+go run ./cmd/proxlab -run half -n 5 -t 2 -kappa 6 -adversary worstcase -coin threshold
+go run ./cmd/proxlab -run fm -n 4 -t 1 -kappa 4 -tcp
+go run ./cmd/proxlab -run proxcast -adversary honest
+go run ./cmd/proxlab -run proxcast -adversary equivocate
+go run ./cmd/proxlab -run proxcast -adversary release -release 5 -s 9
 
-# Chaos: seeded fault schedules over real TCP — a generated schedule,
-# a hand-written replay spec, Byzantine wire-level attackers with the
-# ingress validation layer screening the honest nodes, and the short
-# seeded test sweep. The short round timeout keeps a crashed node's
-# death cheap.
-go run ./cmd/proxcast -s 5 -seed 3 -round-timeout 500ms
-go run ./cmd/proxcast -s 5 -faults 'crash:2@3;drop:1@2;delay:0@1+20ms' -round-timeout 500ms
-go run ./cmd/proxcast -s 5 -faults 'byz:5@equivocate;crash:2@3' -round-timeout 500ms
-go run ./cmd/proxcast -s 5 -faults 'byz:4@dupflood;byz:5@malformed' -round-timeout 500ms
-go run ./cmd/proxcast -s 6 -faults 'churn:2@2-4;net:lan@7' -round-timeout 500ms
+# Chaos: fault schedules over real TCP — benign faults, Byzantine
+# wire-level attackers with the ingress validation layer screening the
+# honest nodes, BA under a crash, and the short seeded test sweep. The
+# short round timeout keeps a crashed node's death cheap.
+go run ./cmd/proxlab -run proxcast -s 5 -faults 'drop:2@3;delay:0@2+21ms;dup:5@3;part:2@1-4' -round-timeout 500ms
+go run ./cmd/proxlab -run proxcast -s 5 -faults 'crash:2@3;drop:1@2;delay:0@1+20ms' -round-timeout 500ms
+go run ./cmd/proxlab -run proxcast -s 5 -faults 'byz:5@equivocate;crash:2@3' -round-timeout 500ms
+go run ./cmd/proxlab -run proxcast -s 5 -faults 'byz:4@dupflood;byz:5@malformed' -round-timeout 500ms
+go run ./cmd/proxlab -run proxcast -s 6 -faults 'churn:2@2-4;net:lan@7' -round-timeout 500ms
+go run ./cmd/proxlab -run oneshot -n 4 -t 1 -kappa 2 -tcp -faults 'crash:3@2' -round-timeout 500ms
 go test -short -count=1 ./internal/chaos
 go test -count=1 -run 'TestTCP' ./internal/ba
 
