@@ -502,28 +502,16 @@ func (s Schedule) Validate() error {
 	return nil
 }
 
-// Generate builds a random valid schedule for an (n, t, rounds)
-// execution from a seed: between one and t nodes become crash victims,
-// partitioned, churned (crash + rejoin, when the execution has at
-// least two rounds), or Byzantine attackers with a random role (none
-// when t = 0), plus a handful of benign drops, delays and duplicated
-// frames on arbitrary nodes, and occasionally a seeded network latency
-// model over the whole run. Identical arguments always yield an
-// identical schedule.
-func Generate(n, t, rounds int, seed int64) Schedule {
-	rng := rand.New(rand.NewSource(seed))
-	var victims []int
-	if t > 0 && rounds > 0 {
-		victims = rng.Perm(n)[:1+rng.Intn(t)]
-	}
-	return generate(rng, n, t, rounds, victims, true)
-}
-
-// GenerateFaulty is Generate with the faulty-node count pinned instead
-// of drawn: exactly min(faulty, t) victims (zero stays zero), so
-// degradation sweeps control their x-axis exactly. No random network
-// segment is added — sweeps attach their model explicitly via
-// WithNetwork so the latency distribution is a controlled variable.
+// GenerateFaulty builds a random valid schedule for an (n, t, rounds)
+// execution from a seed with exactly min(faulty, t) faulty nodes (zero
+// stays zero), so degradation sweeps control their x-axis exactly: each
+// victim crashes, is partitioned, churns (crash + rejoin, when the
+// execution has at least two rounds) or turns Byzantine with a random
+// role, plus a handful of benign drops, delays and duplicated frames on
+// arbitrary nodes. No network segment is added — sweeps attach their
+// model explicitly via WithNetwork so the latency distribution is a
+// controlled variable. Identical arguments always yield an identical
+// schedule.
 func GenerateFaulty(n, t, rounds int, seed int64, faulty int) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	if faulty > t {
@@ -533,12 +521,12 @@ func GenerateFaulty(n, t, rounds int, seed int64, faulty int) Schedule {
 	if faulty > 0 && rounds > 0 {
 		victims = rng.Perm(n)[:faulty]
 	}
-	return generate(rng, n, t, rounds, victims, false)
+	return generate(rng, n, t, rounds, victims)
 }
 
 // generate draws the fault mix for the given victims plus benign
 // background noise, consuming rng deterministically.
-func generate(rng *rand.Rand, n, t, rounds int, victims []int, withNet bool) Schedule {
+func generate(rng *rand.Rand, n, t, rounds int, victims []int) Schedule {
 	var faults []Fault
 	if rounds > 0 && len(victims) > 0 {
 		victims = append([]int(nil), victims...)
@@ -582,10 +570,6 @@ func generate(rng *rand.Rand, n, t, rounds int, victims []int, withNet bool) Sch
 				faults = append(faults, Fault{Kind: Dup, Node: node, Round: round})
 			}
 		}
-	}
-	if withNet && rounds > 0 && rng.Intn(4) == 0 {
-		names := transport.NetModelNames()
-		faults = append(faults, Fault{Kind: Net, Model: names[rng.Intn(len(names))], Seed: rng.Int63n(1 << 31)})
 	}
 	sortFaults(faults)
 	return Schedule{N: n, T: t, Rounds: rounds, Faults: faults}

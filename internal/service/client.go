@@ -28,6 +28,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"proxcensus/internal/ba"
 )
@@ -57,83 +59,170 @@ func (s *Service) ServeAPI(ln net.Listener) error {
 			}
 			return err
 		}
-		go s.serveConn(conn)
+		go s.serveConn(newAPIConn(conn))
 	}
 }
 
-// lineWriter is the write side of one line-API connection: each line
-// is rendered into the connection's one buffer and written with one
-// Write, both under mu, so once the buffer has grown to the longest
-// line — at most apiMaxLine plus an answer's numbers — a line costs no
-// allocation of its own.
+// lineWriter is the write side of one line-API connection: lines are
+// rendered into the connection's one buffer and written with one Write,
+// both while holding the write side, so once the buffer has grown to
+// the longest write a line costs no allocation of its own. The write
+// side is a one-slot channel holding a token while it is taken: blocked
+// writers queue on it first come first served, and releasing it hands
+// it straight to the one that has waited longest, so no writer can take
+// it twice while another waits.
 type lineWriter struct {
-	mu  sync.Mutex
-	buf []byte
+	held chan struct{}
+	buf  []byte
 }
 
-// begin locks the write side and returns its buffer, emptied, for one
-// line to be appended to.
+func newLineWriter() lineWriter { return lineWriter{held: make(chan struct{}, 1)} }
+
+// begin takes the write side and returns its buffer, emptied, for lines
+// to be appended to.
 func (w *lineWriter) begin() []byte {
-	w.mu.Lock()
+	w.held <- struct{}{}
 	return w.buf[:0]
 }
 
-// flush writes line — begin's buffer with one line appended, newline
-// included — to conn in one Write, keeps the buffer for the next line
-// and unlocks.
-func (w *lineWriter) flush(conn net.Conn, line []byte) error {
-	defer w.mu.Unlock()
-	w.buf = line
+// flush writes lines — begin's buffer with whole lines appended,
+// newlines included — to conn in one Write, keeps the buffer for the
+// next write and releases the write side.
+func (w *lineWriter) flush(conn net.Conn, lines []byte) error {
+	w.buf = lines
 	_ = conn.SetWriteDeadline(time.Now().Add(apiWriteTimeout))
-	_, err := conn.Write(line)
+	_, err := conn.Write(lines)
+	<-w.held
 	return err
 }
 
-// serveConn drains one client connection: each request line submits a
-// proposal, shed verdicts answer immediately, and accepted proposals
-// answer from a per-proposal goroutine when the decision lands, so a
-// slow instance never blocks the request stream. Requests are parsed
-// where the scanner holds them, which is valid only until the next
-// Scan: the parsed request owns its request ID and payload.
-func (s *Service) serveConn(conn net.Conn) {
-	defer func() { _ = conn.Close() }()
-	var w lineWriter
-	var wg sync.WaitGroup
-	defer wg.Wait()
+// apiConn is the server side of one line-API connection: what its
+// request reader (Service.serveConn), the workers that decide its
+// proposals (answer) and its one answer writer (writeAnswers) share.
+type apiConn struct {
+	conn net.Conn
+	w    lineWriter
 
-	sc := bufio.NewScanner(conn)
+	// accepted counts the admitted proposals not yet answered.
+	accepted sync.WaitGroup
+	// wake holds a token while queue may hold answers the writer has
+	// not taken; it is closed once the last accepted proposal is
+	// answered and the reader is done.
+	wake chan struct{}
+
+	mu    sync.Mutex
+	queue []queuedAnswer
+}
+
+// queuedAnswer is a decided proposal waiting for its connection's writer.
+type queuedAnswer struct {
+	reqid     string
+	isPayload bool
+	d         Decision
+}
+
+func newAPIConn(conn net.Conn) *apiConn {
+	return &apiConn{conn: conn, w: newLineWriter(), wake: make(chan struct{}, 1)}
+}
+
+// serveConn drains one client connection's requests: each line submits
+// a proposal through the service's one admission path (admit), and a
+// shed or malformed one is refused at once with a `busy` or `err` line
+// written from this goroutine. An accepted proposal carries the
+// connection and its reqid to the worker that decides it, which queues
+// the answer (answer) and never touches the socket; the writer
+// goroutine renders what is queued and writes it. The reader and the
+// writer share the write side one bounded write at a time, first come
+// first served, so a refusal waits behind at most one answer write.
+// When the client stops sending, serveConn waits until every accepted
+// proposal has been answered, lets the writer finish and closes the
+// connection: no goroutine, answer or decided payload of it remains.
+// Requests are parsed where the scanner holds them, which is valid only
+// until the next Scan: the parsed request owns its request ID and
+// payload.
+func (s *Service) serveConn(c *apiConn) {
+	written := make(chan struct{})
+	go c.writeAnswers(written)
+	defer func() {
+		c.accepted.Wait()
+		close(c.wake)
+		<-written
+		_ = c.conn.Close()
+	}()
+
+	sc := bufio.NewScanner(c.conn)
 	sc.Buffer(make([]byte, 0, 256), apiMaxLine)
 	for sc.Scan() {
 		req, refusal := parseRequest(sc.Bytes())
 		if refusal != "" {
-			_ = w.flush(conn, append(append(w.begin(), refusal...), '\n'))
+			_ = c.w.flush(c.conn, append(append(c.w.begin(), refusal...), '\n'))
 			continue
 		}
 		if req.reqid == "" {
 			continue // blank line
 		}
-		var tk *Ticket
-		var err error
-		if req.isPayload {
-			// The payload was hex-decoded into a slice of its own, so
-			// the service keeps it without a copy.
-			tk, err = s.submitPayload(req.payload, true)
+		c.accepted.Add(1)
+		// The payload was hex-decoded into a slice of its own, so the
+		// service keeps it without a copy.
+		err := s.admit(proposal{value: req.value, payload: req.payload, isPayload: req.isPayload,
+			conn: c, reqid: req.reqid}, true)
+		if err == nil {
+			continue
+		}
+		c.accepted.Done()
+		if errors.Is(err, ErrOverloaded) {
+			_ = c.w.flush(c.conn, fmt.Appendf(c.w.begin(), "busy %s %d\n", req.reqid, s.cfg.RetryAfter.Milliseconds()))
 		} else {
-			tk, err = s.Submit(req.value)
+			_ = c.w.flush(c.conn, fmt.Appendf(c.w.begin(), "err %s %v\n", req.reqid, err))
 		}
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			_ = w.flush(conn, fmt.Appendf(w.begin(), "busy %s %d\n", req.reqid, s.cfg.RetryAfter.Milliseconds()))
-		case err != nil:
-			_ = w.flush(conn, fmt.Appendf(w.begin(), "err %s %v\n", req.reqid, err))
-		default:
-			wg.Add(1)
-			go func(reqid string, isPayload bool) {
-				defer wg.Done()
-				d := tk.Wait() // before begin: the write side is not held while the instance runs
-				_ = w.flush(conn, appendAnswer(w.begin(), reqid, isPayload, d))
-			}(req.reqid, req.isPayload) // not req: its payload is not held until the decision
+	}
+}
+
+// answer queues a decided proposal's answer and wakes the writer. It
+// runs on the worker that decided the proposal and only appends under
+// the queue's lock, so a client that reads slowly, or not at all, never
+// holds up a worker.
+func (c *apiConn) answer(reqid string, isPayload bool, d Decision) {
+	c.mu.Lock()
+	c.queue = append(c.queue, queuedAnswer{reqid, isPayload, d})
+	c.mu.Unlock()
+	select {
+	case c.wake <- struct{}{}:
+	default: // a wake is pending; the writer takes this answer with it
+	}
+	c.accepted.Done()
+}
+
+// writeAnswers is the connection's one answer writer. Each wake it
+// takes the whole queue, renders the answers into the write buffer and
+// writes them with one Write, writing early whenever the buffer passes
+// apiMaxLine, so the buffer stays bounded at apiMaxLine plus one answer.
+// The answers taken are cleared once written, so an idle connection
+// holds no decided payload. After a failed write the connection is
+// closed, which ends the reader, and later answers are dropped. It
+// returns, closing written, when serveConn closes wake.
+func (c *apiConn) writeAnswers(written chan<- struct{}) {
+	defer close(written)
+	var taken []queuedAnswer
+	failed := false
+	for range c.wake {
+		c.mu.Lock()
+		taken, c.queue = c.queue, taken
+		c.mu.Unlock()
+		for rest := taken; len(rest) > 0 && !failed; {
+			b := c.w.begin()
+			for len(rest) > 0 && len(b) < apiMaxLine {
+				a := &rest[0]
+				b = appendAnswer(b, a.reqid, a.isPayload, a.d)
+				rest = rest[1:]
+			}
+			if err := c.w.flush(c.conn, b); err != nil {
+				failed = true
+				_ = c.conn.Close()
+			}
 		}
+		clear(taken)
+		taken = taken[:0]
 	}
 }
 
@@ -146,6 +235,50 @@ type request struct {
 	payload   []byte
 }
 
+// asciiSpace marks the ASCII bytes unicode.IsSpace holds to be white
+// space.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields appends line's fields to dst, up to cap(dst) of them, and
+// reports whether that was all of them. A field is what bytes.Fields
+// makes one — a maximal run of bytes that are not Unicode white space,
+// an invalid UTF-8 byte counting as a non-space — and each is a
+// subslice of line clipped to its length, as there. The caller passes a
+// fixed-size array on its stack, so a line is split without allocating.
+// ASCII bytes are looked up in a table, which keeps an 8 KiB proposeb
+// line's hex cheaper to split than bytes.Fields makes it.
+func splitFields(dst [][]byte, line []byte) ([][]byte, bool) {
+	start := -1 // where the field being scanned begins, or -1 between fields
+	for i := 0; i < len(line); {
+		space, size := asciiSpace[line[i]], 1
+		if line[i] >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case !space:
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			if len(dst) == cap(dst) {
+				return dst, false
+			}
+			dst = append(dst, line[start:i:i])
+			start = -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		if len(dst) == cap(dst) {
+			return dst, false
+		}
+		dst = append(dst, line[start:len(line):len(line)])
+	}
+	return dst, true
+}
+
 // parseRequest splits one request line in place. The request it
 // returns shares no byte with line, so line may be overwritten as soon
 // as it returns: the payload is hex-decoded into a slice of its own, of
@@ -153,12 +286,13 @@ type request struct {
 // back with the `err` line that refuses it; a blank line earns no
 // answer and comes back as the zero request.
 func parseRequest(line []byte) (req request, refusal string) {
-	fields := bytes.Fields(line)
+	var split [3][]byte
+	fields, all := splitFields(split[:0], line)
 	if len(fields) == 0 {
 		return request{}, ""
 	}
 	verb := fields[0]
-	if len(fields) != 3 || (string(verb) != "propose" && string(verb) != "proposeb") {
+	if !all || len(fields) != 3 || (string(verb) != "propose" && string(verb) != "proposeb") {
 		return request{}, "err - malformed request, want: propose <reqid> <value> | proposeb <reqid> <payload-hex>"
 	}
 	req = request{reqid: string(fields[1]), isPayload: string(verb) == "proposeb"}
@@ -253,7 +387,7 @@ func DialClient(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, waiters: make(map[string]chan Result)}
+	c := &Client{conn: conn, w: newLineWriter(), waiters: make(map[string]chan Result)}
 	go c.reader()
 	return c, nil
 }
@@ -337,16 +471,18 @@ func (c *Client) reader() {
 }
 
 // parseResult parses one response line in place; like parseRequest's,
-// its Result shares no byte with line.
+// its Result shares no byte with line. Only an `err` line, whose message
+// runs to the end of the line, is split with bytes.Fields.
 func parseResult(line []byte) (Result, bool) {
-	fields := bytes.Fields(line)
+	var split [6][]byte
+	fields, all := splitFields(split[:0], line)
 	if len(fields) < 2 {
 		return Result{}, false
 	}
 	res := Result{ReqID: string(fields[1])}
 	switch string(fields[0]) {
 	case "decided":
-		if len(fields) != 6 {
+		if !all || len(fields) != 6 {
 			return Result{}, false
 		}
 		inst, err1 := strconv.Atoi(string(fields[2]))
@@ -363,7 +499,7 @@ func parseResult(line []byte) (Result, bool) {
 		res.Latency = time.Duration(latUS) * time.Microsecond
 		return res, true
 	case "decidedb":
-		if len(fields) != 6 {
+		if !all || len(fields) != 6 {
 			return Result{}, false
 		}
 		inst, err1 := strconv.Atoi(string(fields[2]))
@@ -385,7 +521,7 @@ func parseResult(line []byte) (Result, bool) {
 		res.Latency = time.Duration(latUS) * time.Microsecond
 		return res, true
 	case "busy":
-		if len(fields) != 3 {
+		if !all || len(fields) != 3 {
 			return Result{}, false
 		}
 		ms, err := strconv.ParseInt(string(fields[2]), 10, 64)
@@ -396,7 +532,7 @@ func parseResult(line []byte) (Result, bool) {
 		res.RetryAfter = time.Duration(ms) * time.Millisecond
 		return res, true
 	case "err":
-		res.Err = string(bytes.Join(fields[2:], []byte{' '}))
+		res.Err = string(bytes.Join(bytes.Fields(line)[2:], []byte{' '}))
 		return res, true
 	default:
 		return Result{}, false

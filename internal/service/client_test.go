@@ -226,18 +226,23 @@ func TestParseResult(t *testing.T) {
 }
 
 // TestParseLineAllocations: both ends parse a line where the scanner
-// holds it. Parsing a warm 8 KiB proposeb line, or the decidedb answer
-// that echoes its payload, allocates the 4 KiB payload at exactly its
-// size and nothing else sized by the line: no string copy of the line,
-// no 8 KiB decode buffer, and no payload that aliases the line.
+// holds it, splitting it into fields on the stack. Parsing a warm 8 KiB
+// proposeb line, or the decidedb answer that echoes its payload,
+// allocates the 4 KiB payload at exactly its size and the request ID,
+// nothing else: no field slice, no string copy of the line, no 8 KiB
+// decode buffer, and no payload that aliases the line. A propose line
+// and a decided answer allocate the request ID alone.
 func TestParseLineAllocations(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x00, 0x5a, 0xff, 0x13}, 1<<10)
 	request := fmt.Appendf(nil, "proposeb r1 %x", payload)
 	answer := appendAnswer(nil, "r1", true, Decision{Instance: 3, Committed: true, Latency: time.Millisecond, Payload: payload})
 	answer = answer[:len(answer)-1] // the scanner strips the newline
+	valueRequest := []byte("propose r2 1234567")
+	valueAnswer := []byte("decided r2 3 4611686018427387909 1 1843")
 	for _, tc := range []struct {
-		name  string
-		parse func() []byte
+		name   string
+		parse  func() []byte
+		allocs float64
 	}{
 		{"proposeb", func() []byte {
 			req, refusal := parseRequest(request)
@@ -245,17 +250,29 @@ func TestParseLineAllocations(t *testing.T) {
 				t.Fatal(refusal)
 			}
 			return req.payload
-		}},
+		}, 2},
 		{"decidedb", func() []byte {
 			res, ok := parseResult(answer)
 			if !ok {
 				t.Fatal("answer did not parse")
 			}
 			return res.Payload
-		}},
+		}, 2},
+		{"propose", func() []byte {
+			if req, refusal := parseRequest(valueRequest); refusal != "" || req.reqid != "r2" || req.value != 1234567 {
+				t.Fatalf("parsed %+v, %q", req, refusal)
+			}
+			return nil
+		}, 1},
+		{"decided", func() []byte {
+			if res, ok := parseResult(valueAnswer); !ok || res.ReqID != "r2" || res.Digest != 1<<62+5 || res.Latency != 1843*time.Microsecond {
+				t.Fatalf("parsed %+v, %v", res, ok)
+			}
+			return nil
+		}, 1},
 	} {
 		got := tc.parse()
-		if !bytes.Equal(got, payload) || cap(got) != len(payload) {
+		if tc.allocs == 2 && (!bytes.Equal(got, payload) || cap(got) != len(payload)) {
 			t.Errorf("%s: parsed %d bytes at capacity %d; want the %d-byte payload at its exact size", tc.name, len(got), cap(got), len(payload))
 		}
 		const runs = 100
@@ -263,12 +280,13 @@ func TestParseLineAllocations(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(runs, func() { tc.parse() })
 		runtime.ReadMemStats(&after)
-		// The payload, the field slice and the request ID; the bytes
-		// leave room for the two small objects and no line-sized one.
+		// The bytes leave room for the request ID and no line-sized
+		// object besides the payload.
+		limit := len(got) + 512
 		perLine := int(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
-		if allocs > 3 || perLine > len(payload)+512 {
-			t.Errorf("%s: parsing a %d-byte line allocates %.1f objects, %d bytes; want at most 3 objects and %d bytes",
-				tc.name, len(request), allocs, perLine, len(payload)+512)
+		if allocs != tc.allocs || perLine > limit {
+			t.Errorf("%s: parsing a line allocates %.1f objects, %d bytes; want %.0f objects and at most %d bytes",
+				tc.name, allocs, perLine, tc.allocs, limit)
 		}
 	}
 }
@@ -320,7 +338,7 @@ func TestAPILinesMatchSprintfRendering(t *testing.T) {
 
 	srv, cli := net.Pipe()
 	defer func() { _ = srv.Close() }()
-	c := &Client{conn: cli, waiters: make(map[string]chan Result)}
+	c := &Client{conn: cli, w: newLineWriter(), waiters: make(map[string]chan Result)}
 	lines := make(chan string, 2)
 	go func() {
 		r := bufio.NewReaderSize(srv, apiMaxLine)
@@ -346,7 +364,7 @@ func TestAPILinesMatchSprintfRendering(t *testing.T) {
 }
 
 // FuzzAPILine drives both line parsers with arbitrary text. Neither may
-// panic. A request line either parses — and then renders back to a line
+// panic, and both split a line exactly as bytes.Fields would. A request line either parses — and then renders back to a line
 // that parses to the same request, and every answer the server can give
 // it parses on the client side under the same request ID — or is
 // refused with an `err` line the client can parse, or is blank. A
@@ -372,10 +390,30 @@ func FuzzAPILine(f *testing.F) {
 		"decidedb 5 3 0 100 -",
 		"busy 8 50",
 		"err 9 something broke",
+		"propose\u0085r3\u00a042",        // Unicode spaces: NEL and no-break space
+		"\t\t propose \t\t r4\t\t\t7 \t", // a tab run
+		"propose r5 \x85\xa0 \xff",       // invalid UTF-8: the bytes of NEL and NBSP, unencoded
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
+		// The split is bytes.Fields': as many of its fields as the
+		// array holds, and "all" exactly when that is every one.
+		want := bytes.Fields([]byte(line))
+		var three [3][]byte
+		var six [6][]byte
+		for _, dst := range [][][]byte{three[:0], six[:0]} {
+			got, all := splitFields(dst, []byte(line))
+			if all != (len(want) <= cap(dst)) || len(got) != min(len(want), cap(dst)) {
+				t.Fatalf("%q: split %d fields into %d, all=%v; bytes.Fields has %d", line, len(got), cap(dst), all, len(want))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) || cap(got[i]) != len(got[i]) {
+					t.Fatalf("%q: field %d split as %q (capacity %d), bytes.Fields has %q", line, i, got[i], cap(got[i]), want[i])
+				}
+			}
+		}
+
 		req, refusal := parseRequest([]byte(line))
 		switch {
 		case refusal != "":

@@ -4,7 +4,7 @@
 // one shared set of transport connections, and decisions stream
 // back out. The lifecycle per instance is create (allocate an ID,
 // register transport lanes), run (drive the hub rounds and the n party
-// machines), decide (check agreement, resolve the batch's tickets) and
+// machines), decide (check agreement, resolve the batch's proposals) and
 // garbage-collect (unregister the lanes). Admission control is a
 // bounded pending queue: a full queue sheds new proposals with a
 // retry-after hint instead of letting overload stall every instance —
@@ -50,7 +50,10 @@ type Config struct {
 	// yet assigned to a running instance. A full queue sheds load.
 	MaxPending int
 	// MaxActive bounds how many BA instances run concurrently; it is
-	// also the number of worker goroutines draining the queue.
+	// also the number of worker goroutines draining the queue. A worker
+	// that has run an instance also parks one goroutine per party, fed
+	// one instance at a time, so a service runs at most
+	// MaxActive × (N+1) goroutines for its instances.
 	MaxActive int
 	// Batch is the most proposals one BA instance decides together.
 	Batch int
@@ -182,15 +185,29 @@ type Stats struct {
 	Pending, Active int
 }
 
-// proposal is one queued value or payload with its ticket. isPayload
-// selects the instance family: digest proposals agree on an FNV fold
-// of the batch, payload proposals agree on the batch bytes themselves.
+// proposal is one queued value or payload and where its decision goes:
+// the ticket of a Submit or SubmitPayload caller, or the API connection
+// and request ID it came in on. isPayload selects the instance family:
+// digest proposals agree on an FNV fold of the batch, payload proposals
+// agree on the batch bytes themselves.
 type proposal struct {
 	value     ba.Value
 	payload   []byte
 	isPayload bool
 	enqueued  time.Time
 	tk        *Ticket
+	conn      *apiConn
+	reqid     string
+}
+
+// resolve delivers the proposal's decision without blocking: onto its
+// ticket's one-slot channel, or into its connection's answer queue.
+func (p *proposal) resolve(d Decision) {
+	if p.conn != nil {
+		p.conn.answer(p.reqid, p.isPayload, d)
+		return
+	}
+	p.tk.done <- d
 }
 
 // Service is a running consensus service: a mux hub, n in-process
@@ -301,10 +318,7 @@ func (s *Service) Close() error {
 // sheds it with ErrOverloaded and the configured retry-after hint.
 // Values must be non-negative (the wire value domain).
 func (s *Service) Submit(value ba.Value) (*Ticket, error) {
-	if value < 0 {
-		return nil, fmt.Errorf("service: negative value %d", value)
-	}
-	return s.enqueue(proposal{value: value})
+	return s.submit(proposal{value: value})
 }
 
 // SubmitPayload offers one ℓ-bit payload proposal: the client's bytes,
@@ -313,41 +327,49 @@ func (s *Service) Submit(value ba.Value) (*Ticket, error) {
 // with ErrOverloaded when full). The payload is copied, so the caller
 // may reuse its buffer immediately.
 func (s *Service) SubmitPayload(data []byte) (*Ticket, error) {
-	return s.submitPayload(data, false)
+	return s.submit(proposal{payload: data, isPayload: true})
 }
 
-// submitPayload is SubmitPayload for a caller that may hand data over:
-// owned data is kept as is, anything else is copied first.
-func (s *Service) submitPayload(data []byte, owned bool) (*Ticket, error) {
-	if len(data) == 0 {
-		return nil, errors.New("service: empty payload")
+// submit admits a proposal whose decision a new Ticket tracks; a
+// payload is the caller's, so admission copies it.
+func (s *Service) submit(p proposal) (*Ticket, error) {
+	p.tk = &Ticket{done: make(chan Decision, 1)}
+	if err := s.admit(p, false); err != nil {
+		return nil, err
 	}
-	if len(data) > s.cfg.MaxPayload {
-		return nil, fmt.Errorf("service: payload %d bytes exceeds max-payload %d", len(data), s.cfg.MaxPayload)
+	return p.tk, nil
+}
+
+// admit is admission control, the one path every proposal takes, from
+// Submit, SubmitPayload and the line API alike: a negative value or an
+// empty or oversize payload is refused; a payload the service does not
+// own is copied once it passes; then the proposal takes a place in the
+// pending queue, or the queue is full and it is shed.
+func (s *Service) admit(p proposal, owned bool) error {
+	switch {
+	case p.isPayload && len(p.payload) == 0:
+		return errors.New("service: empty payload")
+	case len(p.payload) > s.cfg.MaxPayload:
+		return fmt.Errorf("service: payload %d bytes exceeds max-payload %d", len(p.payload), s.cfg.MaxPayload)
+	case p.value < 0:
+		return fmt.Errorf("service: negative value %d", p.value)
 	}
 	if !owned {
-		data = append([]byte(nil), data...)
+		p.payload = bytes.Clone(p.payload)
 	}
-	return s.enqueue(proposal{payload: data, isPayload: true})
-}
-
-// enqueue is admission control: the proposal gets its ticket and a
-// place in the pending queue, or the queue is full and it is shed.
-func (s *Service) enqueue(p proposal) (*Ticket, error) {
-	p.tk = &Ticket{done: make(chan Decision, 1)}
 	p.enqueued = time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	select {
 	case s.pending <- p:
 		s.submitted++
-		return p.tk, nil
+		return nil
 	default:
 		s.shed++
-		return nil, fmt.Errorf("%w: %d proposals pending, retry after %s", ErrOverloaded, len(s.pending), s.cfg.RetryAfter)
+		return fmt.Errorf("%w: %d proposals pending, retry after %s", ErrOverloaded, len(s.pending), s.cfg.RetryAfter)
 	}
 }
 
@@ -393,6 +415,11 @@ func (s *Service) worker() {
 		outs:  make([]any, s.cfg.N),
 		errs:  make([]error, s.cfg.N),
 	}
+	defer func() {
+		for _, jobs := range w.parties {
+			close(jobs)
+		}
+	}()
 	var carry *proposal
 	for {
 		var first proposal
@@ -415,17 +442,30 @@ func (s *Service) worker() {
 // workerState is what a worker keeps from one instance to the next: the
 // machine set of each instance family, built the first time the worker
 // runs that family and reset for every later instance instead of
-// rebuilt, and the slices an instance fills. A worker runs one instance
-// at a time, so none of it is shared or locked, and a service holds at
-// most MaxActive × 2 sets. Between instances the slices are cleared and
-// the sets released (ba.Protocol.Reset with nil inputs), so an idle
-// worker pins no proposal, payload or decision.
+// rebuilt, its party goroutines, and the slices an instance fills. A
+// worker runs one instance at a time, so nothing else touches its state
+// but its own parties, each writing its one slot of outs and errs
+// before it reports done on running. A service holds at most
+// MaxActive × 2 sets. Between instances the slices are cleared and the
+// sets released (ba.Protocol.Reset with nil inputs), so an idle worker
+// pins no proposal, payload or decision.
 type workerState struct {
 	digest  machineSet[ba.Value]
 	payload machineSet[[]byte]
 	batch   []proposal
 	outs    []any
 	errs    []error
+	// parties feeds party i's goroutine one job per instance; nil until
+	// the worker's first instance, closed when the worker exits.
+	parties []chan partyJob
+	running sync.WaitGroup
+}
+
+// partyJob is one party's share of an instance: its machine, stepped
+// through the instance's rounds on the party's node.
+type partyJob struct {
+	inst, rounds int
+	machine      sim.Machine
 }
 
 // machineSet is one family's protocol and the inputs slice it is reset
@@ -514,7 +554,7 @@ func splitBatchPayload(b []byte) [][]byte {
 }
 
 // runInstance runs one BA instance for a batch on the worker's machine
-// sets and resolves its tickets.
+// sets and resolves its proposals.
 func (s *Service) runInstance(w *workerState, batch []proposal) {
 	s.mu.Lock()
 	s.nextInstance++
@@ -568,7 +608,8 @@ func (s *Service) runInstance(w *workerState, batch []proposal) {
 		s.failed += int64(len(batch))
 	}
 	s.mu.Unlock()
-	for i, p := range batch {
+	for i := range batch {
+		p := &batch[i]
 		d := Decision{
 			Instance:  inst,
 			Value:     p.value,
@@ -580,7 +621,7 @@ func (s *Service) runInstance(w *workerState, batch []proposal) {
 		if p.isPayload && committed && i < len(segs) {
 			d.Payload = segs[i]
 		}
-		p.tk.done <- d
+		p.resolve(d)
 	}
 }
 
@@ -640,40 +681,38 @@ func decide[T any](s *Service, w *workerState, set *machineSet[T], inst int, inp
 	return decisions[0], nil
 }
 
-// drive runs one instance end to end — the hub's round loop and the n
-// parties' machines over the shared connections — and returns the
-// outputs of the parties that finished. A party may fail (crashed or
-// cut off by an injected fault, declared dead by the hub); the instance
-// stands as long as an n-t quorum returned, which is all BA promises
-// to wait for. The caller checks that the returned outputs agree. The
-// outputs are collected in the worker's outs and errs, so the returned
-// slice aliases w.outs.
+// drive runs one instance end to end — the hub's round loop on the
+// worker's goroutine, the n parties' machines on the worker's party
+// goroutines, over the shared connections — and returns the outputs of
+// the parties that finished. A party may fail (crashed or cut off by an
+// injected fault, declared dead by the hub); the instance stands as
+// long as an n-t quorum returned, which is all BA promises to wait for.
+// The caller checks that the returned outputs agree. drive returns only
+// once the hub and every party are done with the instance. The outputs
+// are collected in the worker's outs and errs, so the returned slice
+// aliases w.outs.
 func (s *Service) drive(w *workerState, inst, rounds int, machines []sim.Machine) ([]any, error) {
 	hi, err := s.hub.StartInstance(inst, rounds)
 	if err != nil {
 		return nil, err
 	}
-	hubDone := make(chan error, 1)
-	go func() { hubDone <- hi.Run() }()
-
-	outs, errs := w.outs, w.errs
-	var wg sync.WaitGroup
-	for i := range machines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[i], errs[i] = s.nodes[i].RunInstance(inst, rounds, machines[i])
-		}()
+	if w.parties == nil {
+		s.startParties(w)
 	}
-	wg.Wait()
-	if err := <-hubDone; err != nil {
-		return nil, err
+	w.running.Add(len(machines))
+	for i, m := range machines {
+		w.parties[i] <- partyJob{inst: inst, rounds: rounds, machine: m}
 	}
-	done := outs[:0]
+	hubErr := hi.Run()
+	w.running.Wait()
+	if hubErr != nil {
+		return nil, hubErr
+	}
+	done := w.outs[:0]
 	var failed error
-	for i, e := range errs {
+	for i, e := range w.errs {
 		if e == nil {
-			done = append(done, outs[i])
+			done = append(done, w.outs[i])
 		} else if failed == nil {
 			failed = fmt.Errorf("party %d: %w", i, e)
 		}
@@ -682,4 +721,24 @@ func (s *Service) drive(w *workerState, inst, rounds int, machines []sim.Machine
 		return nil, fmt.Errorf("service: instance %d: %d of %d parties finished: %w", inst, len(done), s.cfg.N, failed)
 	}
 	return done, nil
+}
+
+// startParties starts the worker's n party goroutines. Party i runs
+// each job on node i, leaves its result in the worker's slot i and
+// reports done; it exits when the worker closes its job channel, and
+// Close waits for it as for the worker.
+func (s *Service) startParties(w *workerState) {
+	w.parties = make([]chan partyJob, s.cfg.N)
+	s.workers.Add(s.cfg.N)
+	for i := range w.parties {
+		jobs := make(chan partyJob, 1)
+		w.parties[i] = jobs
+		go func() {
+			defer s.workers.Done()
+			for j := range jobs {
+				w.outs[i], w.errs[i] = s.nodes[i].RunInstance(j.inst, j.rounds, j.machine)
+				w.running.Done()
+			}
+		}()
+	}
 }

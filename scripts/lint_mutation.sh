@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated seventeen times, and
+# rule out. A pristine copy of the module is mutated eighteen times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for an inline
 #      loop that admits whatever decodes: the hub flood-control test and
@@ -44,7 +44,10 @@
 #      the first one's screen still holds;
 #  17. a reused multivalued machine set keeping its binary core's done
 #      flag from the last instance: the protocol's reset-vs-new
-#      differential and the service's machine-reuse test.
+#      differential and the service's machine-reuse test;
+#  18. the worker that decides an API proposal writing its answer to the
+#      client's socket itself instead of queueing it for the
+#      connection's writer: the slow-client isolation test.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -401,5 +404,25 @@ sed -i 's/m\.round, m\.out, m\.done = 0, 0, false/m.round, m.out = 0, 0/' "$iter
 (cd "$tmp" && go build ./internal/ba)
 expect_test_fail 'TestProtocolResetMatchesNew' ./internal/ba
 expect_test_fail 'TestWorkerReusesMachinesAcrossInstances' ./internal/service
+
+echo "mutation 18: the deciding worker writes an API answer to the client's socket itself"
+# Mutation 17 left ba edited; start it and the service from the tree
+# as it stands.
+for pkg in ba service; do
+    cp internal/$pkg/*.go "$tmp/internal/$pkg/"
+done
+queue_line='c.queue = append(c.queue, queuedAnswer{reqid, isPayload, d})'
+if [[ "$(grep -cF "$queue_line" "$client")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one answer-queue append in client.go, apiConn.answer's" >&2
+    exit 1
+fi
+(cd "$tmp" && go test -count=1 -run 'TestSlowClientIsolatesItself' ./internal/service)
+# The answer is rendered and written on the worker's goroutine: once a
+# client that never reads has filled its socket buffers, the write
+# blocks the worker until the write deadline, and every instance behind
+# it waits.
+sed -i 's/c\.queue = append(c\.queue, queuedAnswer{reqid, isPayload, d})/_ = c.w.flush(c.conn, appendAnswer(c.w.begin(), reqid, isPayload, d))/' "$client"
+(cd "$tmp" && go build ./internal/service)
+expect_test_fail 'TestSlowClientIsolatesItself' ./internal/service
 
 echo "MUTATION SMOKE OK"

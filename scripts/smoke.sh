@@ -16,7 +16,7 @@ go vet ./...
 # while something still reads it.
 go test -race ./internal/transport ./internal/coin ./internal/conformance ./internal/service
 go test -race -count=5 -run 'TestRunLocal|TestHub|TestReconnect|TestMuxBounce|TestMuxNodeRedials|TestMuxChurn|TestFrameList|TestPoisonedFrames|TestMuxFlood' ./internal/transport
-go test -race -count=5 -run 'TestServicePayloadRoundTrip|TestServiceUnderInjectedFaults|TestWorkerReusesMachinesAcrossInstances' ./internal/service
+go test -race -count=5 -run 'TestServicePayloadRoundTrip|TestServiceUnderInjectedFaults|TestWorkerReusesMachinesAcrossInstances|TestNoGoroutinePerInstanceOrRequest|TestSlowClientIsolatesItself' ./internal/service
 
 go run ./examples/quickstart
 go run ./examples/blockagree
