@@ -227,14 +227,16 @@ func TestParseResult(t *testing.T) {
 
 // TestParseLineAllocations: both ends parse a line where the scanner
 // holds it, splitting it into fields on the stack. Parsing a warm 8 KiB
-// proposeb line, or the decidedb answer that echoes its payload,
-// allocates the 4 KiB payload at exactly its size and the request ID,
-// nothing else: no field slice, no string copy of the line, no 8 KiB
-// decode buffer, and no payload that aliases the line. A propose line
+// proposeb line with no buffer to decode into, or the decidedb answer
+// that echoes its payload, allocates the 4 KiB payload at exactly its
+// size and the request ID, nothing else: no field slice, no string copy
+// of the line, no 8 KiB decode buffer, and no payload that aliases the
+// line. A proposeb line decoded into a recycled buffer, a propose line
 // and a decided answer allocate the request ID alone.
 func TestParseLineAllocations(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x00, 0x5a, 0xff, 0x13}, 1<<10)
 	request := fmt.Appendf(nil, "proposeb r1 %x", payload)
+	recycled := make([]byte, 0, len(payload))
 	answer := appendAnswer(nil, "r1", true, Decision{Instance: 3, Committed: true, Latency: time.Millisecond, Payload: payload})
 	answer = answer[:len(answer)-1] // the scanner strips the newline
 	valueRequest := []byte("propose r2 1234567")
@@ -245,12 +247,19 @@ func TestParseLineAllocations(t *testing.T) {
 		allocs float64
 	}{
 		{"proposeb", func() []byte {
-			req, refusal := parseRequest(request)
+			req, refusal := parseRequest(request, nil)
 			if refusal != "" {
 				t.Fatal(refusal)
 			}
 			return req.payload
 		}, 2},
+		{"proposeb into a recycled buffer", func() []byte {
+			req, refusal := parseRequest(request, recycled)
+			if refusal != "" {
+				t.Fatal(refusal)
+			}
+			return req.payload
+		}, 1},
 		{"decidedb", func() []byte {
 			res, ok := parseResult(answer)
 			if !ok {
@@ -259,7 +268,7 @@ func TestParseLineAllocations(t *testing.T) {
 			return res.Payload
 		}, 2},
 		{"propose", func() []byte {
-			if req, refusal := parseRequest(valueRequest); refusal != "" || req.reqid != "r2" || req.value != 1234567 {
+			if req, refusal := parseRequest(valueRequest, nil); refusal != "" || req.reqid != "r2" || req.value != 1234567 {
 				t.Fatalf("parsed %+v, %q", req, refusal)
 			}
 			return nil
@@ -275,14 +284,20 @@ func TestParseLineAllocations(t *testing.T) {
 		if tc.allocs == 2 && (!bytes.Equal(got, payload) || cap(got) != len(payload)) {
 			t.Errorf("%s: parsed %d bytes at capacity %d; want the %d-byte payload at its exact size", tc.name, len(got), cap(got), len(payload))
 		}
+		if got != nil && tc.allocs == 1 && (!bytes.Equal(got, payload) || &got[0] != &recycled[:1][0]) {
+			t.Errorf("%s: parsed %d bytes, not the %d-byte payload in the buffer handed in", tc.name, len(got), len(payload))
+		}
 		const runs = 100
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(runs, func() { tc.parse() })
 		runtime.ReadMemStats(&after)
 		// The bytes leave room for the request ID and no line-sized
-		// object besides the payload.
-		limit := len(got) + 512
+		// object besides a fresh payload.
+		limit := 512
+		if tc.allocs == 2 {
+			limit += len(got)
+		}
 		perLine := int(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 		if allocs != tc.allocs || perLine > limit {
 			t.Errorf("%s: parsing a line allocates %.1f objects, %d bytes; want %.0f objects and at most %d bytes",
@@ -414,7 +429,18 @@ func FuzzAPILine(f *testing.F) {
 			}
 		}
 
-		req, refusal := parseRequest([]byte(line))
+		req, refusal := parseRequest([]byte(line), nil)
+		// Decoded into a zeroed buffer handed in, the line parses alike,
+		// and a refusal leaves the buffer zeroed.
+		buf := make([]byte, 0, 64)
+		inBuf, inBufRefusal := parseRequest([]byte(line), buf)
+		if inBufRefusal != refusal || inBuf.reqid != req.reqid || inBuf.isPayload != req.isPayload ||
+			inBuf.value != req.value || !bytes.Equal(inBuf.payload, req.payload) {
+			t.Fatalf("%q parsed to %+v (%q), and into a buffer to %+v (%q)", line, req, refusal, inBuf, inBufRefusal)
+		}
+		if refusal != "" && !bytes.Equal(buf[:cap(buf)], make([]byte, cap(buf))) {
+			t.Fatalf("refused %q, leaving bytes in the buffer handed in", line)
+		}
 		switch {
 		case refusal != "":
 			if res, ok := parseResult([]byte(refusal)); !ok || res.Err == "" || res.Decided || res.Busy {
@@ -425,7 +451,7 @@ func FuzzAPILine(f *testing.F) {
 			if req.isPayload {
 				rendered = fmt.Sprintf("proposeb %s %x", req.reqid, req.payload)
 			}
-			again, refusal := parseRequest([]byte(rendered))
+			again, refusal := parseRequest([]byte(rendered), nil)
 			if refusal != "" || again.reqid != req.reqid || again.isPayload != req.isPayload ||
 				again.value != req.value || !bytes.Equal(again.payload, req.payload) {
 				t.Fatalf("%q parsed to %+v, which renders to %q and parses to %+v (%q)", line, req, rendered, again, refusal)

@@ -200,8 +200,8 @@ func TestBatchPayloadCodec(t *testing.T) {
 		{payload: nil},
 		{payload: bytes.Repeat([]byte{9}, 300)},
 	}
-	enc := encodeBatchPayload(batch)
-	segs := splitBatchPayload(enc)
+	enc := encodeBatchPayload(nil, batch)
+	segs := splitBatchPayload(nil, enc)
 	if len(segs) != len(batch) {
 		t.Fatalf("split %d segments, want %d", len(segs), len(batch))
 	}
@@ -215,11 +215,11 @@ func TestBatchPayloadCodec(t *testing.T) {
 		append([]byte(nil), enc[:len(enc)-1]...),  // truncated final segment
 		binary.BigEndian.AppendUint64(nil, 1<<40), // length overruns
 	} {
-		if got := splitBatchPayload(bad); got != nil {
+		if got := splitBatchPayload(nil, bad); got != nil {
 			t.Errorf("malformed batch bytes split to %d segments, want nil", len(got))
 		}
 	}
-	if segs := splitBatchPayload(nil); len(segs) != 0 {
+	if segs := splitBatchPayload(nil, nil); len(segs) != 0 {
 		t.Errorf("empty batch split to %d segments", len(segs))
 	}
 }

@@ -145,7 +145,8 @@ type Decision struct {
 	// Payload, for payload proposals on a committed instance, is this
 	// proposal's segment parsed back out of the DECIDED batch bytes —
 	// the round-trip proof that what the instance agreed on contains the
-	// client's bytes. Nil for digest proposals and failed instances.
+	// client's bytes. A Ticket's Decision owns its copy. Nil for digest
+	// proposals and failed instances.
 	Payload []byte
 	// Digest is the batch digest a digest proposal's instance agreed
 	// on. It is 0 for payload proposals, whose instances agree on the
@@ -201,13 +202,18 @@ type proposal struct {
 }
 
 // resolve delivers the proposal's decision without blocking: onto its
-// ticket's one-slot channel, or into its connection's answer queue.
-func (p *proposal) resolve(d Decision) {
+// ticket's one-slot channel, or rendered into its connection's answer
+// queue. A decided payload aliases the worker's batch input, valid only
+// until the instance returns, so the ticket gets a copy of its own and
+// the answer is rendered now, in scratch; resolve returns scratch for
+// the next answer.
+func (p *proposal) resolve(d Decision, scratch []byte) []byte {
 	if p.conn != nil {
-		p.conn.answer(p.reqid, p.isPayload, d)
-		return
+		return p.conn.answer(scratch, p.reqid, p.isPayload, d)
 	}
+	d.Payload = bytes.Clone(d.Payload)
 	p.tk.done <- d
+	return scratch
 }
 
 // Service is a running consensus service: a mux hub, n in-process
@@ -325,7 +331,8 @@ func (s *Service) Submit(value ba.Value) (*Ticket, error) {
 // not a digest of them, are what the instance agrees on and what comes
 // back in the Decision. Admission mirrors Submit (never blocks, sheds
 // with ErrOverloaded when full). The payload is copied, so the caller
-// may reuse its buffer immediately.
+// may reuse its buffer immediately, and the Decision's Payload is the
+// caller's own copy of the decided segment.
 func (s *Service) SubmitPayload(data []byte) (*Ticket, error) {
 	return s.submit(proposal{payload: data, isPayload: true})
 }
@@ -410,21 +417,12 @@ func (s *Service) Report() transport.Report {
 // the instance to decision. MaxActive workers bound the concurrency.
 func (s *Service) worker() {
 	defer s.workers.Done()
-	w := &workerState{
-		batch: make([]proposal, 0, s.cfg.Batch),
-		outs:  make([]any, s.cfg.N),
-		errs:  make([]error, s.cfg.N),
-	}
-	defer func() {
-		for _, jobs := range w.parties {
-			close(jobs)
-		}
-	}()
-	var carry *proposal
+	w := s.newWorkerState()
+	defer w.stop()
 	for {
 		var first proposal
-		if carry != nil {
-			first, carry = *carry, nil
+		if w.carried {
+			first, w.carry, w.carried = w.carry, proposal{}, false
 		} else {
 			p, ok := <-s.pending
 			if !ok {
@@ -432,8 +430,7 @@ func (s *Service) worker() {
 			}
 			first = p
 		}
-		var batch []proposal
-		batch, carry = s.collect(w.batch[:0], first)
+		batch := s.collect(w, first)
 		s.runInstance(w, batch)
 		clear(batch)
 	}
@@ -446,19 +443,49 @@ func (s *Service) worker() {
 // worker runs one instance at a time, so nothing else touches its state
 // but its own parties, each writing its one slot of outs and errs
 // before it reports done on running. A service holds at most
-// MaxActive × 2 sets. Between instances the slices are cleared and the
-// sets released (ba.Protocol.Reset with nil inputs), so an idle worker
-// pins no proposal, payload or decision.
+// MaxActive × 2 sets. Between instances the slices are cleared, the
+// byte buffers zeroed and the sets released (ba.Protocol.Reset with nil
+// inputs), so an idle worker pins no proposal, payload or decision.
 type workerState struct {
 	digest  machineSet[ba.Value]
 	payload machineSet[[]byte]
 	batch   []proposal
 	outs    []any
 	errs    []error
+	// carry is the proposal of the other family that ended the last
+	// batch (collect), which seeds the next one when carried is set.
+	carry   proposal
+	carried bool
+	// input is the one batch input of every payload instance the worker
+	// runs (encodeBatchPayload); the decided bytes, and segs, the
+	// per-proposal segments split out of them, alias it until the
+	// instance returns. line is the scratch an API answer is rendered in
+	// before it is queued on its connection.
+	input []byte
+	segs  [][]byte
+	line  []byte
 	// parties feeds party i's goroutine one job per instance; nil until
-	// the worker's first instance, closed when the worker exits.
+	// the worker's first instance, closed by stop.
 	parties []chan partyJob
 	running sync.WaitGroup
+}
+
+// newWorkerState returns an idle worker's state, with room for a full
+// batch and one output per party.
+func (s *Service) newWorkerState() *workerState {
+	return &workerState{
+		batch: make([]proposal, 0, s.cfg.Batch),
+		outs:  make([]any, s.cfg.N),
+		errs:  make([]error, s.cfg.N),
+	}
+}
+
+// stop closes the job channels of the worker's party goroutines, which
+// then exit; the worker calls it when it exits.
+func (w *workerState) stop() {
+	for _, jobs := range w.parties {
+		close(jobs)
+	}
 }
 
 // partyJob is one party's share of an instance: its machine, stepped
@@ -479,26 +506,27 @@ type machineSet[T any] struct {
 // blocking: amortization (many proposals, one instance) under load,
 // latency (instance per proposal) when idle. Batches are homogeneous —
 // a proposal of the other kind (digest vs payload) ends the batch and
-// is carried over to seed the worker's next instance, so the two
-// families never share an instance. The batch is appended to batch,
-// which the worker passes in empty with room for Batch proposals.
-func (s *Service) collect(batch []proposal, first proposal) ([]proposal, *proposal) {
-	batch = append(batch, first)
+// is carried over in w.carry to seed the worker's next instance, so the
+// two families never share an instance. The batch is w.batch, which has
+// room for Batch proposals.
+func (s *Service) collect(w *workerState, first proposal) []proposal {
+	batch := append(w.batch[:0], first)
 	for len(batch) < s.cfg.Batch {
 		select {
 		case p, ok := <-s.pending:
 			if !ok {
-				return batch, nil
+				return batch
 			}
 			if p.isPayload != first.isPayload {
-				return batch, &p
+				w.carry, w.carried = p, true
+				return batch
 			}
 			batch = append(batch, p)
 		default:
-			return batch, nil
+			return batch
 		}
 	}
-	return batch, nil
+	return batch
 }
 
 // batchDigest folds a batch's values into one non-negative instance
@@ -516,45 +544,43 @@ func batchDigest(batch []proposal) ba.Value {
 	return ba.Value(h.Sum64() >> 1) // mask the sign bit: wire values are non-negative
 }
 
-// encodeBatchPayload concatenates a payload batch into the instance
+// encodeBatchPayload appends a payload batch to dst as the instance
 // input: per proposal an 8-byte big-endian length then the bytes. The
 // framing is what lets a committed decision be split back into the
 // per-proposal segments clients get their answers from.
-func encodeBatchPayload(batch []proposal) []byte {
-	size := 0
+func encodeBatchPayload(dst []byte, batch []proposal) []byte {
 	for _, p := range batch {
-		size += 8 + len(p.payload)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(len(p.payload)))
+		dst = append(dst, p.payload...)
 	}
-	out := make([]byte, 0, size)
-	for _, p := range batch {
-		out = binary.BigEndian.AppendUint64(out, uint64(len(p.payload)))
-		out = append(out, p.payload...)
-	}
-	return out
+	return dst
 }
 
 // splitBatchPayload parses decided batch bytes back into per-proposal
-// segments, or nil if the bytes don't frame cleanly (a non-committed
-// decision need not).
-func splitBatchPayload(b []byte) [][]byte {
-	var segs [][]byte
+// segments, appended to dst, each aliasing b. It returns dst[:0] if the
+// bytes don't frame cleanly (a non-committed decision need not).
+func splitBatchPayload(dst [][]byte, b []byte) [][]byte {
+	segs := dst
 	for len(b) >= 8 {
 		n := binary.BigEndian.Uint64(b[:8])
 		b = b[8:]
 		if n > uint64(len(b)) {
-			return nil
+			return dst[:0]
 		}
 		segs = append(segs, b[:n:n])
 		b = b[n:]
 	}
 	if len(b) != 0 {
-		return nil
+		return dst[:0]
 	}
 	return segs
 }
 
 // runInstance runs one BA instance for a batch on the worker's machine
-// sets and resolves its proposals.
+// sets and resolves its proposals. A payload batch is encoded into the
+// worker's one batch input, and each API proposal's payload buffer goes
+// back to its connection as soon as the input holds the copy; every
+// decision is delivered before runInstance returns and zeroes the input.
 func (s *Service) runInstance(w *workerState, batch []proposal) {
 	s.mu.Lock()
 	s.nextInstance++
@@ -578,7 +604,15 @@ func (s *Service) runInstance(w *workerState, batch []proposal) {
 		segs      [][]byte
 	)
 	if batch[0].isPayload {
-		input := encodeBatchPayload(batch)
+		w.input = encodeBatchPayload(w.input[:0], batch)
+		input := w.input
+		for i := range batch {
+			p := &batch[i]
+			if p.conn != nil {
+				p.conn.recycle(p.payload)
+			}
+			p.payload = nil
+		}
 		var decided []byte
 		decided, err = decide(s, w, &w.payload, inst, input,
 			ba.NewMultivaluedPayloadOneShot, ba.PayloadDecisionsFromOutputs, ba.CheckPayloadAgreement)
@@ -588,7 +622,8 @@ func (s *Service) runInstance(w *workerState, batch []proposal) {
 				inst, len(decided), len(input))
 		}
 		if committed {
-			segs = splitBatchPayload(decided)
+			segs = splitBatchPayload(w.segs[:0], decided)
+			w.segs = segs
 		}
 	} else {
 		digest = batchDigest(batch)
@@ -621,8 +656,12 @@ func (s *Service) runInstance(w *workerState, batch []proposal) {
 		if p.isPayload && committed && i < len(segs) {
 			d.Payload = segs[i]
 		}
-		p.resolve(d)
+		w.line = p.resolve(d, w.line)
 	}
+	clear(w.input)
+	clear(w.segs)
+	clear(w.line[:cap(w.line)])
+	w.input, w.segs, w.line = w.input[:0], w.segs[:0], w.line[:0]
 }
 
 // decide runs one multivalued BA instance with every party proposing
@@ -638,8 +677,10 @@ func (s *Service) runInstance(w *workerState, batch []proposal) {
 // first instance, reset with the new inputs on every later one, and
 // released when the instance ends, however it ends. The decision is
 // read before the release, and a decided byte string is the
-// candidate's own bytes — under pre-agreement the caller's input —
-// which no reset ever reuses.
+// candidate's own bytes — under pre-agreement the caller's input, the
+// worker's one batch input, which runInstance zeroes and the next
+// payload instance overwrites. So decided bytes are valid only until
+// runInstance returns.
 func decide[T any](s *Service, w *workerState, set *machineSet[T], inst int, input T,
 	build func(*ba.Setup, int, []T, T) (*ba.Protocol, error),
 	extract func([]any) []T, agree func([]T) error) (T, error) {
