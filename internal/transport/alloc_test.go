@@ -74,12 +74,13 @@ func TestIngressSteadyStateAllocations(t *testing.T) {
 }
 
 // TestSendSteadyStateAllocations is the egress twin: once one instance
-// has grown a node's write buffers, every later instance encodes a round
-// of sends — signed votes, a payload echo and a share certificate, whose
-// blob and share list are copied into the arena — frames it and writes
+// has grown a node's payload arena and its slot's frame, every later
+// instance on the slot encodes a round of sends — signed votes, a
+// payload echo and a share certificate, whose blob and share list are
+// copied into the arena — frames it, queues it on the outbox and writes
 // it with no allocation. Each measured send is a fresh instance's first,
-// so the pin holds only because the buffers belong to the connection,
-// not to the instance.
+// so the pin holds only because the buffers belong to the node and the
+// slot, not to the instance.
 func TestSendSteadyStateAllocations(t *testing.T) {
 	_, msgs := ingressFixture(t, 16)
 	sends := make([]sim.Send, 0, len(msgs)+2)
@@ -96,17 +97,17 @@ func TestSendSteadyStateAllocations(t *testing.T) {
 		sim.Send{To: 3, Payload: ba.TCPayloadEcho{Data: bytes.Repeat([]byte{0x5a}, 4<<10), Valid: true}},
 		sim.Send{To: sim.Broadcast, Payload: cert})
 	conn := &frameLoopConn{}
-	nd := &MuxNode{conn: conn, cfg: DefaultConfig()}
-	if err := nd.sendRound(1, 5, sends); err != nil { // instance 1 warms the buffers
+	ir := &instanceRun{node: &MuxNode{outbox: outbox{conn: conn}, cfg: DefaultConfig()}, inst: 1}
+	if err := ir.sendRound(5, sends); err != nil { // instance 1 warms the buffers
 		t.Fatal(err)
 	}
-	inst := 1
 	allocs := testing.AllocsPerRun(50, func() {
-		inst++
-		if err := nd.sendRound(inst, 5, sends); err != nil {
+		ir.inst++
+		if err := ir.sendRound(5, sends); err != nil {
 			t.Fatal(err)
 		}
 	})
+	inst := ir.inst
 	if allocs != 0 {
 		t.Errorf("a warm node's next instance allocates %.1f objects to send a round; want 0", allocs)
 	}
@@ -183,10 +184,10 @@ func TestReadFrameIntoWarmAllocations(t *testing.T) {
 	}
 }
 
-// TestWriteFrameWarmAllocations pins the frame writer: a sealed frame —
-// the length prefix reserved and filled in the node's write buffer —
-// goes out in one conn.Write, and once one instance has grown that
-// buffer, a second instance's round goes out with no allocation. A
+// TestWriteFrameWarmAllocations pins the frame writer: a lone sender's
+// sealed frame — the length prefix reserved and filled in its slot's
+// frame — goes out in one conn.Write, and once one instance has grown
+// that buffer, a second instance's round goes out with no allocation. A
 // 4-byte header array written on its own once escaped through the
 // interface call: one allocation, and one extra syscall, per frame.
 func TestWriteFrameWarmAllocations(t *testing.T) {
@@ -200,12 +201,13 @@ func TestWriteFrameWarmAllocations(t *testing.T) {
 		sends[i] = sim.Send{To: sim.Broadcast, Payload: p}
 	}
 	conn := &frameLoopConn{}
-	nd := &MuxNode{conn: conn, cfg: DefaultConfig()}
-	if err := nd.sendRound(1, 1, sends); err != nil { // instance 1 warms the buffers
+	ir := &instanceRun{node: &MuxNode{outbox: outbox{conn: conn}, cfg: DefaultConfig()}, inst: 1}
+	if err := ir.sendRound(1, sends); err != nil { // instance 1 warms the buffers
 		t.Fatal(err)
 	}
+	ir.inst = 2
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := nd.sendRound(2, 1, sends); err != nil {
+		if err := ir.sendRound(1, sends); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -237,7 +239,7 @@ func TestHubGatherWarmAllocations(t *testing.T) {
 		conns:  make([]*muxConn, n),
 		done:   make(chan struct{}),
 	}
-	hi := &HubInstance{h: h, mail: make([]chan muxBatch, n), dead: make([]bool, n), log: newEventLog(n), batches: make([]*frame, n)}
+	hi := &HubInstance{h: h, mail: make([]chan muxBatch, n), dead: make([]bool, n), log: newEventLog(n), roundScratch: newRoundScratch(n)}
 	for id := range hi.mail {
 		h.conns[id] = &muxConn{down: make(chan struct{})}
 		hi.mail[id] = make(chan muxBatch, muxMailDepth)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"os"
@@ -12,10 +13,10 @@ import (
 	"proxcensus/internal/wire"
 )
 
-// The tests in this file pin the transport's one pair of frame I/O
-// functions to their deadlines: readFrameInto arms a read deadline on
-// every frame, writeFrame a write deadline. Each test provokes a
-// timeout of a few hundred milliseconds and gives up at
+// The tests in this file pin the transport's frame I/O to its
+// deadlines: readFrameInto arms a read deadline before every read that
+// can block, writeFrames a write deadline on every write. Each test
+// provokes a timeout of a few hundred milliseconds and gives up at
 // deadlineWatchdog, so an I/O call left without its deadline — which
 // would block forever — fails the test instead of hanging the binary.
 const deadlineWatchdog = 1500 * time.Millisecond
@@ -191,5 +192,79 @@ func TestWriteFrameTimesOutOnStalledPeer(t *testing.T) {
 		}
 	case <-time.After(deadlineWatchdog):
 		t.Fatalf("writeFrame still blocked %s into a %s deadline", deadlineWatchdog, wait)
+	}
+}
+
+// armCountingConn counts the read deadlines armed on a connection.
+type armCountingConn struct {
+	net.Conn
+	arms int
+}
+
+func (c *armCountingConn) SetReadDeadline(t time.Time) error {
+	c.arms++
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestReadTimesOutOnHalfFrame: readFrameInto skips the read deadline
+// only for a frame the connection buffer already holds whole. A peer
+// sends two frames and the length prefix and half the body of a third
+// in one write, then stalls: the first read arms, the second is served
+// from the buffer without arming, and the third — whose header is
+// buffered but not its body — arms its own short deadline and times out
+// at it, although the deadline the first read armed lies a minute
+// ahead.
+func TestReadTimesOutOnHalfFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	peer, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = peer.Close() }()
+	accepted, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = accepted.Close() }()
+	conn := &armCountingConn{Conn: accepted}
+
+	whole := framed([]byte("a whole frame"))
+	half := framed(bytes.Repeat([]byte{0x5a}, 64))
+	if _, err := peer.Write(append(append(append([]byte(nil), whole...), whole...), half[:frameHeader+32]...)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the whole segment land in the socket buffer
+	br := newConnReader(conn)
+	var buf []byte
+	for i := 0; i < 2; i++ {
+		if buf, err = readFrameInto(conn, br, time.Now().Add(time.Minute), buf); err != nil || !bytes.Equal(buf, whole[frameHeader:]) {
+			t.Fatalf("frame %d: %q, %v; want the whole frame", i, buf, err)
+		}
+	}
+	if conn.arms != 1 {
+		t.Errorf("two frames read out of one segment armed %d read deadlines, want 1", conn.arms)
+	}
+
+	const wait, slack = 200 * time.Millisecond, 500 * time.Millisecond
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := readFrameInto(conn, br, start.Add(wait), buf)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("reading the half frame = %v, want os.ErrDeadlineExceeded", err)
+		}
+		if elapsed := time.Since(start); elapsed > wait+slack {
+			t.Errorf("the half-frame read returned %s after start, want within %s of its %s deadline", elapsed, slack, wait)
+		}
+	case <-time.After(deadlineWatchdog):
+		t.Fatalf("the half-frame read still blocked %s into a %s deadline", deadlineWatchdog, wait)
 	}
 }

@@ -130,11 +130,12 @@ func TestPoisonedFramesPayloadMatchesSim(t *testing.T) {
 // TestConcurrentPayloadInstancesShareWriteBuffers: twelve payload
 // instances run at once over one hub and four nodes, each proposing a
 // 16 KiB payload of its own, so every node encodes all twelve
-// instances' rounds into its one set of write buffers, interleaved as
-// the scheduler pleases, while released receive frames are poisoned.
-// Every node must decide each instance's own bytes: a send buffer
-// reused before its frame was written, or a payload read from a frame
-// after its release, shows up as another instance's bytes or 0xDB.
+// instances' rounds through its one payload arena and queues them on
+// its one outbox, where they share writes, interleaved as the scheduler
+// pleases, while released receive frames are poisoned. Every node must
+// decide each instance's own bytes: a send buffer reused before its
+// frame was written, or a payload read from a frame after its release,
+// shows up as another instance's bytes or 0xDB.
 func TestConcurrentPayloadInstancesShareWriteBuffers(t *testing.T) {
 	const n, tc, kappa, instances, size = 4, 1, 2, 12, 16 << 10
 	cfg := quickConfig()

@@ -9,23 +9,26 @@
 // lane left off. internal/service layers admission control and instance
 // lifecycle on top; RunLocal runs a single instance.
 //
-// Each frame crosses the socket in one syscall each way when it can. A
-// sender encodes its body behind a reserved length prefix and writes the
-// sealed frame with one conn.Write; every connection reader reads
-// through a buffer of its own (connBufSize), so one read syscall takes
-// in every frame the peer has queued. Received bytes are copied once per
-// hop into a frame: a small frame out of the connection buffer, a body
-// larger than the buffer straight off the socket. The frame — read
-// buffer plus parsed batch — travels with its batch from the connection
-// reader down the lane to the round loop, everything downstream aliases
-// it (batch entries, routed inboxes, decoded payload blobs), and whoever
-// ends its journey releases it to the endpoint's free list: a drop site
-// on the spot, the hub once the round's last delivery is written, the
-// node once Machine.Deliver has returned. Each round loop waits against
-// one timer, re-armed round over round. What an instance's rounds need
-// beyond its lanes — receive scratch, decoder, screen, timer on a node;
-// round scratch and timer on the hub — sits in instance slots that
-// serve one instance after another (instanceRun, roundScratch).
+// Frames share syscalls both ways. A sender encodes its body behind a
+// reserved length prefix into a buffer it owns and queues the sealed
+// frame on the connection's outbox, and the frames concurrent instances
+// queue meanwhile go out with it in one write (outbox). Every connection
+// reader reads through a buffer of its own (connBufSize), so one read
+// syscall takes in every frame the peer has queued, and arms its
+// deadline only when the next frame is not already buffered whole.
+// Received bytes are copied once per hop into a frame: a small frame out
+// of the connection buffer, a body larger than the buffer straight off
+// the socket. The frame — read buffer plus parsed batch — travels with
+// its batch from the connection reader down the lane to the round loop,
+// everything downstream aliases it (batch entries, routed inboxes,
+// decoded payload blobs), and whoever ends its journey releases it to
+// the endpoint's free list: a drop site on the spot, the hub once the
+// round's delivery frames are encoded, the node once Machine.Deliver has
+// returned. Each round loop waits against one timer, re-armed round over
+// round. What an instance's rounds need beyond its lanes — receive
+// scratch, decoder, screen, timer and send frame on a node; round
+// scratch and timer on the hub — sits in instance slots that serve one
+// instance after another (instanceRun, roundScratch).
 
 package transport
 
@@ -34,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,12 +169,155 @@ type muxBatch struct {
 }
 
 // muxConn is one node's shared connection on the hub side. The reader
-// goroutine owns reads; writes from concurrent instance round loops
-// serialize on wmu; down closes exactly once when the connection dies.
+// goroutine owns reads; writes from concurrent instance round loops go
+// through its outbox; down closes exactly once when the connection dies.
 type muxConn struct {
-	conn net.Conn
-	wmu  sync.Mutex
+	outbox
 	down chan struct{}
+}
+
+// outFrame is one sealed frame queued on an outbox and the answer its
+// sender waits for. The sender owns the struct and the frame's bytes and
+// touches neither from queueing the frame until its answer comes, so the
+// outbox holds references and copies nothing.
+type outFrame struct {
+	frame    []byte
+	deadline time.Time
+	// reply receives the frame back when its flush is answered — conn
+	// and err set — or when the writer role is handed to its sender —
+	// lead set. It holds one signal for every frame its sender can have
+	// queued at once, so a writer never blocks on it.
+	reply chan *outFrame
+	box   *outbox
+	lead  bool
+	conn  net.Conn
+	err   error
+}
+
+// outbox coalesces the frames concurrent senders queue on one shared
+// connection into one write. The first sender that finds no writer
+// becomes it, yields once — so senders that are already runnable queue
+// behind it — and writes everything queued in one call (drain, flush).
+// Each writer flushes once: it then hands the role to the oldest frame
+// queued during its flush, or gives the role up when nothing was queued.
+// That bounds what a sender writes for others to one flush — its own
+// frame goes out in it — and strands no frame: whoever queued a frame is
+// blocked on its reply, which carries the role as well as the answer.
+// Frames queued on one outbox go out in the order they were queued, so
+// one sender's frames keep their order.
+type outbox struct {
+	// wmu serializes flushes and, on a node, the redials that replace
+	// conn: conn changes only under it.
+	wmu  sync.Mutex
+	conn net.Conn
+
+	// qmu guards writing, queue and, on a node, the payload arena and
+	// batch its senders encode into before they queue.
+	qmu     sync.Mutex
+	writing bool
+	queue   []*outFrame
+	// The writer's scratch: the last flush's emptied queue, handed over
+	// with the role under qmu, and the flush's frames. WriteTo consumes
+	// the net.Buffers it is called on, so each flush hands it wv, a
+	// field holding a copy of bufs, which keeps that header off the heap.
+	spare []*outFrame
+	bufs  net.Buffers
+	wv    net.Buffers
+}
+
+// queueLocked queues f, the caller holding qmu, and reports whether the
+// caller took the writer role.
+func (o *outbox) queueLocked(f *outFrame) bool {
+	f.box = o
+	o.queue = append(o.queue, f)
+	if o.writing {
+		return false
+	}
+	o.writing = true
+	return true
+}
+
+// enqueue is queueLocked taking qmu.
+func (o *outbox) enqueue(f *outFrame) bool {
+	o.qmu.Lock()
+	defer o.qmu.Unlock()
+	return o.queueLocked(f)
+}
+
+// send queues one frame and returns, once it has been written or has
+// failed, the connection it went out on and the error.
+func (o *outbox) send(f *outFrame) (net.Conn, error) {
+	return o.await(f, o.enqueue(f))
+}
+
+// await returns f's answer. A sender that took the writer role when it
+// queued (lead) yields once, to let other senders queue behind it, and
+// drains; a sender the role is handed to while it waits drains then.
+func (o *outbox) await(f *outFrame, lead bool) (net.Conn, error) {
+	if lead {
+		runtime.Gosched()
+		o.drain()
+	}
+	for {
+		<-f.reply
+		if !f.lead {
+			conn, err := f.conn, f.err
+			f.conn, f.err = nil, nil
+			return conn, err
+		}
+		f.lead = false
+		o.drain()
+	}
+}
+
+// drain is one writer's turn: it takes everything queued, writes it in
+// one flush, answers every frame taken with the flush's connection and
+// error, and hands the role to the oldest frame queued meanwhile, or
+// gives it up.
+func (o *outbox) drain() {
+	o.qmu.Lock()
+	taken := o.queue
+	o.queue = o.spare[:0]
+	o.qmu.Unlock()
+	conn, err := o.flush(taken)
+	for i, f := range taken {
+		taken[i] = nil
+		f.conn, f.err = conn, err
+		f.reply <- f
+	}
+	o.qmu.Lock()
+	o.spare = taken[:0]
+	if len(o.queue) == 0 {
+		o.writing = false
+		o.qmu.Unlock()
+		return
+	}
+	next := o.queue[0]
+	o.qmu.Unlock()
+	next.lead = true
+	next.reply <- next
+}
+
+// flush writes the taken frames in one call under wmu, bounded by the
+// earliest deadline among them, and returns the connection it wrote to.
+// The tagged-batch encoders refuse a body past wire.MaxFrame, so no
+// queued frame fails the size check writeFrame makes.
+func (o *outbox) flush(taken []*outFrame) (net.Conn, error) {
+	deadline := taken[0].deadline
+	for _, f := range taken {
+		o.bufs = append(o.bufs, f.frame)
+		if f.deadline.Before(deadline) {
+			deadline = f.deadline
+		}
+	}
+	o.wmu.Lock()
+	conn := o.conn
+	o.wv = o.bufs
+	err := writeFrames(conn, &o.wv, deadline)
+	o.wmu.Unlock()
+	clear(o.bufs)
+	o.bufs = o.bufs[:0]
+	return conn, err
 }
 
 // MuxHub is the long-lived hub: it admits one versioned (VersionMux)
@@ -195,7 +342,7 @@ type MuxHub struct {
 	insts   map[int]*HubInstance
 	// idle holds the round scratch of finished instances, a stack that
 	// StartInstance takes from before it makes any.
-	idle []roundScratch
+	idle []*roundScratch
 
 	done       chan struct{} // closed, under mu, by Close
 	acceptDone chan struct{}
@@ -384,7 +531,7 @@ func (h *MuxHub) admit(conn net.Conn) {
 		reject(id, resume, fmt.Sprintf("%v: id %d out of range", ErrBadHello, id))
 		return
 	}
-	mc := &muxConn{conn: conn, down: make(chan struct{})}
+	mc := &muxConn{outbox: outbox{conn: conn}, down: make(chan struct{})}
 	h.mu.Lock()
 	old := h.conns[id]
 	switch {
@@ -469,12 +616,12 @@ func (h *MuxHub) route(from, inst, round int, f *frame) {
 	}
 }
 
-// write delivers one sealed frame on node id's current connection,
-// serialized against concurrent instances. A failed write downs the
+// write delivers one queued frame, f, on node id's current connection
+// through its outbox, bounded by f's deadline. A failed write downs the
 // connection, and a down connection is waited out: the node may be
 // mid-redial, so the frame goes to the replacement if one is admitted
 // before the deadline. A node with no slot at all fails at once.
-func (h *MuxHub) write(id int, frame []byte, deadline time.Time) error {
+func (h *MuxHub) write(id int, f *outFrame) error {
 	var timer *time.Timer
 	for {
 		h.mu.Lock()
@@ -484,9 +631,7 @@ func (h *MuxHub) write(id int, frame []byte, deadline time.Time) error {
 			return fmt.Errorf("transport: node %d has no connection", id)
 		}
 		if !isDown(mc) {
-			mc.wmu.Lock()
-			err := writeFrame(mc.conn, frame, deadline)
-			mc.wmu.Unlock()
+			_, err := mc.send(f)
 			if err == nil {
 				return nil
 			}
@@ -494,7 +639,7 @@ func (h *MuxHub) write(id int, frame []byte, deadline time.Time) error {
 			continue
 		}
 		if timer == nil {
-			timer = time.NewTimer(time.Until(deadline))
+			timer = time.NewTimer(time.Until(f.deadline))
 			defer timer.Stop()
 		}
 		select {
@@ -551,18 +696,12 @@ func (h *MuxHub) StartInstance(inst, rounds int) (*HubInstance, error) {
 		return nil, fmt.Errorf("%w: %d", ErrDupInstance, inst)
 	}
 	h.insts[inst] = hi
-	var s roundScratch
 	if k := len(h.idle); k > 0 {
-		s, h.idle[k-1] = h.idle[k-1], roundScratch{}
+		hi.roundScratch, h.idle[k-1] = h.idle[k-1], nil
 		h.idle = h.idle[:k-1]
 	} else {
-		s = roundScratch{
-			batches:    make([]*frame, h.n),
-			inboxes:    make([][]wire.BatchMsg, h.n),
-			deliveries: make([][]byte, h.n),
-		}
+		hi.roundScratch = newRoundScratch(h.n)
 	}
-	hi.batches, hi.inboxes, hi.deliveries, hi.outFrames, hi.timer = s.batches, s.inboxes, s.deliveries, s.outFrames, s.timer
 	return hi, nil
 }
 
@@ -579,18 +718,46 @@ func (h *MuxHub) finish(hi *HubInstance) {
 	h.log.markDead(hi.dead)
 }
 
-// roundScratch is a HubInstance's round scratch while no instance runs
-// on it. The hub keeps the scratch of finished instances on a stack and
-// hands it to the instances it starts, so the buffers a round grows
-// serve one instance after another; mail, dead and the event log stay
-// per instance, because a finished instance's late frame may still be
-// on its way to a lane, and its report is read after Run returns.
+// roundScratch is what a HubInstance's rounds run on beyond its lanes.
+// The hub keeps the scratch of finished instances on a stack and hands
+// it to the instances it starts, so the buffers a round grows serve one
+// instance after another; mail, dead and the event log stay per
+// instance, because a finished instance's late frame may still be on
+// its way to a lane, and its report is read after Run returns.
+//
+// batches holds the round's gathered frames (nil for a node that sent
+// none); inboxes alias them until the round's deliveries are encoded.
+// deliveries holds each recipient's sealed frame, one of outFrames. outs
+// are the deliveries as queued on the recipients' outboxes, answered on
+// replies; conns holds the connections they were queued on and claimed
+// the outboxes whose writer role the round loop took.
 type roundScratch struct {
 	batches    []*frame
 	inboxes    [][]wire.BatchMsg
 	deliveries [][]byte
 	outFrames  [][]byte
-	timer      *time.Timer
+	outs       []outFrame
+	replies    chan *outFrame
+	conns      []*muxConn
+	claimed    []*outbox
+	// timer bounds each round's gather, re-armed round over round.
+	timer *time.Timer
+}
+
+// newRoundScratch makes the round scratch of an n-node hub.
+func newRoundScratch(n int) *roundScratch {
+	s := &roundScratch{
+		batches:    make([]*frame, n),
+		inboxes:    make([][]wire.BatchMsg, n),
+		deliveries: make([][]byte, n),
+		outs:       make([]outFrame, n),
+		replies:    make(chan *outFrame, n), // one signal per queued delivery (outFrame.reply)
+		conns:      make([]*muxConn, n),
+	}
+	for id := range s.outs {
+		s.outs[id].reply = s.replies
+	}
+	return s
 }
 
 // releaseScratch stops the instance's timer and takes its round scratch
@@ -598,22 +765,22 @@ type roundScratch struct {
 // idle scratch holds no reference into a released frame, and routing
 // scratch or delivery buffers that grew past their keep bounds are left
 // to the collector.
-func (hi *HubInstance) releaseScratch() roundScratch {
-	if hi.timer != nil {
-		hi.timer.Stop()
+func (hi *HubInstance) releaseScratch() *roundScratch {
+	s := hi.roundScratch
+	hi.roundScratch = nil
+	if s.timer != nil {
+		s.timer.Stop()
 	}
-	clear(hi.batches)
-	clear(hi.deliveries)
-	for id := range hi.inboxes {
-		hi.inboxes[id] = idleScratch(hi.inboxes[id])
+	clear(s.batches)
+	clear(s.deliveries)
+	for id := range s.inboxes {
+		s.inboxes[id] = idleScratch(s.inboxes[id])
 	}
-	for i, buf := range hi.outFrames {
+	for i, buf := range s.outFrames {
 		if cap(buf) > frameKeepMax {
-			hi.outFrames[i] = nil
+			s.outFrames[i] = nil
 		}
 	}
-	s := roundScratch{hi.batches, hi.inboxes, hi.deliveries, hi.outFrames, hi.timer}
-	hi.batches, hi.inboxes, hi.deliveries, hi.outFrames, hi.timer = nil, nil, nil, nil, nil
 	return s
 }
 
@@ -650,18 +817,11 @@ type HubInstance struct {
 	dead   []bool
 	log    *eventLog
 
-	// Round scratch owned by the sequential Run loop (see roundScratch).
-	// batches holds the round's gathered frames (nil for a node that
-	// sent none); inboxes alias them until the round's deliveries are
-	// written. deliveries holds each recipient's sealed frame, one of
-	// outFrames.
-	batches    []*frame
-	inboxes    [][]wire.BatchMsg
-	deliveries [][]byte
-	outFrames  [][]byte
-	// timer bounds each round's gather, re-armed round over round;
-	// expired records that it fired during the current round.
-	timer   *time.Timer
+	// The round scratch, owned by the sequential Run loop. It is held by
+	// pointer: one allocation serves instance after instance, and the
+	// struct made per instance stays small.
+	*roundScratch
+	// expired records that the timer fired during the current round.
 	expired bool
 }
 
@@ -690,7 +850,7 @@ func (hi *HubInstance) die(id, round int, detail string) {
 
 // runRound executes one synchronous round of this instance: gather
 // every live node's batch, route with the partition filter applied,
-// deliver, and release the gathered frames.
+// encode the deliveries, release the gathered frames and deliver.
 func (hi *HubInstance) runRound(round int) {
 	start := time.Now()
 	faults := hi.h.cfg.Faults
@@ -734,28 +894,85 @@ func (hi *HubInstance) runRound(round int) {
 		hi.h.log.add(EventPartition, -1, round, fmt.Sprintf("instance %d: %d messages cut", hi.id, cut))
 	}
 
-	// Delivery gets a fresh deadline: the gather phase may have spent
-	// the whole round budget waiting out a dying node, and the
-	// survivors must not be punished for it. Nodes allow two round
-	// timeouts on their receive for exactly this reason.
+	// The delivery frames are encoded copies: nothing reads the inboxes
+	// again, so the frames they alias go back before the writes.
 	hi.encodeDeliveries(round)
-	deliverBy := time.Now().Add(hi.h.cfg.RoundTimeout)
-	for id, frame := range hi.deliveries {
-		if frame == nil {
-			continue
-		}
-		if err := hi.h.write(id, frame, deliverBy); err != nil {
-			hi.die(id, round, "delivery failed: "+err.Error())
-		}
-	}
-	// The last delivery frame is encoded and written: nothing reads the
-	// inboxes again, so the frames they alias can go back.
 	for _, f := range hi.batches {
 		if f != nil {
 			hi.h.frames.put(f)
 		}
 	}
+	// Delivery gets a fresh deadline: the gather phase may have spent
+	// the whole round budget waiting out a dying node, and the
+	// survivors must not be punished for it. Nodes allow two round
+	// timeouts on their receive for exactly this reason.
+	hi.deliver(round, time.Now().Add(hi.h.cfg.RoundTimeout))
 	hi.log.roundDone(round, time.Since(start))
+}
+
+// deliver writes the round's delivery frames. Each live recipient's
+// frame is queued on its connection's outbox, and the round loop takes
+// the writer role of every outbox that had no writer. After one yield,
+// which lets the round loops of other instances queue their frames
+// behind it, it drains those outboxes one after another, so a frame
+// shares its write with whatever other instances queued on the same
+// connection. It then waits for every frame's answer, draining any
+// outbox whose role is handed to it meanwhile. A frame whose connection
+// was down when it was queued, or whose write failed — the connection
+// is then downed — goes through MuxHub.write, which waits out a
+// replacement until the deadline; a recipient it cannot reach is dead
+// for this instance.
+func (hi *HubInstance) deliver(round int, deadline time.Time) {
+	h := hi.h
+	h.mu.Lock()
+	copy(hi.conns, h.conns)
+	h.mu.Unlock()
+	claimed, queued := hi.claimed[:0], 0
+	for id, frame := range hi.deliveries {
+		f := &hi.outs[id]
+		f.frame, f.deadline = frame, deadline
+		if mc := hi.conns[id]; frame != nil && mc != nil && !isDown(mc) {
+			if mc.enqueue(f) {
+				claimed = append(claimed, &mc.outbox)
+			}
+			queued++
+		}
+	}
+	if len(claimed) > 0 {
+		runtime.Gosched()
+		for _, o := range claimed {
+			o.drain()
+		}
+	}
+	for queued > 0 {
+		f := <-hi.replies
+		if f.lead {
+			f.lead = false
+			f.box.drain()
+			continue
+		}
+		queued--
+	}
+	for id, frame := range hi.deliveries {
+		f := &hi.outs[id]
+		if frame == nil || f.box != nil && f.err == nil {
+			continue
+		}
+		if f.err != nil {
+			h.connLost(id, hi.conns[id], "write: "+f.err.Error())
+		}
+		if err := h.write(id, f); err != nil {
+			hi.die(id, round, "delivery failed: "+err.Error())
+		}
+	}
+	// Emptied for the next round: no frame, answer or connection stays
+	// referenced from the scratch.
+	for id := range hi.outs {
+		hi.outs[id] = outFrame{reply: hi.replies}
+	}
+	clear(hi.conns)
+	clear(claimed)
+	hi.claimed = claimed[:0]
 }
 
 // encodeDeliveries encodes each live recipient's inbox into its sealed
@@ -911,8 +1128,8 @@ func (hi *HubInstance) gather(id, round int) *frame {
 
 // MuxNode is one party's long-lived connection to a MuxHub. Concurrent
 // RunInstance calls share the connection: a reader goroutine
-// demultiplexes hub deliveries into per-instance lanes, and sends
-// serialize on a write mutex. When the connection breaks the node
+// demultiplexes hub deliveries into per-instance lanes, and sends go
+// through the connection's outbox. When the connection breaks the node
 // redials with a resume hello; lanes stay registered throughout.
 type MuxNode struct {
 	id   int
@@ -921,18 +1138,16 @@ type MuxNode struct {
 	log  *eventLog
 	// frames is the reader's free list; instances release into it.
 	frames frameList
-	// wmu serializes writes and redials, so nobody writes to a
-	// connection that is being replaced, and guards the node's write
-	// buffers: every instance's round sends are encoded into the one
-	// arena, batch and frame and written inside the same critical
-	// section (sendRound).
-	wmu    sync.Mutex
-	arena  []byte
-	batch  []wire.BatchMsg
-	wframe []byte
+	// The outbox's conn is the current shared connection, written under
+	// wmu and mu; wmu serializes flushes and redials, so nobody writes
+	// to a connection that is being replaced. Under qmu, every
+	// instance's round sends are encoded through the node's one payload
+	// arena and batch into the instance slot's frame (sendRound).
+	outbox
+	arena []byte
+	batch []wire.BatchMsg
 
 	mu    sync.Mutex
-	conn  net.Conn // current shared connection; written under wmu and mu
 	lanes map[int]chan muxBatch
 	// slots holds the idle instance slots, a stack that RunInstance
 	// takes from before it makes any.
@@ -1150,51 +1365,62 @@ func (nd *MuxNode) unregister(inst int) {
 	nd.mu.Unlock()
 }
 
-// sendRound encodes instance inst's round sends into the node's write
-// buffers and writes the sealed frame on the shared connection, all
-// under wmu, so one buffer set serves every instance the node runs and
-// what the node allocates does not depend on how they interleave. A
-// broken connection is absorbed once by redialing, encoding again — the
-// buffers may have carried another instance's frame in between — and
-// resending. An encode error fails the round as an encode, not as a
-// send.
-func (nd *MuxNode) sendRound(inst, round int, sends []sim.Send) error {
-	for attempt := 0; ; attempt++ {
-		nd.wmu.Lock()
-		frame, err := nd.encodeSends(inst, round, sends)
-		if err != nil {
-			nd.wmu.Unlock()
-			return fmt.Errorf("transport: instance %d round %d encode: %w", inst, round, err)
-		}
-		conn := nd.conn // replaced only by redial, which holds wmu
-		err = writeFrame(conn, frame, time.Now().Add(nd.cfg.RoundTimeout))
-		if cap(nd.arena) > frameKeepMax || cap(nd.wframe) > frameKeepMax {
-			// Oversized buffers go to the collector, as frames do.
-			nd.arena, nd.batch, nd.wframe = nil, nil, nil
-		}
-		nd.wmu.Unlock()
-		if err == nil {
-			return nil
-		}
-		if attempt == 0 {
-			_, derr := nd.redial(conn, round, "send: "+err.Error())
-			if derr == nil {
-				continue
-			}
-			err = errors.Join(err, derr)
-		}
-		return fmt.Errorf("transport: instance %d round %d send: %w", inst, round, err)
+// sendRound encodes the slot's round sends through the node's payload
+// arena and batch into the slot's own frame, under qmu, queues the
+// sealed frame on the connection's outbox in the same critical section
+// and waits for its write. The arena and batch serve every instance the
+// node runs, and the frame belongs to the slot until its answer comes,
+// so what the node allocates follows from how many instances it runs at
+// once, not from how their sends interleave. A broken connection is
+// absorbed once: the caller redials the connection its frame failed on
+// — of several callers that saw one loss exactly one dials — and queues
+// the same frame again. An encode error fails the round as an encode,
+// not as a send.
+func (ir *instanceRun) sendRound(round int, sends []sim.Send) error {
+	nd, f := ir.node, &ir.out
+	if f.reply == nil {
+		f.reply = make(chan *outFrame, 1)
 	}
+	nd.qmu.Lock()
+	frame, err := nd.encodeSends(ir.inst, round, sends, f.frame)
+	if err != nil {
+		nd.qmu.Unlock()
+		return fmt.Errorf("transport: instance %d round %d encode: %w", ir.inst, round, err)
+	}
+	if cap(nd.arena) > frameKeepMax {
+		// An oversized arena goes to the collector, as frames do.
+		nd.arena, nd.batch = nil, nil
+	}
+	f.frame, f.deadline = frame, time.Now().Add(nd.cfg.RoundTimeout)
+	lead := nd.queueLocked(f)
+	nd.qmu.Unlock()
+	conn, err := nd.await(f, lead)
+	if err != nil {
+		if _, derr := nd.redial(conn, round, "send: "+err.Error()); derr != nil {
+			err = errors.Join(err, derr)
+		} else {
+			f.deadline = time.Now().Add(nd.cfg.RoundTimeout)
+			_, err = nd.send(f)
+		}
+	}
+	if cap(f.frame) > frameKeepMax {
+		// An oversized frame goes to the collector too.
+		f.frame = nil
+	}
+	if err != nil {
+		return fmt.Errorf("transport: instance %d round %d send: %w", ir.inst, round, err)
+	}
+	return nil
 }
 
-// encodeSends encodes a machine's sends into the node's write buffers
-// and frames them with the instance tag; the caller holds wmu. Payloads
-// are appended into one arena and referenced by full-slice sub-slices,
-// so arena growth can never let a later payload clobber an earlier one;
-// the sealed frame is built over the same reused buffer. Once the
-// buffers have grown to the node's largest round, sending allocates
-// nothing.
-func (nd *MuxNode) encodeSends(inst, round int, sends []sim.Send) ([]byte, error) {
+// encodeSends encodes a machine's sends through the node's payload
+// arena and batch into frame, tagged with the instance, and returns the
+// sealed frame; the caller holds qmu. Payloads are appended into the
+// arena and referenced by full-slice sub-slices, so arena growth can
+// never let a later payload clobber an earlier one. Once the arena, the
+// batch and the slot's frame have grown to the largest round, sending
+// allocates nothing.
+func (nd *MuxNode) encodeSends(inst, round int, sends []sim.Send, frame []byte) ([]byte, error) {
 	arena := nd.arena[:0]
 	batch := nd.batch[:0]
 	var err error
@@ -1207,21 +1433,21 @@ func (nd *MuxNode) encodeSends(inst, round int, sends []sim.Send) ([]byte, error
 	}
 	nd.arena = arena
 	nd.batch = batch
-	frame, err := wire.AppendEncodeTaggedBatch(beginFrame(nd.wframe), inst, round, batch)
+	frame, err = wire.AppendEncodeTaggedBatch(beginFrame(frame), inst, round, batch)
 	if err != nil {
 		return nil, err
 	}
-	nd.wframe = frame
 	return sealFrame(frame), nil
 }
 
-// instanceRun is an instance slot: the decoder, the ingress validator
-// and the receive scratch one RunInstance call runs on. A node keeps
-// its idle slots on a stack, and each call takes one for its instance
-// and returns it reset (putSlot), so concurrent instances share nothing
-// but the connection and its write buffers, and consecutive ones share
-// the slot's grown buffers and maps. All scratch is reused round over
-// round, so a steady-state round allocates nothing.
+// instanceRun is an instance slot: the decoder, the ingress validator,
+// the receive scratch and the send frame one RunInstance call runs on.
+// A node keeps its idle slots on a stack, and each call takes one for
+// its instance and returns it reset (putSlot), so concurrent instances
+// share nothing but the connection, its outbox and the node's payload
+// arena, and consecutive ones share the slot's grown buffers and maps.
+// All scratch is reused round over round, so a steady-state round
+// allocates nothing.
 type instanceRun struct {
 	node    *MuxNode
 	inst    int
@@ -1231,6 +1457,9 @@ type instanceRun struct {
 	in       []validate.Inbound
 	verdicts []bool
 	inbox    []sim.Message
+	// out is the round's sealed send frame as queued on the outbox; its
+	// buffer is reused round over round.
+	out outFrame
 	// timer bounds each round's receive, re-armed round over round.
 	timer *time.Timer
 }
@@ -1323,15 +1552,14 @@ func (ir *instanceRun) send(round int, sends []sim.Send) error {
 		nd.log.add(EventDelay, nd.id, round, fmt.Sprintf("delaying send by %s", d))
 		time.Sleep(d)
 	}
-	if err := nd.sendRound(ir.inst, round, sends); err != nil {
+	if err := ir.sendRound(round, sends); err != nil {
 		return err
 	}
 	if inj.Duplicate(nd.id, round) {
 		nd.log.add(EventDup, nd.id, round, "duplicating batch frame")
 		// Best effort: the duplicate models a retransmission race, so its
-		// own failure is not one. The write buffers may hold another
-		// instance's frame by now, so the round is encoded again.
-		_ = nd.sendRound(ir.inst, round, sends)
+		// own failure is not one.
+		_ = ir.sendRound(round, sends)
 	}
 	return nil
 }

@@ -233,7 +233,7 @@ func TestMuxUnknownInstanceDropped(t *testing.T) {
 
 	// Node 0 sends an empty round for instance 999, which nothing
 	// registered, through its one write path.
-	if err := nodes[0].sendRound(999, 1, nil); err != nil {
+	if err := (&instanceRun{node: nodes[0], inst: 999}).sendRound(1, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -656,22 +656,22 @@ func TestHubDeliversInSenderOrder(t *testing.T) {
 // recipient gets none, and a recipient whose inbox a partition trimmed
 // gets a frame of its own, which ends the run — the recipient after it
 // is encoded afresh even though its inbox matches an earlier one. Each
-// frame decodes to its recipient's inbox, and once its buffers have
-// grown a round allocates nothing.
+// frame decodes to its recipient's inbox and is what its connection
+// receives, and once the buffers have grown a round's encoding and
+// delivery — queueing, flushing and answering every frame — allocate
+// nothing.
 func TestHubEncodeOnceWarmAllocations(t *testing.T) {
 	const n, size, dead, trimmed = 16, 16 << 10, 5, 9
 	blobs := make([][]byte, n)
 	for i := range blobs {
 		blobs[i] = bytes.Repeat([]byte{byte(i % 3)}, size) // senders 0, 3, 6, … send alike
 	}
-	hi := &HubInstance{
-		h:          &MuxHub{n: n},
-		id:         7,
-		dead:       make([]bool, n),
-		log:        newEventLog(n),
-		inboxes:    make([][]wire.BatchMsg, n),
-		deliveries: make([][]byte, n),
+	conns := make([]net.Conn, n)
+	for id := range conns {
+		conns[id] = &frameLoopConn{}
 	}
+	_, hi := deliveryHub(n, conns...)
+	hi.id = 7
 	route := func(to int, skip int) {
 		hi.inboxes[to] = hi.inboxes[to][:0]
 		for from, b := range blobs {
@@ -695,9 +695,13 @@ func TestHubEncodeOnceWarmAllocations(t *testing.T) {
 			hi.dead[dead] = true
 			route(trimmed, 0)
 		}
-		hi.encodeDeliveries(2) // grows the buffers
-		if allocs := testing.AllocsPerRun(20, func() { hi.encodeDeliveries(2) }); allocs != 0 {
-			t.Errorf("%s: warm delivery encoding allocates %.1f objects; want 0", tc.name, allocs)
+		round := func() {
+			hi.encodeDeliveries(2)
+			hi.deliver(2, time.Now().Add(time.Minute))
+		}
+		round() // grows the buffers
+		if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+			t.Errorf("%s: warm delivery encoding and writing allocates %.1f objects; want 0", tc.name, allocs)
 		}
 		distinct := map[*byte]bool{}
 		for to, frame := range hi.deliveries {
@@ -708,6 +712,9 @@ func TestHubEncodeOnceWarmAllocations(t *testing.T) {
 				continue
 			}
 			distinct[&frame[0]] = true
+			if got := conns[to].(*frameLoopConn).wrote; !bytes.Equal(got, frame) {
+				t.Fatalf("%s: recipient %d's connection got %d bytes, not its %d-byte delivery", tc.name, to, len(got), len(frame))
+			}
 			if size := binary.BigEndian.Uint32(frame); int(size) != len(frame)-frameHeader {
 				t.Fatalf("%s: recipient %d: length prefix %d on a %d-byte body", tc.name, to, size, len(frame)-frameHeader)
 			}

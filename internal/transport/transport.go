@@ -191,17 +191,31 @@ func framed(body []byte) []byte {
 	return sealFrame(append(beginFrame(make([]byte, 0, frameHeader+len(body))), body...))
 }
 
-// writeFrame sends one sealed frame — length prefix and body — in a
-// single conn.Write bounded by the deadline.
+// writeFrames sends sealed frames — each a length prefix and body — in
+// one call bounded by the deadline: conn.Write for one frame, a vectored
+// write for several (net.Buffers, one writev on a TCP connection), which
+// consumes *frames. Every frame write of the transport goes through it;
+// the mux's outboxes call it once per flush (outbox.flush).
+func writeFrames(conn net.Conn, frames *net.Buffers, deadline time.Time) error {
+	if err := conn.SetWriteDeadline(deadline); err != nil {
+		return err
+	}
+	if len(*frames) == 1 {
+		_, err := conn.Write((*frames)[0])
+		return err
+	}
+	_, err := frames.WriteTo(conn)
+	return err
+}
+
+// writeFrame sends one sealed frame on its own, size-checked: the hello
+// and RawClient's batches, which are written outside any outbox.
 func writeFrame(conn net.Conn, frame []byte, deadline time.Time) error {
 	if size := len(frame) - frameHeader; size > maxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
-	if err := conn.SetWriteDeadline(deadline); err != nil {
-		return err
-	}
-	_, err := conn.Write(frame)
-	return err
+	one := net.Buffers{frame}
+	return writeFrames(conn, &one, deadline)
 }
 
 // readFrame receives a length-prefixed frame bounded by the deadline
@@ -212,17 +226,21 @@ func readFrame(conn net.Conn, deadline time.Time) ([]byte, error) {
 }
 
 // readFrameInto receives a length-prefixed frame from r — conn itself,
-// or the connection's buffered reader — with conn's read deadline
-// armed, reading the header and then the body into buf (grown as
-// needed) so a pooled caller buffer makes steady-state reads
-// allocation-free (TestReadFrameIntoWarmAllocations). Through a
-// bufio.Reader a frame already buffered costs no syscall and a body
-// larger than the buffer is read straight into buf. The result aliases
-// buf's possibly-regrown backing array; buf (extended) is returned even
-// on error so pooled callers keep their capacity.
+// or the connection's buffered reader — reading the header and then the
+// body into buf (grown as needed) so a pooled caller buffer makes
+// steady-state reads allocation-free (TestReadFrameIntoWarmAllocations).
+// Through a bufio.Reader a frame already buffered costs no syscall and a
+// body larger than the buffer is read straight into buf. conn's read
+// deadline is armed before any read that can block: every read unless
+// r already buffers the whole frame, which it then hands over without
+// touching the socket. The result aliases buf's possibly-regrown backing
+// array; buf (extended) is returned even on error so pooled callers keep
+// their capacity.
 func readFrameInto(conn net.Conn, r io.Reader, deadline time.Time, buf []byte) ([]byte, error) {
-	if err := conn.SetReadDeadline(deadline); err != nil {
-		return buf, err
+	if !frameBuffered(r) {
+		if err := conn.SetReadDeadline(deadline); err != nil {
+			return buf, err
+		}
 	}
 	// Not a local array: io.ReadFull's interface call would move it to
 	// the heap on every frame.
@@ -246,6 +264,18 @@ func readFrameInto(conn net.Conn, r io.Reader, deadline time.Time, buf []byte) (
 		return buf[:0], err
 	}
 	return buf, nil
+}
+
+// frameBuffered reports whether r is a buffered reader that already
+// holds the next frame whole, length prefix and body, so reading it
+// cannot block.
+func frameBuffered(r io.Reader) bool {
+	br, ok := r.(*bufio.Reader)
+	if !ok || br.Buffered() < frameHeader {
+		return false
+	}
+	hdr, err := br.Peek(frameHeader)
+	return err == nil && br.Buffered()-frameHeader >= int(binary.BigEndian.Uint32(hdr))
 }
 
 // RunResult collects everything a faulty local execution produced:

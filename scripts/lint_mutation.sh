@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Mutation smoke: prove the test wall detects the faults it claims to
-# rule out. A pristine copy of the module is mutated nineteen times, and
+# rule out. A pristine copy of the module is mutated twenty times, and
 # each time the tests named for that mutation must go red:
 #   1. the transport's one batched ingress screen swapped for an inline
 #      loop that admits whatever decodes: the hub flood-control test and
 #      the chaos suite's Byzantine rejection classes;
 #   2. the read deadline stripped from readFrameInto: the hub's and the
-#      node's idle-read timeout tests;
+#      node's idle-read timeout tests and the half-frame read timeout
+#      test;
 #   3. the configurable payload size cap deleted from the validate
 #      rules: the payload cap unit tests;
 #   4. a node's received frame released before the machine has stepped
@@ -51,7 +52,9 @@
 #  19. the worker queueing an API proposal's decision unrendered, for the
 #      connection's writer to render once it takes the queue, when the
 #      decided payload aliases a batch input the worker has since zeroed
-#      and reused: the answers-outlive-the-batch-input test.
+#      and reused: the answers-outlive-the-batch-input test;
+#  20. an outbox flush writing only the first frame it took and
+#      answering the others as written: the outbox coalescing test.
 # Every mutation first checks that its tests are green on the copy as it
 # stands, so their red means the mutation and nothing else. A test that
 # stays green on a mutated module is a broken guard, not a clean module;
@@ -112,13 +115,14 @@ if [[ "$(grep -cF "$arm_line" "$transport")" -ne 1 ]]; then
     echo "FAIL: expected exactly one readFrameInto arming line in transport.go" >&2
     exit 1
 fi
-read_tests='TestHubReadTimesOutSilentPeer|TestNodeReadTimesOutSilentHub'
+read_tests='TestHubReadTimesOutSilentPeer|TestNodeReadTimesOutSilentHub|TestReadTimesOutOnHalfFrame'
 (cd "$tmp" && go test -count=1 -run "$read_tests" ./internal/transport)
 sed -i '/if err := conn\.SetReadDeadline(deadline); err != nil {/,+2d' "$transport"
 (cd "$tmp" && go build ./internal/transport)
-# Without the deadline both readers block until their watchdog fires.
+# Without the deadline every reader blocks until its watchdog fires.
 expect_test_fail 'TestHubReadTimesOutSilentPeer' ./internal/transport
 expect_test_fail 'TestNodeReadTimesOutSilentHub' ./internal/transport
+expect_test_fail 'TestReadTimesOutOnHalfFrame' ./internal/transport
 
 echo "mutation 3: delete the configurable payload size cap from the validate rules"
 rules="$tmp/internal/validate/rules.go"
@@ -479,5 +483,21 @@ sed -i 's/line := appendAnswer(scratch\[:0\], reqid, isPayload, d)/line := scrat
 sed -i 's/c\.spent, c\.queue = c\.queue, c\.spent\[:0\]/c.renderLate(); c.spent, c.queue = c.queue, c.spent[:0]/' "$client"
 (cd "$tmp" && go build ./internal/service)
 expect_test_fail 'TestAPIAnswersOutliveTheBatchInput' ./internal/service
+
+echo "mutation 20: an outbox flush writes only the first frame it took"
+cp internal/transport/*.go "$tmp/internal/transport/"
+flush_line='for _, f := range taken {'
+if [[ "$(grep -cF "$flush_line" "$mux")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one loop over the taken frames in mux.go, outbox.flush's" >&2
+    exit 1
+fi
+(cd "$tmp" && go test -count=1 -run 'TestOutboxCoalescesConcurrentFrames' ./internal/transport)
+# The flush builds its write from the first frame alone, and drain
+# answers every frame it took with the flush's result: the frames
+# queued behind the first are reported written but never reach the
+# connection.
+sed -i 's/for _, f := range taken {/for _, f := range taken[:1] {/' "$mux"
+(cd "$tmp" && go build ./internal/transport)
+expect_test_fail 'TestOutboxCoalescesConcurrentFrames' ./internal/transport
 
 echo "MUTATION SMOKE OK"

@@ -15,7 +15,7 @@ go vet ./...
 # and service runs with released frames poisoned — a frame released
 # while something still reads it.
 go test -race ./internal/transport ./internal/coin ./internal/conformance ./internal/service
-go test -race -count=5 -run 'TestRunLocal|TestHub|TestReconnect|TestMuxBounce|TestMuxNodeRedials|TestMuxChurn|TestFrameList|TestPoisonedFrames|TestMuxFlood' ./internal/transport
+go test -race -count=5 -run 'TestRunLocal|TestHub|TestReconnect|TestMuxBounce|TestMuxNodeRedials|TestMuxChurn|TestFrameList|TestPoisonedFrames|TestMuxFlood|TestOutbox|TestReadTimesOutOnHalfFrame|TestConcurrentPayloadInstances' ./internal/transport
 go test -race -count=5 -run 'TestServicePayloadRoundTrip|TestServiceUnderInjectedFaults|TestWorkerReusesMachinesAcrossInstances|TestNoGoroutinePerInstanceOrRequest|TestSlowClientIsolatesItself|TestAPIAnswersOutliveTheBatchInput|TestTicketPayloadOutlivesTheBatchInput|TestIdleWorkerAndConnectionPinNoPayload|TestIdleConnectionKeepsLittle|TestConnBufferFitsTheLastPayload' ./internal/service
 
 go run ./examples/quickstart
