@@ -230,7 +230,7 @@ func (x execution) runProxcast(w io.Writer) error {
 
 	if x.tcp {
 		res, err := x.overTCP(machines, sched, func(int) *validate.Validator {
-			return validate.New(validate.ForProxcast(x.n, rounds, pk))
+			return validate.New(validate.ForProxcast(x.n, rounds))
 		})
 		if err != nil {
 			return err

@@ -7,10 +7,12 @@ import (
 
 	"proxcensus/internal/ba"
 	"proxcensus/internal/chaos"
+	"proxcensus/internal/coin"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
 	"proxcensus/internal/transport"
 	"proxcensus/internal/validate"
+	"proxcensus/internal/wire"
 )
 
 // The TCP ports of the simulator attack regressions: the slot-straddle
@@ -109,12 +111,12 @@ func tcpValidityRun(t *testing.T, family, spec string, n, tc, kappa int, input b
 	case "oneshot":
 		p, err = ba.NewOneShot(setup, kappa, constInputs(n, input))
 		cfg.NewIngress = func(int) *validate.Validator {
-			return validate.New(validate.ForOneShot(n, kappa, 1, setup.CoinPK))
+			return validate.New(validate.ForOneShot(n, kappa, 1, setup.Mode))
 		}
 	case "half":
 		p, err = ba.NewHalf(setup, kappa, constInputs(n, input))
 		cfg.NewIngress = func(int) *validate.Validator {
-			return validate.New(validate.ForHalf(n, setup.CoinPK, setup.ProxPK))
+			return validate.New(validate.ForHalf(n))
 		}
 	default:
 		t.Fatalf("unknown family %q", family)
@@ -136,6 +138,79 @@ func tcpValidityRun(t *testing.T, family, spec string, n, tc, kappa int, input b
 	for _, id := range res.Survivors() {
 		if v := res.Outputs[id].(ba.Value); v != input {
 			t.Errorf("spec %q: survivor %d decided %d, want %d (validity)", spec, id, v, input)
+		}
+	}
+}
+
+// TestTCPForgedSharesCannotBreakValidity: the screen verifies no
+// signature, so forged shares reach the honest machines, which are the
+// one check. A raw-client node of the half family sends, in each local
+// round, what that round carries from it — its vote, its Ω share, its
+// coin share — under its own signer ID with a MAC that does not verify.
+// The screen admits every one of them; every honest survivor still
+// decides the unanimous input.
+func TestTCPForgedSharesCannotBreakValidity(t *testing.T) {
+	const n, tc, kappa, forger = 5, 2, 2, 4
+	setup, err := ba.NewSetup(n, tc, ba.CoinThreshold, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ba.NewHalf(setup, kappa, constInputs(n, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := func(round int) sim.Payload {
+		switch (round-1)%3 + 1 {
+		case 1:
+			return proxcensus.LinearVote{V: 1, Share: badShare(setup.ProxSKs[forger], proxcensus.LinearSigmaMessage(1))}
+		case 2:
+			return proxcensus.LinearOmegaShare{V: 1, Share: badShare(setup.ProxSKs[forger], proxcensus.LinearOmegaMessage(1))}
+		default:
+			k := (round - 1) / 3
+			return coin.SharePayload{K: k, Share: badShare(setup.CoinSKs[forger], coin.InstanceMessage(ba.HalfCoinDomain, k))}
+		}
+	}
+	cfg := tcpCfg()
+	cfg.NewIngress = func(int) *validate.Validator { return validate.New(validate.ForHalf(n)) }
+	raw := map[int]func(addr string) error{forger: func(addr string) error {
+		c, err := transport.DialRaw(addr, forger, 0, cfg)
+		if err != nil {
+			return err
+		}
+		defer func() { _ = c.Close() }()
+		for round := 1; round <= p.Rounds; round++ {
+			b, err := wire.Encode(forged(round))
+			if err != nil {
+				return err
+			}
+			if err := c.SendBatch(round, []wire.BatchMsg{{Addr: sim.Broadcast, Payload: b}}); err != nil {
+				return fmt.Errorf("round %d send: %w", round, err)
+			}
+			if _, _, err := c.Recv(); err != nil {
+				return fmt.Errorf("round %d recv: %w", round, err)
+			}
+		}
+		return nil
+	}}
+	res, err := transport.RunLocal(p.Machines, p.Rounds, cfg, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errs[forger] != nil {
+		t.Fatalf("forging node: %v", res.Errs[forger])
+	}
+	for id := 0; id < n; id++ {
+		if id == forger {
+			continue
+		}
+		if res.Errs[id] != nil {
+			t.Fatalf("node %d: %v", id, res.Errs[id])
+		}
+		if v := res.Outputs[id].(ba.Value); v != 1 {
+			t.Errorf("node %d decided %d, want 1 (validity)", id, v)
+		}
+		if v := res.Nodes[id].Validation; v == nil || v.TotalRejected() != 0 {
+			t.Errorf("node %d: the screen rejected traffic, so the forgeries may not have reached the machine: %v", id, v)
 		}
 	}
 }

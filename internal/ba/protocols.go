@@ -63,8 +63,7 @@ type resetter interface {
 }
 
 // Coin domains: the prefix of the instance message each protocol's
-// threshold coin signs its shares under. The ingress screen verifies
-// coin shares against the same names, so a rename here reaches both.
+// threshold coin signs and verifies its shares under.
 const (
 	OneShotCoinDomain = "oneshot"
 	HalfCoinDomain    = "half-n2"

@@ -211,7 +211,7 @@ func TestByzMixedSchedules(t *testing.T) {
 		s := mustParse(t, "byz:6@garbage;part:5@1-2;dup:2@1", n, tc, p.Rounds)
 		cfg := quickCfg()
 		cfg.NewIngress = func(int) *validate.Validator {
-			return validate.New(validate.ForOneShot(n, kappa, 1, setup.CoinPK))
+			return validate.New(validate.ForOneShot(n, kappa, 1, setup.Mode))
 		}
 		res, err := chaos.Run(p.Machines, s, cfg)
 		if err != nil {
@@ -252,7 +252,7 @@ func TestByzMixedSchedules(t *testing.T) {
 		s := mustParse(t, "byz:4@equivocate;crash:3@2;drop:1@1", n, tc, p.Rounds)
 		cfg := quickCfg()
 		cfg.NewIngress = func(int) *validate.Validator {
-			return validate.New(validate.ForHalf(n, setup.CoinPK, setup.ProxPK))
+			return validate.New(validate.ForHalf(n))
 		}
 		res, err := chaos.Run(p.Machines, s, cfg)
 		if err != nil {

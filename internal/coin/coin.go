@@ -140,9 +140,7 @@ func NewThreshold(pk *threshsig.PublicKey, sk *threshsig.SecretKey, rangeN int, 
 func (t *Threshold) Range() int { return t.rangeN }
 
 // InstanceMessage returns the byte string signed for coin instance k
-// in the given domain. Exported at package level so admission-time
-// share verification (internal/validate) can reconstruct it without a
-// party handle.
+// in the given domain, without a party handle.
 func InstanceMessage(domain string, k int) []byte {
 	return []byte(fmt.Sprintf("coin/%s/%d", domain, k))
 }

@@ -255,14 +255,11 @@ func (r *Runner) build(tr Trial) ([]sim.Machine, transport.Config, error) {
 		if err != nil {
 			return nil, cfg, err
 		}
-		n, kappa, fam := s.N, s.Kappa, s.Family
-		coinPK, proxPK := setup.CoinPK, setup.ProxPK
-		cfg.NewIngress = func(int) *validate.Validator {
-			if fam == FamilyOneShot {
-				return validate.New(validate.ForOneShot(n, kappa, 1, coinPK))
-			}
-			return validate.New(validate.ForHalf(n, coinPK, proxPK))
+		rules := validate.ForHalf(s.N)
+		if s.Family == FamilyOneShot {
+			rules = validate.ForOneShot(s.N, s.Kappa, 1, setup.Mode)
 		}
+		cfg.NewIngress = func(int) *validate.Validator { return validate.New(rules) }
 		return p.Machines, cfg, nil
 	default:
 		return nil, cfg, fmt.Errorf("experiment: unknown family %q", s.Family)

@@ -163,3 +163,85 @@ func TestLinearCertModeOmegaCert(t *testing.T) {
 		t.Fatalf("output %v, want %v", out, want)
 	}
 }
+
+// TestCombineCertDuplicateBeforeValid: combineCert is the one check of
+// an explicit certificate — the ingress screen verifies none. Only a
+// verified share marks its signer as counted, so a signer padded with
+// an invalid share ahead of its valid one still counts once, exactly
+// as the certificate without the invalid share would; duplicates never
+// double-count.
+func TestCombineCertDuplicateBeforeValid(t *testing.T) {
+	const n = 8
+	pk, sks, err := threshsig.Deal(n, 5, [threshsig.Size]byte{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := LinearSigmaMessage(1)
+	th := pk.Threshold()
+	good := make([]threshsig.Share, 0, n)
+	for _, sk := range sks {
+		good = append(good, threshsig.SignShare(sk, m))
+	}
+	bad := good[0]
+	bad.MAC[0] ^= 1
+
+	t.Run("honest cert passes", func(t *testing.T) {
+		if _, cert, err := combineCert(pk, m, good[:th]); err != nil || len(cert) != th {
+			t.Fatalf("honest cert: %d shares kept, err %v", len(cert), err)
+		}
+	})
+	t.Run("duplicate before valid counts the valid share", func(t *testing.T) {
+		padded := append([]threshsig.Share{bad}, good[:th]...)
+		sig, cert, err := combineCert(pk, m, padded)
+		if err != nil {
+			t.Fatalf("padded cert with threshold valid signers rejected: %v", err)
+		}
+		want, _, err := combineCert(pk, m, good[:th])
+		if err != nil || sig != want {
+			t.Fatal("padded cert combined to another signature than the cert without its bad share")
+		}
+		for _, s := range cert {
+			if !threshsig.VerShare(pk, m, s) {
+				t.Fatalf("trimmed cert keeps signer %d's invalid share", s.Signer)
+			}
+		}
+	})
+	t.Run("valid duplicates do not double count", func(t *testing.T) {
+		shares := append([]threshsig.Share{}, good[:th-1]...)
+		shares = append(shares, good[0], good[0])
+		if _, _, err := combineCert(pk, m, shares); err == nil {
+			t.Fatal("duplicated valid share double-counted")
+		}
+	})
+	t.Run("out of range signers are ignored", func(t *testing.T) {
+		shares := append([]threshsig.Share{{Signer: -1}, {Signer: 99}}, good[:th]...)
+		if _, _, err := combineCert(pk, m, shares); err != nil {
+			t.Fatalf("out-of-range shares poisoned a valid cert: %v", err)
+		}
+	})
+}
+
+// TestCombineCertLargeN: distinct-signer counting past a thousand
+// signers, with a duplicated high signer.
+func TestCombineCertLargeN(t *testing.T) {
+	pk, sks, err := threshsig.Deal(1100, 3, [threshsig.Size]byte{42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := LinearOmegaMessage(1)
+	shares := []threshsig.Share{
+		threshsig.SignShare(sks[0], m),
+		threshsig.SignShare(sks[1070], m),
+		threshsig.SignShare(sks[1070], m), // duplicate high signer
+		threshsig.SignShare(sks[512], m),
+	}
+	if _, _, err := combineCert(pk, m, shares); err != nil {
+		t.Fatalf("valid large-n cert rejected: %v", err)
+	}
+	if _, _, err := combineCert(pk, m, shares[:2]); err == nil {
+		t.Fatal("two distinct signers passed threshold 3")
+	}
+	if _, _, err := combineCert(pk, m, shares[1:3]); err == nil {
+		t.Fatal("duplicate signer double-counted")
+	}
+}

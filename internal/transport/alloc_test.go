@@ -29,7 +29,7 @@ func ingressFixture(t testing.TB, n int) (*instanceRun, []wire.BatchMsg) {
 	nd := &instanceRun{
 		node:    &MuxNode{},
 		dec:     wire.NewDecoder(),
-		ingress: validate.New(validate.ForHalf(n, setup.CoinPK, setup.ProxPK)),
+		ingress: validate.New(validate.ForHalf(n)),
 	}
 	msgs := make([]wire.BatchMsg, 0, n)
 	for i := 0; i < n; i++ {

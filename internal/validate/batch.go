@@ -1,20 +1,14 @@
 // Batched admission. AdmitBatch is the screen: it takes a round's
-// messages in one call and screens them one by one in arrival order —
-// checkPre's cheap stages, then the message's own signature check — so
-// how a round is split into calls does not matter: one call with the
-// whole round and one call per message give identical verdicts,
-// identical Report counters and identical Evidence entries
-// (batch_test.go holds that invariance). Every threshold share is
-// verified exactly once, against the dealer's cached share key and the
-// signed message sigMessage caches for its (class, value, instance).
+// messages in one call and screens them one by one in arrival order
+// through check's structural stages, so how a round is split into calls
+// does not matter: one call with the whole round and one call per
+// message give identical verdicts, identical Report counters and
+// identical Evidence entries (batch_test.go holds that invariance). It
+// verifies no signature: every share, signature and certificate is
+// verified once, by the machine whose protocol step uses it.
 package validate
 
-import (
-	"proxcensus/internal/coin"
-	"proxcensus/internal/proxcensus"
-	"proxcensus/internal/sim"
-	"proxcensus/internal/wire"
-)
+import "proxcensus/internal/sim"
 
 // Inbound is one decoded ingress message handed to AdmitBatch: the
 // wire bytes, the decode result, and the claimed sender. On the TCP
@@ -39,19 +33,6 @@ type Inbound struct {
 	Err error
 }
 
-// msgCacheCap bounds the per-validator cache of signed-message
-// encodings. Keys are domain-checked before the signature stage, so
-// honest traffic needs a handful of entries; the cap only guards
-// against pathological rule sets with unbounded instance spaces.
-const msgCacheCap = 1024
-
-// sigKey identifies one signed message: every share of a given class
-// over the same values verifies against the same bytes.
-type sigKey struct {
-	class wire.Class
-	a, b  int
-}
-
 // AdmitBatch screens one round batch and returns one verdict per
 // message — true when the machine should see it — appending into the
 // caller's verdicts slice (pass verdicts[:0] of a pooled slice for an
@@ -74,10 +55,7 @@ func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool 
 
 	for i := range in {
 		m := &in[i]
-		reason, ok := v.checkPre(round, m.From, m.Raw, m.Payload, m.Err)
-		if ok && !v.signatureOK(m.From, m.Payload) {
-			reason, ok = RejectSignature, false
-		}
+		reason, ok := v.check(round, m.From, m.Raw, m.Payload, m.Err)
 		if ok {
 			v.rep.Admitted++
 		} else {
@@ -86,34 +64,4 @@ func (v *Validator) AdmitBatch(round int, in []Inbound, verdicts []bool) []bool 
 		verdicts = append(verdicts, ok)
 	}
 	return verdicts
-}
-
-// sigMessage returns the signed message for a share key, building and
-// caching it on first use. The cache persists across rounds: vote
-// messages recur every iteration, coin instances advance slowly, and
-// the cap bounds adversarial growth.
-func (v *Validator) sigMessage(key sigKey) []byte {
-	if m, ok := v.msgCache[key]; ok {
-		return m
-	}
-	var m []byte
-	switch key.class {
-	case wire.ClassLinearVote:
-		m = proxcensus.LinearSigmaMessage(key.a)
-	case wire.ClassLinearOmegaShare:
-		m = proxcensus.LinearOmegaMessage(key.a)
-	case wire.ClassQuadVote:
-		m = proxcensus.QuadMessage(key.a, 1)
-	case wire.ClassQuadOmegaShare:
-		m = proxcensus.QuadMessage(key.a, key.b)
-	case wire.ClassCoinShare:
-		m = coin.InstanceMessage(v.rules.CoinDomain, key.a)
-	}
-	if len(v.msgCache) < msgCacheCap {
-		if v.msgCache == nil {
-			v.msgCache = make(map[sigKey][]byte)
-		}
-		v.msgCache[key] = m
-	}
-	return m
 }

@@ -50,7 +50,7 @@ func halfSetup(t testing.TB, n int) (*ba.Setup, Rules) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return setup, ForHalf(n, setup.CoinPK, setup.ProxPK)
+	return setup, ForHalf(n)
 }
 
 func signedVote(setup *ba.Setup, signer, v int) proxcensus.LinearVote {
@@ -82,40 +82,6 @@ func TestBatchEquivalenceHonest(t *testing.T) {
 	}
 	if !reportsEqual(vs.Report(), vb.Report()) {
 		t.Fatalf("reports diverge:\n whole %s\n split %s", vb.Report().Summary(), vs.Report().Summary())
-	}
-}
-
-// TestBatchVerifyFallback: a batch containing exactly one forged share
-// must reject only the forger and admit all honest senders, with
-// Report counts identical to screening each share in a call of its own.
-func TestBatchVerifyFallback(t *testing.T) {
-	setup, rules := halfSetup(t, 16)
-	in := make([]Inbound, 0, 16)
-	for i := 0; i < 16; i++ {
-		vote := signedVote(setup, i, 1)
-		if i == 5 {
-			vote.Share.MAC[3] ^= 0xff // the forger
-		}
-		in = append(in, inboundOf(t, i, vote))
-	}
-	vb := New(rules)
-	got := vb.AdmitBatch(1, in, nil)
-	for i, ok := range got {
-		if want := i != 5; ok != want {
-			t.Errorf("sender %d: verdict %t, want %t", i, ok, want)
-		}
-	}
-	vs := New(rules)
-	want := admitSplit(vs, 1, in)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("verdicts diverge from per-share calls:\n whole %v\n split %v", got, want)
-	}
-	if !reportsEqual(vs.Report(), vb.Report()) {
-		t.Fatalf("reports diverge:\n whole %s\n split %s", vb.Report().Summary(), vs.Report().Summary())
-	}
-	rep := vb.Report()
-	if rep.Admitted != 15 || rep.Rejections(RejectSignature) != 1 {
-		t.Fatalf("report = %s, want 15 admitted / 1 signature reject", rep.Summary())
 	}
 }
 
@@ -219,8 +185,8 @@ func buildAdversarialBatch(t testing.TB, rng *rand.Rand, setup *ba.Setup, sigma1
 			in = append(in, inboundOf(t, from, p))
 			continue
 		}
-		// Votes and shares mostly claim their signer as sender so their
-		// signatures get checked; sometimes not.
+		// Votes and shares mostly claim their signer as sender; sometimes
+		// not.
 		sender := signer
 		if rng.Intn(4) == 0 {
 			sender = rng.Intn(n)
@@ -264,88 +230,12 @@ func TestBatchEvidenceMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCertValidDuplicateBeforeValid: regression for the linear-pass
-// rewrite — a cert padding a signer with an invalid share before that
-// signer's valid one must still count the signer as spent (first
-// occurrence wins), and duplicates must never double-count.
-func TestCertValidDuplicateBeforeValid(t *testing.T) {
-	setup, _ := halfSetup(t, 8)
-	pk := setup.ProxPK
-	m := proxcensus.LinearSigmaMessage(1)
-	th := pk.Threshold()
-	good := make([]threshsig.Share, 0, 8)
-	for _, sk := range setup.ProxSKs {
-		good = append(good, threshsig.SignShare(sk, m))
-	}
-
-	t.Run("honest cert passes", func(t *testing.T) {
-		if !certValid(pk, m, good[:th]) {
-			t.Fatal("honest cert rejected")
-		}
-	})
-	t.Run("duplicate before valid burns the signer", func(t *testing.T) {
-		bad := good[0]
-		bad.MAC[0] ^= 1
-		// signer 0 appears invalid first, valid second: the first
-		// occurrence is the one judged, so signer 0 contributes nothing
-		// and the cert must fall below threshold.
-		shares := append([]threshsig.Share{bad}, good[:th]...)
-		if certValid(pk, m, shares) {
-			t.Fatal("cert with burned first occurrence passed at threshold-1 distinct")
-		}
-		// One extra distinct signer restores the threshold.
-		shares = append(shares, good[th])
-		if !certValid(pk, m, shares) {
-			t.Fatal("cert with threshold distinct valid signers rejected")
-		}
-	})
-	t.Run("valid duplicates do not double count", func(t *testing.T) {
-		shares := append([]threshsig.Share{}, good[:th-1]...)
-		shares = append(shares, good[0], good[0])
-		if certValid(pk, m, shares) {
-			t.Fatal("duplicated valid share double-counted")
-		}
-	})
-	t.Run("out of range signers are ignored", func(t *testing.T) {
-		shares := append([]threshsig.Share{{Signer: -1}, {Signer: 99}}, good[:th]...)
-		if !certValid(pk, m, shares) {
-			t.Fatal("out-of-range shares poisoned a valid cert")
-		}
-	})
-}
-
-// TestCertValidLargeN exercises the heap-allocated bitmap past the
-// stack's 1024-signer capacity.
-func TestCertValidLargeN(t *testing.T) {
-	n := 1100
-	pk, sks, err := threshsig.Deal(n, 3, [32]byte{42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := []byte("large-n cert message")
-	shares := []threshsig.Share{
-		threshsig.SignShare(sks[0], m),
-		threshsig.SignShare(sks[1070], m),
-		threshsig.SignShare(sks[1070], m), // duplicate high signer
-		threshsig.SignShare(sks[512], m),
-	}
-	if !certValid(pk, m, shares) {
-		t.Fatal("valid large-n cert rejected")
-	}
-	if certValid(pk, m, shares[:2]) {
-		t.Fatal("two distinct signers passed threshold 3")
-	}
-	if certValid(pk, m, shares[1:3]) {
-		t.Fatal("duplicate signer double-counted in spill bitmap")
-	}
-}
-
 // TestBatchSteadyStateAllocations: after warm-up, screening a full
 // round of signed votes through AdmitBatch must not allocate. That
-// holds with a forger too: rejecting its forged share must cost no
-// more than admitting an honest one. A rejection path that allocated
-// would let one Byzantine sender buy garbage on every honest node each
-// round.
+// holds with a forger too: its forged share is structurally sound, so
+// the screen admits it at the cost of an honest one and leaves it to
+// the machine, which drops it. A path that allocated would let one
+// Byzantine sender buy garbage on every honest node each round.
 func TestBatchSteadyStateAllocations(t *testing.T) {
 	setup, rules := halfSetup(t, 16)
 	for _, forger := range []int{-1, 5} { // -1: no forger
@@ -363,14 +253,14 @@ func TestBatchSteadyStateAllocations(t *testing.T) {
 		run := func() {
 			verdicts = v.AdmitBatch(round, in, verdicts[:0])
 			for i, ok := range verdicts {
-				if ok != (i != forger) {
+				if !ok {
 					t.Fatalf("forger %d, round %d: sender %d verdict %t", forger, round, i, ok)
 				}
 			}
 			round += 3 // the next vote round
 		}
 		for i := 0; i < 3; i++ {
-			run() // warm the signed-message cache
+			run()
 		}
 		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 			t.Errorf("forger %d: AdmitBatch allocated %.1f objects per steady-state round, want 0", forger, allocs)

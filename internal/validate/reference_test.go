@@ -18,13 +18,11 @@ import (
 // refScreen is the map-based screen AdmitBatch ran before it kept
 // per-sender slots: every (sender, digest) pair of the round in one
 // set, every single-instance stream in one map, both cleared at each
-// round boundary. It screens message by message and checks each
-// signature through the screen's own signatureOK. It classifies a
+// round boundary. It screens message by message. It classifies a
 // message by its payload's Go type where the screen reads the wire tag,
 // so the differential also holds the tag to the type it encodes.
 type refScreen struct {
 	rules Rules
-	sigs  *Validator
 	round int
 	dup   map[dupKey]struct{}
 	first map[uniKey]sim.Payload
@@ -34,7 +32,6 @@ type refScreen struct {
 func newRefScreen(rules Rules) *refScreen {
 	return &refScreen{
 		rules: rules.withDefaults(),
-		sigs:  New(rules),
 		dup:   make(map[dupKey]struct{}),
 		first: make(map[uniKey]sim.Payload),
 	}
@@ -49,10 +46,7 @@ func admitReference(r *refScreen, round int, in []Inbound) []bool {
 	}
 	out := make([]bool, len(in))
 	for i, m := range in {
-		reason, ok := r.checkPre(round, m)
-		if ok && !r.sigs.signatureOK(m.From, m.Payload) {
-			reason, ok = RejectSignature, false
-		}
+		reason, ok := r.check(round, m)
 		if !ok {
 			r.rep.Rejected[reason]++
 			continue
@@ -63,7 +57,7 @@ func admitReference(r *refScreen, round int, in []Inbound) []bool {
 	return out
 }
 
-func (r *refScreen) checkPre(round int, m Inbound) (Reason, bool) {
+func (r *refScreen) check(round int, m Inbound) (Reason, bool) {
 	if m.From < 0 || m.From >= r.rules.N {
 		return RejectSender, false
 	}
@@ -165,16 +159,15 @@ func newAdmitFuzzKit(t testing.TB) *admitFuzzKit {
 }
 
 // rules returns the rule set selected by sel: the half-regime phase
-// table with keys, permissive rules with keys and a value bound, or the
-// payload service's rules with a tiny size cap.
+// table, permissive rules with a value bound, or the payload service's
+// rules with a tiny size cap.
 func (k *admitFuzzKit) rules(sel byte) Rules {
 	switch sel % 3 {
 	case 0:
-		return ForHalf(admitFuzzN, k.setup.CoinPK, k.setup.ProxPK)
+		return ForHalf(admitFuzzN)
 	case 1:
 		r := General(admitFuzzN)
 		r.MaxValue = 2
-		r.ProxPK, r.CoinPK, r.CoinDomain = k.setup.ProxPK, k.setup.CoinPK, ba.HalfCoinDomain
 		return r
 	default:
 		return ForPayloadService(admitFuzzN, 2)

@@ -3,8 +3,6 @@ package validate
 import (
 	"proxcensus/internal/ba"
 	"proxcensus/internal/coin"
-	"proxcensus/internal/crypto/sig"
-	"proxcensus/internal/crypto/threshsig"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
 	"proxcensus/internal/wire"
@@ -19,9 +17,10 @@ const AllowNone ClassSet = 1 << uint(wire.ClassUnknown)
 
 // Rules parameterizes a Validator for one protocol execution. It is
 // plain data. The zero value of each field means "don't check": nil
-// phase table admits any class, MaxValue 0 leaves values unbounded, nil
-// keys skip signature verification. Constructors below build the
-// tables for the repo's protocol families.
+// phase table admits any class, MaxValue 0 leaves values unbounded.
+// Constructors below build the tables for the repo's protocol families.
+// Rules hold no keys: shares, signatures and certificates are verified
+// by the machines that use them, once, on every substrate.
 type Rules struct {
 	// N is the party count; senders outside [0, N) are rejected.
 	N int
@@ -45,18 +44,6 @@ type Rules struct {
 	// wire cap. The payload service sets it to its batch ceiling so an
 	// oversize flood is rejected at ingress, before any machine sees it.
 	MaxPayloadBytes int
-
-	// ProxPK verifies Proxcensus threshold shares, combined signatures
-	// and certificates at admission.
-	ProxPK *threshsig.PublicKey
-
-	// CoinPK and CoinDomain verify coin shares: the share must be the
-	// sender's own and verify for the domain's instance message.
-	CoinPK     *threshsig.PublicKey
-	CoinDomain string
-
-	// DealerPK verifies the dealer signatures inside ProxcastSet pairs.
-	DealerPK *sig.PublicKey
 }
 
 // withDefaults normalizes a rule set.
@@ -99,25 +86,24 @@ func expandGradeBound(round int) int {
 }
 
 // ForOneShot returns rules for the one-shot t < n/3 BA (Corollary 2):
-// κ echo-expansion rounds then one coin round. A nil coinPK selects
-// the ideal coin, whose round carries no messages at all.
-func ForOneShot(n, kappa, maxValue int, coinPK *threshsig.PublicKey) Rules {
+// κ echo-expansion rounds then one coin round. The setup's coin mode
+// sets the coin round's class: threshold shares, or nothing at all for
+// the ideal coin.
+func ForOneShot(n, kappa, maxValue int, mode ba.CoinMode) Rules {
 	phase := make([]ClassSet, kappa+1)
 	for i := 0; i < kappa; i++ {
 		phase[i] = Classes(wire.ClassEcho)
 	}
 	phase[kappa] = AllowNone
-	if coinPK != nil {
+	if mode == ba.CoinThreshold {
 		phase[kappa] = Classes(wire.ClassCoinShare)
 	}
 	return Rules{
 		N: n,
 		// One iteration, so the coin round expects instance 0.
-		Period:     kappa + 1,
-		Phase:      phase,
-		MaxValue:   maxValue,
-		CoinPK:     coinPK,
-		CoinDomain: ba.OneShotCoinDomain,
+		Period:   kappa + 1,
+		Phase:    phase,
+		MaxValue: maxValue,
 	}
 }
 
@@ -126,7 +112,7 @@ func ForOneShot(n, kappa, maxValue int, coinPK *threshsig.PublicKey) Rules {
 // the third round. Local round 1 carries votes; round 2 the combined
 // Σ and the Ω shares of parties that reached Σ; round 3 late Σ
 // forwards, combined Ω, and the iteration's coin shares.
-func ForHalf(n int, coinPK *threshsig.PublicKey, proxPK *threshsig.PublicKey) Rules {
+func ForHalf(n int) Rules {
 	return Rules{
 		N:      n,
 		Period: 3,
@@ -135,26 +121,22 @@ func ForHalf(n int, coinPK *threshsig.PublicKey, proxPK *threshsig.PublicKey) Ru
 			Classes(wire.ClassLinearSigma, wire.ClassLinearOmegaShare),
 			Classes(wire.ClassLinearSigma, wire.ClassLinearOmega, wire.ClassCoinShare),
 		},
-		MaxValue:   1,
-		ProxPK:     proxPK,
-		CoinPK:     coinPK,
-		CoinDomain: ba.HalfCoinDomain,
+		MaxValue: 1,
 	}
 }
 
 // ForProxcast returns rules for the s-slot Proxcast of Appendix A:
 // dealer-signed pair sets every round. The pair cap holds under every
 // rule set.
-func ForProxcast(n, rounds int, dealerPK *sig.PublicKey) Rules {
+func ForProxcast(n, rounds int) Rules {
 	phase := make([]ClassSet, rounds)
 	for i := range phase {
 		phase[i] = Classes(wire.ClassProxcastSet)
 	}
 	return Rules{
-		N:        n,
-		Period:   rounds,
-		Phase:    phase,
-		DealerPK: dealerPK,
+		N:      n,
+		Period: rounds,
+		Phase:  phase,
 	}
 }
 
@@ -242,56 +224,6 @@ func (r Rules) inDomain(round int, p sim.Payload) bool {
 		return r.payloadSizeOK(len(v.Data))
 	case ba.TCPayloadEcho:
 		return r.payloadSizeOK(len(v.Data))
-	default:
-		return true
-	}
-}
-
-// signatureOK verifies signatures and shares at admission, mirroring
-// the checks the machines apply internally. Nil keys skip the class.
-// Threshold shares verify against sigMessage's cached messages, so a
-// steady-state round of shares allocates nothing.
-func (v *Validator) signatureOK(from int, p sim.Payload) bool {
-	r := &v.rules
-	switch pv := p.(type) {
-	case proxcensus.LinearVote:
-		return v.shareOK(r.ProxPK, sigKey{class: wire.ClassLinearVote, a: pv.V}, from, pv.Share)
-	case proxcensus.LinearOmegaShare:
-		return v.shareOK(r.ProxPK, sigKey{class: wire.ClassLinearOmegaShare, a: pv.V}, from, pv.Share)
-	case proxcensus.LinearSigma:
-		return r.ProxPK == nil ||
-			threshsig.Ver(r.ProxPK, proxcensus.LinearSigmaMessage(pv.V), pv.Sig)
-	case proxcensus.LinearOmega:
-		return r.ProxPK == nil ||
-			threshsig.Ver(r.ProxPK, proxcensus.LinearOmegaMessage(pv.V), pv.Sig)
-	case proxcensus.LinearSigmaCert:
-		return r.ProxPK == nil ||
-			certValid(r.ProxPK, proxcensus.LinearSigmaMessage(pv.V), pv.Shares)
-	case proxcensus.LinearOmegaCert:
-		return r.ProxPK == nil ||
-			certValid(r.ProxPK, proxcensus.LinearOmegaMessage(pv.V), pv.Shares)
-	case proxcensus.QuadVote:
-		return v.shareOK(r.ProxPK, sigKey{class: wire.ClassQuadVote, a: pv.V}, from, pv.Share)
-	case proxcensus.QuadOmegaShare:
-		return v.shareOK(r.ProxPK, sigKey{class: wire.ClassQuadOmegaShare, a: pv.V, b: pv.J}, from, pv.Share)
-	case proxcensus.QuadSig:
-		return r.ProxPK == nil ||
-			threshsig.Ver(r.ProxPK, proxcensus.QuadMessage(pv.V, pv.J), pv.Sig)
-	case proxcensus.ProxcastSet:
-		if r.DealerPK == nil {
-			return true
-		}
-		for _, pair := range pv.Pairs {
-			if !sig.Ver(r.DealerPK, proxcensus.ProxcastMessage(pair.Z), pair.Sig) {
-				return false
-			}
-		}
-		return true
-	case coin.SharePayload:
-		return v.shareOK(r.CoinPK, sigKey{class: wire.ClassCoinShare, a: pv.K}, from, pv.Share)
-	case ba.TCCandidate:
-		return r.ProxPK == nil ||
-			threshsig.Ver(r.ProxPK, proxcensus.LinearOmegaMessage(pv.V), pv.Omega)
 	default:
 		return true
 	}

@@ -1,19 +1,22 @@
 // Package validate is the wire-ingress screening layer: it sits
 // between the TCP transport's decoder and a party's protocol machine
-// and checks every incoming payload at admission — sender-ID range,
-// expected payload type for the current protocol phase, value/grade
-// domain, signature and share verification, per-sender-per-round
-// duplicate suppression, and equivocation detection.
+// and checks the structure of every incoming payload at admission —
+// sender-ID range, decode, expected payload type for the current
+// protocol phase, value/grade domain, per-sender-per-round duplicate
+// suppression, and equivocation detection.
 //
-// The protocol machines already tolerate arbitrary garbage (unexpected
-// types, bad signatures and out-of-range values are ignored, never
-// fatal — the sim.Machine contract), so the validator changes no
-// safety argument. What it adds is the production discipline the
-// simulator never needed: malicious traffic is stopped at the edge
-// instead of being re-examined by every protocol rule, and every
-// rejection lands in a structured Report (counters by reason plus
-// equivocation evidence pairs) that surfaces through transport.Report
-// and the chaos logs. Rejections never error out an honest node.
+// It verifies no signature. Shares, combined signatures, certificates
+// and coin shares are checked by the machines that use them, as part of
+// the protocol step (the sim.Machine contract: unexpected types, bad
+// signatures and out-of-range values are ignored, never fatal), so each
+// is checked once and the simulator, the conformance explorer and the
+// TCP path run the same check. The validator changes no safety
+// argument. What it adds is the production discipline the simulator
+// never needed: malformed, misplaced, duplicate and equivocating
+// traffic is stopped at the edge, and every rejection lands in a
+// structured Report (counters by reason plus equivocation evidence
+// pairs) that surfaces through transport.Report and the chaos logs.
+// Rejections never error out an honest node.
 //
 // Scope: the validator screens what a single node can see on its own
 // authenticated channels. Cross-receiver equivocation — one Byzantine
@@ -32,7 +35,6 @@ import (
 
 	"proxcensus/internal/ba"
 	"proxcensus/internal/coin"
-	"proxcensus/internal/crypto/threshsig"
 	"proxcensus/internal/proxcensus"
 	"proxcensus/internal/sim"
 	"proxcensus/internal/wire"
@@ -72,8 +74,6 @@ const (
 	// RejectEquivocation: the sender already sent a DIFFERENT payload
 	// of a single-instance class this round; evidence is recorded.
 	RejectEquivocation
-	// RejectSignature: a signature or share failed verification.
-	RejectSignature
 
 	numReasons
 )
@@ -93,8 +93,6 @@ func (r Reason) String() string {
 		return "duplicate"
 	case RejectEquivocation:
 		return "equivocation"
-	case RejectSignature:
-		return "signature"
 	default:
 		return fmt.Sprintf("Reason(%d)", int(r))
 	}
@@ -269,10 +267,6 @@ type Validator struct {
 	stamp   uint64
 	dup     map[dupKey]struct{}
 	first   map[uniKey]sim.Payload
-
-	// msgCache holds the signed messages shares verify against, guarded
-	// by mu and built on the first share check that needs it.
-	msgCache map[sigKey][]byte
 }
 
 // New builds a validator for the rule set. Its per-sender slots are
@@ -306,7 +300,6 @@ func (v *Validator) Reset() {
 	}
 	clear(v.dup)
 	clear(v.first)
-	clear(v.msgCache)
 	v.rep = Report{}
 }
 
@@ -319,11 +312,9 @@ func (v *Validator) Report() Report {
 	return rep
 }
 
-// checkPre runs every screening stage before signature verification,
-// in fixed order: sender, decode, phase type, domain, duplicate,
-// equivocation. Signature checks come last — they are the expensive
-// step, and everything cheaper prunes first.
-func (v *Validator) checkPre(round, from int, raw []byte, p sim.Payload, decodeErr error) (Reason, bool) {
+// check runs every screening stage in fixed order: sender, decode,
+// phase type, domain, duplicate, equivocation.
+func (v *Validator) check(round, from int, raw []byte, p sim.Payload, decodeErr error) (Reason, bool) {
 	if from < 0 || from >= v.rules.N {
 		return RejectSender, false
 	}
@@ -451,51 +442,4 @@ func renderPayload(p sim.Payload) string {
 	default:
 		return fmt.Sprintf("%T", p)
 	}
-}
-
-// shareOK verifies one threshold share against the signed message of
-// its key under pk, requiring the share to be the sender's own
-// (authenticated channels: a sender may only contribute its own share).
-// A nil pk skips the check.
-func (v *Validator) shareOK(pk *threshsig.PublicKey, key sigKey, from int, s threshsig.Share) bool {
-	return pk == nil || (s.Signer == from && threshsig.VerShare(pk, v.sigMessage(key), s))
-}
-
-// certBitmapWords is the seen-bitmap size kept on the stack: one bit
-// per signer covers n <= 1024 without touching the heap.
-const certBitmapWords = 16
-
-// certValid verifies an explicit share set: at least threshold shares
-// from distinct signers, each verifying against the message. Only the
-// first share from each signer is considered — tracked by a linear
-// pass over a seen-bitmap (n is known), stack-allocated for n <= 1024
-// since the screen sits on the hot ingress path, and plainly allocated
-// beyond.
-// Honest certs carry unique signers, so the first-occurrence rule
-// changes nothing for them; an adversarial cert padding a signer with
-// a bad share before a good one is judged stricter than before, never
-// looser. Out-of-range signers can never verify, so they are skipped
-// without occupying a bitmap slot.
-func certValid(pk *threshsig.PublicKey, m []byte, shares []threshsig.Share) bool {
-	n := pk.N()
-	var stack [certBitmapWords]uint64
-	seen := stack[:]
-	if words := (n + 63) / 64; words > certBitmapWords {
-		seen = make([]uint64, words)
-	}
-	distinct := 0
-	for _, s := range shares {
-		if s.Signer < 0 || s.Signer >= n {
-			continue
-		}
-		word, bit := s.Signer>>6, uint64(1)<<uint(s.Signer&63)
-		if seen[word]&bit != 0 {
-			continue
-		}
-		seen[word] |= bit
-		if threshsig.VerShare(pk, m, s) {
-			distinct++
-		}
-	}
-	return distinct >= pk.Threshold()
 }

@@ -71,7 +71,7 @@ func TestRejectMalformed(t *testing.T) {
 func TestRejectTypeForPhase(t *testing.T) {
 	// One-shot κ=3: rounds 1..3 echoes, round 4 coin shares.
 	setup := testSetup(t, 4, 1)
-	v := New(ForOneShot(4, 3, 1, setup.CoinPK))
+	v := New(ForOneShot(4, 3, 1, setup.Mode))
 	vote := proxcensus.LinearVote{V: 0, Share: threshsig.SignShare(setup.ProxSKs[1], proxcensus.LinearSigmaMessage(0))}
 	if admitPayload(t, v, 1, 1, vote) {
 		t.Fatal("linear vote admitted in an echo round")
@@ -92,7 +92,7 @@ func TestRejectTypeForPhase(t *testing.T) {
 }
 
 func TestIdealCoinRoundAllowsNothing(t *testing.T) {
-	v := New(ForOneShot(4, 2, 1, nil))
+	v := New(ForOneShot(4, 2, 1, ba.CoinIdeal))
 	if admitPayload(t, v, 3, 0, proxcensus.EchoPayload{Z: 0, H: 0}) {
 		t.Fatal("echo admitted in ideal-coin round")
 	}
@@ -130,7 +130,7 @@ func TestRejectDomain(t *testing.T) {
 
 func TestRejectWrongCoinInstance(t *testing.T) {
 	setup := testSetup(t, 4, 1)
-	v := New(ForHalf(4, setup.CoinPK, setup.ProxPK))
+	v := New(ForHalf(4))
 	mk := func(k int) coin.SharePayload {
 		return coin.SharePayload{K: k, Share: threshsig.SignShare(setup.CoinSKs[1], coin.InstanceMessage(ba.HalfCoinDomain, k))}
 	}
@@ -149,58 +149,25 @@ func TestRejectWrongCoinInstance(t *testing.T) {
 	}
 }
 
-func TestRejectBadSignatures(t *testing.T) {
-	setup := testSetup(t, 4, 1)
-	v := New(ForHalf(4, setup.CoinPK, setup.ProxPK))
-	// A share that verifies but belongs to another signer: sender 2
-	// replaying sender 1's vote share.
-	stolen := proxcensus.LinearVote{V: 0, Share: threshsig.SignShare(setup.ProxSKs[1], proxcensus.LinearSigmaMessage(0))}
-	if admitPayload(t, v, 1, 2, stolen) {
-		t.Fatal("replayed foreign share admitted")
-	}
-	// A share whose MAC is garbage (distinct sender: a second vote from
-	// sender 2 would count as equivocation, which fires first).
-	forged := proxcensus.LinearVote{V: 1, Share: threshsig.Share{Signer: 3}}
-	if admitPayload(t, v, 1, 3, forged) {
-		t.Fatal("forged share admitted")
-	}
-	// A combined Σ that never existed.
-	if admitPayload(t, v, 2, 2, proxcensus.LinearSigma{V: 0}) {
-		t.Fatal("forged sigma admitted")
-	}
-	// A coin share for the right instance under the wrong key.
-	badCoin := coin.SharePayload{K: 0, Share: threshsig.SignShare(setup.ProxSKs[2], coin.InstanceMessage(ba.HalfCoinDomain, 0))}
-	if admitPayload(t, v, 3, 2, badCoin) {
-		t.Fatal("wrong-key coin share admitted")
-	}
-	if got := v.Report().Rejections(RejectSignature); got != 4 {
-		t.Fatalf("signature rejections = %d, want 4: %s", got, v.Report().Summary())
-	}
-	// The honest counterparts all pass.
-	if !admitPayload(t, v, 1, 2, proxcensus.LinearVote{V: 0, Share: threshsig.SignShare(setup.ProxSKs[2], proxcensus.LinearSigmaMessage(0))}) {
-		t.Fatal("honest vote rejected")
-	}
-}
-
-func TestProxcastSignatureAndPairCap(t *testing.T) {
+// TestProxcastPairCap: a dealer-signed set of up to
+// proxcensus.MaxProxcastPairs pairs passes; a larger one is out of
+// domain under every rule set. The dealer signatures inside are the
+// machine's to verify (ba's TestForgedInputIsIgnored/ProxcastSet).
+func TestProxcastPairCap(t *testing.T) {
 	var seed [sig.Size]byte
 	seed[0] = 0x5a
-	pk, sk := sig.KeyGen(0, seed)
-	v := New(ForProxcast(4, 8, pk))
+	_, sk := sig.KeyGen(0, seed)
+	v := New(ForProxcast(4, 8))
 	good := proxcensus.ProxcastPair{Z: 1, Sig: sig.Sign(sk, proxcensus.ProxcastMessage(1))}
-	bad := proxcensus.ProxcastPair{Z: 2}
 	if !admitPayload(t, v, 1, 0, proxcensus.ProxcastSet{Pairs: []proxcensus.ProxcastPair{good}}) {
 		t.Fatal("dealer-signed pair rejected")
-	}
-	if admitPayload(t, v, 1, 1, proxcensus.ProxcastSet{Pairs: []proxcensus.ProxcastPair{bad}}) {
-		t.Fatal("unsigned pair admitted")
 	}
 	three := proxcensus.ProxcastSet{Pairs: []proxcensus.ProxcastPair{good, good, good}}
 	if admitPayload(t, v, 1, 2, three) {
 		t.Fatal("oversized pair set admitted")
 	}
 	rep := v.Report()
-	if rep.Rejections(RejectSignature) != 1 || rep.Rejections(RejectDomain) != 1 {
+	if rep.Rejections(RejectDomain) != 1 || rep.TotalRejected() != 1 {
 		t.Fatalf("report: %s", rep.Summary())
 	}
 	// The pair cap is the protocol's, not the rule set's.
@@ -266,10 +233,7 @@ func TestEquivocationDetection(t *testing.T) {
 func TestEquivocationPerInstanceSubKeys(t *testing.T) {
 	setup := testSetup(t, 4, 1)
 	// Permissive phase rules so both instances land in one round.
-	rules := General(4)
-	rules.CoinPK = setup.CoinPK
-	rules.CoinDomain = ba.HalfCoinDomain
-	v := New(rules)
+	v := New(General(4))
 	mk := func(k int) coin.SharePayload {
 		return coin.SharePayload{K: k, Share: threshsig.SignShare(setup.CoinSKs[1], coin.InstanceMessage(ba.HalfCoinDomain, k))}
 	}
@@ -338,7 +302,7 @@ func TestReportMergeAndSummary(t *testing.T) {
 
 func TestHalfPhaseTable(t *testing.T) {
 	setup := testSetup(t, 4, 1)
-	v := New(ForHalf(4, setup.CoinPK, setup.ProxPK))
+	v := New(ForHalf(4))
 	vote := proxcensus.LinearVote{V: 1, Share: threshsig.SignShare(setup.ProxSKs[0], proxcensus.LinearSigmaMessage(1))}
 	if !admitPayload(t, v, 1, 0, vote) {
 		t.Fatal("vote rejected in local round 1")
@@ -377,14 +341,14 @@ func TestGeneralRulesAdmitEverythingDecodable(t *testing.T) {
 // TestResetMatchesNew: a validator that screened one instance and was
 // Reset screens the next exactly as a fresh one does. The first
 // instance leaves every kind of state behind — a duplicate, an
-// equivocation with its evidence, a wrong-phase message, threshold
-// shares in the signed-message cache — and the second starts in the
+// equivocation with its evidence, a wrong-phase message — and the
+// second starts in the
 // round the first ended in, with the same bytes, so a stale round
 // number, sender slot or spill would reject honest traffic there.
 func TestResetMatchesNew(t *testing.T) {
 	const n = 4
 	setup := testSetup(t, n, 1)
-	rules := ForHalf(n, setup.CoinPK, setup.ProxPK)
+	rules := ForHalf(n)
 	vote := func(from, v int) Inbound {
 		return inboundOf(t, from, proxcensus.LinearVote{V: v, Share: threshsig.SignShare(setup.ProxSKs[from], proxcensus.LinearSigmaMessage(v))})
 	}

@@ -27,9 +27,10 @@
 #      the wire's back-reference layout table;
 #  11. the connection readers building their buffered reader per frame
 #      instead of once per connection: the coalesced-frames test;
-#  12. the screen's one signature stage skipped, so AdmitBatch admits
-#      whatever passes its cheap checks: the bad-signature and
-#      forged-share tests;
+#  12. the linear Proxcensus machine storing a vote share without
+#      verifying it — the machines are the one signature check, the
+#      screen checks structure only: the forged-input table and the
+#      forged-share validity test over TCP;
 #  13. the screen reading a message's class from the last byte of its
 #      encoding instead of the tag: the wire's class table, the screen's
 #      wrong-phase-type test and the admission differential;
@@ -282,24 +283,29 @@ sed -i 's/readFrameInto(conn, r, deadline, f\.buf\[:0\])/readFrameInto(conn, new
 (cd "$tmp" && go build ./internal/transport)
 expect_test_fail 'TestCoalescedFramesEachReadOnce' ./internal/transport
 
-echo "mutation 12: AdmitBatch skips its signature check"
-batch="$tmp/internal/validate/batch.go"
-sig_line='if ok && !v.signatureOK(m.From, m.Payload) {'
-if [[ "$(grep -cF "$sig_line" "$batch")" -ne 1 ]]; then
-    echo "FAIL: expected exactly one signature check in validate/batch.go, AdmitBatch's" >&2
+echo "mutation 12: the linear machine stores a vote share without verifying it"
+# Earlier mutations left ba, the screen, the wire codec and the
+# transport edited (mutation 10's length compare would relay the
+# forger's vote as its neighbour's); start them and the machines from
+# the tree as it stands.
+for pkg in ba proxcensus validate wire transport; do
+    cp internal/$pkg/*.go "$tmp/internal/$pkg/"
+done
+linear="$tmp/internal/proxcensus/linear.go"
+vote_line='if !threshsig.VerShare(m.pk, LinearSigmaMessage(p.V), p.Share) {'
+if [[ "$(grep -cF "$vote_line" "$linear")" -ne 1 ]]; then
+    echo "FAIL: expected exactly one vote-share check in proxcensus/linear.go, LinearMachine.absorb's" >&2
     exit 1
 fi
-sig_tests='TestRejectBadSignatures|TestBatchVerifyFallback'
-# The copy still carries mutations 3 and 5 in validate, so the tests
-# must be green before the change for their red to mean anything.
-(cd "$tmp" && go test -count=1 -run "$sig_tests" ./internal/validate)
-# Every share, combined signature and certificate passes: the screen
-# still dedups and catches equivocation, but a forged share reaches the
-# machine.
-sed -i 's/if ok \&\& !v\.signatureOK(m\.From, m\.Payload) {/if false {/' "$batch"
-(cd "$tmp" && go build ./internal/validate)
-expect_test_fail 'TestRejectBadSignatures' ./internal/validate
-expect_test_fail 'TestBatchVerifyFallback' ./internal/validate
+forged_tests='TestForgedInputIsIgnored|TestTCPForgedSharesCannotBreakValidity'
+(cd "$tmp" && go test -count=1 -run "$forged_tests" ./internal/ba)
+# A forged vote share from its own signer is stored and blocks Σ: the
+# honest shares never combine with it in the set.
+sed -i 's/if !threshsig\.VerShare(m\.pk, LinearSigmaMessage(p\.V), p\.Share) {/if false {/' "$linear"
+(cd "$tmp" && go build ./internal/proxcensus)
+expect_test_fail 'TestForgedInputIsIgnored' ./internal/ba
+expect_test_fail 'TestTCPForgedSharesCannotBreakValidity' ./internal/ba
+cp internal/proxcensus/linear.go "$linear"
 
 echo "mutation 13: the screen reads a message's class from the last byte of its encoding"
 # Earlier mutations left validate and the wire codec edited; start both
